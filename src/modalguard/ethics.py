@@ -191,7 +191,7 @@ def check_dde(
         goal = intention_formula(agent, request_moment, e)
         r = prove(assumptions, goal, budget, sig)
         label = f"{e.kind} {print_term(e.fluent)}"
-        if r.status == "timeout":
+        if r.status in ("timeout", "incomplete"):
             c3_status = "unknown"
             c3_notes.append(f"{label}: intention undecided")
             continue

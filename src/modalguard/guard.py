@@ -11,8 +11,9 @@ condition to that predicate.
 A proved obligation is re-checked by the independent proof verifier,
 then weighed: an action whose projected effects satisfy the
 double-effect clauses overrides the obligation and is ALLOWed.
-Everything else fails closed: unverifiable proof, undecided clause, or
-exhausted budget all yield LOCK.
+Everything else fails closed: unverifiable proof, undecided clause,
+exhausted budget, or a search cut short by the grounding cap all yield
+LOCK.
 """
 
 from __future__ import annotations
@@ -233,6 +234,9 @@ def adjudicate(scenario: Scenario, budget: Optional[Budget] = None) -> Verdict:
     def done(v: Verdict) -> Verdict:
         v.elapsed_ms = (time.monotonic() - start) * 1000.0
         allowed = v.decision == ALLOW
+        if v.prove_status not in ("proof", "no_proof", "incomplete", "timeout"):
+            raise AssertionError(f"unknown prove status {v.prove_status!r}")
+        # only a complete search may ALLOW without a proof
         justified = v.prove_status == "no_proof" or (
             v.prove_status == "proof"
             and bool(v.proof_verified)
@@ -246,6 +250,15 @@ def adjudicate(scenario: Scenario, budget: Optional[Budget] = None) -> Verdict:
     if res.status == "timeout":
         return done(
             Verdict(LOCK, "obligation query exceeded budget; failing safe", goal, res.status)
+        )
+    if res.status == "incomplete":
+        return done(
+            Verdict(
+                LOCK,
+                "obligation search cut short by the grounding cap; failing safe",
+                goal,
+                res.status,
+            )
         )
     if res.status == "no_proof":
         return done(
@@ -339,7 +352,7 @@ def prevents_holds(
     res = prove(assumptions, goal, budget, scenario.sig)
     if res.status == "proof":
         return PreventsResult("yes", proof=res.proof)
-    if res.status == "timeout" or not _within_oracle_bounds(scenario):
+    if res.status != "no_proof" or not _within_oracle_bounds(scenario):
         return PreventsResult("unknown")
     entailed, countermodel = oracle_entails(
         assumptions, goal, scenario.sig, depth=budget.depth

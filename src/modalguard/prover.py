@@ -11,6 +11,10 @@ Modal reasoning happens on the positive side: the closure rules are
 applied to the assumptions before shadowing, so goals whose proof
 would need modal rules applied underneath the negated goal are
 reported as no_proof rather than proved.
+
+A search over a grounding cut short by GROUNDING_INSTANCE_CAP is not
+complete: when it ends without a refutation the status is incomplete,
+never no_proof.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ class Budget:
 
 @dataclass
 class ProveResult:
-    status: str  # "proof" | "no_proof" | "timeout"
+    status: str  # "proof" | "no_proof" | "incomplete" | "timeout"
     proof: Optional[Proof] = None
     stats: dict = field(default_factory=dict)
 
@@ -301,7 +305,7 @@ def prove(
         return ProveResult("timeout", None, stats)
     if sat.status == "saturated":
         stats["elapsed_ms"] = (time.monotonic() - start) * 1000.0
-        return ProveResult("no_proof", None, stats)
+        return ProveResult("incomplete" if prep.capped else "no_proof", None, stats)
 
     # refutation: rebuild the used derivation as checkable steps
     node_step: dict[int, int] = {}

@@ -7,6 +7,17 @@ itself).  Unification is sorted: a variable only binds a term whose
 sort widens to the variable's sort.  Forward subsumption discards
 clauses subsumed by retained ones.  The search stops at the empty
 clause (refutation), an exhausted queue (saturation), or the budget.
+
+Before the loop, input clauses with a pure literal are deleted, and
+deletion repeats until nothing changes (Davis & Putnam, JACM 1960).  A
+literal is pure when no remaining input holds its predicate with the
+opposite sign.  Every descendant of a deleted clause keeps an instance
+of some pure literal, so it can never be resolved to the empty clause;
+and since no kept clause holds that predicate at all, it can neither
+subsume nor duplicate a descendant of the kept clauses.  The kept
+clauses are therefore selected and combined exactly as they would be
+with the deleted ones present: every refutation, and so every proof,
+is unchanged, and so is every saturation.
 """
 
 from __future__ import annotations
@@ -188,6 +199,35 @@ def subsumes(general: Clause, specific: Clause, sig: Signature) -> bool:
 # Saturation
 
 
+Shape = frozenset[tuple[str, bool]]
+
+
+def pure_clauses(shapes: Sequence[Shape]) -> set[int]:
+    """Indices of the clauses deleted by the pure-literal rule, applied
+    until nothing changes; shapes are the clauses' (predicate, sign) sets."""
+    holders: dict[tuple[str, bool], set[int]] = {}
+    for i, shape in enumerate(shapes):
+        for key in shape:
+            holders.setdefault(key, set()).add(i)
+    pure: set[int] = set()
+    todo = [
+        i for i, shape in enumerate(shapes)
+        if any((p, not s) not in holders for p, s in shape)
+    ]
+    while todo:
+        i = todo.pop()
+        if i in pure:
+            continue
+        pure.add(i)
+        for p, s in shapes[i]:
+            left = holders[(p, s)]
+            left.discard(i)
+            if not left:
+                # every clause holding the complement just became pure
+                todo.extend(holders.get((p, not s), ()))
+    return pure
+
+
 @dataclass(frozen=True)
 class Inference:
     clause: Clause
@@ -241,7 +281,7 @@ def saturate(
 
     # (pred, sign) multiset signature per node, for cheap subsumption
     # pre-filtering: a subsumer's literal signature must be a subset
-    shapes: list[frozenset[tuple[str, bool]]] = []
+    shapes: list[Shape] = []
 
     def push(c: Clause, rule: str, parents: tuple[int, ...], source: Optional[int]) -> Optional[int]:
         nonlocal generated
@@ -265,6 +305,12 @@ def saturate(
             idx = push(c, "input", (), src)
             if idx is not None and nodes[idx].clause.empty:
                 return SaturationResult("refutation", nodes, idx, generated)
+        # the deletion may empty the queue, so poll the clock once first
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetStop("timeout")
+        pure = pure_clauses(shapes)
+        passive[:] = [entry for entry in passive if entry[2] not in pure]
+        heapq.heapify(passive)
 
         steps = 0
         while passive:

@@ -60,13 +60,6 @@ class ShadowMap:
             raise RuntimeError(f"shadow name collision on {name}")
         return Atom(name, fvs)
 
-    def is_shadow(self, pred: str) -> bool:
-        return pred in self.entries
-
-    def unshadow(self, atom: Atom) -> Formula:
-        entry = self.entries[atom.pred]
-        return substitute(entry.pattern, dict(zip(entry.holes, atom.args)))
-
 
 def shadow(f: Formula, smap: ShadowMap) -> Formula:
     """Replace every maximal modal subformula of f by its shadow atom."""

@@ -151,3 +151,13 @@ def test_reports_are_deterministic_modulo_elapsed_time():
         assert _strip_elapsed(render_json(sc, first)) == _strip_elapsed(
             render_json(sc, second)
         ), name
+
+
+def test_bundled_obligation_proofs_have_the_sizes_the_readme_states():
+    for name, steps in (("sim1", 34), ("sim2", 32)):
+        sc = load_bundled_scenario(name)
+        verdict = adjudicate(sc)
+        assert verdict.proof_verified, name
+        assert len(verdict.proof.steps) == steps, name
+        assumptions, _ = adjudication_theory(sc)
+        assert verify_proof(verdict.proof, assumptions, verdict.obligation, sc.sig), name

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from modalguard import prover
 from modalguard.eventcalc import (
     ECTheory,
     EffectAxiom,
@@ -27,8 +28,11 @@ from modalguard.syntax import (
     Atom,
     Const,
     FLUENT,
+    Forall,
+    INTENDS,
     Modal,
     Not,
+    Var,
     moment,
 )
 
@@ -214,6 +218,22 @@ def test_c3_unknown_when_intention_query_exhausts_budget():
                   sig=sig, budget=Budget(max_clauses=1))
     assert v.clauses["C3"].status == "unknown"
     assert v.unknown
+    assert not v.compliant
+
+
+def test_c3_unknown_when_grounding_is_capped(monkeypatch):
+    atype, event = act("aid")
+    th = theory([EffectAxiom(event, INITIATED, CROPS)])
+    x = Var("x", AGENT)
+    crops_later = Atom("holds", (CROPS, moment(1)))
+    everyone_intends = Forall(x, Modal(INTENDS, x, moment(0), crops_later))
+    v = check_dde(th, AGENT0, atype, 0, HIER, umap(crops_saved=2), [everyone_intends])
+    assert v.clauses["C3"].status == "pass"
+    # with no instance allowed the intention is out of reach, and a search
+    # that could not ground its premises must not count it as absent
+    monkeypatch.setattr(prover, "GROUNDING_INSTANCE_CAP", 0)
+    v = check_dde(th, AGENT0, atype, 0, HIER, umap(crops_saved=2), [everyone_intends])
+    assert v.clauses["C3"].status == "unknown"
     assert not v.compliant
 
 

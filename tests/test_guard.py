@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from modalguard import guard, prover
 from modalguard.guard import (
     ALLOW,
     LOCK,
@@ -19,7 +20,7 @@ from modalguard.guard import (
     prevents_holds,
 )
 from modalguard.proofs import verify_proof
-from modalguard.prover import Budget
+from modalguard.prover import Budget, ProveResult
 from modalguard.scenario import load_bundled_scenario, parse_scenario
 from modalguard.syntax import (
     App,
@@ -90,6 +91,31 @@ def test_clause_starved_adjudication_fails_safe():
     assert v.prove_status == "timeout"
     assert "failing safe" in v.reason
     assert v.proof is None
+
+
+def test_grounding_capped_adjudication_fails_safe(monkeypatch):
+    # too few instances to ground the deprivation rule: the search
+    # saturates without the obligation, and that must not read as ALLOW
+    monkeypatch.setattr(prover, "GROUNDING_INSTANCE_CAP", 20)
+    v = adjudicate(SIM1)
+    assert v.decision == LOCK
+    assert v.prove_status == "incomplete"
+    assert "failing safe" in v.reason
+    assert v.proof is None
+    assert v.dde is None
+
+
+def test_incomplete_searches_answer_unknown(monkeypatch):
+    monkeypatch.setattr(guard, "prove", lambda *args: ProveResult("incomplete"))
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("an incomplete search must not consult the oracle")
+
+    monkeypatch.setattr(guard, "oracle_entails", no_oracle)
+    assert prevents_holds(SIM1, SHOOTER, VICTIM, G_LIVE, FIRE, 1).answer == "unknown"
+    fire = Atom("happens", (App("action", (SHOOTER, FIRE), "Action"), moment(1)))
+    pos, neg = intention_query(SHOOTER, 1, fire)
+    assert epistemic_query(SIM1, pos, neg).answer == "unknown"
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import time
 
-from modalguard.clauses import Clause, Literal, clausify
+from hypothesis import given, settings, strategies as st
+
+from modalguard.clauses import Clause, Literal, canonical_clause, clausify
 from modalguard.parser import parse_formula
 from modalguard.resolution import (
     factors,
+    pure_clauses,
     resolvents,
     saturate,
     subsumes,
@@ -201,3 +205,84 @@ def test_unit_conflict():
     res = saturate(inputs("(p)", "(not (p))"), SIG)
     assert res.status == "refutation"
     assert len(res.used_nodes()) == 3
+
+
+# ---------------------------------------------------------------------------
+# pure-literal deletion
+
+REFUTABLE = (
+    "(forall x : Agent (implies (P x) (Q x)))",
+    "(P a)",
+    "(not (Q a))",
+)
+# (R a b) never occurs negated, so the first clause is pure at once; the
+# second turns pure only once the first, the one holder of (not (q)), is gone
+PURE_CHAIN = ("(implies (q) (R a b))", "(or (q) (not (P b)))", "(R b a)")
+
+
+def used_clauses(res) -> list[tuple[str, str]]:
+    return [(res.nodes[n].rule, res.nodes[n].clause.key()) for n in res.used_nodes()]
+
+
+def shapes_of(ins: list[tuple[Clause, int]]) -> list[frozenset[tuple[str, bool]]]:
+    return [frozenset((l.atom.pred, l.positive) for l in c.literals) for c, _ in ins]
+
+
+def test_pure_deletion_repeats_until_nothing_changes():
+    ins = inputs(*REFUTABLE, *PURE_CHAIN)
+    assert pure_clauses(shapes_of(ins)) == {3, 4, 5}
+    assert pure_clauses(shapes_of(inputs(*REFUTABLE))) == set()
+
+
+def test_pure_inputs_leave_the_refutation_unchanged():
+    base = saturate(inputs(*REFUTABLE), SIG)
+    padded = saturate(inputs(*REFUTABLE, *PURE_CHAIN), SIG)
+    assert base.status == padded.status == "refutation"
+    assert used_clauses(padded) == used_clauses(base)
+    # no inference ever takes a deleted input as a parent
+    assert all(not {3, 4, 5} & set(node.parents) for node in padded.nodes)
+
+
+def test_all_pure_inputs_saturate_without_inferences():
+    ins = inputs(*PURE_CHAIN)
+    res = saturate(ins, SIG, deadline=time.monotonic() + 60.0)
+    assert res.status == "saturated"
+    assert [node.rule for node in res.nodes] == ["input"] * len(ins)
+    # an expired deadline is still reported, with nothing left to search
+    assert saturate(ins, SIG, deadline=time.monotonic() - 1.0).status == "budget"
+
+
+def test_pure_inputs_count_against_the_clause_budget():
+    ins = inputs(*PURE_CHAIN)
+    assert saturate(ins, SIG, max_clauses=len(ins)).status == "saturated"
+    assert saturate(ins, SIG, max_clauses=len(ins) - 1).status == "budget"
+
+
+GROUND_ATOMS = (
+    Atom("p", ()),
+    Atom("q", ()),
+    Atom("P", (A,)),
+    Atom("P", (B,)),
+    Atom("R", (A, B)),
+)
+ground_clauses = st.lists(
+    st.lists(st.builds(Literal, st.booleans(), st.sampled_from(GROUND_ATOMS)), max_size=3),
+    max_size=8,
+)
+
+
+def satisfiable_by_truth_table(clauses: list[Clause]) -> bool:
+    for values in itertools.product((False, True), repeat=len(GROUND_ATOMS)):
+        model = dict(zip(GROUND_ATOMS, values))
+        if all(any(model[l.atom] == l.positive for l in c.literals) for c in clauses):
+            return True
+    return False
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ground_clauses)
+def test_saturation_refutes_exactly_the_unsatisfiable_ground_sets(literal_lists):
+    clauses = [canonical_clause(lits) for lits in literal_lists]
+    res = saturate([(c, i) for i, c in enumerate(clauses)], SIG)
+    assert res.status != "budget"
+    assert (res.status == "refutation") == (not satisfiable_by_truth_table(clauses))
