@@ -7,8 +7,8 @@
 
 A scenario argument is a path, or the name of a bundled scenario
 (see modalguard parse --list).  Exit codes: 0 success or ALLOW,
-2 LOCK or non-compliant, 3 no proof, 4 budget exhausted, 1 error,
-64 usage.
+2 LOCK or non-compliant, 3 no proof, 4 budget exhausted or grounding
+cap reached, 1 error, 64 usage.
 """
 
 from __future__ import annotations
@@ -164,10 +164,11 @@ def build_parser() -> _Parser:
     return p
 
 
+_DEFAULT_BUDGET = Budget()
 _FLAG_DEFAULTS = {
-    "timeout": 10000,
-    "depth": 4,
-    "clauses": 200000,
+    "timeout": _DEFAULT_BUDGET.timeout_ms,
+    "depth": _DEFAULT_BUDGET.depth,
+    "clauses": _DEFAULT_BUDGET.max_clauses,
     "format": "text",
     "trace": False,
 }

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 from .eventcalc import ECTheory, Effect, INITIATED, causal_chain, effects_of
 from .prover import Budget, prove
 from .syntax import (
+    ACTION,
     App,
     Atom,
     Const,
@@ -157,14 +158,8 @@ def check_dde(
 ) -> DDEVerdict:
     sig = sig if sig is not None else Signature()
     budget = budget if budget is not None else Budget()
-    event = App("action", (agent, atype), "Action")
-    if (event, request_moment) not in theory.occurrences:
-        theory = ECTheory(
-            theory.initial,
-            theory.axioms,
-            theory.occurrences | {(event, request_moment)},
-            theory.horizon,
-        )
+    event = App("action", (agent, atype), ACTION)
+    theory = theory.with_occurrence(event, request_moment)
     effects = tuple(effects_of(theory, event, request_moment, sig))
     clauses: dict[str, ClauseResult] = {}
 

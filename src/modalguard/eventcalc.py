@@ -16,10 +16,18 @@ supports counterfactual attribution (effects_of) and causal chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
-from .syntax import App, Const, Signature, Term, Var, print_term
+from .syntax import (
+    Signature,
+    Term,
+    Var,
+    match_term,
+    print_term,
+    substitute_term,
+    term_vars,
+)
 
 INITIATED = "initiated"
 TERMINATED = "terminated"
@@ -54,56 +62,14 @@ class EffectAxiom:
     def __post_init__(self) -> None:
         if self.kind not in (INITIATED, TERMINATED):
             raise ValueError(f"bad effect kind {self.kind}")
-        bound = _term_var_names(self.event)
-        loose = (_term_var_names(self.fluent) - bound) | {
-            v
-            for g in self.guard
-            for v in _term_var_names(g.fluent) - bound
-        }
+        bound: list[Var] = []
+        term_vars(self.event, bound)
+        used: list[Var] = []
+        for t in (self.fluent, *(g.fluent for g in self.guard)):
+            term_vars(t, used)
+        loose = sorted({v.name for v in used if v not in bound})
         if loose:
-            raise ValueError(
-                f"axiom variables {sorted(loose)} not bound by the event pattern"
-            )
-
-
-def _term_var_names(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, App):
-        out: set[str] = set()
-        for a in t.args:
-            out |= _term_var_names(a)
-        return out
-    return set()
-
-
-def _match(pattern: Term, term: Term, sig: Signature, b: dict[str, Term]) -> Optional[dict[str, Term]]:
-    if isinstance(pattern, Var):
-        if not sig.widens(term.sort, pattern.sort):
-            return None
-        if pattern.name in b:
-            return b if b[pattern.name] == term else None
-        b = dict(b)
-        b[pattern.name] = term
-        return b
-    if isinstance(pattern, Const):
-        return b if pattern == term else None
-    if not isinstance(term, App) or pattern.fn != term.fn or len(pattern.args) != len(term.args):
-        return None
-    for pa, ta in zip(pattern.args, term.args):
-        got = _match(pa, ta, sig, b)
-        if got is None:
-            return None
-        b = got
-    return b
-
-
-def _apply(t: Term, b: dict[str, Term]) -> Term:
-    if isinstance(t, Var):
-        return b[t.name]
-    if isinstance(t, App):
-        return App(t.fn, tuple(_apply(a, b) for a in t.args), t.sort)
-    return t
+            raise ValueError(f"axiom variables {loose} not bound by the event pattern")
 
 
 @dataclass(eq=False)
@@ -145,6 +111,16 @@ class ECTheory:
                 raise ValueError(
                     f"occurrence {print_term(ev)} at {m} outside 0..{self.horizon - 1}"
                 )
+
+    def with_occurrence(self, event: Term, moment: int) -> "ECTheory":
+        if (event, moment) in self.occurrences:
+            return self
+        return ECTheory(
+            self.initial,
+            self.axioms,
+            self.occurrences | {(event, moment)},
+            self.horizon,
+        )
 
     def without(self, event: Term, moment: int) -> "ECTheory":
         return ECTheory(
@@ -189,7 +165,7 @@ def project(theory: ECTheory, sig: Optional[Signature] = None) -> Trace:
             changed = False
             for ai, ax in enumerate(theory.axioms):
                 for ev in events:
-                    b = _match(ax.event, ev, sig, {})
+                    b = match_term(ax.event, ev, {}, sig)
                     if b is None:
                         continue
                     tag = (ai, print_term(ev))
@@ -198,7 +174,7 @@ def project(theory: ECTheory, sig: Optional[Signature] = None) -> Trace:
                     sources: list[Optional[Effect]] = []
                     ok = True
                     for lit in ax.guard:
-                        f = _apply(lit.fluent, b)
+                        f = substitute_term(lit.fluent, b)
                         fk = print_term(f)
                         now_true = f in state or fk in pending_init
                         if lit.positive != now_true:
@@ -214,7 +190,7 @@ def project(theory: ECTheory, sig: Optional[Signature] = None) -> Trace:
                     fired.add(tag)
                     changed = True
                     eff = Effect(
-                        _apply(ax.fluent, b), ax.kind, ev, m, tuple(sources)
+                        substitute_term(ax.fluent, b), ax.kind, ev, m, tuple(sources)
                     )
                     fk = print_term(eff.fluent)
                     if ax.kind == INITIATED:

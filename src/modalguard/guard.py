@@ -8,6 +8,12 @@ the Prevents predicate; adjudication supplies, for every candidate
 victim and goal, the definitional bridge from the six-part prevention
 condition to that predicate.
 
+Each adjudication builds the request theory once (`base_theory`): the
+scenario facts plus the projected trace, with the request occurrence
+added.  The obligation query reads it with the deprivation rule and the
+prevention bridges added; the double-effect intention queries read it
+as it is.
+
 A proved obligation is re-checked by the independent proof verifier,
 then weighed: an action whose projected effects satisfy the
 double-effect clauses overrides the obligation and is ALLOWed.
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .ethics import DDEVerdict, check_dde
-from .eventcalc import ECTheory, Trace, project
+from .eventcalc import Trace, project
 from .models import entails as oracle_entails
 from .proofs import Proof, verify_proof
 from .prover import Budget, prove
@@ -177,28 +183,29 @@ def base_theory(scenario: Scenario) -> tuple[list[Formula], Trace]:
     intention queries read; it carries no normative machinery."""
     req = scenario.request
     event = App("action", (req.agent, req.atype), ACTION)
-    theory = scenario.theory
-    if (event, req.moment) not in theory.occurrences:
-        theory = ECTheory(
-            theory.initial,
-            theory.axioms,
-            theory.occurrences | {(event, req.moment)},
-            theory.horizon,
-        )
+    theory = scenario.theory.with_occurrence(event, req.moment)
     trace = project(theory, scenario.sig)
     assumptions = list(scenario.facts)
     assumptions.extend(trace_atoms(trace, theory.occurrences))
     return assumptions, trace
 
 
+def _with_norms(scenario: Scenario, base: list[Formula]) -> list[Formula]:
+    """The base theory plus the deprivation rule and the prevention
+    bridges, as a new list."""
+    req = scenario.request
+    return [
+        *base,
+        deprivation_axiom(req.agent, req.atype, req.moment),
+        *prevention_bridges(scenario),
+    ]
+
+
 def adjudication_theory(scenario: Scenario) -> tuple[list[Formula], Trace]:
     """Assumption set for the obligation query: the base theory plus
     the deprivation rule and the prevention bridges."""
-    req = scenario.request
-    assumptions, trace = base_theory(scenario)
-    assumptions.append(deprivation_axiom(req.agent, req.atype, req.moment))
-    assumptions.extend(prevention_bridges(scenario))
-    return assumptions, trace
+    base, trace = base_theory(scenario)
+    return _with_norms(scenario, base), trace
 
 
 @dataclass
@@ -217,17 +224,8 @@ def adjudicate(scenario: Scenario, budget: Optional[Budget] = None) -> Verdict:
     budget = budget if budget is not None else Budget()
     start = time.monotonic()
     req = scenario.request
-    event = App("action", (req.agent, req.atype), ACTION)
-    theory = scenario.theory
-    if (event, req.moment) not in theory.occurrences:
-        theory = ECTheory(
-            theory.initial,
-            theory.axioms,
-            theory.occurrences | {(event, req.moment)},
-            theory.horizon,
-        )
-
-    assumptions, _trace = adjudication_theory(scenario)
+    base, _ = base_theory(scenario)
+    assumptions = _with_norms(scenario, base)
     goal = obligation_goal(scenario)
     res = prove(assumptions, goal, budget, scenario.sig)
 
@@ -278,15 +276,14 @@ def adjudicate(scenario: Scenario, budget: Optional[Budget] = None) -> Verdict:
             )
         )
 
-    intention_assumptions, _ = base_theory(scenario)
     dde = check_dde(
-        theory,
+        scenario.theory,
         req.agent,
         req.atype,
         req.moment,
         scenario.hierarchy,
         scenario.utilities,
-        intention_assumptions,
+        base,
         scenario.sig,
         budget,
     )

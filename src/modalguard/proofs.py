@@ -36,8 +36,8 @@ from .syntax import (
     constants_in_formula,
     disj,
     print_formula,
-    subformulas,
     substitute,
+    symbol_names,
     BELIEVES,
     EPISTEMIC_OPS,
     KNOWS,
@@ -147,27 +147,6 @@ def _is_instance(
     return None
 
 
-def _names_in(f: Formula) -> set[str]:
-    names: set[str] = set()
-    for g in subformulas(f):
-        if isinstance(g, Atom):
-            stack = list(g.args)
-        elif isinstance(g, Modal):
-            stack = [g.agent, g.time] + ([g.situation] if g.situation else [])
-        else:
-            continue
-        while stack:
-            t = stack.pop()
-            if isinstance(t, Const):
-                names.add(t.name)
-            elif isinstance(t, Var):
-                names.add(t.name)
-            else:
-                names.add(t.fn)
-                stack.extend(t.args)
-    return names
-
-
 def verify_proof_detailed(
     proof: Proof,
     assumptions: Sequence[Formula],
@@ -181,8 +160,8 @@ def verify_proof_detailed(
     assumed = {canonical_key(a) for a in assumptions}
     used_names: set[str] = set()
     for a in assumptions:
-        used_names |= _names_in(a)
-    used_names |= _names_in(goal)
+        used_names |= symbol_names(a)
+    used_names |= symbol_names(goal)
 
     def fail(i: int, why: str) -> tuple[bool, str]:
         return False, f"step {i + 1}: {why}"
@@ -355,7 +334,7 @@ def verify_proof_detailed(
         else:
             return fail(i, f"unknown rule {r}")
 
-        used_names |= _names_in(f)
+        used_names |= symbol_names(f)
 
     if not alpha_equivalent(proof.steps[-1].formula, goal):
         return False, "last step is not the goal"

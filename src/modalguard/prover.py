@@ -48,7 +48,6 @@ from .syntax import (
     Forall,
     Formula,
     Implies,
-    Modal,
     Not,
     Signature,
     Var,
@@ -58,8 +57,8 @@ from .syntax import (
     is_moment_literal,
     maximal_modal_subformulas,
     moment_value,
-    subformulas,
     substitute,
+    symbol_names,
 )
 
 GROUNDING_INSTANCE_CAP = 5000
@@ -82,25 +81,6 @@ class ProveResult:
     status: str  # "proof" | "no_proof" | "incomplete" | "timeout"
     proof: Optional[Proof] = None
     stats: dict = field(default_factory=dict)
-
-
-def _symbol_names(f: Formula) -> set[str]:
-    names: set[str] = set()
-    for g in subformulas(f):
-        if hasattr(g, "args"):
-            stack = list(g.args)
-        elif isinstance(g, Modal):
-            stack = [g.agent, g.time] + ([g.situation] if g.situation else [])
-        else:
-            continue
-        while stack:
-            t = stack.pop()
-            if isinstance(t, (Const, Var)):
-                names.add(t.name)
-            else:
-                names.add(t.fn)
-                stack.extend(t.args)
-    return names
 
 
 def _modal_relevant(var: Var, body: Formula) -> bool:
@@ -140,7 +120,7 @@ class _Prep:
         if key not in self.records:
             self.records[key] = Derivation(f, rule, premises, 0)
             self.order.append(key)
-            self.used_names |= _symbol_names(f)
+            self.used_names |= symbol_names(f)
             self.consts |= set(constants_in_formula(f))
         return key
 
@@ -240,8 +220,8 @@ def prove(
 
     used_names: set[str] = set()
     for a in assumptions:
-        used_names |= _symbol_names(a)
-    used_names |= _symbol_names(goal)
+        used_names |= symbol_names(a)
+    used_names |= symbol_names(goal)
 
     # grounding closure over assumptions and the negated goal together;
     # formulas rooted at the negated goal are all negations, so the modal

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .clauses import Clause, Literal, canonical_clause, clause_vars, is_tautology
-from .syntax import App, Atom, Const, Signature, Term, Var
+from .syntax import App, Atom, Const, Signature, Term, Var, match_term
 
 
 class BudgetStop(Exception):
@@ -89,26 +89,6 @@ def unify_atoms(a: Atom, b: Atom, sig: Signature) -> Optional[Subst]:
     s: Subst = {}
     for x, y in zip(a.args, b.args):
         if unify_terms(x, y, s, sig) is None:
-            return None
-    return s
-
-
-def match_term(pattern: Term, target: Term, s: Subst, sig: Signature) -> Optional[Subst]:
-    """One-way matching: variables in the pattern only."""
-    if isinstance(pattern, Var):
-        bound = s.get(pattern)
-        if bound is not None:
-            return s if bound == target else None
-        if not sig.widens(target.sort, pattern.sort):
-            return None
-        s[pattern] = target
-        return s
-    if isinstance(pattern, Const):
-        return s if pattern == target else None
-    if not isinstance(target, App) or pattern.fn != target.fn:
-        return None
-    for x, y in zip(pattern.args, target.args):
-        if match_term(x, y, s, sig) is None:
             return None
     return s
 

@@ -31,7 +31,6 @@ from .syntax import (
     KNOWS,
     Modal,
     canonical_key,
-    maximal_modal_subformulas,
     print_term,
     subformulas,
 )
@@ -58,34 +57,8 @@ class Expansion:
     def __init__(self) -> None:
         self.records: dict[str, Derivation] = {}
 
-    def __contains__(self, f: Formula) -> bool:
-        return canonical_key(f) in self.records
-
     def formulas(self) -> list[Formula]:
         return [d.formula for d in self.records.values()]
-
-    def derived(self) -> list[Formula]:
-        return [d.formula for d in self.records.values() if d.rule != RULE_ASSUMPTION]
-
-    def chain(self, f: Formula) -> list[Derivation]:
-        """Derivations needed to reach f, premises before conclusions."""
-        key = canonical_key(f)
-        if key not in self.records:
-            raise KeyError(f"formula not in expansion: {key}")
-        out: list[Derivation] = []
-        seen: set[str] = set()
-
-        def visit(k: str) -> None:
-            if k in seen:
-                return
-            seen.add(k)
-            rec = self.records[k]
-            for p in rec.premises:
-                visit(p)
-            out.append(rec)
-
-        visit(key)
-        return out
 
 
 def harvest_join_targets(formulas: Iterable[Formula]) -> list[Modal]:

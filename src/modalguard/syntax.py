@@ -283,6 +283,22 @@ def formula_terms(f: Formula) -> Iterator[Term]:
         yield from formula_terms(f.body)
 
 
+def symbol_names(f: Formula) -> set[str]:
+    """Names of every variable, constant and function symbol in the terms
+    of f, including modal agent, time and situation terms.  Predicate
+    names are not collected."""
+    names: set[str] = set()
+    stack = list(formula_terms(f))
+    while stack:
+        t = stack.pop()
+        if isinstance(t, App):
+            names.add(t.fn)
+            stack.extend(t.args)
+        else:
+            names.add(t.name)
+    return names
+
+
 def free_vars(f: Formula) -> tuple[Var, ...]:
     """Free variables in first-occurrence order."""
 
@@ -392,6 +408,34 @@ def substitute_term(t: Term, mapping: Mapping[Var, Term]) -> Term:
     if isinstance(t, App):
         return App(t.fn, tuple(substitute_term(a, mapping) for a in t.args), t.sort)
     return t
+
+
+def match_term(
+    pattern: Term, target: Term, s: dict[Var, Term], sig: "Signature"
+) -> Optional[dict[Var, Term]]:
+    """One-way matching: only variables in the pattern bind, and only to
+    terms whose sort widens to theirs.  Extends s in place; None when
+    there is no match (s may then hold partial bindings)."""
+    if isinstance(pattern, Var):
+        bound = s.get(pattern)
+        if bound is not None:
+            return s if bound == target else None
+        if not sig.widens(target.sort, pattern.sort):
+            return None
+        s[pattern] = target
+        return s
+    if isinstance(pattern, Const):
+        return s if pattern == target else None
+    if (
+        not isinstance(target, App)
+        or pattern.fn != target.fn
+        or len(pattern.args) != len(target.args)
+    ):
+        return None
+    for x, y in zip(pattern.args, target.args):
+        if match_term(x, y, s, sig) is None:
+            return None
+    return s
 
 
 def _names_in_term(t: Term, acc: set[str]) -> None:

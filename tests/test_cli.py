@@ -11,7 +11,9 @@ import sys
 
 import pytest
 
+from modalguard import cli
 from modalguard.cli import main
+from modalguard.prover import Budget
 
 OBLIGATION_GOAL = (
     "(obligated shooter 1 sigma_default"
@@ -193,3 +195,15 @@ def test_main_is_importable_and_returns_the_exit_code(capsys):
     out = capsys.readouterr()
     assert "sim1: ok" in out.out
     assert "no scenario file" in out.err
+
+
+def test_budget_flags_default_to_the_prover_budget(monkeypatch):
+    seen = []
+
+    def capture(args):
+        seen.append(cli._budget(args))
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_simulate", capture)
+    assert main(["simulate", "sim1"]) == 0
+    assert seen == [Budget()]

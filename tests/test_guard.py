@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from modalguard import guard, prover
+from modalguard import eventcalc, guard, prover
 from modalguard.guard import (
     ALLOW,
     LOCK,
@@ -141,6 +141,40 @@ def test_adjudication_theory_adds_rule_and_bridges():
     assert len(extra) == 3
     assert sum("obligated" in t for t in extra) == 1
     assert sum("(Prevents shooter" in t for t in extra) == 2
+
+
+def test_adjudication_builds_the_request_theory_once(monkeypatch):
+    calls = {"project": 0, "base_theory": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(guard, "project", counting("project", guard.project))
+    monkeypatch.setattr(eventcalc, "project", counting("project", eventcalc.project))
+    monkeypatch.setattr(
+        guard, "base_theory", counting("base_theory", guard.base_theory)
+    )
+    for sc in (SIM1, SIM2):
+        calls.update(project=0, base_theory=0)
+        v = adjudicate(sc)
+        assert v.dde is not None
+        # one projection for the request theory, two for effects_of
+        assert calls == {"project": 3, "base_theory": 1}, sc.name
+
+
+def test_with_occurrence_adds_the_request_once():
+    req = SIM1.request
+    event = App("action", (req.agent, req.atype), "Action")
+    theory = SIM1.theory.without(event, req.moment)
+    once = theory.with_occurrence(event, req.moment)
+    assert once.occurrences == theory.occurrences | {(event, req.moment)}
+    assert once.with_occurrence(event, req.moment) == once
+    with pytest.raises(ValueError):
+        theory.with_occurrence(event, theory.horizon)
 
 
 # ---------------------------------------------------------------------------

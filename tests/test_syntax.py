@@ -7,6 +7,7 @@ import pytest
 from modalguard.syntax import (
     ACTION_TYPE,
     AGENT,
+    EVENT,
     FALSUM,
     FLUENT,
     GOAL,
@@ -33,6 +34,7 @@ from modalguard.syntax import (
     conj,
     free_vars,
     is_moment_literal,
+    match_term,
     maximal_modal_subformulas,
     moment,
     moment_value,
@@ -40,6 +42,7 @@ from modalguard.syntax import (
     print_formula,
     print_term,
     substitute,
+    symbol_names,
 )
 
 A = Const("a", AGENT)
@@ -212,3 +215,46 @@ def test_maximal_modal_subformulas_stop_at_outermost():
 
 def test_falsum_prints_as_false():
     assert print_formula(FALSUM) == "(false)"
+
+
+# ---------------------------------------------------------------------------
+# symbol names and one-way matching
+
+
+def test_symbol_names_cover_terms_but_not_predicates():
+    k = Var("k", AGENT)
+    f = Forall(
+        X,
+        Implies(
+            Atom("R", (X, App("boss", (B,), AGENT))),
+            Exists(
+                k,
+                Modal(
+                    KNOWS,
+                    k,
+                    App("later", (moment(2),), MOMENT),
+                    Not(obligated(A, moment(1), Const("s1", SITUATION), RAINS)),
+                ),
+            ),
+        ),
+    )
+    assert symbol_names(f) == {"x", "boss", "b", "k", "later", "2", "a", "1", "s1"}
+    assert symbol_names(RAINS) == set()
+
+
+def test_match_term_rejects_arity_mismatch_and_narrowing_sorts():
+    sig = base_sig()
+    g = Const("g", GOAL)
+    assert match_term(App("f", (X,), AGENT), App("f", (A, B), AGENT), {}, sig) is None
+    # a Goal widens to an Event, but an Event does not narrow to a Goal
+    assert match_term(Var("e", EVENT), g, {}, sig) == {Var("e", EVENT): g}
+    assert match_term(Var("v", GOAL), Const("pour", EVENT), {}, sig) is None
+
+
+def test_match_term_binds_a_repeated_variable_consistently():
+    sig = base_sig()
+    pattern = App("pair", (X, X), AGENT)
+    assert match_term(pattern, App("pair", (A, A), AGENT), {}, sig) == {X: A}
+    assert match_term(pattern, App("pair", (A, B), AGENT), {}, sig) is None
+    # bindings already in the substitution constrain the match
+    assert match_term(X, A, {X: B}, sig) is None
