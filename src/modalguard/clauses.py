@@ -6,6 +6,8 @@ universal prefix, drop universals, distribute or over and.  Skolem
 symbol names are derived from the source formula's alpha-normal print
 plus a running index, so clausifying the same formula twice -- by the
 prover or by an independent proof checker -- yields identical clauses.
+That print is computed only when the first skolem symbol is named; a
+formula with no existential to skolemize never computes it.
 """
 
 from __future__ import annotations
@@ -104,9 +106,24 @@ def _literal_shape(l: Literal) -> str:
     return f"({sign}{l.atom.pred}{' ' + args if args else ''})"
 
 
+def _is_ground(t: Term) -> bool:
+    if isinstance(t, Var):
+        return False
+    if isinstance(t, App):
+        return all(_is_ground(a) for a in t.args)
+    return True
+
+
 def canonical_clause(literals: list[Literal]) -> Clause:
-    """Deduplicate, order, and rename variables canonically."""
-    ordered = sorted(set(literals), key=lambda l: (_literal_shape(l), l.key()))
+    """Deduplicate, order, and rename variables canonically.
+
+    A ground clause has nothing to rename, so its literals are printed
+    once, for the one sort that orders them.
+    """
+    distinct = set(literals)
+    if all(_is_ground(a) for l in distinct for a in l.atom.args):
+        return Clause(tuple(sorted(distinct, key=Literal.key)))
+    ordered = sorted(distinct, key=lambda l: (_literal_shape(l), l.key()))
     ren: dict[Var, Term] = {}
 
     def walk(t: Term) -> Term:
@@ -122,7 +139,7 @@ def canonical_clause(literals: list[Literal]) -> Clause:
         Literal(l.positive, Atom(l.atom.pred, tuple(walk(a) for a in l.atom.args)))
         for l in ordered
     ]
-    final = sorted(set(renamed), key=lambda l: l.key())
+    final = sorted(set(renamed), key=Literal.key)
     return Clause(tuple(final))
 
 
@@ -184,10 +201,16 @@ def clausify(f: Formula, salt: Optional[str] = None) -> list[Clause]:
     salt defaults to the formula's own alpha-normal print; it seeds the
     skolem symbol names.
     """
-    if salt is None:
-        salt = canonical_key(f)
-    tag = hashlib.blake2b(salt.encode(), digest_size=5).hexdigest()
+    tag: list[str] = []  # computed when the first skolem is named
     counter = [0]
+
+    def skolem_name() -> str:
+        if not tag:
+            seed = salt if salt is not None else canonical_key(f)
+            tag.append(hashlib.blake2b(seed.encode(), digest_size=5).hexdigest())
+        idx = counter[0]
+        counter[0] += 1
+        return f"sk_{tag[0]}_{idx}"
 
     nnf = _nnf(_expand_connectives(f), False)
 
@@ -208,14 +231,11 @@ def clausify(f: Formula, salt: Optional[str] = None) -> list[Clause]:
             inner[g.var] = nv
             return Forall(nv, walk(g.body, universals + [nv], inner))
         if isinstance(g, Exists):
-            idx = counter[0]
-            counter[0] += 1
+            name = skolem_name()
             if universals:
-                sk: Term = App(
-                    f"sk_{tag}_{idx}", tuple(universals), g.var.sort
-                )
+                sk: Term = App(name, tuple(universals), g.var.sort)
             else:
-                sk = Const(f"sk_{tag}_{idx}", g.var.sort)
+                sk = Const(name, g.var.sort)
             inner = dict(ren)
             inner[g.var] = sk
             return walk(g.body, universals, inner)

@@ -7,8 +7,8 @@
 
 A scenario argument is a path, or the name of a bundled scenario
 (see modalguard parse --list).  Exit codes: 0 success or ALLOW,
-2 LOCK or non-compliant, 3 no proof, 4 budget exhausted or grounding
-cap reached, 1 error, 64 usage.
+2 LOCK or non-compliant, 3 no proof, 4 budget exhausted, grounding
+cap reached or modal depth limit reached, 1 error, 64 usage.
 """
 
 from __future__ import annotations

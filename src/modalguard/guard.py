@@ -18,8 +18,8 @@ A proved obligation is re-checked by the independent proof verifier,
 then weighed: an action whose projected effects satisfy the
 double-effect clauses overrides the obligation and is ALLOWed.
 Everything else fails closed: unverifiable proof, undecided clause,
-exhausted budget, or a search cut short by the grounding cap all yield
-LOCK.
+exhausted budget, or a search cut short by the grounding cap or the
+modal depth limit all yield LOCK.
 """
 
 from __future__ import annotations
@@ -250,10 +250,11 @@ def adjudicate(scenario: Scenario, budget: Optional[Budget] = None) -> Verdict:
             Verdict(LOCK, "obligation query exceeded budget; failing safe", goal, res.status)
         )
     if res.status == "incomplete":
+        limit = "grounding cap" if res.stats.get("grounding_capped") else "modal depth limit"
         return done(
             Verdict(
                 LOCK,
-                "obligation search cut short by the grounding cap; failing safe",
+                f"obligation search cut short by the {limit}; failing safe",
                 goal,
                 res.status,
             )

@@ -9,11 +9,10 @@ scoping.  Comments run from ; to end of line.  Identifiers match
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .syntax import (
-    ACTION_TYPE,
     AGENT,
     MOMENT,
     OBLIGATED,
@@ -29,7 +28,6 @@ from .syntax import (
     Not,
     Atom,
     Signature,
-    SortError,
     Term,
     Var,
     conj,

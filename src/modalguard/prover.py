@@ -12,9 +12,13 @@ applied to the assumptions before shadowing, so goals whose proof
 would need modal rules applied underneath the negated goal are
 reported as no_proof rather than proved.
 
-A search over a grounding cut short by GROUNDING_INSTANCE_CAP is not
-complete: when it ends without a refutation the status is incomplete,
-never no_proof.
+A search over a grounding cut short by GROUNDING_INSTANCE_CAP, or over
+a modal expansion that refused a new formula for depth, is not complete:
+when it ends without a refutation the status is incomplete, never
+no_proof.
+
+Each formula of the closure is keyed once (canonical_key), and modal
+expansion is seeded with those keys rather than computing them again.
 """
 
 from __future__ import annotations
@@ -240,8 +244,11 @@ def prove(
 
     all_formulas = [prep.records[k].formula for k in prep.order]
     targets = harvest_join_targets(all_formulas)
-    expansion = expand_modal(all_formulas, depth=budget.depth, join_targets=targets)
+    expansion = expand_modal(
+        all_formulas, depth=budget.depth, join_targets=targets, keys=prep.order
+    )
     stats["expansion_size"] = len(expansion.records)
+    stats["expansion_truncated"] = expansion.truncated
 
     steps: list[ProofStep] = []
     index_of: dict[str, int] = {}
@@ -285,7 +292,8 @@ def prove(
         return ProveResult("timeout", None, stats)
     if sat.status == "saturated":
         stats["elapsed_ms"] = (time.monotonic() - start) * 1000.0
-        return ProveResult("incomplete" if prep.capped else "no_proof", None, stats)
+        complete = not (prep.capped or expansion.truncated)
+        return ProveResult("no_proof" if complete else "incomplete", None, stats)
 
     # refutation: rebuild the used derivation as checkable steps
     node_step: dict[int, int] = {}

@@ -8,7 +8,6 @@ reports byte for byte strip that field first.
 from __future__ import annotations
 
 import json
-from typing import Optional
 
 from .guard import Verdict
 from .scenario import Scenario

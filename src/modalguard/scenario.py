@@ -34,7 +34,7 @@ from typing import Optional
 
 from .ethics import EthicalHierarchy, UtilityEntry, UtilityMap, WILDCARD
 from .eventcalc import ECTheory, EffectAxiom, GuardLiteral, INITIATED, TERMINATED
-from .parser import ParseError, SAtom, SExpr, SList, build_formula, build_term, read_sexprs
+from .parser import ParseError, SAtom, SExpr, SList, build_formula, read_sexprs
 from .syntax import App, Const, Formula, MOMENT, Signature, Term, Var
 
 SECTIONS = (

@@ -13,7 +13,13 @@ Four schema families over the epistemic operators:
 Desire, intention, perception, and obligation formulas are inert facts.
 Expansion is a least fixpoint truncated at a derivation depth: an
 assumption sits at depth 0 and a derived formula at one more than its
-deepest premise.  Formulas are identified up to alpha-equivalence.
+deepest premise.  An expansion that refuses a new formula for depth
+says so (Expansion.truncated), so a search over it is not complete.
+
+Formulas are identified up to alpha-equivalence, by canonical key.
+Within one expansion each structurally distinct formula is keyed once;
+a caller that has already keyed the assumptions passes their keys in,
+and they are not keyed again.
 """
 
 from __future__ import annotations
@@ -56,6 +62,8 @@ class Expansion:
 
     def __init__(self) -> None:
         self.records: dict[str, Derivation] = {}
+        # a new formula was refused for depth: the closure is incomplete
+        self.truncated = False
 
     def formulas(self) -> list[Formula]:
         return [d.formula for d in self.records.values()]
@@ -64,17 +72,20 @@ class Expansion:
 def harvest_join_targets(formulas: Iterable[Formula]) -> list[Modal]:
     """Conjunction-bodied epistemic subformulas anywhere in the given set."""
     out: list[Modal] = []
-    seen: set[str] = set()
+    seen: set[Modal] = set()
+    seen_keys: set[str] = set()
     for f in formulas:
         for g in subformulas(f):
             if (
                 isinstance(g, Modal)
                 and g.op in EPISTEMIC_OPS
                 and isinstance(g.body, And)
+                and g not in seen
             ):
+                seen.add(g)
                 k = canonical_key(g)
-                if k not in seen:
-                    seen.add(k)
+                if k not in seen_keys:
+                    seen_keys.add(k)
                     out.append(g)
     return out
 
@@ -87,27 +98,45 @@ def expand_modal(
     assumptions: Sequence[Formula],
     depth: int,
     join_targets: Optional[Sequence[Modal]] = None,
+    keys: Optional[Sequence[str]] = None,
 ) -> Expansion:
-    """Close the assumption set under S1-S4 up to the given depth."""
+    """Close the assumption set under S1-S4 up to the given depth.
+
+    keys, when given, are the canonical keys of the assumptions, in order.
+    """
     exp = Expansion()
     if join_targets is None:
         join_targets = harvest_join_targets(assumptions)
 
-    # join target bookkeeping: target key -> (target, list of part keys)
-    targets: dict[str, tuple[Modal, tuple[str, ...]]] = {}
+    # structurally equal formulas share a key, so each is keyed once
+    memo: dict[Formula, str] = {}
+    if keys is not None:
+        memo.update(zip(assumptions, keys, strict=True))
+
+    def key_of(f: Formula) -> str:
+        k = memo.get(f)
+        if k is None:
+            k = memo[f] = canonical_key(f)
+        return k
+
+    # join target bookkeeping: target key -> (target, context, part keys)
+    targets: dict[str, tuple[Modal, tuple[str, str, str], tuple[str, ...]]] = {}
     for tgt in join_targets:
         parts = tuple(
-            canonical_key(Modal(tgt.op, tgt.agent, tgt.time, p)) for p in tgt.body.parts
+            key_of(Modal(tgt.op, tgt.agent, tgt.time, p)) for p in tgt.body.parts
         )
-        targets.setdefault(canonical_key(tgt), (tgt, parts))
+        targets.setdefault(key_of(tgt), (tgt, _modal_key(tgt), parts))
 
     # index: (op, agent, time) -> {body key -> formula key} for S3 lookups
     by_context: dict[tuple[str, str, str], dict[str, str]] = {}
     queue: deque[str] = deque()
 
     def add(f: Formula, rule: str, premises: tuple[str, ...], d: int) -> None:
-        key = canonical_key(f)
-        if key in exp.records or d > depth:
+        key = key_of(f)
+        if key in exp.records:
+            return
+        if d > depth:
+            exp.truncated = True
             return
         exp.records[key] = Derivation(f, rule, premises, d)
         queue.append(key)
@@ -128,13 +157,13 @@ def expand_modal(
         if f.op in EPISTEMIC_OPS:
             ctx = _modal_key(f)
             peers = by_context.setdefault(ctx, {})
-            body_key = canonical_key(f.body)
+            body_key = key_of(f.body)
             if body_key not in peers:
                 peers[body_key] = key
 
             # S3 with f as the implication premise
             if isinstance(f.body, Implies):
-                ante = canonical_key(f.body.left)
+                ante = key_of(f.body.left)
                 if ante in peers:
                     other = peers[ante]
                     add(
@@ -147,7 +176,7 @@ def expand_modal(
             for bk, fk in list(peers.items()):
                 peer = exp.records[fk].formula
                 if isinstance(peer.body, Implies):
-                    if canonical_key(peer.body.left) == body_key:
+                    if key_of(peer.body.left) == body_key:
                         add(
                             Modal(f.op, f.agent, f.time, peer.body.right),
                             RULE_S3,
@@ -159,10 +188,10 @@ def expand_modal(
                 for p in f.body.parts:
                     add(Modal(f.op, f.agent, f.time, p), RULE_S4_SPLIT, (key,), d + 1)
             # S4 join toward targets
-            for tkey, (tgt, part_keys) in targets.items():
+            for tkey, (tgt, tctx, part_keys) in targets.items():
                 if tkey in exp.records:
                     continue
-                if _modal_key(tgt) != ctx:
+                if tctx != ctx:
                     continue
                 if key not in part_keys:
                     continue

@@ -7,6 +7,11 @@ subformula's generalization (free variables replaced by numbered
 holes), so the same name is recomputed by any party given the same
 formula -- proof verification relies on that.  Alpha-equivalent
 subformulas share an atom; distinct ones never collide.
+
+A ShadowMap names each structurally distinct subformula once: a
+subformula it has seen before gets its atom back without being
+normalized, printed and hashed again.  The memo lives and dies with the
+map, and a fresh map computes the same atoms.
 """
 
 from __future__ import annotations
@@ -45,8 +50,17 @@ class ShadowMap:
     """Bijection between modal-subformula generalizations and atom names."""
 
     entries: dict[str, ShadowEntry] = field(default_factory=dict)
+    atoms: dict[Modal, Atom] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def intern(self, m: Modal) -> Atom:
+        atom = self.atoms.get(m)
+        if atom is None:
+            atom = self.atoms[m] = self._name(m)
+        return atom
+
+    def _name(self, m: Modal) -> Atom:
         fvs = free_vars(m)
         holes = tuple(Var(f"h{i}", v.sort) for i, v in enumerate(fvs))
         pattern = alpha_normal(substitute(m, dict(zip(fvs, holes))))

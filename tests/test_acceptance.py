@@ -9,7 +9,10 @@ to decide what the right answer is.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
+from importlib import resources
 
 import corpus
 import corruptions
@@ -30,7 +33,7 @@ from modalguard.parser import parse_formula
 from modalguard.proofs import verify_proof
 from modalguard.prover import prove
 from modalguard.report import render_json, render_text
-from modalguard.scenario import load_bundled_scenario
+from modalguard.scenario import load_bundled_scenario, parse_scenario
 from modalguard.syntax import print_formula
 
 
@@ -161,3 +164,42 @@ def test_bundled_obligation_proofs_have_the_sizes_the_readme_states():
         assert len(verdict.proof.steps) == steps, name
         assumptions, _ = adjudication_theory(sc)
         assert verify_proof(verdict.proof, assumptions, verdict.obligation, sc.sig), name
+
+
+# sha256 of the proof serialization and of the JSON report without
+# elapsed_ms.  Shadow and skolem names are hashes of printed formulas
+# that the checker recomputes, so any drift in them shows here.
+GOLDEN = {
+    ("sim1", "proof"): "cbf89c27a9531c4e8960bd7a74616d9f37c0528dc5fca5fc1aa03383abc9bac0",
+    ("sim1", "json"): "455627b3b0a817ce8b68f0392f1199a1086c6baae0252bc01735ea85a95034d0",
+    ("sim2", "proof"): "b2fc0866738dbc2ab76bf5b64b02092e172ca08a6585ef73f45193cc7bd92941",
+    ("sim2", "json"): "e2a90fec374b1236283f80fca9e6f32d6fe6263cc693b2af0f54b90d98f35e79",
+    ("sim1_guilty", "json"): "53c54d15eb61e4b7bfa348fc234b8d44fd280c6669d48dc03e534bf6fad28f87",
+}
+
+
+def _scenario_text(name: str) -> str:
+    """sim1_guilty is sim1 without the victim's innocence."""
+    bundled = "sim1" if name == "sim1_guilty" else name
+    text = (resources.files("modalguard") / "scenarios" / f"{bundled}.scn").read_text()
+    if name == "sim1_guilty":
+        assert text.count("  (innocent victim)\n") == 1
+        text = text.replace("  (innocent victim)\n", "")
+    return text
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_proofs_and_reports_match_the_recorded_digests():
+    for name in ("sim1", "sim2", "sim1_guilty"):
+        sc = parse_scenario(_scenario_text(name), name)
+        verdict = adjudicate(sc)
+        got = {}
+        if verdict.proof is not None:
+            got[name, "proof"] = _sha256(verdict.proof.serialize())
+        report = json.loads(render_json(sc, verdict))
+        del report["elapsed_ms"]
+        got[name, "json"] = _sha256(json.dumps(report, indent=2, sort_keys=True))
+        assert got == {k: v for k, v in GOLDEN.items() if k[0] == name}, name

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pytest
+
+from modalguard import clauses
 from modalguard.clauses import (
     Clause,
     Literal,
@@ -11,7 +14,7 @@ from modalguard.clauses import (
     is_tautology,
 )
 from modalguard.parser import parse_formula
-from modalguard.syntax import AGENT, App, Atom, Const, Signature, Var
+from modalguard.syntax import AGENT, App, Atom, Const, Signature, Var, canonical_key
 
 
 def make_sig() -> Signature:
@@ -151,3 +154,55 @@ def test_deterministic_order():
     a = cl("(and (implies (p) (q)) (iff (q) (r)) (forall x : Agent (P x)))")
     b = cl("(and (implies (p) (q)) (iff (q) (r)) (forall x : Agent (P x)))")
     assert a == b
+
+
+def test_no_salt_is_computed_without_a_skolem(monkeypatch):
+    def refuse(f):
+        raise AssertionError("salt computed for a formula with no existential")
+
+    monkeypatch.setattr(clauses, "canonical_key", refuse)
+    for text in (
+        "(and (implies (p) (q)) (iff (q) (r)))",
+        "(forall x : Agent (implies (P x) (forall y : Agent (R x y))))",
+        "(not (exists x : Agent (P x)))",
+    ):
+        assert cl(text)
+    with pytest.raises(AssertionError, match="salt computed"):
+        cl("(exists x : Agent (P x))")
+
+
+def test_lazy_salt_names_skolems_as_the_formula_key_does():
+    for text in (
+        "(exists x : Agent (P x))",
+        "(forall x : Agent (exists y : Agent (and (R x y) (exists z : Agent (R y z)))))",
+        "(and (exists x : Agent (P x)) (not (forall y : Agent (P y))))",
+    ):
+        f = parse_formula(text, SIG)
+        assert clausify(f) == clausify(f, salt=canonical_key(f)), text
+
+
+def test_ground_clause_is_ordered_by_print():
+    a, b = Const("a", AGENT), Const("b", AGENT)
+    c = canonical_clause([
+        Literal(True, Atom("R", (b, a))),
+        Literal(False, Atom("P", (a,))),
+        Literal(True, Atom("P", (b,))),
+        Literal(False, Atom("P", (a,))),
+    ])
+    assert [l.key() for l in c.literals] == ["(P b)", "(R b a)", "(not P a)"]
+
+
+def test_skolem_names_are_stable():
+    # the checker recomputes these names, so they must not drift
+    got = [
+        [c.key() for c in cl(text)]
+        for text in (
+            "(forall x : Agent (exists y : Agent (R x y)))",
+            "(and (exists x : Agent (P x))"
+            " (not (forall y : Agent (exists z : Agent (R y z)))))",
+        )
+    ]
+    assert got == [
+        ["(R V0 (sk_7c932e0db6_0 V0))"],
+        ["(P sk_5d25cbae50_0)", "(not R sk_5d25cbae50_1 V0)"],
+    ]

@@ -105,6 +105,20 @@ def test_grounding_capped_adjudication_fails_safe(monkeypatch):
     assert v.dde is None
 
 
+def test_depth_truncated_adjudication_fails_safe():
+    # without the innocence fact nothing obliges the shooter; at depth 1
+    # the modal expansion is cut short, so that absence is not established
+    guilty = drop_facts(SIM1, "(innocent victim)")
+    v = adjudicate(guilty, Budget(depth=1))
+    assert v.decision == LOCK
+    assert v.prove_status == "incomplete"
+    assert "modal depth limit" in v.reason
+    assert v.proof is None
+    v = adjudicate(guilty)
+    assert v.decision == ALLOW
+    assert v.prove_status == "no_proof"
+
+
 def test_incomplete_searches_answer_unknown(monkeypatch):
     monkeypatch.setattr(guard, "prove", lambda *args: ProveResult("incomplete"))
 

@@ -57,7 +57,7 @@ def test_clause_budget_exhaustion_is_timeout():
 
 def test_depth_budget_limits_modal_closure():
     shallow, _, _ = run("k-nested", depth=1)
-    assert shallow.status == "no_proof"
+    assert shallow.status == "incomplete"
     deep, fs, g = run("k-nested", depth=2)
     assert deep.status == "proof"
     ok, reason = verify_proof_detailed(deep.proof, fs, g, SIG)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from modalguard import prover, schemata
+from modalguard.guard import adjudication_theory, obligation_goal
 from modalguard.parser import parse_formula, parse_formulas
+from modalguard.scenario import load_bundled_scenario
 from modalguard.schemata import (
     RULE_ASSUMPTION,
     RULE_S1,
@@ -161,3 +164,57 @@ def test_split_and_join_rules_recorded():
     target = parse_formula("(knows a 1 (and (p) (q)))", SIG)
     exp = expand_modal(fs, depth=1, join_targets=[target])
     assert any(r.rule == RULE_S4_JOIN for r in exp.records.values())
+
+
+def test_truncation_is_recorded_only_for_refused_new_formulas():
+    fs = parse_formulas("(knows a 1 (knows a 1 (knows a 1 (p))))", SIG)
+    assert expand_modal(fs, depth=2).truncated
+    assert not expand_modal(fs, depth=3).truncated
+    assert not expand_modal(fs, depth=9).truncated
+    # at depth 1, (p) and (believes a 1 (p)) are derived at depth 2 but
+    # are already assumptions: refusing them loses nothing
+    fs = parse_formulas("(knows a 1 (knows a 1 (p))) (p) (believes a 1 (p))", SIG)
+    assert not expand_modal(fs, depth=1).truncated
+    assert expand_modal(fs, depth=0).truncated
+
+
+def test_seeded_keys_give_the_same_expansion():
+    fs = parse_formulas(
+        "(knows a 1 (and (p) (implies (p) (q)))) (knows a 1 (r)) (believes b 1 (p))",
+        SIG,
+    )
+    plain = expand_modal(fs, depth=4)
+    seeded = expand_modal(fs, depth=4, keys=[canonical_key(f) for f in fs])
+    assert plain.records == seeded.records
+    assert list(plain.records) == list(seeded.records)
+
+
+def test_sim1_obligation_does_not_rekey_the_closure(monkeypatch):
+    sc = load_bundled_scenario("sim1")
+    assumptions, _ = adjudication_theory(sc)
+    seeded: list = []
+    keyed: list = []
+    expanding = [False]
+
+    def spy_expand(formulas, *args, **kwargs):
+        seeded.extend(formulas)
+        expanding[0] = True
+        try:
+            return expand_modal(formulas, *args, **kwargs)
+        finally:
+            expanding[0] = False
+
+    def counting_key(f):
+        if expanding[0]:
+            keyed.append(f)
+        return canonical_key(f)
+
+    monkeypatch.setattr(prover, "expand_modal", spy_expand)
+    monkeypatch.setattr(schemata, "canonical_key", counting_key)
+    res = prover.prove(assumptions, obligation_goal(sc), sig=sc.sig)
+    assert res.status == "proof"
+    assert len(seeded) > 100
+    assert keyed, "the counting binding is not reached"
+    assert not [f for f in keyed if f in seeded]
+    # within the expansion, each structurally distinct formula is keyed once
+    assert len(keyed) == len(set(keyed))

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import re
 
+from hypothesis import given, settings, strategies as st
+from test_parser import RandomFormulas
+
+from modalguard import shadow as shadow_module
 from modalguard.parser import parse_formula
 from modalguard.shadow import ShadowMap, shadow
-from modalguard.syntax import AGENT, Signature, print_formula
+from modalguard.syntax import AGENT, Signature, alpha_normal, print_formula
 
 NAME_RE = re.compile(r"^sh_[0-9a-f]{12}$")
 
@@ -111,3 +115,46 @@ def test_shadowing_is_idempotent_per_map():
     twice = shadow(f, smap)
     assert once == twice
     assert len(smap.entries) == 1
+
+
+def test_each_distinct_modal_is_normalized_once(monkeypatch):
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return alpha_normal(f)
+
+    monkeypatch.setattr(shadow_module, "alpha_normal", counting)
+    smap = ShadowMap()
+    for text in (
+        "(and (knows a 1 (p)) (knows a 1 (p)))",
+        "(or (knows a 1 (p)) (believes b 2 (q)))",
+        "(forall x : Agent (implies (knows x 1 (P x)) (believes b 2 (q))))",
+        "(forall y : Agent (knows y 1 (P y)))",
+    ):
+        sh(text, smap)
+    # (knows a 1 (p)), (believes b 2 (q)), (knows x 1 (P x)), (knows y 1 (P y))
+    assert len(calls) == 4
+    # the last two share a generalization, hence an atom name
+    assert len(smap.entries) == 3
+
+
+@st.composite
+def formula_sequences(draw):
+    """A few random formulas, then a sequence that repeats them."""
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+    depths = draw(st.lists(st.integers(1, 4), min_size=len(seeds), max_size=len(seeds)))
+    pool = [RandomFormulas(s).formula([], d) for s, d in zip(seeds, depths)]
+    order = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
+    return [pool[i] for i in order]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(formula_sequences())
+def test_a_shared_map_shadows_as_a_fresh_map_does(formulas):
+    shared = ShadowMap()
+    for f in formulas:
+        fresh = ShadowMap()
+        assert shadow(f, shared) == shadow(f, fresh)
+        for name, entry in fresh.entries.items():
+            assert shared.entries[name] == entry
