@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .eventcalc import ECTheory, Effect, INITIATED, causal_chain, effects_of
+from .eventcalc import ECTheory, Effect, INITIATED, Trace, causal_chain, effects_of
 from .prover import Budget, prove
 from .syntax import (
     ACTION,
@@ -155,12 +155,16 @@ def check_dde(
     assumptions: Sequence[Formula],
     sig: Optional[Signature] = None,
     budget: Optional[Budget] = None,
+    *,
+    trace: Optional[Trace] = None,
 ) -> DDEVerdict:
+    """trace, when given, is the projection of theory with the request
+    occurrence added (guard.base_theory's), and is not projected again."""
     sig = sig if sig is not None else Signature()
     budget = budget if budget is not None else Budget()
     event = App("action", (agent, atype), ACTION)
     theory = theory.with_occurrence(event, request_moment)
-    effects = tuple(effects_of(theory, event, request_moment, sig))
+    effects = tuple(effects_of(theory, event, request_moment, sig, trace))
     clauses: dict[str, ClauseResult] = {}
 
     # C1: action type not ranked below neutral

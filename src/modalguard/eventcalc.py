@@ -221,11 +221,18 @@ def project(theory: ECTheory, sig: Optional[Signature] = None) -> Trace:
     return Trace(tuple(states), tuple(all_effects))
 
 
-def effects_of(theory: ECTheory, event: Term, moment: int, sig: Optional[Signature] = None) -> list[Effect]:
+def effects_of(
+    theory: ECTheory,
+    event: Term,
+    moment: int,
+    sig: Optional[Signature] = None,
+    projected: Optional[Trace] = None,
+) -> list[Effect]:
     """Effects attributable to one event occurrence: present with it,
-    absent without it, and causally reachable from it."""
+    absent without it, and causally reachable from it.  projected, when
+    given, is project(theory), and is not computed again."""
     sig = sig if sig is not None else Signature()
-    with_ev = project(theory, sig)
+    with_ev = projected if projected is not None else project(theory, sig)
     without_ev = project(theory.without(event, moment), sig)
     baseline = without_ev.effect_keys()
     out = []

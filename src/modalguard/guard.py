@@ -12,7 +12,7 @@ Each adjudication builds the request theory once (`base_theory`): the
 scenario facts plus the projected trace, with the request occurrence
 added.  The obligation query reads it with the deprivation rule and the
 prevention bridges added; the double-effect intention queries read it
-as it is.
+as it is, and the double-effect check reuses its projected trace.
 
 A proved obligation is re-checked by the independent proof verifier,
 then weighed: an action whose projected effects satisfy the
@@ -224,7 +224,7 @@ def adjudicate(scenario: Scenario, budget: Optional[Budget] = None) -> Verdict:
     budget = budget if budget is not None else Budget()
     start = time.monotonic()
     req = scenario.request
-    base, _ = base_theory(scenario)
+    base, trace = base_theory(scenario)
     assumptions = _with_norms(scenario, base)
     goal = obligation_goal(scenario)
     res = prove(assumptions, goal, budget, scenario.sig)
@@ -287,6 +287,7 @@ def adjudicate(scenario: Scenario, budget: Optional[Budget] = None) -> Verdict:
         base,
         scenario.sig,
         budget,
+        trace=trace,
     )
     if dde.compliant:
         return done(

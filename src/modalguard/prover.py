@@ -17,15 +17,24 @@ a modal expansion that refused a new formula for depth, is not complete:
 when it ends without a refutation the status is incomplete, never
 no_proof.
 
-Each formula of the closure is keyed once (canonical_key), and modal
-expansion is seeded with those keys rather than computing them again.
+Each formula of the closure is keyed once, and modal expansion is
+seeded with those keys rather than computing them again.  A root
+formula is keyed by canonical_key; a grounding instance by splicing its
+constant into its quantifier's template (see _Prep), without walking
+the instance.
+
+After shadowing, the formulas whose every clause the pure-literal rule
+would delete are dropped before they are clausified (pure_formulas), so
+the search sees exactly the clauses it kept before.  Budget.max_clauses
+counts only clauses that enter the search: clauses of dropped formulas
+are never built, so they do not count against it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .clauses import clausify
 from .proofs import (
@@ -43,16 +52,20 @@ from .proofs import (
     RULE_RESOLVE,
     clause_to_formula,
 )
-from .resolution import saturate
+from .resolution import Shape, pure_clauses, saturate
 from .schemata import Derivation, RULE_ASSUMPTION, expand_modal, harvest_join_targets
 from .shadow import ShadowMap, shadow
 from .syntax import (
+    And,
+    Atom,
     Const,
     Exists,
     Forall,
     Formula,
+    Iff,
     Implies,
     Not,
+    Or,
     Signature,
     Var,
     canonical_key,
@@ -87,11 +100,47 @@ class ProveResult:
     stats: dict = field(default_factory=dict)
 
 
-def _modal_relevant(var: Var, body: Formula) -> bool:
-    for m in maximal_modal_subformulas(body):
-        if var in free_vars(m):
-            return True
-    return False
+class _Plan(NamedTuple):
+    """How close() grounds a formula: wrap(body) with var replaced by a
+    constant, derived by rule; over the whole domain when universal, by
+    one fresh witness otherwise."""
+
+    var: Var
+    body: Formula
+    wrap: Callable[[Formula], Formula]
+    rule: str
+    universal: bool
+
+
+def _grounding_plan(f: Formula) -> Optional[_Plan]:
+    """f's plan, or None when f has no quantifier whose variable reaches
+    into a modal subformula."""
+    if isinstance(f, Forall):
+        plan = _Plan(f.var, f.body, _same, RULE_FORALL_ELIM, True)
+    elif isinstance(f, Exists):
+        plan = _Plan(f.var, f.body, _same, RULE_EXISTS_ELIM, False)
+    elif isinstance(f, Not) and isinstance(f.body, Exists):
+        plan = _Plan(f.body.var, f.body.body, Not, RULE_NEG_EXISTS_ELIM, True)
+    elif isinstance(f, Not) and isinstance(f.body, Forall):
+        plan = _Plan(f.body.var, f.body.body, Not, RULE_NEG_FORALL_ELIM, False)
+    elif isinstance(f, Implies) and isinstance(f.left, Exists):
+        rhs = f.right
+        plan = _Plan(
+            f.left.var,
+            f.left.body,
+            lambda g: Implies(g, rhs),
+            RULE_EXISTS_ANTECEDENT,
+            True,
+        )
+    else:
+        return None
+    if any(plan.var in free_vars(m) for m in maximal_modal_subformulas(plan.body)):
+        return plan
+    return None
+
+
+def _same(g: Formula) -> Formula:
+    return g
 
 
 def _domain_order(consts: set[Const]) -> list[Const]:
@@ -104,8 +153,23 @@ def _domain_order(consts: set[Const]) -> list[Const]:
     return moments + named
 
 
+# Stands for the constant in an instance template.  Identifiers match
+# [A-Za-z_][A-Za-z0-9_'-]* and generated names use letters, digits and
+# '_', so no printed name or sort contains it.
+_HOLE = "#"
+
+
 class _Prep:
-    """Grounding closure over one set of root formulas."""
+    """Grounding closure over one set of root formulas.
+
+    A root formula is keyed by canonical_key.  A grounding instance is
+    keyed from its quantifier's template instead: the canonical key of
+    wrap(body) with the bound variable replaced by _HOLE.  Substituting
+    a constant commutes with alpha-normalisation and printing (binders
+    are renamed by position whatever their names, and a constant prints
+    as its name), so splicing the constant's name into the template
+    gives the instance's canonical key without building it.
+    """
 
     def __init__(self, sig: Signature, used_names: set[str]):
         self.sig = sig
@@ -118,6 +182,10 @@ class _Prep:
         self.witness_intro: dict[str, str] = {}
         self.instances = 0
         self.capped = False
+        self.plans: dict[str, Optional[_Plan]] = {}
+        self.templates: dict[str, str] = {}
+        self.domains: dict[str, list[Const]] = {}
+        self.domains_at = 0  # len(consts) the cached domains were built from
 
     def add(self, f: Formula, rule: str, premises: tuple[str, ...]) -> str:
         key = canonical_key(f)
@@ -128,6 +196,29 @@ class _Prep:
             self.consts |= set(constants_in_formula(f))
         return key
 
+    def _add_instance(self, key: str, c: Const) -> str:
+        """Add the instance of record key's plan at c; its key."""
+        var, body, wrap, rule, _ = self.plans[key]
+        template = self.templates.get(key)
+        if template is None:
+            hole = Var(_HOLE, var.sort)
+            template = canonical_key(wrap(substitute(body, {var: hole}, self.sig)))
+            self.templates[key] = template
+        ikey = template.replace(_HOLE, c.name)
+        if ikey not in self.records:
+            f = wrap(substitute(body, {var: c}, self.sig))
+            self.records[ikey] = Derivation(f, rule, (key,), 0)
+            self.order.append(ikey)
+            # The instance's constants and names are its quantifier's
+            # (already recorded) plus c, when var occurs free in body.
+            # _fresh_witness is the only reader of used_names, and a binder
+            # renamed by capture avoidance ends in "'", so it can never
+            # look like w<n>: c.name is the only name worth adding.
+            if _HOLE in template:
+                self.used_names.add(c.name)
+                self.consts.add(c)
+        return ikey
+
     def _fresh_witness(self, sort: str) -> Const:
         n = 1
         while f"w{n}" in self.used_names:
@@ -136,16 +227,20 @@ class _Prep:
         return Const(f"w{n}", sort)
 
     def _domain(self, sort: str) -> list[Const]:
-        consts = {c for c in self.consts if self.sig.widens(c.sort, sort)}
-        consts |= set(self.sig.constants_of_sort(sort))
-        return _domain_order(consts)
+        if len(self.consts) != self.domains_at:
+            self.domains.clear()
+            self.domains_at = len(self.consts)
+        dom = self.domains.get(sort)
+        if dom is None:
+            consts = {c for c in self.consts if self.sig.widens(c.sort, sort)}
+            consts |= set(self.sig.constants_of_sort(sort))
+            dom = self.domains[sort] = _domain_order(consts)
+        return dom
 
-    def _instantiate(
-        self, key: str, var: Var, body: Formula, wrap, rule: str
-    ) -> bool:
+    def _instantiate(self, key: str, sort: str) -> bool:
         added = False
         seen = self.done.setdefault(key, set())
-        for c in self._domain(var.sort):
+        for c in self._domain(sort):
             if c.name in seen:
                 continue
             seen.add(c.name)
@@ -153,17 +248,16 @@ class _Prep:
                 self.capped = True
                 return added
             self.instances += 1
-            self.add(wrap(substitute(body, {var: c}, self.sig)), rule, (key,))
+            self._add_instance(key, c)
             added = True
         return added
 
-    def _witness(self, key: str, var: Var, body: Formula, wrap, rule: str) -> bool:
+    def _witness(self, key: str, sort: str) -> bool:
         if key in self.witnessed:
             return False
         self.witnessed.add(key)
-        w = self._fresh_witness(var.sort)
-        wkey = self.add(wrap(substitute(body, {var: w}, self.sig)), rule, (key,))
-        self.witness_intro[w.name] = wkey
+        w = self._fresh_witness(sort)
+        self.witness_intro[w.name] = self._add_instance(key, w)
         return True
 
     def close(self, deadline: float) -> None:
@@ -173,41 +267,73 @@ class _Prep:
                 return
             changed = False
             for key in list(self.order):
-                f = self.records[key].formula
-                if isinstance(f, Forall) and _modal_relevant(f.var, f.body):
-                    if self._instantiate(
-                        key, f.var, f.body, lambda g: g, RULE_FORALL_ELIM
-                    ):
-                        changed = True
-                elif isinstance(f, Exists) and _modal_relevant(f.var, f.body):
-                    if self._witness(key, f.var, f.body, lambda g: g, RULE_EXISTS_ELIM):
-                        changed = True
-                elif isinstance(f, Not) and isinstance(f.body, Exists):
-                    ex = f.body
-                    if _modal_relevant(ex.var, ex.body):
-                        if self._instantiate(
-                            key, ex.var, ex.body, Not, RULE_NEG_EXISTS_ELIM
-                        ):
-                            changed = True
-                elif isinstance(f, Not) and isinstance(f.body, Forall):
-                    fa = f.body
-                    if _modal_relevant(fa.var, fa.body):
-                        if self._witness(
-                            key, fa.var, fa.body, Not, RULE_NEG_FORALL_ELIM
-                        ):
-                            changed = True
-                elif isinstance(f, Implies) and isinstance(f.left, Exists):
-                    ex = f.left
-                    if _modal_relevant(ex.var, ex.body):
-                        rhs = f.right
-                        if self._instantiate(
-                            key,
-                            ex.var,
-                            ex.body,
-                            lambda g, rhs=rhs: Implies(g, rhs),
-                            RULE_EXISTS_ANTECEDENT,
-                        ):
-                            changed = True
+                if key not in self.plans:
+                    self.plans[key] = _grounding_plan(self.records[key].formula)
+                plan = self.plans[key]
+                if plan is None:
+                    continue
+                if plan.universal:
+                    grew = self._instantiate(key, plan.var.sort)
+                else:
+                    grew = self._witness(key, plan.var.sort)
+                if grew:
+                    changed = True
+
+
+def _polarity(f: Formula) -> tuple[Shape, Shape]:
+    """(must-set, shape) of a shadowed formula: the (predicate, sign)
+    pairs on its top-level disjunction, which every one of its clauses
+    holds, and every pair any of its clauses can hold."""
+    must: set[tuple[str, bool]] = set()
+    shape: set[tuple[str, bool]] = set()
+
+    def walk(g: Formula, sign: int, top: bool) -> None:
+        # sign: 1 positive, -1 negative, 0 both (under an iff);
+        # top: g lies on the top-level disjunction, so sign != 0
+        if isinstance(g, Atom):
+            if sign >= 0:
+                shape.add((g.pred, True))
+            if sign <= 0:
+                shape.add((g.pred, False))
+            if top:
+                must.add((g.pred, sign > 0))
+        elif isinstance(g, Not):
+            walk(g.body, -sign, top)
+        elif isinstance(g, (And, Or)):
+            disjunction = top and isinstance(g, Or) == (sign > 0)
+            for p in g.parts:
+                walk(p, sign, disjunction)
+        elif isinstance(g, Implies):
+            disjunction = top and sign > 0
+            walk(g.left, -sign, disjunction)
+            walk(g.right, sign, disjunction)
+        elif isinstance(g, Iff):
+            # both directions become clauses: every atom takes both
+            # signs, and no literal lies in every clause
+            walk(g.left, 0, False)
+            walk(g.right, 0, False)
+        elif isinstance(g, (Forall, Exists)):
+            walk(g.body, sign, top)
+        else:
+            raise TypeError(f"not a shadowed formula: {g!r}")
+
+    walk(f, 1, True)
+    return frozenset(must), frozenset(shape)
+
+
+def pure_formulas(formulas: Sequence[Formula]) -> set[int]:
+    """Indices of the shadowed formulas whose every clause the
+    pure-literal rule deletes (resolution.pure_clauses), found before
+    clausifying them.
+
+    A formula goes once a pair of its must-set has no complement left
+    among the kept formulas' shapes (_polarity).  Every clause of such a
+    formula holds that pair, and no clause of a kept formula holds its
+    complement, so clause-level deletion removes all of them too; it
+    keeps the same clauses whether or not it sees them.
+    """
+    polarities = [_polarity(f) for f in formulas]
+    return pure_clauses([s for _, s in polarities], [m for m, _ in polarities])
 
 
 def prove(
@@ -279,10 +405,13 @@ def prove(
 
     flist = list(expansion.records)
     smap = ShadowMap()
+    shadowed = [shadow(expansion.records[key].formula, smap) for key in flist]
+    dead = pure_formulas(shadowed)
     inputs = []
-    for fi, key in enumerate(flist):
-        f = expansion.records[key].formula
-        for c in clausify(shadow(f, smap)):
+    for fi, f in enumerate(shadowed):
+        if fi in dead:
+            continue
+        for c in clausify(f):
             inputs.append((c, fi))
 
     sat = saturate(inputs, sig, deadline, budget.max_clauses)

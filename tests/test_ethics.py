@@ -202,23 +202,42 @@ def test_c3_unknown_when_intention_query_exhausts_budget():
     atype, event = act("aid")
     th = theory([EffectAxiom(event, INITIATED, CROPS)])
     # assumptions that do not settle the intention and a clause budget too
-    # small to saturate: the clause must answer unknown, never pass
-    from modalguard.parser import parse_formula
-    from modalguard.syntax import Signature
-
-    sig = Signature()
-    for p in ("rains", "pours", "floods"):
-        sig.declare_predicate(p, ())
-    filler = [
-        parse_formula("(implies (rains) (pours))", sig),
-        parse_formula("(implies (pours) (floods))", sig),
-        parse_formula("(rains)", sig),
-    ]
+    # small to saturate: the clause must answer unknown, never pass.  The
+    # budget counts only clauses that enter the search, so the filler
+    # must not be pure: its clauses resolve with each other
+    sig, filler = _unsettling_filler()
     v = check_dde(th, AGENT0, atype, 0, HIER, umap(crops_saved=2), filler,
                   sig=sig, budget=Budget(max_clauses=1))
     assert v.clauses["C3"].status == "unknown"
     assert v.unknown
     assert not v.compliant
+
+
+def test_c3_fails_when_the_full_budget_saturates_the_same_filler():
+    atype, event = act("aid")
+    th = theory([EffectAxiom(event, INITIATED, CROPS)])
+    # the same query with the default budget completes: the good effect
+    # is not provably intended, so the clause fails rather than passing
+    sig, filler = _unsettling_filler()
+    v = check_dde(th, AGENT0, atype, 0, HIER, umap(crops_saved=2), filler, sig=sig)
+    assert v.clauses["C3"].status == "fail"
+    assert not v.unknown
+    assert not v.compliant
+
+
+def _unsettling_filler():
+    from modalguard.parser import parse_formula
+    from modalguard.syntax import Signature
+
+    sig = Signature()
+    for p in ("rains", "pours"):
+        sig.declare_predicate(p, ())
+    filler = [
+        parse_formula("(implies (rains) (pours))", sig),
+        parse_formula("(implies (pours) (rains))", sig),
+        parse_formula("(rains)", sig),
+    ]
+    return sig, filler
 
 
 def test_c3_unknown_when_grounding_is_capped(monkeypatch):

@@ -176,8 +176,9 @@ def test_adjudication_builds_the_request_theory_once(monkeypatch):
         calls.update(project=0, base_theory=0)
         v = adjudicate(sc)
         assert v.dde is not None
-        # one projection for the request theory, two for effects_of
-        assert calls == {"project": 3, "base_theory": 1}, sc.name
+        # one projection for the request theory, which effects_of reuses,
+        # and one for the theory without the request
+        assert calls == {"project": 2, "base_theory": 1}, sc.name
 
 
 def test_with_occurrence_adds_the_request_once():

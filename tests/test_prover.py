@@ -2,12 +2,35 @@
 
 from __future__ import annotations
 
-import pytest
+import importlib.util
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from modalguard import prover
+from modalguard.clauses import clausify
+from modalguard.guard import adjudicate, adjudication_theory, obligation_goal
 from modalguard.parser import parse_formula
 from modalguard.proofs import verify_proof_detailed
 from modalguard.prover import Budget, prove
-from modalguard.syntax import alpha_equivalent
+from modalguard.resolution import pure_clauses
+from modalguard.scenario import load_bundled_scenario, parse_scenario
+from modalguard.syntax import (
+    AGENT,
+    And,
+    Atom,
+    Const,
+    Exists,
+    Forall,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    Var,
+    alpha_equivalent,
+    canonical_key,
+)
 
 import corpus
 
@@ -164,3 +187,177 @@ def test_same_input_same_proof(name):
     sa = {k: v for k, v in a.stats.items() if k != "elapsed_ms"}
     sb = {k: v for k, v in b.stats.items() if k != "elapsed_ms"}
     assert sa == sb
+
+
+# ---------------------------------------------------------------------------
+# pure formulas are dropped before clausification
+
+_X, _Y, _A = Var("x", AGENT), Var("y", AGENT), Const("a", AGENT)
+_ATOMS = (
+    Atom("p"), Atom("q"), Atom("r"),
+    Atom("P", (_X,)), Atom("P", (_A,)), Atom("R", (_X, _Y)),
+)
+shadowed_formulas = st.recursive(
+    st.sampled_from(_ATOMS),
+    lambda sub: st.one_of(
+        st.builds(Not, sub),
+        st.builds(lambda a, b: And((a, b)), sub, sub),
+        st.builds(lambda a, b: Or((a, b)), sub, sub),
+        st.builds(Implies, sub, sub),
+        st.builds(Implies, sub, st.builds(lambda a, b: And((a, b)), sub, sub)),
+        st.builds(Iff, sub, sub),
+        st.builds(Forall, st.sampled_from((_X, _Y)), sub),
+        st.builds(Exists, st.sampled_from((_X, _Y)), sub),
+    ),
+    max_leaves=6,
+)
+
+
+def kept_clauses(formulas, skip=frozenset()):
+    """(clause key, first source formula) of the clauses the clause-level
+    pure-literal rule keeps, pushing clauses as saturate does."""
+    first: dict[str, int] = {}
+    pushed = []
+    for fi, f in enumerate(formulas):
+        if fi in skip:
+            continue
+        for c in clausify(f):
+            if c.key() not in first:
+                first[c.key()] = fi
+                pushed.append(c)
+    dead = pure_clauses(
+        [frozenset((l.atom.pred, l.positive) for l in c.literals) for c in pushed]
+    )
+    return [(c.key(), first[c.key()]) for i, c in enumerate(pushed) if i not in dead]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(shadowed_formulas, min_size=1, max_size=6))
+def test_dropping_pure_formulas_keeps_the_same_clauses(formulas):
+    dead = prover.pure_formulas(formulas)
+    assert kept_clauses(formulas, dead) == kept_clauses(formulas)
+
+
+def test_pure_formulas_examples():
+    def pure(*texts):
+        return prover.pure_formulas([parse_formula(t, SIG) for t in texts])
+
+    # an iff holds both signs of both atoms: (pours) keeps its complement
+    assert pure("(iff (rains) (pours))", "(pours)") == set()
+    # (floods) is in every clause of the first formula and never negated;
+    # once it goes, nothing holds (not (rains)) and the second goes too
+    assert pure("(or (floods) (not (rains)))", "(rains)") == {0, 1}
+    # a conjunctive consequent puts only (not (rains)) in every clause
+    assert pure("(implies (rains) (and (pours) (floods)))", "(rains)") == set()
+    # a formula holding both signs of a predicate complements itself
+    assert pure("(forall x : Agent (implies (P x) (P alice)))") == set()
+
+
+# ---------------------------------------------------------------------------
+# grounding instances are keyed from their quantifier's template
+
+
+def spy_preps(monkeypatch) -> list:
+    preps: list = []
+
+    class Spy(prover._Prep):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            preps.append(self)
+
+    monkeypatch.setattr(prover, "_Prep", Spy)
+    return preps
+
+
+GROUNDING_RULES = {
+    "forall-elim", "exists-elim", "neg-exists-elim", "neg-forall-elim",
+    "exists-antecedent-elim",
+}
+WITNESS_RULES = {"exists-elim", "neg-forall-elim"}
+# binders named like the constant substituted for the bound variable, a
+# variable re-bound inside its own modal, and every grounding rule
+TEMPLATE_EDGES = (
+    "(forall x : Agent (knows x 1 (exists alice : Agent (R x alice))))",
+    "(forall x : Agent (forall x : Agent (knows x 1 (P x))))",
+    "(exists y : Agent (knows y 1 (forall w1 : Agent (P y))))",
+    "(not (forall y : Agent (believes y 1 (exists w2 : Agent (R y w2)))))",
+    "(not (exists z : Agent (knows z 1 (forall bob : Agent (R bob z)))))",
+    "(implies (exists v : Agent (knows v 1 (forall b0 : Agent (R v b0)))) (rains))",
+)
+
+
+def check_closure_keys(preps) -> tuple[int, int]:
+    """Every closure key equals canonical_key of its formula; returns the
+    numbers of grounding and witness instances checked."""
+    grounded = witnessed = 0
+    for prep in preps:
+        for key in prep.order:
+            rec = prep.records[key]
+            assert canonical_key(rec.formula) == key
+            grounded += rec.rule in GROUNDING_RULES
+            witnessed += rec.rule in WITNESS_RULES
+    return grounded, witnessed
+
+
+def test_spliced_keys_equal_canonical_keys_on_the_corpus(monkeypatch):
+    preps = spy_preps(monkeypatch)
+    for prob in corpus.PROBLEMS:
+        fs, g = prob.load(SIG)
+        prove(fs, g, sig=SIG)
+    edges = [parse_formula(t, SIG) for t in TEMPLATE_EDGES]
+    prove(edges, parse_formula("(floods)", SIG), sig=SIG)
+    grounded, witnessed = check_closure_keys(preps)
+    assert grounded > 40 and witnessed >= 3
+    edge_rules = {rec.rule for rec in preps[-1].records.values()}
+    assert GROUNDING_RULES <= edge_rules
+
+
+def test_spliced_keys_equal_canonical_keys_on_the_guard_scenarios(monkeypatch):
+    texts = load_guardbench_texts()
+    sim1, sim2 = texts.bundled_text("sim1"), texts.bundled_text("sim2")
+    cases = [sim1, sim2, texts.sim1_guilty(sim1)]
+    cases += [texts.sim1_idle(sim1, k) for k in (1, 2, 3)]
+    preps = spy_preps(monkeypatch)
+    for i, text in enumerate(cases):
+        adjudicate(parse_scenario(text, f"case{i}"))
+    grounded, _ = check_closure_keys(preps)
+    assert grounded > 1000
+
+
+def test_sim1_obligation_keys_no_instance_and_clausifies_few_formulas(monkeypatch):
+    sc = load_bundled_scenario("sim1")
+    assumptions, _ = adjudication_theory(sc)
+    preps = spy_preps(monkeypatch)
+    keyed: list = []
+    clausified: list = []
+
+    def counting_key(f):
+        keyed.append(f)
+        return canonical_key(f)
+
+    def counting_clausify(f, *args, **kwargs):
+        clausified.append(f)
+        return clausify(f, *args, **kwargs)
+
+    monkeypatch.setattr(prover, "canonical_key", counting_key)
+    monkeypatch.setattr(prover, "clausify", counting_clausify)
+    res = prover.prove(assumptions, obligation_goal(sc), sig=sc.sig)
+    assert res.status == "proof"
+    instances = [
+        rec.formula
+        for prep in preps
+        for rec in prep.records.values()
+        if rec.rule in GROUNDING_RULES
+    ]
+    assert len(instances) > 100
+    keyed_set = set(keyed)
+    assert not [f for f in instances if f in keyed_set]
+    assert 0 < len(clausified) < 20
+
+
+def load_guardbench_texts():
+    path = Path(__file__).resolve().parents[1] / "guardbench" / "texts.py"
+    spec = importlib.util.spec_from_file_location("guardbench_texts", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
