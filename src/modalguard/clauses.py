@@ -3,16 +3,22 @@
 The pipeline is conventional: rewrite iff/implies, push negations to
 literals, rename binders apart, skolemize existentials on the
 universal prefix, drop universals, distribute or over and.  Skolem
-symbol names are derived from the source formula's alpha-normal print
-plus a running index, so clausifying the same formula twice -- by the
+symbol names are derived from the source formula's canonical key plus
+a running index, so clausifying the same formula twice -- by the
 prover or by an independent proof checker -- yields identical clauses.
-That print is computed only when the first skolem symbol is named; a
+That key is computed only when the first skolem symbol is named; a
 formula with no existential to skolemize never computes it.
+
+Iff expansion and distribution can grow a formula exponentially.  Each
+pass counts what it builds against a budget and polls a deadline, and
+raises ClausifyLimit when either runs out.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -155,52 +161,81 @@ def is_tautology(c: Clause) -> bool:
 # Formula -> clauses
 
 
-def _expand_connectives(f: Formula) -> Formula:
+class ClausifyLimit(Exception):
+    """clausify built more than its budget allows, or ran past its deadline."""
+
+
+class _Meter:
+    """What clausify has built so far, against its budget and deadline."""
+
+    def __init__(self, budget: float, deadline: float) -> None:
+        self.left = budget
+        self.deadline = deadline
+
+    def charge(self, n: int = 1) -> None:
+        self.left -= n
+        if self.left < 0 or time.monotonic() > self.deadline:
+            raise ClausifyLimit
+
+
+def _expand_connectives(f: Formula, meter: _Meter) -> Formula:
+    meter.charge()
     if isinstance(f, Atom):
         return f
     if isinstance(f, Not):
-        return Not(_expand_connectives(f.body))
+        return Not(_expand_connectives(f.body, meter))
     if isinstance(f, And):
-        return And(tuple(_expand_connectives(p) for p in f.parts))
+        return And(tuple(_expand_connectives(p, meter) for p in f.parts))
     if isinstance(f, Or):
-        return Or(tuple(_expand_connectives(p) for p in f.parts))
+        return Or(tuple(_expand_connectives(p, meter) for p in f.parts))
     if isinstance(f, Implies):
-        return Or((Not(_expand_connectives(f.left)), _expand_connectives(f.right)))
+        l = _expand_connectives(f.left, meter)
+        return Or((Not(l), _expand_connectives(f.right, meter)))
     if isinstance(f, Iff):
-        l = _expand_connectives(f.left)
-        r = _expand_connectives(f.right)
+        l = _expand_connectives(f.left, meter)
+        r = _expand_connectives(f.right, meter)
         return And((Or((Not(l), r)), Or((Not(r), l))))
     if isinstance(f, (Forall, Exists)):
-        return type(f)(f.var, _expand_connectives(f.body))
+        return type(f)(f.var, _expand_connectives(f.body, meter))
     raise TypeError(f"clausify applies to shadowed formulas only: {f!r}")
 
 
-def _nnf(f: Formula, negate: bool) -> Formula:
+def _nnf(f: Formula, negate: bool, meter: _Meter) -> Formula:
+    # an expanded iff shares its sides, so this walk can double per iff
+    meter.charge()
     if isinstance(f, Atom):
         return Not(f) if negate else f
     if isinstance(f, Not):
-        return _nnf(f.body, not negate)
+        return _nnf(f.body, not negate, meter)
     if isinstance(f, And):
-        parts = tuple(_nnf(p, negate) for p in f.parts)
+        parts = tuple(_nnf(p, negate, meter) for p in f.parts)
         return Or(parts) if negate else And(parts)
     if isinstance(f, Or):
-        parts = tuple(_nnf(p, negate) for p in f.parts)
+        parts = tuple(_nnf(p, negate, meter) for p in f.parts)
         return And(parts) if negate else Or(parts)
     if isinstance(f, Forall):
-        inner = _nnf(f.body, negate)
+        inner = _nnf(f.body, negate, meter)
         return Exists(f.var, inner) if negate else Forall(f.var, inner)
     if isinstance(f, Exists):
-        inner = _nnf(f.body, negate)
+        inner = _nnf(f.body, negate, meter)
         return Forall(f.var, inner) if negate else Exists(f.var, inner)
     raise TypeError(f"unexpected node in NNF: {f!r}")
 
 
-def clausify(f: Formula, salt: Optional[str] = None) -> list[Clause]:
+def clausify(
+    f: Formula,
+    salt: Optional[str] = None,
+    deadline: float = math.inf,
+    budget: float = math.inf,
+) -> list[Clause]:
     """Clauses of a shadowed formula, in a deterministic order.
 
-    salt defaults to the formula's own alpha-normal print; it seeds the
-    skolem symbol names.
+    salt defaults to the formula's own canonical key; it seeds the
+    skolem symbol names.  budget bounds the nodes and literal lists
+    the passes build; past it, or past the monotonic deadline, raises
+    ClausifyLimit.
     """
+    meter = _Meter(budget, deadline)
     tag: list[str] = []  # computed when the first skolem is named
     counter = [0]
 
@@ -212,12 +247,13 @@ def clausify(f: Formula, salt: Optional[str] = None) -> list[Clause]:
         counter[0] += 1
         return f"sk_{tag[0]}_{idx}"
 
-    nnf = _nnf(_expand_connectives(f), False)
+    nnf = _nnf(_expand_connectives(f, meter), False, meter)
 
     # rename binders apart and skolemize in one pass
     used_names = [0]
 
     def walk(g: Formula, universals: list[Var], ren: dict[Var, Term]) -> Formula:
+        meter.charge()
         if isinstance(g, Atom):
             return Atom(g.pred, tuple(substitute_term(a, ren) for a in g.args))
         if isinstance(g, Not):
@@ -246,9 +282,11 @@ def clausify(f: Formula, salt: Optional[str] = None) -> list[Clause]:
     # distribute or over and -> list of literal lists
     def distribute(g: Formula) -> list[list[Literal]]:
         if isinstance(g, Atom):
+            meter.charge()
             return [[Literal(True, g)]]
         if isinstance(g, Not):
             assert isinstance(g.body, Atom)
+            meter.charge()
             return [[Literal(False, g.body)]]
         if isinstance(g, And):
             out: list[list[Literal]] = []
@@ -259,6 +297,8 @@ def clausify(f: Formula, salt: Optional[str] = None) -> list[Clause]:
             branches = [distribute(p) for p in g.parts]
             out = [[]]
             for br in branches:
+                # charged before it is built: one product can be huge
+                meter.charge(len(out) * len(br))
                 out = [acc + d for acc in out for d in br]
             return out
         if isinstance(g, Forall):
@@ -268,6 +308,7 @@ def clausify(f: Formula, salt: Optional[str] = None) -> list[Clause]:
     clauses: list[Clause] = []
     seen: set[str] = set()
     for lits in distribute(matrix):
+        meter.charge()
         c = canonical_clause(lits)
         if is_tautology(c):
             continue

@@ -99,15 +99,25 @@ def _tokens(text: str) -> list[SAtom]:
     return out
 
 
+# Lists nest at most this deep.  Every later stage walks formulas
+# recursively, so the bound keeps them clear of the interpreter's
+# recursion limit; the bundled scenarios nest at most 8 deep.
+MAX_NESTING = 128
+
+
 def read_sexprs(text: str) -> list[SExpr]:
     """Read every top-level s-expression in the text."""
     toks = _tokens(text)
     out: list[SExpr] = []
     i = 0
 
-    def read(at: int) -> tuple[SExpr, int]:
+    def read(at: int, depth: int) -> tuple[SExpr, int]:
         tok = toks[at]
         if tok.text == "(":
+            if depth == MAX_NESTING:
+                raise ParseError(
+                    f"lists nest deeper than {MAX_NESTING}", tok.line, tok.col
+                )
             items: list[SExpr] = []
             j = at + 1
             while True:
@@ -115,14 +125,14 @@ def read_sexprs(text: str) -> list[SExpr]:
                     raise ParseError("unclosed (", tok.line, tok.col)
                 if toks[j].text == ")":
                     return SList(tuple(items), tok.line, tok.col), j + 1
-                node, j = read(j)
+                node, j = read(j, depth + 1)
                 items.append(node)
         if tok.text == ")":
             raise ParseError("unbalanced )", tok.line, tok.col)
         return tok, at + 1
 
     while i < len(toks):
-        node, i = read(i)
+        node, i = read(i, 0)
         out.append(node)
     return out
 

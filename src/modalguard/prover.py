@@ -27,7 +27,9 @@ After shadowing, the formulas whose every clause the pure-literal rule
 would delete are dropped before they are clausified (pure_formulas), so
 the search sees exactly the clauses it kept before.  Budget.max_clauses
 counts only clauses that enter the search: clauses of dropped formulas
-are never built, so they do not count against it.
+are never built, so they do not count against it.  It also bounds what
+clausify builds for each kept formula; a clausification that outgrows
+it or the deadline ends the search as timeout.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .clauses import clausify
+from .clauses import ClausifyLimit, clausify
 from .proofs import (
     Proof,
     ProofStep,
@@ -165,10 +167,10 @@ class _Prep:
     A root formula is keyed by canonical_key.  A grounding instance is
     keyed from its quantifier's template instead: the canonical key of
     wrap(body) with the bound variable replaced by _HOLE.  Substituting
-    a constant commutes with alpha-normalisation and printing (binders
-    are renamed by position whatever their names, and a constant prints
-    as its name), so splicing the constant's name into the template
-    gives the instance's canonical key without building it.
+    a constant commutes with keying (binders are renamed by position
+    whatever their names, and a constant prints as its name), so
+    splicing the constant's name into the template gives the instance's
+    canonical key without building it.
     """
 
     def __init__(self, sig: Signature, used_names: set[str]):
@@ -408,11 +410,15 @@ def prove(
     shadowed = [shadow(expansion.records[key].formula, smap) for key in flist]
     dead = pure_formulas(shadowed)
     inputs = []
-    for fi, f in enumerate(shadowed):
-        if fi in dead:
-            continue
-        for c in clausify(f):
-            inputs.append((c, fi))
+    try:
+        for fi, f in enumerate(shadowed):
+            if fi in dead:
+                continue
+            for c in clausify(f, deadline=deadline, budget=budget.max_clauses):
+                inputs.append((c, fi))
+    except ClausifyLimit:
+        stats["elapsed_ms"] = (time.monotonic() - start) * 1000.0
+        return ProveResult("timeout", None, stats)
 
     sat = saturate(inputs, sig, deadline, budget.max_clauses)
     stats["generated_clauses"] = sat.generated

@@ -16,7 +16,8 @@ assumption sits at depth 0 and a derived formula at one more than its
 deepest premise.  An expansion that refuses a new formula for depth
 says so (Expansion.truncated), so a search over it is not complete.
 
-Formulas are identified up to alpha-equivalence, by canonical key.
+Formulas are identified up to alpha-equivalence, by canonical key (the
+formula printed with its binders numbered, see syntax.canonical_key).
 Within one expansion each structurally distinct formula is keyed once;
 a caller that has already keyed the assumptions passes their keys in,
 and they are not keyed again.
@@ -70,24 +71,14 @@ class Expansion:
 
 
 def harvest_join_targets(formulas: Iterable[Formula]) -> list[Modal]:
-    """Conjunction-bodied epistemic subformulas anywhere in the given set."""
-    out: list[Modal] = []
-    seen: set[Modal] = set()
-    seen_keys: set[str] = set()
+    """Conjunction-bodied epistemic subformulas anywhere in the given
+    set, the first of each canonical key."""
+    out: dict[str, Modal] = {}
     for f in formulas:
         for g in subformulas(f):
-            if (
-                isinstance(g, Modal)
-                and g.op in EPISTEMIC_OPS
-                and isinstance(g.body, And)
-                and g not in seen
-            ):
-                seen.add(g)
-                k = canonical_key(g)
-                if k not in seen_keys:
-                    seen_keys.add(k)
-                    out.append(g)
-    return out
+            if isinstance(g, Modal) and g.op in EPISTEMIC_OPS and isinstance(g.body, And):
+                out.setdefault(canonical_key(g), g)
+    return list(out.values())
 
 
 def _modal_key(m: Modal) -> tuple[str, str, str]:

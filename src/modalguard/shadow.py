@@ -2,16 +2,16 @@
 
 Each maximal modal subformula is replaced by a fresh predicate atom
 over the subformula's free variables, taken in first-occurrence order.
-The predicate name is derived from the alpha-normal form of the
-subformula's generalization (free variables replaced by numbered
-holes), so the same name is recomputed by any party given the same
-formula -- proof verification relies on that.  Alpha-equivalent
+The predicate name is a hash of the subformula's canonical key with
+its free variables printed as numbered holes h0, h1, ... (the key of
+its generalization), so the same name is recomputed by any party given
+the same formula -- proof verification relies on that.  Alpha-equivalent
 subformulas share an atom; distinct ones never collide.
 
 A ShadowMap names each structurally distinct subformula once: a
-subformula it has seen before gets its atom back without being
-normalized, printed and hashed again.  The memo lives and dies with the
-map, and a fresh map computes the same atoms.
+subformula it has seen before gets its atom back without being printed
+and hashed again.  The memo lives and dies with the map, and a fresh
+map computes the same atoms.
 """
 
 from __future__ import annotations
@@ -31,17 +31,15 @@ from .syntax import (
     Not,
     Or,
     Var,
-    alpha_normal,
+    canonical_key,
     free_vars,
-    print_formula,
-    substitute,
 )
 
 
 @dataclass(frozen=True)
 class ShadowEntry:
     name: str
-    pattern: Formula  # alpha-normal generalization with hole variables
+    pattern: str  # canonical key of the generalization, holes h0, h1, ...
     holes: tuple[Var, ...]
 
 
@@ -63,14 +61,13 @@ class ShadowMap:
     def _name(self, m: Modal) -> Atom:
         fvs = free_vars(m)
         holes = tuple(Var(f"h{i}", v.sort) for i, v in enumerate(fvs))
-        pattern = alpha_normal(substitute(m, dict(zip(fvs, holes))))
-        key = print_formula(pattern)
-        digest = hashlib.blake2b(key.encode(), digest_size=6).hexdigest()
+        pattern = canonical_key(m, {v: h.name for v, h in zip(fvs, holes)})
+        digest = hashlib.blake2b(pattern.encode(), digest_size=6).hexdigest()
         name = f"sh_{digest}"
         prior = self.entries.get(name)
         if prior is None:
             self.entries[name] = ShadowEntry(name, pattern, holes)
-        elif print_formula(prior.pattern) != key:
+        elif prior.pattern != pattern:
             raise RuntimeError(f"shadow name collision on {name}")
         return Atom(name, fvs)
 

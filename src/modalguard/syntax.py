@@ -212,40 +212,75 @@ def obligated(agent: Term, time: Term, situation: Term, body: Formula) -> Modal:
 
 # ---------------------------------------------------------------------------
 # Printing (canonical text form)
+#
+# One walk prints terms, formulas and canonical keys; canonical_key
+# numbers each binder before printing its body.  Shadow and skolem names
+# are hashes of such prints, which a proof checker recomputes, so no
+# print may change.
 
 
-def print_term(t: Term) -> str:
-    if isinstance(t, (Var, Const)):
+def _show_term(t: Term, names: Mapping[Var, str]) -> str:
+    if isinstance(t, Const):
         return t.name
-    inner = " ".join(print_term(a) for a in t.args)
+    if isinstance(t, Var):
+        return names.get(t, t.name)
+    inner = " ".join([_show_term(a, names) for a in t.args])
     return f"({t.fn} {inner})" if inner else f"({t.fn})"
 
 
-def print_formula(f: Formula) -> str:
+def _show(f: Formula, names: Mapping[Var, str], binders: Optional[list[int]]) -> str:
+    """f printed with each variable in names under its name there.
+    binders is None to print binders under their own names, else the
+    running count of binders renamed so far."""
     if isinstance(f, Atom):
         if not f.args:
             return f"({f.pred})"
-        return f"({f.pred} {' '.join(print_term(a) for a in f.args)})"
+        return f"({f.pred} {' '.join([_show_term(a, names) for a in f.args])})"
     if isinstance(f, Not):
-        return f"(not {print_formula(f.body)})"
+        return f"(not {_show(f.body, names, binders)})"
     if isinstance(f, And):
-        return f"(and {' '.join(print_formula(p) for p in f.parts)})"
+        return f"(and {' '.join([_show(p, names, binders) for p in f.parts])})"
     if isinstance(f, Or):
-        return f"(or {' '.join(print_formula(p) for p in f.parts)})"
+        return f"(or {' '.join([_show(p, names, binders) for p in f.parts])})"
     if isinstance(f, Implies):
-        return f"(implies {print_formula(f.left)} {print_formula(f.right)})"
+        return f"(implies {_show(f.left, names, binders)} {_show(f.right, names, binders)})"
     if isinstance(f, Iff):
-        return f"(iff {print_formula(f.left)} {print_formula(f.right)})"
-    if isinstance(f, Forall):
-        return f"(forall {f.var.name} : {f.var.sort} {print_formula(f.body)})"
-    if isinstance(f, Exists):
-        return f"(exists {f.var.name} : {f.var.sort} {print_formula(f.body)})"
+        return f"(iff {_show(f.left, names, binders)} {_show(f.right, names, binders)})"
+    if isinstance(f, (Forall, Exists)):
+        v = f.var
+        if binders is None:
+            name = v.name
+        else:
+            name = f"b{binders[0]}"
+            binders[0] += 1
+            names = {**names, v: name}
+        q = "forall" if isinstance(f, Forall) else "exists"
+        return f"({q} {name} : {v.sort} {_show(f.body, names, binders)})"
     if isinstance(f, Modal):
-        head = f"({f.op} {print_term(f.agent)} {print_term(f.time)}"
-        if f.op == OBLIGATED:
-            head += f" {print_term(f.situation)}"
-        return f"{head} {print_formula(f.body)})"
+        head = f"({f.op} {_show_term(f.agent, names)} {_show_term(f.time, names)}"
+        if f.situation is not None:
+            head += f" {_show_term(f.situation, names)}"
+        return f"{head} {_show(f.body, names, binders)})"
     raise TypeError(f"not a formula: {f!r}")
+
+
+def print_term(t: Term) -> str:
+    return _show_term(t, {})
+
+
+def print_formula(f: Formula) -> str:
+    return _show(f, {}, None)
+
+
+def canonical_key(f: Formula, names: Optional[Mapping[Var, str]] = None) -> str:
+    """Alpha-equivalence key: f printed with its binders renamed b0, b1,
+    ... in binder order.  Free variables in names print under the given
+    names, which keys f with each replaced by a constant of that name."""
+    return _show(f, names or {}, [0])
+
+
+def alpha_equivalent(f: Formula, g: Formula) -> bool:
+    return canonical_key(f) == canonical_key(g)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +434,7 @@ def constants_in_formula(f: Formula) -> list[Const]:
 
 
 # ---------------------------------------------------------------------------
-# Substitution and alpha-equivalence
+# Substitution and matching
 
 
 def substitute_term(t: Term, mapping: Mapping[Var, Term]) -> Term:
@@ -511,52 +546,6 @@ def substitute(
         raise TypeError(f"not a formula: {g!r}")
 
     return walk(f, dict(mapping))
-
-
-def alpha_normal(f: Formula) -> Formula:
-    """Rename bound variables to b0, b1, ... in binder order."""
-
-    counter = [0]
-
-    def walk(g: Formula, ren: dict[Var, Term]) -> Formula:
-        if isinstance(g, Atom):
-            return Atom(g.pred, tuple(substitute_term(t, ren) for t in g.args))
-        if isinstance(g, Not):
-            return Not(walk(g.body, ren))
-        if isinstance(g, And):
-            return And(tuple(walk(p, ren) for p in g.parts))
-        if isinstance(g, Or):
-            return Or(tuple(walk(p, ren) for p in g.parts))
-        if isinstance(g, Implies):
-            return Implies(walk(g.left, ren), walk(g.right, ren))
-        if isinstance(g, Iff):
-            return Iff(walk(g.left, ren), walk(g.right, ren))
-        if isinstance(g, (Forall, Exists)):
-            nv = Var(f"b{counter[0]}", g.var.sort)
-            counter[0] += 1
-            inner = dict(ren)
-            inner[g.var] = nv
-            return type(g)(nv, walk(g.body, inner))
-        if isinstance(g, Modal):
-            return Modal(
-                g.op,
-                substitute_term(g.agent, ren),
-                substitute_term(g.time, ren),
-                walk(g.body, ren),
-                None if g.situation is None else substitute_term(g.situation, ren),
-            )
-        raise TypeError(f"not a formula: {g!r}")
-
-    return walk(f, {})
-
-
-def canonical_key(f: Formula) -> str:
-    """Alpha-equivalence key: canonical print of the alpha-normal form."""
-    return print_formula(alpha_normal(f))
-
-
-def alpha_equivalent(f: Formula, g: Formula) -> bool:
-    return alpha_normal(f) == alpha_normal(g)
 
 
 # ---------------------------------------------------------------------------

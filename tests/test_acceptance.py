@@ -10,9 +10,11 @@ to decide what the right answer is.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import time
 from importlib import resources
+from pathlib import Path
 
 import corpus
 import corruptions
@@ -192,14 +194,74 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _verdict_digests(name: str, text: str) -> dict:
+    sc = parse_scenario(text, name)
+    verdict = adjudicate(sc)
+    got = {}
+    if verdict.proof is not None:
+        got[name, "proof"] = _sha256(verdict.proof.serialize())
+    report = json.loads(render_json(sc, verdict))
+    del report["elapsed_ms"]
+    got[name, "json"] = _sha256(json.dumps(report, indent=2, sort_keys=True))
+    return got
+
+
 def test_proofs_and_reports_match_the_recorded_digests():
     for name in ("sim1", "sim2", "sim1_guilty"):
-        sc = parse_scenario(_scenario_text(name), name)
-        verdict = adjudicate(sc)
-        got = {}
-        if verdict.proof is not None:
-            got[name, "proof"] = _sha256(verdict.proof.serialize())
-        report = json.loads(render_json(sc, verdict))
-        del report["elapsed_ms"]
-        got[name, "json"] = _sha256(json.dumps(report, indent=2, sort_keys=True))
+        got = _verdict_digests(name, _scenario_text(name))
         assert got == {k: v for k, v in GOLDEN.items() if k[0] == name}, name
+
+
+# The same digests for the benchmark's scenario variants (built by
+# guardbench/texts.py): sim1 with idle agents and sim2 with extra
+# effects reach longer proofs and more shadow and skolem names.
+VARIANT_GOLDEN = {
+    ("sim1+idle1", "proof"): "cbf89c27a9531c4e8960bd7a74616d9f37c0528dc5fca5fc1aa03383abc9bac0",
+    ("sim1+idle1", "json"): "24f806b3f1326a151319849d2f169174b129e20dcc07babf156fc30c09daf9f6",
+    ("sim1+idle2", "proof"): "cbf89c27a9531c4e8960bd7a74616d9f37c0528dc5fca5fc1aa03383abc9bac0",
+    ("sim1+idle2", "json"): "80a0c0a8da461f4723918adf5891a69fc233e49c63e7e321a6cd92393a783e84",
+    ("sim1+idle3", "proof"): "cbf89c27a9531c4e8960bd7a74616d9f37c0528dc5fca5fc1aa03383abc9bac0",
+    ("sim1+idle3", "json"): "3904d8b576f6bc003e7f7939a91aad63553372ae664c7aad8b9873724a5f47e2",
+    ("sim2+1", "proof"): "b2fc0866738dbc2ab76bf5b64b02092e172ca08a6585ef73f45193cc7bd92941",
+    ("sim2+1", "json"): "a9d5f1956dda22368d65bc447b6a478fe195eebd36c0179b5335cec7a4f1ed8a",
+    ("sim2+2", "proof"): "b2fc0866738dbc2ab76bf5b64b02092e172ca08a6585ef73f45193cc7bd92941",
+    ("sim2+2", "json"): "e90ad549f49bb8978dd8fe16579e407e07027a311bc0fbd973d5cccdc2fffdfd",
+}
+
+# sha256 of every query_mix answer, in pool order (see _answer_text)
+QUERY_MIX_GOLDEN = "b43e70a94961817c2d0a647d60d4cf560cb4d14ab364b3fd730f14cf334019dc"
+
+GUARDBENCH = Path(__file__).resolve().parents[1] / "guardbench"
+
+
+def test_benchmark_variants_match_the_recorded_digests(monkeypatch):
+    monkeypatch.syspath_prepend(str(GUARDBENCH))
+    texts = importlib.import_module("texts")
+    sim1, sim2 = texts.bundled_text("sim1"), texts.bundled_text("sim2")
+    variants = {f"sim1+idle{k}": texts.sim1_idle(sim1, k) for k in (1, 2, 3)}
+    variants.update({f"sim2+{m}": texts.sim2_extra_effects(sim2, m) for m in (1, 2)})
+    got = {}
+    for name, text in variants.items():
+        got.update(_verdict_digests(name, text))
+    assert got == VARIANT_GOLDEN
+
+
+def _answer_text(answer) -> str:
+    """A query_mix answer as text: a prevention result with its
+    verification, or a double-effect verdict."""
+    if isinstance(answer, tuple):
+        res, verified = answer
+        proof = res.proof.serialize() if res.proof is not None else ""
+        return f"{res.answer}\n{proof}\n{res.countermodel}\n{verified}"
+    clauses = {k: (c.status, c.detail) for k, c in answer.clauses.items()}
+    effects = [e.key() for e in answer.effects]
+    return json.dumps([clauses, effects, answer.net_utility], sort_keys=True)
+
+
+def test_query_mix_answers_match_the_recorded_digest(monkeypatch):
+    monkeypatch.syspath_prepend(str(GUARDBENCH))
+    workloads = importlib.import_module("workloads")
+    answers = []
+    for req in workloads.query_mix().pool:
+        answers.append(f"== {req.label}\n{_answer_text(req.send(req))}")
+    assert _sha256("\n".join(answers)) == QUERY_MIX_GOLDEN

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from modalguard import clauses
 from modalguard.clauses import (
     Clause,
+    ClausifyLimit,
     Literal,
     canonical_clause,
     clause_vars,
@@ -14,7 +17,7 @@ from modalguard.clauses import (
     is_tautology,
 )
 from modalguard.parser import parse_formula
-from modalguard.syntax import AGENT, App, Atom, Const, Signature, Var, canonical_key
+from modalguard.syntax import AGENT, App, Atom, Const, Iff, Signature, Var, canonical_key
 
 
 def make_sig() -> Signature:
@@ -206,3 +209,28 @@ def test_skolem_names_are_stable():
         ["(R V0 (sk_7c932e0db6_0 V0))"],
         ["(P sk_5d25cbae50_0)", "(not R sk_5d25cbae50_1 V0)"],
     ]
+
+
+def iff_chain(depth: int) -> Iff:
+    """(iff (p) (iff (p) ... (p))) with depth iffs."""
+    f = Atom("p")
+    for _ in range(depth):
+        f = Iff(Atom("p"), f)
+    return f
+
+
+def test_clausify_stops_at_its_budget():
+    # seven iffs distribute into more literal lists than the budget
+    with pytest.raises(ClausifyLimit):
+        clausify(iff_chain(7), budget=200000)
+    # twenty-four double the NNF walk past it before distribution starts
+    with pytest.raises(ClausifyLimit):
+        clausify(iff_chain(24), budget=200000)
+
+
+def test_clausify_stops_at_its_deadline():
+    with pytest.raises(ClausifyLimit):
+        clausify(iff_chain(2), deadline=time.monotonic() - 1)
+    # without limits, as the proof checker calls it, nothing changes
+    later = time.monotonic() + 60
+    assert clausify(iff_chain(2)) == clausify(iff_chain(2), deadline=later, budget=10**6)

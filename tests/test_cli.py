@@ -8,6 +8,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +69,17 @@ def test_simulate_locks_the_malevolent_request():
     assert "C1, C2, C3" in r.stdout
     assert "verified" in r.stdout
     assert "NOT VERIFIED" not in r.stdout
+
+
+def test_simulate_reports_deep_nesting_as_a_parse_error(tmp_path):
+    text = (Path(cli.__file__).parent / "scenarios" / "sim1.scn").read_text()
+    deep = "(not " * 600 + "(innocent victim)" + ")" * 600
+    path = tmp_path / "deep.scn"
+    path.write_text(text.replace("  (innocent victim)\n", f"  (innocent victim)\n  {deep}\n"))
+    r = run_cli("simulate", str(path))
+    assert r.returncode == 1
+    assert "nest deeper than" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_simulate_allows_the_defensive_request():

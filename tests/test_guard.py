@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import time
+from importlib import resources
 
 import pytest
 
@@ -91,6 +93,42 @@ def test_clause_starved_adjudication_fails_safe():
     assert v.prove_status == "timeout"
     assert "failing safe" in v.reason
     assert v.proof is None
+
+
+SIM1_TEXT = (resources.files("modalguard") / "scenarios" / "sim1.scn").read_text()
+
+
+def sim1_with_fact(wrap, depth: int):
+    """sim1 plus one fact: wrap applied depth times around (innocent victim)."""
+    fact = "(innocent victim)"
+    for i in range(depth):
+        fact = wrap(i, fact)
+    assert SIM1_TEXT.count("  (innocent victim)\n") == 1
+    text = SIM1_TEXT.replace("  (innocent victim)\n", f"  (innocent victim)\n  {fact}\n")
+    return parse_scenario(text, "sim1")
+
+
+def test_a_blown_up_fact_locks_within_the_budget():
+    sc = sim1_with_fact(lambda i, f: f"(iff (innocent victim) {f})", 6)
+    budget = Budget()
+    t0 = time.monotonic()
+    v = adjudicate(sc, budget)
+    assert time.monotonic() - t0 < budget.timeout_ms / 1000
+    assert v.decision == LOCK
+    assert v.prove_status == "timeout"
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda i, f: f"(not {f})",
+    lambda i, f: f"(and (prior 1 2) {f})",
+    lambda i, f: f"(implies (prior 1 2) {f})",
+    lambda i, f: f"(forall x{i} : Agent {f})",
+    lambda i, f: f"(knows ai 1 {f})",
+], ids=["not", "and", "implies", "forall", "knows"])
+def test_a_fact_nested_100_deep_adjudicates(wrap):
+    v = adjudicate(sim1_with_fact(wrap, 100))
+    assert v.decision == LOCK
+    assert v.proof_verified
 
 
 def test_grounding_capped_adjudication_fails_safe(monkeypatch):

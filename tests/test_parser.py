@@ -6,7 +6,13 @@ import random
 
 import pytest
 
-from modalguard.parser import ParseError, parse_formula, parse_formulas, parse_term
+from modalguard.parser import (
+    MAX_NESTING,
+    ParseError,
+    parse_formula,
+    parse_formulas,
+    parse_term,
+)
 from modalguard.scenario import bundled_scenario_names, load_bundled_scenario
 from modalguard.syntax import (
     ACTION_TYPE,
@@ -222,6 +228,13 @@ def test_parse_error_carries_position():
         parse_formula("(P\n  zzz)", SIG)
     assert e.value.line == 2
     assert e.value.col == 3
+
+
+@pytest.mark.parametrize("depth", [600, 2000])
+def test_deep_nesting_is_a_parse_error_at_the_offending_paren(depth):
+    with pytest.raises(ParseError) as e:
+        parse_formula("(not " * depth + "(rains)" + ")" * depth, SIG)
+    assert (e.value.line, e.value.col) == (1, 1 + len("(not ") * MAX_NESTING)
 
 
 def test_sort_mismatch_is_a_parse_error_with_location():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import time
 from pathlib import Path
 
 import pytest
@@ -27,12 +28,14 @@ from modalguard.syntax import (
     Implies,
     Not,
     Or,
+    Signature,
     Var,
     alpha_equivalent,
     canonical_key,
 )
 
 import corpus
+from test_clauses import iff_chain
 
 SIG = corpus.corpus_signature()
 
@@ -76,6 +79,18 @@ def test_clause_budget_exhaustion_is_timeout():
     r, _, _ = run("modus-ponens", max_clauses=1)
     assert r.status == "timeout"
     assert r.proof is None
+
+
+@pytest.mark.parametrize("depth", [7, 24])
+def test_a_clausification_blow_up_is_timeout_within_the_budget(depth):
+    sig = Signature()
+    sig.declare_predicate("p", ())
+    sig.declare_predicate("q", ())
+    budget = Budget(timeout_ms=5000)
+    t0 = time.monotonic()
+    r = prove([iff_chain(depth)], Atom("q"), budget=budget, sig=sig)
+    assert r.status == "timeout"
+    assert time.monotonic() - t0 < budget.timeout_ms / 1000
 
 
 def test_depth_budget_limits_modal_closure():

@@ -10,7 +10,7 @@ from test_parser import RandomFormulas
 from modalguard import shadow as shadow_module
 from modalguard.parser import parse_formula
 from modalguard.shadow import ShadowMap, shadow
-from modalguard.syntax import AGENT, Signature, alpha_normal, print_formula
+from modalguard.syntax import AGENT, Signature, canonical_key, print_formula
 
 NAME_RE = re.compile(r"^sh_[0-9a-f]{12}$")
 
@@ -38,7 +38,7 @@ def test_ground_modal_becomes_nullary_atom():
     assert got.args == ()
     assert NAME_RE.match(got.pred)
     entry = smap.entries[got.pred]
-    assert print_formula(entry.pattern) == "(knows a 1 (p))"
+    assert entry.pattern == "(knows a 1 (p))"
     assert entry.holes == ()
 
 
@@ -86,13 +86,14 @@ def test_free_variables_become_holes():
     entry = smap.entries[atom.pred]
     assert len(entry.holes) == 1
     assert entry.holes[0].sort == AGENT
+    assert entry.pattern == "(knows h0 1 (P h0))"
 
 
 def test_nested_modal_shadows_only_the_outermost():
     smap = ShadowMap()
     got = sh("(knows a 1 (believes b 1 (p)))", smap)
     assert len(smap.entries) == 1
-    assert print_formula(next(iter(smap.entries.values())).pattern) \
+    assert next(iter(smap.entries.values())).pattern \
         == "(knows a 1 (believes b 1 (p)))"
     assert NAME_RE.match(got.pred)
 
@@ -117,14 +118,14 @@ def test_shadowing_is_idempotent_per_map():
     assert len(smap.entries) == 1
 
 
-def test_each_distinct_modal_is_normalized_once(monkeypatch):
+def test_each_distinct_modal_is_keyed_once(monkeypatch):
     calls = []
 
-    def counting(f):
+    def counting(f, names=None):
         calls.append(f)
-        return alpha_normal(f)
+        return canonical_key(f, names)
 
-    monkeypatch.setattr(shadow_module, "alpha_normal", counting)
+    monkeypatch.setattr(shadow_module, "canonical_key", counting)
     smap = ShadowMap()
     for text in (
         "(and (knows a 1 (p)) (knows a 1 (p)))",
