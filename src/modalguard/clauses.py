@@ -9,9 +9,11 @@ prover or by an independent proof checker -- yields identical clauses.
 That key is computed only when the first skolem symbol is named; a
 formula with no existential to skolemize never computes it.
 
-Iff expansion and distribution can grow a formula exponentially.  Each
-pass counts what it builds against a budget and polls a deadline, and
-raises ClausifyLimit when either runs out.
+Iff expansion and distribution can grow a formula exponentially.  The
+NNF pass, which doubles per nested iff, counts its nodes against a
+cap, distribution checks each product against a clause budget before
+building it, and both poll a deadline; past any of these clausify
+raises ClausifyLimit.
 """
 
 from __future__ import annotations
@@ -162,47 +164,49 @@ def is_tautology(c: Clause) -> bool:
 
 
 class ClausifyLimit(Exception):
-    """clausify built more than its budget allows, or ran past its deadline."""
+    """clausify would outgrow its bounds, or ran past its deadline."""
+
+
+# Nodes the NNF pass may build.  Connective expansion shares each side
+# of an iff between two conjuncts, so NNF doubles per nested iff.
+NNF_NODE_CAP = 100_000
 
 
 class _Meter:
-    """What clausify has built so far, against its budget and deadline."""
+    """NNF nodes built so far, against NNF_NODE_CAP and a deadline."""
 
-    def __init__(self, budget: float, deadline: float) -> None:
-        self.left = budget
+    def __init__(self, deadline: float) -> None:
+        self.nodes = 0
         self.deadline = deadline
 
-    def charge(self, n: int = 1) -> None:
-        self.left -= n
-        if self.left < 0 or time.monotonic() > self.deadline:
+    def tick(self) -> None:
+        self.nodes += 1
+        if self.nodes > NNF_NODE_CAP or time.monotonic() > self.deadline:
             raise ClausifyLimit
 
 
-def _expand_connectives(f: Formula, meter: _Meter) -> Formula:
-    meter.charge()
+def _expand_connectives(f: Formula) -> Formula:
     if isinstance(f, Atom):
         return f
     if isinstance(f, Not):
-        return Not(_expand_connectives(f.body, meter))
+        return Not(_expand_connectives(f.body))
     if isinstance(f, And):
-        return And(tuple(_expand_connectives(p, meter) for p in f.parts))
+        return And(tuple(_expand_connectives(p) for p in f.parts))
     if isinstance(f, Or):
-        return Or(tuple(_expand_connectives(p, meter) for p in f.parts))
+        return Or(tuple(_expand_connectives(p) for p in f.parts))
     if isinstance(f, Implies):
-        l = _expand_connectives(f.left, meter)
-        return Or((Not(l), _expand_connectives(f.right, meter)))
+        return Or((Not(_expand_connectives(f.left)), _expand_connectives(f.right)))
     if isinstance(f, Iff):
-        l = _expand_connectives(f.left, meter)
-        r = _expand_connectives(f.right, meter)
+        l = _expand_connectives(f.left)
+        r = _expand_connectives(f.right)
         return And((Or((Not(l), r)), Or((Not(r), l))))
     if isinstance(f, (Forall, Exists)):
-        return type(f)(f.var, _expand_connectives(f.body, meter))
+        return type(f)(f.var, _expand_connectives(f.body))
     raise TypeError(f"clausify applies to shadowed formulas only: {f!r}")
 
 
 def _nnf(f: Formula, negate: bool, meter: _Meter) -> Formula:
-    # an expanded iff shares its sides, so this walk can double per iff
-    meter.charge()
+    meter.tick()
     if isinstance(f, Atom):
         return Not(f) if negate else f
     if isinstance(f, Not):
@@ -226,16 +230,15 @@ def clausify(
     f: Formula,
     salt: Optional[str] = None,
     deadline: float = math.inf,
-    budget: float = math.inf,
+    max_clauses: float = math.inf,
 ) -> list[Clause]:
     """Clauses of a shadowed formula, in a deterministic order.
 
     salt defaults to the formula's own canonical key; it seeds the
-    skolem symbol names.  budget bounds the nodes and literal lists
-    the passes build; past it, or past the monotonic deadline, raises
-    ClausifyLimit.
+    skolem symbol names.  Raises ClausifyLimit past the monotonic
+    deadline, past NNF_NODE_CAP NNF nodes, or before distributing or
+    over and into more than max_clauses literal lists at once.
     """
-    meter = _Meter(budget, deadline)
     tag: list[str] = []  # computed when the first skolem is named
     counter = [0]
 
@@ -247,13 +250,12 @@ def clausify(
         counter[0] += 1
         return f"sk_{tag[0]}_{idx}"
 
-    nnf = _nnf(_expand_connectives(f, meter), False, meter)
+    nnf = _nnf(_expand_connectives(f), False, _Meter(deadline))
 
     # rename binders apart and skolemize in one pass
     used_names = [0]
 
     def walk(g: Formula, universals: list[Var], ren: dict[Var, Term]) -> Formula:
-        meter.charge()
         if isinstance(g, Atom):
             return Atom(g.pred, tuple(substitute_term(a, ren) for a in g.args))
         if isinstance(g, Not):
@@ -282,11 +284,9 @@ def clausify(
     # distribute or over and -> list of literal lists
     def distribute(g: Formula) -> list[list[Literal]]:
         if isinstance(g, Atom):
-            meter.charge()
             return [[Literal(True, g)]]
         if isinstance(g, Not):
             assert isinstance(g.body, Atom)
-            meter.charge()
             return [[Literal(False, g.body)]]
         if isinstance(g, And):
             out: list[list[Literal]] = []
@@ -297,8 +297,9 @@ def clausify(
             branches = [distribute(p) for p in g.parts]
             out = [[]]
             for br in branches:
-                # charged before it is built: one product can be huge
-                meter.charge(len(out) * len(br))
+                # checked before it is built: one product can be huge
+                if len(out) * len(br) > max_clauses or time.monotonic() > deadline:
+                    raise ClausifyLimit
                 out = [acc + d for acc in out for d in br]
             return out
         if isinstance(g, Forall):
@@ -308,7 +309,6 @@ def clausify(
     clauses: list[Clause] = []
     seen: set[str] = set()
     for lits in distribute(matrix):
-        meter.charge()
         c = canonical_clause(lits)
         if is_tautology(c):
             continue

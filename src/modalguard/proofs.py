@@ -32,7 +32,7 @@ from .syntax import (
     Signature,
     Var,
     alpha_equivalent,
-    canonical_key,
+    alpha_key,
     constants_in_formula,
     disj,
     print_formula,
@@ -157,7 +157,7 @@ def verify_proof_detailed(
     sig = sig if sig is not None else Signature()
     if not proof.steps:
         return False, "empty proof"
-    assumed = {canonical_key(a) for a in assumptions}
+    assumed = {alpha_key(a) for a in assumptions}
     used_names: set[str] = set()
     for a in assumptions:
         used_names |= symbol_names(a)
@@ -177,7 +177,7 @@ def verify_proof_detailed(
         if r == "assumption":
             if step.premises:
                 return fail(i, "assumption takes no premises")
-            if canonical_key(f) not in assumed:
+            if alpha_key(f) not in assumed:
                 return fail(i, "formula is not a declared assumption")
         elif r == "S1":
             if len(prem) != 1 or not isinstance(prem[0], Modal) or prem[0].op != KNOWS:

@@ -27,9 +27,11 @@ After shadowing, the formulas whose every clause the pure-literal rule
 would delete are dropped before they are clausified (pure_formulas), so
 the search sees exactly the clauses it kept before.  Budget.max_clauses
 counts only clauses that enter the search: clauses of dropped formulas
-are never built, so they do not count against it.  It also bounds what
-clausify builds for each kept formula; a clausification that outgrows
-it or the deadline ends the search as timeout.
+are never built, so they do not count against it.  clausify also
+stops before distributing a product of more than max_clauses literal
+lists (the formula then has more clauses than that, duplicates and
+tautologies included), past its NNF node cap, or past the deadline;
+the search then ends as timeout.
 """
 
 from __future__ import annotations
@@ -125,7 +127,13 @@ def _grounding_plan(f: Formula) -> Optional[_Plan]:
         plan = _Plan(f.body.var, f.body.body, Not, RULE_NEG_EXISTS_ELIM, True)
     elif isinstance(f, Not) and isinstance(f.body, Forall):
         plan = _Plan(f.body.var, f.body.body, Not, RULE_NEG_FORALL_ELIM, False)
-    elif isinstance(f, Implies) and isinstance(f.left, Exists):
+    elif (
+        isinstance(f, Implies)
+        and isinstance(f.left, Exists)
+        # the template holes var wherever wrap(body) has it free, so an
+        # open consequent that has it free too is not grounded
+        and f.left.var not in free_vars(f.right)
+    ):
         rhs = f.right
         plan = _Plan(
             f.left.var,
@@ -166,7 +174,7 @@ class _Prep:
 
     A root formula is keyed by canonical_key.  A grounding instance is
     keyed from its quantifier's template instead: the canonical key of
-    wrap(body) with the bound variable replaced by _HOLE.  Substituting
+    wrap(body) with the bound variable printed as _HOLE.  Substituting
     a constant commutes with keying (binders are renamed by position
     whatever their names, and a constant prints as its name), so
     splicing the constant's name into the template gives the instance's
@@ -203,9 +211,7 @@ class _Prep:
         var, body, wrap, rule, _ = self.plans[key]
         template = self.templates.get(key)
         if template is None:
-            hole = Var(_HOLE, var.sort)
-            template = canonical_key(wrap(substitute(body, {var: hole}, self.sig)))
-            self.templates[key] = template
+            template = self.templates[key] = canonical_key(wrap(body), {var: _HOLE})
         ikey = template.replace(_HOLE, c.name)
         if ikey not in self.records:
             f = wrap(substitute(body, {var: c}, self.sig))
@@ -414,7 +420,7 @@ def prove(
         for fi, f in enumerate(shadowed):
             if fi in dead:
                 continue
-            for c in clausify(f, deadline=deadline, budget=budget.max_clauses):
+            for c in clausify(f, deadline=deadline, max_clauses=budget.max_clauses):
                 inputs.append((c, fi))
     except ClausifyLimit:
         stats["elapsed_ms"] = (time.monotonic() - start) * 1000.0

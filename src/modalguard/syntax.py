@@ -15,6 +15,7 @@ Prevents/Block are pre-declared in every signature.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Iterator, Mapping, Optional, Union
 
 
@@ -213,8 +214,8 @@ def obligated(agent: Term, time: Term, situation: Term, body: Formula) -> Modal:
 # ---------------------------------------------------------------------------
 # Printing (canonical text form)
 #
-# One walk prints terms, formulas and canonical keys; canonical_key
-# numbers each binder before printing its body.  Shadow and skolem names
+# One walk prints terms, formulas, canonical keys and alpha keys; a key
+# names each binder before printing its body.  Shadow and skolem names
 # are hashes of such prints, which a proof checker recomputes, so no
 # print may change.
 
@@ -228,10 +229,10 @@ def _show_term(t: Term, names: Mapping[Var, str]) -> str:
     return f"({t.fn} {inner})" if inner else f"({t.fn})"
 
 
-def _show(f: Formula, names: Mapping[Var, str], binders: Optional[list[int]]) -> str:
+def _show(f: Formula, names: Mapping[Var, str], binders: Optional[Iterator[str]]) -> str:
     """f printed with each variable in names under its name there.
     binders is None to print binders under their own names, else the
-    running count of binders renamed so far."""
+    names to give them in binder order."""
     if isinstance(f, Atom):
         if not f.args:
             return f"({f.pred})"
@@ -251,8 +252,7 @@ def _show(f: Formula, names: Mapping[Var, str], binders: Optional[list[int]]) ->
         if binders is None:
             name = v.name
         else:
-            name = f"b{binders[0]}"
-            binders[0] += 1
+            name = next(binders)
             names = {**names, v: name}
         q = "forall" if isinstance(f, Forall) else "exists"
         return f"({q} {name} : {v.sort} {_show(f.body, names, binders)})"
@@ -273,14 +273,27 @@ def print_formula(f: Formula) -> str:
 
 
 def canonical_key(f: Formula, names: Optional[Mapping[Var, str]] = None) -> str:
-    """Alpha-equivalence key: f printed with its binders renamed b0, b1,
-    ... in binder order.  Free variables in names print under the given
-    names, which keys f with each replaced by a constant of that name."""
-    return _show(f, names or {}, [0])
+    """Identity key: f printed with its binders renamed b0, b1, ... in
+    binder order.  Free variables in names print under the given names,
+    which keys f with each replaced by a constant of that name.  Other
+    free variables print as their names, like constants, so formulas
+    that differ only there share a key; alpha_key tells them apart."""
+    return _show(f, names or {}, map("b{}".format, count()))
+
+
+def alpha_key(f: Formula) -> str:
+    """Key whose equality is alpha-equivalence.  Unlike canonical_key,
+    it tells a free variable from a constant, or from a binder, of the
+    same name, and a free variable's sort counts: binders print as ?0,
+    ?1, ... and a free variable x of sort S as ?x:S, which no
+    identifier can spell.  A constant prints as its name alone, as a
+    signature gives each name one sort."""
+    free = {v: f"?{v.name}:{v.sort}" for v in free_vars(f)}
+    return _show(f, free, map("?{}".format, count()))
 
 
 def alpha_equivalent(f: Formula, g: Formula) -> bool:
-    return canonical_key(f) == canonical_key(g)
+    return alpha_key(f) == alpha_key(g)
 
 
 # ---------------------------------------------------------------------------

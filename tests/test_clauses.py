@@ -222,10 +222,11 @@ def iff_chain(depth: int) -> Iff:
 def test_clausify_stops_at_its_budget():
     # seven iffs distribute into more literal lists than the budget
     with pytest.raises(ClausifyLimit):
-        clausify(iff_chain(7), budget=200000)
-    # twenty-four double the NNF walk past it before distribution starts
+        clausify(iff_chain(7), max_clauses=200000)
+    # twenty-four double the NNF walk past its cap before distribution
+    # starts, whatever the clause budget
     with pytest.raises(ClausifyLimit):
-        clausify(iff_chain(24), budget=200000)
+        clausify(iff_chain(24))
 
 
 def test_clausify_stops_at_its_deadline():
@@ -233,4 +234,4 @@ def test_clausify_stops_at_its_deadline():
         clausify(iff_chain(2), deadline=time.monotonic() - 1)
     # without limits, as the proof checker calls it, nothing changes
     later = time.monotonic() + 60
-    assert clausify(iff_chain(2)) == clausify(iff_chain(2), deadline=later, budget=10**6)
+    assert clausify(iff_chain(2)) == clausify(iff_chain(2), deadline=later, max_clauses=10**6)

@@ -15,7 +15,7 @@ from modalguard.proofs import (
     verify_proof_detailed,
 )
 from modalguard.prover import prove
-from modalguard.syntax import FALSUM, Atom
+from modalguard.syntax import AGENT, FALSUM, Atom, Not, Var
 
 import corpus
 import corruptions
@@ -146,6 +146,40 @@ def test_accepts_fresh_witness_rename():
 
 # ---------------------------------------------------------------------------
 # checker rejects corrupted proofs
+
+def forged_proof(assumption, negated_goal):
+    """assumption, negated goal, their clauses, the empty resolvent and
+    reductio: accepted only when each step is what its rule says."""
+    clause = lambda f: clause_to_formula(clausify(f)[0])
+    goal = negated_goal.body if isinstance(negated_goal, Not) else None
+    return Proof((
+        ProofStep(assumption, "assumption", ()),
+        ProofStep(clause(assumption), "clausify", (0,)),
+        ProofStep(negated_goal, "negated-goal", ()),
+        ProofStep(clause(negated_goal), "clausify", (2,)),
+        ProofStep(FALSUM, "resolve", (1, 3)),
+        ProofStep(goal, "reductio", (4, 2)),
+    ))
+
+
+def test_rejects_a_variable_in_place_of_the_goal_constant():
+    # (not (P b)) with b a variable clausifies to the universal clause
+    # (not (P V0)), which refutes any (P c)
+    P_a, goal = parse_formula("(P alice)", SIG), parse_formula("(P bob)", SIG)
+    forged = forged_proof(P_a, Not(Atom("P", (Var("bob", AGENT),))))
+    assert verify_proof_detailed(forged, [P_a], goal, SIG) == (
+        False, "step 3: negated-goal formula is not the goal's negation")
+    honest = forged_proof(P_a, Not(goal))
+    assert not verify_proof(honest, [P_a], goal, SIG)
+
+
+def test_rejects_a_variable_in_place_of_an_assumed_constant():
+    # assuming (P a) with a variable a would assume (forall x (P x))
+    P_a, goal = parse_formula("(P alice)", SIG), parse_formula("(P bob)", SIG)
+    forged = forged_proof(Atom("P", (Var("alice", AGENT),)), Not(goal))
+    assert verify_proof_detailed(forged, [P_a], goal, SIG) == (
+        False, "step 1: formula is not a declared assumption")
+
 
 @pytest.mark.parametrize("label", [c[0] for c in CASES])
 def test_rejects_corruption(label):

@@ -327,6 +327,18 @@ def test_spliced_keys_equal_canonical_keys_on_the_corpus(monkeypatch):
     assert GROUNDING_RULES <= edge_rules
 
 
+def test_spliced_keys_equal_canonical_keys_on_an_open_consequent(monkeypatch):
+    # v is free in the consequent as well as bound in the antecedent; a
+    # template holes v wherever it is free, so this root is not grounded
+    preps = spy_preps(monkeypatch)
+    v = Var("v", AGENT)
+    knows_v = parse_formula("(exists v : Agent (knows v 1 (P v)))", SIG)
+    assert knows_v.var == v
+    roots = [Implies(knows_v, Atom("Q", (v,))), parse_formula("(P alice)", SIG)]
+    prove(roots, parse_formula("(floods)", SIG), sig=SIG)
+    check_closure_keys(preps)
+
+
 def test_spliced_keys_equal_canonical_keys_on_the_guard_scenarios(monkeypatch):
     texts = load_guardbench_texts()
     sim1, sim2 = texts.bundled_text("sim1"), texts.bundled_text("sim2")
@@ -346,9 +358,9 @@ def test_sim1_obligation_keys_no_instance_and_clausifies_few_formulas(monkeypatc
     keyed: list = []
     clausified: list = []
 
-    def counting_key(f):
+    def counting_key(f, names=None):
         keyed.append(f)
-        return canonical_key(f)
+        return canonical_key(f, names)
 
     def counting_clausify(f, *args, **kwargs):
         clausified.append(f)

@@ -199,6 +199,22 @@ def test_alpha_equivalence_and_canonical_key():
     assert canonical_key(f) != canonical_key(h)
 
 
+def test_alpha_equivalence_tells_variables_from_constants_and_binders():
+    # canonical_key prints a variable like a constant of its name; the
+    # proof checker's alpha_equivalent must not take one for the other
+    b_var = Var("b", AGENT)
+    assert canonical_key(Atom("P", (b_var,))) == canonical_key(Atom("P", (B,)))
+    assert not alpha_equivalent(Atom("P", (b_var,)), Atom("P", (B,)))
+    assert not alpha_equivalent(Atom("P", (b_var,)), Atom("P", (Var("b", GOAL),)))
+    assert alpha_equivalent(Atom("P", (b_var,)), Atom("P", (Var("b", AGENT),)))
+    # nor a constant or a free variable named like a numbered binder
+    for b0 in (Const("b0", AGENT), Var("b0", AGENT)):
+        f = Forall(X, Atom("R", (X, X)))
+        g = Forall(X, Atom("R", (X, b0)))
+        assert canonical_key(f) == canonical_key(g)
+        assert not alpha_equivalent(f, g)
+
+
 def test_canonical_key_parses_back_to_itself():
     sig = round_trip_sig()
     for seed in range(300):
