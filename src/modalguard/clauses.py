@@ -9,6 +9,11 @@ prover or by an independent proof checker -- yields identical clauses.
 That key is computed only when the first skolem symbol is named; a
 formula with no existential to skolemize never computes it.
 
+A clause is identified by its canonical clause (canonical_clause), a
+frozen value compared and hashed by structure: a variable is never a
+constant of the same name, and sorts count.  Literal.key prints a
+literal only to order the literals of a canonical clause.
+
 Iff expansion and distribution can grow a formula exponentially.  The
 NNF pass, which doubles per nested iff, counts its nodes against a
 cap, distribution checks each product against a clause budget before
@@ -22,7 +27,7 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable
 
 from .syntax import (
     And,
@@ -41,6 +46,7 @@ from .syntax import (
     canonical_key,
     print_term,
     substitute_term,
+    term_vars,
 )
 
 
@@ -53,9 +59,14 @@ class Literal:
         return Literal(not self.positive, self.atom)
 
     def key(self) -> str:
+        """The print that orders the literals of a canonical clause."""
         sign = "" if self.positive else "not "
         args = " ".join(print_term(a) for a in self.atom.args)
         return f"({sign}{self.atom.pred}{' ' + args if args else ''})"
+
+    def substituted(self, mapping: dict[Var, Term]) -> "Literal":
+        args = tuple(substitute_term(a, mapping) for a in self.atom.args)
+        return Literal(self.positive, Atom(self.atom.pred, args))
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,9 +76,6 @@ class Clause:
     @property
     def empty(self) -> bool:
         return not self.literals
-
-    def key(self) -> str:
-        return " | ".join(l.key() for l in self.literals)
 
     def weight(self) -> int:
         total = 0
@@ -82,21 +90,16 @@ def _term_size(t: Term) -> int:
     return 1
 
 
-def clause_vars(c: Clause) -> list[Var]:
+def _vars_of(literals: Iterable[Literal]) -> list[Var]:
     out: list[Var] = []
-
-    def walk(t: Term) -> None:
-        if isinstance(t, Var):
-            if t not in out:
-                out.append(t)
-        elif isinstance(t, App):
-            for a in t.args:
-                walk(a)
-
-    for l in c.literals:
+    for l in literals:
         for a in l.atom.args:
-            walk(a)
+            term_vars(a, out)
     return out
+
+
+def clause_vars(c: Clause) -> list[Var]:
+    return _vars_of(c.literals)
 
 
 def _literal_shape(l: Literal) -> str:
@@ -114,49 +117,26 @@ def _literal_shape(l: Literal) -> str:
     return f"({sign}{l.atom.pred}{' ' + args if args else ''})"
 
 
-def _is_ground(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    if isinstance(t, App):
-        return all(_is_ground(a) for a in t.args)
-    return True
+def canonical_clause(literals: Iterable[Literal]) -> Clause:
+    """Deduplicate, order, and rename variables V0, V1, ... canonically.
 
-
-def canonical_clause(literals: list[Literal]) -> Clause:
-    """Deduplicate, order, and rename variables canonically.
-
-    A ground clause has nothing to rename, so its literals are printed
-    once, for the one sort that orders them.
+    Literals are ordered by print, ties broken by shape, so a variable
+    and a constant printed alike come out in one order.  A ground
+    clause has nothing to rename, so its literals are printed once,
+    for the one sort that orders them.
     """
     distinct = set(literals)
-    if all(_is_ground(a) for l in distinct for a in l.atom.args):
+    if not _vars_of(distinct):
         return Clause(tuple(sorted(distinct, key=Literal.key)))
     ordered = sorted(distinct, key=lambda l: (_literal_shape(l), l.key()))
-    ren: dict[Var, Term] = {}
-
-    def walk(t: Term) -> Term:
-        if isinstance(t, Var):
-            if t not in ren:
-                ren[t] = Var(f"V{len(ren)}", t.sort)
-            return ren[t]
-        if isinstance(t, App):
-            return App(t.fn, tuple(walk(a) for a in t.args), t.sort)
-        return t
-
-    renamed = [
-        Literal(l.positive, Atom(l.atom.pred, tuple(walk(a) for a in l.atom.args)))
-        for l in ordered
-    ]
-    final = sorted(set(renamed), key=Literal.key)
-    return Clause(tuple(final))
+    ren = {v: Var(f"V{i}", v.sort) for i, v in enumerate(_vars_of(ordered))}
+    # renamed keeps the shape order, so the stable sort breaks ties by it
+    renamed = dict.fromkeys(l.substituted(ren) for l in ordered)
+    return Clause(tuple(sorted(renamed, key=Literal.key)))
 
 
 def is_tautology(c: Clause) -> bool:
-    pos = {l.key() for l in c.literals if l.positive}
-    for l in c.literals:
-        if not l.positive and l.key().replace("(not ", "(", 1) in pos:
-            return True
-    return False
+    return any(l.positive and Literal(False, l.atom) in c.literals for l in c.literals)
 
 
 # ---------------------------------------------------------------------------
@@ -228,23 +208,23 @@ def _nnf(f: Formula, negate: bool, meter: _Meter) -> Formula:
 
 def clausify(
     f: Formula,
-    salt: Optional[str] = None,
     deadline: float = math.inf,
     max_clauses: float = math.inf,
 ) -> list[Clause]:
-    """Clauses of a shadowed formula, in a deterministic order.
+    """Distinct non-tautological clauses of a shadowed formula, in a
+    deterministic order.
 
-    salt defaults to the formula's own canonical key; it seeds the
-    skolem symbol names.  Raises ClausifyLimit past the monotonic
-    deadline, past NNF_NODE_CAP NNF nodes, or before distributing or
-    over and into more than max_clauses literal lists at once.
+    The formula's canonical key seeds the skolem symbol names.  Raises
+    ClausifyLimit past the monotonic deadline, past NNF_NODE_CAP NNF
+    nodes, or before distributing or over and into more than
+    max_clauses literal lists at once.
     """
     tag: list[str] = []  # computed when the first skolem is named
     counter = [0]
 
     def skolem_name() -> str:
         if not tag:
-            seed = salt if salt is not None else canonical_key(f)
+            seed = canonical_key(f)
             tag.append(hashlib.blake2b(seed.encode(), digest_size=5).hexdigest())
         idx = counter[0]
         counter[0] += 1
@@ -306,14 +286,5 @@ def clausify(
             return distribute(g.body)
         raise TypeError(f"unexpected node in distribution: {g!r}")
 
-    clauses: list[Clause] = []
-    seen: set[str] = set()
-    for lits in distribute(matrix):
-        c = canonical_clause(lits)
-        if is_tautology(c):
-            continue
-        k = c.key()
-        if k not in seen:
-            seen.add(k)
-            clauses.append(c)
-    return clauses
+    clauses = dict.fromkeys(map(canonical_clause, distribute(matrix)))
+    return [c for c in clauses if not is_tautology(c)]

@@ -17,6 +17,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .eventcalc import ProjectionConflict
 from .guard import ALLOW, adjudicate, adjudication_theory
 from .parser import ParseError, parse_formula
 from .proofs import verify_proof
@@ -182,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
             setattr(args, k, v)
     try:
         return args.fn(args)
-    except (ParseError, SortError) as e:
+    except (ParseError, SortError, ProjectionConflict) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     except (FileNotFoundError, KeyError, ValueError) as e:

@@ -18,8 +18,8 @@ A proved obligation is re-checked by the independent proof verifier,
 then weighed: an action whose projected effects satisfy the
 double-effect clauses overrides the obligation and is ALLOWed.
 Everything else fails closed: unverifiable proof, undecided clause,
-exhausted budget, or a search cut short by the grounding cap or the
-modal depth limit all yield LOCK.
+exhausted budget, a search cut short by the grounding cap or the modal
+depth limit, and an exception raised on the way all yield LOCK.
 """
 
 from __future__ import annotations
@@ -65,10 +65,6 @@ ALLOW = "ALLOW"
 LOCK = "LOCK"
 
 _SIGMA = Const(SIGMA_DEFAULT, SITUATION)
-
-
-class InconsistentTheory(Exception):
-    """Both a query and its dual were proved from the same scenario."""
 
 
 def prevents_matrix(
@@ -221,18 +217,17 @@ class Verdict:
 
 
 def adjudicate(scenario: Scenario, budget: Optional[Budget] = None) -> Verdict:
-    budget = budget if budget is not None else Budget()
+    """The verdict on the scenario's request.  Total: an exception
+    raised on the way, or a verdict that does not match its own
+    justification, yields LOCK with prove_status "error" and a reason
+    naming the exception's type."""
     start = time.monotonic()
-    req = scenario.request
-    base, trace = base_theory(scenario)
-    assumptions = _with_norms(scenario, base)
     goal = obligation_goal(scenario)
-    res = prove(assumptions, goal, budget, scenario.sig)
 
     def done(v: Verdict) -> Verdict:
         v.elapsed_ms = (time.monotonic() - start) * 1000.0
         allowed = v.decision == ALLOW
-        if v.prove_status not in ("proof", "no_proof", "incomplete", "timeout"):
+        if v.prove_status not in ("proof", "no_proof", "incomplete", "timeout", "error"):
             raise AssertionError(f"unknown prove status {v.prove_status!r}")
         # only a complete search may ALLOW without a proof
         justified = v.prove_status == "no_proof" or (
@@ -245,36 +240,42 @@ def adjudicate(scenario: Scenario, budget: Optional[Budget] = None) -> Verdict:
             raise AssertionError("verdict does not match its own justification")
         return v
 
+    try:
+        return done(_decide(scenario, budget if budget is not None else Budget(), goal))
+    except Exception as e:
+        reason = f"adjudication raised {type(e).__name__}: {e}; failing safe"
+        return done(Verdict(LOCK, reason, goal, "error"))
+
+
+def _decide(scenario: Scenario, budget: Budget, goal: Formula) -> Verdict:
+    """adjudicate's verdict, before its justification is checked."""
+    req = scenario.request
+    base, trace = base_theory(scenario)
+    assumptions = _with_norms(scenario, base)
+    res = prove(assumptions, goal, budget, scenario.sig)
+
     if res.status == "timeout":
-        return done(
-            Verdict(LOCK, "obligation query exceeded budget; failing safe", goal, res.status)
-        )
+        return Verdict(LOCK, "obligation query exceeded budget; failing safe", goal, res.status)
     if res.status == "incomplete":
         limit = "grounding cap" if res.stats.get("grounding_capped") else "modal depth limit"
-        return done(
-            Verdict(
-                LOCK,
-                f"obligation search cut short by the {limit}; failing safe",
-                goal,
-                res.status,
-            )
+        return Verdict(
+            LOCK,
+            f"obligation search cut short by the {limit}; failing safe",
+            goal,
+            res.status,
         )
     if res.status == "no_proof":
-        return done(
-            Verdict(ALLOW, "no obligation to refrain was derivable", goal, res.status)
-        )
+        return Verdict(ALLOW, "no obligation to refrain was derivable", goal, res.status)
 
     verified = verify_proof(res.proof, assumptions, goal, scenario.sig)
     if not verified:
-        return done(
-            Verdict(
-                LOCK,
-                "obligation proof failed independent verification; failing safe",
-                goal,
-                res.status,
-                res.proof,
-                False,
-            )
+        return Verdict(
+            LOCK,
+            "obligation proof failed independent verification; failing safe",
+            goal,
+            res.status,
+            res.proof,
+            False,
         )
 
     dde = check_dde(
@@ -290,23 +291,21 @@ def adjudicate(scenario: Scenario, budget: Optional[Budget] = None) -> Verdict:
         trace=trace,
     )
     if dde.compliant:
-        return done(
-            Verdict(
-                ALLOW,
-                "obligation overridden: action satisfies the double-effect clauses",
-                goal,
-                res.status,
-                res.proof,
-                True,
-                dde,
-            )
+        return Verdict(
+            ALLOW,
+            "obligation overridden: action satisfies the double-effect clauses",
+            goal,
+            res.status,
+            res.proof,
+            True,
+            dde,
         )
     if dde.unknown:
         reason = "double-effect compliance undecided; failing safe"
     else:
         failing = sorted(k for k, c in dde.clauses.items() if c.status != "pass")
         reason = f"obligation stands: double-effect clauses failing: {', '.join(failing)}"
-    return done(Verdict(LOCK, reason, goal, res.status, res.proof, True, dde))
+    return Verdict(LOCK, reason, goal, res.status, res.proof, True, dde)
 
 
 @dataclass
@@ -365,6 +364,7 @@ def prevents_holds(
 class QueryResult:
     answer: str  # yes | no | unknown
     proof: Optional[Proof] = None
+    reason: Optional[str] = None  # why an unknown is not a plain unknown
 
 
 def epistemic_query(
@@ -373,13 +373,16 @@ def epistemic_query(
     negative: Formula,
     budget: Optional[Budget] = None,
 ) -> QueryResult:
-    """Prove a query and its dual; both proving is a modelling error."""
+    """Prove a query and its dual.  Both proving is a modelling error,
+    answered unknown with the inconsistency as its reason."""
     budget = budget if budget is not None else Budget()
     assumptions, _ = adjudication_theory(scenario)
     pos = prove(assumptions, positive, budget, scenario.sig)
     neg = prove(assumptions, negative, budget, scenario.sig)
     if pos.status == "proof" and neg.status == "proof":
-        raise InconsistentTheory("both the query and its dual were proved")
+        return QueryResult(
+            "unknown", reason="inconsistent theory: both the query and its dual were proved"
+        )
     if pos.status == "proof":
         return QueryResult("yes", pos.proof)
     if neg.status == "proof":

@@ -3,7 +3,10 @@
 The reader turns text into positioned atom/list trees; the formula
 parser interprets trees against a Signature with explicit binder
 scoping.  Comments run from ; to end of line.  Identifiers match
-[A-Za-z_][A-Za-z0-9_'-]*; bare integers are Moment literals.
+[A-Za-z_][A-Za-z0-9_'-]*; bare integers are Moment literals.  A
+declared symbol may not be a reserved word, nor have the shape of a
+generated name: b<digits>, h<digits>, or the prefix sh_ or sk_
+(syntax.RESERVED_SHAPES).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from .syntax import (
     MOMENT,
     OBLIGATED,
     SIGMA_DEFAULT,
+    SITUATION,
     App,
     Const,
     Exists,
@@ -226,15 +230,10 @@ def build_formula(node: SExpr, sig: Signature, env: dict[str, Var] | None = None
             return (Forall if name == "forall" else Exists)(v, body)
         if name in MODAL_OPS:
             want_sit = name == OBLIGATED
-            # obligated accepts the three-argument surface form and fills in
-            # the default situation constant
-            if want_sit and len(rest) == 3:
-                agent = build_term(rest[0], sig, env)
-                time = build_term(rest[1], sig, env)
-                body = formula(rest[2], env)
-                return Modal(name, agent, time, body, Const(SIGMA_DEFAULT, "Situation"))
-            need = 4 if want_sit else 3
-            if len(rest) != need:
+            # obligated also takes a three-argument surface form, whose
+            # situation is the default situation constant
+            short = want_sit and len(rest) == 3
+            if len(rest) != (4 if want_sit else 3) and not short:
                 raise _err(
                     head,
                     f"{name} takes agent, moment{', situation' if want_sit else ''}"
@@ -246,12 +245,16 @@ def build_formula(node: SExpr, sig: Signature, env: dict[str, Var] | None = None
             time = build_term(rest[1], sig, env)
             if not sig.widens(time.sort, MOMENT):
                 raise _err(rest[1], f"sort mismatch: expected {MOMENT}, got {time.sort}")
-            if want_sit:
+            sit = None
+            if short:
+                sit = Const(SIGMA_DEFAULT, SITUATION)
+            elif want_sit:
                 sit = build_term(rest[2], sig, env)
-                body = formula(rest[3], env)
-                return Modal(name, agent, time, body, sit)
-            body = formula(rest[2], env)
-            return Modal(name, agent, time, body)
+                if not sig.widens(sit.sort, SITUATION):
+                    raise _err(
+                        rest[2], f"sort mismatch: expected {SITUATION}, got {sit.sort}"
+                    )
+            return Modal(name, agent, time, formula(rest[-1], env), sit)
         if name == "=":
             if len(rest) != 2:
                 raise _err(head, "= takes exactly two terms")

@@ -6,7 +6,11 @@ encode clauses as universally closed disjunctions (the empty clause is
 the nullary atom (false)).  verify_proof re-derives every step from
 its premises alone: schema instances are checked structurally,
 instantiation steps by re-substitution, clausification and resolution
-steps by recomputation.  It shares no state with the prover's search.
+steps by recomputation.  A clause step must state a clause recomputed
+from its premises, up to canonical clause: two clauses are the same
+exactly when their canonical clauses are equal, so a variable is never
+a constant of the same name.  It shares no state with the prover's
+search.
 """
 
 from __future__ import annotations
@@ -120,6 +124,13 @@ def formula_to_clause(f: Formula) -> Optional[Clause]:
 
 # ---------------------------------------------------------------------------
 # Verification
+
+
+def _among(got: Clause, expected: Sequence[Clause]) -> bool:
+    """got's canonical clause is that of one of the expected clauses.
+    Both sides are canonicalized, because canonical_clause may renumber
+    the variables of a clause it returned."""
+    return canonical_clause(got.literals) in {canonical_clause(c.literals) for c in expected}
 
 
 def _instance_candidates(conclusion: Formula, sort: str, sig: Signature) -> list[Const]:
@@ -296,9 +307,7 @@ def verify_proof_detailed(
             got = formula_to_clause(f)
             if got is None:
                 return fail(i, "conclusion is not a clause")
-            smap = ShadowMap()
-            expect = clausify(shadow(prem[0], smap))
-            if canonical_clause(list(got.literals)).key() not in {c.key() for c in expect}:
+            if not _among(got, clausify(shadow(prem[0], ShadowMap()))):
                 return fail(i, "clause does not arise from the premise")
         elif r == RULE_RESOLVE:
             if len(prem) != 2:
@@ -307,9 +316,7 @@ def verify_proof_detailed(
             got = formula_to_clause(f)
             if c1 is None or c2 is None or got is None:
                 return fail(i, "resolve premises must be clauses")
-            pool = {c.key() for c in resolvents(c1, c2, sig)}
-            pool |= {c.key() for c in resolvents(c2, c1, sig)}
-            if canonical_clause(list(got.literals)).key() not in pool:
+            if not _among(got, resolvents(c1, c2, sig) + resolvents(c2, c1, sig)):
                 return fail(i, "not a resolvent of the premises")
         elif r == RULE_FACTOR:
             if len(prem) != 1:
@@ -318,9 +325,7 @@ def verify_proof_detailed(
             got = formula_to_clause(f)
             if c1 is None or got is None:
                 return fail(i, "factor premises must be clauses")
-            if canonical_clause(list(got.literals)).key() not in {
-                c.key() for c in factors(c1, sig)
-            }:
+            if not _among(got, factors(c1, sig)):
                 return fail(i, "not a factor of the premise")
         elif r == RULE_REDUCTIO:
             if len(prem) != 2:

@@ -23,7 +23,8 @@ is unchanged, and so is every saturation.  The same fixpoint
 
 max_clauses bounds the clauses pushed, inputs included, so it counts
 only the clauses that enter the search: those of formulas prove() did
-not drop, pure or not.
+not drop, pure or not.  A clause equal to one already pushed, as a
+canonical clause, is not pushed again.
 """
 
 from __future__ import annotations
@@ -103,12 +104,7 @@ def _rename_apart(c: Clause, suffix: str) -> Clause:
     ren: dict[Var, Term] = {v: Var(v.name + suffix, v.sort) for v in clause_vars(c)}
     if not ren:
         return c
-    return Clause(
-        tuple(
-            Literal(l.positive, Atom(l.atom.pred, tuple(apply_subst(a, ren) for a in l.atom.args)))
-            for l in c.literals
-        )
-    )
+    return Clause(tuple(l.substituted(ren) for l in c.literals))
 
 
 def _apply_to_literal(l: Literal, s: Subst) -> Literal:
@@ -269,7 +265,7 @@ def saturate(
 ) -> SaturationResult:
     """Run the given-clause loop over (clause, source formula index) inputs."""
     nodes: list[Inference] = []
-    seen: dict[str, int] = {}
+    seen: dict[Clause, int] = {}
     passive: list[tuple[int, int, int]] = []  # (weight, seq, node index)
     active: list[int] = []
     # (predicate, sign) -> active node indices holding such a literal;
@@ -284,9 +280,9 @@ def saturate(
 
     def push(c: Clause, rule: str, parents: tuple[int, ...], source: Optional[int]) -> Optional[int]:
         nonlocal generated
-        key = c.key()
-        if key in seen:
-            return seen[key]
+        known = seen.get(c)
+        if known is not None:
+            return known
         if is_tautology(c):
             return None
         generated += 1
@@ -295,7 +291,7 @@ def saturate(
         idx = len(nodes)
         nodes.append(Inference(c, rule, parents, source))
         shapes.append(frozenset((l.atom.pred, l.positive) for l in c.literals))
-        seen[key] = idx
+        seen[c] = idx
         heapq.heappush(passive, (c.weight(), idx, idx))
         return idx
 

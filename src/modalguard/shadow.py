@@ -30,7 +30,6 @@ from .syntax import (
     Modal,
     Not,
     Or,
-    Var,
     canonical_key,
     free_vars,
 )
@@ -40,7 +39,6 @@ from .syntax import (
 class ShadowEntry:
     name: str
     pattern: str  # canonical key of the generalization, holes h0, h1, ...
-    holes: tuple[Var, ...]
 
 
 @dataclass
@@ -60,13 +58,12 @@ class ShadowMap:
 
     def _name(self, m: Modal) -> Atom:
         fvs = free_vars(m)
-        holes = tuple(Var(f"h{i}", v.sort) for i, v in enumerate(fvs))
-        pattern = canonical_key(m, {v: h.name for v, h in zip(fvs, holes)})
+        pattern = canonical_key(m, {v: f"h{i}" for i, v in enumerate(fvs)})
         digest = hashlib.blake2b(pattern.encode(), digest_size=6).hexdigest()
         name = f"sh_{digest}"
         prior = self.entries.get(name)
         if prior is None:
-            self.entries[name] = ShadowEntry(name, pattern, holes)
+            self.entries[name] = ShadowEntry(name, pattern)
         elif prior.pattern != pattern:
             raise RuntimeError(f"shadow name collision on {name}")
         return Atom(name, fvs)

@@ -14,6 +14,7 @@ Prevents/Block are pre-declared in every signature.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from itertools import count
 from typing import Iterator, Mapping, Optional, Union
@@ -111,6 +112,20 @@ EPISTEMIC_OPS = (KNOWS, BELIEVES)
 CONNECTIVES = ("not", "and", "or", "implies", "iff")
 QUANTIFIERS = ("forall", "exists")
 RESERVED_WORDS = frozenset(CONNECTIVES + QUANTIFIERS + MODAL_OPS)
+
+# Shapes of the names the engine generates: canonical keys print
+# binders as b<digits>, shadow patterns print free variables as holes
+# h<digits>, shadow atoms are named sh_<hex> and skolem symbols
+# sk_<hex>_<n>.  A declared symbol spelling one would share a key, a
+# shadow atom or a skolem symbol with what it is not, so Signature
+# refuses them.  Formulas built in Python, not declared through a
+# Signature, are not checked.
+RESERVED_SHAPES = (
+    (re.compile(r"b[0-9]+"), "b<digits>"),
+    (re.compile(r"h[0-9]+"), "h<digits>"),
+    (re.compile(r"sh_.*"), "sh_<anything>"),
+    (re.compile(r"sk_.*"), "sk_<anything>"),
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -630,6 +645,9 @@ class Signature:
     def _check_symbol(self, name: str) -> None:
         if name in RESERVED_WORDS:
             raise SortError(f"{name} is a reserved word")
+        for shape, label in RESERVED_SHAPES:
+            if shape.fullmatch(name):
+                raise SortError(f"{name} has the reserved shape {label}")
         if name in self.constants or name in self.functions or name in self.predicates:
             raise SortError(f"symbol {name} already declared")
 
@@ -649,13 +667,6 @@ class Signature:
                 seen.add(s)
                 stack.extend(self.sorts.get(s, ()))
         return False
-
-    def constant(self, name: str) -> Const:
-        if name.isdigit():
-            return Const(name, MOMENT)
-        if name not in self.constants:
-            raise SortError(f"unknown constant {name}")
-        return Const(name, self.constants[name])
 
     def constants_of_sort(self, sort: str) -> list[Const]:
         """Declared constants whose sort widens to the given sort, name order."""
@@ -751,6 +762,8 @@ class Signature:
                 raise SortError(f"{f.op} needs a Moment second argument")
             if f.situation is not None:
                 self.check_term(f.situation)
+                if not self.widens(f.situation.sort, SITUATION):
+                    raise SortError(f"{f.op} needs a Situation third argument")
             self.check_formula(f.body)
         else:
             raise TypeError(f"not a formula: {f!r}")

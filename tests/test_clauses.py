@@ -5,19 +5,21 @@ from __future__ import annotations
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modalguard import clauses
 from modalguard.clauses import (
     Clause,
     ClausifyLimit,
     Literal,
+    _literal_shape,
     canonical_clause,
     clause_vars,
     clausify,
     is_tautology,
 )
 from modalguard.parser import parse_formula
-from modalguard.syntax import AGENT, App, Atom, Const, Iff, Signature, Var, canonical_key
+from modalguard.syntax import AGENT, App, Atom, Const, Iff, Signature, Var
 
 
 def make_sig() -> Signature:
@@ -34,8 +36,8 @@ def make_sig() -> Signature:
 SIG = make_sig()
 
 
-def cl(text: str, salt: str | None = None) -> list[Clause]:
-    return clausify(parse_formula(text, SIG), salt=salt)
+def cl(text: str) -> list[Clause]:
+    return clausify(parse_formula(text, SIG))
 
 
 def lits(c: Clause) -> set[tuple[bool, str]]:
@@ -94,15 +96,6 @@ def test_skolem_under_universal_becomes_function():
     assert isinstance(fy, App)
     assert fy.fn.startswith("sk_")
     assert fy.args == (x,)
-
-
-def test_skolem_names_derive_from_salt():
-    plain = cl("(exists x : Agent (P x))")
-    again = cl("(exists x : Agent (P x))")
-    other = cl("(exists x : Agent (P x))", salt="other")
-    name = plain[0].literals[0].atom.args[0].name
-    assert again[0].literals[0].atom.args[0].name == name
-    assert other[0].literals[0].atom.args[0].name != name
 
 
 def test_alpha_variants_share_skolem_names():
@@ -174,16 +167,6 @@ def test_no_salt_is_computed_without_a_skolem(monkeypatch):
         cl("(exists x : Agent (P x))")
 
 
-def test_lazy_salt_names_skolems_as_the_formula_key_does():
-    for text in (
-        "(exists x : Agent (P x))",
-        "(forall x : Agent (exists y : Agent (and (R x y) (exists z : Agent (R y z)))))",
-        "(and (exists x : Agent (P x)) (not (forall y : Agent (P y))))",
-    ):
-        f = parse_formula(text, SIG)
-        assert clausify(f) == clausify(f, salt=canonical_key(f)), text
-
-
 def test_ground_clause_is_ordered_by_print():
     a, b = Const("a", AGENT), Const("b", AGENT)
     c = canonical_clause([
@@ -198,7 +181,7 @@ def test_ground_clause_is_ordered_by_print():
 def test_skolem_names_are_stable():
     # the checker recomputes these names, so they must not drift
     got = [
-        [c.key() for c in cl(text)]
+        [" | ".join(l.key() for l in c.literals) for c in cl(text)]
         for text in (
             "(forall x : Agent (exists y : Agent (R x y)))",
             "(and (exists x : Agent (P x))"
@@ -235,3 +218,72 @@ def test_clausify_stops_at_its_deadline():
     # without limits, as the proof checker calls it, nothing changes
     later = time.monotonic() + 60
     assert clausify(iff_chain(2)) == clausify(iff_chain(2), deadline=later, max_clauses=10**6)
+
+
+# ---------------------------------------------------------------------------
+# one clause identity: the canonical clause
+
+# variables and constants share the names V0 and V1, which a canonical
+# clause also gives its variables
+_TERMS = (
+    Var("V0", AGENT), Var("V1", AGENT), Var("x", AGENT),
+    Const("V0", AGENT), Const("V1", AGENT), Const("a", AGENT),
+)
+_terms = st.recursive(
+    st.sampled_from(_TERMS),
+    lambda sub: st.builds(lambda t: App("f", (t,), AGENT), sub),
+    max_leaves=2,
+)
+_literals = st.builds(
+    Literal,
+    st.booleans(),
+    st.one_of(
+        st.builds(lambda t: Atom("P", (t,)), _terms),
+        st.builds(lambda s, t: Atom("R", (s, t)), _terms, _terms),
+    ),
+)
+
+
+def substituted(lits, mapping) -> list[Literal]:
+    return [l.substituted(mapping) for l in lits]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.lists(_literals, min_size=1, max_size=5), st.data())
+def test_canonical_clause_is_one_identity(lits, data):
+    c = canonical_clause(lits)
+    assert canonical_clause(data.draw(st.permutations(lits))) == c
+    found = clause_vars(Clause(tuple(lits)))
+    apart = {v: Var(v.name + "r", v.sort) for v in found}
+    assert canonical_clause(substituted(lits, apart)) == c
+    for v in found:
+        assert canonical_clause(substituted(lits, {v: Const(v.name, v.sort)})) != c
+    # literals that print alike come out in the order of their shapes
+    assert list(c.literals) == sorted(c.literals, key=lambda l: (l.key(), _literal_shape(l)))
+
+
+def test_a_variable_is_never_a_constant_of_its_name():
+    var = Literal(True, Atom("P", (Var("V0", AGENT),)))
+    const = Literal(True, Atom("P", (Const("V0", AGENT),)))
+    c = canonical_clause([var, const])
+    assert len(c.literals) == 2
+    assert c.literals == (const, var)  # the constant's shape sorts first
+    assert not is_tautology(Clause((var, const.negated())))
+    assert is_tautology(Clause((var, var.negated())))
+
+
+def test_sorts_count_in_the_clause_identity():
+    agent = canonical_clause([Literal(True, Atom("P", (Var("x", AGENT),)))])
+    other = canonical_clause([Literal(True, Atom("P", (Var("x", "Sub"),)))])
+    assert agent != other
+    assert [l.key() for l in agent.literals] == [l.key() for l in other.literals]
+
+
+def test_clausify_keeps_a_constant_and_a_variable_printed_alike():
+    sig = make_sig()
+    sig.declare_constant("V0", AGENT)
+    f = parse_formula("(and (P V0) (forall x : Agent (P x)))", sig)
+    assert clausify(f) == [
+        Clause((Literal(True, Atom("P", (Const("V0", AGENT),))),)),
+        Clause((Literal(True, Atom("P", (Var("V0", AGENT),))),)),
+    ]

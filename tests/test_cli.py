@@ -82,6 +82,50 @@ def test_simulate_reports_deep_nesting_as_a_parse_error(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_simulate_refuses_a_reserved_name(tmp_path):
+    # b0 is how an identity key prints a binder: declared, it would let
+    # (forall x (Friend x b0)) and (forall x (Friend x x)) share a key
+    text = (Path(cli.__file__).parent / "scenarios" / "sim1.scn").read_text()
+    text = text.replace("(ai Agent)", "(ai Agent) (b0 Agent)")
+    text = text.replace("(functions", "(predicates (Friend Agent Agent))\n\n(functions")
+    text = text.replace(
+        "  (innocent victim)\n",
+        "  (forall x : Agent (Friend x b0))\n"
+        "  (forall x : Agent (Friend x x))\n"
+        "  (forall p : Agent (implies (Friend p p) (innocent p)))\n",
+    )
+    path = tmp_path / "b0.scn"
+    path.write_text(text)
+    r = run_cli("simulate", str(path))
+    assert r.returncode == 1
+    assert "b0 has the reserved shape b<digits>" in r.stderr
+    assert "Traceback" not in r.stderr
+    # under a free name the same facts oblige the shooter to refrain
+    path.write_text(text.replace("b0", "zed"))
+    r = run_cli("simulate", str(path))
+    assert r.returncode == 2
+    assert "decision: LOCK" in r.stdout
+
+
+def test_conflicting_effects_lock_simulate_and_fail_prove(tmp_path):
+    text = (Path(cli.__file__).parent / "scenarios" / "sim1.scn").read_text()
+    path = tmp_path / "conflict.scn"
+    path.write_text(text.replace(
+        "((pos (alive victim)))))",
+        "((pos (alive victim))))\n  ((action shooter fire) initiates (alive victim)))",
+    ))
+    r = run_cli("simulate", str(path))
+    assert r.returncode == 2
+    assert "decision: LOCK" in r.stdout
+    assert "ProjectionConflict" in r.stdout
+    assert "Traceback" not in r.stderr
+    # prove builds the same theory, and reports the conflict as an error
+    r = run_cli("prove", str(path), "(holds (alive victim) 0)")
+    assert r.returncode == 1
+    assert "both initiated" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_simulate_allows_the_defensive_request():
     r = run_cli("simulate", "sim2")
     assert r.returncode == 0

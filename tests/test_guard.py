@@ -12,7 +12,6 @@ from modalguard import eventcalc, guard, prover
 from modalguard.guard import (
     ALLOW,
     LOCK,
-    InconsistentTheory,
     adjudicate,
     adjudication_theory,
     base_theory,
@@ -129,6 +128,59 @@ def test_a_fact_nested_100_deep_adjudicates(wrap):
     v = adjudicate(sim1_with_fact(wrap, 100))
     assert v.decision == LOCK
     assert v.proof_verified
+
+
+def sim1_with_innocent(name: str):
+    """sim1 with one more agent, name, innocent by a fact about it and by
+    a universal fact, in place of (innocent victim)."""
+    text = SIM1_TEXT.replace("(ai Agent)", f"(ai Agent) ({name} Agent)")
+    text = text.replace(
+        "  (innocent victim)\n",
+        f"  (innocent {name})\n  (forall p : Agent (innocent p))\n",
+    )
+    return parse_scenario(text, "sim1")
+
+
+@pytest.mark.parametrize("name", ["V0", "zed"])
+def test_a_constant_named_like_a_clause_variable_still_locks(name):
+    # the universal fact's clause (innocent V0) has the variable V0; the
+    # constant's fact is the clause (innocent V0) too, but not the same clause
+    v = adjudicate(sim1_with_innocent(name))
+    assert v.decision == LOCK
+    assert v.prove_status == "proof"
+    assert v.proof_verified is True
+
+
+def test_an_exception_on_the_way_locks(monkeypatch):
+    text = SIM1_TEXT.replace(
+        "  ((action shooter fire) terminates (alive victim) ((pos (alive victim)))))",
+        "  ((action shooter fire) terminates (alive victim) ((pos (alive victim))))\n"
+        "  ((action shooter fire) initiates (alive victim)))",
+    )
+    v = adjudicate(parse_scenario(text, "sim1"))
+    assert v.decision == LOCK
+    assert v.prove_status == "error"
+    assert "ProjectionConflict" in v.reason
+    assert v.obligation == obligation_goal(SIM1)
+
+    def collide(*args):
+        raise RuntimeError("shadow name collision on sh_000000000000")
+
+    monkeypatch.setattr(guard, "prove", collide)
+    v = adjudicate(SIM1)
+    assert (v.decision, v.prove_status) == (LOCK, "error")
+    assert "RuntimeError" in v.reason
+
+
+def test_an_unjustified_verdict_locks(monkeypatch):
+    # an ALLOW resting on an unverified proof breaks done()'s invariant
+    def unverified(scenario, budget, goal):
+        return guard.Verdict(ALLOW, "unjustified", goal, "proof", None, False)
+
+    monkeypatch.setattr(guard, "_decide", unverified)
+    v = adjudicate(SIM1)
+    assert (v.decision, v.prove_status) == (LOCK, "error")
+    assert "AssertionError" in v.reason
 
 
 def test_grounding_capped_adjudication_fails_safe(monkeypatch):
@@ -326,5 +378,6 @@ def test_inconsistent_theory_detected():
     pos, neg = intention_query(
         Const("a", "Agent"), 0, Atom("holds", (Const("f", "Fluent"), moment(1)))
     )
-    with pytest.raises(InconsistentTheory):
-        epistemic_query(sc, pos, neg)
+    r = epistemic_query(sc, pos, neg)
+    assert r.answer == "unknown"
+    assert "inconsistent theory" in r.reason

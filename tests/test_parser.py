@@ -13,7 +13,7 @@ from modalguard.parser import (
     parse_formulas,
     parse_term,
 )
-from modalguard.scenario import bundled_scenario_names, load_bundled_scenario
+from modalguard.scenario import bundled_scenario_names, load_bundled_scenario, parse_scenario
 from modalguard.syntax import (
     ACTION_TYPE,
     AGENT,
@@ -190,6 +190,69 @@ def test_obligated_accepts_three_or_four_arguments():
     full = parse_formula("(obligated a 1 sigma_default (rains))", SIG)
     assert short == full
     assert print_formula(short) == "(obligated a 1 sigma_default (rains))"
+
+
+@pytest.mark.parametrize("text, col, want", [
+    ("(obligated 1 a (rains))", 12, "expected Agent, got Moment"),
+    ("(obligated a a (rains))", 14, "expected Moment, got Agent"),
+    ("(obligated 1 a sigma_default (rains))", 12, "expected Agent, got Moment"),
+    ("(obligated a 1 go (rains))", 16, "expected Situation, got ActionType"),
+    ("(obligated a 1 a (rains))", 16, "expected Situation, got Agent"),
+])
+def test_every_modal_argument_sort_is_checked(text, col, want):
+    with pytest.raises(ParseError) as e:
+        parse_formula(text, SIG)
+    assert want in e.value.message
+    assert (e.value.line, e.value.col) == (1, col)
+
+
+def test_check_formula_checks_the_situation_sort():
+    body = Atom("rains", ())
+    f = Modal(OBLIGATED, Const("a", AGENT), Const("1", MOMENT), body, Const("go", ACTION_TYPE))
+    with pytest.raises(SortError, match="Situation"):
+        SIG.check_formula(f)
+    SIG.check_formula(parse_formula("(obligated a 1 (rains))", SIG))
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("b0", "b<digits>"),
+    ("b17", "b<digits>"),
+    ("h0", "h<digits>"),
+    ("h3", "h<digits>"),
+    ("sh_f080124340a4", "sh_"),
+    ("sh_", "sh_"),
+    ("sk_f778790efe_0", "sk_"),
+])
+@pytest.mark.parametrize("kind", ["constant", "function", "predicate"])
+def test_generated_name_shapes_are_reserved(kind, name, shape):
+    sig = Signature()
+    declare = {
+        "constant": lambda: sig.declare_constant(name, AGENT),
+        "function": lambda: sig.declare_function(name, (AGENT,), FLUENT),
+        "predicate": lambda: sig.declare_predicate(name, (AGENT,)),
+    }[kind]
+    with pytest.raises(SortError, match=f"{name} has the reserved shape {shape}"):
+        declare()
+
+
+def test_names_near_the_reserved_shapes_are_free():
+    sig = Signature()
+    for name in ("b", "bob", "b0x", "B0", "h", "h1'", "hx1", "sh", "shx", "x_sh_1", "sky"):
+        sig.declare_constant(name, AGENT)
+
+
+def test_a_scenario_declaring_a_reserved_shape_is_refused():
+    with pytest.raises(SortError, match="h0 has the reserved shape h<digits>"):
+        parse_scenario(
+            """
+            (sorts (Sub Agent))
+            (constants (h0 Agent) (go ActionType))
+            (horizon 1)
+            (hierarchy (categories forbidden neutral))
+            (request h0 go 0)
+            """,
+            "reserved",
+        )
 
 
 def test_single_part_and_collapses():

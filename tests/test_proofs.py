@@ -15,7 +15,7 @@ from modalguard.proofs import (
     verify_proof_detailed,
 )
 from modalguard.prover import prove
-from modalguard.syntax import AGENT, FALSUM, Atom, Not, Var
+from modalguard.syntax import AGENT, FALSUM, Atom, Not, Signature, Var
 
 import corpus
 import corruptions
@@ -193,3 +193,60 @@ def test_rejects_corruption(label):
 def test_corruption_catalogue_size():
     assert len(CASES) >= 20
     assert len({c[0] for c in CASES}) == len(CASES)
+
+
+# ---------------------------------------------------------------------------
+# clause steps are compared by canonical clause
+
+
+def v0_signature() -> Signature:
+    sig = Signature()
+    sig.declare_constant("V0", AGENT)
+    sig.declare_constant("a", AGENT)
+    sig.declare_predicate("P", (AGENT,))
+    sig.declare_predicate("Q", ())
+    sig.declare_predicate("R", (AGENT, AGENT))
+    return sig
+
+
+def test_rejects_a_variable_claimed_for_a_constant_of_its_name():
+    # (P V0) about the constant V0 does not clausify to (forall V0 (P V0))
+    sig = v0_signature()
+    p = lambda text: parse_formula(text, sig)
+    assumptions = [p("(P V0)"), p("(not (P a))")]
+    goal = p("(Q)")
+    forged = Proof((
+        ProofStep(p("(P V0)"), "assumption"),
+        ProofStep(p("(forall V0 : Agent (P V0))"), "clausify", (0,)),
+        ProofStep(p("(not (P a))"), "assumption"),
+        ProofStep(p("(not (P a))"), "clausify", (2,)),
+        ProofStep(FALSUM, "resolve", (1, 3)),
+        ProofStep(p("(not (Q))"), "negated-goal"),
+        ProofStep(goal, "reductio", (4, 5)),
+    ))
+    ok, reason = verify_proof_detailed(forged, assumptions, goal, sig)
+    assert not ok
+    assert reason.startswith("step 2:")
+    assert prove(assumptions, goal, sig=sig).status == "no_proof"
+
+
+def test_accepts_a_clause_whose_canonical_clause_renumbers_it():
+    # the clause of the first assumption is canonical as
+    # (P V0) | (R V0 V3) | (R V1 V2), whose own canonical clause numbers
+    # its variables (P V0) | (R V0 V1) | (R V2 V3)
+    sig = v0_signature()
+    assumptions = [
+        parse_formula(text, sig)
+        for text in (
+            "(forall x : Agent (forall q : Agent (forall z : Agent"
+            " (forall w : Agent (or (P z) (R x q) (R z w))))))",
+            "(forall x : Agent (not (P x)))",
+            "(forall x : Agent (forall y : Agent (not (R x y))))",
+        )
+    ]
+    goal = parse_formula("(Q)", sig)
+    r = prove(assumptions, goal, sig=sig)
+    assert r.status == "proof"
+    assert "(or (P V0) (R V0 V3) (R V1 V2))" in r.proof.serialize()
+    ok, reason = verify_proof_detailed(r.proof, assumptions, goal, sig)
+    assert ok, reason

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modalguard import prover
-from modalguard.clauses import clausify
+from modalguard.clauses import Clause, clausify
 from modalguard.guard import adjudicate, adjudication_theory, obligation_goal
 from modalguard.parser import parse_formula
 from modalguard.proofs import verify_proof_detailed
@@ -229,21 +229,21 @@ shadowed_formulas = st.recursive(
 
 
 def kept_clauses(formulas, skip=frozenset()):
-    """(clause key, first source formula) of the clauses the clause-level
+    """(clause, first source formula) of the clauses the clause-level
     pure-literal rule keeps, pushing clauses as saturate does."""
-    first: dict[str, int] = {}
+    first: dict[Clause, int] = {}
     pushed = []
     for fi, f in enumerate(formulas):
         if fi in skip:
             continue
         for c in clausify(f):
-            if c.key() not in first:
-                first[c.key()] = fi
+            if c not in first:
+                first[c] = fi
                 pushed.append(c)
     dead = pure_clauses(
         [frozenset((l.atom.pred, l.positive) for l in c.literals) for c in pushed]
     )
-    return [(c.key(), first[c.key()]) for i, c in enumerate(pushed) if i not in dead]
+    return [(c, first[c]) for i, c in enumerate(pushed) if i not in dead]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -41,7 +41,7 @@ Y = Var("y", AGENT)
 
 
 def cl(text: str) -> list[Clause]:
-    return clausify(parse_formula(text, SIG), salt=text)
+    return clausify(parse_formula(text, SIG))
 
 
 def inputs(*texts: str) -> list[tuple[Clause, int]]:
@@ -182,7 +182,7 @@ def test_saturate_respects_deadline():
     ]
     ins: list[tuple[Clause, int]] = []
     for t in texts:
-        for c in clausify(parse_formula(t, sig), salt=t):
+        for c in clausify(parse_formula(t, sig)):
             ins.append((c, len(ins)))
     res = saturate(ins, sig, deadline=time.monotonic() - 1.0)
     assert res.status == "budget"
@@ -220,8 +220,8 @@ REFUTABLE = (
 PURE_CHAIN = ("(implies (q) (R a b))", "(or (q) (not (P b)))", "(R b a)")
 
 
-def used_clauses(res) -> list[tuple[str, str]]:
-    return [(res.nodes[n].rule, res.nodes[n].clause.key()) for n in res.used_nodes()]
+def used_clauses(res) -> list[tuple[str, Clause]]:
+    return [(res.nodes[n].rule, res.nodes[n].clause) for n in res.used_nodes()]
 
 
 def shapes_of(ins: list[tuple[Clause, int]]) -> list[frozenset[tuple[str, bool]]]:
@@ -286,3 +286,15 @@ def test_saturation_refutes_exactly_the_unsatisfiable_ground_sets(literal_lists)
     res = saturate([(c, i) for i, c in enumerate(clauses)], SIG)
     assert res.status != "budget"
     assert (res.status == "refutation") == (not satisfiable_by_truth_table(clauses))
+
+
+def test_saturate_keeps_a_variable_apart_from_a_constant_of_its_name():
+    # (P V0) with the constant V0 must not stand in for (forall x (P x)),
+    # the clause (P V0) with the variable V0; only the latter refutes (not (P b))
+    const = canonical_clause([Literal(True, Atom("P", (Const("V0", AGENT),)))])
+    var = canonical_clause([Literal(True, Atom("P", (X,)))])
+    assert var.literals[0].atom.args == (Var("V0", AGENT),)
+    goal = canonical_clause([Literal(False, Atom("P", (B,)))])
+    res = saturate([(const, 0), (var, 1), (goal, 2)], SIG)
+    assert res.status == "refutation"
+    assert [res.nodes[n].rule for n in res.used_nodes()] == ["input", "input", "resolve"]

@@ -39,7 +39,6 @@ def test_ground_modal_becomes_nullary_atom():
     assert NAME_RE.match(got.pred)
     entry = smap.entries[got.pred]
     assert entry.pattern == "(knows a 1 (p))"
-    assert entry.holes == ()
 
 
 def test_non_modal_content_is_untouched():
@@ -83,9 +82,8 @@ def test_free_variables_become_holes():
     f = sh("(forall x : Agent (knows x 1 (P x)))", smap)
     atom = f.body
     assert [v.name for v in atom.args] == ["x"]
+    assert atom.args[0].sort == AGENT
     entry = smap.entries[atom.pred]
-    assert len(entry.holes) == 1
-    assert entry.holes[0].sort == AGENT
     assert entry.pattern == "(knows h0 1 (P h0))"
 
 
