@@ -12,7 +12,8 @@ formula with no existential to skolemize never computes it.
 A clause is identified by its canonical clause (canonical_clause), a
 frozen value compared and hashed by structure: a variable is never a
 constant of the same name, and sorts count.  Literal.key prints a
-literal only to order the literals of a canonical clause.
+literal only to order the literals of a canonical clause.  The
+canonical clause is not a normal form (see canonical_clause).
 
 Iff expansion and distribution can grow a formula exponentially.  The
 NNF pass, which doubles per nested iff, counts its nodes against a
@@ -124,6 +125,12 @@ def canonical_clause(literals: Iterable[Literal]) -> Clause:
     and a constant printed alike come out in one order.  A ground
     clause has nothing to rename, so its literals are printed once,
     for the one sort that orders them.
+
+    This is not idempotent: variables are numbered in (shape, print)
+    order and the literals then sorted by their renamed print, so the
+    clause returned can canonicalize to another numbering.  Two
+    variants need not share one canonical clause, and saturate may keep
+    both; proofs._among therefore canonicalizes both sides.
     """
     distinct = set(literals)
     if not _vars_of(distinct):

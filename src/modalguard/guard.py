@@ -216,6 +216,10 @@ class Verdict:
     elapsed_ms: float = 0.0
 
 
+def _raised(query: str, e: Exception) -> str:
+    return f"{query} raised {type(e).__name__}: {e}"
+
+
 def adjudicate(scenario: Scenario, budget: Optional[Budget] = None) -> Verdict:
     """The verdict on the scenario's request.  Total: an exception
     raised on the way, or a verdict that does not match its own
@@ -243,7 +247,7 @@ def adjudicate(scenario: Scenario, budget: Optional[Budget] = None) -> Verdict:
     try:
         return done(_decide(scenario, budget if budget is not None else Budget(), goal))
     except Exception as e:
-        reason = f"adjudication raised {type(e).__name__}: {e}; failing safe"
+        reason = f"{_raised('adjudication', e)}; failing safe"
         return done(Verdict(LOCK, reason, goal, "error"))
 
 
@@ -313,6 +317,7 @@ class PreventsResult:
     answer: str  # yes | no | unknown
     proof: Optional[Proof] = None
     countermodel: Optional[list[str]] = None
+    reason: Optional[str] = None  # why an unknown is not a plain unknown
 
 
 ORACLE_MAX_AGENTS = 3
@@ -342,8 +347,18 @@ def prevents_holds(
     budget: Optional[Budget] = None,
 ) -> PreventsResult:
     """Does the prevention condition hold?  yes with a proof, no with a
-    bounded countermodel, unknown otherwise."""
-    budget = budget if budget is not None else Budget()
+    bounded countermodel, unknown otherwise.  Total: an exception raised
+    on the way answers unknown with a reason naming its type."""
+    try:
+        return _prevents(scenario, x, y, g, a, t, budget if budget is not None else Budget())
+    except Exception as e:
+        return PreventsResult("unknown", reason=_raised("prevention query", e))
+
+
+def _prevents(
+    scenario: Scenario, x: Const, y: Const, g: Const, a: Const, t: int, budget: Budget
+) -> PreventsResult:
+    """prevents_holds' answer, exceptions not caught."""
     trace = project(scenario.theory, scenario.sig)
     assumptions = list(scenario.facts) + trace_atoms(trace, scenario.theory.occurrences)
     goal = prevents_body(x, y, g, a, moment(t))
@@ -357,7 +372,11 @@ def prevents_holds(
     )
     if not entailed:
         return PreventsResult("no", countermodel=countermodel)
-    return PreventsResult("unknown")
+    return PreventsResult(
+        "unknown",
+        reason="prover and oracle disagree: a complete search found no proof, "
+        "but the finite-model oracle entails the condition",
+    )
 
 
 @dataclass
@@ -374,8 +393,19 @@ def epistemic_query(
     budget: Optional[Budget] = None,
 ) -> QueryResult:
     """Prove a query and its dual.  Both proving is a modelling error,
-    answered unknown with the inconsistency as its reason."""
-    budget = budget if budget is not None else Budget()
+    answered unknown with the inconsistency as its reason.  Total: an
+    exception raised on the way answers unknown with a reason naming
+    its type."""
+    try:
+        return _query(scenario, positive, negative, budget if budget is not None else Budget())
+    except Exception as e:
+        return QueryResult("unknown", reason=_raised("epistemic query", e))
+
+
+def _query(
+    scenario: Scenario, positive: Formula, negative: Formula, budget: Budget
+) -> QueryResult:
+    """epistemic_query's answer, exceptions not caught."""
     assumptions, _ = adjudication_theory(scenario)
     pos = prove(assumptions, positive, budget, scenario.sig)
     neg = prove(assumptions, negative, budget, scenario.sig)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .schemata import expand_modal, harvest_join_targets
+from .schemata import assumed, expand_modal, harvest_join_targets
 from .shadow import ShadowMap, shadow
 from .syntax import (
     And,
@@ -177,7 +177,7 @@ def _closure(formulas: list[Formula], sig: Signature, depth: int) -> list[Formul
             current.extend(_conjuncts(g))
     for _ in range(depth + 1):
         targets = harvest_join_targets(current)
-        exp = expand_modal(current, depth=depth, join_targets=targets)
+        exp = expand_modal(assumed(current), depth=depth, join_targets=targets)
         out: list[Formula] = []
         again = False
         for f in exp.formulas():

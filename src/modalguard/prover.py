@@ -17,11 +17,12 @@ a modal expansion that refused a new formula for depth, is not complete:
 when it ends without a refutation the status is incomplete, never
 no_proof.
 
-Each formula of the closure is keyed once, and modal expansion is
-seeded with those keys rather than computing them again.  A root
-formula is keyed by canonical_key; a grounding instance by splicing its
+A proof search holds one store of derivations: the grounding
+closure's records, keyed by canonical key.  Modal expansion extends
+that dict in place, and the proof is replayed from it.  A root formula
+is keyed by canonical_key; a grounding instance by splicing its
 constant into its quantifier's template (see _Prep), without walking
-the instance.
+the instance; the expansion never keys a closure formula again.
 
 After shadowing, the formulas whose every clause the pure-literal rule
 would delete are dropped before they are clausified (pure_formulas), so
@@ -104,29 +105,37 @@ class ProveResult:
     stats: dict = field(default_factory=dict)
 
 
+# Stands for the constant in an instance template.  Identifiers match
+# [A-Za-z_][A-Za-z0-9_'-]* and generated names use letters, digits and
+# '_', so no printed name or sort contains it.
+_HOLE = "#"
+
+
 class _Plan(NamedTuple):
     """How close() grounds a formula: wrap(body) with var replaced by a
     constant, derived by rule; over the whole domain when universal, by
-    one fresh witness otherwise."""
+    one fresh witness otherwise.  template is the canonical key of
+    wrap(body) with var printed as _HOLE (see _Prep)."""
 
     var: Var
     body: Formula
     wrap: Callable[[Formula], Formula]
     rule: str
     universal: bool
+    template: str
 
 
 def _grounding_plan(f: Formula) -> Optional[_Plan]:
     """f's plan, or None when f has no quantifier whose variable reaches
     into a modal subformula."""
     if isinstance(f, Forall):
-        plan = _Plan(f.var, f.body, _same, RULE_FORALL_ELIM, True)
+        plan = (f.var, f.body, _same, RULE_FORALL_ELIM, True)
     elif isinstance(f, Exists):
-        plan = _Plan(f.var, f.body, _same, RULE_EXISTS_ELIM, False)
+        plan = (f.var, f.body, _same, RULE_EXISTS_ELIM, False)
     elif isinstance(f, Not) and isinstance(f.body, Exists):
-        plan = _Plan(f.body.var, f.body.body, Not, RULE_NEG_EXISTS_ELIM, True)
+        plan = (f.body.var, f.body.body, Not, RULE_NEG_EXISTS_ELIM, True)
     elif isinstance(f, Not) and isinstance(f.body, Forall):
-        plan = _Plan(f.body.var, f.body.body, Not, RULE_NEG_FORALL_ELIM, False)
+        plan = (f.body.var, f.body.body, Not, RULE_NEG_FORALL_ELIM, False)
     elif (
         isinstance(f, Implies)
         and isinstance(f.left, Exists)
@@ -135,7 +144,7 @@ def _grounding_plan(f: Formula) -> Optional[_Plan]:
         and f.left.var not in free_vars(f.right)
     ):
         rhs = f.right
-        plan = _Plan(
+        plan = (
             f.left.var,
             f.left.body,
             lambda g: Implies(g, rhs),
@@ -144,8 +153,10 @@ def _grounding_plan(f: Formula) -> Optional[_Plan]:
         )
     else:
         return None
-    if any(plan.var in free_vars(m) for m in maximal_modal_subformulas(plan.body)):
-        return plan
+    var, body, wrap, rule, universal = plan
+    if any(var in free_vars(m) for m in maximal_modal_subformulas(body)):
+        template = canonical_key(wrap(body), {var: _HOLE})
+        return _Plan(var, body, wrap, rule, universal, template)
     return None
 
 
@@ -163,12 +174,6 @@ def _domain_order(consts: set[Const]) -> list[Const]:
     return moments + named
 
 
-# Stands for the constant in an instance template.  Identifiers match
-# [A-Za-z_][A-Za-z0-9_'-]* and generated names use letters, digits and
-# '_', so no printed name or sort contains it.
-_HOLE = "#"
-
-
 class _Prep:
     """Grounding closure over one set of root formulas.
 
@@ -183,17 +188,16 @@ class _Prep:
 
     def __init__(self, sig: Signature, used_names: set[str]):
         self.sig = sig
+        # insertion-ordered; modal expansion later extends it in place
         self.records: dict[str, Derivation] = {}
-        self.order: list[str] = []
         self.used_names = used_names
         self.consts: set[Const] = set()
+        # record key -> names of the constants it was grounded at
         self.done: dict[str, set[str]] = {}
-        self.witnessed: set[str] = set()
         self.witness_intro: dict[str, str] = {}
         self.instances = 0
         self.capped = False
         self.plans: dict[str, Optional[_Plan]] = {}
-        self.templates: dict[str, str] = {}
         self.domains: dict[str, list[Const]] = {}
         self.domains_at = 0  # len(consts) the cached domains were built from
 
@@ -201,22 +205,17 @@ class _Prep:
         key = canonical_key(f)
         if key not in self.records:
             self.records[key] = Derivation(f, rule, premises, 0)
-            self.order.append(key)
             self.used_names |= symbol_names(f)
             self.consts |= set(constants_in_formula(f))
         return key
 
     def _add_instance(self, key: str, c: Const) -> str:
         """Add the instance of record key's plan at c; its key."""
-        var, body, wrap, rule, _ = self.plans[key]
-        template = self.templates.get(key)
-        if template is None:
-            template = self.templates[key] = canonical_key(wrap(body), {var: _HOLE})
+        var, body, wrap, rule, _, template = self.plans[key]
         ikey = template.replace(_HOLE, c.name)
         if ikey not in self.records:
             f = wrap(substitute(body, {var: c}, self.sig))
             self.records[ikey] = Derivation(f, rule, (key,), 0)
-            self.order.append(ikey)
             # The instance's constants and names are its quantifier's
             # (already recorded) plus c, when var occurs free in body.
             # _fresh_witness is the only reader of used_names, and a binder
@@ -261,10 +260,10 @@ class _Prep:
         return added
 
     def _witness(self, key: str, sort: str) -> bool:
-        if key in self.witnessed:
+        if key in self.done:
             return False
-        self.witnessed.add(key)
         w = self._fresh_witness(sort)
+        self.done[key] = {w.name}
         self.witness_intro[w.name] = self._add_instance(key, w)
         return True
 
@@ -274,7 +273,7 @@ class _Prep:
             if time.monotonic() > deadline:
                 return
             changed = False
-            for key in list(self.order):
+            for key in list(self.records):
                 if key not in self.plans:
                     self.plans[key] = _grounding_plan(self.records[key].formula)
                 plan = self.plans[key]
@@ -376,11 +375,9 @@ def prove(
         stats["elapsed_ms"] = (time.monotonic() - start) * 1000.0
         return ProveResult("timeout", None, stats)
 
-    all_formulas = [prep.records[k].formula for k in prep.order]
-    targets = harvest_join_targets(all_formulas)
-    expansion = expand_modal(
-        all_formulas, depth=budget.depth, join_targets=targets, keys=prep.order
-    )
+    targets = harvest_join_targets(d.formula for d in prep.records.values())
+    expansion = expand_modal(prep.records, depth=budget.depth, join_targets=targets)
+    records = expansion.records
     stats["expansion_size"] = len(expansion.records)
     stats["expansion_truncated"] = expansion.truncated
 
@@ -390,9 +387,7 @@ def prove(
     def emit(key: str) -> int:
         if key in index_of:
             return index_of[key]
-        rec = expansion.records.get(key)
-        if rec is None or rec.rule == RULE_ASSUMPTION:
-            rec = prep.records[key]
+        rec = records[key]
         prems = tuple(emit(k) for k in rec.premises)
         # a witness constant may only appear after the step that introduced
         # it, so pull the introducing record in front of any other use
@@ -405,15 +400,15 @@ def prove(
         return index_of[key]
 
     goal_key = canonical_key(goal)
-    if goal_key in expansion.records:
+    if goal_key in records:
         emit(goal_key)
         stats["elapsed_ms"] = (time.monotonic() - start) * 1000.0
         stats["route"] = "closure"
         return ProveResult("proof", Proof(tuple(steps)), stats)
 
-    flist = list(expansion.records)
+    flist = list(records)
     smap = ShadowMap()
-    shadowed = [shadow(expansion.records[key].formula, smap) for key in flist]
+    shadowed = [shadow(records[key].formula, smap) for key in flist]
     dead = pure_formulas(shadowed)
     inputs = []
     try:

@@ -18,16 +18,18 @@ says so (Expansion.truncated), so a search over it is not complete.
 
 Formulas are identified up to alpha-equivalence, by canonical key (the
 formula printed with its binders numbered, see syntax.canonical_key).
-Within one expansion each structurally distinct formula is keyed once;
-a caller that has already keyed the assumptions passes their keys in,
-and they are not keyed again.
+The expansion extends a record dict keyed that way in place: the
+prover hands in its grounding closure, so a proof search holds one
+store of derivations.  A formula handed in is never keyed again; the
+expansion prints a key only for a formula it derives, and for a body,
+antecedent or join-target part it looks up.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .syntax import (
     And,
@@ -59,10 +61,11 @@ class Derivation:
 
 
 class Expansion:
-    """Result of expand_modal: formulas keyed by alpha-equivalence."""
+    """Result of expand_modal: the closed record dict, keyed by canonical
+    key in derivation order."""
 
-    def __init__(self) -> None:
-        self.records: dict[str, Derivation] = {}
+    def __init__(self, records: dict[str, Derivation]) -> None:
+        self.records = records
         # a new formula was refused for depth: the closure is incomplete
         self.truncated = False
 
@@ -70,15 +73,24 @@ class Expansion:
         return [d.formula for d in self.records.values()]
 
 
-def harvest_join_targets(formulas: Iterable[Formula]) -> list[Modal]:
+def assumed(formulas: Iterable[Formula]) -> dict[str, Derivation]:
+    """Depth-0 assumption records of the formulas, the first of each
+    canonical key."""
+    records: dict[str, Derivation] = {}
+    for f in formulas:
+        records.setdefault(canonical_key(f), Derivation(f, RULE_ASSUMPTION, (), 0))
+    return records
+
+
+def harvest_join_targets(formulas: Iterable[Formula]) -> dict[str, Modal]:
     """Conjunction-bodied epistemic subformulas anywhere in the given
-    set, the first of each canonical key."""
+    set, by canonical key, the first of each key."""
     out: dict[str, Modal] = {}
     for f in formulas:
         for g in subformulas(f):
             if isinstance(g, Modal) and g.op in EPISTEMIC_OPS and isinstance(g.body, And):
                 out.setdefault(canonical_key(g), g)
-    return list(out.values())
+    return out
 
 
 def _modal_key(m: Modal) -> tuple[str, str, str]:
@@ -86,111 +98,97 @@ def _modal_key(m: Modal) -> tuple[str, str, str]:
 
 
 def expand_modal(
-    assumptions: Sequence[Formula],
+    records: dict[str, Derivation],
     depth: int,
-    join_targets: Optional[Sequence[Modal]] = None,
-    keys: Optional[Sequence[str]] = None,
+    join_targets: Mapping[str, Modal],
 ) -> Expansion:
-    """Close the assumption set under S1-S4 up to the given depth.
-
-    keys, when given, are the canonical keys of the assumptions, in order.
-    """
-    exp = Expansion()
-    if join_targets is None:
-        join_targets = harvest_join_targets(assumptions)
-
-    # structurally equal formulas share a key, so each is keyed once
-    memo: dict[Formula, str] = {}
-    if keys is not None:
-        memo.update(zip(assumptions, keys, strict=True))
-
-    def key_of(f: Formula) -> str:
-        k = memo.get(f)
-        if k is None:
-            k = memo[f] = canonical_key(f)
-        return k
+    """Close records, a dict of depth-0 derivations by canonical key,
+    under S1-S4 up to the given depth, in place.  join_targets maps the
+    canonical keys of the S4 join targets to the targets."""
+    exp = Expansion(records)
 
     # join target bookkeeping: target key -> (target, context, part keys)
     targets: dict[str, tuple[Modal, tuple[str, str, str], tuple[str, ...]]] = {}
-    for tgt in join_targets:
+    for tkey, tgt in join_targets.items():
         parts = tuple(
-            key_of(Modal(tgt.op, tgt.agent, tgt.time, p)) for p in tgt.body.parts
+            canonical_key(Modal(tgt.op, tgt.agent, tgt.time, p)) for p in tgt.body.parts
         )
-        targets.setdefault(key_of(tgt), (tgt, _modal_key(tgt), parts))
+        targets[tkey] = (tgt, _modal_key(tgt), parts)
 
-    # index: (op, agent, time) -> {body key -> formula key} for S3 lookups
-    by_context: dict[tuple[str, str, str], dict[str, str]] = {}
-    queue: deque[str] = deque()
+    # per (op, agent, time): body key -> formula key, and antecedent key
+    # -> (formula key, consequent) of the implication-bodied formulas
+    peers: dict[tuple[str, str, str], dict[str, str]] = {}
+    implications: dict[tuple[str, str, str], dict[str, list[tuple[str, Formula]]]] = {}
+    queue: deque[str] = deque(records)
 
-    def add(f: Formula, rule: str, premises: tuple[str, ...], d: int) -> None:
-        key = key_of(f)
-        if key in exp.records:
+    def add(
+        f: Formula, rule: str, premises: tuple[str, ...], d: int, key: Optional[str] = None
+    ) -> None:
+        if key is None:
+            key = canonical_key(f)
+        if key in records:
             return
         if d > depth:
             exp.truncated = True
             return
-        exp.records[key] = Derivation(f, rule, premises, d)
+        records[key] = Derivation(f, rule, premises, d)
         queue.append(key)
-
-    for a in assumptions:
-        add(a, RULE_ASSUMPTION, (), 0)
 
     while queue:
         key = queue.popleft()
-        rec = exp.records[key]
+        rec = records[key]
         f = rec.formula
-        if not isinstance(f, Modal):
+        if not isinstance(f, Modal) or f.op not in EPISTEMIC_OPS:
             continue
         d = rec.depth
+        body_key = canonical_key(f.body)
         if f.op == KNOWS:
-            add(f.body, RULE_S1, (key,), d + 1)
+            add(f.body, RULE_S1, (key,), d + 1, body_key)
             add(Modal(BELIEVES, f.agent, f.time, f.body), RULE_S2, (key,), d + 1)
-        if f.op in EPISTEMIC_OPS:
-            ctx = _modal_key(f)
-            peers = by_context.setdefault(ctx, {})
-            body_key = key_of(f.body)
-            if body_key not in peers:
-                peers[body_key] = key
-
-            # S3 with f as the implication premise
-            if isinstance(f.body, Implies):
-                ante = key_of(f.body.left)
-                if ante in peers:
-                    other = peers[ante]
-                    add(
-                        Modal(f.op, f.agent, f.time, f.body.right),
-                        RULE_S3,
-                        (key, other),
-                        max(d, exp.records[other].depth) + 1,
-                    )
-            # S3 with f as the antecedent premise
-            for bk, fk in list(peers.items()):
-                peer = exp.records[fk].formula
-                if isinstance(peer.body, Implies):
-                    if key_of(peer.body.left) == body_key:
-                        add(
-                            Modal(f.op, f.agent, f.time, peer.body.right),
-                            RULE_S3,
-                            (fk, key),
-                            max(d, exp.records[fk].depth) + 1,
-                        )
-            # S4 split
-            if isinstance(f.body, And):
-                for p in f.body.parts:
-                    add(Modal(f.op, f.agent, f.time, p), RULE_S4_SPLIT, (key,), d + 1)
-            # S4 join toward targets
-            for tkey, (tgt, tctx, part_keys) in targets.items():
-                if tkey in exp.records:
-                    continue
-                if tctx != ctx:
-                    continue
-                if key not in part_keys:
-                    continue
-                if all(pk in exp.records for pk in part_keys):
-                    add(
-                        tgt,
-                        RULE_S4_JOIN,
-                        part_keys,
-                        max(exp.records[pk].depth for pk in part_keys) + 1,
-                    )
+        # a context and a body key determine the formula key, so each
+        # popped formula is new to its context's indexes
+        ctx = _modal_key(f)
+        ctx_peers = peers.setdefault(ctx, {})
+        ctx_implications = implications.setdefault(ctx, {})
+        ctx_peers[body_key] = key
+        # S3 with f as the implication premise
+        if isinstance(f.body, Implies):
+            ante = canonical_key(f.body.left)
+            ctx_implications.setdefault(ante, []).append((key, f.body.right))
+            other = ctx_peers.get(ante)
+            if other is not None:
+                add(
+                    Modal(f.op, f.agent, f.time, f.body.right),
+                    RULE_S3,
+                    (key, other),
+                    max(d, records[other].depth) + 1,
+                )
+        # S3 with f as the antecedent premise
+        for ik, right in ctx_implications.get(body_key, ()):
+            add(
+                Modal(f.op, f.agent, f.time, right),
+                RULE_S3,
+                (ik, key),
+                max(d, records[ik].depth) + 1,
+            )
+        # S4 split
+        if isinstance(f.body, And):
+            for p in f.body.parts:
+                add(Modal(f.op, f.agent, f.time, p), RULE_S4_SPLIT, (key,), d + 1)
+        # S4 join toward targets
+        for tkey, (tgt, tctx, part_keys) in targets.items():
+            if tkey in records:
+                continue
+            if tctx != ctx:
+                continue
+            if key not in part_keys:
+                continue
+            if all(pk in records for pk in part_keys):
+                add(
+                    tgt,
+                    RULE_S4_JOIN,
+                    part_keys,
+                    max(records[pk].depth for pk in part_keys) + 1,
+                    tkey,
+                )
     return exp

@@ -381,3 +381,46 @@ def test_inconsistent_theory_detected():
     r = epistemic_query(sc, pos, neg)
     assert r.answer == "unknown"
     assert "inconsistent theory" in r.reason
+
+
+# ---------------------------------------------------------------------------
+# the query APIs are total
+
+def sim1_conflicting():
+    """sim1 with an axiom that initiates the fluent fire terminates."""
+    text = SIM1_TEXT.replace(
+        "  ((action shooter fire) terminates (alive victim) ((pos (alive victim)))))",
+        "  ((action shooter fire) terminates (alive victim) ((pos (alive victim))))\n"
+        "  ((action shooter fire) initiates (alive victim)))",
+    )
+    return parse_scenario(text, "sim1")
+
+
+def test_prevention_query_on_a_conflicting_scenario_is_unknown():
+    sc = sim1_conflicting()
+    assert adjudicate(sc).decision == LOCK
+    r = prevents_holds(sc, SHOOTER, VICTIM, G_LIVE, FIRE, 1)
+    assert r.answer == "unknown"
+    assert r.proof is None and r.countermodel is None
+    assert "ProjectionConflict" in r.reason
+
+
+def test_epistemic_query_on_a_conflicting_scenario_is_unknown():
+    sc = sim1_conflicting()
+    alive = App("alive", (VICTIM,), "Fluent")
+    pos, neg = intention_query(SHOOTER, 1, Not(Atom("holds", (alive, moment(2)))))
+    r = epistemic_query(sc, pos, neg)
+    assert r.answer == "unknown"
+    assert r.proof is None
+    assert "ProjectionConflict" in r.reason
+
+
+def test_prevention_query_reports_an_oracle_disagreement(monkeypatch):
+    # a blocking-knowledge ablation is a complete no_proof within the
+    # oracle's bounds; an oracle that entails it contradicts the search
+    sc = ABLATIONS["blocking-knowledge"]()
+    assert prevents_holds(sc, SHOOTER, VICTIM, G_LIVE, FIRE, 1).answer == "no"
+    monkeypatch.setattr(guard, "oracle_entails", lambda *args, **kwargs: (True, None))
+    r = prevents_holds(sc, SHOOTER, VICTIM, G_LIVE, FIRE, 1)
+    assert r.answer == "unknown"
+    assert "disagree" in r.reason

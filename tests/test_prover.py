@@ -306,8 +306,7 @@ def check_closure_keys(preps) -> tuple[int, int]:
     numbers of grounding and witness instances checked."""
     grounded = witnessed = 0
     for prep in preps:
-        for key in prep.order:
-            rec = prep.records[key]
+        for key, rec in prep.records.items():
             assert canonical_key(rec.formula) == key
             grounded += rec.rule in GROUNDING_RULES
             witnessed += rec.rule in WITNESS_RULES

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from hypothesis import given, settings, strategies as st
+from test_parser import RandomFormulas
+
 from modalguard import prover, schemata
 from modalguard.guard import adjudication_theory, obligation_goal
 from modalguard.parser import parse_formula, parse_formulas
@@ -13,10 +16,22 @@ from modalguard.schemata import (
     RULE_S3,
     RULE_S4_JOIN,
     RULE_S4_SPLIT,
+    assumed,
     expand_modal,
     harvest_join_targets,
 )
-from modalguard.syntax import AGENT, Signature, canonical_key, print_formula
+from modalguard.syntax import (
+    AGENT,
+    And,
+    BELIEVES,
+    Const,
+    Implies,
+    KNOWS,
+    Modal,
+    Signature,
+    canonical_key,
+    print_formula,
+)
 
 
 def sig_with(*preds: str) -> Signature:
@@ -31,18 +46,28 @@ def sig_with(*preds: str) -> Signature:
 SIG = sig_with("p", "q", "r")
 
 
+def expand(fs, depth, join_targets=None):
+    """expand_modal over assumption records of fs; the join targets are
+    harvested from fs unless given."""
+    if join_targets is None:
+        targets = harvest_join_targets(fs)
+    else:
+        targets = {canonical_key(t): t for t in join_targets}
+    return expand_modal(assumed(fs), depth, targets)
+
+
 def forms(exp) -> set[str]:
     return {print_formula(f) for f in exp.formulas()}
 
 
 def test_depth_zero_returns_inputs_only():
     fs = parse_formulas("(knows a 1 (p)) (q)", SIG)
-    assert forms(expand_modal(fs, depth=0)) == {"(knows a 1 (p))", "(q)"}
+    assert forms(expand(fs, depth=0)) == {"(knows a 1 (p))", "(q)"}
 
 
 def test_depth_one_exact_contents():
     fs = parse_formulas("(knows a 1 (p)) (knows a 1 (implies (p) (q)))", SIG)
-    got = forms(expand_modal(fs, depth=1))
+    got = forms(expand(fs, depth=1))
     assert got == {
         "(knows a 1 (p))",
         "(knows a 1 (implies (p) (q)))",
@@ -56,12 +81,12 @@ def test_depth_one_exact_contents():
 
 def test_depth_two_closes_the_derived_layer():
     fs = parse_formulas("(knows a 1 (p)) (knows a 1 (implies (p) (q)))", SIG)
-    d2 = forms(expand_modal(fs, depth=2))
+    d2 = forms(expand(fs, depth=2))
     assert "(q)" in d2
     assert "(believes a 1 (q))" in d2
     # fixpoint reached: extra depth adds nothing
-    assert forms(expand_modal(fs, depth=3)) == d2
-    assert forms(expand_modal(fs, depth=9)) == d2
+    assert forms(expand(fs, depth=3)) == d2
+    assert forms(expand(fs, depth=9)) == d2
 
 
 def test_expansion_is_inflationary_and_monotone_in_depth():
@@ -71,7 +96,7 @@ def test_expansion_is_inflationary_and_monotone_in_depth():
     seen = set()
     prev: set[str] = set()
     for d in range(5):
-        cur = forms(expand_modal(fs, depth=d))
+        cur = forms(expand(fs, depth=d))
         assert {print_formula(f) for f in fs} <= cur
         assert prev <= cur
         prev = cur
@@ -82,19 +107,19 @@ def test_expansion_is_inflationary_and_monotone_in_depth():
 def test_expansion_monotone_in_assumptions():
     base = parse_formulas("(knows a 1 (p))", SIG)
     more = parse_formulas("(knows a 1 (p)) (knows a 1 (q))", SIG)
-    assert forms(expand_modal(base, 2)) <= forms(expand_modal(more, 2))
+    assert forms(expand(base, 2)) <= forms(expand(more, 2))
 
 
 def test_idempotent_on_its_own_output():
     fs = parse_formulas("(knows a 1 (p)) (knows a 1 (implies (p) (q)))", SIG)
-    once = list(expand_modal(fs, depth=2).formulas())
-    twice = expand_modal(once, depth=2)
+    once = list(expand(fs, depth=2).formulas())
+    twice = expand(once, depth=2)
     assert forms(twice) == {print_formula(f) for f in once}
 
 
 def test_s4_split_on_conjunction_body():
     fs = parse_formulas("(knows a 1 (and (p) (q)))", SIG)
-    got = forms(expand_modal(fs, depth=1))
+    got = forms(expand(fs, depth=1))
     assert "(knows a 1 (p))" in got
     assert "(knows a 1 (q))" in got
 
@@ -102,9 +127,9 @@ def test_s4_split_on_conjunction_body():
 def test_s4_join_requires_a_harvested_target():
     fs = parse_formulas("(knows a 1 (p)) (knows a 1 (q))", SIG)
     target = parse_formula("(knows a 1 (and (p) (q)))", SIG)
-    without = forms(expand_modal(fs, depth=2))
+    without = forms(expand(fs, depth=2))
     assert "(knows a 1 (and (p) (q)))" not in without
-    with_t = forms(expand_modal(fs, depth=2, join_targets=[target]))
+    with_t = forms(expand(fs, depth=2, join_targets=[target]))
     assert "(knows a 1 (and (p) (q)))" in with_t
 
 
@@ -115,7 +140,7 @@ def test_harvest_finds_conjunction_bodied_epistemic_modals():
         "(desires a 1 (and (p) (q)))",
         SIG,
     )
-    got = {print_formula(t) for t in harvest_join_targets(fs)}
+    got = {print_formula(t) for t in harvest_join_targets(fs).values()}
     assert got == {"(knows a 1 (and (p) (q)))"}
 
 
@@ -125,18 +150,18 @@ def test_non_epistemic_operators_are_inert():
         "(intends a 1 (p)) (perceives a 1 (p))",
         SIG,
     )
-    assert forms(expand_modal(fs, depth=3)) == {print_formula(f) for f in fs}
+    assert forms(expand(fs, depth=3)) == {print_formula(f) for f in fs}
 
 
 def test_nested_chain_needs_matching_depth():
     fs = parse_formulas("(knows a 1 (knows a 1 (knows a 1 (p))))", SIG)
-    assert "(p)" not in forms(expand_modal(fs, depth=2))
-    assert "(p)" in forms(expand_modal(fs, depth=3))
+    assert "(p)" not in forms(expand(fs, depth=2))
+    assert "(p)" in forms(expand(fs, depth=3))
 
 
 def test_records_carry_rule_and_premises():
     fs = parse_formulas("(knows a 1 (p)) (knows a 1 (implies (p) (q)))", SIG)
-    exp = expand_modal(fs, depth=2)
+    exp = expand(fs, depth=2)
     by_rule: dict[str, int] = {}
     keys = set(exp.records)
     for key, rec in exp.records.items():
@@ -158,63 +183,113 @@ def test_records_carry_rule_and_premises():
 
 def test_split_and_join_rules_recorded():
     fs = parse_formulas("(knows a 1 (and (p) (q)))", SIG)
-    exp = expand_modal(fs, depth=1)
+    exp = expand(fs, depth=1)
     assert any(r.rule == RULE_S4_SPLIT for r in exp.records.values())
     fs = parse_formulas("(knows a 1 (p)) (knows a 1 (q))", SIG)
     target = parse_formula("(knows a 1 (and (p) (q)))", SIG)
-    exp = expand_modal(fs, depth=1, join_targets=[target])
+    exp = expand(fs, depth=1, join_targets=[target])
     assert any(r.rule == RULE_S4_JOIN for r in exp.records.values())
 
 
 def test_truncation_is_recorded_only_for_refused_new_formulas():
     fs = parse_formulas("(knows a 1 (knows a 1 (knows a 1 (p))))", SIG)
-    assert expand_modal(fs, depth=2).truncated
-    assert not expand_modal(fs, depth=3).truncated
-    assert not expand_modal(fs, depth=9).truncated
+    assert expand(fs, depth=2).truncated
+    assert not expand(fs, depth=3).truncated
+    assert not expand(fs, depth=9).truncated
     # at depth 1, (p) and (believes a 1 (p)) are derived at depth 2 but
     # are already assumptions: refusing them loses nothing
     fs = parse_formulas("(knows a 1 (knows a 1 (p))) (p) (believes a 1 (p))", SIG)
-    assert not expand_modal(fs, depth=1).truncated
-    assert expand_modal(fs, depth=0).truncated
+    assert not expand(fs, depth=1).truncated
+    assert expand(fs, depth=0).truncated
 
 
-def test_seeded_keys_give_the_same_expansion():
-    fs = parse_formulas(
-        "(knows a 1 (and (p) (implies (p) (q)))) (knows a 1 (r)) (believes b 1 (p))",
-        SIG,
-    )
-    plain = expand_modal(fs, depth=4)
-    seeded = expand_modal(fs, depth=4, keys=[canonical_key(f) for f in fs])
-    assert plain.records == seeded.records
-    assert list(plain.records) == list(seeded.records)
+# Keys printed while sim1's obligation search expands its closure of
+# 125 formulas: 62 since the closure's records are extended in place.
+# The expansion used to copy them into a store of its own and seed a
+# Formula -> key memo with their keys; it printed 67, but hashing each
+# closure formula twice to fill and probe the memo cost more than the
+# prints it saved (expand_modal was about 5x slower with it).
+SIM1_EXPANSION_KEYS = 62
 
 
 def test_sim1_obligation_does_not_rekey_the_closure(monkeypatch):
     sc = load_bundled_scenario("sim1")
     assumptions, _ = adjudication_theory(sc)
-    seeded: list = []
+    handed_in: list = []
     keyed: list = []
     expanding = [False]
 
-    def spy_expand(formulas, *args, **kwargs):
-        seeded.extend(formulas)
+    def spy_expand(records, *args, **kwargs):
+        handed_in.extend(d.formula for d in records.values())
         expanding[0] = True
         try:
-            return expand_modal(formulas, *args, **kwargs)
+            return expand_modal(records, *args, **kwargs)
         finally:
             expanding[0] = False
 
-    def counting_key(f):
+    def counting_key(f, *args):
         if expanding[0]:
             keyed.append(f)
-        return canonical_key(f)
+        return canonical_key(f, *args)
 
     monkeypatch.setattr(prover, "expand_modal", spy_expand)
     monkeypatch.setattr(schemata, "canonical_key", counting_key)
     res = prover.prove(assumptions, obligation_goal(sc), sig=sc.sig)
     assert res.status == "proof"
-    assert len(seeded) > 100
+    assert len(handed_in) > 100
     assert keyed, "the counting binding is not reached"
-    assert not [f for f in keyed if f in seeded]
-    # within the expansion, each structurally distinct formula is keyed once
-    assert len(keyed) == len(set(keyed))
+    # handed_in holds every formula handed in, so their ids stay unique
+    handed_ids = {id(f) for f in handed_in}
+    assert not [f for f in keyed if id(f) in handed_ids]
+    assert len(keyed) <= SIM1_EXPANSION_KEYS
+
+
+RF_AGENTS = (Const("a", AGENT), Const("b", AGENT))
+
+
+@st.composite
+def modal_sets(draw):
+    """Epistemic modals over RandomFormulas bodies, with implications
+    and conjunctions between those bodies so that S3 and S4 fire."""
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+    pool = [RandomFormulas(s).formula([], 1 + s % 3) for s in seeds]
+    out = []
+    for _ in range(draw(st.integers(1, 6))):
+        op = draw(st.sampled_from((KNOWS, BELIEVES)))
+        agent = draw(st.sampled_from(RF_AGENTS))
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            body = draw(st.sampled_from(pool))
+        elif kind == 1:
+            ante = draw(st.sampled_from(pool))
+            body = Implies(ante, draw(st.sampled_from(pool)))
+            if draw(st.booleans()):
+                out.append(Modal(op, agent, Const("1", "Moment"), ante))
+        else:
+            body = And(tuple(draw(st.lists(st.sampled_from(pool), min_size=2, max_size=3))))
+        # nesting under knows puts S1 to work on a modal body
+        if draw(st.booleans()):
+            body = Modal(KNOWS, agent, Const("1", "Moment"), body)
+        out.append(Modal(op, agent, Const("1", "Moment"), body))
+    # a join target beyond those the set holds
+    parts = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2))
+    agent = draw(st.sampled_from(RF_AGENTS))
+    return out, [Modal(KNOWS, agent, Const("1", "Moment"), And(tuple(parts)))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(modal_sets(), st.integers(0, 4))
+def test_expansion_records_are_keyed_ordered_and_closed(drawn, depth):
+    fs, extra_targets = drawn
+    targets = harvest_join_targets([*fs, *extra_targets])
+    records = assumed(fs)
+    exp = expand_modal(records, depth, targets)
+    assert exp.records is records
+    seen: set[str] = set()
+    for key, rec in exp.records.items():
+        assert canonical_key(rec.formula) == key
+        assert all(p in seen for p in rec.premises)
+        seen.add(key)
+    if not exp.truncated:
+        again = expand_modal(assumed(exp.formulas()), depth, targets)
+        assert list(again.records) == list(exp.records)
