@@ -177,10 +177,11 @@ def _closure(formulas: list[Formula], sig: Signature, depth: int) -> list[Formul
             current.extend(_conjuncts(g))
     for _ in range(depth + 1):
         targets = harvest_join_targets(current)
-        exp = expand_modal(assumed(current), depth=depth, join_targets=targets)
+        records = assumed(current)
+        expand_modal(records, depth=depth, join_targets=targets)
         out: list[Formula] = []
         again = False
-        for f in exp.formulas():
+        for f in (d.formula for d in records.values()):
             if _has_quantifier_outside_modal(f):
                 f = _ground(f, dom, sig)
                 again = True

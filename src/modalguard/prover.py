@@ -22,7 +22,9 @@ closure's records, keyed by canonical key.  Modal expansion extends
 that dict in place, and the proof is replayed from it.  A root formula
 is keyed by canonical_key; a grounding instance by splicing its
 constant into its quantifier's template (see _Prep), without walking
-the instance; the expansion never keys a closure formula again.
+the instance.  The expansion keys no formula handed in again: it prints
+keys only for the formulas it derives and for the bodies, antecedents
+and join-target parts it looks up.
 
 After shadowing, the formulas whose every clause the pure-literal rule
 would delete are dropped before they are clausified (pure_formulas), so
@@ -376,10 +378,9 @@ def prove(
         return ProveResult("timeout", None, stats)
 
     targets = harvest_join_targets(d.formula for d in prep.records.values())
-    expansion = expand_modal(prep.records, depth=budget.depth, join_targets=targets)
-    records = expansion.records
-    stats["expansion_size"] = len(expansion.records)
-    stats["expansion_truncated"] = expansion.truncated
+    truncated = expand_modal(prep.records, depth=budget.depth, join_targets=targets)
+    stats["expansion_size"] = len(prep.records)
+    stats["expansion_truncated"] = truncated
 
     steps: list[ProofStep] = []
     index_of: dict[str, int] = {}
@@ -387,7 +388,7 @@ def prove(
     def emit(key: str) -> int:
         if key in index_of:
             return index_of[key]
-        rec = records[key]
+        rec = prep.records[key]
         prems = tuple(emit(k) for k in rec.premises)
         # a witness constant may only appear after the step that introduced
         # it, so pull the introducing record in front of any other use
@@ -400,15 +401,15 @@ def prove(
         return index_of[key]
 
     goal_key = canonical_key(goal)
-    if goal_key in records:
+    if goal_key in prep.records:
         emit(goal_key)
         stats["elapsed_ms"] = (time.monotonic() - start) * 1000.0
         stats["route"] = "closure"
         return ProveResult("proof", Proof(tuple(steps)), stats)
 
-    flist = list(records)
+    flist = list(prep.records)
     smap = ShadowMap()
-    shadowed = [shadow(records[key].formula, smap) for key in flist]
+    shadowed = [shadow(prep.records[key].formula, smap) for key in flist]
     dead = pure_formulas(shadowed)
     inputs = []
     try:
@@ -428,7 +429,7 @@ def prove(
         return ProveResult("timeout", None, stats)
     if sat.status == "saturated":
         stats["elapsed_ms"] = (time.monotonic() - start) * 1000.0
-        complete = not (prep.capped or expansion.truncated)
+        complete = not (prep.capped or truncated)
         return ProveResult("no_proof" if complete else "incomplete", None, stats)
 
     # refutation: rebuild the used derivation as checkable steps

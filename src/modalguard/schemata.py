@@ -14,7 +14,8 @@ Desire, intention, perception, and obligation formulas are inert facts.
 Expansion is a least fixpoint truncated at a derivation depth: an
 assumption sits at depth 0 and a derived formula at one more than its
 deepest premise.  An expansion that refuses a new formula for depth
-says so (Expansion.truncated), so a search over it is not complete.
+says so (expand_modal returns True), so a search over it is not
+complete.
 
 Formulas are identified up to alpha-equivalence, by canonical key (the
 formula printed with its binders numbered, see syntax.canonical_key).
@@ -60,19 +61,6 @@ class Derivation:
     depth: int
 
 
-class Expansion:
-    """Result of expand_modal: the closed record dict, keyed by canonical
-    key in derivation order."""
-
-    def __init__(self, records: dict[str, Derivation]) -> None:
-        self.records = records
-        # a new formula was refused for depth: the closure is incomplete
-        self.truncated = False
-
-    def formulas(self) -> list[Formula]:
-        return [d.formula for d in self.records.values()]
-
-
 def assumed(formulas: Iterable[Formula]) -> dict[str, Derivation]:
     """Depth-0 assumption records of the formulas, the first of each
     canonical key."""
@@ -101,11 +89,13 @@ def expand_modal(
     records: dict[str, Derivation],
     depth: int,
     join_targets: Mapping[str, Modal],
-) -> Expansion:
+) -> bool:
     """Close records, a dict of depth-0 derivations by canonical key,
-    under S1-S4 up to the given depth, in place.  join_targets maps the
-    canonical keys of the S4 join targets to the targets."""
-    exp = Expansion(records)
+    under S1-S4 up to the given depth, in place; new records follow in
+    derivation order.  join_targets maps the canonical keys of the S4
+    join targets to the targets.  Returns whether a new formula was
+    refused for depth, so that the closure is incomplete."""
+    truncated = False
 
     # join target bookkeeping: target key -> (target, context, part keys)
     targets: dict[str, tuple[Modal, tuple[str, str, str], tuple[str, ...]]] = {}
@@ -124,12 +114,13 @@ def expand_modal(
     def add(
         f: Formula, rule: str, premises: tuple[str, ...], d: int, key: Optional[str] = None
     ) -> None:
+        nonlocal truncated
         if key is None:
             key = canonical_key(f)
         if key in records:
             return
         if d > depth:
-            exp.truncated = True
+            truncated = True
             return
         records[key] = Derivation(f, rule, premises, d)
         queue.append(key)
@@ -191,4 +182,4 @@ def expand_modal(
                     max(records[pk].depth for pk in part_keys) + 1,
                     tkey,
                 )
-    return exp
+    return truncated

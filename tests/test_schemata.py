@@ -47,17 +47,21 @@ SIG = sig_with("p", "q", "r")
 
 
 def expand(fs, depth, join_targets=None):
-    """expand_modal over assumption records of fs; the join targets are
-    harvested from fs unless given."""
+    """Close assumption records of fs with expand_modal; the join targets
+    are harvested from fs unless given.  Returns the records and whether
+    the expansion was truncated."""
     if join_targets is None:
         targets = harvest_join_targets(fs)
     else:
         targets = {canonical_key(t): t for t in join_targets}
-    return expand_modal(assumed(fs), depth, targets)
+    records = assumed(fs)
+    truncated = expand_modal(records, depth, targets)
+    return records, truncated
 
 
-def forms(exp) -> set[str]:
-    return {print_formula(f) for f in exp.formulas()}
+def forms(expanded) -> set[str]:
+    records, _ = expanded
+    return {print_formula(d.formula) for d in records.values()}
 
 
 def test_depth_zero_returns_inputs_only():
@@ -112,7 +116,7 @@ def test_expansion_monotone_in_assumptions():
 
 def test_idempotent_on_its_own_output():
     fs = parse_formulas("(knows a 1 (p)) (knows a 1 (implies (p) (q)))", SIG)
-    once = list(expand(fs, depth=2).formulas())
+    once = [d.formula for d in expand(fs, depth=2)[0].values()]
     twice = expand(once, depth=2)
     assert forms(twice) == {print_formula(f) for f in once}
 
@@ -161,10 +165,10 @@ def test_nested_chain_needs_matching_depth():
 
 def test_records_carry_rule_and_premises():
     fs = parse_formulas("(knows a 1 (p)) (knows a 1 (implies (p) (q)))", SIG)
-    exp = expand(fs, depth=2)
+    records, _ = expand(fs, depth=2)
     by_rule: dict[str, int] = {}
-    keys = set(exp.records)
-    for key, rec in exp.records.items():
+    keys = set(records)
+    for key, rec in records.items():
         by_rule[rec.rule] = by_rule.get(rec.rule, 0) + 1
         assert canonical_key(rec.formula) == key
         for p in rec.premises:
@@ -183,24 +187,24 @@ def test_records_carry_rule_and_premises():
 
 def test_split_and_join_rules_recorded():
     fs = parse_formulas("(knows a 1 (and (p) (q)))", SIG)
-    exp = expand(fs, depth=1)
-    assert any(r.rule == RULE_S4_SPLIT for r in exp.records.values())
+    records, _ = expand(fs, depth=1)
+    assert any(r.rule == RULE_S4_SPLIT for r in records.values())
     fs = parse_formulas("(knows a 1 (p)) (knows a 1 (q))", SIG)
     target = parse_formula("(knows a 1 (and (p) (q)))", SIG)
-    exp = expand(fs, depth=1, join_targets=[target])
-    assert any(r.rule == RULE_S4_JOIN for r in exp.records.values())
+    records, _ = expand(fs, depth=1, join_targets=[target])
+    assert any(r.rule == RULE_S4_JOIN for r in records.values())
 
 
 def test_truncation_is_recorded_only_for_refused_new_formulas():
     fs = parse_formulas("(knows a 1 (knows a 1 (knows a 1 (p))))", SIG)
-    assert expand(fs, depth=2).truncated
-    assert not expand(fs, depth=3).truncated
-    assert not expand(fs, depth=9).truncated
+    assert expand(fs, depth=2)[1]
+    assert not expand(fs, depth=3)[1]
+    assert not expand(fs, depth=9)[1]
     # at depth 1, (p) and (believes a 1 (p)) are derived at depth 2 but
     # are already assumptions: refusing them loses nothing
     fs = parse_formulas("(knows a 1 (knows a 1 (p))) (p) (believes a 1 (p))", SIG)
-    assert not expand(fs, depth=1).truncated
-    assert expand(fs, depth=0).truncated
+    assert not expand(fs, depth=1)[1]
+    assert expand(fs, depth=0)[1]
 
 
 # Keys printed while sim1's obligation search expands its closure of
@@ -283,13 +287,13 @@ def test_expansion_records_are_keyed_ordered_and_closed(drawn, depth):
     fs, extra_targets = drawn
     targets = harvest_join_targets([*fs, *extra_targets])
     records = assumed(fs)
-    exp = expand_modal(records, depth, targets)
-    assert exp.records is records
+    truncated = expand_modal(records, depth, targets)
     seen: set[str] = set()
-    for key, rec in exp.records.items():
+    for key, rec in records.items():
         assert canonical_key(rec.formula) == key
         assert all(p in seen for p in rec.premises)
         seen.add(key)
-    if not exp.truncated:
-        again = expand_modal(assumed(exp.formulas()), depth, targets)
-        assert list(again.records) == list(exp.records)
+    if not truncated:
+        again = assumed(d.formula for d in records.values())
+        expand_modal(again, depth, targets)
+        assert list(again) == list(records)

@@ -2,15 +2,18 @@
 
 Run from the root of a checkout:
 
-    python3 tools/bench_trajectory.py --pr 8 --seconds 30 --seed 1
+    python3 tools/bench_trajectory.py --pr 8
 
 For each workload that BENCHMARK.json declares, the script runs
-guardbench/run.py --trace 0 once and keeps the end-to-end metrics from
-the run's last line.  The file it writes holds a schema version, the
-Python version, the CPU count, the seconds and the seed of the runs,
-and each workload's metrics; later changes compare against the latest
-such file.  Exit status is 0 when every run succeeded and answered
-correctly, 1 otherwise (no file is written then).
+guardbench/run.py --trace 0 once, for BENCHMARK.json's run_seconds and
+with seed SEED, and keeps the end-to-end metrics from the run's last
+line.  Every trajectory file is made with the same run length and seed,
+so that each compares with the one before.  The file it writes holds a
+schema version, the Python version, the CPU count, the seconds and the
+seed of the runs, and each workload's metrics; later changes compare
+against the latest such file.  Exit status is 0 when every run
+succeeded and answered correctly, 1 otherwise (no file is written
+then).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import sys
 from pathlib import Path
 
 SCHEMA = "bench-trajectory/1"
+SEED = 1
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -69,16 +73,15 @@ def run(workload: str, seed: int, seconds: float, end_to_end: list[str]) -> dict
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--pr", required=True, help="number in the file name BENCH_<pr>.json")
-    ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     end_to_end = [m["name"] for m in bench["end_to_end"]]
+    seconds = bench["run_seconds"]
     workloads = {}
     try:
         for w in bench["workloads"]:
-            workloads[w["name"]] = run(w["name"], args.seed, args.seconds, end_to_end)
+            workloads[w["name"]] = run(w["name"], SEED, seconds, end_to_end)
             print(f"{w['name']}: {json.dumps(workloads[w['name']]['metrics'])}")
     except RunFailed as e:
         print(f"bench_trajectory: {e}", file=sys.stderr)
@@ -88,8 +91,8 @@ def main(argv: list[str] | None = None) -> int:
         "schema": SCHEMA,
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
-        "seconds": args.seconds,
-        "seed": args.seed,
+        "seconds": seconds,
+        "seed": SEED,
         "workloads": workloads,
     }
     out.write_text(json.dumps(record, indent=1) + "\n")
