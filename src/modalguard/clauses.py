@@ -151,7 +151,8 @@ def is_tautology(c: Clause) -> bool:
 
 
 class ClausifyLimit(Exception):
-    """clausify would outgrow its bounds, or ran past its deadline."""
+    """clausify would outgrow its bounds, or ran past its deadline; its
+    argument names the limit, nnf_cap, max_clauses or wall_clock."""
 
 
 # Nodes the NNF pass may build.  Connective expansion shares each side
@@ -168,8 +169,10 @@ class _Meter:
 
     def tick(self) -> None:
         self.nodes += 1
-        if self.nodes > NNF_NODE_CAP or time.monotonic() > self.deadline:
-            raise ClausifyLimit
+        if self.nodes > NNF_NODE_CAP:
+            raise ClausifyLimit("nnf_cap")
+        if time.monotonic() > self.deadline:
+            raise ClausifyLimit("wall_clock")
 
 
 def _expand_connectives(f: Formula) -> Formula:
@@ -285,8 +288,10 @@ def clausify(
             out = [[]]
             for br in branches:
                 # checked before it is built: one product can be huge
-                if len(out) * len(br) > max_clauses or time.monotonic() > deadline:
-                    raise ClausifyLimit
+                if len(out) * len(br) > max_clauses:
+                    raise ClausifyLimit("max_clauses")
+                if time.monotonic() > deadline:
+                    raise ClausifyLimit("wall_clock")
                 out = [acc + d for acc in out for d in br]
             return out
         if isinstance(g, Forall):

@@ -1,8 +1,8 @@
 """Proof search: grounding, modal expansion, shadowing, resolution.
 
 prove() runs a refutation pipeline.  Quantifiers whose variables reach
-into modal subformulas are instantiated first, over the finite domain
-of known constants, because modal subformulas are later replaced by
+into modal subformulas are instantiated first, over a finite domain of
+constants (see below), because modal subformulas are later replaced by
 content-addressed propositional atoms and only identical instances can
 connect.  Quantifiers with no modal content stay symbolic and are
 handled by unification inside the resolution core.
@@ -11,6 +11,59 @@ Modal reasoning happens on the positive side: the closure rules are
 applied to the assumptions before shadowing, so goals whose proof
 would need modal rules applied underneath the negated goal are
 reported as no_proof rather than proved.
+
+Before grounding, two reductions make the work follow what the problem
+touches rather than the size of the signature.
+
+Pure roots.  The pure-literal fixpoint (resolution.pure_clauses) runs
+first on the root formulas, the assumptions and the negated goal, at
+predicate level (_pure_roots); the negated goal, which the reductio
+cites, is always kept.  A modal subformula adds nothing to a formula's
+must-set or shape (_polarity): its shadow atom is a predicate no
+ordinary formula holds, so it never makes a root pure, and
+pure_formulas still decides about it after shadowing.  S1 asserts the
+body of a knows formula, after S3 and S4 have taken it apart, and no
+rule asserts the body of any other modal, so the pairs of every knows
+body in a root join that root's shape.  A root is pure when a pair of
+its must-set has no complement left.  Grounding and substitution keep
+each predicate's sign, and expansion produces no predicate-level pair
+outside the shapes of the roots it starts from, so every clause of
+every formula derived from a pure root holds the pure pair, with no
+complement left: pure_formulas would delete it after shadowing.  A
+pure root is therefore never grounded, expanded or shadowed.  Witness
+names are still chosen clear of the names of every assumption.
+
+Two things of a pure root reach further than its clauses, and a pure
+root that has either is kept after all.  One is a join target: the
+conjunction an S4 join builds from kept parts can serve a kept root, as
+the antecedent S3 looks up by body key, or as a part of a larger
+conjunction to join.  Either way a kept root holds that conjunction
+inside a modal body.  Where a kept root holds it as the whole body of a
+join target, the target is that root's own as well; and S1 brings out
+of a joined formula only the clauses of its parts.  So a pure root is
+kept when one of its targets' bodies has the skeleton (the formula with
+its terms erased) of a conjunction inside a kept root's modal body,
+other than a target's whole body (_joins).  Equal keys give equal
+skeletons, whatever grounding substitutes.  The other is a witness,
+which joins the domains of its sort.  A pure root is kept when it could
+introduce a witness of a sort with no declared constant; any other
+witness merges into a constant of its sort, as below.  A root kept
+either way counts for the others, so the fixpoint runs again until it
+keeps no more.  Adding to a problem a pure root that has neither
+changes nothing else.
+
+Mentioned constants.  A domain holds the constants the closure
+mentions: those of the kept roots and the goal, and the witnesses.  It
+adds one representative, the first declared constant by name, for
+each exact sort whose declared constants the closure does not mention.
+Equality and temporal order are free predicates (see models), so
+merging every unmentioned constant into a constant of the closure, or
+the representative, of its exact sort, and every witness of a pure
+root likewise into one of its sort or a subsort, is a homomorphism.  It sends every grounding
+instance, expansion record and shadow pattern of the closure over all
+declared constants onto one of the reduced closure, and so maps a
+refutation of the full clause set onto one of the reduced set; the
+reduced set lies in the full one.  Refutability is the same either way.
 
 A search over a grounding cut short by GROUNDING_INSTANCE_CAP, or over
 a modal expansion that refused a new formula for depth, is not complete:
@@ -60,7 +113,13 @@ from .proofs import (
     clause_to_formula,
 )
 from .resolution import Shape, pure_clauses, saturate
-from .schemata import Derivation, RULE_ASSUMPTION, expand_modal, harvest_join_targets
+from .schemata import (
+    Derivation,
+    RULE_ASSUMPTION,
+    expand_modal,
+    harvest_join_targets,
+    is_join_target,
+)
 from .shadow import ShadowMap, shadow
 from .syntax import (
     And,
@@ -71,6 +130,8 @@ from .syntax import (
     Formula,
     Iff,
     Implies,
+    KNOWS,
+    Modal,
     Not,
     Or,
     Signature,
@@ -202,6 +263,8 @@ class _Prep:
         self.plans: dict[str, Optional[_Plan]] = {}
         self.domains: dict[str, list[Const]] = {}
         self.domains_at = 0  # len(consts) the cached domains were built from
+        # names of the declared constants a domain left out
+        self.left_out: set[str] = set()
 
     def add(self, f: Formula, rule: str, premises: tuple[str, ...]) -> str:
         key = canonical_key(f)
@@ -242,7 +305,16 @@ class _Prep:
         dom = self.domains.get(sort)
         if dom is None:
             consts = {c for c in self.consts if self.sig.widens(c.sort, sort)}
-            consts |= set(self.sig.constants_of_sort(sort))
+            # one representative, the first by name, per exact sort the
+            # closure does not mention (see the module docstring)
+            mentioned = {c.sort for c in consts}
+            for c in self.sig.constants_of_sort(sort):
+                if c.sort in mentioned:
+                    if c not in consts:
+                        self.left_out.add(c.name)
+                else:
+                    mentioned.add(c.sort)
+                    consts.add(c)
             dom = self.domains[sort] = _domain_order(consts)
         return dom
 
@@ -290,9 +362,11 @@ class _Prep:
 
 
 def _polarity(f: Formula) -> tuple[Shape, Shape]:
-    """(must-set, shape) of a shadowed formula: the (predicate, sign)
-    pairs on its top-level disjunction, which every one of its clauses
-    holds, and every pair any of its clauses can hold."""
+    """(must-set, shape) of a formula: the (predicate, sign) pairs on its
+    top-level disjunction, which every one of its clauses holds, and
+    every pair any of its clauses can hold.  A modal subformula adds
+    nothing to either, except that the pairs of a knows body, which S1
+    can bring out, join the shape."""
     must: set[tuple[str, bool]] = set()
     shape: set[tuple[str, bool]] = set()
 
@@ -323,26 +397,117 @@ def _polarity(f: Formula) -> tuple[Shape, Shape]:
             walk(g.right, 0, False)
         elif isinstance(g, (Forall, Exists)):
             walk(g.body, sign, top)
+        elif isinstance(g, Modal):
+            # S1 asserts a knows body whatever the knows formula's sign;
+            # no other operator's body is ever asserted
+            if g.op == KNOWS:
+                walk(g.body, 1, False)
         else:
-            raise TypeError(f"not a shadowed formula: {g!r}")
+            raise TypeError(f"not a formula: {g!r}")
 
     walk(f, 1, True)
     return frozenset(must), frozenset(shape)
 
 
 def pure_formulas(formulas: Sequence[Formula]) -> set[int]:
-    """Indices of the shadowed formulas whose every clause the
-    pure-literal rule deletes (resolution.pure_clauses), found before
-    clausifying them.
+    """Indices of the formulas whose every clause the pure-literal rule
+    deletes (resolution.pure_clauses), found before clausifying them.
 
     A formula goes once a pair of its must-set has no complement left
     among the kept formulas' shapes (_polarity).  Every clause of such a
     formula holds that pair, and no clause of a kept formula holds its
     complement, so clause-level deletion removes all of them too; it
-    keeps the same clauses whether or not it sees them.
+    keeps the same clauses whether or not it sees them.  prove() runs it
+    on the shadowed formulas; _pure_roots runs the same fixpoint on the
+    root formulas before grounding.
     """
     polarities = [_polarity(f) for f in formulas]
     return pure_clauses([s for _, s in polarities], [m for m, _ in polarities])
+
+
+def _joins(f: Formula) -> tuple[set[tuple], set[tuple]]:
+    """The skeletons of f's join targets' bodies, and of the conjunctions
+    inside f's modal bodies but for the whole body of a join target:
+    where a formula joined by S4 can serve f (see the module docstring).
+    A skeleton is a formula with its terms erased, so formulas with one
+    canonical key have one skeleton, whatever grounding put into them."""
+    targets: set[tuple] = set()
+    uses: set[tuple] = set()
+
+    def walk(g: Formula, inside: bool) -> tuple:
+        if isinstance(g, Atom):
+            return (g.pred,)
+        if isinstance(g, Modal):
+            if is_join_target(g):
+                body = ("And", *(walk(p, True) for p in g.body.parts))
+                targets.add(body)
+            else:
+                body = walk(g.body, True)
+            return (g.op, body)
+        if isinstance(g, (And, Or)):
+            skeleton = (type(g).__name__, *(walk(p, inside) for p in g.parts))
+            if inside and isinstance(g, And):
+                uses.add(skeleton)
+            return skeleton
+        if isinstance(g, (Implies, Iff)):
+            return (type(g).__name__, walk(g.left, inside), walk(g.right, inside))
+        return (type(g).__name__, walk(g.body, inside))  # Not, Forall, Exists
+
+    walk(f, False)
+    return targets, uses
+
+
+def _witness_sorts(f: Formula) -> list[str]:
+    """Sorts of the witnesses _Prep.close could introduce grounding f:
+    its quantifiers _grounding_plan takes apart, whether or not their
+    variables reach a modal."""
+    out = []
+    while True:
+        if isinstance(f, Forall):
+            f = f.body
+        elif isinstance(f, Exists):
+            out.append(f.var.sort)
+            f = f.body
+        elif isinstance(f, Not) and isinstance(f.body, Exists):
+            f = Not(f.body.body)
+        elif isinstance(f, Not) and isinstance(f.body, Forall):
+            out.append(f.body.var.sort)
+            f = Not(f.body.body)
+        elif isinstance(f, Implies) and isinstance(f.left, Exists):
+            f = Implies(f.left.body, f.right)
+        else:
+            return out
+
+
+def _pure_roots(roots: Sequence[Formula], sig: Signature) -> set[int]:
+    """Indices of the roots prove() leaves out (see the module
+    docstring).  The last root, the negated goal, is always kept.  A
+    pure root is kept after all when it could introduce a witness of a
+    sort with no declared constant, or when one of its join targets has
+    the skeleton of a conjunction a kept root can use (_joins); it then
+    counts for the others, and the fixpoint runs again."""
+    polarities = [_polarity(f) for f in roots]
+    shapes = [s for _, s in polarities]
+    musts = [m for m, _ in polarities]
+    musts[-1] = frozenset()  # the reductio cites the negated goal
+    joins: Optional[list[tuple[set[tuple], set[tuple]]]] = None
+    while True:
+        pruned = pure_clauses(shapes, musts)
+        if not pruned:
+            return pruned
+        if joins is None:
+            joins = [_joins(f) for f in roots]
+        used = set().union(*(u for i, (_, u) in enumerate(joins) if i not in pruned))
+        kept = {
+            i
+            for i in pruned
+            if joins[i][0] & used
+            or any(not sig.constants_of_sort(s) for s in _witness_sorts(roots[i]))
+        }
+        if not kept:
+            return pruned
+        for i in kept:
+            musts[i] = frozenset()
 
 
 def prove(
@@ -357,25 +522,36 @@ def prove(
     deadline = start + budget.timeout_ms / 1000.0
     stats: dict = {}
 
+    def finish(
+        status: str, proof: Optional[Proof] = None, limit: Optional[str] = None
+    ) -> ProveResult:
+        stats["elapsed_ms"] = (time.monotonic() - start) * 1000.0
+        if limit is not None:
+            stats["limit"] = limit
+        return ProveResult(status, proof, stats)
+
     used_names: set[str] = set()
     for a in assumptions:
         used_names |= symbol_names(a)
     used_names |= symbol_names(goal)
 
-    # grounding closure over assumptions and the negated goal together;
-    # formulas rooted at the negated goal are all negations, so the modal
-    # closure rules below never fire on that side
-    prep = _Prep(sig, used_names)
-    for a in assumptions:
-        prep.add(a, RULE_ASSUMPTION, ())
+    # grounding closure over the kept assumptions and the negated goal
+    # together; formulas rooted at the negated goal are all negations, so
+    # the modal closure rules below never fire on that side
     ng = Not(goal)
+    pruned = _pure_roots([*assumptions, ng], sig)
+    prep = _Prep(sig, used_names)
+    for i, a in enumerate(assumptions):
+        if i not in pruned:
+            prep.add(a, RULE_ASSUMPTION, ())
     ng_key = prep.add(ng, RULE_NEGATED_GOAL, ())
     prep.close(deadline)
+    stats["pruned_roots"] = len(pruned)
     stats["grounding_instances"] = prep.instances
     stats["grounding_capped"] = prep.capped
+    stats["domain_dropped"] = len(prep.left_out)
     if time.monotonic() > deadline:
-        stats["elapsed_ms"] = (time.monotonic() - start) * 1000.0
-        return ProveResult("timeout", None, stats)
+        return finish("timeout", limit="wall_clock")
 
     targets = harvest_join_targets(d.formula for d in prep.records.values())
     truncated = expand_modal(prep.records, depth=budget.depth, join_targets=targets)
@@ -403,9 +579,8 @@ def prove(
     goal_key = canonical_key(goal)
     if goal_key in prep.records:
         emit(goal_key)
-        stats["elapsed_ms"] = (time.monotonic() - start) * 1000.0
         stats["route"] = "closure"
-        return ProveResult("proof", Proof(tuple(steps)), stats)
+        return finish("proof", Proof(tuple(steps)))
 
     flist = list(prep.records)
     smap = ShadowMap()
@@ -418,19 +593,19 @@ def prove(
                 continue
             for c in clausify(f, deadline=deadline, max_clauses=budget.max_clauses):
                 inputs.append((c, fi))
-    except ClausifyLimit:
-        stats["elapsed_ms"] = (time.monotonic() - start) * 1000.0
-        return ProveResult("timeout", None, stats)
+    except ClausifyLimit as stop:
+        return finish("timeout", limit=stop.args[0])
 
     sat = saturate(inputs, sig, deadline, budget.max_clauses)
     stats["generated_clauses"] = sat.generated
     if sat.status == "budget":
-        stats["elapsed_ms"] = (time.monotonic() - start) * 1000.0
-        return ProveResult("timeout", None, stats)
+        return finish("timeout", limit=sat.limit)
     if sat.status == "saturated":
-        stats["elapsed_ms"] = (time.monotonic() - start) * 1000.0
-        complete = not (prep.capped or truncated)
-        return ProveResult("no_proof" if complete else "incomplete", None, stats)
+        if prep.capped:
+            return finish("incomplete", limit="grounding_cap")
+        if truncated:
+            return finish("incomplete", limit="modal_depth")
+        return finish("no_proof")
 
     # refutation: rebuild the used derivation as checkable steps
     node_step: dict[int, int] = {}
@@ -452,6 +627,5 @@ def prove(
     falsum_step = node_step[sat.empty_index]
     ng_step = emit(ng_key)
     steps.append(ProofStep(goal, RULE_REDUCTIO, (falsum_step, ng_step)))
-    stats["elapsed_ms"] = (time.monotonic() - start) * 1000.0
     stats["route"] = "refutation"
-    return ProveResult("proof", Proof(tuple(steps)), stats)
+    return finish("proof", Proof(tuple(steps)))

@@ -39,7 +39,8 @@ from .syntax import App, Atom, Const, Signature, Term, Var, match_term
 
 
 class BudgetStop(Exception):
-    """Raised inside saturation when a budget limit is reached."""
+    """Raised inside saturation when a budget limit is reached; its
+    argument names the limit, max_clauses or wall_clock."""
 
 
 Subst = dict[Var, Term]
@@ -237,6 +238,7 @@ class SaturationResult:
     nodes: list[Inference]
     empty_index: Optional[int] = None
     generated: int = 0
+    limit: Optional[str] = None  # the budget limit that stopped it
 
     def used_nodes(self) -> list[int]:
         """Indices contributing to the refutation, topologically ordered."""
@@ -287,7 +289,7 @@ def saturate(
             return None
         generated += 1
         if generated > max_clauses:
-            raise BudgetStop("clause budget exhausted")
+            raise BudgetStop("max_clauses")
         idx = len(nodes)
         nodes.append(Inference(c, rule, parents, source))
         shapes.append(frozenset((l.atom.pred, l.positive) for l in c.literals))
@@ -302,7 +304,7 @@ def saturate(
                 return SaturationResult("refutation", nodes, idx, generated)
         # the deletion may empty the queue, so poll the clock once first
         if deadline is not None and time.monotonic() > deadline:
-            raise BudgetStop("timeout")
+            raise BudgetStop("wall_clock")
         pure = pure_clauses(shapes)
         passive[:] = [entry for entry in passive if entry[2] not in pure]
         heapq.heapify(passive)
@@ -311,7 +313,7 @@ def saturate(
         while passive:
             steps += 1
             if deadline is not None and steps % 32 == 0 and time.monotonic() > deadline:
-                raise BudgetStop("timeout")
+                raise BudgetStop("wall_clock")
             _, _, gi = heapq.heappop(passive)
             given = nodes[gi].clause
             gshape = shapes[gi]
@@ -338,5 +340,5 @@ def saturate(
             for l in given.literals:
                 by_literal.setdefault((l.atom.pred, l.positive), []).append(gi)
         return SaturationResult("saturated", nodes, None, generated)
-    except BudgetStop:
-        return SaturationResult("budget", nodes, None, generated)
+    except BudgetStop as stop:
+        return SaturationResult("budget", nodes, None, generated, stop.args[0])

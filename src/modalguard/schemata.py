@@ -70,13 +70,18 @@ def assumed(formulas: Iterable[Formula]) -> dict[str, Derivation]:
     return records
 
 
+def is_join_target(f: Formula) -> bool:
+    """Whether f is a conjunction-bodied epistemic formula."""
+    return isinstance(f, Modal) and f.op in EPISTEMIC_OPS and isinstance(f.body, And)
+
+
 def harvest_join_targets(formulas: Iterable[Formula]) -> dict[str, Modal]:
-    """Conjunction-bodied epistemic subformulas anywhere in the given
-    set, by canonical key, the first of each key."""
+    """Join targets (is_join_target) anywhere in the given set, by
+    canonical key, the first of each key."""
     out: dict[str, Modal] = {}
     for f in formulas:
         for g in subformulas(f):
-            if isinstance(g, Modal) and g.op in EPISTEMIC_OPS and isinstance(g.body, And):
+            if is_join_target(g):
                 out.setdefault(canonical_key(g), g)
     return out
 

@@ -32,6 +32,8 @@ from modalguard.syntax import (
     print_formula,
 )
 
+from test_prover import load_guardbench_texts
+
 SIM1 = load_bundled_scenario("sim1")
 SIM2 = load_bundled_scenario("sim2")
 
@@ -76,6 +78,29 @@ def test_sim2_allows_with_full_compliance():
     assert all(c.status == "pass" for c in v.dde.clauses.values())
     assert v.dde.net_utility == 3
     assert "overridden" in v.reason
+
+
+# The benchmark's guard_scaled texts: sim1 plus k agents and k goals
+# that no fact mentions.  Such bystanders must neither change a verdict
+# nor cut its search short (they once drove it into the grounding cap).
+
+
+@pytest.mark.parametrize("k", [12, 16])
+def test_idle_bystanders_leave_the_guilty_shooter_allowed(k):
+    texts = load_guardbench_texts()
+    text = texts.sim1_idle(texts.sim1_guilty(texts.bundled_text("sim1")), k)
+    v = adjudicate(parse_scenario(text, f"sim1_guilty+idle{k}"))
+    assert (v.decision, v.prove_status) == (ALLOW, "no_proof")
+
+
+def test_idle_bystanders_leave_sim1_locked_by_a_verified_proof():
+    texts = load_guardbench_texts()
+    sc = parse_scenario(texts.sim1_idle(texts.bundled_text("sim1"), 16), "sim1+idle16")
+    v = adjudicate(sc)
+    assert (v.decision, v.prove_status) == (LOCK, "proof")
+    assert v.proof_verified is True
+    assumptions, _ = adjudication_theory(sc)
+    assert verify_proof(v.proof, assumptions, v.obligation, sc.sig)
 
 
 def test_obligation_goal_shape():

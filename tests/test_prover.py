@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import random
 import time
 from pathlib import Path
 
@@ -18,7 +19,10 @@ from modalguard.prover import Budget, prove
 from modalguard.resolution import pure_clauses
 from modalguard.scenario import load_bundled_scenario, parse_scenario
 from modalguard.syntax import (
+    ACTION_TYPE,
     AGENT,
+    FLUENT,
+    GOAL,
     And,
     Atom,
     Const,
@@ -36,6 +40,7 @@ from modalguard.syntax import (
 
 import corpus
 from test_clauses import iff_chain
+from test_parser import RandomFormulas, round_trip_sig
 
 SIG = corpus.corpus_signature()
 
@@ -78,7 +83,13 @@ def test_budget_defaults():
 def test_clause_budget_exhaustion_is_timeout():
     r, _, _ = run("modus-ponens", max_clauses=1)
     assert r.status == "timeout"
+    assert r.stats["limit"] == "max_clauses"
     assert r.proof is None
+
+
+# seven iffs distribute into more literal lists than the clause budget;
+# twenty-four double the NNF walk past its cap first
+BLOW_UP_LIMITS = {7: "max_clauses", 24: "nnf_cap"}
 
 
 @pytest.mark.parametrize("depth", [7, 24])
@@ -90,12 +101,14 @@ def test_a_clausification_blow_up_is_timeout_within_the_budget(depth):
     t0 = time.monotonic()
     r = prove([iff_chain(depth)], Atom("q"), budget=budget, sig=sig)
     assert r.status == "timeout"
+    assert r.stats["limit"] == BLOW_UP_LIMITS[depth]
     assert time.monotonic() - t0 < budget.timeout_ms / 1000
 
 
 def test_depth_budget_limits_modal_closure():
     shallow, _, _ = run("k-nested", depth=1)
     assert shallow.status == "incomplete"
+    assert shallow.stats["limit"] == "modal_depth"
     deep, fs, g = run("k-nested", depth=2)
     assert deep.status == "proof"
     ok, reason = verify_proof_detailed(deep.proof, fs, g, SIG)
@@ -139,17 +152,43 @@ def test_saturation_reports_no_proof():
 
 def test_stats_shape_on_proof():
     r, _, _ = run("modus-ponens")
-    for key in ("grounding_instances", "grounding_capped", "expansion_size",
-                "elapsed_ms", "route"):
+    for key in ("pruned_roots", "grounding_instances", "grounding_capped",
+                "domain_dropped", "expansion_size", "elapsed_ms", "route"):
         assert key in r.stats
     assert r.stats["grounding_capped"] is False
     assert r.stats["elapsed_ms"] >= 0
+    # a search that was not cut short names no limit
+    assert "limit" not in r.stats
 
 
 def test_grounding_counts_instances():
-    r, _, _ = run("forall-knows-instance")
-    # three declared agents, one universal to ground
-    assert r.stats["grounding_instances"] >= 3
+    r, fs, g = run("forall-knows-instance")
+    # one universal to ground over the Agents the closure mentions: the
+    # goal's bob.  alice and carol, declared but mentioned nowhere, are
+    # left out of the domain; bob stands for them
+    assert r.stats["grounding_instances"] == 1
+    assert r.stats["domain_dropped"] == 2
+    assert r.status == "proof"
+    ok, reason = verify_proof_detailed(r.proof, fs, g, SIG)
+    assert ok, reason
+
+
+# ---------------------------------------------------------------------------
+# the limit that stopped a search short
+
+def test_limit_names_the_wall_clock():
+    sc = load_bundled_scenario("sim1")
+    assumptions, _ = adjudication_theory(sc)
+    r = prove(assumptions, obligation_goal(sc), Budget(timeout_ms=1), sc.sig)
+    assert (r.status, r.stats["limit"]) == ("timeout", "wall_clock")
+
+
+def test_limit_names_the_grounding_cap(monkeypatch):
+    monkeypatch.setattr(prover, "GROUNDING_INSTANCE_CAP", 20)
+    sc = load_bundled_scenario("sim1")
+    assumptions, _ = adjudication_theory(sc)
+    r = prove(assumptions, obligation_goal(sc), sig=sc.sig)
+    assert (r.status, r.stats["limit"]) == ("incomplete", "grounding_cap")
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +305,172 @@ def test_pure_formulas_examples():
     assert pure("(implies (rains) (and (pours) (floods)))", "(rains)") == set()
     # a formula holding both signs of a predicate complements itself
     assert pure("(forall x : Agent (implies (P x) (P alice)))") == set()
+    # unshadowed roots: a modal adds nothing but the pairs of a knows
+    # body, which S1 asserts
+    assert pure("(or (rains) (believes bob 1 (not (rains))))") == {0}
+    assert pure("(or (rains) (knows bob 1 (not (rains))))") == set()
+    # a knows body belongs to its root's shape: it keeps the disjunction
+    # while its root is kept, and goes with it when the root is pure
+    assert pure("(or (P alice) (rains))", "(knows bob 1 (not (P alice)))",
+                "(not (rains))") == set()
+    assert pure("(or (P alice) (rains))",
+                "(or (floods) (knows bob 1 (not (P alice))))") == {0, 1}
+
+
+# ---------------------------------------------------------------------------
+# relevance before grounding: pure roots are never grounded, and a
+# domain holds the constants the closure mentions
+
+RF_SIG = round_trip_sig()
+RF_BUDGET = Budget(timeout_ms=60000, max_clauses=3000)
+
+
+@st.composite
+def random_problems(draw):
+    """Assumptions and a goal built by RandomFormulas.  Half the problems
+    also assume that their last assumption implies the goal, so that
+    about half of them are proved."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = random.Random(seed)
+    gen = RandomFormulas(seed)
+    fs = [gen.formula([], rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+    goal = gen.formula([], rng.randint(0, 2))
+    if rng.random() < 0.5:
+        fs.append(Implies(fs[-1], goal))
+    return fs, goal
+
+
+def assert_same_answer(a, b):
+    assert a.status == b.status
+    if a.proof is not None:
+        assert a.proof.serialize() == b.proof.serialize()
+
+
+# named after every constant of its sort, or of a sort of its own, so no
+# representative changes
+UNMENTIONED = (
+    ("zz1", AGENT), ("zz2", AGENT), ("zz_go", ACTION_TYPE),
+    ("zz_wet", FLUENT), ("zz_g", GOAL), ("zz_tool", "Tool"),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(random_problems())
+def test_unmentioned_constants_change_no_answer(problem):
+    fs, goal = problem
+    wide = round_trip_sig()
+    wide.declare_sort("Tool")
+    for name, sort in UNMENTIONED:
+        wide.declare_constant(name, sort)
+    base = prove(fs, goal, RF_BUDGET, RF_SIG)
+    more = prove(fs, goal, RF_BUDGET, wide)
+    assert_same_answer(base, more)
+    if more.proof is not None:
+        ok, reason = verify_proof_detailed(more.proof, fs, goal, wide)
+        assert ok, reason
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(random_problems(), st.integers(0, 2**32 - 1), st.booleans())
+def test_a_root_with_a_fresh_positive_predicate_changes_no_answer(
+    problem, seed, quantified
+):
+    fs, goal = problem
+    gen = RandomFormulas(seed)
+    if quantified:
+        x = Var("x", AGENT)
+        extra = Forall(x, Or((Atom("Fresh", (x,)), gen.formula([x], 2))))
+    else:
+        extra = Implies(gen.formula([], 2), Atom("Fresh"))
+    base = prove(fs, goal, RF_BUDGET, RF_SIG)
+    more = prove([*fs, extra], goal, RF_BUDGET, RF_SIG)
+    assert_same_answer(base, more)
+    assert more.stats["pruned_roots"] == base.stats["pruned_roots"] + 1
+    if more.proof is not None:
+        ok, reason = verify_proof_detailed(more.proof, [*fs, extra], goal, RF_SIG)
+        assert ok, reason
+
+
+def test_a_root_is_kept_by_a_complement_in_a_knows_body():
+    # (P alice) occurs negatively only inside the knows body, which S1
+    # asserts; without it the disjunction would be pure and no proof found
+    fs = [parse_formula(t, SIG) for t in
+          ("(or (P alice) (Q alice))", "(knows bob 1 (not (P alice)))")]
+    goal = parse_formula("(Q alice)", SIG)
+    r = prove(fs, goal, sig=SIG)
+    assert r.status == "proof"
+    assert r.stats["pruned_roots"] == 0
+    assert "S1" in {s.rule for s in r.proof.steps}
+    ok, reason = verify_proof_detailed(r.proof, fs, goal, SIG)
+    assert ok, reason
+
+
+def test_a_pure_root_is_kept_for_a_join_target_a_kept_root_uses():
+    # (floods) occurs only positively, so the disjunction is pure, but
+    # its join target is the antecedent S3 needs: S4 joins it from the
+    # two kept parts, and S3 then derives the goal
+    texts = (
+        "(knows bob 1 (P alice))",
+        "(knows bob 1 (Q alice))",
+        "(knows bob 1 (implies (and (P alice) (Q alice)) (R alice bob)))",
+        "(or (floods) (knows bob 1 (and (P alice) (Q alice))))",
+    )
+    fs = [parse_formula(t, SIG) for t in texts]
+    goal = parse_formula("(knows bob 1 (R alice bob))", SIG)
+    r = prove(fs, goal, sig=SIG)
+    assert r.status == "proof"
+    assert r.stats["pruned_roots"] == 0
+    assert {"S4-join", "S3"} <= {s.rule for s in r.proof.steps}
+    ok, reason = verify_proof_detailed(r.proof, fs, goal, SIG)
+    assert ok, reason
+    # a target no kept root can use still goes with its root
+    other = parse_formula("(or (floods) (knows bob 1 (and (Q alice) (C1 alice))))", SIG)
+    again = prove([*fs[:3], other], goal, sig=SIG)
+    assert again.stats["pruned_roots"] == 1
+    assert again.status == "no_proof"
+
+
+def test_a_pure_root_is_kept_for_a_witness_of_a_sort_with_no_constant():
+    sig = corpus.corpus_signature()
+    sig.declare_sort("Tool")
+    sig.declare_predicate("Sharp", ("Tool",))
+    fs = [parse_formula(t, sig) for t in (
+        "(exists x : Tool (or (floods) (knows alice 1 (Sharp x))))",
+        "(forall x : Tool (knows alice 1 (Sharp x)))",
+    )]
+    goal = parse_formula("(exists x : Tool (Sharp x))", sig)
+    # the pure root's witness w1 is the only Tool there is to ground at
+    r = prove(fs, goal, sig=sig)
+    assert r.status == "proof"
+    assert r.stats["pruned_roots"] == 0
+    ok, reason = verify_proof_detailed(r.proof, fs, goal, sig)
+    assert ok, reason
+    # with a declared Tool the witness merges into it, and the root goes
+    sig.declare_constant("wrench", "Tool")
+    again = prove(fs, goal, sig=sig)
+    assert again.stats["pruned_roots"] == 1
+    assert again.status == "proof"
+
+
+def test_a_sort_mentioned_nowhere_is_grounded_at_its_first_constant():
+    sig = corpus.corpus_signature()
+    sig.declare_sort("Tool")
+    sig.declare_predicate("Sharp", ("Tool",))
+    sig.declare_constant("wrench", "Tool")
+    fs = [parse_formula("(forall x : Tool (knows alice 1 (Sharp x)))", sig)]
+    goal = parse_formula("(exists x : Tool (Sharp x))", sig)
+    r = prove(fs, goal, sig=sig)
+    # no formula mentions a Tool: the one declared stands for the sort
+    assert r.status == "proof"
+    assert r.stats["grounding_instances"] == 1
+    assert r.stats["domain_dropped"] == 0
+    ok, reason = verify_proof_detailed(r.proof, fs, goal, sig)
+    assert ok, reason
+    # a second Tool, later by name, is left out
+    sig.declare_constant("xacto", "Tool")
+    again = prove(fs, goal, sig=sig)
+    assert again.proof.serialize() == r.proof.serialize()
+    assert again.stats["domain_dropped"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +518,23 @@ def check_closure_keys(preps) -> tuple[int, int]:
     return grounded, witnessed
 
 
+# A root that is never pure (an iff holds both signs of its atoms) and
+# mentions every declared Agent, so that each Agent quantifier of a
+# problem is grounded at all three
+MENTIONS_EVERY_AGENT = "(iff (floods) (and (C9 alice) (C9 bob) (C9 carol)))"
+
+
 def test_spliced_keys_equal_canonical_keys_on_the_corpus(monkeypatch):
     preps = spy_preps(monkeypatch)
+    mention = parse_formula(MENTIONS_EVERY_AGENT, SIG)
     for prob in corpus.PROBLEMS:
         fs, g = prob.load(SIG)
         prove(fs, g, sig=SIG)
+        prove([*fs, mention], g, sig=SIG)
     edges = [parse_formula(t, SIG) for t in TEMPLATE_EDGES]
-    prove(edges, parse_formula("(floods)", SIG), sig=SIG)
+    # the goal (rains) keeps the last edge, whose consequent is (rains),
+    # from being pure
+    prove(edges, parse_formula("(rains)", SIG), sig=SIG)
     grounded, witnessed = check_closure_keys(preps)
     assert grounded > 40 and witnessed >= 3
     edge_rules = {rec.rule for rec in preps[-1].records.values()}
@@ -334,15 +549,20 @@ def test_spliced_keys_equal_canonical_keys_on_an_open_consequent(monkeypatch):
     knows_v = parse_formula("(exists v : Agent (knows v 1 (P v)))", SIG)
     assert knows_v.var == v
     roots = [Implies(knows_v, Atom("Q", (v,))), parse_formula("(P alice)", SIG)]
-    prove(roots, parse_formula("(floods)", SIG), sig=SIG)
+    # the goal (Q alice) keeps the first root from being pure
+    prove(roots, parse_formula("(Q alice)", SIG), sig=SIG)
     check_closure_keys(preps)
+    assert canonical_key(roots[0]) in preps[0].records
 
 
 def test_spliced_keys_equal_canonical_keys_on_the_guard_scenarios(monkeypatch):
     texts = load_guardbench_texts()
     sim1, sim2 = texts.bundled_text("sim1"), texts.bundled_text("sim2")
-    cases = [sim1, sim2, texts.sim1_guilty(sim1)]
-    cases += [texts.sim1_idle(sim1, k) for k in (1, 2, 3)]
+    sim1_cases = [sim1, texts.sim1_guilty(sim1)]
+    sim1_cases += [texts.sim1_idle(sim1, k) for k in (1, 2, 3)]
+    # with the general norm the prevention bridges are kept, and ground
+    # over every idle agent and goal
+    cases = [sim2, *sim1_cases, *map(with_general_norm, sim1_cases)]
     preps = spy_preps(monkeypatch)
     for i, text in enumerate(cases):
         adjudicate(parse_scenario(text, f"case{i}"))
@@ -351,7 +571,9 @@ def test_spliced_keys_equal_canonical_keys_on_the_guard_scenarios(monkeypatch):
 
 
 def test_sim1_obligation_keys_no_instance_and_clausifies_few_formulas(monkeypatch):
-    sc = load_bundled_scenario("sim1")
+    # one idle agent and the general norm, so that the prevention bridges
+    # are kept and ground over more than a hundred instances
+    sc = parse_scenario(sim1_normed_idle(1), "sim1+norm+idle1")
     assumptions, _ = adjudication_theory(sc)
     preps = spy_preps(monkeypatch)
     keyed: list = []
@@ -387,3 +609,25 @@ def load_guardbench_texts():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# sim2's norm stated for sim1's shooter: blocking anyone's goal obliges
+# refraining.  It holds Prevents negatively, so the prevention bridges,
+# which hold it positively, are not pure and are grounded.
+GENERAL_NORM = (
+    "  (forall y : Agent (forall g : Goal (implies (Prevents shooter y g fire 1)"
+    " (obligated shooter 1 (not (happens (action shooter fire) 1))))))\n"
+)
+
+
+def with_general_norm(sim1_text: str) -> str:
+    anchor = "  (innocent victim)\n"
+    if anchor not in sim1_text:  # sim1_guilty
+        anchor = "  (prior 1 2)\n"
+    assert sim1_text.count(anchor) == 1
+    return sim1_text.replace(anchor, anchor + GENERAL_NORM)
+
+
+def sim1_normed_idle(k: int) -> str:
+    texts = load_guardbench_texts()
+    return texts.sim1_idle(with_general_norm(texts.bundled_text("sim1")), k)

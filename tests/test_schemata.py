@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 from test_parser import RandomFormulas
+from test_prover import sim1_normed_idle
 
 from modalguard import prover, schemata
 from modalguard.guard import adjudication_theory, obligation_goal
 from modalguard.parser import parse_formula, parse_formulas
-from modalguard.scenario import load_bundled_scenario
+from modalguard.scenario import load_bundled_scenario, parse_scenario
 from modalguard.schemata import (
     RULE_ASSUMPTION,
     RULE_S1,
@@ -207,17 +208,19 @@ def test_truncation_is_recorded_only_for_refused_new_formulas():
     assert expand(fs, depth=0)[1]
 
 
-# Keys printed while sim1's obligation search expands its closure of
-# 125 formulas: 62 since the closure's records are extended in place.
-# The expansion used to copy them into a store of its own and seed a
-# Formula -> key memo with their keys; it printed 67, but hashing each
-# closure formula twice to fill and probe the memo cost more than the
-# prints it saved (expand_modal was about 5x slower with it).
-SIM1_EXPANSION_KEYS = 62
+# Keys printed while sim1's obligation search expands its closure: 56
+# since pure roots are pruned before grounding (the prevention bridges
+# are pure in sim1, and the closure shrank from 125 formulas to 53).  It
+# was 62 over the larger closure, and 67 when the expansion copied the
+# closure into a store of its own and seeded a Formula -> key memo with
+# its keys: hashing each closure formula twice to fill and probe the
+# memo cost more than the prints it saved (about 5x slower).
+SIM1_EXPANSION_KEYS = 56
 
 
-def test_sim1_obligation_does_not_rekey_the_closure(monkeypatch):
-    sc = load_bundled_scenario("sim1")
+def expansion_keys(monkeypatch, sc):
+    """The obligation proof of sc, the formulas handed to expand_modal,
+    and the formulas it keyed."""
     assumptions, _ = adjudication_theory(sc)
     handed_in: list = []
     keyed: list = []
@@ -239,13 +242,25 @@ def test_sim1_obligation_does_not_rekey_the_closure(monkeypatch):
     monkeypatch.setattr(prover, "expand_modal", spy_expand)
     monkeypatch.setattr(schemata, "canonical_key", counting_key)
     res = prover.prove(assumptions, obligation_goal(sc), sig=sc.sig)
-    assert res.status == "proof"
-    assert len(handed_in) > 100
-    assert keyed, "the counting binding is not reached"
-    # handed_in holds every formula handed in, so their ids stay unique
-    handed_ids = {id(f) for f in handed_in}
-    assert not [f for f in keyed if id(f) in handed_ids]
+    return res, handed_in, keyed
+
+
+def test_sim1_obligation_does_not_rekey_the_closure(monkeypatch):
+    def check(sc):
+        res, handed_in, keyed = expansion_keys(monkeypatch, sc)
+        assert res.status == "proof"
+        assert keyed, "the counting binding is not reached"
+        # handed_in holds every formula handed in, so their ids stay unique
+        handed_ids = {id(f) for f in handed_in}
+        assert not [f for f in keyed if id(f) in handed_ids]
+        return handed_in, keyed
+
+    _, keyed = check(load_bundled_scenario("sim1"))
     assert len(keyed) <= SIM1_EXPANSION_KEYS
+    # with the general norm and an idle agent the prevention bridges are
+    # kept, and more than a hundred formulas are handed in
+    handed_in, _ = check(parse_scenario(sim1_normed_idle(1), "sim1+norm+idle1"))
+    assert len(handed_in) > 100
 
 
 RF_AGENTS = (Const("a", AGENT), Const("b", AGENT))
