@@ -6,11 +6,12 @@ encode clauses as universally closed disjunctions (the empty clause is
 the nullary atom (false)).  verify_proof re-derives every step from
 its premises alone: schema instances are checked structurally,
 instantiation steps by re-substitution, clausification and resolution
-steps by recomputation.  A clause step must state a clause recomputed
-from its premises, up to canonical clause: two clauses are the same
-exactly when their canonical clauses are equal, so a variable is never
-a constant of the same name.  It shares no state with the prover's
-search.
+steps by recomputation.  Formulas are compared by the prover's
+canonical key and clauses by canonical clause; neither takes a free
+variable for a constant of its name.  A witness must be fresh for the
+names of the assumptions, the goal and the earlier steps, which are
+read only at a step that introduces one.  It shares no state with the
+prover's search.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .syntax import (
     Signature,
     Var,
     alpha_equivalent,
-    alpha_key,
+    canonical_key,
     constants_in_formula,
     disj,
     print_formula,
@@ -168,11 +169,7 @@ def verify_proof_detailed(
     sig = sig if sig is not None else Signature()
     if not proof.steps:
         return False, "empty proof"
-    assumed = {alpha_key(a) for a in assumptions}
-    used_names: set[str] = set()
-    for a in assumptions:
-        used_names |= symbol_names(a)
-    used_names |= symbol_names(goal)
+    assumed = {canonical_key(a) for a in assumptions}
 
     def fail(i: int, why: str) -> tuple[bool, str]:
         return False, f"step {i + 1}: {why}"
@@ -188,7 +185,7 @@ def verify_proof_detailed(
         if r == "assumption":
             if step.premises:
                 return fail(i, "assumption takes no premises")
-            if alpha_key(f) not in assumed:
+            if canonical_key(f) not in assumed:
                 return fail(i, "formula is not a declared assumption")
         elif r == "S1":
             if len(prem) != 1 or not isinstance(prem[0], Modal) or prem[0].op != KNOWS:
@@ -299,7 +296,8 @@ def verify_proof_detailed(
             if witness.name != "_vacuous":
                 if witness.sort != var.sort:
                     return fail(i, "witness sort mismatch")
-                if witness.name in used_names:
+                earlier = (*assumptions, goal, *(s.formula for s in proof.steps[:i]))
+                if any(witness.name in symbol_names(g) for g in earlier):
                     return fail(i, f"witness {witness.name} is not fresh")
         elif r == RULE_CLAUSIFY:
             if len(prem) != 1:
@@ -338,8 +336,6 @@ def verify_proof_detailed(
                 return fail(i, "reductio must conclude the goal")
         else:
             return fail(i, f"unknown rule {r}")
-
-        used_names |= symbol_names(f)
 
     if not alpha_equivalent(proof.steps[-1].formula, goal):
         return False, "last step is not the goal"

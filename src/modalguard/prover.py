@@ -140,6 +140,7 @@ from .syntax import (
     constants_in_formula,
     free_vars,
     is_moment_literal,
+    key_name,
     maximal_modal_subformulas,
     moment_value,
     substitute,
@@ -244,16 +245,16 @@ class _Prep:
     keyed from its quantifier's template instead: the canonical key of
     wrap(body) with the bound variable printed as _HOLE.  Substituting
     a constant commutes with keying (binders are renamed by position
-    whatever their names, and a constant prints as its name), so
-    splicing the constant's name into the template gives the instance's
-    canonical key without building it.
+    whatever their names, and a constant keys as a named variable does,
+    see syntax.key_name), so splicing the constant's key print into the
+    template gives the instance's canonical key without building it.
     """
 
-    def __init__(self, sig: Signature, used_names: set[str]):
+    def __init__(self, sig: Signature, named: Sequence[Formula]):
         self.sig = sig
         # insertion-ordered; modal expansion later extends it in place
         self.records: dict[str, Derivation] = {}
-        self.used_names = used_names
+        self.named = named  # the assumptions, pruned ones included, and the goal
         self.consts: set[Const] = set()
         # record key -> names of the constants it was grounded at
         self.done: dict[str, set[str]] = {}
@@ -270,32 +271,31 @@ class _Prep:
         key = canonical_key(f)
         if key not in self.records:
             self.records[key] = Derivation(f, rule, premises, 0)
-            self.used_names |= symbol_names(f)
             self.consts |= set(constants_in_formula(f))
         return key
 
     def _add_instance(self, key: str, c: Const) -> str:
         """Add the instance of record key's plan at c; its key."""
         var, body, wrap, rule, _, template = self.plans[key]
-        ikey = template.replace(_HOLE, c.name)
+        ikey = template.replace(_HOLE, key_name(c.name))
         if ikey not in self.records:
             f = wrap(substitute(body, {var: c}, self.sig))
             self.records[ikey] = Derivation(f, rule, (key,), 0)
-            # The instance's constants and names are its quantifier's
-            # (already recorded) plus c, when var occurs free in body.
-            # _fresh_witness is the only reader of used_names, and a binder
-            # renamed by capture avoidance ends in "'", so it can never
-            # look like w<n>: c.name is the only name worth adding.
+            # the instance's constants are its quantifier's (already
+            # recorded) plus c, when var occurs free in body
             if _HOLE in template:
-                self.used_names.add(c.name)
                 self.consts.add(c)
         return ikey
 
     def _fresh_witness(self, sort: str) -> Const:
+        """A constant w<n> named apart from the named formulas, the
+        closure's constants and the earlier witnesses.  An instance adds
+        no other name: a binder renamed by capture avoidance ends in "'"."""
+        taken = {c.name for c in self.consts} | self.witness_intro.keys()
+        taken = taken.union(*map(symbol_names, self.named))
         n = 1
-        while f"w{n}" in self.used_names:
+        while f"w{n}" in taken:
             n += 1
-        self.used_names.add(f"w{n}")
         return Const(f"w{n}", sort)
 
     def _domain(self, sort: str) -> list[Const]:
@@ -530,17 +530,12 @@ def prove(
             stats["limit"] = limit
         return ProveResult(status, proof, stats)
 
-    used_names: set[str] = set()
-    for a in assumptions:
-        used_names |= symbol_names(a)
-    used_names |= symbol_names(goal)
-
     # grounding closure over the kept assumptions and the negated goal
     # together; formulas rooted at the negated goal are all negations, so
     # the modal closure rules below never fire on that side
     ng = Not(goal)
     pruned = _pure_roots([*assumptions, ng], sig)
-    prep = _Prep(sig, used_names)
+    prep = _Prep(sig, [*assumptions, goal])
     for i, a in enumerate(assumptions):
         if i not in pruned:
             prep.add(a, RULE_ASSUMPTION, ())

@@ -18,12 +18,14 @@ says so (expand_modal returns True), so a search over it is not
 complete.
 
 Formulas are identified up to alpha-equivalence, by canonical key (the
-formula printed with its binders numbered, see syntax.canonical_key).
-The expansion extends a record dict keyed that way in place: the
-prover hands in its grounding closure, so a proof search holds one
-store of derivations.  A formula handed in is never keyed again; the
-expansion prints a key only for a formula it derives, and for a body,
-antecedent or join-target part it looks up.
+formula printed with its binders numbered and its free variables marked,
+see syntax.canonical_key).  A join target harvested from inside a
+quantifier may be open; its key is not that of any ground formula, so
+no S4 join ever builds it.  The expansion extends a record dict keyed
+that way in place: the prover hands in its grounding closure, so a
+proof search holds one store of derivations.  A formula handed in is
+never keyed again; the expansion prints a key only for a formula it
+derives, and for a body, antecedent or join-target part it looks up.
 """
 
 from __future__ import annotations
@@ -77,7 +79,8 @@ def is_join_target(f: Formula) -> bool:
 
 def harvest_join_targets(formulas: Iterable[Formula]) -> dict[str, Modal]:
     """Join targets (is_join_target) anywhere in the given set, by
-    canonical key, the first of each key."""
+    canonical key, the first of each key.  A target with a variable
+    bound outside it keeps that variable free in its key."""
     out: dict[str, Modal] = {}
     for f in formulas:
         for g in subformulas(f):

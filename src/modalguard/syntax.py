@@ -116,12 +116,13 @@ RESERVED_WORDS = frozenset(CONNECTIVES + QUANTIFIERS + MODAL_OPS)
 # Shapes of the names the engine generates: canonical keys print
 # binders as b<digits>, shadow patterns print free variables as holes
 # h<digits>, shadow atoms are named sh_<hex> and skolem symbols
-# sk_<hex>_<n>.  A declared symbol spelling one would share a key, a
-# shadow atom or a skolem symbol with what it is not, so Signature
-# refuses them.  Formulas built in Python, not declared through a
-# Signature, are not checked.
+# sk_<hex>_<n>.  Signature refuses a declared symbol spelling one: it
+# would read as a binder, or share a shadow atom or a skolem symbol with
+# what it is not.  Formulas built in Python are not checked, but a key
+# still tells a constant named like a binder from it (key_name).
+BINDER_SHAPE = re.compile(r"b[0-9]+")
 RESERVED_SHAPES = (
-    (re.compile(r"b[0-9]+"), "b<digits>"),
+    (BINDER_SHAPE, "b<digits>"),
     (re.compile(r"h[0-9]+"), "h<digits>"),
     (re.compile(r"sh_.*"), "sh_<anything>"),
     (re.compile(r"sk_.*"), "sk_<anything>"),
@@ -229,25 +230,33 @@ def obligated(agent: Term, time: Term, situation: Term, body: Formula) -> Modal:
 # ---------------------------------------------------------------------------
 # Printing (canonical text form)
 #
-# One walk prints terms, formulas, canonical keys and alpha keys; a key
-# names each binder before printing its body.  Shadow and skolem names
-# are hashes of such prints, which a proof checker recomputes, so no
-# print may change.
+# One walk prints terms, formulas and canonical keys; a key names each
+# binder before printing its body.  Shadow and skolem names hash keys
+# whose variables are all bound or named, which a proof checker
+# recomputes, so neither those keys nor the plain prints may change.
 
 
-def _show_term(t: Term, names: Mapping[Var, str]) -> str:
+def key_name(name: str) -> str:
+    """A constant's or a given name's print in a key: with a leading '
+    (no identifier starts with one) when it has a binder's shape."""
+    return "'" + name if name[:1] == "b" and BINDER_SHAPE.fullmatch(name) else name
+
+
+def _show_term(t: Term, names: Optional[Mapping[Var, str]]) -> str:
     if isinstance(t, Const):
-        return t.name
+        return t.name if names is None else key_name(t.name)
     if isinstance(t, Var):
-        return names.get(t, t.name)
+        return t.name if names is None else names.get(t) or f"?{t.name}:{t.sort}"
     inner = " ".join([_show_term(a, names) for a in t.args])
     return f"({t.fn} {inner})" if inner else f"({t.fn})"
 
 
-def _show(f: Formula, names: Mapping[Var, str], binders: Optional[Iterator[str]]) -> str:
-    """f printed with each variable in names under its name there.
-    binders is None to print binders under their own names, else the
-    names to give them in binder order."""
+def _show(
+    f: Formula, names: Optional[Mapping[Var, str]], binders: Optional[Iterator[str]]
+) -> str:
+    """f printed plainly when names is None, else as a key: each
+    variable in names under its name there, and the binders under the
+    names binders gives, in binder order."""
     if isinstance(f, Atom):
         if not f.args:
             return f"({f.pred})"
@@ -264,7 +273,7 @@ def _show(f: Formula, names: Mapping[Var, str], binders: Optional[Iterator[str]]
         return f"(iff {_show(f.left, names, binders)} {_show(f.right, names, binders)})"
     if isinstance(f, (Forall, Exists)):
         v = f.var
-        if binders is None:
+        if names is None:
             name = v.name
         else:
             name = next(binders)
@@ -280,35 +289,25 @@ def _show(f: Formula, names: Mapping[Var, str], binders: Optional[Iterator[str]]
 
 
 def print_term(t: Term) -> str:
-    return _show_term(t, {})
+    return _show_term(t, None)
 
 
 def print_formula(f: Formula) -> str:
-    return _show(f, {}, None)
+    return _show(f, None, None)
 
 
 def canonical_key(f: Formula, names: Optional[Mapping[Var, str]] = None) -> str:
-    """Identity key: f printed with its binders renamed b0, b1, ... in
-    binder order.  Free variables in names print under the given names,
-    which keys f with each replaced by a constant of that name.  Other
-    free variables print as their names, like constants, so formulas
-    that differ only there share a key; alpha_key tells them apart."""
-    return _show(f, names or {}, map("b{}".format, count()))
-
-
-def alpha_key(f: Formula) -> str:
-    """Key whose equality is alpha-equivalence.  Unlike canonical_key,
-    it tells a free variable from a constant, or from a binder, of the
-    same name, and a free variable's sort counts: binders print as ?0,
-    ?1, ... and a free variable x of sort S as ?x:S, which no
-    identifier can spell.  A constant prints as its name alone, as a
-    signature gives each name one sort."""
-    free = {v: f"?{v.name}:{v.sort}" for v in free_vars(f)}
-    return _show(f, free, map("?{}".format, count()))
+    """Identity key: equal keys mean alpha-equivalent formulas.  f is
+    printed with its binders renamed b0, b1, ... in binder order.  A
+    free variable in names prints as a constant of the given name would
+    (key_name); any other free variable x of sort S prints as ?x:S,
+    which no identifier can spell."""
+    given = {v: key_name(n) for v, n in names.items()} if names else {}
+    return _show(f, given, map("b{}".format, count()))
 
 
 def alpha_equivalent(f: Formula, g: Formula) -> bool:
-    return alpha_key(f) == alpha_key(g)
+    return canonical_key(f) == canonical_key(g)
 
 
 # ---------------------------------------------------------------------------

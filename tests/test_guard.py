@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 import time
 from importlib import resources
 
@@ -27,12 +28,15 @@ from modalguard.syntax import (
     App,
     Atom,
     Const,
+    Exists,
+    Forall,
     Not,
     moment,
     print_formula,
+    subformulas,
 )
 
-from test_prover import load_guardbench_texts
+from test_prover import load_guardbench_texts, sim1_with_moment_named
 
 SIM1 = load_bundled_scenario("sim1")
 SIM2 = load_bundled_scenario("sim2")
@@ -174,6 +178,56 @@ def test_a_constant_named_like_a_clause_variable_still_locks(name):
     assert v.decision == LOCK
     assert v.prove_status == "proof"
     assert v.proof_verified is True
+
+
+@pytest.mark.parametrize("name", ["t2", "tz"])
+def test_a_moment_named_like_a_variable_of_the_deprivation_rule_still_locks(name):
+    # t2 is bound in the deprivation rule; a join target holding the
+    # variable t2 once shared its key with one holding the constant
+    v = adjudicate(parse_scenario(sim1_with_moment_named(name), "sim1"))
+    assert (v.decision, v.prove_status, v.proof_verified) == (LOCK, "proof", True)
+
+
+# The names the guard's own axioms bind (deprivation_axiom,
+# prevents_body, prevents_matrix), by sort
+GUARD_BINDERS = {"p": "Agent", "g": "Goal", "t1": "Moment", "t2": "Moment",
+                 "a'": "ActionType"}
+
+
+def renamed(text: str, old: str, new: str) -> str:
+    return re.sub(rf"(?<![\w'-]){re.escape(old)}(?![\w'-])", new, text)
+
+
+@pytest.mark.parametrize("case", ["sim1", "sim2", "sim1_guilty"])
+def test_renaming_a_constant_to_a_guard_binder_changes_no_verdict(case):
+    texts = load_guardbench_texts()
+    if case == "sim1_guilty":
+        text = texts.sim1_guilty(texts.bundled_text("sim1"))
+    else:
+        text = texts.bundled_text(case)
+    sc = parse_scenario(text, case)
+    # renaming to a name the facts bind would capture
+    bound = {
+        g.var.name
+        for f in sc.facts
+        for g in subformulas(f)
+        if isinstance(g, (Forall, Exists))
+    }
+
+    def outcome(v):
+        return v.decision, v.prove_status, v.proof_verified
+
+    expected = outcome(adjudicate(sc))
+    renames = [
+        (old, new)
+        for old, sort in sc.sig.constants.items()
+        for new, binder_sort in GUARD_BINDERS.items()
+        if sort == binder_sort and new not in bound
+    ]
+    assert len(renames) >= 4
+    for old, new in renames:
+        v = adjudicate(parse_scenario(renamed(text, old, new), case))
+        assert outcome(v) == expected, (old, new)
 
 
 def test_an_exception_on_the_way_locks(monkeypatch):

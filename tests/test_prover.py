@@ -10,11 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modalguard import prover
+from modalguard import proofs, prover
 from modalguard.clauses import Clause, clausify
 from modalguard.guard import adjudicate, adjudication_theory, obligation_goal
 from modalguard.parser import parse_formula
-from modalguard.proofs import verify_proof_detailed
+from modalguard.proofs import verify_proof, verify_proof_detailed
 from modalguard.prover import Budget, prove
 from modalguard.resolution import pure_clauses
 from modalguard.scenario import load_bundled_scenario, parse_scenario
@@ -23,6 +23,7 @@ from modalguard.syntax import (
     AGENT,
     FLUENT,
     GOAL,
+    KNOWS,
     And,
     Atom,
     Const,
@@ -30,12 +31,17 @@ from modalguard.syntax import (
     Forall,
     Iff,
     Implies,
+    Modal,
     Not,
     Or,
     Signature,
     Var,
     alpha_equivalent,
     canonical_key,
+    free_vars,
+    moment,
+    print_formula,
+    symbol_names,
 )
 
 import corpus
@@ -570,6 +576,58 @@ def test_spliced_keys_equal_canonical_keys_on_the_guard_scenarios(monkeypatch):
     assert grounded > 1000
 
 
+def test_a_constant_named_like_a_binder_splices_as_its_key_print(monkeypatch):
+    # formulas built in Python may hold such a constant; its key print
+    # carries a leading ', and so must the spliced instance key
+    preps = spy_preps(monkeypatch)
+    b0 = Const("b0", AGENT)
+    root = parse_formula("(forall x : Agent (knows x 1 (P x)))", SIG)
+    goal = Modal(KNOWS, b0, moment(1), Atom("P", (b0,)))
+    r = prove([root], goal, sig=SIG)
+    assert r.status == "proof" and r.stats["route"] == "closure"
+    assert check_closure_keys(preps)[0] > 0
+    assert canonical_key(goal) in preps[0].records
+
+
+def test_no_closure_record_has_a_free_variable(monkeypatch):
+    # a join target harvested from inside a quantifier is open; keyed
+    # like a ground target, S4-join once stored it as one (sim1 with a
+    # moment named t2, a variable of the deprivation rule)
+    texts = load_guardbench_texts()
+    sim1 = texts.bundled_text("sim1")
+    cases = [sim1, texts.bundled_text("sim2"), texts.sim1_guilty(sim1)]
+    cases.append(sim1_with_moment_named("t2"))
+    preps = spy_preps(monkeypatch)
+    for i, text in enumerate(cases):
+        adjudicate(parse_scenario(text, f"case{i}"))
+    for prob in corpus.PROBLEMS:
+        fs, g = prob.load(SIG)
+        prove(fs, g, sig=SIG)
+    records = [rec.formula for prep in preps for rec in prep.records.values()]
+    assert len(records) > 500
+    assert [print_formula(f) for f in records if free_vars(f)] == []
+
+
+def test_sim1_obligation_walks_no_assumption_for_names(monkeypatch):
+    # witness freshness needs the assumptions' names only where a
+    # witness is made, and sim1's obligation makes none
+    sc = load_bundled_scenario("sim1")
+    assumptions, _ = adjudication_theory(sc)
+    goal = obligation_goal(sc)
+    walked: list = []
+
+    def counting(f):
+        walked.append(f)
+        return symbol_names(f)
+
+    monkeypatch.setattr(prover, "symbol_names", counting)
+    monkeypatch.setattr(proofs, "symbol_names", counting)
+    res = prover.prove(assumptions, goal, sig=sc.sig)
+    assert res.status == "proof"
+    assert verify_proof(res.proof, assumptions, goal, sc.sig)
+    assert not set(walked) & set(assumptions)
+
+
 def test_sim1_obligation_keys_no_instance_and_clausifies_few_formulas(monkeypatch):
     # one idle agent and the general norm, so that the prevention bridges
     # are kept and ground over more than a hundred instances
@@ -631,3 +689,16 @@ def with_general_norm(sim1_text: str) -> str:
 def sim1_normed_idle(k: int) -> str:
     texts = load_guardbench_texts()
     return texts.sim1_idle(with_general_norm(texts.bundled_text("sim1")), k)
+
+
+def sim1_with_moment_named(name: str) -> str:
+    """sim1 with the moment 3 in its facts, (prior 2 3) and every
+    (holds g_live 3) and (happens g_live 3), replaced by a declared
+    Moment constant of the given name."""
+    text = load_guardbench_texts().bundled_text("sim1")
+    text = text.replace("  (g_live Goal))\n", f"  (g_live Goal) ({name} Moment))\n")
+    for atom in ("(prior 2 3)", "(holds g_live 3)", "(happens g_live 3)"):
+        assert atom in text
+        text = text.replace(atom, atom.replace(" 3)", f" {name})"))
+    assert f"({name} Moment)" in text
+    return text
