@@ -6,7 +6,8 @@ scoping.  Comments run from ; to end of line.  Identifiers match
 [A-Za-z_][A-Za-z0-9_'-]*; bare integers are Moment literals.  A
 declared symbol may not be a reserved word, nor have the shape of a
 generated name: b<digits>, h<digits>, or the prefix sh_ or sk_
-(syntax.RESERVED_SHAPES).
+(syntax.RESERVED_SHAPES).  A quantifier may not bind the name of a
+declared constant, of any sort, so that no binder captures a constant.
 """
 
 from __future__ import annotations
@@ -223,6 +224,11 @@ def build_formula(node: SExpr, sig: Signature, env: dict[str, Var] | None = None
                 raise _err(rest[0], "variable names cannot be integers")
             if sort not in sig.sorts:
                 raise _err(rest[2], f"unknown sort {sort}")
+            if vname in sig.constants:
+                # the binder would capture the constant within its scope
+                raise _err(
+                    rest[0], f"variable {vname} has the name of a declared constant"
+                )
             v = Var(vname, sort)
             inner = dict(env)
             inner[vname] = v

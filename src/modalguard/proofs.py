@@ -146,7 +146,8 @@ def _is_instance(
     var: Var, body: Formula, conclusion: Formula, sig: Signature
 ) -> Optional[Const]:
     """Find a constant c with body[var := c] alpha-equal to conclusion."""
-    if alpha_equivalent(body, conclusion):
+    want = canonical_key(conclusion)
+    if canonical_key(body) == want:
         # vacuous binder or the instance term never occurs
         return Const("_vacuous", var.sort)
     for c in _instance_candidates(conclusion, var.sort, sig):
@@ -154,7 +155,7 @@ def _is_instance(
             inst = substitute(body, {var: c}, sig)
         except Exception:
             continue
-        if alpha_equivalent(inst, conclusion):
+        if canonical_key(inst) == want:
             return c
     return None
 

@@ -65,7 +65,46 @@ declared constants onto one of the reduced closure, and so maps a
 refutation of the full clause set onto one of the reduced set; the
 reduced set lies in the full one.  Refutability is the same either way.
 
-A search over a grounding cut short by GROUNDING_INSTANCE_CAP, or over
+Pure instances.  The term-level pure-literal rule runs on grounding
+instances before they are built.  Every literal a clause of the closure
+can hold outside a shadow atom is an instance of a literal of a kept
+root, at the same sign (_literals, _patterns): grounding substitutes
+constants and keeps each atom's sign, S1 brings out a knows body, whose
+atoms a root's walk takes at their sign in the body, S3 and S4 bring
+out parts of such bodies only, and clausifying puts variables or Skolem
+terms for bound variables.  Before _Prep builds a universal instance it
+fills the constant into the literals of the instance's must-set that
+are then ground (_Plan.must).  When one of them unifies
+(resolution.unify_atoms) with no literal of opposite sign of a kept
+root, the instance is pure and is not built.  Each of its clauses holds
+that ground literal, and it unifies with no complementary literal of
+any clause derived from the kept roots: a constant unifies with an
+instance of a variable only if its sort widens to the variable's.  So
+no clause of the instance, nor any clause derived from one, takes part
+in a refutation, and a clause such a clause subsumes takes part in none
+either.  Dropping clauses that take part in no refutation leaves the
+order in which the given-clause loop selects and combines the others
+unchanged, and the predicate-level passes below drop only such clauses
+too: the search ends the same way with the same proof, unless the
+clauses it no longer sees were what ran its budget out.  An instance
+derived from a pure one holds an instance of its pure literal, so the
+quantifiers below a pure instance are never ground.  A pure instance is
+not a modal formula, whose must-set is empty, so the modal expansion
+derives nothing from it; the constant it would add is in the domain
+already.  The two exceptions of pure roots hold for instances too: an
+instance whose join target has the skeleton of a conjunction a kept
+root uses, or that could introduce a witness of a sort with no declared
+constant, is built anyway.  Substitution changes neither skeletons nor
+the sorts of witnesses, so each record's plan is decided once.
+
+Only ground literals are checked.  Sorted unification binds a variable
+to a term of its sort or a subsort, so two variables of incomparable
+sorts never unify although their instances may meet at a common
+subsort (Goal lies below both Event and Fluent): a literal that holds a
+variable could be found pure when it is not.
+
+GROUNDING_INSTANCE_CAP counts the instances built, not the pure ones
+refused.  A search over a grounding cut short by the cap, or over
 a modal expansion that refused a new formula for depth, is not complete:
 when it ends without a refutation the status is incomplete, never
 no_proof.
@@ -94,7 +133,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .clauses import ClausifyLimit, clausify
 from .proofs import (
@@ -112,7 +151,7 @@ from .proofs import (
     RULE_RESOLVE,
     clause_to_formula,
 )
-from .resolution import Shape, pure_clauses, saturate
+from .resolution import Shape, pure_clauses, saturate, unify_atoms
 from .schemata import (
     Derivation,
     RULE_ASSUMPTION,
@@ -144,7 +183,9 @@ from .syntax import (
     maximal_modal_subformulas,
     moment_value,
     substitute,
+    substitute_term,
     symbol_names,
+    term_vars,
 )
 
 GROUNDING_INSTANCE_CAP = 5000
@@ -179,7 +220,9 @@ class _Plan(NamedTuple):
     """How close() grounds a formula: wrap(body) with var replaced by a
     constant, derived by rule; over the whole domain when universal, by
     one fresh witness otherwise.  template is the canonical key of
-    wrap(body) with var printed as _HOLE (see _Prep)."""
+    wrap(body) with var printed as _HOLE (see _Prep).  must holds the
+    literals of wrap(body)'s must-set that are ground but for var, as
+    (atom, positive)."""
 
     var: Var
     body: Formula
@@ -187,6 +230,7 @@ class _Plan(NamedTuple):
     rule: str
     universal: bool
     template: str
+    must: tuple[tuple[Atom, bool], ...]
 
 
 def _grounding_plan(f: Formula) -> Optional[_Plan]:
@@ -220,7 +264,15 @@ def _grounding_plan(f: Formula) -> Optional[_Plan]:
     var, body, wrap, rule, universal = plan
     if any(var in free_vars(m) for m in maximal_modal_subformulas(body)):
         template = canonical_key(wrap(body), {var: _HOLE})
-        return _Plan(var, body, wrap, rule, universal, template)
+        must: dict[tuple[Atom, bool], None] = {}
+        for atom, sign, top, bound in _literals(wrap(body)):
+            held: list[Var] = []
+            for t in atom.args:
+                term_vars(t, held)
+            # below a binder of var itself, var is not the one filled in
+            if top and all(v == var and v not in bound for v in held):
+                must[(atom, sign > 0)] = None
+        return _Plan(var, body, wrap, rule, universal, template, tuple(must))
     return None
 
 
@@ -250,17 +302,31 @@ class _Prep:
     template gives the instance's canonical key without building it.
     """
 
-    def __init__(self, sig: Signature, named: Sequence[Formula]):
+    def __init__(
+        self, sig: Signature, named: Sequence[Formula], roots: Sequence[Formula]
+    ):
         self.sig = sig
         # insertion-ordered; modal expansion later extends it in place
         self.records: dict[str, Derivation] = {}
         self.named = named  # the assumptions, pruned ones included, and the goal
+        # the kept roots: each literal derived is an instance of theirs
+        self.roots = roots
         self.consts: set[Const] = set()
         # record key -> names of the constants it was grounded at
         self.done: dict[str, set[str]] = {}
         self.witness_intro: dict[str, str] = {}
         self.instances = 0
+        self.pure = 0  # instances not built, being pure
         self.capped = False
+        # filled by the purity checks: the kept roots' literals by
+        # (predicate, positive), whether a ground literal meets one of
+        # the opposite sign, the conjunction skeletons the kept roots use
+        # (_joins), and whether an exception of _pure_roots builds the
+        # pure instances of a record's plan anyway
+        self.patterns: Optional[dict[tuple[str, bool], list[Atom]]] = None
+        self.supported: dict[tuple[Atom, bool], bool] = {}
+        self.used: Optional[set[tuple]] = None
+        self.exempt: dict[str, bool] = {}
         self.plans: dict[str, Optional[_Plan]] = {}
         self.domains: dict[str, list[Const]] = {}
         self.domains_at = 0  # len(consts) the cached domains were built from
@@ -276,7 +342,7 @@ class _Prep:
 
     def _add_instance(self, key: str, c: Const) -> str:
         """Add the instance of record key's plan at c; its key."""
-        var, body, wrap, rule, _, template = self.plans[key]
+        var, body, wrap, rule, _, template, _ = self.plans[key]
         ikey = template.replace(_HOLE, key_name(c.name))
         if ikey not in self.records:
             f = wrap(substitute(body, {var: c}, self.sig))
@@ -318,6 +384,46 @@ class _Prep:
             dom = self.domains[sort] = _domain_order(consts)
         return dom
 
+    def _supported(self, atom: Atom, positive: bool) -> bool:
+        """Whether the ground literal unifies with a kept root's literal
+        of the opposite sign."""
+        known = self.supported.get((atom, positive))
+        if known is None:
+            if self.patterns is None:
+                self.patterns = _patterns(self.roots)
+            known = self.supported[(atom, positive)] = any(
+                unify_atoms(atom, p, self.sig) is not None
+                for p in self.patterns.get((atom.pred, not positive), ())
+            )
+        return known
+
+    def _pure(self, key: str, c: Const) -> bool:
+        """Whether the instance of record key's plan at c is pure: a
+        literal of its must-set meets no complement (see the module
+        docstring), and neither exception of _pure_roots keeps it."""
+        plan = self.plans[key]
+        if not plan.must:
+            return False
+        hole = {plan.var: c}
+        if all(
+            self._supported(
+                Atom(a.pred, tuple(substitute_term(t, hole) for t in a.args)), positive
+            )
+            for a, positive in plan.must
+        ):
+            return False
+        exempt = self.exempt.get(key)
+        if exempt is None:
+            if self.used is None:
+                self.used = set().union(*(_joins(f)[1] for f in self.roots))
+            # substitution changes neither a formula's skeletons nor the
+            # sorts of its witnesses, so the instance has the record's
+            f = self.records[key].formula
+            exempt = self.exempt[key] = bool(_joins(f)[0] & self.used) or any(
+                not self.sig.constants_of_sort(s) for s in _witness_sorts(f)
+            )
+        return not exempt
+
     def _instantiate(self, key: str, sort: str) -> bool:
         added = False
         seen = self.done.setdefault(key, set())
@@ -325,6 +431,9 @@ class _Prep:
             if c.name in seen:
                 continue
             seen.add(c.name)
+            if self._pure(key, c):
+                self.pure += 1
+                continue
             if self.instances >= GROUNDING_INSTANCE_CAP:
                 self.capped = True
                 return added
@@ -361,52 +470,77 @@ class _Prep:
                     changed = True
 
 
-def _polarity(f: Formula) -> tuple[Shape, Shape]:
-    """(must-set, shape) of a formula: the (predicate, sign) pairs on its
-    top-level disjunction, which every one of its clauses holds, and
-    every pair any of its clauses can hold.  A modal subformula adds
-    nothing to either, except that the pairs of a knows body, which S1
-    can bring out, join the shape."""
-    must: set[tuple[str, bool]] = set()
-    shape: set[tuple[str, bool]] = set()
+def _literals(f: Formula) -> Iterator[tuple[Atom, int, bool, tuple[Var, ...]]]:
+    """The atoms a clause of f, or of a formula derived from f, can hold
+    outside a shadow atom: (atom, sign, top, bound), where sign is 1
+    positive, -1 negative or 0 both (under an iff), top says that the
+    atom lies on f's top-level disjunction, which every clause of f
+    holds, and bound lists the variables bound above it.  A modal
+    subformula adds none, except that the atoms of a knows body, which
+    S1 can bring out, come at their sign within the body."""
 
-    def walk(g: Formula, sign: int, top: bool) -> None:
-        # sign: 1 positive, -1 negative, 0 both (under an iff);
-        # top: g lies on the top-level disjunction, so sign != 0
+    def walk(
+        g: Formula, sign: int, top: bool, bound: tuple[Var, ...]
+    ) -> Iterator[tuple[Atom, int, bool, tuple[Var, ...]]]:
+        # top implies sign != 0
         if isinstance(g, Atom):
-            if sign >= 0:
-                shape.add((g.pred, True))
-            if sign <= 0:
-                shape.add((g.pred, False))
-            if top:
-                must.add((g.pred, sign > 0))
+            yield g, sign, top, bound
         elif isinstance(g, Not):
-            walk(g.body, -sign, top)
+            yield from walk(g.body, -sign, top, bound)
         elif isinstance(g, (And, Or)):
             disjunction = top and isinstance(g, Or) == (sign > 0)
             for p in g.parts:
-                walk(p, sign, disjunction)
+                yield from walk(p, sign, disjunction, bound)
         elif isinstance(g, Implies):
             disjunction = top and sign > 0
-            walk(g.left, -sign, disjunction)
-            walk(g.right, sign, disjunction)
+            yield from walk(g.left, -sign, disjunction, bound)
+            yield from walk(g.right, sign, disjunction, bound)
         elif isinstance(g, Iff):
             # both directions become clauses: every atom takes both
             # signs, and no literal lies in every clause
-            walk(g.left, 0, False)
-            walk(g.right, 0, False)
+            yield from walk(g.left, 0, False, bound)
+            yield from walk(g.right, 0, False, bound)
         elif isinstance(g, (Forall, Exists)):
-            walk(g.body, sign, top)
+            yield from walk(g.body, sign, top, (*bound, g.var))
         elif isinstance(g, Modal):
             # S1 asserts a knows body whatever the knows formula's sign;
             # no other operator's body is ever asserted
             if g.op == KNOWS:
-                walk(g.body, 1, False)
+                yield from walk(g.body, 1, False, bound)
         else:
             raise TypeError(f"not a formula: {g!r}")
 
-    walk(f, 1, True)
+    return walk(f, 1, True, ())
+
+
+def _polarity(f: Formula) -> tuple[Shape, Shape]:
+    """(must-set, shape) of a formula: the (predicate, sign) pairs on its
+    top-level disjunction, which every one of its clauses holds, and
+    every pair any of its clauses can hold (see _literals)."""
+    must: set[tuple[str, bool]] = set()
+    shape: set[tuple[str, bool]] = set()
+    for atom, sign, top, _ in _literals(f):
+        if sign >= 0:
+            shape.add((atom.pred, True))
+        if sign <= 0:
+            shape.add((atom.pred, False))
+        if top:
+            must.add((atom.pred, sign > 0))
     return frozenset(must), frozenset(shape)
+
+
+def _patterns(roots: Sequence[Formula]) -> dict[tuple[str, bool], list[Atom]]:
+    """The atoms of the roots' literals (_literals) by (predicate,
+    positive): every literal of a formula derived from the roots is an
+    instance of one (see the module docstring)."""
+    out: dict[tuple[str, bool], dict[Atom, None]] = {}
+    for f in roots:
+        for atom, sign, _, _ in _literals(f):
+            if sign >= 0:
+                out.setdefault((atom.pred, True), {})[atom] = None
+            if sign <= 0:
+                out.setdefault((atom.pred, False), {})[atom] = None
+    return {k: list(v) for k, v in out.items()}
 
 
 def pure_formulas(formulas: Sequence[Formula]) -> set[int]:
@@ -535,14 +669,15 @@ def prove(
     # the modal closure rules below never fire on that side
     ng = Not(goal)
     pruned = _pure_roots([*assumptions, ng], sig)
-    prep = _Prep(sig, [*assumptions, goal])
-    for i, a in enumerate(assumptions):
-        if i not in pruned:
-            prep.add(a, RULE_ASSUMPTION, ())
+    kept = [a for i, a in enumerate(assumptions) if i not in pruned]
+    prep = _Prep(sig, [*assumptions, goal], [*kept, ng])
+    for a in kept:
+        prep.add(a, RULE_ASSUMPTION, ())
     ng_key = prep.add(ng, RULE_NEGATED_GOAL, ())
     prep.close(deadline)
     stats["pruned_roots"] = len(pruned)
     stats["grounding_instances"] = prep.instances
+    stats["pure_instances"] = prep.pure
     stats["grounding_capped"] = prep.capped
     stats["domain_dropped"] = len(prep.left_out)
     if time.monotonic() > deadline:

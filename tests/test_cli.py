@@ -107,6 +107,18 @@ def test_simulate_refuses_a_reserved_name(tmp_path):
     assert "decision: LOCK" in r.stdout
 
 
+def test_simulate_refuses_a_binder_named_like_a_constant(tmp_path):
+    # renamed a', the action type would be captured by the overseer's
+    # (exists a' : ActionType ...) fact
+    text = (Path(cli.__file__).parent / "scenarios" / "sim1.scn").read_text()
+    path = tmp_path / "capture.scn"
+    path.write_text(text.replace("fire", "a'"))
+    r = run_cli("simulate", str(path))
+    assert r.returncode == 1
+    assert "variable a' has the name of a declared constant" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_conflicting_effects_lock_simulate_and_fail_prove(tmp_path):
     text = (Path(cli.__file__).parent / "scenarios" / "sim1.scn").read_text()
     path = tmp_path / "conflict.scn"

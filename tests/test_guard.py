@@ -21,6 +21,7 @@ from modalguard.guard import (
     obligation_goal,
     prevents_holds,
 )
+from modalguard.parser import ParseError
 from modalguard.proofs import verify_proof
 from modalguard.prover import Budget, ProveResult
 from modalguard.scenario import load_bundled_scenario, parse_scenario
@@ -206,7 +207,7 @@ def test_renaming_a_constant_to_a_guard_binder_changes_no_verdict(case):
     else:
         text = texts.bundled_text(case)
     sc = parse_scenario(text, case)
-    # renaming to a name the facts bind would capture
+    # a name the facts bind would be captured, so it is refused
     bound = {
         g.var.name
         for f in sc.facts
@@ -222,12 +223,33 @@ def test_renaming_a_constant_to_a_guard_binder_changes_no_verdict(case):
         (old, new)
         for old, sort in sc.sig.constants.items()
         for new, binder_sort in GUARD_BINDERS.items()
-        if sort == binder_sort and new not in bound
+        if sort == binder_sort
     ]
-    assert len(renames) >= 4
+    assert len([r for r in renames if r[1] not in bound]) >= 4
+    assert [r for r in renames if r[1] in bound]
     for old, new in renames:
-        v = adjudicate(parse_scenario(renamed(text, old, new), case))
+        edited = renamed(text, old, new)
+        if new in bound:
+            with pytest.raises(ParseError, match=f"variable {new} has the name"):
+                parse_scenario(edited, case)
+            continue
+        v = adjudicate(parse_scenario(edited, case))
         assert outcome(v) == expected, (old, new)
+
+
+@pytest.mark.parametrize("case, old", [("sim1", "fire"), ("sim2", "shoot")])
+def test_a_binder_that_would_capture_a_constant_is_a_parse_error(case, old):
+    # the overseer's fact binds a' : ActionType; named a', the requested
+    # action type was read as that variable inside its scope, and the
+    # verdict went to ALLOW by no_proof
+    text = load_guardbench_texts().bundled_text(case)
+    edited = renamed(text, old, "a'")
+    line = next(i for i, l in enumerate(edited.splitlines(), 1) if "(exists a' " in l)
+    with pytest.raises(ParseError) as err:
+        parse_scenario(edited, case)
+    assert err.value.line == line
+    assert err.value.message == "variable a' has the name of a declared constant"
+    assert edited.splitlines()[line - 1][err.value.col - 1:].startswith("a' : ActionType")
 
 
 def test_an_exception_on_the_way_locks(monkeypatch):
@@ -265,7 +287,10 @@ def test_an_unjustified_verdict_locks(monkeypatch):
 def test_grounding_capped_adjudication_fails_safe(monkeypatch):
     # too few instances to ground the deprivation rule: the search
     # saturates without the obligation, and that must not read as ALLOW
-    monkeypatch.setattr(prover, "GROUNDING_INSTANCE_CAP", 20)
+    assumptions, _ = adjudication_theory(SIM1)
+    r = prover.prove(assumptions, obligation_goal(SIM1), sig=SIM1.sig)
+    assert r.stats["grounding_instances"] >= 4  # p, g, t1 and t2
+    monkeypatch.setattr(prover, "GROUNDING_INSTANCE_CAP", r.stats["grounding_instances"] - 1)
     v = adjudicate(SIM1)
     assert v.decision == LOCK
     assert v.prove_status == "incomplete"

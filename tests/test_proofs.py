@@ -15,7 +15,7 @@ from modalguard.proofs import (
     verify_proof_detailed,
 )
 from modalguard.prover import prove
-from modalguard.syntax import AGENT, FALSUM, Atom, Not, Signature, Var
+from modalguard.syntax import AGENT, FALSUM, Atom, Forall, Not, Signature, Var
 
 import corpus
 import corruptions
@@ -210,14 +210,17 @@ def v0_signature() -> Signature:
 
 
 def test_rejects_a_variable_claimed_for_a_constant_of_its_name():
-    # (P V0) about the constant V0 does not clausify to (forall V0 (P V0))
+    # (P V0) about the constant V0 does not clausify to (forall V0 (P V0));
+    # text may not bind V0, the name of a declared constant, so the
+    # forged step is built in Python
     sig = v0_signature()
     p = lambda text: parse_formula(text, sig)
+    v0 = Var("V0", AGENT)
     assumptions = [p("(P V0)"), p("(not (P a))")]
     goal = p("(Q)")
     forged = Proof((
         ProofStep(p("(P V0)"), "assumption"),
-        ProofStep(p("(forall V0 : Agent (P V0))"), "clausify", (0,)),
+        ProofStep(Forall(v0, Atom("P", (v0,))), "clausify", (0,)),
         ProofStep(p("(not (P a))"), "assumption"),
         ProofStep(p("(not (P a))"), "clausify", (2,)),
         ProofStep(FALSUM, "resolve", (1, 3)),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import random
 import time
@@ -190,9 +191,12 @@ def test_limit_names_the_wall_clock():
 
 
 def test_limit_names_the_grounding_cap(monkeypatch):
-    monkeypatch.setattr(prover, "GROUNDING_INSTANCE_CAP", 20)
     sc = load_bundled_scenario("sim1")
     assumptions, _ = adjudication_theory(sc)
+    needed = prove(assumptions, obligation_goal(sc), sig=sc.sig).stats["grounding_instances"]
+    assert needed >= 4  # the deprivation rule's p, g, t1 and t2
+    # one instance short of the deprivation rule's refuting instance
+    monkeypatch.setattr(prover, "GROUNDING_INSTANCE_CAP", needed - 1)
     r = prove(assumptions, obligation_goal(sc), sig=sc.sig)
     assert (r.status, r.stats["limit"]) == ("incomplete", "grounding_cap")
 
@@ -537,7 +541,10 @@ def test_spliced_keys_equal_canonical_keys_on_the_corpus(monkeypatch):
         fs, g = prob.load(SIG)
         prove(fs, g, sig=SIG)
         prove([*fs, mention], g, sig=SIG)
-    edges = [parse_formula(t, SIG) for t in TEMPLATE_EDGES]
+    # text may not bind the name of a declared constant, so the edges
+    # are read without SIG's constants, as Python code could build them
+    unbound = dataclasses.replace(SIG, constants={})
+    edges = [parse_formula(t, unbound) for t in TEMPLATE_EDGES]
     # the goal (rains) keeps the last edge, whose consequent is (rains),
     # from being pure
     prove(edges, parse_formula("(rains)", SIG), sig=SIG)
@@ -568,7 +575,8 @@ def test_spliced_keys_equal_canonical_keys_on_the_guard_scenarios(monkeypatch):
     sim1_cases += [texts.sim1_idle(sim1, k) for k in (1, 2, 3)]
     # with the general norm the prevention bridges are kept, and ground
     # over every idle agent and goal
-    cases = [sim2, *sim1_cases, *map(with_general_norm, sim1_cases)]
+    normed = list(map(with_general_norm, sim1_cases))
+    cases = [sim2, *sim1_cases, *normed, *map(with_live_instances, [sim2, *normed])]
     preps = spy_preps(monkeypatch)
     for i, text in enumerate(cases):
         adjudicate(parse_scenario(text, f"case{i}"))
@@ -629,9 +637,10 @@ def test_sim1_obligation_walks_no_assumption_for_names(monkeypatch):
 
 
 def test_sim1_obligation_keys_no_instance_and_clausifies_few_formulas(monkeypatch):
-    # one idle agent and the general norm, so that the prevention bridges
-    # are kept and ground over more than a hundred instances
-    sc = parse_scenario(sim1_normed_idle(1), "sim1+norm+idle1")
+    # one idle agent, the general norm and live instances, so that the
+    # prevention bridges are kept and ground over more than a hundred
+    # instances
+    sc = parse_scenario(with_live_instances(sim1_normed_idle(1)), "sim1+norm+idle1+live")
     assumptions, _ = adjudication_theory(sc)
     preps = spy_preps(monkeypatch)
     keyed: list = []
@@ -689,6 +698,21 @@ def with_general_norm(sim1_text: str) -> str:
 def sim1_normed_idle(k: int) -> str:
     texts = load_guardbench_texts()
     return texts.sim1_idle(with_general_norm(texts.bundled_text("sim1")), k)
+
+
+# Universal innocence and a total temporal order.  Every literal on the
+# must-set of a deprivation or prevention-bridge instance then meets a
+# complement, so the purity check refuses no grounding instance.
+LIVE_INSTANCES = (
+    "  (forall p : Agent (innocent p))\n"
+    "  (forall t : Moment (forall u : Moment (prior t u)))\n"
+)
+
+
+def with_live_instances(text: str) -> str:
+    anchor = "  (prior 1 2)\n"
+    assert text.count(anchor) == 1
+    return text.replace(anchor, anchor + LIVE_INSTANCES)
 
 
 def sim1_with_moment_named(name: str) -> str:

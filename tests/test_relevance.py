@@ -1,0 +1,253 @@
+"""Term-level relevance: a grounding instance the purity check refuses
+changes no answer.
+
+The sim1 family is edited at random (facts dropped, constants renamed,
+idle goals and action types, a fluent, facts that keep more instances
+alive), always within the finite-model oracle's bounds.  The obligation
+search must give the same status and the same proof with the check
+switched off, a proof must verify against the full assumptions, and a
+complete no_proof must not be entailed.
+"""
+
+from __future__ import annotations
+
+import re
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from modalguard import prover
+from modalguard.guard import _within_oracle_bounds, adjudication_theory, obligation_goal
+from modalguard.models import entails
+from modalguard.parser import parse_formula
+from modalguard.proofs import verify_proof
+from modalguard.prover import prove
+from modalguard.scenario import parse_scenario
+from modalguard.syntax import AGENT, Signature, print_formula
+
+import corpus
+from test_prover import load_guardbench_texts
+
+SIM1 = load_guardbench_texts().bundled_text("sim1")
+FACTS_AT = "(facts\n"
+# the fact lines of sim1 that stand alone (the last one also closes the
+# section)
+FACT_LINES = SIM1[SIM1.index(FACTS_AT):SIM1.index("(initial")].splitlines(keepends=True)
+DROPPABLE = [
+    line
+    for line in FACT_LINES
+    if line.startswith("  (") and line.count("(") == line.count(")")
+]
+# facts that let more instances of the deprivation rule and of the
+# prevention bridges meet a complement
+EXTRA_FACTS = (
+    "(innocent shooter)",
+    "(innocent ai)",
+    "(prior 1 3)",
+    "(prior 3 2)",
+    "(forall p : Agent (innocent p))",
+    "(forall t : Moment (prior t 3))",
+)
+# new names for declared constants; none of them is bound by a fact, and
+# t1, t2 and g are bound by the guard's own axioms
+NEW_NAMES = ("zed", "t1", "t2", "g", "m3")
+
+
+def renamed(text: str, old: str, new: str) -> str:
+    return re.sub(rf"(?<![\w'-]){re.escape(old)}(?![\w'-])", new, text)
+
+
+@st.composite
+def sim1_family(draw) -> tuple[str, dict[str, str]]:
+    """A sim1 variant and the renaming of its constants."""
+    text = SIM1
+    for line in draw(st.lists(st.sampled_from(DROPPABLE), unique=True, max_size=3)):
+        text = text.replace(line, "", 1)
+    extra = draw(st.lists(st.sampled_from(EXTRA_FACTS), unique=True, max_size=3))
+    text = text.replace(FACTS_AT, FACTS_AT + "".join(f"  {f}\n" for f in extra))
+    # idle goals and action types; sim1 already has the most agents the
+    # oracle takes
+    decls = "".join(f" (g_idle{i} Goal)" for i in range(draw(st.integers(0, 2))))
+    decls += "".join(f" (a_idle{i} ActionType)" for i in range(draw(st.integers(0, 2))))
+    text = text.replace("  (g_live Goal))\n", f"  (g_live Goal){decls})\n")
+    if draw(st.booleans()):
+        text = text.replace(
+            "  (alive Agent Fluent))", "  (alive Agent Fluent)\n  (armed Agent Fluent))"
+        )
+        text = text.replace("(initial (alive shooter)", "(initial (armed shooter) (alive shooter)")
+    names = ["ai", "shooter", "victim", "fire", "g_live"]
+    olds = draw(st.lists(st.sampled_from(names), unique=True, max_size=3))
+    news = draw(st.lists(st.sampled_from(NEW_NAMES), unique=True, min_size=len(olds), max_size=len(olds)))
+    renaming = dict(zip(olds, news))
+    for old, new in renaming.items():
+        text = renamed(text, old, new)
+    return text, renaming
+
+
+def proof_print(r) -> tuple:
+    steps = () if r.proof is None else r.proof.steps
+    return r.status, tuple((print_formula(s.formula), s.rule, s.premises) for s in steps)
+
+
+def unchecked(mp: pytest.MonkeyPatch) -> None:
+    """Switch the purity check off: every instance is built."""
+    mp.setattr(prover._Prep, "_pure", lambda self, key, c: False)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(sim1_family())
+def test_the_purity_check_changes_no_obligation_search(variant):
+    text, _ = variant
+    sc = parse_scenario(text, "sim1-variant")
+    assert _within_oracle_bounds(sc)
+    assumptions, _ = adjudication_theory(sc)
+    goal = obligation_goal(sc)
+    checked = prove(assumptions, goal, sig=sc.sig)
+    with pytest.MonkeyPatch.context() as mp:
+        unchecked(mp)
+        plain = prove(assumptions, goal, sig=sc.sig)
+    assert proof_print(checked) == proof_print(plain)
+    assert plain.stats["pure_instances"] == 0
+    assert checked.stats["grounding_instances"] <= plain.stats["grounding_instances"]
+    if checked.status == "proof":
+        assert verify_proof(checked.proof, assumptions, goal, sc.sig)
+    else:
+        assert checked.status == "no_proof"
+        assert not entails(assumptions, goal, sc.sig)[0]
+
+
+# Roots whose instances all hold a ground literal no other formula can
+# resolve away: (prior 3 1), never stated in the family, or a Block at
+# moment 3, which nothing asserts.  Each consequent is a modal with x in
+# it, so each root is grounded; some bring out more literals by S1.
+UNSUPPORTED_ANTECEDENTS = ("(prior 3 1)", "(Block x x g_live fire 3)")
+CONSEQUENTS = (
+    "(knows x 1 (innocent x))",
+    "(knows x 1 (Block x victim g_live fire 1))",
+    "(believes x 1 (happens (action x fire) 1))",
+    "(obligated x 1 (not (happens (action shooter fire) 1)))",
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    sim1_family(),
+    st.sampled_from(UNSUPPORTED_ANTECEDENTS),
+    st.sampled_from(CONSEQUENTS),
+    st.booleans(),
+)
+def test_a_root_whose_instances_are_pure_changes_no_proof(variant, ante, cons, innocent):
+    text, renaming = variant
+    sc = parse_scenario(text, "sim1-variant")
+    assumptions, _ = adjudication_theory(sc)
+    goal = obligation_goal(sc)
+    if innocent:
+        ante = f"(and (innocent x) {ante})"
+    root = f"(forall x : Agent (implies {ante} {cons}))"
+    for old, new in renaming.items():
+        root = renamed(root, old, new)
+    extra = parse_formula(root, sc.sig)
+    without = prove(assumptions, goal, sig=sc.sig)
+    with_root = prove([*assumptions, extra], goal, sig=sc.sig)
+    assert proof_print(with_root) == proof_print(without)
+    # every instance of the root is refused
+    assert with_root.stats["pure_instances"] > without.stats["pure_instances"]
+
+
+def test_a_literal_with_a_variable_is_not_checked():
+    # C lies below A and B, which are incomparable.  The instance at a1
+    # of the first root holds (R x) with x : A, and the only literal of
+    # opposite sign is (not (R z)) with z : B.  The two variables do not
+    # unify, yet resolution meets them at c1 : C; checked, the instance
+    # would be refused and the proof lost.
+    sig = Signature()
+    sig.declare_sort("Thing")
+    sig.declare_sort("A", ("Thing",))
+    sig.declare_sort("B", ("Thing",))
+    sig.declare_sort("C", ("A", "B"))
+    sig.declare_constant("a1", AGENT)
+    sig.declare_constant("c1", "C")
+    sig.declare_predicate("P", (AGENT,))
+    sig.declare_predicate("Q", ("Thing",))
+    sig.declare_predicate("R", ("Thing",))
+    sig.declare_predicate("Z", ())
+    p = lambda text: parse_formula(text, sig)
+    assumptions = [
+        p("(forall y : Agent (implies (knows y 1 (P y)) (forall x : A (R x))))"),
+        p("(knows a1 1 (P a1))"),
+        p("(forall z : B (implies (Q z) (not (R z))))"),
+        p("(Q c1)"),
+    ]
+    goal = p("(Z)")
+    r = prove(assumptions, goal, sig=sig)
+    assert r.status == "proof"
+    assert verify_proof(r.proof, assumptions, goal, sig)
+
+
+def test_a_pure_instance_is_built_for_a_join_target_a_kept_root_uses():
+    # (C1 bob) meets no complement, only (not (C1 carol)) holds C1
+    # negatively, so the instance at bob is pure; but its join target is
+    # the antecedent S3 needs: S4 joins it from the two kept parts, and
+    # S3 then derives the goal
+    sig = corpus.corpus_signature()
+    texts = (
+        "(knows bob 1 (P alice))",
+        "(knows bob 1 (Q alice))",
+        "(knows bob 1 (implies (and (P alice) (Q alice)) (R alice bob)))",
+        "(forall y : Agent (or (C1 y) (knows y 1 (and (P alice) (Q alice)))))",
+        "(not (C1 carol))",
+    )
+    fs = [parse_formula(t, sig) for t in texts]
+    goal = parse_formula("(knows bob 1 (R alice bob))", sig)
+    r = prove(fs, goal, sig=sig)
+    assert r.status == "proof"
+    assert {"S4-join", "S3"} <= {s.rule for s in r.proof.steps}
+    assert r.stats["pure_instances"] == 0
+    assert verify_proof(r.proof, fs, goal, sig)
+    # a target no kept root can use goes with its pure instances
+    fs[3] = parse_formula(
+        "(forall y : Agent (or (C1 y) (knows y 1 (and (Q alice) (C2 alice)))))", sig
+    )
+    again = prove(fs, goal, sig=sig)
+    assert again.status == "no_proof"
+    assert again.stats["pure_instances"] == 2  # at alice and bob
+
+
+def test_a_pure_instance_is_built_for_a_witness_of_a_sort_with_no_constant():
+    sig = corpus.corpus_signature()
+    sig.declare_sort("Tool")
+    sig.declare_predicate("Sharp", ("Tool",))
+    fs = [parse_formula(t, sig) for t in (
+        "(forall y : Agent (exists x : Tool (or (C1 y) (knows y 1 (Sharp x)))))",
+        "(not (C1 carol))",
+        "(forall x : Tool (knows alice 1 (Sharp x)))",
+    )]
+    goal = parse_formula("(exists x : Tool (Sharp x))", sig)
+    # the pure instances' witnesses are the only Tools there are to
+    # ground at
+    r = prove(fs, goal, sig=sig)
+    assert r.status == "proof"
+    assert r.stats["pure_instances"] == 0
+    assert verify_proof(r.proof, fs, goal, sig)
+    # with a declared Tool a witness merges into it, and the pure
+    # instances go
+    sig.declare_constant("wrench", "Tool")
+    again = prove(fs, goal, sig=sig)
+    assert again.status == "proof"
+    # at alice: the closure mentions no bob, and carol's is not pure
+    assert again.stats["pure_instances"] == 1
+
+
+def test_a_variable_bound_again_below_is_not_filled():
+    # in the instance at alice, (C1 x) holds the inner x, which meets
+    # (not (C1 carol)); filled with alice, it would be found pure
+    sig = corpus.corpus_signature()
+    fs = [parse_formula(t, sig) for t in (
+        "(forall x : Agent (or (knows x 1 (P x)) (forall x : Agent (C1 x))))",
+        "(not (knows alice 1 (P alice)))",
+        "(not (C1 carol))",
+    )]
+    goal = parse_formula("(rains)", sig)
+    r = prove(fs, goal, sig=sig)
+    assert r.status == "proof"
+    assert verify_proof(r.proof, fs, goal, sig)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 from test_parser import RandomFormulas
-from test_prover import sim1_normed_idle
+from test_prover import sim1_normed_idle, with_live_instances
 
 from modalguard import prover, schemata
 from modalguard.guard import adjudication_theory, obligation_goal
@@ -257,9 +257,11 @@ def test_sim1_obligation_does_not_rekey_the_closure(monkeypatch):
 
     _, keyed = check(load_bundled_scenario("sim1"))
     assert len(keyed) <= SIM1_EXPANSION_KEYS
-    # with the general norm and an idle agent the prevention bridges are
-    # kept, and more than a hundred formulas are handed in
-    handed_in, _ = check(parse_scenario(sim1_normed_idle(1), "sim1+norm+idle1"))
+    # with the general norm, an idle agent and live instances the
+    # prevention bridges are kept, and more than a hundred formulas are
+    # handed in
+    text = with_live_instances(sim1_normed_idle(1))
+    handed_in, _ = check(parse_scenario(text, "sim1+norm+idle1+live"))
     assert len(handed_in) > 100
 
 
