@@ -4,14 +4,21 @@ A request to perform an action is ALLOWed unless the engine proves an
 obligation to refrain.  The obligation source is the deprivation rule:
 knowingly and effectively blocking an innocent agent's goal obliges
 the actor to refrain.  Scenarios may state further norms as facts over
-the Prevents predicate; adjudication supplies, for every candidate
-victim and goal, the definitional bridge from the six-part prevention
-condition to that predicate.
+the Prevents predicate; adjudication supplies the definitional bridge
+from the six-part prevention condition to that predicate as one axiom
+over every goal g and victim y, lifted as the deprivation rule is over
+p and g; idle agents and goals do not multiply its instances.
+
+The bridge holds at y = the actor too (`=` is a free predicate, so no
+axiom could exclude it).  That is harmless: an added axiom only adds
+obligations, and an obligation ALLOWs only on a verified proof with all
+four double-effect clauses passing, clauses that read the base theory,
+not the proof.
 
 Each adjudication builds the request theory once (`base_theory`): the
 scenario facts plus the projected trace, with the request occurrence
 added.  The obligation query reads it with the deprivation rule and the
-prevention bridges added; the double-effect intention queries read it
+prevention bridge added; the double-effect intention queries read it
 as it is, and the double-effect check reuses its projected trace.
 
 A proved obligation is re-checked by the independent proof verifier,
@@ -43,6 +50,7 @@ from .syntax import (
     Const,
     DESIRES,
     Exists,
+    Forall,
     Formula,
     GOAL,
     Implies,
@@ -135,25 +143,16 @@ def deprivation_axiom(agent: Const, atype: Const, request_moment: int) -> Formul
     )
 
 
-def prevention_bridges(scenario: Scenario) -> list[Formula]:
-    """Definitional bridges from the prevention condition to the
-    Prevents predicate, instantiated at the request."""
-    req = scenario.request
-    t = moment(req.moment)
-    agents = scenario.sig.constants_of_sort(AGENT)
-    goals = scenario.sig.constants_of_sort(GOAL)
-    out = []
-    for y in agents:
-        if y == req.agent:
-            continue
-        for g in goals:
-            out.append(
-                Implies(
-                    prevents_body(req.agent, y, g, req.atype, t),
-                    Atom("Prevents", (req.agent, y, g, req.atype, t)),
-                )
-            )
-    return out
+def prevention_bridge(agent: Const, atype: Const, request_moment: int) -> Formula:
+    """The prevention condition implies Prevents, for every goal and,
+    inside, every victim: each outer instance is one more formula to
+    ground, and scenarios declare fewer goals than agents."""
+    t = moment(request_moment)
+    y = Var("y", AGENT)
+    g = Var("g", GOAL)
+    body = prevents_body(agent, y, g, atype, t)
+    prevents = Atom("Prevents", (agent, y, g, atype, t))
+    return Forall(g, Forall(y, Implies(body, prevents)))
 
 
 def trace_atoms(trace: Trace, theory_occurrences) -> list[Formula]:
@@ -187,19 +186,19 @@ def base_theory(scenario: Scenario) -> tuple[list[Formula], Trace]:
 
 
 def _with_norms(scenario: Scenario, base: list[Formula]) -> list[Formula]:
-    """The base theory plus the deprivation rule and the prevention
-    bridges, as a new list."""
+    """The base theory plus the deprivation rule and the lifted
+    prevention bridge, as a new list."""
     req = scenario.request
     return [
         *base,
         deprivation_axiom(req.agent, req.atype, req.moment),
-        *prevention_bridges(scenario),
+        prevention_bridge(req.agent, req.atype, req.moment),
     ]
 
 
 def adjudication_theory(scenario: Scenario) -> tuple[list[Formula], Trace]:
     """Assumption set for the obligation query: the base theory plus
-    the deprivation rule and the prevention bridges."""
+    the deprivation rule and the lifted prevention bridge."""
     base, trace = base_theory(scenario)
     return _with_norms(scenario, base), trace
 

@@ -159,7 +159,7 @@ def test_reports_are_deterministic_modulo_elapsed_time():
 
 
 def test_bundled_obligation_proofs_have_the_sizes_the_readme_states():
-    for name, steps in (("sim1", 34), ("sim2", 32)):
+    for name, steps in (("sim1", 34), ("sim2", 34)):
         sc = load_bundled_scenario(name)
         verdict = adjudicate(sc)
         assert verdict.proof_verified, name
@@ -174,8 +174,8 @@ def test_bundled_obligation_proofs_have_the_sizes_the_readme_states():
 GOLDEN = {
     ("sim1", "proof"): "cbf89c27a9531c4e8960bd7a74616d9f37c0528dc5fca5fc1aa03383abc9bac0",
     ("sim1", "json"): "455627b3b0a817ce8b68f0392f1199a1086c6baae0252bc01735ea85a95034d0",
-    ("sim2", "proof"): "b2fc0866738dbc2ab76bf5b64b02092e172ca08a6585ef73f45193cc7bd92941",
-    ("sim2", "json"): "e2a90fec374b1236283f80fca9e6f32d6fe6263cc693b2af0f54b90d98f35e79",
+    ("sim2", "proof"): "8d6df508f43f7b63a0d140b5db3fb1a5defbdb73c9afbff99eb9ff22e5aab542",
+    ("sim2", "json"): "8046b81c82d8cb93e25f47e544d162c83ec531f7aa0aa1f5edc33eb3c69ca9db",
     ("sim1_guilty", "json"): "53c54d15eb61e4b7bfa348fc234b8d44fd280c6669d48dc03e534bf6fad28f87",
 }
 
@@ -222,10 +222,10 @@ VARIANT_GOLDEN = {
     ("sim1+idle2", "json"): "80a0c0a8da461f4723918adf5891a69fc233e49c63e7e321a6cd92393a783e84",
     ("sim1+idle3", "proof"): "cbf89c27a9531c4e8960bd7a74616d9f37c0528dc5fca5fc1aa03383abc9bac0",
     ("sim1+idle3", "json"): "3904d8b576f6bc003e7f7939a91aad63553372ae664c7aad8b9873724a5f47e2",
-    ("sim2+1", "proof"): "b2fc0866738dbc2ab76bf5b64b02092e172ca08a6585ef73f45193cc7bd92941",
-    ("sim2+1", "json"): "a9d5f1956dda22368d65bc447b6a478fe195eebd36c0179b5335cec7a4f1ed8a",
-    ("sim2+2", "proof"): "b2fc0866738dbc2ab76bf5b64b02092e172ca08a6585ef73f45193cc7bd92941",
-    ("sim2+2", "json"): "e90ad549f49bb8978dd8fe16579e407e07027a311bc0fbd973d5cccdc2fffdfd",
+    ("sim2+1", "proof"): "8d6df508f43f7b63a0d140b5db3fb1a5defbdb73c9afbff99eb9ff22e5aab542",
+    ("sim2+1", "json"): "8c207441592ac1efbfbcaae6f6f95ea5d3142b2f240d1cb3fbfb50cb3ffaae51",
+    ("sim2+2", "proof"): "8d6df508f43f7b63a0d140b5db3fb1a5defbdb73c9afbff99eb9ff22e5aab542",
+    ("sim2+2", "json"): "b61cfd873891ccec6f0de4c5dccc191f5d66871131436c9dc7dd7c58c9009e96",
 }
 
 # sha256 of every query_mix answer, in pool order (see _answer_text)

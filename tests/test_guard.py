@@ -90,20 +90,48 @@ def test_sim2_allows_with_full_compliance():
 # nor cut its search short (they once drove it into the grounding cap).
 
 
-@pytest.mark.parametrize("k", [12, 16])
+# The bound catches a theory that grows with the signature: with one
+# ground prevention bridge per agent and goal, sim1 + 64 idle took 1.1 s
+# and sim2 + 32 idle 2.8 s (min of 3, 2-CPU host); with the lifted
+# bridge each takes under 50 ms.
+IDLE_BOUND_MS = 1000.0
+
+
+def sim2_idle(k: int) -> str:
+    """sim2 plus k agents and k goals that no fact mentions."""
+    sim2 = load_guardbench_texts().bundled_text("sim2")
+    extra = "".join(f" (idle{i} Agent) (g_idle{i} Goal)" for i in range(1, k + 1))
+    assert sim2.count("  (g_harm Goal))\n") == 1
+    return sim2.replace("  (g_harm Goal))\n", f"  (g_harm Goal){extra})\n")
+
+
+@pytest.mark.parametrize("k", [12, 16, 64])
 def test_idle_bystanders_leave_the_guilty_shooter_allowed(k):
     texts = load_guardbench_texts()
     text = texts.sim1_idle(texts.sim1_guilty(texts.bundled_text("sim1")), k)
     v = adjudicate(parse_scenario(text, f"sim1_guilty+idle{k}"))
     assert (v.decision, v.prove_status) == (ALLOW, "no_proof")
+    assert v.elapsed_ms < IDLE_BOUND_MS
 
 
-def test_idle_bystanders_leave_sim1_locked_by_a_verified_proof():
+@pytest.mark.parametrize("k", [16, 64])
+def test_idle_bystanders_leave_sim1_locked_by_a_verified_proof(k):
     texts = load_guardbench_texts()
-    sc = parse_scenario(texts.sim1_idle(texts.bundled_text("sim1"), 16), "sim1+idle16")
+    sc = parse_scenario(texts.sim1_idle(texts.bundled_text("sim1"), k), f"sim1+idle{k}")
     v = adjudicate(sc)
     assert (v.decision, v.prove_status) == (LOCK, "proof")
+    assert v.elapsed_ms < IDLE_BOUND_MS
     assert v.proof_verified is True
+    assumptions, _ = adjudication_theory(sc)
+    assert verify_proof(v.proof, assumptions, v.obligation, sc.sig)
+
+
+def test_idle_bystanders_leave_sim2_allowed_by_a_verified_proof():
+    sc = parse_scenario(sim2_idle(32), "sim2+idle32")
+    v = adjudicate(sc)
+    assert (v.decision, v.prove_status) == (ALLOW, "proof")
+    assert v.elapsed_ms < IDLE_BOUND_MS
+    assert v.proof_verified is True and v.dde.compliant
     assumptions, _ = adjudication_theory(sc)
     assert verify_proof(v.proof, assumptions, v.obligation, sc.sig)
 
@@ -342,13 +370,21 @@ def test_base_theory_carries_no_norms():
 
 
 def test_adjudication_theory_adds_rule_and_bridges():
-    base, _ = base_theory(SIM1)
-    adj, _ = adjudication_theory(SIM1)
-    extra = [print_formula(f) for f in adj[len(base):]]
-    # one deprivation rule plus one bridge per other agent and goal
-    assert len(extra) == 3
-    assert sum("obligated" in t for t in extra) == 1
-    assert sum("(Prevents shooter" in t for t in extra) == 2
+    texts = load_guardbench_texts()
+    for k in (0, 3):
+        sc = parse_scenario(texts.sim1_idle(texts.bundled_text("sim1"), k), f"sim1+idle{k}")
+        base, _ = base_theory(sc)
+        adj, _ = adjudication_theory(sc)
+        extra = [print_formula(f) for f in adj[len(base):]]
+        # one deprivation rule plus one bridge lifted over every goal
+        # and victim, however many agents and goals are declared
+        assert len(extra) == 2
+        assert sum("obligated" in t for t in extra) == 1
+        assert sum(
+            t.startswith("(forall g : Goal (forall y : Agent (implies")
+            and t.endswith("(Prevents shooter y g fire 1))))")
+            for t in extra
+        ) == 1
 
 
 def test_adjudication_builds_the_request_theory_once(monkeypatch):

@@ -573,15 +573,20 @@ def test_spliced_keys_equal_canonical_keys_on_the_guard_scenarios(monkeypatch):
     sim1, sim2 = texts.bundled_text("sim1"), texts.bundled_text("sim2")
     sim1_cases = [sim1, texts.sim1_guilty(sim1)]
     sim1_cases += [texts.sim1_idle(sim1, k) for k in (1, 2, 3)]
-    # with the general norm the prevention bridges are kept, and ground
-    # over every idle agent and goal
+    # with the general norm the prevention bridge is kept and grounded
     normed = list(map(with_general_norm, sim1_cases))
     cases = [sim2, *sim1_cases, *normed, *map(with_live_instances, [sim2, *normed])]
     preps = spy_preps(monkeypatch)
+    grounded = {}
     for i, text in enumerate(cases):
+        start = len(preps)
         adjudicate(parse_scenario(text, f"case{i}"))
-    grounded, _ = check_closure_keys(preps)
-    assert grounded > 1000
+        grounded[text] = check_closure_keys(preps[start:])[0]
+    assert sum(grounded.values()) > 500
+    # the bridge is grounded only at the agents and goals the closure
+    # mentions, so idle ones add no instance
+    live = [grounded[with_live_instances(sim1_normed_idle(k))] for k in (1, 3)]
+    assert live[0] == live[1] > 50
 
 
 def test_a_constant_named_like_a_binder_splices_as_its_key_print(monkeypatch):
@@ -637,11 +642,8 @@ def test_sim1_obligation_walks_no_assumption_for_names(monkeypatch):
 
 
 def test_sim1_obligation_keys_no_instance_and_clausifies_few_formulas(monkeypatch):
-    # one idle agent, the general norm and live instances, so that the
-    # prevention bridges are kept and ground over more than a hundred
-    # instances
-    sc = parse_scenario(with_live_instances(sim1_normed_idle(1)), "sim1+norm+idle1+live")
-    assumptions, _ = adjudication_theory(sc)
+    # the general norm and live instances keep the prevention bridge and
+    # ground it; idle agents and goals add no instance
     preps = spy_preps(monkeypatch)
     keyed: list = []
     clausified: list = []
@@ -656,18 +658,26 @@ def test_sim1_obligation_keys_no_instance_and_clausifies_few_formulas(monkeypatc
 
     monkeypatch.setattr(prover, "canonical_key", counting_key)
     monkeypatch.setattr(prover, "clausify", counting_clausify)
-    res = prover.prove(assumptions, obligation_goal(sc), sig=sc.sig)
-    assert res.status == "proof"
-    instances = [
-        rec.formula
-        for prep in preps
-        for rec in prep.records.values()
-        if rec.rule in GROUNDING_RULES
-    ]
-    assert len(instances) > 100
-    keyed_set = set(keyed)
-    assert not [f for f in instances if f in keyed_set]
-    assert 0 < len(clausified) < 20
+    counts = []
+    for k in (1, 3):
+        sc = parse_scenario(with_live_instances(sim1_normed_idle(k)), f"sim1+norm+idle{k}+live")
+        assumptions, _ = adjudication_theory(sc)
+        start = len(preps)
+        keyed.clear()
+        clausified.clear()
+        res = prover.prove(assumptions, obligation_goal(sc), sig=sc.sig)
+        assert res.status == "proof"
+        instances = [
+            rec.formula
+            for prep in preps[start:]
+            for rec in prep.records.values()
+            if rec.rule in GROUNDING_RULES
+        ]
+        keyed_set = set(keyed)
+        assert not [f for f in instances if f in keyed_set]
+        assert 0 < len(clausified) < 20
+        counts.append(len(instances))
+    assert counts[0] == counts[1] > 50
 
 
 def load_guardbench_texts():
@@ -679,8 +689,8 @@ def load_guardbench_texts():
 
 
 # sim2's norm stated for sim1's shooter: blocking anyone's goal obliges
-# refraining.  It holds Prevents negatively, so the prevention bridges,
-# which hold it positively, are not pure and are grounded.
+# refraining.  It holds Prevents negatively, so the prevention bridge,
+# which holds it positively, is not pure and is grounded.
 GENERAL_NORM = (
     "  (forall y : Agent (forall g : Goal (implies (Prevents shooter y g fire 1)"
     " (obligated shooter 1 (not (happens (action shooter fire) 1))))))\n"

@@ -6,7 +6,9 @@ idle goals and action types, a fluent, facts that keep more instances
 alive), always within the finite-model oracle's bounds.  The obligation
 search must give the same status and the same proof with the check
 switched off, a proof must verify against the full assumptions, and a
-complete no_proof must not be entailed.
+complete no_proof must not be entailed.  Over the same family, the
+lifted prevention bridge must give the status the ground bridge list
+it replaced gives.
 """
 
 from __future__ import annotations
@@ -14,16 +16,24 @@ from __future__ import annotations
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from modalguard import prover
-from modalguard.guard import _within_oracle_bounds, adjudication_theory, obligation_goal
+from modalguard.guard import (
+    LOCK,
+    _within_oracle_bounds,
+    adjudicate,
+    adjudication_theory,
+    obligation_goal,
+    prevention_bridge,
+    prevents_body,
+)
 from modalguard.models import entails
 from modalguard.parser import parse_formula
 from modalguard.proofs import verify_proof
 from modalguard.prover import prove
 from modalguard.scenario import parse_scenario
-from modalguard.syntax import AGENT, Signature, print_formula
+from modalguard.syntax import AGENT, GOAL, Atom, Implies, Signature, moment, print_formula
 
 import corpus
 from test_prover import load_guardbench_texts
@@ -39,7 +49,7 @@ DROPPABLE = [
     if line.startswith("  (") and line.count("(") == line.count(")")
 ]
 # facts that let more instances of the deprivation rule and of the
-# prevention bridges meet a complement
+# prevention bridge meet a complement
 EXTRA_FACTS = (
     "(innocent shooter)",
     "(innocent ai)",
@@ -58,7 +68,7 @@ def renamed(text: str, old: str, new: str) -> str:
 
 
 @st.composite
-def sim1_family(draw) -> tuple[str, dict[str, str]]:
+def sim1_family(draw, new_names=NEW_NAMES) -> tuple[str, dict[str, str]]:
     """A sim1 variant and the renaming of its constants."""
     text = SIM1
     for line in draw(st.lists(st.sampled_from(DROPPABLE), unique=True, max_size=3)):
@@ -77,7 +87,7 @@ def sim1_family(draw) -> tuple[str, dict[str, str]]:
         text = text.replace("(initial (alive shooter)", "(initial (armed shooter) (alive shooter)")
     names = ["ai", "shooter", "victim", "fire", "g_live"]
     olds = draw(st.lists(st.sampled_from(names), unique=True, max_size=3))
-    news = draw(st.lists(st.sampled_from(NEW_NAMES), unique=True, min_size=len(olds), max_size=len(olds)))
+    news = draw(st.lists(st.sampled_from(new_names), unique=True, min_size=len(olds), max_size=len(olds)))
     renaming = dict(zip(olds, news))
     for old, new in renaming.items():
         text = renamed(text, old, new)
@@ -251,3 +261,125 @@ def test_a_variable_bound_again_below_is_not_filled():
     r = prove(fs, goal, sig=sig)
     assert r.status == "proof"
     assert verify_proof(r.proof, fs, goal, sig)
+
+
+# The prevention bridge is one axiom lifted over every victim and goal.
+# Adjudication once built it ground instead, one bridge per goal and
+# agent other than the actor; that list is the reference here.
+
+
+def ground_bridges(sc) -> list:
+    req = sc.request
+    t = moment(req.moment)
+    return [
+        Implies(
+            prevents_body(req.agent, y, g, req.atype, t),
+            Atom("Prevents", (req.agent, y, g, req.atype, t)),
+        )
+        for y in sc.sig.constants_of_sort(AGENT)
+        if y != req.agent
+        for g in sc.sig.constants_of_sort(GOAL)
+    ]
+
+
+def with_ground_bridges(sc) -> list:
+    """The obligation query's assumptions with the lifted bridge
+    replaced by the ground reference list."""
+    assumptions, _ = adjudication_theory(sc)
+    req = sc.request
+    assert assumptions[-1] == prevention_bridge(req.agent, req.atype, req.moment)
+    return [*assumptions[:-1], *ground_bridges(sc)]
+
+
+# sim2's general norm for sim1's shooter, the only kind of fact that
+# reads the bridge's Prevents; its binders are not among the new names
+NORM = (
+    "(forall v : Agent (forall h : Goal (implies (Prevents shooter v h fire 1)"
+    " (obligated shooter 1 (not (happens (action shooter fire) 1))))))"
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sim1_family(new_names=(*NEW_NAMES, "y")), st.booleans())
+@example((SIM1, {}), True)
+def test_the_lifted_bridge_gives_the_ground_bridges_status(variant, normed):
+    # y, a binder of the lifted bridge, is also drawn as a new name
+    text, renaming = variant
+    if normed:
+        # the norm instead of the victim's innocence obliges refraining,
+        # so that the proof, if any, goes through the bridge
+        text = text.replace(f"  (innocent {renaming.get('victim', 'victim')})\n", "")
+    sc = parse_scenario(text, "sim1-variant")
+    goal = obligation_goal(sc)
+    lifted, _ = adjudication_theory(sc)
+    ground = with_ground_bridges(sc)
+    if normed:
+        norm = NORM
+        for old, new in renaming.items():
+            norm = renamed(norm, old, new)
+        lifted.append(parse_formula(norm, sc.sig))
+        ground.append(lifted[-1])
+    got = prove(lifted, goal, sig=sc.sig)
+    want = prove(ground, goal, sig=sc.sig)
+    assert got.status == want.status
+    assert got.status in ("proof", "no_proof")
+    for r, assumptions in ((got, lifted), (want, ground)):
+        if r.status == "proof":
+            assert verify_proof(r.proof, assumptions, goal, sc.sig)
+
+
+# The lifted bridge also holds at y = the actor, which the ground list
+# left out.  Here a climber knowingly blocks their own goal under a norm
+# over everyone's goals: the self-prevention instance yields a verified
+# obligation, and as the cut has no double-effect cover the verdict is
+# LOCK, where the ground list found no proof and ALLOWed.
+SELF_PREVENTION = """
+(constants
+  (ai Agent) (climber Agent)
+  (cut ActionType)
+  (g_summit Goal))
+
+(functions
+  (roped Agent Fluent))
+
+(facts
+  (prior 1 2)
+  (prior 2 3)
+  (knows climber 1 (desires climber 1 (holds g_summit 3)))
+  (knows climber 1 (intends climber 1 (happens g_summit 3)))
+  (knows climber 1 (exists a' : ActionType (and (intends climber 2 (happens (action climber a') 2)) (implies (and (happens (action climber a') 2) (not (Block climber climber g_summit cut 1))) (happens g_summit 3)))))
+  (knows climber 1 (implies (happens (action climber cut) 1) (Block climber climber g_summit cut 1)))
+  (forall y : Agent (forall g : Goal (implies (Prevents climber y g cut 1) (obligated climber 1 (not (happens (action climber cut) 1)))))))
+
+(initial (roped climber))
+
+(axioms
+  ((action climber cut) terminates (roped climber) ((pos (roped climber)))))
+
+(occurrences ((action climber cut) 1))
+
+(horizon 3)
+
+(hierarchy
+  (categories forbidden harmful neutral defensive)
+  (classify cut neutral))
+
+(utilities
+  ((roped _) pos 1)
+  (gamma 0))
+
+(request climber cut 1)
+(guardian ai)
+"""
+
+
+def test_an_actor_blocking_their_own_goal_is_obliged_to_refrain():
+    sc = parse_scenario(SELF_PREVENTION, "self-prevention")
+    v = adjudicate(sc)
+    assert (v.decision, v.prove_status) == (LOCK, "proof")
+    assert v.proof_verified is True
+    assumptions, _ = adjudication_theory(sc)
+    assert verify_proof(v.proof, assumptions, v.obligation, sc.sig)
+    assert v.reason == "obligation stands: double-effect clauses failing: C2"
+    # without the instance at the actor no obligation is derivable
+    assert prove(with_ground_bridges(sc), v.obligation, sig=sc.sig).status == "no_proof"
