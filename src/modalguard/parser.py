@@ -2,7 +2,10 @@
 
 The reader turns text into positioned atom/list trees; the formula
 parser interprets trees against a Signature with explicit binder
-scoping.  Comments run from ; to end of line.  Identifiers match
+scoping.  It is the one sort checker: build_term and build_formula
+check every symbol, arity, argument sort, equality, binder sort and
+modal argument as they build, and report the position of the first
+violation.  A built formula is well-sorted; nothing checks it again.  Comments run from ; to end of line.  Identifiers match
 [A-Za-z_][A-Za-z0-9_'-]*; bare integers are Moment literals.  A
 declared symbol may not be a reserved word, nor have the shape of a
 generated name: b<digits>, h<digits>, or the prefix sh_ or sk_

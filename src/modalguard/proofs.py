@@ -8,10 +8,10 @@ its premises alone: schema instances are checked structurally,
 instantiation steps by re-substitution, clausification and resolution
 steps by recomputation.  Formulas are compared by the prover's
 canonical key and clauses by canonical clause; neither takes a free
-variable for a constant of its name.  A witness must be fresh for the
-names of the assumptions, the goal and the earlier steps, which are
-read only at a step that introduces one.  It shares no state with the
-prover's search.
+variable for a constant of its name.  A witness must be a constant
+fresh for the names of the assumptions, the goal and the earlier
+steps, which are read only at a step that introduces one.  It shares
+no state with the prover's search.
 """
 
 from __future__ import annotations
@@ -35,11 +35,13 @@ from .syntax import (
     Not,
     Or,
     Signature,
+    Term,
     Var,
     alpha_equivalent,
     canonical_key,
     constants_in_formula,
     disj,
+    free_vars,
     print_formula,
     substitute,
     symbol_names,
@@ -144,12 +146,13 @@ def _instance_candidates(conclusion: Formula, sort: str, sig: Signature) -> list
 
 def _is_instance(
     var: Var, body: Formula, conclusion: Formula, sig: Signature
-) -> Optional[Const]:
-    """Find a constant c with body[var := c] alpha-equal to conclusion."""
+) -> Optional[Term]:
+    """Find a term t with body[var := t] alpha-equal to conclusion: var
+    itself when body already is (a vacuous binder, or var left free),
+    otherwise a constant."""
     want = canonical_key(conclusion)
     if canonical_key(body) == want:
-        # vacuous binder or the instance term never occurs
-        return Const("_vacuous", var.sort)
+        return var
     for c in _instance_candidates(conclusion, var.sort, sig):
         try:
             inst = substitute(body, {var: c}, sig)
@@ -294,7 +297,10 @@ def verify_proof_detailed(
             witness = _is_instance(var, body, target, sig)
             if witness is None:
                 return fail(i, "conclusion is not an instance of the premise")
-            if witness.name != "_vacuous":
+            # only a binder that binds something needs a fresh constant
+            if var in free_vars(body):
+                if not isinstance(witness, Const):
+                    return fail(i, "witness is not a constant")
                 if witness.sort != var.sort:
                     return fail(i, "witness sort mismatch")
                 earlier = (*assumptions, goal, *(s.formula for s in proof.steps[:i]))

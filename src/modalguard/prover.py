@@ -233,35 +233,37 @@ class _Plan(NamedTuple):
     must: tuple[tuple[Atom, bool], ...]
 
 
+def _quantifier(
+    f: Formula,
+) -> Optional[tuple[Var, Formula, Callable[[Formula], Formula], str, bool]]:
+    """The quantifier _Prep takes apart at the top of f, as (var, body,
+    wrap, rule, universal): f is wrap(Q var body), with Q universal in
+    effect or not; None when f has none."""
+    if isinstance(f, Forall):
+        return f.var, f.body, _same, RULE_FORALL_ELIM, True
+    if isinstance(f, Exists):
+        return f.var, f.body, _same, RULE_EXISTS_ELIM, False
+    if isinstance(f, Not) and isinstance(f.body, Exists):
+        return f.body.var, f.body.body, Not, RULE_NEG_EXISTS_ELIM, True
+    if isinstance(f, Not) and isinstance(f.body, Forall):
+        return f.body.var, f.body.body, Not, RULE_NEG_FORALL_ELIM, False
+    if isinstance(f, Implies) and isinstance(f.left, Exists):
+        rhs = f.right
+        return f.left.var, f.left.body, lambda g: Implies(g, rhs), RULE_EXISTS_ANTECEDENT, True
+    return None
+
+
 def _grounding_plan(f: Formula) -> Optional[_Plan]:
     """f's plan, or None when f has no quantifier whose variable reaches
     into a modal subformula."""
-    if isinstance(f, Forall):
-        plan = (f.var, f.body, _same, RULE_FORALL_ELIM, True)
-    elif isinstance(f, Exists):
-        plan = (f.var, f.body, _same, RULE_EXISTS_ELIM, False)
-    elif isinstance(f, Not) and isinstance(f.body, Exists):
-        plan = (f.body.var, f.body.body, Not, RULE_NEG_EXISTS_ELIM, True)
-    elif isinstance(f, Not) and isinstance(f.body, Forall):
-        plan = (f.body.var, f.body.body, Not, RULE_NEG_FORALL_ELIM, False)
-    elif (
-        isinstance(f, Implies)
-        and isinstance(f.left, Exists)
-        # the template holes var wherever wrap(body) has it free, so an
-        # open consequent that has it free too is not grounded
-        and f.left.var not in free_vars(f.right)
-    ):
-        rhs = f.right
-        plan = (
-            f.left.var,
-            f.left.body,
-            lambda g: Implies(g, rhs),
-            RULE_EXISTS_ANTECEDENT,
-            True,
-        )
-    else:
+    q = _quantifier(f)
+    if q is None:
         return None
-    var, body, wrap, rule, universal = plan
+    var, body, wrap, rule, universal = q
+    # the template holes var wherever wrap(body) has it free, so an open
+    # consequent that has it free too is not grounded
+    if rule == RULE_EXISTS_ANTECEDENT and var in free_vars(f.right):
+        return None
     if any(var in free_vars(m) for m in maximal_modal_subformulas(body)):
         template = canonical_key(wrap(body), {var: _HOLE})
         must: dict[tuple[Atom, bool], None] = {}
@@ -596,21 +598,12 @@ def _witness_sorts(f: Formula) -> list[str]:
     its quantifiers _grounding_plan takes apart, whether or not their
     variables reach a modal."""
     out = []
-    while True:
-        if isinstance(f, Forall):
-            f = f.body
-        elif isinstance(f, Exists):
-            out.append(f.var.sort)
-            f = f.body
-        elif isinstance(f, Not) and isinstance(f.body, Exists):
-            f = Not(f.body.body)
-        elif isinstance(f, Not) and isinstance(f.body, Forall):
-            out.append(f.body.var.sort)
-            f = Not(f.body.body)
-        elif isinstance(f, Implies) and isinstance(f.left, Exists):
-            f = Implies(f.left.body, f.right)
-        else:
-            return out
+    while (q := _quantifier(f)) is not None:
+        var, body, wrap, _, universal = q
+        if not universal:
+            out.append(var.sort)
+        f = wrap(body)
+    return out
 
 
 def _pure_roots(roots: Sequence[Formula], sig: Signature) -> set[int]:

@@ -200,9 +200,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     facts: list[Formula] = []
     if "facts" in sections:
         for node in sections["facts"].items[1:]:
-            f = build_formula(node, sig)
-            sig.check_formula(f)
-            facts.append(f)
+            facts.append(build_formula(node, sig))
 
     initial: set[Term] = set()
     if "initial" in sections:

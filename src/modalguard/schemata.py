@@ -105,13 +105,19 @@ def expand_modal(
     refused for depth, so that the closure is incomplete."""
     truncated = False
 
-    # join target bookkeeping: target key -> (target, context, part keys)
-    targets: dict[str, tuple[Modal, tuple[str, str, str], tuple[str, ...]]] = {}
+    # join target bookkeeping: target key -> (target, part keys), and
+    # part key -> the keys of the targets it is a part of, in target
+    # order.  A part key prints the target's operator, agent and time,
+    # so a formula of that key shares the target's context.
+    targets: dict[str, tuple[Modal, tuple[str, ...]]] = {}
+    by_part: dict[str, list[str]] = {}
     for tkey, tgt in join_targets.items():
         parts = tuple(
             canonical_key(Modal(tgt.op, tgt.agent, tgt.time, p)) for p in tgt.body.parts
         )
-        targets[tkey] = (tgt, _modal_key(tgt), parts)
+        targets[tkey] = (tgt, parts)
+        for pk in dict.fromkeys(parts):
+            by_part.setdefault(pk, []).append(tkey)
 
     # per (op, agent, time): body key -> formula key, and antecedent key
     # -> (formula key, consequent) of the implication-bodied formulas
@@ -174,14 +180,11 @@ def expand_modal(
         if isinstance(f.body, And):
             for p in f.body.parts:
                 add(Modal(f.op, f.agent, f.time, p), RULE_S4_SPLIT, (key,), d + 1)
-        # S4 join toward targets
-        for tkey, (tgt, tctx, part_keys) in targets.items():
+        # S4 join toward the targets f is a part of
+        for tkey in by_part.get(key, ()):
             if tkey in records:
                 continue
-            if tctx != ctx:
-                continue
-            if key not in part_keys:
-                continue
+            tgt, part_keys = targets[tkey]
             if all(pk in records for pk in part_keys):
                 add(
                     tgt,

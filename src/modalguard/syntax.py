@@ -7,7 +7,9 @@ believes, desires, intends, perceives, obligated).  The obligated
 operator always carries a situation term; three-argument surface forms
 are normalized by the parser.
 
-A Signature owns the sort hierarchy and the declared symbols.  The
+A Signature owns the sort hierarchy and the declared symbols, and
+answers lookups against them; it does not walk formulas.  The parser
+checks a formula's sorts as it builds it (parser.build_formula).  The
 built-in sorts, the event-calculus symbols, and the defined predicates
 Prevents/Block are pre-declared in every signature.
 """
@@ -21,7 +23,7 @@ from typing import Iterator, Mapping, Optional, Union
 
 
 class SortError(Exception):
-    """A term or formula violates the sort discipline."""
+    """A declaration, moment or substitution violates the sort discipline."""
 
 
 # ---------------------------------------------------------------------------
@@ -675,94 +677,3 @@ class Signature:
             if self.widens(s, sort)
         ]
         return out
-
-    # -- validation --------------------------------------------------------
-
-    def check_term(self, t: Term) -> None:
-        if isinstance(t, Const):
-            if is_moment_literal(t):
-                return
-            declared = self.constants.get(t.name)
-            if declared is None:
-                # fresh internal constants (witnesses) are permitted as long
-                # as their sort exists
-                if t.sort not in self.sorts:
-                    raise SortError(f"unknown sort {t.sort} on constant {t.name}")
-                return
-            if declared != t.sort:
-                raise SortError(
-                    f"constant {t.name} declared {declared}, used as {t.sort}"
-                )
-        elif isinstance(t, Var):
-            if t.sort not in self.sorts:
-                raise SortError(f"unknown sort {t.sort} on variable {t.name}")
-        elif isinstance(t, App):
-            if t.fn not in self.functions:
-                raise SortError(f"unknown function {t.fn}")
-            argsorts, result = self.functions[t.fn]
-            if len(argsorts) != len(t.args):
-                raise SortError(
-                    f"function {t.fn} takes {len(argsorts)} arguments, got {len(t.args)}"
-                )
-            if result != t.sort:
-                raise SortError(f"function {t.fn} returns {result}, used as {t.sort}")
-            for a, s in zip(t.args, argsorts):
-                self.check_term(a)
-                if not self.widens(a.sort, s):
-                    raise SortError(
-                        f"argument {print_term(a)} : {a.sort} does not widen to {s} in {t.fn}"
-                    )
-
-    def check_formula(self, f: Formula) -> None:
-        """Raise SortError when f is not well-sorted against this signature."""
-        if isinstance(f, Atom):
-            if f.pred == "=":
-                if len(f.args) != 2:
-                    raise SortError("= takes exactly two arguments")
-                for a in f.args:
-                    self.check_term(a)
-                l, r = f.args
-                if not (self.widens(l.sort, r.sort) or self.widens(r.sort, l.sort)):
-                    raise SortError(
-                        f"incomparable sorts in equality: {l.sort} vs {r.sort}"
-                    )
-                return
-            if f.pred not in self.predicates:
-                raise SortError(f"unknown predicate {f.pred}")
-            argsorts = self.predicates[f.pred]
-            if len(argsorts) != len(f.args):
-                raise SortError(
-                    f"predicate {f.pred} takes {len(argsorts)} arguments, got {len(f.args)}"
-                )
-            for a, s in zip(f.args, argsorts):
-                self.check_term(a)
-                if not self.widens(a.sort, s):
-                    raise SortError(
-                        f"argument {print_term(a)} : {a.sort} does not widen to {s} in {f.pred}"
-                    )
-        elif isinstance(f, Not):
-            self.check_formula(f.body)
-        elif isinstance(f, (And, Or)):
-            for p in f.parts:
-                self.check_formula(p)
-        elif isinstance(f, (Implies, Iff)):
-            self.check_formula(f.left)
-            self.check_formula(f.right)
-        elif isinstance(f, (Forall, Exists)):
-            if f.var.sort not in self.sorts:
-                raise SortError(f"unknown sort {f.var.sort} on binder {f.var.name}")
-            self.check_formula(f.body)
-        elif isinstance(f, Modal):
-            self.check_term(f.agent)
-            if not self.widens(f.agent.sort, AGENT):
-                raise SortError(f"{f.op} needs an Agent first argument")
-            self.check_term(f.time)
-            if not self.widens(f.time.sort, MOMENT):
-                raise SortError(f"{f.op} needs a Moment second argument")
-            if f.situation is not None:
-                self.check_term(f.situation)
-                if not self.widens(f.situation.sort, SITUATION):
-                    raise SortError(f"{f.op} needs a Situation third argument")
-            self.check_formula(f.body)
-        else:
-            raise TypeError(f"not a formula: {f!r}")

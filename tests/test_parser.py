@@ -151,7 +151,6 @@ def test_random_formulas_round_trip():
     gen = RandomFormulas(seed=20260816)
     for i in range(N_RANDOM):
         f = gen.formula([], depth=1 + i % 4)
-        SIG.check_formula(f)
         text = print_formula(f)
         back = parse_formula(text, SIG)
         assert back == f, text
@@ -204,14 +203,6 @@ def test_every_modal_argument_sort_is_checked(text, col, want):
         parse_formula(text, SIG)
     assert want in e.value.message
     assert (e.value.line, e.value.col) == (1, col)
-
-
-def test_check_formula_checks_the_situation_sort():
-    body = Atom("rains", ())
-    f = Modal(OBLIGATED, Const("a", AGENT), Const("1", MOMENT), body, Const("go", ACTION_TYPE))
-    with pytest.raises(SortError, match="Situation"):
-        SIG.check_formula(f)
-    SIG.check_formula(parse_formula("(obligated a 1 (rains))", SIG))
 
 
 @pytest.mark.parametrize("name, shape", [

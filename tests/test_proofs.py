@@ -15,7 +15,7 @@ from modalguard.proofs import (
     verify_proof_detailed,
 )
 from modalguard.prover import prove
-from modalguard.syntax import AGENT, FALSUM, Atom, Forall, Not, Signature, Var
+from modalguard.syntax import AGENT, FALSUM, Atom, Const, Forall, Not, Signature, Var
 
 import corpus
 import corruptions
@@ -179,6 +179,53 @@ def test_rejects_a_variable_in_place_of_an_assumed_constant():
     forged = forged_proof(Atom("P", (Var("alice", AGENT),)), Not(goal))
     assert verify_proof_detailed(forged, [P_a], goal, SIG) == (
         False, "step 1: formula is not a declared assumption")
+
+
+def witness_forgery(rule: str, witness):
+    """A proof of the unrelated (Q) from satisfiable assumptions: the
+    quantifier taken apart at the given witness by rule, then resolution
+    against the other assumption, which names _vacuous.  Returns the
+    checker's answer."""
+    sig = Signature()
+    sig.declare_constant("_vacuous", AGENT)
+    sig.declare_predicate("P", (AGENT,))
+    sig.declare_predicate("Q", ())
+    inst = Atom("P", (witness,))
+    if rule == "exists-elim":
+        quant = parse_formula("(exists x : Agent (P x))", sig)
+        other = Not(Atom("P", (Const("_vacuous", AGENT),)))
+    else:
+        quant = parse_formula("(not (forall x : Agent (P x)))", sig)
+        other, inst = Atom("P", (Const("_vacuous", AGENT),)), Not(inst)
+    clause = lambda f: clause_to_formula(clausify(f)[0])
+    goal = parse_formula("(Q)", sig)
+    proof = Proof((
+        ProofStep(quant, "assumption"),
+        ProofStep(inst, rule, (0,)),
+        ProofStep(other, "assumption"),
+        ProofStep(clause(inst), "clausify", (1,)),
+        ProofStep(clause(other), "clausify", (2,)),
+        ProofStep(FALSUM, "resolve", (3, 4)),
+        ProofStep(Not(goal), "negated-goal"),
+        ProofStep(goal, "reductio", (5, 6)),
+    ))
+    return verify_proof_detailed(proof, [quant, other], goal, sig)
+
+
+@pytest.mark.parametrize("rule", ["exists-elim", "neg-forall-elim"])
+def test_a_constant_named_like_an_internal_marker_is_no_fresh_witness(rule):
+    # _vacuous is a legal identifier; the checker once took it for its
+    # own mark of a vacuous binder and skipped the freshness check
+    assert witness_forgery(rule, Const("_vacuous", AGENT)) == (
+        False, "step 2: witness _vacuous is not fresh")
+
+
+@pytest.mark.parametrize("rule", ["exists-elim", "neg-forall-elim"])
+def test_a_variable_is_no_witness(rule):
+    # (P x) with x free clausifies to a universal clause, so the bound
+    # variable left free would turn an existential into a universal
+    assert witness_forgery(rule, Var("x", AGENT)) == (
+        False, "step 2: witness is not a constant")
 
 
 @pytest.mark.parametrize("label", [c[0] for c in CASES])

@@ -19,11 +19,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from modalguard import prover
+from modalguard.ethics import check_dde, intention_formula
 from modalguard.guard import (
     LOCK,
     _within_oracle_bounds,
     adjudicate,
     adjudication_theory,
+    base_theory,
     obligation_goal,
     prevention_bridge,
     prevents_body,
@@ -33,7 +35,16 @@ from modalguard.parser import parse_formula
 from modalguard.proofs import verify_proof
 from modalguard.prover import prove
 from modalguard.scenario import parse_scenario
-from modalguard.syntax import AGENT, GOAL, Atom, Implies, Signature, moment, print_formula
+from modalguard.syntax import (
+    AGENT,
+    GOAL,
+    Atom,
+    Implies,
+    Signature,
+    moment,
+    print_formula,
+    print_term,
+)
 
 import corpus
 from test_prover import load_guardbench_texts
@@ -383,3 +394,61 @@ def test_an_actor_blocking_their_own_goal_is_obliged_to_refrain():
     assert v.reason == "obligation stands: double-effect clauses failing: C2"
     # without the instance at the actor no obligation is derivable
     assert prove(with_ground_bridges(sc), v.obligation, sig=sc.sig).status == "no_proof"
+
+
+# The C3 intention queries of the double-effect check read the base
+# theory, without norms; here over sim2's family.  The reference is the
+# same search with both relevance filters off.  sim2 has 6 agents, more
+# than ORACLE_MAX_AGENTS, so no no_proof here is also checked against
+# the finite-model oracle.
+GUARDBENCH_TEXTS = load_guardbench_texts()
+SIM2 = GUARDBENCH_TEXTS.bundled_text("sim2")
+# removed, this fact leaves one good effect's intention unprovable
+RANGER2_SAFE = "  (intends ranger1 1 (holds (safe ranger2) 2))\n"
+SIM2_FAMILY = {
+    "sim2": SIM2,
+    "sim2+1": GUARDBENCH_TEXTS.sim2_extra_effects(SIM2, 1),
+    "sim2+2": GUARDBENCH_TEXTS.sim2_extra_effects(SIM2, 2),
+    "sim2-ranger2": SIM2.replace(RANGER2_SAFE, "", 1),
+}
+
+
+def unpruned(mp: pytest.MonkeyPatch) -> None:
+    """Switch both relevance filters off: no root is left out, and every
+    instance is built."""
+    mp.setattr(prover, "_pure_roots", lambda roots, sig: set())
+    unchecked(mp)
+
+
+@pytest.mark.parametrize("label", list(SIM2_FAMILY))
+def test_relevance_changes_no_intention_query(label):
+    text = SIM2_FAMILY[label]
+    assert label == "sim2" or text != SIM2
+    sc = parse_scenario(text, label)
+    base, _ = base_theory(sc)
+    req = sc.request
+    v = check_dde(sc.theory, req.agent, req.atype, req.moment, sc.hierarchy, sc.utilities, base, sc.sig)
+    assert v.effects
+    statuses = []
+    for e in v.effects:
+        goal = intention_formula(req.agent, req.moment, e)
+        pruned = prove(base, goal, sig=sc.sig)
+        with pytest.MonkeyPatch.context() as mp:
+            unpruned(mp)
+            plain = prove(base, goal, sig=sc.sig)
+        assert pruned.status == plain.status, print_formula(goal)
+        assert pruned.status in ("proof", "no_proof")
+        # the filters were on in one search and off in the other
+        assert pruned.stats["pruned_roots"] > 0 == plain.stats["pruned_roots"]
+        for r in (pruned, plain):
+            if r.status == "proof":
+                assert verify_proof(r.proof, base, goal, sc.sig)
+        statuses.append(pruned.status)
+    assert "proof" in statuses and "no_proof" in statuses
+    good_unproved = [
+        print_term(e.fluent)
+        for e, status in zip(v.effects, statuses)
+        if status == "no_proof" and sc.utilities.effect_utility(e) > 0
+    ]
+    assert good_unproved == (["(safe ranger2)"] if label == "sim2-ranger2" else [])
+    assert v.clauses["C3"].status == ("fail" if good_unproved else "pass")

@@ -196,6 +196,39 @@ def test_split_and_join_rules_recorded():
     assert any(r.rule == RULE_S4_JOIN for r in records.values())
 
 
+def test_s4_join_builds_each_target_of_a_part_in_target_order():
+    # (q) is a part of two targets, (and (p) (p)) repeats a part, and the
+    # target of agent b shares a's parts' bodies but not their context
+    fs = parse_formulas("(knows a 1 (p)) (knows a 1 (q)) (knows a 1 (r))", SIG)
+    targets = parse_formulas(
+        "(knows a 1 (and (q) (r))) (knows a 1 (and (p) (p)))"
+        "(knows b 1 (and (p) (q))) (knows a 1 (and (p) (q)))",
+        SIG,
+    )
+    records, truncated = expand(fs, depth=1, join_targets=targets)
+    keys = list(records)
+    got = [
+        (print_formula(r.formula), r.rule, tuple(keys.index(p) for p in r.premises))
+        for r in records.values()
+    ]
+    assert got == [
+        ("(knows a 1 (p))", RULE_ASSUMPTION, ()),
+        ("(knows a 1 (q))", RULE_ASSUMPTION, ()),
+        ("(knows a 1 (r))", RULE_ASSUMPTION, ()),
+        ("(p)", RULE_S1, (0,)),
+        ("(believes a 1 (p))", RULE_S2, (0,)),
+        ("(knows a 1 (and (p) (p)))", RULE_S4_JOIN, (0, 0)),
+        ("(knows a 1 (and (p) (q)))", RULE_S4_JOIN, (0, 1)),
+        ("(q)", RULE_S1, (1,)),
+        ("(believes a 1 (q))", RULE_S2, (1,)),
+        ("(knows a 1 (and (q) (r)))", RULE_S4_JOIN, (1, 2)),
+        ("(r)", RULE_S1, (2,)),
+        ("(believes a 1 (r))", RULE_S2, (2,)),
+    ]
+    # S1 on a joined target derives its conjunction at depth 2
+    assert truncated
+
+
 def test_truncation_is_recorded_only_for_refused_new_formulas():
     fs = parse_formulas("(knows a 1 (knows a 1 (knows a 1 (p))))", SIG)
     assert expand(fs, depth=2)[1]

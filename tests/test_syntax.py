@@ -7,7 +7,7 @@ import hashlib
 import pytest
 from test_parser import RandomFormulas, round_trip_sig
 
-from modalguard.parser import parse_formula
+from modalguard.parser import ParseError, parse_formula
 
 from modalguard.syntax import (
     ACTION_TYPE,
@@ -90,28 +90,28 @@ def test_widens_follows_sort_parents():
 def test_goal_usable_as_fluent_and_event():
     sig = base_sig()
     g = Const("g", GOAL)
-    sig.check_formula(Atom("holds", (g, moment(1))))
-    sig.check_formula(Atom("happens", (g, moment(1))))
+    assert parse_formula("(holds g 1)", sig) == Atom("holds", (g, moment(1)))
+    assert parse_formula("(happens g 1)", sig) == Atom("happens", (g, moment(1)))
 
 
 def test_action_not_usable_as_fluent():
     sig = base_sig()
     act = App("action", (A, Const("go", ACTION_TYPE)), "Action")
-    sig.check_formula(Atom("happens", (act, moment(1))))
-    with pytest.raises(SortError):
-        sig.check_formula(Atom("holds", (act, moment(1))))
+    assert parse_formula("(happens (action a go) 1)", sig) == Atom("happens", (act, moment(1)))
+    with pytest.raises(ParseError, match="expected Fluent, got Action"):
+        parse_formula("(holds (action a go) 1)", sig)
 
 
 def test_unknown_predicate_rejected():
     sig = base_sig()
-    with pytest.raises(SortError):
-        sig.check_formula(Atom("nosuch", ()))
+    with pytest.raises(ParseError, match="unknown predicate nosuch"):
+        parse_formula("(nosuch)", sig)
 
 
 def test_arity_mismatch_rejected():
     sig = base_sig()
-    with pytest.raises(SortError):
-        sig.check_formula(Atom("P", (A, B)))
+    with pytest.raises(ParseError, match="predicate P takes 1 arguments, got 2"):
+        parse_formula("(P a b)", sig)
 
 
 def test_duplicate_declarations_rejected():
