@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .eventcalc import ECTheory, Effect, INITIATED, Trace, causal_chain, effects_of
-from .prover import Budget, prove
+from .prover import Budget, Premises, prove
 from .syntax import (
     ACTION,
     App,
@@ -184,11 +184,13 @@ def check_dde(
     good = [e for e in effects if utilities.effect_utility(e) > 0]
     bad = [e for e in effects if utilities.effect_utility(e) < 0]
 
-    # C3: exactly the good effects are provably intended
+    # C3: exactly the good effects are provably intended; every query
+    # reads one theory, so its keys and pruning are computed once
     c3_status, c3_notes = "pass", []
+    premises = Premises(assumptions, sig)
     for e in effects:
         goal = intention_formula(agent, request_moment, e)
-        r = prove(assumptions, goal, budget, sig)
+        r = prove(premises, goal, budget, sig)
         label = f"{e.kind} {print_term(e.fluent)}"
         if r.status in ("timeout", "incomplete"):
             c3_status = "unknown"

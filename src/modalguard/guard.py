@@ -39,7 +39,7 @@ from .ethics import DDEVerdict, check_dde
 from .eventcalc import Trace, project
 from .models import entails as oracle_entails
 from .proofs import Proof, verify_proof
-from .prover import Budget, prove
+from .prover import Budget, Premises, prove
 from .scenario import Scenario
 from .syntax import (
     ACTION,
@@ -405,7 +405,7 @@ def _query(
     scenario: Scenario, positive: Formula, negative: Formula, budget: Budget
 ) -> QueryResult:
     """epistemic_query's answer, exceptions not caught."""
-    assumptions, _ = adjudication_theory(scenario)
+    assumptions = Premises(adjudication_theory(scenario)[0], scenario.sig)
     pos = prove(assumptions, positive, budget, scenario.sig)
     neg = prove(assumptions, negative, budget, scenario.sig)
     if pos.status == "proof" and neg.status == "proof":

@@ -5,7 +5,10 @@ Quantifiers are expanded over the finite domain of named constants
 (universals to conjunctions, existentials to disjunctions), the modal
 closure rules are applied forward, modal subformulas become the same
 content-addressed propositional atoms the prover uses, and a plain
-DPLL loop decides the resulting ground clause set.
+DPLL loop decides the resulting ground clause set.  Grounding and the
+modal rules alternate for at most depth + 1 rounds, fewer once a round
+grounds nothing or returns the list it was given: a round reads only
+that list, so every later round would return it again.
 
 Interpretation choices, shared with the prover: temporal order is a
 free predicate (orderings must be stated as facts), "=" is a free
@@ -187,9 +190,11 @@ def _closure(formulas: list[Formula], sig: Signature, depth: int) -> list[Formul
                 again = True
             if f is not _TRUE:
                 out.extend(_conjuncts(f))
+        # a round is a function of its input list alone, so once it
+        # returns that list every later round would return it again
+        if not again or out == current:
+            return out
         current = out
-        if not again:
-            break
     return current
 
 

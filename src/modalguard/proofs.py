@@ -5,8 +5,9 @@ rule name, and the indices of its premise steps.  Clause-level steps
 encode clauses as universally closed disjunctions (the empty clause is
 the nullary atom (false)).  verify_proof re-derives every step from
 its premises alone: schema instances are checked structurally,
-instantiation steps by re-substitution, clausification and resolution
-steps by recomputation.  Formulas are compared by the prover's
+instantiation steps by splicing each candidate constant into the
+premise body's key template, clausification and resolution steps by
+recomputation.  Formulas are compared by the prover's
 canonical key and clauses by canonical clause; neither takes a free
 variable for a constant of its name.  A witness must be a constant
 fresh for the names of the assumptions, the goal and the earlier
@@ -30,6 +31,7 @@ from .syntax import (
     FALSUM,
     Forall,
     Formula,
+    HOLE,
     Implies,
     Modal,
     Not,
@@ -42,6 +44,7 @@ from .syntax import (
     constants_in_formula,
     disj,
     free_vars,
+    key_name,
     print_formula,
     substitute,
     symbol_names,
@@ -149,16 +152,32 @@ def _is_instance(
 ) -> Optional[Term]:
     """Find a term t with body[var := t] alpha-equal to conclusion: var
     itself when body already is (a vacuous binder, or var left free),
-    otherwise a constant."""
+    otherwise a constant.
+
+    body is keyed once more, with var printed as a hole, and each
+    candidate's key print is spliced into that template: substituting a
+    constant for var commutes with keying, since binders key by position
+    whatever their names and capture-avoiding renaming moves only
+    binders.  The splice is exact only when the hole marks var alone, so
+    a body whose own key holds the hole (a name built outside the parser
+    may spell it) is checked by substituting each candidate instead."""
     want = canonical_key(conclusion)
-    if canonical_key(body) == want:
+    plain = canonical_key(body)
+    if plain == want:
         return var
-    for c in _instance_candidates(conclusion, var.sort, sig):
-        try:
-            inst = substitute(body, {var: c}, sig)
-        except Exception:
-            continue
-        if canonical_key(inst) == want:
+    candidates = _instance_candidates(conclusion, var.sort, sig)
+    if HOLE in plain:
+        for c in candidates:
+            try:
+                inst = substitute(body, {var: c}, sig)
+            except Exception:
+                continue
+            if canonical_key(inst) == want:
+                return c
+        return None
+    template = canonical_key(body, {var: HOLE})
+    for c in candidates:
+        if template.replace(HOLE, key_name(c.name)) == want:
             return c
     return None
 

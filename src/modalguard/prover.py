@@ -118,6 +118,18 @@ the instance.  The expansion keys no formula handed in again: it prints
 keys only for the formulas it derives and for the bodies, antecedents
 and join-target parts it looks up.
 
+One theory, many goals.  prove works through a Premises, which keeps
+what it derives from the assumptions alone: each assumption's
+canonical key and constants, and the roots _pure_roots leaves out.
+A Premises is bound to one signature, and its pruning is cached under
+the negated goal's shape and the conjunction skeletons it uses
+(_joins).  That is exact: _pure_roots empties the negated goal's
+must-set, so never prunes it and never asks for its join targets or
+witnesses, and reads nothing else of the goal.  Any other sequence, or
+a Premises bound to another signature, is wrapped in a fresh Premises,
+so one question takes the same path; check_dde and epistemic_query
+hand one Premises to every goal they ask of one theory.
+
 After shadowing, the formulas whose every clause the pure-literal rule
 would delete are dropped before they are clausified (pure_formulas), so
 the search sees exactly the clauses it kept before.  Budget.max_clauses
@@ -133,7 +145,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .clauses import ClausifyLimit, clausify
 from .proofs import (
@@ -167,6 +179,7 @@ from .syntax import (
     Exists,
     Forall,
     Formula,
+    HOLE,
     Iff,
     Implies,
     KNOWS,
@@ -210,17 +223,11 @@ class ProveResult:
     stats: dict = field(default_factory=dict)
 
 
-# Stands for the constant in an instance template.  Identifiers match
-# [A-Za-z_][A-Za-z0-9_'-]* and generated names use letters, digits and
-# '_', so no printed name or sort contains it.
-_HOLE = "#"
-
-
 class _Plan(NamedTuple):
     """How close() grounds a formula: wrap(body) with var replaced by a
     constant, derived by rule; over the whole domain when universal, by
     one fresh witness otherwise.  template is the canonical key of
-    wrap(body) with var printed as _HOLE (see _Prep).  must holds the
+    wrap(body) with var printed as HOLE (see _Prep).  must holds the
     literals of wrap(body)'s must-set that are ground but for var, as
     (atom, positive)."""
 
@@ -265,7 +272,7 @@ def _grounding_plan(f: Formula) -> Optional[_Plan]:
     if rule == RULE_EXISTS_ANTECEDENT and var in free_vars(f.right):
         return None
     if any(var in free_vars(m) for m in maximal_modal_subformulas(body)):
-        template = canonical_key(wrap(body), {var: _HOLE})
+        template = canonical_key(wrap(body), {var: HOLE})
         must: dict[tuple[Atom, bool], None] = {}
         for atom, sign, top, bound in _literals(wrap(body)):
             held: list[Var] = []
@@ -297,7 +304,7 @@ class _Prep:
 
     A root formula is keyed by canonical_key.  A grounding instance is
     keyed from its quantifier's template instead: the canonical key of
-    wrap(body) with the bound variable printed as _HOLE.  Substituting
+    wrap(body) with the bound variable printed as HOLE.  Substituting
     a constant commutes with keying (binders are renamed by position
     whatever their names, and a constant keys as a named variable does,
     see syntax.key_name), so splicing the constant's key print into the
@@ -335,23 +342,22 @@ class _Prep:
         # names of the declared constants a domain left out
         self.left_out: set[str] = set()
 
-    def add(self, f: Formula, rule: str, premises: tuple[str, ...]) -> str:
-        key = canonical_key(f)
+    def add(self, key: str, f: Formula, rule: str, consts: Sequence[Const]) -> None:
+        """Record root formula f under its canonical key, with its constants."""
         if key not in self.records:
-            self.records[key] = Derivation(f, rule, premises, 0)
-            self.consts |= set(constants_in_formula(f))
-        return key
+            self.records[key] = Derivation(f, rule, (), 0)
+            self.consts.update(consts)
 
     def _add_instance(self, key: str, c: Const) -> str:
         """Add the instance of record key's plan at c; its key."""
         var, body, wrap, rule, _, template, _ = self.plans[key]
-        ikey = template.replace(_HOLE, key_name(c.name))
+        ikey = template.replace(HOLE, key_name(c.name))
         if ikey not in self.records:
             f = wrap(substitute(body, {var: c}, self.sig))
             self.records[ikey] = Derivation(f, rule, (key,), 0)
             # the instance's constants are its quantifier's (already
             # recorded) plus c, when var occurs free in body
-            if _HOLE in template:
+            if HOLE in template:
                 self.consts.add(c)
         return ikey
 
@@ -637,14 +643,66 @@ def _pure_roots(roots: Sequence[Formula], sig: Signature) -> set[int]:
             musts[i] = frozenset()
 
 
+class Premises(Sequence[Formula]):
+    """A read-only sequence of assumption formulas, bound to the
+    signature they are asked under, that keeps what prove derives from
+    them alone, so that several goals asked of one theory pay for it
+    once: each assumption's canonical key and constants, and the roots
+    _pure_roots leaves out (see the module docstring)."""
+
+    def __init__(self, formulas: Iterable[Formula], sig: Signature):
+        self._formulas = tuple(formulas)
+        self.sig = sig
+        self._keyed: dict[int, tuple[str, list[Const]]] = {}
+        self._pruned: dict[tuple, frozenset[int]] = {}
+
+    def __len__(self) -> int:
+        return len(self._formulas)
+
+    def __getitem__(self, i):
+        return self._formulas[i]
+
+    def __iter__(self) -> Iterator[Formula]:
+        return iter(self._formulas)
+
+    def keyed(self, i: int) -> tuple[str, list[Const]]:
+        """The canonical key and the constants of assumption i."""
+        got = self._keyed.get(i)
+        if got is None:
+            f = self._formulas[i]
+            got = self._keyed[i] = (canonical_key(f), constants_in_formula(f))
+        return got
+
+    def pruned(self, ng: Formula) -> frozenset[int]:
+        """_pure_roots over the assumptions and the negated goal ng.
+
+        Besides the assumptions, _pure_roots reads only ng's shape (its
+        must-set is emptied), the conjunction skeletons ng uses (ng is
+        never pruned, so its join targets and witnesses are never asked
+        for) and the signature's declared constants.  The first two are
+        the key; the signature must not gain constants in between."""
+        memo = (_polarity(ng)[1], frozenset(_joins(ng)[1]))
+        got = self._pruned.get(memo)
+        if got is None:
+            got = self._pruned[memo] = frozenset(_pure_roots([*self._formulas, ng], self.sig))
+        return got
+
+
 def prove(
     assumptions: Sequence[Formula],
     goal: Formula,
     budget: Optional[Budget] = None,
     sig: Optional[Signature] = None,
 ) -> ProveResult:
+    """Search for a proof of goal from the assumptions.  Pass one
+    Premises bound to sig to ask several goals of one theory; any other
+    sequence is wrapped in a fresh Premises."""
     budget = budget if budget is not None else Budget()
     sig = sig if sig is not None else Signature()
+    if isinstance(assumptions, Premises) and assumptions.sig is sig:
+        premises = assumptions
+    else:
+        premises = Premises(assumptions, sig)
     start = time.monotonic()
     deadline = start + budget.timeout_ms / 1000.0
     stats: dict = {}
@@ -661,12 +719,14 @@ def prove(
     # together; formulas rooted at the negated goal are all negations, so
     # the modal closure rules below never fire on that side
     ng = Not(goal)
-    pruned = _pure_roots([*assumptions, ng], sig)
-    kept = [a for i, a in enumerate(assumptions) if i not in pruned]
-    prep = _Prep(sig, [*assumptions, goal], [*kept, ng])
-    for a in kept:
-        prep.add(a, RULE_ASSUMPTION, ())
-    ng_key = prep.add(ng, RULE_NEGATED_GOAL, ())
+    pruned = premises.pruned(ng)
+    kept = [i for i in range(len(premises)) if i not in pruned]
+    prep = _Prep(sig, [*premises, goal], [*(premises[i] for i in kept), ng])
+    for i in kept:
+        key, consts = premises.keyed(i)
+        prep.add(key, premises[i], RULE_ASSUMPTION, consts)
+    ng_key = canonical_key(ng)
+    prep.add(ng_key, ng, RULE_NEGATED_GOAL, constants_in_formula(ng))
     prep.close(deadline)
     stats["pruned_roots"] = len(pruned)
     stats["grounding_instances"] = prep.instances

@@ -238,6 +238,14 @@ def obligated(agent: Term, time: Term, situation: Term, body: Formula) -> Modal:
 # recomputes, so neither those keys nor the plain prints may change.
 
 
+# Stands for a variable in a key template: canonical_key(f, {x: HOLE})
+# with a constant's key_name spliced in for HOLE is the key of f with
+# that constant put for x, provided canonical_key(f) does not hold HOLE.
+# Identifiers match [A-Za-z_][A-Za-z0-9_'-]* and generated names use
+# letters, digits and '_', so only a name built outside the parser can.
+HOLE = "#"
+
+
 def key_name(name: str) -> str:
     """A constant's or a given name's print in a key: with a leading '
     (no identifier starts with one) when it has a binder's shape."""

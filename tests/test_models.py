@@ -2,11 +2,24 @@
 
 from __future__ import annotations
 
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from modalguard import models
+from modalguard.eventcalc import project
+from modalguard.guard import prevents_body, trace_atoms
 from modalguard.models import entails, satisfiable
 from modalguard.parser import parse_formula
 from modalguard.prover import prove
+from modalguard.scenario import parse_scenario
+from modalguard.schemata import assumed, expand_modal, harvest_join_targets
+from modalguard.syntax import AGENT, KNOWS, Const, Exists, Forall, Modal, Not, Var, moment
 
 import corpus
+from test_parser import RandomFormulas, round_trip_sig
+from test_prover import load_guardbench_texts
 
 SIG = corpus.corpus_signature()
 
@@ -112,3 +125,100 @@ def test_limit_disjunction_of_modal_atoms():
     fs, g = load("exists-knows")
     assert entails(fs, g, SIG)[0] is False
     assert prove(fs, g, sig=SIG).status == "proof"
+
+
+# ---------------------------------------------------------------------------
+# the closure stops at its fixpoint and returns what depth + 1 rounds do
+
+
+def closure_in_every_round(formulas, sig, depth) -> tuple[list, int]:
+    """models._closure as it was before it stopped at a fixpoint: it runs
+    depth + 1 rounds unless a round grounds nothing.  Returns the closure
+    and the number of rounds run."""
+    dom = models._domains(formulas, sig)
+    current = []
+    for f in formulas:
+        g = models._ground(f, dom, sig)
+        if g is not models._TRUE:
+            current.extend(models._conjuncts(g))
+    rounds = 0
+    for _ in range(depth + 1):
+        rounds += 1
+        targets = harvest_join_targets(current)
+        records = assumed(current)
+        expand_modal(records, depth=depth, join_targets=targets)
+        out = []
+        again = False
+        for f in (d.formula for d in records.values()):
+            if models._has_quantifier_outside_modal(f):
+                f = models._ground(f, dom, sig)
+                again = True
+            if f is not models._TRUE:
+                out.extend(models._conjuncts(f))
+        current = out
+        if not again:
+            break
+    return current, rounds
+
+
+def closure_rounds(formulas, sig, depth, monkeypatch) -> tuple[list, int]:
+    """models._closure and the number of rounds it ran."""
+    rounds = []
+
+    def counting(*args, **kwargs):
+        rounds.append(1)
+        return expand_modal(*args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(models, "expand_modal", counting)
+        return models._closure(formulas, sig, depth), len(rounds)
+
+
+def query_mix_no_theories() -> dict[str, tuple[list, object]]:
+    """The formulas the oracle closes for each "no" prevention query of
+    the benchmark's query_mix: facts, trace atoms and the negated
+    condition, with their signature."""
+    texts = load_guardbench_texts()
+    sim1 = texts.bundled_text("sim1")
+    queries = {"shooter-ai": (sim1, "ai")}
+    for name in texts.SIM1_ABLATIONS:
+        queries[name] = (texts.sim1_ablation(sim1, name), "victim")
+    out = {}
+    for label, (text, victim) in queries.items():
+        sc = parse_scenario(text, label)
+        c = {n: Const(n, s) for n, s in sc.sig.constants.items()}
+        goal = prevents_body(c["shooter"], c[victim], c["g_live"], c["fire"], moment(1))
+        trace = project(sc.theory, sc.sig)
+        fs = [*sc.facts, *trace_atoms(trace, sc.theory.occurrences), Not(goal)]
+        out[label] = (fs, sc.sig)
+    return out
+
+
+def test_the_closure_of_each_query_mix_no_theory_is_unchanged(monkeypatch):
+    early = []
+    for label, (fs, sig) in query_mix_no_theories().items():
+        got, rounds = closure_rounds(fs, sig, 4, monkeypatch)
+        want, every = closure_in_every_round(fs, sig, 4)
+        assert got == want, label
+        assert entails(fs[:-1], fs[-1].body, sig)[0] is False
+        early.append(rounds < every)
+    # four of the five reach their fixpoint before round 5
+    assert early.count(True) == 4
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.booleans())
+def test_the_closure_of_a_random_theory_is_unchanged(seed, depth, known):
+    rng = random.Random(seed)
+    gen = RandomFormulas(seed)
+    fs = [gen.formula([], rng.randint(0, 3)) for _ in range(rng.randint(1, 3))]
+    if known:
+        # S1 brings out a quantified body in every round, the case where
+        # a round can return its input
+        x = Var("x", AGENT)
+        body = rng.choice((Forall, Exists))(x, gen.formula([x], rng.randint(0, 2)))
+        fs.append(Modal(KNOWS, Const("a", AGENT), moment(1), body))
+    sig = round_trip_sig()
+    with pytest.MonkeyPatch.context() as mp:
+        got, _ = closure_rounds(fs, sig, depth, mp)
+    assert got == closure_in_every_round(fs, sig, depth)[0]

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
-import pytest
+import random
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from modalguard import proofs
 from modalguard.clauses import Clause, Literal, clausify
 from modalguard.parser import parse_formula
 from modalguard.proofs import (
@@ -15,10 +19,25 @@ from modalguard.proofs import (
     verify_proof_detailed,
 )
 from modalguard.prover import prove
-from modalguard.syntax import AGENT, FALSUM, Atom, Const, Forall, Not, Signature, Var
+from modalguard.syntax import (
+    AGENT,
+    FALSUM,
+    FLUENT,
+    GOAL,
+    MOMENT,
+    Atom,
+    Const,
+    Forall,
+    Not,
+    Signature,
+    Var,
+    canonical_key,
+    substitute,
+)
 
 import corpus
 import corruptions
+from test_parser import RandomFormulas, round_trip_sig
 
 SIG = corpus.corpus_signature()
 CASES = corruptions.corruption_cases(SIG)
@@ -220,6 +239,33 @@ def test_a_constant_named_like_an_internal_marker_is_no_fresh_witness(rule):
         False, "step 2: witness _vacuous is not fresh")
 
 
+def test_a_witness_named_like_the_key_hole_is_no_wildcard():
+    # the witness # prints as the hole the instance check splices
+    # candidates into, so (R # y) over y must not take (R a a) for an
+    # instance: its only instance at a is (R # a)
+    sig = Signature()
+    sig.declare_constant("a", AGENT)
+    sig.declare_predicate("R", (AGENT, AGENT))
+    quant = parse_formula("(exists x : Agent (forall y : Agent (R x y)))", sig)
+    y, hole = Var("y", AGENT), Const("#", AGENT)
+    goal = parse_formula("(R a a)", sig)
+    clause = lambda f: clause_to_formula(clausify(f)[0])
+    proof = Proof((
+        ProofStep(quant, "assumption"),
+        ProofStep(Forall(y, Atom("R", (hole, y))), "exists-elim", (0,)),
+        ProofStep(goal, "forall-elim", (1,)),
+        ProofStep(clause(goal), "clausify", (2,)),
+        ProofStep(Not(goal), "negated-goal"),
+        ProofStep(clause(Not(goal)), "clausify", (4,)),
+        ProofStep(FALSUM, "resolve", (3, 5)),
+        ProofStep(goal, "reductio", (6, 4)),
+    ))
+    assert verify_proof_detailed(proof, [quant], goal, sig) == (
+        False, "step 3: conclusion is not an instance of the premise")
+    # the true instance is still one
+    assert proofs._is_instance(y, Atom("R", (hole, y)), Atom("R", (hole, Const("a", AGENT))), sig) == Const("a", AGENT)
+
+
 @pytest.mark.parametrize("rule", ["exists-elim", "neg-forall-elim"])
 def test_a_variable_is_no_witness(rule):
     # (P x) with x free clausifies to a universal clause, so the bound
@@ -300,3 +346,66 @@ def test_accepts_a_clause_whose_canonical_clause_renumbers_it():
     assert "(or (P V0) (R V0 V3) (R V1 V2))" in r.proof.serialize()
     ok, reason = verify_proof_detailed(r.proof, assumptions, goal, sig)
     assert ok, reason
+
+
+# ---------------------------------------------------------------------------
+# instance steps splice each candidate into the body's key template
+
+
+def instance_by_substitution(var, body, conclusion, sig):
+    """proofs._is_instance as it was: substitute each candidate constant
+    into body, then key the instance."""
+    want = canonical_key(conclusion)
+    if canonical_key(body) == want:
+        return var
+    for c in proofs._instance_candidates(conclusion, var.sort, sig):
+        if canonical_key(substitute(body, {var: c}, sig)) == want:
+            return c
+    return None
+
+
+# per sort of the bound variable, constants to put for it: names of the
+# generator's binders, a binder's key shape, and a Goal for a Fluent
+PUT_FOR = {
+    AGENT: (Const("a", AGENT), Const("y", AGENT), Const("u", AGENT), Const("b0", AGENT)),
+    MOMENT: (Const("1", MOMENT), Const("3", MOMENT)),
+    FLUENT: (Const("wet", FLUENT), Const("g1", GOAL)),
+}
+IS_SIG = round_trip_sig()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(sorted(PUT_FOR)),
+    st.sampled_from(("x", "y", "t'")),
+    st.sampled_from(("instance", "body", "other")),
+)
+@example(0, AGENT, "x", "instance")
+def test_spliced_instances_equal_substituted_ones(seed, sort, name, conclusion_kind):
+    rng = random.Random(seed)
+    gen = RandomFormulas(seed)
+    var = Var(name, sort)
+    body = gen.formula([var], rng.randint(0, 3))
+    if conclusion_kind == "instance":
+        conclusion = substitute(body, {var: rng.choice(PUT_FOR[sort])}, IS_SIG)
+    elif conclusion_kind == "body":
+        conclusion = body
+    else:
+        conclusion = gen.formula([], rng.randint(0, 3))
+    got = proofs._is_instance(var, body, conclusion, IS_SIG)
+    assert got == instance_by_substitution(var, body, conclusion, IS_SIG)
+
+
+def test_spliced_instances_of_a_captured_name_and_a_subsort():
+    x, y = Var("x", AGENT), Var("y", AGENT)
+    # the constant y is put under a binder named y, which is renamed
+    body = Forall(y, Atom("R", (x, y)))
+    conclusion = substitute(body, {x: Const("y", AGENT)}, IS_SIG)
+    assert proofs._is_instance(x, body, conclusion, IS_SIG) == Const("y", AGENT)
+    # a Goal is a Fluent, so g1 is a candidate for a Fluent variable
+    f = Var("f", FLUENT)
+    holds = Atom("holds", (f, Const("1", MOMENT)))
+    g1 = Const("g1", GOAL)
+    assert proofs._is_instance(f, holds, substitute(holds, {f: g1}, IS_SIG), IS_SIG) == g1
+    assert proofs._is_instance(f, holds, holds, IS_SIG) == f

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import importlib.util
 import random
@@ -460,6 +461,55 @@ def test_a_pure_root_is_kept_for_a_witness_of_a_sort_with_no_constant():
     again = prove(fs, goal, sig=sig)
     assert again.stats["pruned_roots"] == 1
     assert again.status == "proof"
+
+
+def answer(r) -> tuple:
+    """A prove result but for its wall clock."""
+    stats = {k: v for k, v in r.stats.items() if k != "elapsed_ms"}
+    return r.status, None if r.proof is None else r.proof.serialize(), stats
+
+
+def test_one_premises_prunes_by_the_goals_join_uses():
+    # both goals negate an intention, whose body adds nothing to their
+    # shape; only the second uses the conjunction that the pure root's
+    # join target joins, so only the second keeps that root
+    fs = [parse_formula(t, SIG) for t in (
+        "(knows bob 1 (P alice))",
+        "(or (floods) (knows bob 1 (and (P alice) (Q alice))))",
+    )]
+    goals = [parse_formula(t, SIG) for t in (
+        "(intends bob 1 (P alice))",
+        "(intends bob 1 (not (and (P alice) (Q alice))))",
+        "(intends bob 1 (P alice))",
+    )]
+    premises = prover.Premises(fs, SIG)
+    pruned = []
+    for goal in goals:
+        r = prove(premises, goal, sig=SIG)
+        assert answer(r) == answer(prove(fs, goal, sig=SIG))
+        pruned.append(r.stats["pruned_roots"])
+    assert pruned == [1, 0, 1]
+    # a root that could make a witness of a sort with no declared
+    # constant is kept; under a signature that declares one, it goes.
+    # Asked under a signature it is not bound to, a Premises answers as
+    # a fresh one bound to that signature would
+    sig = corpus.corpus_signature()
+    sig.declare_sort("Tool")
+    sig.declare_predicate("Sharp", ("Tool",))
+    tools = copy.deepcopy(sig)
+    tools.declare_constant("wrench", "Tool")
+    fs = [parse_formula(t, sig) for t in (
+        "(exists x : Tool (or (floods) (knows alice 1 (Sharp x))))",
+        "(forall x : Tool (knows alice 1 (Sharp x)))",
+    )]
+    goal = parse_formula("(exists x : Tool (Sharp x))", sig)
+    premises = prover.Premises(fs, sig)
+    pruned = []
+    for s in (sig, tools, sig):
+        r = prove(premises, goal, sig=s)
+        assert answer(r) == answer(prove(fs, goal, sig=s))
+        pruned.append(r.stats["pruned_roots"])
+    assert pruned == [0, 1, 0]
 
 
 def test_a_sort_mentioned_nowhere_is_grounded_at_its_first_constant():

@@ -39,6 +39,7 @@ from modalguard.syntax import (
     AGENT,
     GOAL,
     Atom,
+    Const,
     Implies,
     Signature,
     moment,
@@ -47,7 +48,7 @@ from modalguard.syntax import (
 )
 
 import corpus
-from test_prover import load_guardbench_texts
+from test_prover import answer, load_guardbench_texts
 
 SIM1 = load_guardbench_texts().bundled_text("sim1")
 FACTS_AT = "(facts\n"
@@ -452,3 +453,83 @@ def test_relevance_changes_no_intention_query(label):
     ]
     assert good_unproved == (["(safe ranger2)"] if label == "sim2-ranger2" else [])
     assert v.clauses["C3"].status == ("fail" if good_unproved else "pass")
+
+
+# ---------------------------------------------------------------------------
+# one Premises asks every C3 goal of a check: each answer is the one a
+# fresh prove over a plain list gives
+
+SIM2_FAMILY_C3 = {**SIM2_FAMILY, "sim2+4": GUARDBENCH_TEXTS.sim2_extra_effects(SIM2, 4)}
+
+
+def assert_one_premises_answers_as_fresh_calls(text: str, label: str) -> int:
+    """Ask every C3 goal of the text's check in sequence of one Premises;
+    returns the number of goals."""
+    sc = parse_scenario(text, label)
+    base, _ = base_theory(sc)
+    req = sc.request
+    v = check_dde(sc.theory, req.agent, req.atype, req.moment, sc.hierarchy, sc.utilities, base, sc.sig)
+    premises = prover.Premises(base, sc.sig)
+    for e in v.effects:
+        goal = intention_formula(req.agent, req.moment, e)
+        shared = prove(premises, goal, sig=sc.sig)
+        assert answer(shared) == answer(prove(list(base), goal, sig=sc.sig)), print_formula(goal)
+    return len(v.effects)
+
+
+@pytest.mark.parametrize("label", list(SIM2_FAMILY_C3))
+def test_one_premises_answers_every_c3_goal_of_sim2_as_fresh_calls(label):
+    assert assert_one_premises_answers_as_fresh_calls(SIM2_FAMILY_C3[label], label) > 1
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(sim1_family())
+@example((SIM1, {}))
+def test_one_premises_answers_every_c3_goal_of_sim1_as_fresh_calls(variant):
+    text, _ = variant
+    assert_one_premises_answers_as_fresh_calls(text, "sim1-variant")
+
+
+def test_one_premises_prunes_each_guard_goal_as_a_fresh_call():
+    # an intention goal and the obligation goal negate a modal, which
+    # adds nothing to their shape; the prevention condition's negation
+    # holds prior negatively, so it keeps the prior facts the other two
+    # leave out
+    sc = parse_scenario(SIM1, "sim1")
+    assumptions, _ = base_theory(sc)
+    req = sc.request
+    v = check_dde(sc.theory, req.agent, req.atype, req.moment, sc.hierarchy, sc.utilities, assumptions, sc.sig)
+    c = {n: Const(n, s) for n, s in sc.sig.constants.items()}
+    goals = (
+        intention_formula(req.agent, req.moment, v.effects[0]),
+        prevents_body(c["shooter"], c["victim"], c["g_live"], c["fire"], moment(1)),
+        obligation_goal(sc),
+    )
+    premises = prover.Premises(assumptions, sc.sig)
+    pruned = []
+    for goal in goals:
+        shared = prove(premises, goal, sig=sc.sig)
+        assert answer(shared) == answer(prove(list(assumptions), goal, sig=sc.sig))
+        pruned.append(shared.stats["pruned_roots"])
+    assert pruned[1] < pruned[0] == pruned[2]
+
+
+def test_check_dde_prunes_the_roots_of_its_theory_once(monkeypatch):
+    calls = []
+
+    def counting(roots, sig):
+        calls.append(len(roots))
+        return pure_roots(roots, sig)
+
+    pure_roots = prover._pure_roots
+    monkeypatch.setattr(prover, "_pure_roots", counting)
+    sc = parse_scenario(SIM2_FAMILY_C3["sim2+4"], "sim2+4")
+    base, trace = base_theory(sc)
+    req = sc.request
+    v = check_dde(
+        sc.theory, req.agent, req.atype, req.moment, sc.hierarchy, sc.utilities, base, sc.sig,
+        trace=trace,
+    )
+    assert v.compliant
+    assert len(v.effects) > 20
+    assert calls == [len(base) + 1]
