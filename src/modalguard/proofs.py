@@ -5,14 +5,14 @@ rule name, and the indices of its premise steps.  Clause-level steps
 encode clauses as universally closed disjunctions (the empty clause is
 the nullary atom (false)).  verify_proof re-derives every step from
 its premises alone: schema instances are checked structurally,
-instantiation steps by splicing each candidate constant into the
-premise body's key template, clausification and resolution steps by
-recomputation.  Formulas are compared by the prover's
-canonical key and clauses by canonical clause; neither takes a free
-variable for a constant of its name.  A witness must be a constant
-fresh for the names of the assumptions, the goal and the earlier
-steps, which are read only at a step that introduces one.  It shares
-no state with the prover's search.
+instantiation steps by keying the premise body with the bound variable
+named as each candidate constant, clausification and resolution steps
+by recomputation.  Formulas are compared by the prover's canonical key
+and clauses by canonical clause; neither takes a free variable for a
+constant of its name, nor one name for another.  A witness must be a
+constant fresh for the names of the assumptions, the goal and the
+earlier steps, which are read only at a step that introduces one.  It
+shares no state with the prover's search.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .syntax import (
     FALSUM,
     Forall,
     Formula,
-    HOLE,
     Implies,
     Modal,
     Not,
@@ -44,9 +43,7 @@ from .syntax import (
     constants_in_formula,
     disj,
     free_vars,
-    key_name,
     print_formula,
-    substitute,
     symbol_names,
     BELIEVES,
     EPISTEMIC_OPS,
@@ -154,30 +151,15 @@ def _is_instance(
     itself when body already is (a vacuous binder, or var left free),
     otherwise a constant.
 
-    body is keyed once more, with var printed as a hole, and each
-    candidate's key print is spliced into that template: substituting a
-    constant for var commutes with keying, since binders key by position
-    whatever their names and capture-avoiding renaming moves only
-    binders.  The splice is exact only when the hole marks var alone, so
-    a body whose own key holds the hole (a name built outside the parser
-    may spell it) is checked by substituting each candidate instead."""
+    body is keyed with var named as each candidate: binders key by
+    position whatever their names and capture-avoiding renaming moves
+    only binders, so that is the key of body[var := candidate], found
+    without building it."""
     want = canonical_key(conclusion)
-    plain = canonical_key(body)
-    if plain == want:
+    if canonical_key(body) == want:
         return var
-    candidates = _instance_candidates(conclusion, var.sort, sig)
-    if HOLE in plain:
-        for c in candidates:
-            try:
-                inst = substitute(body, {var: c}, sig)
-            except Exception:
-                continue
-            if canonical_key(inst) == want:
-                return c
-        return None
-    template = canonical_key(body, {var: HOLE})
-    for c in candidates:
-        if template.replace(HOLE, key_name(c.name)) == want:
+    for c in _instance_candidates(conclusion, var.sort, sig):
+        if canonical_key(body, {var: c.name}) == want:
             return c
     return None
 

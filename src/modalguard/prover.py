@@ -111,12 +111,12 @@ no_proof.
 
 A proof search holds one store of derivations: the grounding
 closure's records, keyed by canonical key.  Modal expansion extends
-that dict in place, and the proof is replayed from it.  A root formula
-is keyed by canonical_key; a grounding instance by splicing its
-constant into its quantifier's template (see _Prep), without walking
-the instance.  The expansion keys no formula handed in again: it prints
-keys only for the formulas it derives and for the bodies, antecedents
-and join-target parts it looks up.
+that dict in place, and the proof is replayed from it.  Every record
+is keyed by canonical_key; a grounding instance by its quantifier's
+body keyed under the constant's name (see _Prep), so the instance is
+keyed before it is built.  The expansion keys no formula handed in
+again: it prints keys only for the formulas it derives and for the
+bodies, antecedents and join-target parts it looks up.
 
 One theory, many goals.  prove works through a Premises, which keeps
 what it derives from the assumptions alone: each assumption's
@@ -179,7 +179,6 @@ from .syntax import (
     Exists,
     Forall,
     Formula,
-    HOLE,
     Iff,
     Implies,
     KNOWS,
@@ -192,7 +191,6 @@ from .syntax import (
     constants_in_formula,
     free_vars,
     is_moment_literal,
-    key_name,
     maximal_modal_subformulas,
     moment_value,
     substitute,
@@ -226,17 +224,15 @@ class ProveResult:
 class _Plan(NamedTuple):
     """How close() grounds a formula: wrap(body) with var replaced by a
     constant, derived by rule; over the whole domain when universal, by
-    one fresh witness otherwise.  template is the canonical key of
-    wrap(body) with var printed as HOLE (see _Prep).  must holds the
-    literals of wrap(body)'s must-set that are ground but for var, as
-    (atom, positive)."""
+    one fresh witness otherwise.  var is free in a modal subformula of
+    body.  must holds the literals of wrap(body)'s must-set that are
+    ground but for var, as (atom, positive)."""
 
     var: Var
     body: Formula
     wrap: Callable[[Formula], Formula]
     rule: str
     universal: bool
-    template: str
     must: tuple[tuple[Atom, bool], ...]
 
 
@@ -267,12 +263,11 @@ def _grounding_plan(f: Formula) -> Optional[_Plan]:
     if q is None:
         return None
     var, body, wrap, rule, universal = q
-    # the template holes var wherever wrap(body) has it free, so an open
-    # consequent that has it free too is not grounded
+    # an instance key names var wherever wrap(body) has it free, so an
+    # open consequent that has it free too is not grounded
     if rule == RULE_EXISTS_ANTECEDENT and var in free_vars(f.right):
         return None
     if any(var in free_vars(m) for m in maximal_modal_subformulas(body)):
-        template = canonical_key(wrap(body), {var: HOLE})
         must: dict[tuple[Atom, bool], None] = {}
         for atom, sign, top, bound in _literals(wrap(body)):
             held: list[Var] = []
@@ -281,7 +276,7 @@ def _grounding_plan(f: Formula) -> Optional[_Plan]:
             # below a binder of var itself, var is not the one filled in
             if top and all(v == var and v not in bound for v in held):
                 must[(atom, sign > 0)] = None
-        return _Plan(var, body, wrap, rule, universal, template, tuple(must))
+        return _Plan(var, body, wrap, rule, universal, tuple(must))
     return None
 
 
@@ -302,13 +297,12 @@ def _domain_order(consts: set[Const]) -> list[Const]:
 class _Prep:
     """Grounding closure over one set of root formulas.
 
-    A root formula is keyed by canonical_key.  A grounding instance is
-    keyed from its quantifier's template instead: the canonical key of
-    wrap(body) with the bound variable printed as HOLE.  Substituting
-    a constant commutes with keying (binders are renamed by position
-    whatever their names, and a constant keys as a named variable does,
-    see syntax.key_name), so splicing the constant's key print into the
-    template gives the instance's canonical key without building it.
+    A root formula is keyed by canonical_key.  A grounding instance at
+    a constant c is keyed as wrap(body) with the bound variable named
+    c.name: binders key by position whatever their names, and a named
+    variable keys as a constant of that name does, quoted when the name
+    is not plain (syntax.key_name), so that is the instance's canonical
+    key, found before the instance is built.
     """
 
     def __init__(
@@ -350,15 +344,14 @@ class _Prep:
 
     def _add_instance(self, key: str, c: Const) -> str:
         """Add the instance of record key's plan at c; its key."""
-        var, body, wrap, rule, _, template, _ = self.plans[key]
-        ikey = template.replace(HOLE, key_name(c.name))
+        var, body, wrap, rule, _, _ = self.plans[key]
+        ikey = canonical_key(wrap(body), {var: c.name})
         if ikey not in self.records:
             f = wrap(substitute(body, {var: c}, self.sig))
             self.records[ikey] = Derivation(f, rule, (key,), 0)
             # the instance's constants are its quantifier's (already
-            # recorded) plus c, when var occurs free in body
-            if HOLE in template:
-                self.consts.add(c)
+            # recorded) plus c
+            self.consts.add(c)
         return ikey
 
     def _fresh_witness(self, sort: str) -> Const:

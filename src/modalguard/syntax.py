@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import count
 from typing import Iterator, Mapping, Optional, Union
 
@@ -120,8 +121,9 @@ RESERVED_WORDS = frozenset(CONNECTIVES + QUANTIFIERS + MODAL_OPS)
 # h<digits>, shadow atoms are named sh_<hex> and skolem symbols
 # sk_<hex>_<n>.  Signature refuses a declared symbol spelling one: it
 # would read as a binder, or share a shadow atom or a skolem symbol with
-# what it is not.  Formulas built in Python are not checked, but a key
-# still tells a constant named like a binder from it (key_name).
+# what it is not.  Names in formulas built in Python are not checked,
+# but a key quotes any name that is not plain and tells a constant
+# named like a binder from it (key_name).
 BINDER_SHAPE = re.compile(r"b[0-9]+")
 RESERVED_SHAPES = (
     (BINDER_SHAPE, "b<digits>"),
@@ -238,27 +240,33 @@ def obligated(agent: Term, time: Term, situation: Term, body: Formula) -> Modal:
 # recomputes, so neither those keys nor the plain prints may change.
 
 
-# Stands for a variable in a key template: canonical_key(f, {x: HOLE})
-# with a constant's key_name spliced in for HOLE is the key of f with
-# that constant put for x, provided canonical_key(f) does not hold HOLE.
-# Identifiers match [A-Za-z_][A-Za-z0-9_'-]* and generated names use
-# letters, digits and '_', so only a name built outside the parser can.
-HOLE = "#"
+# Names a key prints as they are: identifiers and moment literals.
+PLAIN_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_'-]*|[0-9]+")
 
 
+@lru_cache(maxsize=65536)
 def key_name(name: str) -> str:
-    """A constant's or a given name's print in a key: with a leading '
-    (no identifier starts with one) when it has a binder's shape."""
-    return "'" + name if name[:1] == "b" and BINDER_SHAPE.fullmatch(name) else name
+    """A name's print in a key.  A plain name (PLAIN_NAME, and not a
+    reserved word) prints as itself, with a leading ' (no identifier
+    starts with one) when it has a binder's shape.  Any other name, which
+    only a formula built in Python can hold, is quoted, with " and \\
+    escaped.  So no two names print alike, and no name prints as a
+    binder, a free variable or a connective."""
+    if not PLAIN_NAME.fullmatch(name) or name in RESERVED_WORDS:
+        return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return "'" + name if BINDER_SHAPE.fullmatch(name) else name
 
 
 def _show_term(t: Term, names: Optional[Mapping[Var, str]]) -> str:
     if isinstance(t, Const):
         return t.name if names is None else key_name(t.name)
     if isinstance(t, Var):
-        return t.name if names is None else names.get(t) or f"?{t.name}:{t.sort}"
+        if names is None:
+            return t.name
+        return names.get(t) or f"?{key_name(t.name)}:{key_name(t.sort)}"
+    fn = t.fn if names is None else key_name(t.fn)
     inner = " ".join([_show_term(a, names) for a in t.args])
-    return f"({t.fn} {inner})" if inner else f"({t.fn})"
+    return f"({fn} {inner})" if inner else f"({fn})"
 
 
 def _show(
@@ -268,9 +276,10 @@ def _show(
     variable in names under its name there, and the binders under the
     names binders gives, in binder order."""
     if isinstance(f, Atom):
+        pred = f.pred if names is None else key_name(f.pred)
         if not f.args:
-            return f"({f.pred})"
-        return f"({f.pred} {' '.join([_show_term(a, names) for a in f.args])})"
+            return f"({pred})"
+        return f"({pred} {' '.join([_show_term(a, names) for a in f.args])})"
     if isinstance(f, Not):
         return f"(not {_show(f.body, names, binders)})"
     if isinstance(f, And):
@@ -284,12 +293,12 @@ def _show(
     if isinstance(f, (Forall, Exists)):
         v = f.var
         if names is None:
-            name = v.name
+            name, sort = v.name, v.sort
         else:
-            name = next(binders)
+            name, sort = next(binders), key_name(v.sort)
             names = {**names, v: name}
         q = "forall" if isinstance(f, Forall) else "exists"
-        return f"({q} {name} : {v.sort} {_show(f.body, names, binders)})"
+        return f"({q} {name} : {sort} {_show(f.body, names, binders)})"
     if isinstance(f, Modal):
         head = f"({f.op} {_show_term(f.agent, names)} {_show_term(f.time, names)}"
         if f.situation is not None:
@@ -308,10 +317,11 @@ def print_formula(f: Formula) -> str:
 
 def canonical_key(f: Formula, names: Optional[Mapping[Var, str]] = None) -> str:
     """Identity key: equal keys mean alpha-equivalent formulas.  f is
-    printed with its binders renamed b0, b1, ... in binder order.  A
-    free variable in names prints as a constant of the given name would
-    (key_name); any other free variable x of sort S prints as ?x:S,
-    which no identifier can spell."""
+    printed with its binders renamed b0, b1, ... in binder order and
+    every other name through key_name.  A free variable in names prints
+    as a constant of the given name would, so the key of f with x named
+    c.name is the key of f with the constant c put for x; any other free
+    variable x of sort S prints as ?x:S, which no name's print spells."""
     given = {v: key_name(n) for v, n in names.items()} if names else {}
     return _show(f, given, map("b{}".format, count()))
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -52,3 +53,39 @@ def test_fold_keeps_the_end_to_end_metrics_of_the_last_line():
 def test_fold_refuses_a_failed_run(stdout):
     with pytest.raises(BT.RunFailed):
         BT.fold("query_mix", stdout, END_TO_END)
+
+
+def test_median_takes_each_metric_over_the_runs():
+    runs = [
+        BT.fold("query_mix", RESULT.replace("56.7", str(v)).replace("72", str(n)), END_TO_END)
+        for v, n in ((60.0, 80), (50.0, 70), (56.7, 72))
+    ]
+    assert BT.median(runs) == {
+        "verdicts_per_s": {"value": 56.7, "unit": "1/s"},
+        "correct_share": {"value": 1.0, "unit": "share"},
+    }
+    assert BT.median(runs[:2])["verdicts_per_s"]["value"] == 55.0
+
+
+def test_a_trajectory_runs_each_workload_at_three_seeds(monkeypatch, tmp_path):
+    calls = []
+
+    def fake_run(workload, seed, seconds, end_to_end):
+        calls.append((workload, seed))
+        return BT.fold(workload, RESULT.replace("56.7", str(50.0 + seed)), END_TO_END)
+
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(
+        '{"run_seconds": 2, "workloads": [{"name": "query_mix"}],'
+        ' "end_to_end": [{"name": "verdicts_per_s"}, {"name": "correct_share"}]}'
+    )
+    monkeypatch.setattr(BT, "ROOT", tmp_path)
+    monkeypatch.setattr(BT, "run", fake_run)
+    assert BT.main(["--pr", "0"]) == 0
+    assert calls == [("query_mix", 1), ("query_mix", 2), ("query_mix", 3)]
+    record = json.loads((tmp_path / "BENCH_0.json").read_text())
+    assert record["schema"] == "bench-trajectory/2"
+    assert record["seeds"] == [1, 2, 3]
+    got = record["workloads"]["query_mix"]
+    assert [r["seed"] for r in got["runs"]] == [1, 2, 3]
+    assert got["median"]["verdicts_per_s"] == {"value": 52.0, "unit": "1/s"}

@@ -240,9 +240,8 @@ def test_a_constant_named_like_an_internal_marker_is_no_fresh_witness(rule):
 
 
 def test_a_witness_named_like_the_key_hole_is_no_wildcard():
-    # the witness # prints as the hole the instance check splices
-    # candidates into, so (R # y) over y must not take (R a a) for an
-    # instance: its only instance at a is (R # a)
+    # the witness # is no identifier; (R # y) over y must not take
+    # (R a a) for an instance: its only instance at a is (R # a)
     sig = Signature()
     sig.declare_constant("a", AGENT)
     sig.declare_predicate("R", (AGENT, AGENT))
@@ -326,6 +325,31 @@ def test_rejects_a_variable_claimed_for_a_constant_of_its_name():
     assert prove(assumptions, goal, sig=sig).status == "no_proof"
 
 
+def test_rejects_a_free_variable_cited_as_a_constant_spelled_like_its_key():
+    # a free variable x keys as ?x:Agent, and formulas built in Python
+    # may hold a constant of that name; cited as the assumption
+    # (P ?x:Agent), (P x) would clausify to (forall x (P x)) and prove
+    # (P bob)
+    sig = Signature()
+    sig.declare_constant("bob", AGENT)
+    sig.declare_predicate("P", (AGENT,))
+    x = Var("x", AGENT)
+    assumption = Atom("P", (Const("?x:Agent", AGENT),))
+    goal = Atom("P", (Const("bob", AGENT),))
+    clause = lambda f: clause_to_formula(clausify(f)[0])
+    forged = Proof((
+        ProofStep(Atom("P", (x,)), "assumption"),
+        ProofStep(clause(Atom("P", (x,))), "clausify", (0,)),
+        ProofStep(Not(goal), "negated-goal"),
+        ProofStep(clause(Not(goal)), "clausify", (2,)),
+        ProofStep(FALSUM, "resolve", (1, 3)),
+        ProofStep(goal, "reductio", (4, 2)),
+    ))
+    assert verify_proof_detailed(forged, [assumption], goal, sig) == (
+        False, "step 1: formula is not a declared assumption")
+    assert prove([assumption], goal, sig=sig).status == "no_proof"
+
+
 def test_accepts_a_clause_whose_canonical_clause_renumbers_it():
     # the clause of the first assumption is canonical as
     # (P V0) | (R V0 V3) | (R V1 V2), whose own canonical clause numbers
@@ -349,7 +373,8 @@ def test_accepts_a_clause_whose_canonical_clause_renumbers_it():
 
 
 # ---------------------------------------------------------------------------
-# instance steps splice each candidate into the body's key template
+# instance steps key the body with the bound variable named as each
+# candidate
 
 
 def instance_by_substitution(var, body, conclusion, sig):

@@ -534,7 +534,8 @@ def test_a_sort_mentioned_nowhere_is_grounded_at_its_first_constant():
 
 
 # ---------------------------------------------------------------------------
-# grounding instances are keyed from their quantifier's template
+# a grounding instance is keyed as its quantifier's body with the bound
+# variable named as the constant
 
 
 def spy_preps(monkeypatch) -> list:
@@ -605,8 +606,8 @@ def test_spliced_keys_equal_canonical_keys_on_the_corpus(monkeypatch):
 
 
 def test_spliced_keys_equal_canonical_keys_on_an_open_consequent(monkeypatch):
-    # v is free in the consequent as well as bound in the antecedent; a
-    # template holes v wherever it is free, so this root is not grounded
+    # v is free in the consequent as well as bound in the antecedent; an
+    # instance key names v wherever it is free, so this root is not grounded
     preps = spy_preps(monkeypatch)
     v = Var("v", AGENT)
     knows_v = parse_formula("(exists v : Agent (knows v 1 (P v)))", SIG)
@@ -641,7 +642,7 @@ def test_spliced_keys_equal_canonical_keys_on_the_guard_scenarios(monkeypatch):
 
 def test_a_constant_named_like_a_binder_splices_as_its_key_print(monkeypatch):
     # formulas built in Python may hold such a constant; its key print
-    # carries a leading ', and so must the spliced instance key
+    # carries a leading ', and so must the instance key
     preps = spy_preps(monkeypatch)
     b0 = Const("b0", AGENT)
     root = parse_formula("(forall x : Agent (knows x 1 (P x)))", SIG)
@@ -650,6 +651,24 @@ def test_a_constant_named_like_a_binder_splices_as_its_key_print(monkeypatch):
     assert r.status == "proof" and r.stats["route"] == "closure"
     assert check_closure_keys(preps)[0] > 0
     assert canonical_key(goal) in preps[0].records
+
+
+def test_an_instance_at_a_constant_named_unlike_an_identifier_keys_apart():
+    # formulas built in Python may hold the constant #; the instance of
+    # (forall y (knows a 1 (R # y))) at a is (knows a 1 (R # a)), keyed
+    # apart from the assumption (knows a 1 (R a a)) whatever else is
+    # assumed, so it is recorded and proves the goal
+    sig = Signature()
+    sig.declare_constant("a", AGENT)
+    sig.declare_predicate("R", (AGENT, AGENT))
+    a, hash_, y = Const("a", AGENT), Const("#", AGENT), Var("y", AGENT)
+    knows = lambda body: Modal(KNOWS, a, moment(1), body)
+    quant = Forall(y, knows(Atom("R", (hash_, y))))
+    goal = knows(Atom("R", (hash_, a)))
+    for assumptions in ([quant], [quant, knows(Atom("R", (a, a)))]):
+        r = prove(assumptions, goal, sig=sig)
+        assert r.status == "proof"
+        assert verify_proof(r.proof, assumptions, goal, sig)
 
 
 def test_no_closure_record_has_a_free_variable(monkeypatch):

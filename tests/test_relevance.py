@@ -455,6 +455,23 @@ def test_relevance_changes_no_intention_query(label):
     assert v.clauses["C3"].status == ("fail" if good_unproved else "pass")
 
 
+@pytest.mark.parametrize("label", list(SIM2_FAMILY))
+def test_relevance_changes_no_obligation_search_over_sim2(label):
+    # the obligation search reads the request theory with its norms; the
+    # same proof with both relevance filters off, and it verifies
+    sc = parse_scenario(SIM2_FAMILY[label], label)
+    assumptions, _ = adjudication_theory(sc)
+    goal = obligation_goal(sc)
+    pruned = prove(assumptions, goal, sig=sc.sig)
+    with pytest.MonkeyPatch.context() as mp:
+        unpruned(mp)
+        plain = prove(assumptions, goal, sig=sc.sig)
+    assert proof_print(pruned) == proof_print(plain)
+    assert pruned.stats["pruned_roots"] > 0 == plain.stats["pruned_roots"]
+    assert pruned.status == "proof"
+    assert verify_proof(pruned.proof, assumptions, goal, sc.sig)
+
+
 # ---------------------------------------------------------------------------
 # one Premises asks every C3 goal of a check: each answer is the one a
 # fresh prove over a plain list gives

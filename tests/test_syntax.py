@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from test_parser import RandomFormulas, round_trip_sig
 
 from modalguard.parser import ParseError, parse_formula
@@ -255,6 +256,46 @@ def test_named_free_variables_key_as_constants_of_those_names():
     assert canonical_key(f, {X: "n"}) == (
         "(and (forall b0 : Agent (exists b1 : Agent (R b0 b1))) (P n))"
     )
+
+
+# names only a formula built in Python can hold: a binder's shape, the
+# key prints of a binder-shaped constant ('b0), a free variable
+# (?x:Agent) and a quoted name ("a"), the empty name, reserved words and
+# the quote and escape characters; "a" is plain
+ODD_NAMES = ("a", "b0", "'b0", "?x:Agent", '"a"', "#", "", "not", "knows", "x y", "\\", '"')
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(ODD_NAMES) | st.text(max_size=6), min_size=2, max_size=2, unique=True))
+def test_distinct_names_give_distinct_keys(names):
+    n, m = names
+    # every place a key prints a name: a constant, a given name, a
+    # predicate, a function, a free variable's name and sort, a binder's sort
+    places = (
+        lambda s: Atom("P", (Const(s, AGENT),)),
+        lambda s: canonical_key(Atom("P", (X,)), {X: s}),
+        lambda s: Atom(s, (A,)),
+        lambda s: Atom("P", (App(s, (A,), AGENT),)),
+        lambda s: Atom("P", (Var(s, AGENT),)),
+        lambda s: Atom("P", (Var("x", s),)),
+        lambda s: Forall(Var("x", s), Atom("P", (Var("x", s),))),
+    )
+    key = lambda f: f if isinstance(f, str) else canonical_key(f)
+    for place in places:
+        assert key(place(n)) != key(place(m))
+    # a constant prints as neither a free variable nor a binder
+    bound = canonical_key(Forall(X, Atom("R", (X, X))))
+    for s in names:
+        const = canonical_key(Atom("P", (Const(s, AGENT),)))
+        assert all(const != canonical_key(Atom("P", (Var(t, AGENT),))) for t in names)
+        assert canonical_key(Forall(X, Atom("R", (X, Const(s, AGENT))))) != bound
+
+
+def test_a_predicate_named_like_an_operator_keys_apart_from_it():
+    atom = Atom(KNOWS, (A, moment(1), App("rains", (), FLUENT)))
+    assert print_formula(atom) == print_formula(Modal(KNOWS, A, moment(1), RAINS))
+    assert canonical_key(atom) != canonical_key(Modal(KNOWS, A, moment(1), RAINS))
+    assert canonical_key(Atom("P", (B,))) == "(P b)"
 
 
 def test_maximal_modal_subformulas_stop_at_outermost():

@@ -5,15 +5,17 @@ Run from the root of a checkout:
     python3 tools/bench_trajectory.py --pr 8
 
 For each workload that BENCHMARK.json declares, the script runs
-guardbench/run.py --trace 0 once, for BENCHMARK.json's run_seconds and
-with seed SEED, and keeps the end-to-end metrics from the run's last
-line.  Every trajectory file is made with the same run length and seed,
-so that each compares with the one before.  The file it writes holds a
-schema version, the Python version, the CPU count, the seconds and the
-seed of the runs, and each workload's metrics; later changes compare
-against the latest such file.  Exit status is 0 when every run
-succeeded and answered correctly, 1 otherwise (no file is written
-then).
+guardbench/run.py --trace 0 once per seed in SEEDS, each for
+BENCHMARK.json's run_seconds, and keeps the end-to-end metrics from
+each run's last line.  One run cannot tell a change of a few percent
+from the host's drift, so the file keeps every run and, per workload,
+the median of each metric over the runs.  Every trajectory file is made
+with the same run length and seeds, so that each compares with the one
+before.  The file it writes holds a schema version, the Python version,
+the CPU count, the seconds and the seeds of the runs, and each
+workload's runs and medians; later changes compare against the latest
+such file.  Exit status is 0 when every run succeeded and answered
+correctly, 1 otherwise (no file is written then).
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
-SCHEMA = "bench-trajectory/1"
-SEED = 1
+SCHEMA = "bench-trajectory/2"
+SEEDS = (1, 2, 3)
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -58,6 +61,17 @@ def fold(workload: str, stdout: str, end_to_end: list[str]) -> dict:
     }
 
 
+def median(runs: list[dict]) -> dict:
+    """Each metric's median value over the runs, with its unit."""
+    return {
+        m: {
+            "value": statistics.median(r["metrics"][m]["value"] for r in runs),
+            "unit": first["unit"],
+        }
+        for m, first in runs[0]["metrics"].items()
+    }
+
+
 def run(workload: str, seed: int, seconds: float, end_to_end: list[str]) -> dict:
     cmd = [
         sys.executable, str(ROOT / "guardbench" / "run.py"),
@@ -81,8 +95,11 @@ def main(argv: list[str] | None = None) -> int:
     workloads = {}
     try:
         for w in bench["workloads"]:
-            workloads[w["name"]] = run(w["name"], SEED, seconds, end_to_end)
-            print(f"{w['name']}: {json.dumps(workloads[w['name']]['metrics'])}")
+            runs = []
+            for seed in SEEDS:
+                runs.append({"seed": seed, **run(w["name"], seed, seconds, end_to_end)})
+                print(f"{w['name']} seed {seed}: {json.dumps(runs[-1]['metrics'])}")
+            workloads[w["name"]] = {"runs": runs, "median": median(runs)}
     except RunFailed as e:
         print(f"bench_trajectory: {e}", file=sys.stderr)
         return 1
@@ -92,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "seconds": seconds,
-        "seed": SEED,
+        "seeds": list(SEEDS),
         "workloads": workloads,
     }
     out.write_text(json.dumps(record, indent=1) + "\n")
