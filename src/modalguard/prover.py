@@ -128,7 +128,19 @@ must-set, so never prunes it and never asks for its join targets or
 witnesses, and reads nothing else of the goal.  Any other sequence, or
 a Premises bound to another signature, is wrapped in a fresh Premises,
 so one question takes the same path; check_dde and epistemic_query
-hand one Premises to every goal they ask of one theory.
+hand one Premises to every goal they ask of one theory.  A goal the
+theory assumes takes the assumption route: before _Prep is built,
+prove looks among the kept assumptions for one keyed as the goal is,
+and answers with the first one's assumption step.  That is the proof
+the closure route would emit: _Prep.add records the first kept
+assumption of each key under RULE_ASSUMPTION before anything is
+derived, and emit pulls in no witness step for it, since a witness is
+named apart from every assumption.  No such assumption is ever pruned.
+It has the goal's literals, so every pair of its must-set is a literal
+on the goal's top-level disjunction, outside any modal; that literal
+lies in Not(goal) at the other sign, so Not(goal)'s shape holds the
+pair's complement, and Not(goal) is never pruned.  The route keys no
+assumption that the closure would not key anyway.
 
 After shadowing, the formulas whose every clause the pure-literal rule
 would delete are dropped before they are clausified (pure_formulas), so
@@ -681,6 +693,12 @@ class Premises(Sequence[Formula]):
         return got
 
 
+def _assumed(premises: Premises, kept: Sequence[int], goal_key: str) -> Optional[int]:
+    """The first kept assumption keyed goal_key, or None: the assumption
+    route (see the module docstring)."""
+    return next((i for i in kept if premises.keyed(i)[0] == goal_key), None)
+
+
 def prove(
     assumptions: Sequence[Formula],
     goal: Formula,
@@ -713,7 +731,13 @@ def prove(
     # the modal closure rules below never fire on that side
     ng = Not(goal)
     pruned = premises.pruned(ng)
+    stats["pruned_roots"] = len(pruned)
     kept = [i for i in range(len(premises)) if i not in pruned]
+    goal_key = canonical_key(goal)
+    assumed = _assumed(premises, kept, goal_key)
+    if assumed is not None:
+        stats["route"] = "assumption"
+        return finish("proof", Proof((ProofStep(premises[assumed], RULE_ASSUMPTION, ()),)))
     prep = _Prep(sig, [*premises, goal], [*(premises[i] for i in kept), ng])
     for i in kept:
         key, consts = premises.keyed(i)
@@ -721,7 +745,6 @@ def prove(
     ng_key = canonical_key(ng)
     prep.add(ng_key, ng, RULE_NEGATED_GOAL, constants_in_formula(ng))
     prep.close(deadline)
-    stats["pruned_roots"] = len(pruned)
     stats["grounding_instances"] = prep.instances
     stats["pure_instances"] = prep.pure
     stats["grounding_capped"] = prep.capped
@@ -752,7 +775,6 @@ def prove(
         index_of[key] = len(steps) - 1
         return index_of[key]
 
-    goal_key = canonical_key(goal)
     if goal_key in prep.records:
         emit(goal_key)
         stats["route"] = "closure"

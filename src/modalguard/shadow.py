@@ -3,10 +3,12 @@
 Each maximal modal subformula is replaced by a fresh predicate atom
 over the subformula's free variables, taken in first-occurrence order.
 The predicate name is a hash of the subformula's canonical key with
-its free variables printed as numbered holes h0, h1, ... (the key of
+its free variables renamed to numbered holes h0, h1, ... (the key of
 its generalization), so the same name is recomputed by any party given
-the same formula -- proof verification relies on that.  Alpha-equivalent
-subformulas share an atom; distinct ones never collide.
+the same formula -- proof verification relies on that.  A hole stays a
+free variable and prints as one, ?h0:S, which no constant's name prints
+as (syntax.key_name): a constant named h0 keys apart from the hole h0.
+Alpha-equivalent subformulas share an atom; distinct ones never collide.
 
 A ShadowMap names each structurally distinct subformula once: a
 subformula it has seen before gets its atom back without being printed
@@ -30,15 +32,17 @@ from .syntax import (
     Modal,
     Not,
     Or,
+    Var,
     canonical_key,
     free_vars,
+    substitute,
 )
 
 
 @dataclass(frozen=True)
 class ShadowEntry:
     name: str
-    pattern: str  # canonical key of the generalization, holes h0, h1, ...
+    pattern: str  # canonical key of the generalization, holes ?h0:S, ?h1:S, ...
 
 
 @dataclass
@@ -58,7 +62,8 @@ class ShadowMap:
 
     def _name(self, m: Modal) -> Atom:
         fvs = free_vars(m)
-        pattern = canonical_key(m, {v: f"h{i}" for i, v in enumerate(fvs)})
+        holes = {v: Var(f"h{i}", v.sort) for i, v in enumerate(fvs)}
+        pattern = canonical_key(substitute(m, holes) if holes else m)
         digest = hashlib.blake2b(pattern.encode(), digest_size=6).hexdigest()
         name = f"sh_{digest}"
         prior = self.entries.get(name)

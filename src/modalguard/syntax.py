@@ -117,13 +117,14 @@ QUANTIFIERS = ("forall", "exists")
 RESERVED_WORDS = frozenset(CONNECTIVES + QUANTIFIERS + MODAL_OPS)
 
 # Shapes of the names the engine generates: canonical keys print
-# binders as b<digits>, shadow patterns print free variables as holes
+# binders as b<digits>, shadow patterns rename free variables to holes
 # h<digits>, shadow atoms are named sh_<hex> and skolem symbols
 # sk_<hex>_<n>.  Signature refuses a declared symbol spelling one: it
 # would read as a binder, or share a shadow atom or a skolem symbol with
 # what it is not.  Names in formulas built in Python are not checked,
-# but a key quotes any name that is not plain and tells a constant
-# named like a binder from it (key_name).
+# but a key quotes any name that is not plain, tells a constant named
+# like a binder from it (key_name) and prints a hole, a free variable,
+# as ?h<digits>:S, which no constant prints as.
 BINDER_SHAPE = re.compile(r"b[0-9]+")
 RESERVED_SHAPES = (
     (BINDER_SHAPE, "b<digits>"),

@@ -140,6 +140,32 @@ def test_refutation_route_ends_in_reductio():
     assert r.proof.steps[-1].rule == "reductio"
 
 
+def test_an_assumed_goal_takes_the_assumption_route(monkeypatch):
+    # an alpha-variant of two assumptions: the first is cited, in one
+    # step, and no grounding closure is built
+    preps = spy_preps(monkeypatch)
+    fs = [parse_formula(t, SIG) for t in (
+        "(rains)",
+        "(forall x : Agent (knows x 1 (P x)))",
+        "(forall z : Agent (knows z 1 (P z)))",
+    )]
+    goal = parse_formula("(forall y : Agent (knows y 1 (P y)))", SIG)
+    r = prove(fs, goal, sig=SIG)
+    assert r.status == "proof"
+    assert r.proof.steps == (proofs.ProofStep(fs[1], "assumption", ()),)
+    assert verify_proof(r.proof, fs, goal, SIG)
+    assert r.stats["route"] == "assumption"
+    assert r.stats["pruned_roots"] == 1
+    assert set(r.stats) == {"pruned_roots", "route", "elapsed_ms"}
+    assert preps == []
+    # the closure route finds the same proof
+    monkeypatch.setattr(prover, "_assumed", lambda premises, kept, key: None)
+    closed = prove(fs, goal, sig=SIG)
+    assert closed.stats["route"] == "closure"
+    assert closed.proof.steps == r.proof.steps
+    assert len(preps) == 1
+
+
 def test_tautology_needs_no_assumptions():
     taut = parse_formula("(implies (rains) (rains))", SIG)
     r = prove([], taut, sig=SIG)
@@ -400,6 +426,21 @@ def test_a_root_with_a_fresh_positive_predicate_changes_no_answer(
     if more.proof is not None:
         ok, reason = verify_proof_detailed(more.proof, [*fs, extra], goal, RF_SIG)
         assert ok, reason
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(random_problems(), st.integers(0, 2**32 - 1))
+def test_an_assumption_keyed_as_the_goal_is_never_pruned(problem, pick):
+    fs, _ = problem
+    goal = fs[pick % len(fs)]
+    premises = prover.Premises(fs, RF_SIG)
+    key = canonical_key(goal)
+    assert not [i for i in premises.pruned(Not(goal)) if premises.keyed(i)[0] == key]
+    r = prove(premises, goal, RF_BUDGET, RF_SIG)
+    first = next(f for f in fs if canonical_key(f) == key)
+    assert r.stats["route"] == "assumption"
+    assert r.proof.steps == (proofs.ProofStep(first, "assumption", ()),)
+    assert verify_proof(r.proof, fs, goal, RF_SIG)
 
 
 def test_a_root_is_kept_by_a_complement_in_a_knows_body():

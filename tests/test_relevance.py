@@ -18,7 +18,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from modalguard import prover
+from modalguard import ethics, prover
 from modalguard.ethics import check_dde, intention_formula
 from modalguard.guard import (
     LOCK,
@@ -41,7 +41,9 @@ from modalguard.syntax import (
     Atom,
     Const,
     Implies,
+    Not,
     Signature,
+    canonical_key,
     moment,
     print_formula,
     print_term,
@@ -550,3 +552,57 @@ def test_check_dde_prunes_the_roots_of_its_theory_once(monkeypatch):
     assert v.compliant
     assert len(v.effects) > 20
     assert calls == [len(base) + 1]
+
+
+# ---------------------------------------------------------------------------
+# the assumption route: a C3 goal the base theory assumes is proved by its
+# assumption step before any grounding, with the proof the closure gives
+
+
+def no_assumption_route(mp: pytest.MonkeyPatch) -> None:
+    """Send every goal down the grounding closure."""
+    mp.setattr(prover, "_assumed", lambda premises, kept, goal_key: None)
+
+
+@pytest.mark.parametrize("label", list(SIM2_FAMILY_C3))
+def test_the_assumption_route_changes_no_c3_answer(label):
+    sc = parse_scenario(SIM2_FAMILY_C3[label], label)
+    base, _ = base_theory(sc)
+    req = sc.request
+    v = check_dde(sc.theory, req.agent, req.atype, req.moment, sc.hierarchy, sc.utilities, base, sc.sig)
+    premises = prover.Premises(base, sc.sig)
+    routes = []
+    for e in v.effects:
+        goal = intention_formula(req.agent, req.moment, e)
+        r = prove(premises, goal, sig=sc.sig)
+        with pytest.MonkeyPatch.context() as mp:
+            no_assumption_route(mp)
+            closed = prove(premises, goal, sig=sc.sig)
+        assert proof_print(r) == proof_print(closed), print_formula(goal)
+        routes.append(r.stats.get("route"))
+        # an assumption keyed as the goal is never pruned
+        key = canonical_key(goal)
+        pruned = premises.pruned(Not(goal))
+        assert not [i for i in pruned if premises.keyed(i)[0] == key]
+    # every effect but the good one sim2-ranger2 drops and the bad ones
+    # is assumed intended
+    assert routes.count("assumption") == len(v.effects) - (3 if label == "sim2-ranger2" else 2)
+    assert "closure" not in routes
+
+
+def test_check_dde_asks_one_prove_per_effect_of_sim2_plus_4(monkeypatch):
+    routes = []
+
+    def counting(*args, **kwargs):
+        r = prove(*args, **kwargs)
+        routes.append(r.stats.get("route"))
+        return r
+
+    monkeypatch.setattr(ethics, "prove", counting)
+    sc = parse_scenario(SIM2_FAMILY_C3["sim2+4"], "sim2+4")
+    base, _ = base_theory(sc)
+    req = sc.request
+    v = check_dde(sc.theory, req.agent, req.atype, req.moment, sc.hierarchy, sc.utilities, base, sc.sig)
+    assert v.compliant
+    assert len(routes) == len(v.effects) == 22
+    assert routes.count("assumption") == 20

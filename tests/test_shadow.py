@@ -10,7 +10,19 @@ from test_parser import RandomFormulas
 from modalguard import shadow as shadow_module
 from modalguard.parser import parse_formula
 from modalguard.shadow import ShadowMap, shadow
-from modalguard.syntax import AGENT, Signature, canonical_key, print_formula
+from modalguard.syntax import (
+    AGENT,
+    KNOWS,
+    Atom,
+    Const,
+    Forall,
+    Modal,
+    Signature,
+    Var,
+    canonical_key,
+    moment,
+    print_formula,
+)
 
 NAME_RE = re.compile(r"^sh_[0-9a-f]{12}$")
 
@@ -84,7 +96,21 @@ def test_free_variables_become_holes():
     assert [v.name for v in atom.args] == ["x"]
     assert atom.args[0].sort == AGENT
     entry = smap.entries[atom.pred]
-    assert entry.pattern == "(knows h0 1 (P h0))"
+    assert entry.pattern == "(knows ?h0:Agent 1 (P ?h0:Agent))"
+
+
+def test_a_constant_named_like_a_hole_shadows_apart_from_it():
+    # formulas built in Python may hold a constant h0; a hole prints as a
+    # free variable, which no constant prints as
+    x, h0 = Var("x", AGENT), Const("h0", AGENT)
+    smap = ShadowMap()
+    hole = shadow(Forall(x, Modal(KNOWS, x, moment(1), Atom("P", (x,)))), smap).body
+    ground = shadow(Modal(KNOWS, h0, moment(1), Atom("P", (h0,))), smap)
+    assert hole.pred != ground.pred
+    assert [e.pattern for e in smap.entries.values()] == [
+        "(knows ?h0:Agent 1 (P ?h0:Agent))",
+        "(knows h0 1 (P h0))",
+    ]
 
 
 def test_nested_modal_shadows_only_the_outermost():
