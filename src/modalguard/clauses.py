@@ -1,13 +1,15 @@
 """Clausification of shadowed (modal-free) formulas.
 
-The pipeline is conventional: rewrite iff/implies, push negations to
-literals, rename binders apart, skolemize existentials on the
-universal prefix, drop universals, distribute or over and.  Skolem
-symbol names are derived from the source formula's canonical key plus
-a running index, so clausifying the same formula twice -- by the
-prover or by an independent proof checker -- yields identical clauses.
-That key is computed only when the first skolem symbol is named; a
-formula with no existential to skolemize never computes it.
+One pre-order walk takes the formula to its matrix: it rewrites
+implies and iff as it reaches them, pushes negations to the atoms,
+renames each universal binder u<n> and drops it, and skolemizes each
+existential on the universals above it; distribute then multiplies or
+over and.  Skolem symbol names are derived from the source formula's
+canonical key plus a running index, so clausifying the same formula
+twice -- by the prover or by an independent proof checker -- yields
+identical clauses.  That key is computed only when the first skolem
+symbol is named; a formula with no existential to skolemize never
+computes it.
 
 A clause is identified by its canonical clause (canonical_clause), a
 frozen value compared and hashed by structure: a variable is never a
@@ -16,8 +18,8 @@ literal only to order the literals of a canonical clause.  The
 canonical clause is not a normal form (see canonical_clause).
 
 Iff expansion and distribution can grow a formula exponentially.  The
-NNF pass, which doubles per nested iff, counts its nodes against a
-cap, distribution checks each product against a clause budget before
+walk, which doubles per nested iff, counts the nodes it visits against
+a cap, distribution checks each product against a clause budget before
 building it, and both poll a deadline; past any of these clausify
 raises ClausifyLimit.
 """
@@ -155,65 +157,10 @@ class ClausifyLimit(Exception):
     argument names the limit, nnf_cap, max_clauses or wall_clock."""
 
 
-# Nodes the NNF pass may build.  Connective expansion shares each side
-# of an iff between two conjuncts, so NNF doubles per nested iff.
+# Nodes the walk may visit, counted in negation normal form: an implies
+# counts as (or (not l) r) and an iff as (and (or (not l) r) (or (not r)
+# l)), so the count doubles per nested iff.
 NNF_NODE_CAP = 100_000
-
-
-class _Meter:
-    """NNF nodes built so far, against NNF_NODE_CAP and a deadline."""
-
-    def __init__(self, deadline: float) -> None:
-        self.nodes = 0
-        self.deadline = deadline
-
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > NNF_NODE_CAP:
-            raise ClausifyLimit("nnf_cap")
-        if time.monotonic() > self.deadline:
-            raise ClausifyLimit("wall_clock")
-
-
-def _expand_connectives(f: Formula) -> Formula:
-    if isinstance(f, Atom):
-        return f
-    if isinstance(f, Not):
-        return Not(_expand_connectives(f.body))
-    if isinstance(f, And):
-        return And(tuple(_expand_connectives(p) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(_expand_connectives(p) for p in f.parts))
-    if isinstance(f, Implies):
-        return Or((Not(_expand_connectives(f.left)), _expand_connectives(f.right)))
-    if isinstance(f, Iff):
-        l = _expand_connectives(f.left)
-        r = _expand_connectives(f.right)
-        return And((Or((Not(l), r)), Or((Not(r), l))))
-    if isinstance(f, (Forall, Exists)):
-        return type(f)(f.var, _expand_connectives(f.body))
-    raise TypeError(f"clausify applies to shadowed formulas only: {f!r}")
-
-
-def _nnf(f: Formula, negate: bool, meter: _Meter) -> Formula:
-    meter.tick()
-    if isinstance(f, Atom):
-        return Not(f) if negate else f
-    if isinstance(f, Not):
-        return _nnf(f.body, not negate, meter)
-    if isinstance(f, And):
-        parts = tuple(_nnf(p, negate, meter) for p in f.parts)
-        return Or(parts) if negate else And(parts)
-    if isinstance(f, Or):
-        parts = tuple(_nnf(p, negate, meter) for p in f.parts)
-        return And(parts) if negate else Or(parts)
-    if isinstance(f, Forall):
-        inner = _nnf(f.body, negate, meter)
-        return Exists(f.var, inner) if negate else Forall(f.var, inner)
-    if isinstance(f, Exists):
-        inner = _nnf(f.body, negate, meter)
-        return Forall(f.var, inner) if negate else Exists(f.var, inner)
-    raise TypeError(f"unexpected node in NNF: {f!r}")
 
 
 def clausify(
@@ -222,81 +169,69 @@ def clausify(
     max_clauses: float = math.inf,
 ) -> list[Clause]:
     """Distinct non-tautological clauses of a shadowed formula, in a
-    deterministic order.
+    deterministic order: one walk takes f to its matrix, which
+    distribute multiplies out.
 
     The formula's canonical key seeds the skolem symbol names.  Raises
-    ClausifyLimit past the monotonic deadline, past NNF_NODE_CAP NNF
-    nodes, or before distributing or over and into more than
+    ClausifyLimit past the monotonic deadline, past NNF_NODE_CAP nodes
+    walked, or before distributing or over and into more than
     max_clauses literal lists at once.
     """
-    tag: list[str] = []  # computed when the first skolem is named
-    counter = [0]
+    tag = ""  # computed when the first skolem is named
+    nodes = universals_named = skolems_named = 0
 
-    def skolem_name() -> str:
-        if not tag:
-            seed = canonical_key(f)
-            tag.append(hashlib.blake2b(seed.encode(), digest_size=5).hexdigest())
-        idx = counter[0]
-        counter[0] += 1
-        return f"sk_{tag[0]}_{idx}"
-
-    nnf = _nnf(_expand_connectives(f), False, _Meter(deadline))
-
-    # rename binders apart and skolemize in one pass
-    used_names = [0]
-
-    def walk(g: Formula, universals: list[Var], ren: dict[Var, Term]) -> Formula:
+    def walk(
+        g: Formula, negate: bool, universals: tuple[Var, ...], ren: dict[Var, Term]
+    ) -> Formula:
+        """g's matrix under negate: negation normal form, universals
+        renamed and dropped, existentials skolemized."""
+        nonlocal tag, nodes, universals_named, skolems_named
+        if isinstance(g, Implies):
+            g = Or((Not(g.left), g.right))
+        elif isinstance(g, Iff):
+            g = And((Or((Not(g.left), g.right)), Or((Not(g.right), g.left))))
+        nodes += 1
+        if nodes > NNF_NODE_CAP:
+            raise ClausifyLimit("nnf_cap")
+        if time.monotonic() > deadline:
+            raise ClausifyLimit("wall_clock")
         if isinstance(g, Atom):
-            return Atom(g.pred, tuple(substitute_term(a, ren) for a in g.args))
+            atom = Atom(g.pred, tuple(substitute_term(a, ren) for a in g.args))
+            return Not(atom) if negate else atom
         if isinstance(g, Not):
-            return Not(walk(g.body, universals, ren))
+            return walk(g.body, not negate, universals, ren)
         if isinstance(g, (And, Or)):
-            return type(g)(tuple(walk(p, universals, ren) for p in g.parts))
-        if isinstance(g, Forall):
-            nv = Var(f"u{used_names[0]}", g.var.sort)
-            used_names[0] += 1
-            inner = dict(ren)
-            inner[g.var] = nv
-            return Forall(nv, walk(g.body, universals + [nv], inner))
-        if isinstance(g, Exists):
-            name = skolem_name()
-            if universals:
-                sk: Term = App(name, tuple(universals), g.var.sort)
-            else:
-                sk = Const(name, g.var.sort)
-            inner = dict(ren)
-            inner[g.var] = sk
-            return walk(g.body, universals, inner)
-        raise TypeError(f"unexpected node in skolemization: {g!r}")
+            parts = tuple(walk(p, negate, universals, ren) for p in g.parts)
+            return Or(parts) if isinstance(g, And) == negate else And(parts)
+        if not isinstance(g, (Forall, Exists)):
+            raise TypeError(f"clausify applies to shadowed formulas only: {g!r}")
+        if isinstance(g, Forall) != negate:
+            nv = Var(f"u{universals_named}", g.var.sort)
+            universals_named += 1
+            return walk(g.body, negate, (*universals, nv), {**ren, g.var: nv})
+        if not tag:
+            tag = hashlib.blake2b(canonical_key(f).encode(), digest_size=5).hexdigest()
+        name = f"sk_{tag}_{skolems_named}"
+        skolems_named += 1
+        sk = App(name, universals, g.var.sort) if universals else Const(name, g.var.sort)
+        return walk(g.body, negate, universals, {**ren, g.var: sk})
 
-    matrix = walk(nnf, [], {})
-
-    # distribute or over and -> list of literal lists
     def distribute(g: Formula) -> list[list[Literal]]:
         if isinstance(g, Atom):
             return [[Literal(True, g)]]
         if isinstance(g, Not):
-            assert isinstance(g.body, Atom)
             return [[Literal(False, g.body)]]
         if isinstance(g, And):
-            out: list[list[Literal]] = []
-            for p in g.parts:
-                out.extend(distribute(p))
-            return out
-        if isinstance(g, Or):
-            branches = [distribute(p) for p in g.parts]
-            out = [[]]
-            for br in branches:
-                # checked before it is built: one product can be huge
-                if len(out) * len(br) > max_clauses:
-                    raise ClausifyLimit("max_clauses")
-                if time.monotonic() > deadline:
-                    raise ClausifyLimit("wall_clock")
-                out = [acc + d for acc in out for d in br]
-            return out
-        if isinstance(g, Forall):
-            return distribute(g.body)
-        raise TypeError(f"unexpected node in distribution: {g!r}")
+            return [lits for p in g.parts for lits in distribute(p)]
+        out: list[list[Literal]] = [[]]
+        for br in [distribute(p) for p in g.parts]:
+            # checked before it is built: one product can be huge
+            if len(out) * len(br) > max_clauses:
+                raise ClausifyLimit("max_clauses")
+            if time.monotonic() > deadline:
+                raise ClausifyLimit("wall_clock")
+            out = [acc + d for acc in out for d in br]
+        return out
 
-    clauses = dict.fromkeys(map(canonical_clause, distribute(matrix)))
+    clauses = dict.fromkeys(map(canonical_clause, distribute(walk(f, False, (), {}))))
     return [c for c in clauses if not is_tautology(c)]

@@ -13,7 +13,8 @@ that list, so every later round would return it again.
 Interpretation choices, shared with the prover: temporal order is a
 free predicate (orderings must be stated as facts), "=" is a free
 predicate, and the nullary atom (false) is pinned false.  Sound only
-over the named domain: a problem whose truth needs an unnamed
+over the named domain, where a sort with no constant has one anonymous
+element (_domains): a problem whose truth needs another unnamed
 individual is outside the oracle's scope.
 """
 
@@ -44,6 +45,8 @@ from .syntax import (
     moment_value,
     print_formula,
     substitute,
+    symbol_names,
+    unspoofed,
 )
 
 _TRUE = object()  # marker for a vacuously true ground formula
@@ -53,11 +56,24 @@ ClauseSet = list[frozenset[Literal]]
 
 
 def _domains(formulas: Sequence[Formula], sig: Signature) -> dict[str, list[Const]]:
+    """Each sort's domain: the constants, of the formulas or declared,
+    whose sorts widen to it.  A sort no constant widens to gets one
+    anonymous element named apart from every name in the formulas, which
+    joins its supersorts' domains too: as in clausifying, no quantifier
+    is vacuous."""
     consts: set[Const] = set()
     for f in formulas:
         consts |= set(constants_in_formula(f))
     for name, sort in sig.constants.items():
         consts.add(Const(name, sort))
+    empty = [s for s in sig.sorts if not any(sig.widens(c.sort, s) for c in consts)]
+    if empty:
+        taken = set(sig.constants).union(*map(symbol_names, formulas))
+        for sort in empty:
+            name = f"_{sort}"
+            while name in taken:
+                name += "'"
+            consts.add(Const(name, sort))
     out: dict[str, list[Const]] = {}
     for sort in sig.sorts:
         members = [c for c in consts if sig.widens(c.sort, sort)]
@@ -181,6 +197,8 @@ def _closure(formulas: list[Formula], sig: Signature, depth: int) -> list[Formul
     for _ in range(depth + 1):
         targets = harvest_join_targets(current)
         records = assumed(current)
+        for key in records:
+            unspoofed(key)
         expand_modal(records, depth=depth, join_targets=targets)
         out: list[Formula] = []
         again = False
@@ -285,7 +303,9 @@ def satisfiable(
     sig: Optional[Signature] = None,
     depth: int = 4,
 ) -> Optional[list[str]]:
-    """A model of the formulas as a sorted list of true atoms, or None."""
+    """A model of the formulas as a sorted list of true atoms, or None.
+    Raises ValueError when a formula holds a name spelled like a shadow
+    atom or a skolem symbol (syntax.unspoofed)."""
     sig = sig if sig is not None else Signature()
     closed = _closure(list(formulas), sig, depth)
     smap = ShadowMap()

@@ -5,7 +5,9 @@ parser interprets trees against a Signature with explicit binder
 scoping.  It is the one sort checker: build_term and build_formula
 check every symbol, arity, argument sort, equality, binder sort and
 modal argument as they build, and report the position of the first
-violation.  A built formula is well-sorted; nothing checks it again.  Comments run from ; to end of line.  Identifiers match
+violation; build_term checks a term against the sort its place
+expects.  A built formula is well-sorted; nothing checks it again.
+Comments run from ; to end of line.  Identifiers match
 [A-Za-z_][A-Za-z0-9_'-]*; bare integers are Moment literals.  A
 declared symbol may not be a reserved word, nor have the shape of a
 generated name: b<digits>, h<digits>, or the prefix sh_ or sk_
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from .syntax import (
     AGENT,
@@ -153,36 +155,40 @@ def _err(node: SExpr, message: str) -> ParseError:
     return ParseError(message, node.line, node.col)
 
 
-def build_term(node: SExpr, sig: Signature, env: dict[str, Var]) -> Term:
+def build_term(
+    node: SExpr, sig: Signature, env: dict[str, Var], want: Optional[str] = None
+) -> Term:
+    """The term node spells; when want is given, its sort must widen to
+    want."""
     if isinstance(node, SAtom):
         if node.text in (":", "=", "(", ")"):
             raise _err(node, f"expected a term, got {node.text!r}")
         if node.is_int:
-            return Const(node.text, MOMENT)
-        if node.text in env:
-            return env[node.text]
-        if node.text in sig.constants:
-            return Const(node.text, sig.constants[node.text])
-        raise _err(node, f"unknown symbol {node.text}")
-    if not node.items or not isinstance(node.items[0], SAtom):
-        raise _err(node, "expected a function application")
-    head = node.items[0]
-    if head.text not in sig.functions:
-        raise _err(head, f"unknown function {head.text}")
-    argsorts, result = sig.functions[head.text]
-    args = node.items[1:]
-    if len(args) != len(argsorts):
-        raise _err(
-            head,
-            f"function {head.text} takes {len(argsorts)} arguments, got {len(args)}",
-        )
-    terms = []
-    for sub, want in zip(args, argsorts):
-        t = build_term(sub, sig, env)
-        if not sig.widens(t.sort, want):
-            raise _err(sub, f"sort mismatch: expected {want}, got {t.sort}")
-        terms.append(t)
-    return App(head.text, tuple(terms), result)
+            t: Term = Const(node.text, MOMENT)
+        elif node.text in env:
+            t = env[node.text]
+        elif node.text in sig.constants:
+            t = Const(node.text, sig.constants[node.text])
+        else:
+            raise _err(node, f"unknown symbol {node.text}")
+    else:
+        if not node.items or not isinstance(node.items[0], SAtom):
+            raise _err(node, "expected a function application")
+        head = node.items[0]
+        if head.text not in sig.functions:
+            raise _err(head, f"unknown function {head.text}")
+        argsorts, result = sig.functions[head.text]
+        args = node.items[1:]
+        if len(args) != len(argsorts):
+            raise _err(
+                head,
+                f"function {head.text} takes {len(argsorts)} arguments, got {len(args)}",
+            )
+        terms = tuple(build_term(sub, sig, env, s) for sub, s in zip(args, argsorts))
+        t = App(head.text, terms, result)
+    if want is not None and not sig.widens(t.sort, want):
+        raise _err(node, f"sort mismatch: expected {want}, got {t.sort}")
+    return t
 
 
 def build_formula(node: SExpr, sig: Signature, env: dict[str, Var] | None = None) -> Formula:
@@ -248,21 +254,13 @@ def build_formula(node: SExpr, sig: Signature, env: dict[str, Var] | None = None
                     f"{name} takes agent, moment{', situation' if want_sit else ''}"
                     " and a formula",
                 )
-            agent = build_term(rest[0], sig, env)
-            if not sig.widens(agent.sort, AGENT):
-                raise _err(rest[0], f"sort mismatch: expected {AGENT}, got {agent.sort}")
-            time = build_term(rest[1], sig, env)
-            if not sig.widens(time.sort, MOMENT):
-                raise _err(rest[1], f"sort mismatch: expected {MOMENT}, got {time.sort}")
+            agent = build_term(rest[0], sig, env, AGENT)
+            time = build_term(rest[1], sig, env, MOMENT)
             sit = None
             if short:
                 sit = Const(SIGMA_DEFAULT, SITUATION)
             elif want_sit:
-                sit = build_term(rest[2], sig, env)
-                if not sig.widens(sit.sort, SITUATION):
-                    raise _err(
-                        rest[2], f"sort mismatch: expected {SITUATION}, got {sit.sort}"
-                    )
+                sit = build_term(rest[2], sig, env, SITUATION)
             return Modal(name, agent, time, formula(rest[-1], env), sit)
         if name == "=":
             if len(rest) != 2:
@@ -281,13 +279,8 @@ def build_formula(node: SExpr, sig: Signature, env: dict[str, Var] | None = None
                 head,
                 f"predicate {name} takes {len(argsorts)} arguments, got {len(rest)}",
             )
-        args = []
-        for sub, want in zip(rest, argsorts):
-            t = build_term(sub, sig, env)
-            if not sig.widens(t.sort, want):
-                raise _err(sub, f"sort mismatch: expected {want}, got {t.sort}")
-            args.append(t)
-        return Atom(name, tuple(args))
+        args = tuple(build_term(sub, sig, env, s) for sub, s in zip(rest, argsorts))
+        return Atom(name, args)
 
     return formula(node, env)
 

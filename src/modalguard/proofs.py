@@ -11,8 +11,11 @@ by recomputation.  Formulas are compared by the prover's canonical key
 and clauses by canonical clause; neither takes a free variable for a
 constant of its name, nor one name for another.  A witness must be a
 constant fresh for the names of the assumptions, the goal and the
-earlier steps, which are read only at a step that introduces one.  It
-shares no state with the prover's search.
+earlier steps, which are read only at a step that introduces one, and
+not spelled like a skolem symbol, which a later clausify step could
+name.  Assumptions or a goal that hold a name spelled like a shadow
+atom or a skolem symbol are refused (syntax.unspoofed).  The
+checker shares no state with the prover's search.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .syntax import (
     Modal,
     Not,
     Or,
+    SKOLEM_NAME,
     Signature,
     Term,
     Var,
@@ -45,6 +49,7 @@ from .syntax import (
     free_vars,
     print_formula,
     symbol_names,
+    unspoofed,
     BELIEVES,
     EPISTEMIC_OPS,
     KNOWS,
@@ -175,6 +180,12 @@ def verify_proof_detailed(
     if not proof.steps:
         return False, "empty proof"
     assumed = {canonical_key(a) for a in assumptions}
+    goal_key = canonical_key(goal)
+    try:
+        for key in (*assumed, goal_key):
+            unspoofed(key)
+    except ValueError as e:
+        return False, str(e)
 
     def fail(i: int, why: str) -> tuple[bool, str]:
         return False, f"step {i + 1}: {why}"
@@ -304,6 +315,9 @@ def verify_proof_detailed(
                     return fail(i, "witness is not a constant")
                 if witness.sort != var.sort:
                     return fail(i, "witness sort mismatch")
+                # a later clausify step could name a skolem symbol alike
+                if SKOLEM_NAME.fullmatch(witness.name):
+                    return fail(i, f"witness {witness.name} has a skolem symbol's shape")
                 earlier = (*assumptions, goal, *(s.formula for s in proof.steps[:i]))
                 if any(witness.name in symbol_names(g) for g in earlier):
                     return fail(i, f"witness {witness.name} is not fresh")
@@ -340,12 +354,12 @@ def verify_proof_detailed(
                 return fail(i, "reductio needs the empty clause first")
             if not alpha_equivalent(prem[1], Not(goal)):
                 return fail(i, "reductio needs the negated goal second")
-            if not alpha_equivalent(f, goal):
+            if canonical_key(f) != goal_key:
                 return fail(i, "reductio must conclude the goal")
         else:
             return fail(i, f"unknown rule {r}")
 
-    if not alpha_equivalent(proof.steps[-1].formula, goal):
+    if canonical_key(proof.steps[-1].formula) != goal_key:
         return False, "last step is not the goal"
     return True, "ok"
 

@@ -209,6 +209,7 @@ from .syntax import (
     substitute_term,
     symbol_names,
     term_vars,
+    unspoofed,
 )
 
 GROUNDING_INSTANCE_CAP = 5000
@@ -671,11 +672,12 @@ class Premises(Sequence[Formula]):
         return iter(self._formulas)
 
     def keyed(self, i: int) -> tuple[str, list[Const]]:
-        """The canonical key and the constants of assumption i."""
+        """The canonical key and the constants of assumption i; raises
+        ValueError when the key holds a generated name (unspoofed)."""
         got = self._keyed.get(i)
         if got is None:
             f = self._formulas[i]
-            got = self._keyed[i] = (canonical_key(f), constants_in_formula(f))
+            got = self._keyed[i] = (unspoofed(canonical_key(f)), constants_in_formula(f))
         return got
 
     def pruned(self, ng: Formula) -> frozenset[int]:
@@ -707,7 +709,9 @@ def prove(
 ) -> ProveResult:
     """Search for a proof of goal from the assumptions.  Pass one
     Premises bound to sig to ask several goals of one theory; any other
-    sequence is wrapped in a fresh Premises."""
+    sequence is wrapped in a fresh Premises.  Raises ValueError when the
+    goal, or a kept assumption it keys, holds a name spelled like a
+    shadow atom or a skolem symbol (syntax.unspoofed)."""
     budget = budget if budget is not None else Budget()
     sig = sig if sig is not None else Signature()
     if isinstance(assumptions, Premises) and assumptions.sig is sig:
@@ -733,7 +737,7 @@ def prove(
     pruned = premises.pruned(ng)
     stats["pruned_roots"] = len(pruned)
     kept = [i for i in range(len(premises)) if i not in pruned]
-    goal_key = canonical_key(goal)
+    goal_key = unspoofed(canonical_key(goal))
     assumed = _assumed(premises, kept, goal_key)
     if assumed is not None:
         stats["route"] = "assumption"

@@ -118,14 +118,18 @@ RESERVED_WORDS = frozenset(CONNECTIVES + QUANTIFIERS + MODAL_OPS)
 
 # Shapes of the names the engine generates: canonical keys print
 # binders as b<digits>, shadow patterns rename free variables to holes
-# h<digits>, shadow atoms are named sh_<hex> and skolem symbols
-# sk_<hex>_<n>.  Signature refuses a declared symbol spelling one: it
-# would read as a binder, or share a shadow atom or a skolem symbol with
-# what it is not.  Names in formulas built in Python are not checked,
-# but a key quotes any name that is not plain, tells a constant named
-# like a binder from it (key_name) and prints a hole, a free variable,
-# as ?h<digits>:S, which no constant prints as.
+# h<digits>, shadow atoms are named sh_<12 hex> (SHADOW_NAME) and skolem
+# symbols sk_<10 hex>_<n> (SKOLEM_NAME).  Signature refuses a declared
+# symbol spelling one, or starting sh_ or sk_: it would read as a
+# binder, or share a shadow atom or a skolem symbol with what it is not.
+# A key quotes any name that is not plain, tells a constant named like a
+# binder from it (key_name) and prints a hole, a free variable, as
+# ?h<digits>:S, which no constant prints as.  A formula built in Python
+# may still spell a shadow atom or a skolem symbol; prove, the proof
+# checker and the finite-model oracle refuse one (unspoofed).
 BINDER_SHAPE = re.compile(r"b[0-9]+")
+SHADOW_NAME = re.compile(r"sh_[0-9a-f]{12}")
+SKOLEM_NAME = re.compile(r"sk_[0-9a-f]{10}_[0-9]+")
 RESERVED_SHAPES = (
     (BINDER_SHAPE, "b<digits>"),
     (re.compile(r"h[0-9]+"), "h<digits>"),
@@ -325,6 +329,21 @@ def canonical_key(f: Formula, names: Optional[Mapping[Var, str]] = None) -> str:
     variable x of sort S prints as ?x:S, which no name's print spells."""
     given = {v: key_name(n) for v, n in names.items()} if names else {}
     return _show(f, given, map("b{}".format, count()))
+
+
+# a name in a key: quoted, or a run of characters that end no name
+_KEY_NAME = re.compile(r'"(?:[^"\\]|\\.)*"|[^\s()"]+')
+
+
+def unspoofed(key: str) -> str:
+    """key, unless it holds a name spelled like a shadow atom or a skolem
+    symbol (a plain name, so unquoted), which a formula built in Python
+    could pass off as the one the engine generates: ValueError then."""
+    if "sh_" in key or "sk_" in key:
+        for name in _KEY_NAME.findall(key):
+            if SHADOW_NAME.fullmatch(name) or SKOLEM_NAME.fullmatch(name):
+                raise ValueError(f"{name} has the shape of a generated name")
+    return key
 
 
 def alpha_equivalent(f: Formula, g: Formula) -> bool:

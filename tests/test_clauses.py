@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import pytest
@@ -19,7 +20,9 @@ from modalguard.clauses import (
     is_tautology,
 )
 from modalguard.parser import parse_formula
-from modalguard.syntax import AGENT, App, Atom, Const, Iff, Signature, Var
+from modalguard.shadow import ShadowMap, shadow
+from modalguard.syntax import AGENT, App, Atom, Const, Iff, Not, Signature, Var
+from test_parser import RandomFormulas
 
 
 def make_sig() -> Signature:
@@ -210,6 +213,42 @@ def test_clausify_stops_at_its_budget():
     # starts, whatever the clause budget
     with pytest.raises(ClausifyLimit):
         clausify(iff_chain(24))
+
+
+# sha256 over repr(clausify(shadow(f), max_clauses=5000)), or the name of
+# the limit it raises, for RandomFormulas seeds 0-1999 and their negations
+CLAUSIFY_DIGEST = "bc57eb6411a988383c0eb7ed623363fe817e23be6b9b82f78b8f13b3b9deccbf"
+
+
+def test_clausify_output_is_pinned():
+    h = hashlib.sha256()
+    limits = 0
+    for seed in range(2000):
+        f = RandomFormulas(seed).formula([], 1 + seed % 5)
+        for g in (f, Not(f)):
+            try:
+                got = repr(clausify(shadow(g, ShadowMap()), max_clauses=5000))
+            except ClausifyLimit as stop:
+                got = stop.args[0]
+                limits += 1
+            h.update(got.encode() + b"\n")
+    assert limits  # the digest covers the limit names too
+    assert h.hexdigest() == CLAUSIFY_DIGEST
+
+
+def test_nnf_node_count_is_pinned(monkeypatch):
+    # implies, iff and negated quantifiers, nested: 53 NNF nodes, counted
+    # as the least NNF_NODE_CAP under which clausify passes
+    f = parse_formula(
+        "(iff (implies (p) (not (forall x : Agent (exists y : Agent (R x y)))))"
+        " (not (exists z : Agent (iff (P z) (implies (q) (r))))))",
+        SIG,
+    )
+    monkeypatch.setattr(clauses, "NNF_NODE_CAP", 53)
+    assert clausify(f)
+    monkeypatch.setattr(clauses, "NNF_NODE_CAP", 52)
+    with pytest.raises(ClausifyLimit, match="nnf_cap"):
+        clausify(f)
 
 
 def test_clausify_stops_at_its_deadline():

@@ -12,10 +12,26 @@ from modalguard.eventcalc import project
 from modalguard.guard import prevents_body, trace_atoms
 from modalguard.models import entails, satisfiable
 from modalguard.parser import parse_formula
+from modalguard.proofs import verify_proof
 from modalguard.prover import prove
 from modalguard.scenario import parse_scenario
 from modalguard.schemata import assumed, expand_modal, harvest_join_targets
-from modalguard.syntax import AGENT, KNOWS, Const, Exists, Forall, Modal, Not, Var, moment
+from modalguard.syntax import (
+    ACTION,
+    AGENT,
+    EVENT,
+    GOAL,
+    KNOWS,
+    Const,
+    Exists,
+    Forall,
+    Modal,
+    Not,
+    Signature,
+    Var,
+    moment,
+    symbol_names,
+)
 
 import corpus
 from test_parser import RandomFormulas, round_trip_sig
@@ -35,6 +51,30 @@ def load(name: str):
 
 # ---------------------------------------------------------------------------
 # satisfiability
+
+def test_a_sort_with_no_constant_has_an_anonymous_element():
+    # no constant is an Action: the universal over Action once read as
+    # vacuous here, and the oracle found the countermodel [] while prove
+    # proved (P g1) and the checker accepted the proof
+    sig = Signature()
+    sig.declare_constant("a", AGENT)
+    sig.declare_constant("g1", GOAL)
+    sig.declare_predicate("P", (EVENT,))
+    sig.declare_predicate("Q", ())
+    f = parse_formula(
+        "(and (exists x : Goal (not (knows a 1 (Q))))"
+        " (forall y : Action (knows a 1 (Q))))",
+        sig,
+    )
+    goal = parse_formula("(P g1)", sig)
+    r = prove([f], goal, sig=sig)
+    assert r.status == "proof" and verify_proof(r.proof, [f], goal, sig)
+    assert entails([f], goal, sig) == (True, None)
+    domains = models._domains([f], sig)
+    (anonymous,) = domains[ACTION]
+    assert anonymous.name not in symbol_names(f) | set(sig.constants)
+    assert anonymous in domains[EVENT]
+
 
 def test_empty_theory_has_empty_model():
     assert satisfiable([], SIG) == []

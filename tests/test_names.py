@@ -2,21 +2,28 @@
 
 A declared symbol may not spell a name the engine generates (binders
 b<n>, shadow holes h<n>, shadow atoms sh_..., skolem symbols sk_...),
-but a Const built in Python is not checked.  Small theories over such
-constants, reserved words and arbitrary text, within the finite-model
-oracle's bounds: every proof prove returns must pass verify_proof, and
-the oracle must entail its goal.
+but a formula built in Python is not declared.  Small theories over
+constants named like generated names, reserved words and arbitrary
+text, within the finite-model oracle's bounds: every proof prove
+returns must pass verify_proof, and the oracle must entail its goal.
+A predicate or constant spelled exactly as a shadow atom or a skolem
+symbol (syntax.SHADOW_NAME, SKOLEM_NAME) is refused: prove and the
+oracle raise ValueError and the checker rejects the proof.
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from modalguard import prover
+from modalguard.clauses import ClausifyLimit, clausify
 from modalguard.models import entails
-from modalguard.proofs import verify_proof_detailed
+from modalguard.proofs import clause_to_formula, verify_proof_detailed
 from modalguard.prover import Budget, prove
+from modalguard.shadow import ShadowMap, shadow
 from modalguard.syntax import (
     ACTION,
     AGENT,
@@ -25,6 +32,8 @@ from modalguard.syntax import (
     GOAL,
     KNOWS,
     RESERVED_WORDS,
+    SHADOW_NAME,
+    SKOLEM_NAME,
     And,
     Atom,
     Const,
@@ -37,11 +46,16 @@ from modalguard.syntax import (
     Or,
     Signature,
     Var,
+    canonical_key,
     moment,
+    subformulas,
+    symbol_names,
+    unspoofed,
 )
+from test_parser import RandomFormulas
 
-# one declared constant per sort a formula quantifies over: the oracle
-# reads a quantifier over a sort with no constant as vacuous
+# one declared constant per sort a formula quantifies over; the oracle
+# would give a sort with none one anonymous element
 DECLARED = {"a": AGENT, "g1": GOAL, "act": ACTION}
 BUDGET = Budget(timeout_ms=60000, max_clauses=3000)
 
@@ -174,3 +188,160 @@ def test_every_proof_over_generated_names_verifies_and_is_entailed(problem):
         ok, reason = verify_proof_detailed(r.proof, fs, goal, SIG)
         assert ok, reason
         assert entails(fs, goal, SIG)[0]
+
+
+# ---------------------------------------------------------------------------
+# a name spelled exactly as a generated one is refused
+
+KNOWS_Q = Modal(KNOWS, Const("a", AGENT), moment(1), Atom("Q"))
+KNOWS_Q_SHADOW = "sh_dce38993a3cb"  # the shadow atom of KNOWS_Q
+
+
+def unchecked_proof(fs, goal, sig):
+    """prove's answer with its generated-name check turned off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(prover, "unspoofed", lambda key: key)
+        return prove(fs, goal, BUDGET, sig)
+
+
+def test_shadow_and_clausify_generate_the_two_shapes():
+    skolems = 0
+    for seed in range(300):
+        f = RandomFormulas(seed).formula([], 1 + seed % 5)
+        smap = ShadowMap()
+        g = shadow(Not(f) if seed % 2 else f, smap)
+        assert all(SHADOW_NAME.fullmatch(name) for name in smap.entries)
+        if smap.entries:
+            with pytest.raises(ValueError, match="sh_"):
+                unspoofed(canonical_key(g))
+        try:
+            found = clausify(g, max_clauses=5000)
+        except ClausifyLimit:
+            continue
+        for c in found:
+            h = clause_to_formula(c)
+            named = [n for n in symbol_names(h) if n.startswith("sk_")]
+            assert all(SKOLEM_NAME.fullmatch(n) for n in named)
+            if named:
+                skolems += 1
+                with pytest.raises(ValueError, match="s[hk]_"):
+                    unspoofed(canonical_key(h))
+    assert skolems
+    assert shadow(KNOWS_Q, ShadowMap()) == Atom(KNOWS_Q_SHADOW)
+
+
+def test_a_predicate_spelled_like_a_shadow_atom_is_refused():
+    # the three assumptions are satisfiable, but the predicate read as
+    # the shadow atom of (knows a 1 (Q)): (P g1) was proved, the checker
+    # accepted the proof and the oracle agreed
+    sh = Atom(KNOWS_Q_SHADOW)
+    fs, goal = [KNOWS_Q, Not(sh), Or((sh, Not(sh)))], Atom("P", (Const("g1", GOAL),))
+    with pytest.raises(ValueError, match=KNOWS_Q_SHADOW):
+        prove(fs, goal, BUDGET, SIG)
+    r = unchecked_proof(fs, goal, SIG)
+    assert r.status == "proof"
+    assert verify_proof_detailed(r.proof, fs, goal, SIG) == (
+        False, f"{KNOWS_Q_SHADOW} has the shape of a generated name")
+    with pytest.raises(ValueError, match=KNOWS_Q_SHADOW):
+        entails(fs, goal, SIG)
+
+
+def test_a_constant_spelled_like_a_skolem_constant_is_refused():
+    # sk_f778790efe_0 is the skolem constant of (exists x : Agent (P x)):
+    # (Q) was proved in 7 steps and the checker accepted the proof,
+    # though the oracle found the countermodel ['(P a)']
+    sig = Signature()
+    sig.declare_constant("a", AGENT)
+    sig.declare_predicate("P", (AGENT,))
+    sig.declare_predicate("Q", ())
+    x, sk = Var("x", AGENT), Const("sk_f778790efe_0", AGENT)
+    fs, goal = [Exists(x, Atom("P", (x,))), Not(Atom("P", (sk,)))], Atom("Q")
+    with pytest.raises(ValueError, match=sk.name):
+        prove(fs, goal, BUDGET, sig)
+    r = unchecked_proof(fs, goal, sig)
+    assert r.status == "proof" and len(r.proof) == 7
+    assert verify_proof_detailed(r.proof, fs, goal, sig) == (
+        False, f"{sk.name} has the shape of a generated name")
+    with pytest.raises(ValueError, match=sk.name):
+        entails(fs, goal, sig)
+    # in the goal too
+    with pytest.raises(ValueError, match=sk.name):
+        prove(fs[:1], Atom("P", (sk,)), BUDGET, sig)
+
+
+# predicate names: generated shapes, real generated names, near misses,
+# declared predicates, reserved words and arbitrary text
+PREDICATE_NAMES = st.one_of(
+    st.sampled_from((KNOWS_Q_SHADOW, "sk_f778790efe_0", "P", "Q", "R")),
+    st.from_regex(SHADOW_NAME.pattern, fullmatch=True),
+    st.from_regex(SKOLEM_NAME.pattern, fullmatch=True),
+    st.from_regex(r"s[hk]_[0-9a-f]{0,3}", fullmatch=True),
+    st.sampled_from(sorted(RESERVED_WORDS)),
+    st.text(min_size=1, max_size=3),
+)
+
+
+class PredicateFormulas(NamedFormulas):
+    """NamedFormulas whose atoms are now and then the nullary predicate
+    pred, and whose modals are now and then (knows a 1 (Q))."""
+
+    def __init__(self, seed: int, pred: str):
+        super().__init__(seed, [Const("g1", GOAL), Const("act", ACTION)], ["x", "y"])
+        self.pred = pred
+
+    def atom(self, env: list[Var]) -> Atom:
+        if self.rng.random() < 0.3:
+            return Atom(self.pred)
+        return super().atom(env)
+
+    def formula(self, env: list[Var], depth: int) -> Formula:
+        if self.rng.random() < 0.1:
+            return KNOWS_Q
+        return super().formula(env, depth)
+
+
+@st.composite
+def predicate_problems(draw):
+    """Assumptions and a goal that may hold a nullary predicate named
+    from PREDICATE_NAMES; the predicate's excluded middle is assumed now
+    and then, which no pure-literal pass drops."""
+    pred = draw(PREDICATE_NAMES)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = random.Random(seed)
+    gen = PredicateFormulas(seed, pred)
+    fs = [gen.formula([], rng.randint(0, 3)) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.5:
+        fs.append(Or((Atom(pred), Not(Atom(pred)))))
+    goal = gen.formula([], rng.randint(0, 2))
+    if rng.random() < 0.5:
+        fs.append(Implies(fs[-1], goal))
+    return pred, fs, goal
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(predicate_problems())
+@example((
+    KNOWS_Q_SHADOW,
+    [KNOWS_Q, Not(Atom(KNOWS_Q_SHADOW)), Or((Atom(KNOWS_Q_SHADOW), Not(Atom(KNOWS_Q_SHADOW))))],
+    Atom("P", (Const("g1", GOAL),)),
+))
+def test_a_predicate_named_like_a_generated_name_is_refused_or_sound(problem):
+    pred, fs, goal = problem
+    spoofed = (SHADOW_NAME.fullmatch(pred) or SKOLEM_NAME.fullmatch(pred)) and any(
+        isinstance(g, Atom) and g.pred == pred for f in (*fs, goal) for g in subformulas(f)
+    )
+    if spoofed:
+        with pytest.raises(ValueError, match=pred):
+            entails(fs, goal, SIG)
+    try:
+        r = prove(fs, goal, BUDGET, SIG)
+    except ValueError:
+        assert spoofed
+        return
+    if r.status == "proof":
+        ok, reason = verify_proof_detailed(r.proof, fs, goal, SIG)
+        if spoofed:
+            assert reason == f"{pred} has the shape of a generated name"
+        else:
+            assert ok, reason
+            assert entails(fs, goal, SIG)[0]

@@ -297,6 +297,21 @@ def test_sort_mismatch_is_a_parse_error_with_location():
     assert "Agent" in str(e.value)
 
 
+@pytest.mark.parametrize("text, line, col, want", [
+    ("(P 3)", 1, 4, "expected Agent, got Moment"),
+    ("(holds (happy 3) 1)", 1, 15, "expected Agent, got Moment"),
+    ("(P (happy a))", 1, 4, "expected Agent, got Fluent"),
+    ("(R a\n  (happy b))", 2, 3, "expected Agent, got Fluent"),
+    ("(holds wet a)", 1, 12, "expected Moment, got Agent"),
+])
+def test_every_argument_sort_is_checked_at_the_argument(text, line, col, want):
+    # predicate and function arguments, as the modal arguments above
+    with pytest.raises(ParseError) as e:
+        parse_formula(text, SIG)
+    assert e.value.message == f"sort mismatch: {want}"
+    assert (e.value.line, e.value.col) == (line, col)
+
+
 def test_unknown_predicate_rejected():
     with pytest.raises((ParseError, SortError)):
         parse_formula("(mystery a)", SIG)

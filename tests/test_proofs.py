@@ -239,6 +239,38 @@ def test_a_constant_named_like_an_internal_marker_is_no_fresh_witness(rule):
         False, "step 2: witness _vacuous is not fresh")
 
 
+@pytest.mark.parametrize("rule", ["exists-elim", "neg-forall-elim"])
+def test_a_witness_spelled_like_a_skolem_constant_is_refused(rule):
+    # the witness is sk_f778790efe_0, the skolem constant of the other
+    # assumption (exists x : Agent (P x)): fresh by name, yet a later
+    # clausify step of that assumption names it too, and (Q) followed
+    # from satisfiable assumptions.  The oracle's one-element domain
+    # entails (Q) as well, so only the checker can refuse the proof.
+    sig = Signature()
+    sig.declare_constant("a", AGENT)
+    sig.declare_predicate("P", (AGENT,))
+    sig.declare_predicate("Q", ())
+    sk = Atom("P", (Const("sk_f778790efe_0", AGENT),))
+    if rule == "exists-elim":
+        quant = parse_formula("(exists x : Agent (not (P x)))", sig)
+    else:
+        quant = parse_formula("(not (forall x : Agent (P x)))", sig)
+    other = parse_formula("(exists x : Agent (P x))", sig)
+    goal = parse_formula("(Q)", sig)
+    proof = Proof((
+        ProofStep(quant, "assumption"),
+        ProofStep(Not(sk), rule, (0,)),
+        ProofStep(other, "assumption"),
+        ProofStep(sk, "clausify", (2,)),
+        ProofStep(Not(sk), "clausify", (1,)),
+        ProofStep(Not(goal), "negated-goal"),
+        ProofStep(FALSUM, "resolve", (3, 4)),
+        ProofStep(goal, "reductio", (6, 5)),
+    ))
+    assert verify_proof_detailed(proof, [quant, other], goal, sig) == (
+        False, "step 2: witness sk_f778790efe_0 has a skolem symbol's shape")
+
+
 def test_a_witness_named_like_the_key_hole_is_no_wildcard():
     # the witness # is no identifier; (R # y) over y must not take
     # (R a a) for an instance: its only instance at a is (R # a)
