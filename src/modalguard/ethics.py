@@ -187,7 +187,7 @@ def check_dde(
     # C3: exactly the good effects are provably intended; every query
     # reads one theory, so its keys and pruning are computed once
     c3_status, c3_notes = "pass", []
-    premises = Premises(assumptions, sig)
+    premises = Premises(assumptions)
     for e in effects:
         goal = intention_formula(agent, request_moment, e)
         r = prove(premises, goal, budget, sig)

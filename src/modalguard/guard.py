@@ -405,7 +405,7 @@ def _query(
     scenario: Scenario, positive: Formula, negative: Formula, budget: Budget
 ) -> QueryResult:
     """epistemic_query's answer, exceptions not caught."""
-    assumptions = Premises(adjudication_theory(scenario)[0], scenario.sig)
+    assumptions = Premises(adjudication_theory(scenario)[0])
     pos = prove(assumptions, positive, budget, scenario.sig)
     neg = prove(assumptions, negative, budget, scenario.sig)
     if pos.status == "proof" and neg.status == "proof":

@@ -38,12 +38,12 @@ from .syntax import (
     Not,
     Or,
     Signature,
+    canonical_key,
     conj,
     constants_in_formula,
     disj,
     is_moment_literal,
     moment_value,
-    print_formula,
     substitute,
     symbol_names,
     unspoofed,
@@ -241,9 +241,9 @@ def _nnf(f: Formula, neg: bool) -> Formula:
 
 def _cnf(f: Formula) -> list[list[Literal]]:
     if isinstance(f, Atom):
-        return [[(print_formula(f), True)]]
+        return [[(canonical_key(f), True)]]
     if isinstance(f, Not):
-        return [[(print_formula(f.body), False)]]
+        return [[(canonical_key(f.body), False)]]
     if isinstance(f, And):
         out = []
         for p in f.parts:
@@ -303,13 +303,14 @@ def satisfiable(
     sig: Optional[Signature] = None,
     depth: int = 4,
 ) -> Optional[list[str]]:
-    """A model of the formulas as a sorted list of true atoms, or None.
+    """A model of the formulas as the sorted canonical keys of its true
+    atoms, or None.
     Raises ValueError when a formula holds a name spelled like a shadow
     atom or a skolem symbol (syntax.unspoofed)."""
     sig = sig if sig is not None else Signature()
     closed = _closure(list(formulas), sig, depth)
     smap = ShadowMap()
-    clause_rows: list[list[Literal]] = [[(print_formula(FALSUM), False)]]
+    clause_rows: list[list[Literal]] = [[(canonical_key(FALSUM), False)]]
     for f in closed:
         sf = shadow(f, smap)
         clause_rows.extend(_cnf(_nnf(sf, False)))

@@ -31,39 +31,43 @@ outside the shapes of the roots it starts from, so every clause of
 every formula derived from a pure root holds the pure pair, with no
 complement left: pure_formulas would delete it after shadowing.  A
 pure root is therefore never grounded, expanded or shadowed.  Witness
-names are still chosen clear of the names of every assumption.
+names are still chosen clear of the names of every assumption.  The
+witness a pure root would introduce merges into an element of its sort
+or a subsort, which every domain holds (see Mentioned constants).
 
-Two things of a pure root reach further than its clauses, and a pure
-root that has either is kept after all.  One is a join target: the
-conjunction an S4 join builds from kept parts can serve a kept root, as
-the antecedent S3 looks up by body key, or as a part of a larger
-conjunction to join.  Either way a kept root holds that conjunction
-inside a modal body.  Where a kept root holds it as the whole body of a
-join target, the target is that root's own as well; and S1 brings out
-of a joined formula only the clauses of its parts.  So a pure root is
-kept when one of its targets' bodies has the skeleton (the formula with
-its terms erased) of a conjunction inside a kept root's modal body,
-other than a target's whole body (_joins).  Equal keys give equal
-skeletons, whatever grounding substitutes.  The other is a witness,
-which joins the domains of its sort.  A pure root is kept when it could
-introduce a witness of a sort with no declared constant; any other
-witness merges into a constant of its sort, as below.  A root kept
-either way counts for the others, so the fixpoint runs again until it
-keeps no more.  Adding to a problem a pure root that has neither
-changes nothing else.
+One thing of a pure root reaches further than its clauses, and a pure
+root that has it is kept after all: a join target.  The conjunction an
+S4 join builds from kept parts can serve a kept root, as the antecedent
+S3 looks up by body key, or as a part of a larger conjunction to join.
+Either way a kept root holds that conjunction inside a modal body.
+Where a kept root holds it as the whole body of a join target, the
+target is that root's own as well; and S1 brings out of a joined
+formula only the clauses of its parts.  So a pure root is kept when one
+of its targets' bodies has the skeleton (the formula with its terms
+erased) of a conjunction inside a kept root's modal body, other than a
+target's whole body (_joins).  Equal keys give equal skeletons,
+whatever grounding substitutes.  A root kept so counts for the others,
+so the fixpoint runs again until it keeps no more.  Adding to a problem
+a pure root that has no such target changes nothing else.
 
 Mentioned constants.  A domain holds the constants the closure
 mentions: those of the kept roots and the goal, and the witnesses.  It
 adds one representative, the first declared constant by name, for
 each exact sort whose declared constants the closure does not mention.
-Equality and temporal order are free predicates (see models), so
-merging every unmentioned constant into a constant of the closure, or
-the representative, of its exact sort, and every witness of a pure
-root likewise into one of its sort or a subsort, is a homomorphism.  It sends every grounding
-instance, expansion record and shadow pattern of the closure over all
-declared constants onto one of the reduced closure, and so maps a
-refutation of the full clause set onto one of the reduced set; the
-reduced set lies in the full one.  Refutability is the same either way.
+A sort that no constant of the closure or the signature widens to gets
+one anonymous element, a constant named as a witness is
+(_fresh_witness), which joins the domain of every sort it widens to:
+as in clausifying and in the oracle (models._domains), no sort is
+empty.  Equality and temporal order are free predicates (see models),
+so merging every unmentioned constant into a constant of the closure,
+or the representative, of its exact sort, and every witness of a pure
+root into an element of its sort or a subsort, is a homomorphism.  It
+sends every grounding instance, expansion record and shadow pattern of
+the closure over all declared constants onto one of the reduced
+closure, and so maps a refutation of the full clause set onto one of
+the reduced set; the reduced set lies in the full one, once each
+anonymous element is named as a witness of its sort where the full
+closure has one.  Refutability is the same either way.
 
 Pure instances.  The term-level pure-literal rule runs on grounding
 instances before they are built.  Every literal a clause of the closure
@@ -91,11 +95,10 @@ derived from a pure one holds an instance of its pure literal, so the
 quantifiers below a pure instance are never ground.  A pure instance is
 not a modal formula, whose must-set is empty, so the modal expansion
 derives nothing from it; the constant it would add is in the domain
-already.  The two exceptions of pure roots hold for instances too: an
+already.  The exception of pure roots holds for instances too: an
 instance whose join target has the skeleton of a conjunction a kept
-root uses, or that could introduce a witness of a sort with no declared
-constant, is built anyway.  Substitution changes neither skeletons nor
-the sorts of witnesses, so each record's plan is decided once.
+root uses is built anyway.  Substitution changes no skeleton, so the
+exception is decided once per record.
 
 Only ground literals are checked.  Sorted unification binds a variable
 to a term of its sort or a subsort, so two variables of incomparable
@@ -121,13 +124,12 @@ bodies, antecedents and join-target parts it looks up.
 One theory, many goals.  prove works through a Premises, which keeps
 what it derives from the assumptions alone: each assumption's
 canonical key and constants, and the roots _pure_roots leaves out.
-A Premises is bound to one signature, and its pruning is cached under
-the negated goal's shape and the conjunction skeletons it uses
-(_joins).  That is exact: _pure_roots empties the negated goal's
-must-set, so never prunes it and never asks for its join targets or
-witnesses, and reads nothing else of the goal.  Any other sequence, or
-a Premises bound to another signature, is wrapped in a fresh Premises,
-so one question takes the same path; check_dde and epistemic_query
+Its pruning is cached under the negated goal's shape and the
+conjunction skeletons it uses (_joins).  That is exact: _pure_roots
+empties the negated goal's must-set, so never prunes it and never asks
+for its join targets, and reads nothing else of the goal and no
+signature.  Any other sequence is wrapped in a fresh Premises, so one
+question takes the same path; check_dde and epistemic_query
 hand one Premises to every goal they ask of one theory.  A goal the
 theory assumes takes the assumption route: before _Prep is built,
 prove looks among the kept assumptions for one keyed as the goal is,
@@ -337,7 +339,7 @@ class _Prep:
         # filled by the purity checks: the kept roots' literals by
         # (predicate, positive), whether a ground literal meets one of
         # the opposite sign, the conjunction skeletons the kept roots use
-        # (_joins), and whether an exception of _pure_roots builds the
+        # (_joins), and whether the exception of _pure_roots builds the
         # pure instances of a record's plan anyway
         self.patterns: Optional[dict[tuple[str, bool], list[Atom]]] = None
         self.supported: dict[tuple[Atom, bool], bool] = {}
@@ -368,8 +370,9 @@ class _Prep:
         return ikey
 
     def _fresh_witness(self, sort: str) -> Const:
-        """A constant w<n> named apart from the named formulas, the
-        closure's constants and the earlier witnesses.  An instance adds
+        """A constant w<n>, a witness or an anonymous element, named
+        apart from the named formulas, the closure's constants and the
+        earlier witnesses.  An instance adds
         no other name: a binder renamed by capture avoidance ends in "'"."""
         taken = {c.name for c in self.consts} | self.witness_intro.keys()
         taken = taken.union(*map(symbol_names, self.named))
@@ -384,6 +387,20 @@ class _Prep:
             self.domains_at = len(self.consts)
         dom = self.domains.get(sort)
         if dom is None:
+            # one anonymous element per sort that no constant of the
+            # closure or the signature widens to (see the module docstring)
+            held = {c.sort for c in self.consts}.union(self.sig.constants.values())
+            empty = [
+                s
+                for s in self.sig.sorts
+                if self.sig.widens(s, sort)
+                and not any(self.sig.widens(h, s) for h in held)
+            ]
+            for s in empty:
+                self.consts.add(self._fresh_witness(s))
+            if empty:
+                self.domains.clear()
+                self.domains_at = len(self.consts)
             consts = {c for c in self.consts if self.sig.widens(c.sort, sort)}
             # one representative, the first by name, per exact sort the
             # closure does not mention (see the module docstring)
@@ -414,7 +431,7 @@ class _Prep:
     def _pure(self, key: str, c: Const) -> bool:
         """Whether the instance of record key's plan at c is pure: a
         literal of its must-set meets no complement (see the module
-        docstring), and neither exception of _pure_roots keeps it."""
+        docstring), and the exception of _pure_roots does not keep it."""
         plan = self.plans[key]
         if not plan.must:
             return False
@@ -430,12 +447,10 @@ class _Prep:
         if exempt is None:
             if self.used is None:
                 self.used = set().union(*(_joins(f)[1] for f in self.roots))
-            # substitution changes neither a formula's skeletons nor the
-            # sorts of its witnesses, so the instance has the record's
+            # substitution changes no skeleton of a formula, so the
+            # instance has the record's
             f = self.records[key].formula
-            exempt = self.exempt[key] = bool(_joins(f)[0] & self.used) or any(
-                not self.sig.constants_of_sort(s) for s in _witness_sorts(f)
-            )
+            exempt = self.exempt[key] = bool(_joins(f)[0] & self.used)
         return not exempt
 
     def _instantiate(self, key: str, sort: str) -> bool:
@@ -605,25 +620,11 @@ def _joins(f: Formula) -> tuple[set[tuple], set[tuple]]:
     return targets, uses
 
 
-def _witness_sorts(f: Formula) -> list[str]:
-    """Sorts of the witnesses _Prep.close could introduce grounding f:
-    its quantifiers _grounding_plan takes apart, whether or not their
-    variables reach a modal."""
-    out = []
-    while (q := _quantifier(f)) is not None:
-        var, body, wrap, _, universal = q
-        if not universal:
-            out.append(var.sort)
-        f = wrap(body)
-    return out
-
-
-def _pure_roots(roots: Sequence[Formula], sig: Signature) -> set[int]:
+def _pure_roots(roots: Sequence[Formula]) -> set[int]:
     """Indices of the roots prove() leaves out (see the module
     docstring).  The last root, the negated goal, is always kept.  A
-    pure root is kept after all when it could introduce a witness of a
-    sort with no declared constant, or when one of its join targets has
-    the skeleton of a conjunction a kept root can use (_joins); it then
+    pure root is kept after all when one of its join targets has the
+    skeleton of a conjunction a kept root can use (_joins); it then
     counts for the others, and the fixpoint runs again."""
     polarities = [_polarity(f) for f in roots]
     shapes = [s for _, s in polarities]
@@ -637,12 +638,7 @@ def _pure_roots(roots: Sequence[Formula], sig: Signature) -> set[int]:
         if joins is None:
             joins = [_joins(f) for f in roots]
         used = set().union(*(u for i, (_, u) in enumerate(joins) if i not in pruned))
-        kept = {
-            i
-            for i in pruned
-            if joins[i][0] & used
-            or any(not sig.constants_of_sort(s) for s in _witness_sorts(roots[i]))
-        }
+        kept = {i for i in pruned if joins[i][0] & used}
         if not kept:
             return pruned
         for i in kept:
@@ -650,15 +646,13 @@ def _pure_roots(roots: Sequence[Formula], sig: Signature) -> set[int]:
 
 
 class Premises(Sequence[Formula]):
-    """A read-only sequence of assumption formulas, bound to the
-    signature they are asked under, that keeps what prove derives from
-    them alone, so that several goals asked of one theory pay for it
-    once: each assumption's canonical key and constants, and the roots
-    _pure_roots leaves out (see the module docstring)."""
+    """A read-only sequence of assumption formulas that keeps what prove
+    derives from them alone, so that several goals asked of one theory
+    pay for it once: each assumption's canonical key and constants, and
+    the roots _pure_roots leaves out (see the module docstring)."""
 
-    def __init__(self, formulas: Iterable[Formula], sig: Signature):
+    def __init__(self, formulas: Iterable[Formula]):
         self._formulas = tuple(formulas)
-        self.sig = sig
         self._keyed: dict[int, tuple[str, list[Const]]] = {}
         self._pruned: dict[tuple, frozenset[int]] = {}
 
@@ -684,14 +678,13 @@ class Premises(Sequence[Formula]):
         """_pure_roots over the assumptions and the negated goal ng.
 
         Besides the assumptions, _pure_roots reads only ng's shape (its
-        must-set is emptied), the conjunction skeletons ng uses (ng is
-        never pruned, so its join targets and witnesses are never asked
-        for) and the signature's declared constants.  The first two are
-        the key; the signature must not gain constants in between."""
+        must-set is emptied) and the conjunction skeletons ng uses (ng is
+        never pruned, so its join targets are never asked for); the two
+        are the key."""
         memo = (_polarity(ng)[1], frozenset(_joins(ng)[1]))
         got = self._pruned.get(memo)
         if got is None:
-            got = self._pruned[memo] = frozenset(_pure_roots([*self._formulas, ng], self.sig))
+            got = self._pruned[memo] = frozenset(_pure_roots([*self._formulas, ng]))
         return got
 
 
@@ -708,16 +701,13 @@ def prove(
     sig: Optional[Signature] = None,
 ) -> ProveResult:
     """Search for a proof of goal from the assumptions.  Pass one
-    Premises bound to sig to ask several goals of one theory; any other
-    sequence is wrapped in a fresh Premises.  Raises ValueError when the
-    goal, or a kept assumption it keys, holds a name spelled like a
-    shadow atom or a skolem symbol (syntax.unspoofed)."""
+    Premises to ask several goals of one theory; any other sequence is
+    wrapped in a fresh Premises.  Raises ValueError when the goal, or a
+    kept assumption it keys, holds a name spelled like a shadow atom or
+    a skolem symbol (syntax.unspoofed)."""
     budget = budget if budget is not None else Budget()
     sig = sig if sig is not None else Signature()
-    if isinstance(assumptions, Premises) and assumptions.sig is sig:
-        premises = assumptions
-    else:
-        premises = Premises(assumptions, sig)
+    premises = assumptions if isinstance(assumptions, Premises) else Premises(assumptions)
     start = time.monotonic()
     deadline = start + budget.timeout_ms / 1000.0
     stats: dict = {}

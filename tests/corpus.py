@@ -40,6 +40,13 @@ def corpus_signature() -> Signature:
     sig.declare_predicate("rains", ())
     sig.declare_predicate("pours", ())
     sig.declare_predicate("floods", ())
+    # no constant is a Relic or a Weapon
+    sig.declare_sort("Relic")
+    sig.declare_sort("Thing")
+    sig.declare_sort("Weapon", ("Thing",))
+    sig.declare_constant("crate", "Thing")
+    sig.declare_predicate("Shiny", ("Relic",))
+    sig.declare_predicate("Armed", ("Thing",))
     return sig
 
 
@@ -218,6 +225,15 @@ PROBLEMS: list[Problem] = [
             ("(forall x : Agent (knows x 1 (pours)))",
              "(forall x : Agent (knows x 1 (implies (pours) (rains))))"),
             "(forall x : Agent (knows x 1 (rains)))", True),
+
+    # A sort with no constant has one element, in its supersorts too.
+    Problem("empty-sort-known",
+            ("(forall x : Relic (knows alice 1 (Shiny x)))",),
+            "(exists x : Relic (Shiny x))", True),
+    Problem("empty-subsort-of-known",
+            ("(forall x : Thing (knows alice 1 (Armed x)))",
+             "(forall v : Weapon (not (Armed v)))"),
+            "(floods)", True),
 
     # Non-epistemic operators resolve by shadow identity.
     Problem("obligation-identity",

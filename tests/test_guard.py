@@ -188,6 +188,31 @@ def test_a_fact_nested_100_deep_adjudicates(wrap):
     assert v.proof_verified
 
 
+def sim1_over_every_goal():
+    """sim1 with no Goal declared: its four facts about g_live hold of
+    every Goal."""
+    text = SIM1_TEXT.replace("\n  (g_live Goal))", ")")
+    facts = [line.strip() for line in text.splitlines() if "g_live" in line]
+    assert len(facts) == 4
+    for fact in facts:
+        text = text.replace(fact, f"(forall g : Goal {fact.replace('g_live', 'g')})")
+    return parse_scenario(text, "sim1")
+
+
+def test_sim1_over_every_goal_locks_with_verified_obligation():
+    # the facts hold of the anonymous Goal the domain gives the sort, as
+    # clausifying and the oracle take it; grounding once left the sort
+    # empty, found no obligation and allowed the shot
+    sc = sim1_over_every_goal()
+    assert not sc.sig.constants_of_sort("Goal")
+    v = adjudicate(sc)
+    assert v.decision == LOCK
+    assert v.prove_status == "proof"
+    assert v.proof_verified is True
+    failing = {k for k, c in v.dde.clauses.items() if c.status == "fail"}
+    assert failing == {"C1", "C2", "C3"}
+
+
 def sim1_with_innocent(name: str):
     """sim1 with one more agent, name, innocent by a fact about it and by
     a universal fact, in place of (innocent victim)."""

@@ -22,6 +22,7 @@ from modalguard.syntax import (
     EVENT,
     GOAL,
     KNOWS,
+    Atom,
     Const,
     Exists,
     Forall,
@@ -74,6 +75,22 @@ def test_a_sort_with_no_constant_has_an_anonymous_element():
     (anonymous,) = domains[ACTION]
     assert anonymous.name not in symbol_names(f) | set(sig.constants)
     assert anonymous in domains[EVENT]
+
+
+def test_an_atom_is_identified_by_its_key_not_its_print():
+    # the nullary predicate named "P g1" prints as (P g1), as P of g1
+    # does; the oracle once identified the two atoms by that print, found
+    # the pair unsatisfiable and entailed any goal, where prove found
+    # no proof
+    sig = Signature()
+    sig.declare_constant("g1", GOAL)
+    sig.declare_predicate("P", (GOAL,))
+    sig.declare_predicate("Q", ())
+    fs = [Atom("P g1"), Not(Atom("P", (Const("g1", GOAL),)))]
+    goal = Atom("Q")
+    assert satisfiable(fs, sig) is not None
+    assert entails(fs, goal, sig)[0] is False
+    assert prove(fs, goal, sig=sig).status == "no_proof"
 
 
 def test_empty_theory_has_empty_model():

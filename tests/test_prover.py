@@ -433,7 +433,7 @@ def test_a_root_with_a_fresh_positive_predicate_changes_no_answer(
 def test_an_assumption_keyed_as_the_goal_is_never_pruned(problem, pick):
     fs, _ = problem
     goal = fs[pick % len(fs)]
-    premises = prover.Premises(fs, RF_SIG)
+    premises = prover.Premises(fs)
     key = canonical_key(goal)
     assert not [i for i in premises.pruned(Not(goal)) if premises.keyed(i)[0] == key]
     r = prove(premises, goal, RF_BUDGET, RF_SIG)
@@ -482,7 +482,7 @@ def test_a_pure_root_is_kept_for_a_join_target_a_kept_root_uses():
     assert again.status == "no_proof"
 
 
-def test_a_pure_root_is_kept_for_a_witness_of_a_sort_with_no_constant():
+def test_a_pure_roots_witness_merges_into_the_anonymous_element_of_its_sort():
     sig = corpus.corpus_signature()
     sig.declare_sort("Tool")
     sig.declare_predicate("Sharp", ("Tool",))
@@ -491,13 +491,15 @@ def test_a_pure_root_is_kept_for_a_witness_of_a_sort_with_no_constant():
         "(forall x : Tool (knows alice 1 (Sharp x)))",
     )]
     goal = parse_formula("(exists x : Tool (Sharp x))", sig)
-    # the pure root's witness w1 is the only Tool there is to ground at
+    # Tool has no constant, so the domain gives it one anonymous
+    # element; the pure root's witness merges into it, and the root goes
     r = prove(fs, goal, sig=sig)
     assert r.status == "proof"
-    assert r.stats["pruned_roots"] == 0
+    assert r.stats["pruned_roots"] == 1
     ok, reason = verify_proof_detailed(r.proof, fs, goal, sig)
     assert ok, reason
     # with a declared Tool the witness merges into it, and the root goes
+    # as well
     sig.declare_constant("wrench", "Tool")
     again = prove(fs, goal, sig=sig)
     assert again.stats["pruned_roots"] == 1
@@ -523,7 +525,7 @@ def test_one_premises_prunes_by_the_goals_join_uses():
         "(intends bob 1 (not (and (P alice) (Q alice))))",
         "(intends bob 1 (P alice))",
     )]
-    premises = prover.Premises(fs, SIG)
+    premises = prover.Premises(fs)
     pruned = []
     for goal in goals:
         r = prove(premises, goal, sig=SIG)
@@ -531,9 +533,10 @@ def test_one_premises_prunes_by_the_goals_join_uses():
         pruned.append(r.stats["pruned_roots"])
     assert pruned == [1, 0, 1]
     # a root that could make a witness of a sort with no declared
-    # constant is kept; under a signature that declares one, it goes.
-    # Asked under a signature it is not bound to, a Premises answers as
-    # a fresh one bound to that signature would
+    # constant goes whether or not the signature declares one: the
+    # witness merges into the declared constant or into the anonymous
+    # element.  A Premises reads no signature, so it answers under each
+    # as a fresh one would
     sig = corpus.corpus_signature()
     sig.declare_sort("Tool")
     sig.declare_predicate("Sharp", ("Tool",))
@@ -544,13 +547,13 @@ def test_one_premises_prunes_by_the_goals_join_uses():
         "(forall x : Tool (knows alice 1 (Sharp x)))",
     )]
     goal = parse_formula("(exists x : Tool (Sharp x))", sig)
-    premises = prover.Premises(fs, sig)
+    premises = prover.Premises(fs)
     pruned = []
     for s in (sig, tools, sig):
         r = prove(premises, goal, sig=s)
         assert answer(r) == answer(prove(fs, goal, sig=s))
         pruned.append(r.stats["pruned_roots"])
-    assert pruned == [0, 1, 0]
+    assert pruned == [1, 1, 1]
 
 
 def test_a_sort_mentioned_nowhere_is_grounded_at_its_first_constant():
@@ -572,6 +575,45 @@ def test_a_sort_mentioned_nowhere_is_grounded_at_its_first_constant():
     again = prove(fs, goal, sig=sig)
     assert again.proof.serialize() == r.proof.serialize()
     assert again.stats["domain_dropped"] == 1
+
+
+def test_a_sort_with_no_constant_is_grounded_at_an_anonymous_element():
+    # no constant is an S, so the domain gives S one element, as
+    # clausifying the goal's negation takes it to have
+    sig = Signature()
+    sig.declare_constant("a", AGENT)
+    sig.declare_sort("S")
+    sig.declare_predicate("P", ("S",))
+    fs = [parse_formula("(forall x : S (knows a 1 (P x)))", sig)]
+    goal = parse_formula("(exists x : S (P x))", sig)
+    r = prove(fs, goal, sig=sig)
+    assert r.status == "proof"
+    assert r.stats["grounding_instances"] == 1
+    ok, reason = verify_proof_detailed(r.proof, fs, goal, sig)
+    assert ok, reason
+
+
+def test_an_empty_subsorts_anonymous_element_joins_its_supersorts_domain():
+    # c is a Thing, but no constant is a Weapon: Weapon's anonymous
+    # element is a Thing too, where what a knows of every Thing meets
+    # what holds of every Weapon
+    sig = Signature()
+    sig.declare_constant("a", AGENT)
+    sig.declare_sort("Thing")
+    sig.declare_sort("Weapon", ("Thing",))
+    sig.declare_constant("c", "Thing")
+    sig.declare_predicate("R", ("Thing",))
+    sig.declare_predicate("Q", ())
+    fs = [parse_formula(t, sig) for t in (
+        "(forall x : Thing (knows a 1 (R x)))",
+        "(forall v : Weapon (not (R v)))",
+    )]
+    goal = parse_formula("(Q)", sig)
+    r = prove(fs, goal, sig=sig)
+    assert r.status == "proof"
+    assert r.stats["grounding_instances"] == 2  # at c and at the Weapon
+    ok, reason = verify_proof_detailed(r.proof, fs, goal, sig)
+    assert ok, reason
 
 
 # ---------------------------------------------------------------------------

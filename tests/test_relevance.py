@@ -237,7 +237,7 @@ def test_a_pure_instance_is_built_for_a_join_target_a_kept_root_uses():
     assert again.stats["pure_instances"] == 2  # at alice and bob
 
 
-def test_a_pure_instance_is_built_for_a_witness_of_a_sort_with_no_constant():
+def test_a_pure_instances_witness_merges_into_the_anonymous_element_of_its_sort():
     sig = corpus.corpus_signature()
     sig.declare_sort("Tool")
     sig.declare_predicate("Sharp", ("Tool",))
@@ -247,11 +247,12 @@ def test_a_pure_instance_is_built_for_a_witness_of_a_sort_with_no_constant():
         "(forall x : Tool (knows alice 1 (Sharp x)))",
     )]
     goal = parse_formula("(exists x : Tool (Sharp x))", sig)
-    # the pure instances' witnesses are the only Tools there are to
-    # ground at
+    # Tool has no constant, so the domain gives it one anonymous
+    # element; a pure instance's witness merges into it, and the
+    # instance is not built
     r = prove(fs, goal, sig=sig)
     assert r.status == "proof"
-    assert r.stats["pure_instances"] == 0
+    assert r.stats["pure_instances"] == 1
     assert verify_proof(r.proof, fs, goal, sig)
     # with a declared Tool a witness merges into it, and the pure
     # instances go
@@ -419,7 +420,7 @@ SIM2_FAMILY = {
 def unpruned(mp: pytest.MonkeyPatch) -> None:
     """Switch both relevance filters off: no root is left out, and every
     instance is built."""
-    mp.setattr(prover, "_pure_roots", lambda roots, sig: set())
+    mp.setattr(prover, "_pure_roots", lambda roots: set())
     unchecked(mp)
 
 
@@ -488,7 +489,7 @@ def assert_one_premises_answers_as_fresh_calls(text: str, label: str) -> int:
     base, _ = base_theory(sc)
     req = sc.request
     v = check_dde(sc.theory, req.agent, req.atype, req.moment, sc.hierarchy, sc.utilities, base, sc.sig)
-    premises = prover.Premises(base, sc.sig)
+    premises = prover.Premises(base)
     for e in v.effects:
         goal = intention_formula(req.agent, req.moment, e)
         shared = prove(premises, goal, sig=sc.sig)
@@ -524,7 +525,7 @@ def test_one_premises_prunes_each_guard_goal_as_a_fresh_call():
         prevents_body(c["shooter"], c["victim"], c["g_live"], c["fire"], moment(1)),
         obligation_goal(sc),
     )
-    premises = prover.Premises(assumptions, sc.sig)
+    premises = prover.Premises(assumptions)
     pruned = []
     for goal in goals:
         shared = prove(premises, goal, sig=sc.sig)
@@ -536,9 +537,9 @@ def test_one_premises_prunes_each_guard_goal_as_a_fresh_call():
 def test_check_dde_prunes_the_roots_of_its_theory_once(monkeypatch):
     calls = []
 
-    def counting(roots, sig):
+    def counting(roots):
         calls.append(len(roots))
-        return pure_roots(roots, sig)
+        return pure_roots(roots)
 
     pure_roots = prover._pure_roots
     monkeypatch.setattr(prover, "_pure_roots", counting)
@@ -570,7 +571,7 @@ def test_the_assumption_route_changes_no_c3_answer(label):
     base, _ = base_theory(sc)
     req = sc.request
     v = check_dde(sc.theory, req.agent, req.atype, req.moment, sc.hierarchy, sc.utilities, base, sc.sig)
-    premises = prover.Premises(base, sc.sig)
+    premises = prover.Premises(base)
     routes = []
     for e in v.effects:
         goal = intention_formula(req.agent, req.moment, e)
