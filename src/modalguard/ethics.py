@@ -65,7 +65,7 @@ class EthicalHierarchy:
 
 @dataclass(frozen=True)
 class UtilityEntry:
-    pattern: Term  # fluent term; Var args act as wildcards
+    pattern: Term  # fluent term; Const("_") args (WILDCARD) match any term
     value: int
 
     def specificity(self) -> int:

@@ -81,7 +81,11 @@ class Effect:
     sources: tuple[Optional["Effect"], ...] = ()
 
     def key(self) -> tuple[int, str, str, str]:
+        """The effect's place in effect order: its identity, printed."""
         return (self.moment, self.kind, print_term(self.event), print_term(self.fluent))
+
+    def identity(self) -> tuple[int, str, Term, Term]:
+        return (self.moment, self.kind, self.event, self.fluent)
 
     def provenance(self) -> list["Effect"]:
         """This effect plus everything its guards causally depend on."""
@@ -139,26 +143,24 @@ class Trace:
     def holds(self, fluent: Term, moment: int) -> bool:
         return fluent in self.states[moment]
 
-    def effect_keys(self) -> set[tuple[int, str, str, str]]:
-        return {e.key() for e in self.effects}
-
 
 def project(theory: ECTheory, sig: Optional[Signature] = None) -> Trace:
     sig = sig if sig is not None else Signature()
     state = frozenset(theory.initial)
     states = [state]
     all_effects: list[Effect] = []
-    # latest initiating / terminating effect per fluent, None = initial state
-    true_source: dict[str, Optional[Effect]] = {}
-    false_source: dict[str, Optional[Effect]] = {}
+    # latest initiating / terminating effect per fluent, None = initial
+    # state; terms tell fluents and events apart, prints only order them
+    true_source: dict[Term, Optional[Effect]] = {}
+    false_source: dict[Term, Optional[Effect]] = {}
 
     for m in range(theory.horizon):
         events = sorted(
             (ev for ev, em in theory.occurrences if em == m), key=print_term
         )
-        pending_init: dict[str, Effect] = {}
-        pending_term: dict[str, Effect] = {}
-        fired: set[tuple[int, str]] = set()
+        pending_init: dict[Term, Effect] = {}
+        pending_term: dict[Term, Effect] = {}
+        fired: set[tuple[int, Term]] = set()
 
         changed = True
         while changed:
@@ -168,22 +170,21 @@ def project(theory: ECTheory, sig: Optional[Signature] = None) -> Trace:
                     b = match_term(ax.event, ev, {}, sig)
                     if b is None:
                         continue
-                    tag = (ai, print_term(ev))
+                    tag = (ai, ev)
                     if tag in fired:
                         continue
                     sources: list[Optional[Effect]] = []
                     ok = True
                     for lit in ax.guard:
                         f = substitute_term(lit.fluent, b)
-                        fk = print_term(f)
-                        now_true = f in state or fk in pending_init
+                        now_true = f in state or f in pending_init
                         if lit.positive != now_true:
                             ok = False
                             break
                         if lit.positive:
-                            src = pending_init.get(fk) or true_source.get(fk)
+                            src = pending_init.get(f) or true_source.get(f)
                         else:
-                            src = false_source.get(fk)
+                            src = false_source.get(f)
                         sources.append(src)
                     if not ok:
                         continue
@@ -192,28 +193,23 @@ def project(theory: ECTheory, sig: Optional[Signature] = None) -> Trace:
                     eff = Effect(
                         substitute_term(ax.fluent, b), ax.kind, ev, m, tuple(sources)
                     )
-                    fk = print_term(eff.fluent)
-                    if ax.kind == INITIATED:
-                        pending_init.setdefault(fk, eff)
-                    else:
-                        pending_term.setdefault(fk, eff)
+                    pending = pending_init if ax.kind == INITIATED else pending_term
+                    pending.setdefault(eff.fluent, eff)
 
-        both = sorted(set(pending_init) & set(pending_term))
+        both = sorted(set(pending_init) & set(pending_term), key=print_term)
         if both:
-            fk = both[0]
-            raise ProjectionConflict(
-                pending_init[fk].fluent, m, pending_init[fk].event, pending_term[fk].event
-            )
+            f = both[0]
+            raise ProjectionConflict(f, m, pending_init[f].event, pending_term[f].event)
 
-        for fk, eff in sorted(pending_init.items()):
-            all_effects.append(eff)
-            true_source[fk] = eff
-        for fk, eff in sorted(pending_term.items()):
-            all_effects.append(eff)
-            false_source[fk] = eff
+        for f in sorted(pending_init, key=print_term):
+            all_effects.append(pending_init[f])
+            true_source[f] = pending_init[f]
+        for f in sorted(pending_term, key=print_term):
+            all_effects.append(pending_term[f])
+            false_source[f] = pending_term[f]
 
-        nxt = {f for f in state if print_term(f) not in pending_term}
-        nxt |= {e.fluent for e in pending_init.values()}
+        nxt = {f for f in state if f not in pending_term}
+        nxt |= set(pending_init)
         state = frozenset(nxt)
         states.append(state)
 
@@ -234,10 +230,10 @@ def effects_of(
     sig = sig if sig is not None else Signature()
     with_ev = projected if projected is not None else project(theory, sig)
     without_ev = project(theory.without(event, moment), sig)
-    baseline = without_ev.effect_keys()
+    baseline = {e.identity() for e in without_ev.effects}
     out = []
     for e in with_ev.effects:
-        if e.key() in baseline:
+        if e.identity() in baseline:
             continue
         if any(p.event == event and p.moment == moment for p in e.provenance()):
             out.append(e)

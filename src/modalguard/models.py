@@ -40,6 +40,7 @@ from .syntax import (
     Signature,
     canonical_key,
     conj,
+    constant_sorts,
     constants_in_formula,
     disj,
     is_moment_literal,
@@ -60,12 +61,10 @@ def _domains(formulas: Sequence[Formula], sig: Signature) -> dict[str, list[Cons
     whose sorts widen to it.  A sort no constant widens to gets one
     anonymous element named apart from every name in the formulas, which
     joins its supersorts' domains too: as in clausifying, no quantifier
-    is vacuous."""
-    consts: set[Const] = set()
-    for f in formulas:
-        consts |= set(constants_in_formula(f))
-    for name, sort in sig.constants.items():
-        consts.add(Const(name, sort))
+    is vacuous.  Raises ValueError when one name is a constant of two
+    sorts (syntax.constant_sorts)."""
+    named = constant_sorts(map(constants_in_formula, formulas), sig.constants)
+    consts = {Const(name, sort) for name, sort in named.items()}
     empty = [s for s in sig.sorts if not any(sig.widens(c.sort, s) for c in consts)]
     if empty:
         taken = set(sig.constants).union(*map(symbol_names, formulas))
@@ -306,7 +305,8 @@ def satisfiable(
     """A model of the formulas as the sorted canonical keys of its true
     atoms, or None.
     Raises ValueError when a formula holds a name spelled like a shadow
-    atom or a skolem symbol (syntax.unspoofed)."""
+    atom or a skolem symbol (syntax.unspoofed), or when one name is a
+    constant of two sorts (syntax.constant_sorts)."""
     sig = sig if sig is not None else Signature()
     closed = _closure(list(formulas), sig, depth)
     smap = ShadowMap()

@@ -6,20 +6,22 @@ scoping.  It is the one sort checker: build_term and build_formula
 check every symbol, arity, argument sort, equality, binder sort and
 modal argument as they build, and report the position of the first
 violation; build_term checks a term against the sort its place
-expects.  A built formula is well-sorted; nothing checks it again.
+expects, and builds every scenario term too (scenario.py).  A built
+formula or term is well-sorted; nothing checks it again.
 Comments run from ; to end of line.  Identifiers match
-[A-Za-z_][A-Za-z0-9_'-]*; bare integers are Moment literals.  A
-declared symbol may not be a reserved word, nor have the shape of a
-generated name: b<digits>, h<digits>, or the prefix sh_ or sk_
-(syntax.RESERVED_SHAPES).  A quantifier may not bind the name of a
-declared constant, of any sort, so that no binder captures a constant.
+[A-Za-z_][A-Za-z0-9_'-]*, after an optional ?; bare integers are
+Moment literals.  A declared symbol may not be a reserved word, start
+with ?, or have the shape of a generated name: b<digits>, h<digits>,
+or the prefix sh_ or sk_ (syntax.RESERVED_SHAPES).  A quantifier may
+not bind the name of a declared constant, of any sort, so that no
+binder captures a constant.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .syntax import (
     AGENT,
@@ -155,11 +157,20 @@ def _err(node: SExpr, message: str) -> ParseError:
     return ParseError(message, node.line, node.col)
 
 
+Resolver = Callable[[str, Optional[str]], Optional[Term]]
+
+
 def build_term(
-    node: SExpr, sig: Signature, env: dict[str, Var], want: Optional[str] = None
+    node: SExpr,
+    sig: Signature,
+    env: dict[str, Var],
+    want: Optional[str] = None,
+    resolve: Optional[Resolver] = None,
 ) -> Term:
     """The term node spells; when want is given, its sort must widen to
-    want."""
+    want.  A name that is no moment literal, variable of env or declared
+    constant stands for resolve(name, its place's sort), in node and in
+    its argument terms; it is an unknown symbol when that is None."""
     if isinstance(node, SAtom):
         if node.text in (":", "=", "(", ")"):
             raise _err(node, f"expected a term, got {node.text!r}")
@@ -169,6 +180,8 @@ def build_term(
             t = env[node.text]
         elif node.text in sig.constants:
             t = Const(node.text, sig.constants[node.text])
+        elif resolve is not None and (got := resolve(node.text, want)) is not None:
+            t = got
         else:
             raise _err(node, f"unknown symbol {node.text}")
     else:
@@ -184,7 +197,9 @@ def build_term(
                 head,
                 f"function {head.text} takes {len(argsorts)} arguments, got {len(args)}",
             )
-        terms = tuple(build_term(sub, sig, env, s) for sub, s in zip(args, argsorts))
+        terms = tuple(
+            build_term(sub, sig, env, s, resolve) for sub, s in zip(args, argsorts)
+        )
         t = App(head.text, terms, result)
     if want is not None and not sig.widens(t.sort, want):
         raise _err(node, f"sort mismatch: expected {want}, got {t.sort}")

@@ -14,7 +14,9 @@ constant fresh for the names of the assumptions, the goal and the
 earlier steps, which are read only at a step that introduces one, and
 not spelled like a skolem symbol, which a later clausify step could
 name.  Assumptions or a goal that hold a name spelled like a shadow
-atom or a skolem symbol are refused (syntax.unspoofed).  The
+atom or a skolem symbol are refused (syntax.unspoofed), as is a name
+that is a constant of two sorts in the problem or the proof, which a
+step's key comparison would take for one (syntax.constant_sorts).  The
 checker shares no state with the prover's search.
 """
 
@@ -44,6 +46,7 @@ from .syntax import (
     Var,
     alpha_equivalent,
     canonical_key,
+    constant_sorts,
     constants_in_formula,
     disj,
     free_vars,
@@ -184,6 +187,8 @@ def verify_proof_detailed(
     try:
         for key in (*assumed, goal_key):
             unspoofed(key)
+        formulas = (*assumptions, goal, *(s.formula for s in proof.steps))
+        constant_sorts(map(constants_in_formula, formulas), sig.constants)
     except ValueError as e:
         return False, str(e)
 

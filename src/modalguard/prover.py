@@ -202,6 +202,7 @@ from .syntax import (
     Signature,
     Var,
     canonical_key,
+    constant_sorts,
     constants_in_formula,
     free_vars,
     is_moment_literal,
@@ -704,7 +705,9 @@ def prove(
     Premises to ask several goals of one theory; any other sequence is
     wrapped in a fresh Premises.  Raises ValueError when the goal, or a
     kept assumption it keys, holds a name spelled like a shadow atom or
-    a skolem symbol (syntax.unspoofed)."""
+    a skolem symbol (syntax.unspoofed), and when one name is a constant
+    of two sorts in sig, the goal and the assumptions a proof may cite
+    (syntax.constant_sorts)."""
     budget = budget if budget is not None else Budget()
     sig = sig if sig is not None else Signature()
     premises = assumptions if isinstance(assumptions, Premises) else Premises(assumptions)
@@ -728,7 +731,10 @@ def prove(
     stats["pruned_roots"] = len(pruned)
     kept = [i for i in range(len(premises)) if i not in pruned]
     goal_key = unspoofed(canonical_key(goal))
+    goal_consts = constants_in_formula(goal)
     assumed = _assumed(premises, kept, goal_key)
+    used = kept if assumed is None else [assumed]
+    constant_sorts([*(premises.keyed(i)[1] for i in used), goal_consts], sig.constants)
     if assumed is not None:
         stats["route"] = "assumption"
         return finish("proof", Proof((ProofStep(premises[assumed], RULE_ASSUMPTION, ()),)))
@@ -737,7 +743,7 @@ def prove(
         key, consts = premises.keyed(i)
         prep.add(key, premises[i], RULE_ASSUMPTION, consts)
     ng_key = canonical_key(ng)
-    prep.add(ng_key, ng, RULE_NEGATED_GOAL, constants_in_formula(ng))
+    prep.add(ng_key, ng, RULE_NEGATED_GOAL, goal_consts)
     prep.close(deadline)
     stats["grounding_instances"] = prep.instances
     stats["pure_instances"] = prep.pure

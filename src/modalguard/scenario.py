@@ -16,11 +16,13 @@ A scenario is a sequence of s-expression sections:
   (request <agent> <atype> <moment>)
   (guardian <agent>)
 
-Axiom patterns may use ?name variables, typed by the argument position
-they appear in; every variable in a fluent or guard pattern must also
-appear in the event pattern.  Utility patterns may use _ as a
-wildcard argument; the most specific matching entry wins.  Sections
-may appear in any order, each at most once.  Category order in the
+parser.build_term builds and sort-checks every term.  Axioms read
+?name as a variable of the sort of the place it first appears in, and
+each later use must widen to its place; every variable in a fluent or
+guard pattern must also appear in the event pattern.  Utilities read _
+as a wildcard of its place's sort; the most specific matching entry
+wins.  Terms in initial and occurrences are ground.  Sections may
+appear in any order, each at most once.  Category order in the
 hierarchy runs worst to best: the first category must be "forbidden"
 and "neutral" must be present.
 """
@@ -34,8 +36,17 @@ from typing import Optional
 
 from .ethics import EthicalHierarchy, UtilityEntry, UtilityMap, WILDCARD
 from .eventcalc import ECTheory, EffectAxiom, GuardLiteral, INITIATED, TERMINATED
-from .parser import ParseError, SAtom, SExpr, SList, build_formula, read_sexprs
-from .syntax import App, Const, Formula, MOMENT, Signature, Term, Var
+from .parser import (
+    ParseError,
+    Resolver,
+    SAtom,
+    SExpr,
+    SList,
+    build_formula,
+    build_term,
+    read_sexprs,
+)
+from .syntax import EVENT, FLUENT, Const, Formula, Signature, Term, Var
 
 SECTIONS = (
     "sorts",
@@ -89,53 +100,22 @@ def _int(node: SExpr, what: str) -> int:
     return int(node.text)
 
 
-def _build_pattern(
-    node: SExpr,
-    sig: Signature,
-    expected: str,
-    env: dict[str, Var],
-    wildcards: bool,
-) -> Term:
-    """Terms with ?vars (typed by position) and optional _ wildcards."""
-    if isinstance(node, SAtom):
-        t = node.text
-        if t.isdigit():
-            if not sig.widens(MOMENT, expected):
-                raise _err(node, f"sort mismatch: expected {expected}, got Moment")
-            return Const(t, MOMENT)
-        if wildcards and t == WILDCARD:
-            return Const(WILDCARD, expected)
-        if t.startswith("?"):
-            if t in env:
-                v = env[t]
-                if not sig.widens(v.sort, expected) and not sig.widens(expected, v.sort):
-                    raise _err(node, f"variable {t} used at incompatible sort")
-                return v
-            v = Var(t[1:], expected)
-            env[t] = v
-            return v
-        if t in sig.constants:
-            if not sig.widens(sig.constants[t], expected):
-                raise _err(
-                    node, f"sort mismatch: expected {expected}, got {sig.constants[t]}"
-                )
-            return Const(t, sig.constants[t])
-        raise _err(node, f"unknown constant {t}")
-    if not node.items or not isinstance(node.items[0], SAtom):
-        raise _err(node, "expected a term")
-    fn = node.items[0].text
-    if fn not in sig.functions:
-        raise _err(node.items[0], f"unknown function {fn}")
-    argsorts, result = sig.functions[fn]
-    if not sig.widens(result, expected):
-        raise _err(node, f"sort mismatch: expected {expected}, got {result}")
-    if len(node.items) - 1 != len(argsorts):
-        raise _err(node, f"{fn} takes {len(argsorts)} arguments")
-    args = tuple(
-        _build_pattern(a, sig, s, env, wildcards)
-        for a, s in zip(node.items[1:], argsorts)
-    )
-    return App(fn, args, result)
+def _variables(env: dict[str, Var]) -> Resolver:
+    """An axiom's ?x: a variable of the sort of its first place, kept in
+    env for the axiom's later uses."""
+
+    def resolve(name: str, want: Optional[str]) -> Optional[Term]:
+        if name.startswith("?") and want is not None:
+            env[name] = Var(name[1:], want)
+            return env[name]
+        return None
+
+    return resolve
+
+
+def _wildcard(name: str, want: Optional[str]) -> Optional[Term]:
+    """A utility's _: the wildcard of its place's sort."""
+    return Const(WILDCARD, want) if name == WILDCARD and want is not None else None
 
 
 def _section_map(trees: list[SExpr]) -> dict[str, SList]:
@@ -157,101 +137,83 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     sections = _section_map(trees)
     sig = Signature()
 
-    if "sorts" in sections:
-        for node in sections["sorts"].items[1:]:
-            if isinstance(node, SAtom):
-                sig.declare_sort(node.text)
-            else:
-                if not node.items:
-                    raise _err(node, "empty sort declaration")
-                sname = _ident(node.items[0], "a sort name")
-                parents = tuple(_ident(p, "a parent sort") for p in node.items[1:])
-                for p in parents:
-                    if p not in sig.sorts:
-                        raise _err(node, f"unknown parent sort {p}")
-                sig.declare_sort(sname, parents)
+    def forms(section: str) -> tuple[SExpr, ...]:
+        return sections[section].items[1:] if section in sections else ()
 
-    if "functions" in sections:
-        for node in sections["functions"].items[1:]:
-            if not isinstance(node, SList) or len(node.items) < 2:
-                raise _err(node, "expected (name ArgSort ... Result)")
-            fname = _ident(node.items[0], "a function name")
-            sortnames = [_ident(s, "a sort") for s in node.items[1:]]
-            sig.declare_function(fname, tuple(sortnames[:-1]), sortnames[-1])
+    for node in forms("sorts"):
+        if isinstance(node, SAtom):
+            sig.declare_sort(node.text)
+        else:
+            if not node.items:
+                raise _err(node, "empty sort declaration")
+            sname = _ident(node.items[0], "a sort name")
+            parents = tuple(_ident(p, "a parent sort") for p in node.items[1:])
+            for p in parents:
+                if p not in sig.sorts:
+                    raise _err(node, f"unknown parent sort {p}")
+            sig.declare_sort(sname, parents)
 
-    if "predicates" in sections:
-        for node in sections["predicates"].items[1:]:
-            if not isinstance(node, SList) or not node.items:
-                raise _err(node, "expected (name ArgSort ...)")
-            pname = _ident(node.items[0], "a predicate name")
-            sig.declare_predicate(
-                pname, tuple(_ident(s, "a sort") for s in node.items[1:])
-            )
+    for node in forms("functions"):
+        if not isinstance(node, SList) or len(node.items) < 2:
+            raise _err(node, "expected (name ArgSort ... Result)")
+        fname = _ident(node.items[0], "a function name")
+        sortnames = [_ident(s, "a sort") for s in node.items[1:]]
+        sig.declare_function(fname, tuple(sortnames[:-1]), sortnames[-1])
 
-    if "constants" in sections:
-        for node in sections["constants"].items[1:]:
-            if not isinstance(node, SList) or len(node.items) != 2:
-                raise _err(node, "expected (name Sort)")
-            sig.declare_constant(
-                _ident(node.items[0], "a constant name"),
-                _ident(node.items[1], "a sort"),
-            )
+    for node in forms("predicates"):
+        if not isinstance(node, SList) or not node.items:
+            raise _err(node, "expected (name ArgSort ...)")
+        pname = _ident(node.items[0], "a predicate name")
+        sig.declare_predicate(pname, tuple(_ident(s, "a sort") for s in node.items[1:]))
 
-    facts: list[Formula] = []
-    if "facts" in sections:
-        for node in sections["facts"].items[1:]:
-            facts.append(build_formula(node, sig))
+    for node in forms("constants"):
+        if not isinstance(node, SList) or len(node.items) != 2:
+            raise _err(node, "expected (name Sort)")
+        sig.declare_constant(
+            _ident(node.items[0], "a constant name"),
+            _ident(node.items[1], "a sort"),
+        )
 
-    initial: set[Term] = set()
-    if "initial" in sections:
-        for node in sections["initial"].items[1:]:
-            t = _build_pattern(node, sig, "Fluent", {}, wildcards=False)
-            initial.add(t)
+    facts = [build_formula(node, sig) for node in forms("facts")]
+    initial = {build_term(node, sig, {}, FLUENT) for node in forms("initial")}
 
     axioms: list[EffectAxiom] = []
-    if "axioms" in sections:
-        for node in sections["axioms"].items[1:]:
-            if not isinstance(node, SList) or len(node.items) not in (3, 4):
-                raise _err(node, "expected (event initiates|terminates fluent [guard])")
-            env: dict[str, Var] = {}
-            ev = _build_pattern(node.items[0], sig, "Event", env, wildcards=False)
-            kw = _ident(node.items[1], "initiates or terminates")
-            if kw not in ("initiates", "terminates"):
-                raise _err(node.items[1], "expected initiates or terminates")
-            fl = _build_pattern(node.items[2], sig, "Fluent", env, wildcards=False)
-            guard: list[GuardLiteral] = []
-            if len(node.items) == 4:
-                gnode = node.items[3]
-                if not isinstance(gnode, SList):
-                    raise _err(gnode, "expected a guard list")
-                for lit in gnode.items:
-                    if (
-                        not isinstance(lit, SList)
-                        or len(lit.items) != 2
-                        or _ident(lit.items[0], "pos or neg") not in ("pos", "neg")
-                    ):
-                        raise _err(lit, "expected (pos <fluent>) or (neg <fluent>)")
-                    gf = _build_pattern(lit.items[1], sig, "Fluent", env, wildcards=False)
-                    guard.append(GuardLiteral(lit.items[0].text == "pos", gf))
-            try:
-                axioms.append(
-                    EffectAxiom(
-                        ev,
-                        INITIATED if kw == "initiates" else TERMINATED,
-                        fl,
-                        tuple(guard),
-                    )
-                )
-            except ValueError as e:
-                raise _err(node, str(e)) from None
+    for node in forms("axioms"):
+        if not isinstance(node, SList) or len(node.items) not in (3, 4):
+            raise _err(node, "expected (event initiates|terminates fluent [guard])")
+        env: dict[str, Var] = {}
+        var = _variables(env)
+        ev = build_term(node.items[0], sig, env, EVENT, var)
+        kw = _ident(node.items[1], "initiates or terminates")
+        if kw not in ("initiates", "terminates"):
+            raise _err(node.items[1], "expected initiates or terminates")
+        fl = build_term(node.items[2], sig, env, FLUENT, var)
+        guard: list[GuardLiteral] = []
+        if len(node.items) == 4:
+            gnode = node.items[3]
+            if not isinstance(gnode, SList):
+                raise _err(gnode, "expected a guard list")
+            for lit in gnode.items:
+                if (
+                    not isinstance(lit, SList)
+                    or len(lit.items) != 2
+                    or _ident(lit.items[0], "pos or neg") not in ("pos", "neg")
+                ):
+                    raise _err(lit, "expected (pos <fluent>) or (neg <fluent>)")
+                gf = build_term(lit.items[1], sig, env, FLUENT, var)
+                guard.append(GuardLiteral(lit.items[0].text == "pos", gf))
+        kind = INITIATED if kw == "initiates" else TERMINATED
+        try:
+            axioms.append(EffectAxiom(ev, kind, fl, tuple(guard)))
+        except ValueError as e:
+            raise _err(node, str(e)) from None
 
     occurrences: set[tuple[Term, int]] = set()
-    if "occurrences" in sections:
-        for node in sections["occurrences"].items[1:]:
-            if not isinstance(node, SList) or len(node.items) != 2:
-                raise _err(node, "expected (<event> <moment>)")
-            ev = _build_pattern(node.items[0], sig, "Event", {}, wildcards=False)
-            occurrences.add((ev, _int(node.items[1], "a moment")))
+    for node in forms("occurrences"):
+        if not isinstance(node, SList) or len(node.items) != 2:
+            raise _err(node, "expected (<event> <moment>)")
+        ev = build_term(node.items[0], sig, {}, EVENT)
+        occurrences.add((ev, _int(node.items[1], "a moment")))
 
     if "horizon" not in sections or len(sections["horizon"].items) != 2:
         raise ParseError("missing (horizon <n>) section", 1, 1)
@@ -261,7 +223,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         raise ParseError("missing (hierarchy ...) section", 1, 1)
     categories: tuple[str, ...] = ()
     assignment: dict[str, str] = {}
-    for node in sections["hierarchy"].items[1:]:
+    for node in forms("hierarchy"):
         if not isinstance(node, SList) or not node.items:
             raise _err(node, "expected (categories ...) or (classify ...)")
         head = _ident(node.items[0], "categories or classify")
@@ -287,23 +249,22 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
 
     entries: list[UtilityEntry] = []
     gamma = 0
-    if "utilities" in sections:
-        for node in sections["utilities"].items[1:]:
-            if not isinstance(node, SList) or not node.items:
-                raise _err(node, "expected (<fluent> pos|neg <n>) or (gamma <n>)")
-            if isinstance(node.items[0], SAtom) and node.items[0].text == "gamma":
-                if len(node.items) != 2:
-                    raise _err(node, "expected (gamma <n>)")
-                gamma = _int(node.items[1], "a threshold")
-                continue
-            if len(node.items) != 3:
-                raise _err(node, "expected (<fluent> pos|neg <n>)")
-            pat = _build_pattern(node.items[0], sig, "Fluent", {}, wildcards=True)
-            polarity = _ident(node.items[1], "pos or neg")
-            if polarity not in ("pos", "neg"):
-                raise _err(node.items[1], "expected pos or neg")
-            value = _int(node.items[2], "a magnitude")
-            entries.append(UtilityEntry(pat, value if polarity == "pos" else -value))
+    for node in forms("utilities"):
+        if not isinstance(node, SList) or not node.items:
+            raise _err(node, "expected (<fluent> pos|neg <n>) or (gamma <n>)")
+        if isinstance(node.items[0], SAtom) and node.items[0].text == "gamma":
+            if len(node.items) != 2:
+                raise _err(node, "expected (gamma <n>)")
+            gamma = _int(node.items[1], "a threshold")
+            continue
+        if len(node.items) != 3:
+            raise _err(node, "expected (<fluent> pos|neg <n>)")
+        pat = build_term(node.items[0], sig, {}, FLUENT, _wildcard)
+        polarity = _ident(node.items[1], "pos or neg")
+        if polarity not in ("pos", "neg"):
+            raise _err(node.items[1], "expected pos or neg")
+        value = _int(node.items[2], "a magnitude")
+        entries.append(UtilityEntry(pat, value if polarity == "pos" else -value))
     try:
         utilities = UtilityMap(tuple(entries), gamma)
     except ValueError as e:

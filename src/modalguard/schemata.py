@@ -42,8 +42,8 @@ from .syntax import (
     Implies,
     KNOWS,
     Modal,
+    Term,
     canonical_key,
-    print_term,
     subformulas,
 )
 
@@ -89,10 +89,6 @@ def harvest_join_targets(formulas: Iterable[Formula]) -> dict[str, Modal]:
     return out
 
 
-def _modal_key(m: Modal) -> tuple[str, str, str]:
-    return (m.op, print_term(m.agent), print_term(m.time))
-
-
 def expand_modal(
     records: dict[str, Derivation],
     depth: int,
@@ -119,10 +115,11 @@ def expand_modal(
         for pk in dict.fromkeys(parts):
             by_part.setdefault(pk, []).append(tkey)
 
-    # per (op, agent, time): body key -> formula key, and antecedent key
-    # -> (formula key, consequent) of the implication-bodied formulas
-    peers: dict[tuple[str, str, str], dict[str, str]] = {}
-    implications: dict[tuple[str, str, str], dict[str, list[tuple[str, Formula]]]] = {}
+    # per context (op, agent, time), as terms, since two agents may print
+    # alike: body key -> formula key, and antecedent key -> (formula key,
+    # consequent) of the implication-bodied formulas
+    peers: dict[tuple[str, Term, Term], dict[str, str]] = {}
+    implications: dict[tuple[str, Term, Term], dict[str, list[tuple[str, Formula]]]] = {}
     queue: deque[str] = deque(records)
 
     def add(
@@ -152,7 +149,7 @@ def expand_modal(
             add(Modal(BELIEVES, f.agent, f.time, f.body), RULE_S2, (key,), d + 1)
         # a context and a body key determine the formula key, so each
         # popped formula is new to its context's indexes
-        ctx = _modal_key(f)
+        ctx = (f.op, f.agent, f.time)
         ctx_peers = peers.setdefault(ctx, {})
         ctx_implications = implications.setdefault(ctx, {})
         ctx_peers[body_key] = key

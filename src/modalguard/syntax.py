@@ -19,8 +19,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import count
-from typing import Iterator, Mapping, Optional, Union
+from itertools import chain, count
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 
 class SortError(Exception):
@@ -126,7 +126,8 @@ RESERVED_WORDS = frozenset(CONNECTIVES + QUANTIFIERS + MODAL_OPS)
 # binder from it (key_name) and prints a hole, a free variable, as
 # ?h<digits>:S, which no constant prints as.  A formula built in Python
 # may still spell a shadow atom or a skolem symbol; prove, the proof
-# checker and the finite-model oracle refuse one (unspoofed).
+# checker and the finite-model oracle refuse one (unspoofed).  Nor may
+# a declared symbol start with ?, which marks a scenario axiom's variable.
 BINDER_SHAPE = re.compile(r"b[0-9]+")
 SHADOW_NAME = re.compile(r"sh_[0-9a-f]{12}")
 SKOLEM_NAME = re.compile(r"sk_[0-9a-f]{10}_[0-9]+")
@@ -135,6 +136,7 @@ RESERVED_SHAPES = (
     (re.compile(r"h[0-9]+"), "h<digits>"),
     (re.compile(r"sh_.*"), "sh_<anything>"),
     (re.compile(r"sk_.*"), "sk_<anything>"),
+    (re.compile(r"\?.*"), "?<anything>"),
 )
 
 
@@ -363,26 +365,29 @@ def term_vars(t: Term, acc: list[Var]) -> None:
             term_vars(a, acc)
 
 
-def formula_terms(f: Formula) -> Iterator[Term]:
+def formula_terms(f: Formula) -> list[Term]:
     """Top-level terms of f, in left-to-right order (not recursive into terms)."""
-    if isinstance(f, Atom):
-        yield from f.args
-    elif isinstance(f, Not):
-        yield from formula_terms(f.body)
-    elif isinstance(f, (And, Or)):
-        for p in f.parts:
-            yield from formula_terms(p)
-    elif isinstance(f, (Implies, Iff)):
-        yield from formula_terms(f.left)
-        yield from formula_terms(f.right)
-    elif isinstance(f, (Forall, Exists)):
-        yield from formula_terms(f.body)
-    elif isinstance(f, Modal):
-        yield f.agent
-        yield f.time
-        if f.situation is not None:
-            yield f.situation
-        yield from formula_terms(f.body)
+    out: list[Term] = []
+
+    def walk(g: Formula) -> None:
+        if isinstance(g, Atom):
+            out.extend(g.args)
+        elif isinstance(g, (Not, Forall, Exists)):
+            walk(g.body)
+        elif isinstance(g, (And, Or)):
+            for p in g.parts:
+                walk(p)
+        elif isinstance(g, (Implies, Iff)):
+            walk(g.left)
+            walk(g.right)
+        elif isinstance(g, Modal):
+            out.extend((g.agent, g.time))
+            if g.situation is not None:
+                out.append(g.situation)
+            walk(g.body)
+
+    walk(f)
+    return out
 
 
 def symbol_names(f: Formula) -> set[str]:
@@ -488,16 +493,23 @@ def constants_in_term(t: Term, acc: list[Const]) -> None:
 
 def constants_in_formula(f: Formula) -> list[Const]:
     acc: list[Const] = []
-    for g in subformulas(f):
-        if isinstance(g, Atom):
-            for t in g.args:
-                constants_in_term(t, acc)
-        elif isinstance(g, Modal):
-            constants_in_term(g.agent, acc)
-            constants_in_term(g.time, acc)
-            if g.situation is not None:
-                constants_in_term(g.situation, acc)
+    for t in formula_terms(f):
+        constants_in_term(t, acc)
     return acc
+
+
+def constant_sorts(
+    groups: Iterable[list[Const]], known: Mapping[str, str]
+) -> dict[str, str]:
+    """known, a sort per constant name, extended by each group's constants;
+    ValueError when a name has two sorts, which keys would read as one."""
+    out = dict(known)
+    for c in chain.from_iterable(groups):
+        if out.setdefault(c.name, c.sort) != c.sort:
+            raise ValueError(
+                f"{c.name} is a constant of two sorts, {out[c.name]} and {c.sort}"
+            )
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -187,3 +187,20 @@ def test_without_removes_one_occurrence():
     tr = project(th.without(POUR, 0))
     assert not tr.holds(WET, 1)
     assert tr.holds(BRIGHT, 1)
+
+
+def test_fluents_are_told_apart_by_term_not_by_print():
+    # a constant built in Python may print as an application does; the
+    # termination of one must leave the other holding
+    alive = App("alive", (Const("victim", AGENT),), FLUENT)
+    spelled = Const("(alive victim)", FLUENT)
+    th = theory(initial=[alive, spelled], axioms=[EffectAxiom(POUR, TERMINATED, spelled)],
+                occurrences=[(POUR, 0)])
+    tr = project(th)
+    assert tr.states[1] == frozenset([alive])
+    assert [(e.kind, e.fluent) for e in effects_of(th, POUR, 0)] == [(TERMINATED, spelled)]
+    # nor does a guard on one read the other's initiation this moment
+    revive = EffectAxiom(POUR, INITIATED, alive)
+    guarded = EffectAxiom(HOSE, INITIATED, WET, (GuardLiteral(True, spelled),))
+    th = theory(axioms=[revive, guarded], occurrences=[(POUR, 0), (HOSE, 0)])
+    assert project(th).states[1] == frozenset([alive])

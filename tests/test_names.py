@@ -8,7 +8,8 @@ text, within the finite-model oracle's bounds: every proof prove
 returns must pass verify_proof, and the oracle must entail its goal.
 A predicate or constant spelled exactly as a shadow atom or a skolem
 symbol (syntax.SHADOW_NAME, SKOLEM_NAME) is refused: prove and the
-oracle raise ValueError and the checker rejects the proof.
+oracle raise ValueError and the checker rejects the proof.  So is a
+name that is a constant of two sorts, which a key reads as one.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from modalguard import prover
 from modalguard.clauses import ClausifyLimit, clausify
-from modalguard.models import entails
-from modalguard.proofs import clause_to_formula, verify_proof_detailed
+from modalguard.models import entails, satisfiable
+from modalguard.proofs import Proof, ProofStep, clause_to_formula, verify_proof_detailed
 from modalguard.prover import Budget, prove
 from modalguard.shadow import ShadowMap, shadow
 from modalguard.syntax import (
@@ -316,6 +317,32 @@ def predicate_problems(draw):
     if rng.random() < 0.5:
         fs.append(Implies(fs[-1], goal))
     return pred, fs, goal
+
+
+def test_a_constant_of_two_sorts_is_refused():
+    # a key prints a constant by its name alone: R(x : Goal) was proved
+    # from R(x : Action) by the assumption step, the checker accepted the
+    # proof and the oracle agreed, while resolution keeps the two apart
+    fact, goal = Atom("R", (Const("x", ACTION),)), Atom("R", (Const("x", GOAL),))
+    assert canonical_key(fact) == canonical_key(goal)
+    with pytest.raises(ValueError, match="x is a constant of two sorts"):
+        prove([fact], goal, BUDGET)
+    one_step = Proof((ProofStep(fact, "assumption", ()),))
+    assert verify_proof_detailed(one_step, [fact], goal) == (
+        False, "x is a constant of two sorts, Action and Goal")
+    with pytest.raises(ValueError, match="x is a constant of two sorts"):
+        entails([fact], goal)
+    with pytest.raises(ValueError, match="x is a constant of two sorts"):
+        satisfiable([fact, goal])
+    # a declared sort counts as one of the two
+    sig = Signature()
+    sig.declare_constant("x", AGENT)
+    with pytest.raises(ValueError, match="x is a constant of two sorts"):
+        prove([goal], goal, BUDGET, sig)
+    assumed = Proof((ProofStep(goal, "assumption", ()),))
+    assert not verify_proof_detailed(assumed, [goal], goal, sig)[0]
+    with pytest.raises(ValueError, match="x is a constant of two sorts, Agent and Goal"):
+        satisfiable([goal], sig)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

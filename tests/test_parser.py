@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -241,6 +242,35 @@ def test_a_scenario_declaring_a_reserved_shape_is_refused():
             (horizon 1)
             (hierarchy (categories forbidden neutral))
             (request h0 go 0)
+            """,
+            "reserved",
+        )
+
+
+@pytest.mark.parametrize("kind", ["constant", "function", "predicate"])
+def test_a_name_starting_with_a_question_mark_is_reserved(kind):
+    # a scenario's axioms read ?v as a variable; a constant ?v would take
+    # its place there (a regex metacharacter, so not a row above)
+    sig = Signature()
+    declare = {
+        "constant": lambda: sig.declare_constant("?v", AGENT),
+        "function": lambda: sig.declare_function("?v", (AGENT,), FLUENT),
+        "predicate": lambda: sig.declare_predicate("?v", (AGENT,)),
+    }[kind]
+    with pytest.raises(SortError, match=re.escape("?v has the reserved shape ?<anything>")):
+        declare()
+
+
+def test_a_scenario_declaring_a_question_mark_name_is_refused():
+    with pytest.raises(SortError, match=re.escape("?v has the reserved shape")):
+        parse_scenario(
+            """
+            (constants (?v Agent) (go ActionType))
+            (functions (alive Agent Fluent))
+            (axioms ((action ?v go) initiates (alive ?v)))
+            (horizon 1)
+            (hierarchy (categories forbidden neutral))
+            (request ?v go 0)
             """,
             "reserved",
         )

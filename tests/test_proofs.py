@@ -18,20 +18,25 @@ from modalguard.proofs import (
     verify_proof,
     verify_proof_detailed,
 )
+from modalguard.models import satisfiable
 from modalguard.prover import prove
 from modalguard.syntax import (
+    ACTION,
     AGENT,
     FALSUM,
     FLUENT,
     GOAL,
+    KNOWS,
     MOMENT,
     Atom,
     Const,
     Forall,
+    Modal,
     Not,
     Signature,
     Var,
     canonical_key,
+    moment,
     substitute,
 )
 
@@ -380,6 +385,34 @@ def test_rejects_a_free_variable_cited_as_a_constant_spelled_like_its_key():
     assert verify_proof_detailed(forged, [assumption], goal, sig) == (
         False, "step 1: formula is not a declared assumption")
     assert prove([assumption], goal, sig=sig).status == "no_proof"
+
+
+def test_rejects_a_step_that_gives_a_constant_another_sort():
+    # every step compares keys, which print a constant by its name alone:
+    # S1 turned the Action x into a Goal, which the Goal universal then
+    # refuted, so (Q) followed from satisfiable assumptions
+    a, y = Const("a", AGENT), Var("y", GOAL)
+    x_action, x_goal = Const("x", ACTION), Const("x", GOAL)
+    assumptions = [
+        Modal(KNOWS, a, moment(1), Atom("R", (x_action,))),
+        Forall(y, Not(Atom("R", (y,)))),
+    ]
+    goal = Atom("Q")
+    clause = lambda f: clause_to_formula(clausify(f)[0])
+    forged = Proof((
+        ProofStep(assumptions[0], "assumption"),
+        ProofStep(Atom("R", (x_goal,)), "S1", (0,)),
+        ProofStep(assumptions[1], "assumption"),
+        ProofStep(Not(Atom("R", (x_goal,))), "forall-elim", (2,)),
+        ProofStep(Not(goal), "negated-goal"),
+        ProofStep(clause(Atom("R", (x_goal,))), "clausify", (1,)),
+        ProofStep(clause(Not(Atom("R", (x_goal,)))), "clausify", (3,)),
+        ProofStep(FALSUM, "resolve", (5, 6)),
+        ProofStep(goal, "reductio", (7, 4)),
+    ))
+    assert verify_proof_detailed(forged, assumptions, goal) == (
+        False, "x is a constant of two sorts, Action and Goal")
+    assert satisfiable(assumptions) is not None
 
 
 def test_accepts_a_clause_whose_canonical_clause_renumbers_it():

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from modalguard.ethics import WILDCARD
 from modalguard.parser import ParseError
 from modalguard.scenario import (
     bundled_scenario_names,
@@ -11,7 +13,21 @@ from modalguard.scenario import (
     load_scenario,
     parse_scenario,
 )
-from modalguard.syntax import App, Const, Var, print_formula
+from modalguard.syntax import (
+    ACTION_TYPE,
+    AGENT,
+    EVENT,
+    FLUENT,
+    GOAL,
+    MOMENT,
+    App,
+    Const,
+    Signature,
+    Term,
+    Var,
+    print_formula,
+    term_vars,
+)
 
 MINIMAL = """
 (constants (a Agent) (go ActionType))
@@ -124,6 +140,14 @@ def test_axiom_variables_and_guards():
     (WITH_FN + "(utilities ((safe _) up 2))", "pos or neg"),
     (MINIMAL + "(utilities (gamma x))", "threshold"),
     (MINIMAL.replace("(horizon 2)", "(horizon two)"), "horizon"),
+    # initial, occurrences and utilities are ground: only axioms read ?x
+    (WITH_FN + "(initial (safe ?x))", "unknown symbol ?x"),
+    (MINIMAL + "(occurrences ((action ?who go) 0))", "unknown symbol ?who"),
+    (WITH_FN + "(utilities ((safe ?p) pos 1))", "unknown symbol ?p"),
+    # ?e is an Event from its first place on, which a Goal place refuses
+    (MINIMAL.replace("(horizon 2)", "(functions (pursued Goal Fluent))\n(horizon 2)")
+     + "(axioms (?e initiates (pursued ?e)))",
+     "sort mismatch: expected Goal, got Event"),
 ])
 def test_malformed_scenarios(text, fragment):
     with pytest.raises(ParseError) as exc:
@@ -149,3 +173,109 @@ def test_axiom_bad_keyword_rejected():
     text = MINIMAL + "(axioms ((action a go) toggles (alive a)))"
     with pytest.raises(ParseError):
         parse_scenario(text, "bad")
+
+
+# A signature with subsorts (Goal < Event, Fluent and Action < Event
+# are built in) and names that fit several places or none.
+SORTED = """
+(constants (a Agent) (go ActionType) (g Goal) (storm Event))
+(functions (safe Agent Fluent) (pursued Goal Fluent) (hit Event Fluent))
+(horizon 2)
+(hierarchy (categories forbidden neutral))
+(request a go 0)
+"""
+# the names and functions that fit each place, by the sort it wants
+FITS = {
+    AGENT: ["a"],
+    ACTION_TYPE: ["go"],
+    GOAL: ["g"],
+    EVENT: ["storm", "g", "action"],
+    FLUENT: ["g", "safe", "pursued", "hit"],
+    MOMENT: ["0", "1"],
+}
+ARGSORTS = {"action": (AGENT, ACTION_TYPE), "safe": (AGENT,), "pursued": (GOAL,), "hit": (EVENT,)}
+
+
+@st.composite
+def terms(draw, want, depth=2):
+    """Text of a term that mostly fits a place wanting want; one time in
+    five it fits another sort, and ?x, ?y and _ may stand anywhere."""
+    if draw(st.integers(0, 4)) == 0:
+        want = draw(st.sampled_from(sorted(FITS)))
+    choices = [n for n in FITS[want] if depth or n not in ARGSORTS]
+    name = draw(st.sampled_from(choices + ["?x", "?y", "_"]))
+    if name not in ARGSORTS:
+        return name
+    args = [draw(terms(s, depth - 1)) for s in ARGSORTS[name]]
+    return f"({name} {' '.join(args)})"
+
+
+@st.composite
+def sections(draw):
+    kind = draw(st.sampled_from(["axioms", "utilities", "initial", "occurrences"]))
+    if kind == "axioms":
+        verb = draw(st.sampled_from(["initiates", "terminates"]))
+        guard = "".join(
+            f" (({draw(st.sampled_from(['pos', 'neg']))} {draw(terms(FLUENT))}))"
+            for _ in range(draw(st.integers(0, 1)))
+        )
+        body = f"({draw(terms(EVENT))} {verb} {draw(terms(FLUENT))}{guard})"
+    elif kind == "utilities":
+        body = f"({draw(terms(FLUENT))} pos 1)"
+    elif kind == "initial":
+        body = draw(terms(FLUENT))
+    else:
+        body = f"({draw(terms(EVENT))} {draw(st.sampled_from(['0', '1']))})"
+    return kind, f"({kind} {body})"
+
+
+def _well_sorted(t: Term, want: str, sig: Signature) -> bool:
+    """t's sort widens to want, a constant has its declared sort, and
+    every argument's sort widens to the sort its function declares."""
+    if not sig.widens(t.sort, want):
+        return False
+    if isinstance(t, Const) and t.name != WILDCARD:
+        return t.sort == (MOMENT if t.name.isdigit() else sig.constants[t.name])
+    if isinstance(t, App):
+        argsorts, result = sig.functions[t.fn]
+        return (
+            t.sort == result
+            and len(t.args) == len(argsorts)
+            and all(_well_sorted(x, s, sig) for x, s in zip(t.args, argsorts))
+        )
+    return True
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(sections())
+@example(("initial", "(initial (safe ?x))"))
+@example(("occurrences", "(occurrences ((action ?x go) 0))"))
+@example(("utilities", "(utilities ((safe ?x) pos 1))"))
+@example(("axioms", "(axioms (?x initiates (pursued ?x)))"))
+@example(("axioms", "(axioms ((action ?x go) initiates (hit ?x) ((pos (safe ?x)))))"))
+def test_every_scenario_term_is_built_well_sorted(section):
+    """Each section either is refused, or builds only well-sorted terms,
+    with variables in axioms alone."""
+    kind, text = section
+    try:
+        sc = parse_scenario(SORTED + text, "generated")
+    except ParseError:
+        return
+    th = sc.theory
+    if kind == "axioms":
+        (ax,) = th.axioms
+        places = [(ax.event, EVENT), (ax.fluent, FLUENT)]
+        places += [(lit.fluent, FLUENT) for lit in ax.guard]
+    elif kind == "utilities":
+        places = [(e.pattern, FLUENT) for e in sc.utilities.entries]
+    elif kind == "initial":
+        places = [(f, FLUENT) for f in th.initial]
+    else:
+        places = [(ev, EVENT) for ev, _ in th.occurrences]
+    assert places
+    for t, want in places:
+        assert _well_sorted(t, want, sc.sig), (text, t)
+        if kind != "axioms":
+            found: list[Var] = []
+            term_vars(t, found)
+            assert not found, (text, t)

@@ -8,6 +8,7 @@ from test_prover import sim1_normed_idle, with_live_instances
 
 from modalguard import prover, schemata
 from modalguard.guard import adjudication_theory, obligation_goal
+from modalguard.models import entails
 from modalguard.parser import parse_formula, parse_formulas
 from modalguard.scenario import load_bundled_scenario, parse_scenario
 from modalguard.schemata import (
@@ -23,7 +24,9 @@ from modalguard.schemata import (
 )
 from modalguard.syntax import (
     AGENT,
+    App,
     And,
+    Atom,
     BELIEVES,
     Const,
     Implies,
@@ -31,6 +34,7 @@ from modalguard.syntax import (
     Modal,
     Signature,
     canonical_key,
+    moment,
     print_formula,
 )
 
@@ -194,6 +198,24 @@ def test_split_and_join_rules_recorded():
     target = parse_formula("(knows a 1 (and (p) (q)))", SIG)
     records, _ = expand(fs, depth=1, join_targets=[target])
     assert any(r.rule == RULE_S4_JOIN for r in records.values())
+
+
+def test_s3_keeps_agents_that_print_alike_apart():
+    # a constant built in Python may print as an application does: the
+    # closure applied S3 across the two agents, so prove answered with a
+    # proof the checker refused and the oracle entailed (knows (f a) 1 (Q))
+    a = Const("a", AGENT)
+    spelled, applied = Const("(f a)", AGENT), App("f", (a,), AGENT)
+    fs = [
+        Modal(KNOWS, spelled, moment(1), Implies(Atom("P"), Atom("Q"))),
+        Modal(KNOWS, applied, moment(1), Atom("P")),
+    ]
+    records = assumed(fs)
+    expand_modal(records, depth=4, join_targets={})
+    assert all(d.rule != RULE_S3 for d in records.values())
+    goal = Modal(KNOWS, applied, moment(1), Atom("Q"))
+    assert prover.prove(fs, goal).status == "no_proof"
+    assert entails(fs, goal)[0] is False
 
 
 def test_s4_join_builds_each_target_of_a_part_in_target_order():
