@@ -10,6 +10,17 @@ modal rules alternate for at most depth + 1 rounds, fewer once a round
 grounds nothing or returns the list it was given: a round reads only
 that list, so every later round would return it again.
 
+Each round expands its whole list from depth 0, but what the closure
+derives of one formula object (its canonical key, its join targets and
+the grounded conjuncts it hands the next round) is computed once per
+call and reused by every later round that holds the object; a record
+the expansion derived hands its key on.  Each is a function of the
+object alone, and a round rebuilds its record and target dicts from
+them in list order, first of each key, so every round's records, the
+returned list and the round count are those of recomputing them in
+every round.  A later round keys and harvests only the formulas new to
+it (semi-naive evaluation).
+
 Interpretation choices, shared with the prover: temporal order is a
 free predicate (orderings must be stated as facts), "=" is a free
 predicate, and the nullary atom (false) is pinned false.  Sound only
@@ -22,7 +33,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .schemata import assumed, expand_modal, harvest_join_targets
+from .schemata import RULE_ASSUMPTION, Derivation, expand_modal, harvest_join_targets
 from .shadow import ShadowMap, shadow
 from .syntax import (
     And,
@@ -40,8 +51,8 @@ from .syntax import (
     Signature,
     canonical_key,
     conj,
+    constant_occurrences,
     constant_sorts,
-    constants_in_formula,
     disj,
     is_moment_literal,
     moment_value,
@@ -63,7 +74,7 @@ def _domains(formulas: Sequence[Formula], sig: Signature) -> dict[str, list[Cons
     joins its supersorts' domains too: as in clausifying, no quantifier
     is vacuous.  Raises ValueError when one name is a constant of two
     sorts (syntax.constant_sorts)."""
-    named = constant_sorts(map(constants_in_formula, formulas), sig.constants)
+    named = constant_sorts([constant_occurrences(formulas)], sig.constants)
     consts = {Const(name, sort) for name, sort in named.items()}
     empty = [s for s in sig.sorts if not any(sig.widens(c.sort, s) for c in consts)]
     if empty:
@@ -188,25 +199,50 @@ def _conjuncts(f: Formula) -> list[Formula]:
 def _closure(formulas: list[Formula], sig: Signature, depth: int) -> list[Formula]:
     """Ground, apply the modal rules, and re-ground what they expose."""
     dom = _domains(formulas, sig)
+    # per formula object met in this call, kept alive so that no id is
+    # reused: its canonical key, its join targets once harvested, and
+    # what it hands the next round as a record
+    keyed: dict[int, tuple[Formula, str]] = {}
+    harvested: dict[int, dict[str, Modal]] = {}
+    handed: dict[int, tuple[bool, list[Formula]]] = {}
+
+    def key_of(f: Formula) -> str:
+        got = keyed.get(id(f))
+        if got is None:
+            got = keyed[id(f)] = (f, unspoofed(canonical_key(f)))
+        return got[1]
+
+    def hand_on(f: Formula) -> tuple[bool, list[Formula]]:
+        got = handed.get(id(f))
+        if got is None:
+            regrounded = _has_quantifier_outside_modal(f)
+            g = _ground(f, dom, sig) if regrounded else f
+            got = handed[id(f)] = (regrounded, [] if g is _TRUE else _conjuncts(g))
+        return got
+
     current: list[Formula] = []
     for f in formulas:
         g = _ground(f, dom, sig)
         if g is not _TRUE:
             current.extend(_conjuncts(g))
     for _ in range(depth + 1):
-        targets = harvest_join_targets(current)
-        records = assumed(current)
-        for key in records:
-            unspoofed(key)
+        records: dict[str, Derivation] = {}
+        targets: dict[str, Modal] = {}
+        for f in current:
+            records.setdefault(key_of(f), Derivation(f, RULE_ASSUMPTION, (), 0))
+            got = harvested.get(id(f))
+            if got is None:
+                got = harvested[id(f)] = harvest_join_targets((f,))
+            for tkey, tgt in got.items():
+                targets.setdefault(tkey, tgt)
         expand_modal(records, depth=depth, join_targets=targets)
         out: list[Formula] = []
         again = False
-        for f in (d.formula for d in records.values()):
-            if _has_quantifier_outside_modal(f):
-                f = _ground(f, dom, sig)
-                again = True
-            if f is not _TRUE:
-                out.extend(_conjuncts(f))
+        for key, d in records.items():
+            keyed.setdefault(id(d.formula), (d.formula, key))
+            regrounded, parts = hand_on(d.formula)
+            again |= regrounded
+            out.extend(parts)
         # a round is a function of its input list alone, so once it
         # returns that list every later round would return it again
         if not again or out == current:

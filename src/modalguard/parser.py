@@ -11,7 +11,7 @@ formula or term is well-sorted; nothing checks it again.
 Comments run from ; to end of line.  Identifiers match
 [A-Za-z_][A-Za-z0-9_'-]*, after an optional ?; bare integers are
 Moment literals.  A declared symbol may not be a reserved word, start
-with ?, or have the shape of a generated name: b<digits>, h<digits>,
+with ?, be _, or have the shape of a generated name: b<digits>, h<digits>,
 or the prefix sh_ or sk_ (syntax.RESERVED_SHAPES).  A quantifier may
 not bind the name of a declared constant, of any sort, so that no
 binder captures a constant.

@@ -46,6 +46,7 @@ from .syntax import (
     Var,
     alpha_equivalent,
     canonical_key,
+    constant_occurrences,
     constant_sorts,
     constants_in_formula,
     disj,
@@ -188,7 +189,7 @@ def verify_proof_detailed(
         for key in (*assumed, goal_key):
             unspoofed(key)
         formulas = (*assumptions, goal, *(s.formula for s in proof.steps))
-        constant_sorts(map(constants_in_formula, formulas), sig.constants)
+        constant_sorts([constant_occurrences(formulas)], sig.constants)
     except ValueError as e:
         return False, str(e)
 

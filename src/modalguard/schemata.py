@@ -63,15 +63,6 @@ class Derivation:
     depth: int
 
 
-def assumed(formulas: Iterable[Formula]) -> dict[str, Derivation]:
-    """Depth-0 assumption records of the formulas, the first of each
-    canonical key."""
-    records: dict[str, Derivation] = {}
-    for f in formulas:
-        records.setdefault(canonical_key(f), Derivation(f, RULE_ASSUMPTION, (), 0))
-    return records
-
-
 def is_join_target(f: Formula) -> bool:
     """Whether f is a conjunction-bodied epistemic formula."""
     return isinstance(f, Modal) and f.op in EPISTEMIC_OPS and isinstance(f.body, And)

@@ -127,7 +127,8 @@ RESERVED_WORDS = frozenset(CONNECTIVES + QUANTIFIERS + MODAL_OPS)
 # ?h<digits>:S, which no constant prints as.  A formula built in Python
 # may still spell a shadow atom or a skolem symbol; prove, the proof
 # checker and the finite-model oracle refuse one (unspoofed).  Nor may
-# a declared symbol start with ?, which marks a scenario axiom's variable.
+# a declared symbol start with ?, which marks a scenario axiom's
+# variable, or be _, a utility pattern's wildcard (ethics.WILDCARD).
 BINDER_SHAPE = re.compile(r"b[0-9]+")
 SHADOW_NAME = re.compile(r"sh_[0-9a-f]{12}")
 SKOLEM_NAME = re.compile(r"sk_[0-9a-f]{10}_[0-9]+")
@@ -137,6 +138,7 @@ RESERVED_SHAPES = (
     (re.compile(r"sh_.*"), "sh_<anything>"),
     (re.compile(r"sk_.*"), "sk_<anything>"),
     (re.compile(r"\?.*"), "?<anything>"),
+    (re.compile(r"_"), "_"),
 )
 
 
@@ -498,8 +500,22 @@ def constants_in_formula(f: Formula) -> list[Const]:
     return acc
 
 
+def constant_occurrences(formulas: Iterable[Formula]) -> Iterator[Const]:
+    """Every constant in the terms of the formulas, in left-to-right
+    order, repeats included: one stack walk, with no per-formula list."""
+    for f in formulas:
+        stack = formula_terms(f)
+        stack.reverse()
+        while stack:
+            t = stack.pop()
+            if isinstance(t, Const):
+                yield t
+            elif isinstance(t, App):
+                stack.extend(reversed(t.args))
+
+
 def constant_sorts(
-    groups: Iterable[list[Const]], known: Mapping[str, str]
+    groups: Iterable[Iterable[Const]], known: Mapping[str, str]
 ) -> dict[str, str]:
     """known, a sort per constant name, extended by each group's constants;
     ValueError when a name has two sorts, which keys would read as one."""

@@ -9,27 +9,40 @@ from hypothesis import given, settings, strategies as st
 
 from modalguard import models
 from modalguard.eventcalc import project
-from modalguard.guard import prevents_body, trace_atoms
+from modalguard.guard import (
+    adjudication_theory,
+    obligation_goal,
+    prevents_body,
+    trace_atoms,
+)
 from modalguard.models import entails, satisfiable
 from modalguard.parser import parse_formula
 from modalguard.proofs import verify_proof
 from modalguard.prover import prove
 from modalguard.scenario import parse_scenario
-from modalguard.schemata import assumed, expand_modal, harvest_join_targets
+from modalguard.schemata import (
+    RULE_ASSUMPTION,
+    Derivation,
+    expand_modal,
+    harvest_join_targets,
+)
 from modalguard.syntax import (
     ACTION,
     AGENT,
     EVENT,
     GOAL,
     KNOWS,
+    And,
     Atom,
     Const,
     Exists,
     Forall,
+    Implies,
     Modal,
     Not,
     Signature,
     Var,
+    canonical_key,
     moment,
     symbol_names,
 )
@@ -202,7 +215,9 @@ def closure_in_every_round(formulas, sig, depth) -> tuple[list, int]:
     for _ in range(depth + 1):
         rounds += 1
         targets = harvest_join_targets(current)
-        records = assumed(current)
+        records = {}
+        for f in current:
+            records.setdefault(canonical_key(f), Derivation(f, RULE_ASSUMPTION, (), 0))
         expand_modal(records, depth=depth, join_targets=targets)
         out = []
         again = False
@@ -279,3 +294,93 @@ def test_the_closure_of_a_random_theory_is_unchanged(seed, depth, known):
     with pytest.MonkeyPatch.context() as mp:
         got, _ = closure_rounds(fs, sig, depth, mp)
     assert got == closure_in_every_round(fs, sig, depth)[0]
+
+
+# ---------------------------------------------------------------------------
+# a later round reuses what an earlier one computed
+
+
+def adjudication_theories() -> dict[str, tuple[list, object]]:
+    """The formulas the oracle closes to decide each obligation query of
+    sim1, sim2, sim1_guilty and sim2 plus m extra effects: the
+    adjudication theory and the negated obligation, with the signature."""
+    texts = load_guardbench_texts()
+    sim1, sim2 = texts.bundled_text("sim1"), texts.bundled_text("sim2")
+    cases = {"sim1": sim1, "sim2": sim2, "sim1_guilty": texts.sim1_guilty(sim1)}
+    cases.update({f"sim2+{m}": texts.sim2_extra_effects(sim2, m) for m in (1, 2, 4)})
+    out = {}
+    for label, text in cases.items():
+        sc = parse_scenario(text, label)
+        fs, _ = adjudication_theory(sc)
+        out[label] = ([*fs, Not(obligation_goal(sc))], sc.sig)
+    return out
+
+
+def test_the_closure_of_each_adjudication_theory_is_unchanged(monkeypatch):
+    for label, (fs, sig) in adjudication_theories().items():
+        got, rounds = closure_rounds(fs, sig, 4, monkeypatch)
+        want, every = closure_in_every_round(fs, sig, 4)
+        assert got == want, label
+        assert rounds <= every, label
+
+
+def test_a_target_harvested_in_the_first_round_joins_in_a_later_one(monkeypatch):
+    # the parts of (knows a 1 (and P Q)) are grounded out of b's
+    # knowledge at the end of the first round, so the join target the
+    # first round harvested from the implication is joined in the second
+    a, b, x = Const("a", AGENT), Const("b", AGENT), Var("x", AGENT)
+    p, q, r = Atom("P"), Atom("Q"), Atom("R")
+    target = Modal(KNOWS, a, moment(1), And((p, q)))
+    parts = And((Modal(KNOWS, x, moment(1), p), Modal(KNOWS, x, moment(1), q)))
+    fs = [Implies(target, r), Modal(KNOWS, b, moment(1), Forall(x, parts))]
+    sig = Signature()
+    got, rounds = closure_rounds(fs, sig, 4, monkeypatch)
+    assert target in got and rounds > 2
+    assert got == closure_in_every_round(fs, sig, 4)[0]
+    assert entails(fs, r, sig)[0] is True
+
+
+def test_a_closure_keys_and_harvests_each_formula_once(monkeypatch):
+    # every formula of a round's records is keyed: by models, in the
+    # round that first holds it, or by the modal expansion that derived
+    # it, which hands its key to the next round
+    theories = {**query_mix_no_theories(), **adjudication_theories()}
+    later = 0
+    for label, (fs, sig) in theories.items():
+        keyed: list[tuple[int, object]] = []  # (round, formula)
+        harvested: list[object] = []
+        rounds: list[tuple[list, list]] = []  # (assumed, recorded) formulas
+
+        def key(f, *args):
+            keyed.append((len(rounds), f))
+            return canonical_key(f, *args)
+
+        def harvest(formulas):
+            formulas = list(formulas)
+            harvested.extend(formulas)
+            return harvest_join_targets(formulas)
+
+        def expand(records, **kwargs):
+            assumed = [d.formula for d in records.values()]
+            truncated = expand_modal(records, **kwargs)
+            rounds.append((assumed, [d.formula for d in records.values()]))
+            return truncated
+
+        with monkeypatch.context() as mp:
+            mp.setattr(models, "canonical_key", key)
+            mp.setattr(models, "harvest_join_targets", harvest)
+            mp.setattr(models, "expand_modal", expand)
+            models._closure(fs, sig, 4)
+        # the lists keep every formula alive, so no two share an id
+        assert len({id(f) for _, f in keyed}) == len(keyed), label
+        assert len({id(f) for f in harvested}) == len(harvested), label
+        later += len(rounds) - 1
+        for r, (assumed, _) in enumerate(rounds):
+            now = {id(f) for k, f in keyed if k == r}
+            before = {id(f) for k, f in keyed if k < r}
+            if r > 0:
+                recorded = {id(f) for f in rounds[r - 1][1]}
+                assert not now & recorded, (label, r)
+                before |= recorded
+            assert all(id(f) in now | before for f in assumed), (label, r)
+    assert later > 0

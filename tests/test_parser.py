@@ -214,6 +214,7 @@ def test_every_modal_argument_sort_is_checked(text, col, want):
     ("sh_f080124340a4", "sh_"),
     ("sh_", "sh_"),
     ("sk_f778790efe_0", "sk_"),
+    ("_", "_"),
 ])
 @pytest.mark.parametrize("kind", ["constant", "function", "predicate"])
 def test_generated_name_shapes_are_reserved(kind, name, shape):
@@ -229,7 +230,8 @@ def test_generated_name_shapes_are_reserved(kind, name, shape):
 
 def test_names_near_the_reserved_shapes_are_free():
     sig = Signature()
-    for name in ("b", "bob", "b0x", "B0", "h", "h1'", "hx1", "sh", "shx", "x_sh_1", "sky"):
+    for name in ("b", "bob", "b0x", "B0", "h", "h1'", "hx1", "sh", "shx", "x_sh_1", "sky",
+                 "_Agent", "__", "x_"):
         sig.declare_constant(name, AGENT)
 
 
@@ -271,6 +273,23 @@ def test_a_scenario_declaring_a_question_mark_name_is_refused():
             (horizon 1)
             (hierarchy (categories forbidden neutral))
             (request ?v go 0)
+            """,
+            "reserved",
+        )
+
+
+def test_a_scenario_declaring_the_utility_wildcard_is_refused():
+    # a declared constant _ was read as the wildcard in every utility
+    # pattern, so (alive _) priced (alive victim) at 5 too
+    with pytest.raises(SortError, match="_ has the reserved shape _"):
+        parse_scenario(
+            """
+            (constants (_ Agent) (victim Agent) (go ActionType))
+            (functions (alive Agent Fluent))
+            (horizon 1)
+            (hierarchy (categories forbidden neutral))
+            (utilities ((alive _) pos 5) (gamma 0))
+            (request victim go 0)
             """,
             "reserved",
         )

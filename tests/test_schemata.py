@@ -18,7 +18,7 @@ from modalguard.schemata import (
     RULE_S3,
     RULE_S4_JOIN,
     RULE_S4_SPLIT,
-    assumed,
+    Derivation,
     expand_modal,
     harvest_join_targets,
 )
@@ -49,6 +49,15 @@ def sig_with(*preds: str) -> Signature:
 
 
 SIG = sig_with("p", "q", "r")
+
+
+def assumed(formulas) -> dict[str, Derivation]:
+    """Depth-0 assumption records of the formulas, the first of each
+    canonical key."""
+    records: dict[str, Derivation] = {}
+    for f in formulas:
+        records.setdefault(canonical_key(f), Derivation(f, RULE_ASSUMPTION, (), 0))
+    return records
 
 
 def expand(fs, depth, join_targets=None):
