@@ -175,20 +175,20 @@ def check_dde(
         clauses["C1"] = ClauseResult("fail", f"{atype.name} classified {cat}")
 
     # C2: net utility strictly above the threshold
-    net = sum(utilities.effect_utility(e) for e in effects)
+    values = [utilities.effect_utility(e) for e in effects]
+    net = sum(values)
     status = "pass" if net > utilities.gamma else "fail"
     clauses["C2"] = ClauseResult(
         status, f"net utility {net} vs threshold {utilities.gamma}"
     )
 
-    good = [e for e in effects if utilities.effect_utility(e) > 0]
-    bad = [e for e in effects if utilities.effect_utility(e) < 0]
+    good = [e for e, v in zip(effects, values) if v > 0]
 
     # C3: exactly the good effects are provably intended; every query
     # reads one theory, so its keys and pruning are computed once
     c3_status, c3_notes = "pass", []
     premises = Premises(assumptions)
-    for e in effects:
+    for e, v in zip(effects, values):
         goal = intention_formula(agent, request_moment, e)
         r = prove(premises, goal, budget, sig)
         label = f"{e.kind} {print_term(e.fluent)}"
@@ -197,7 +197,7 @@ def check_dde(
             c3_notes.append(f"{label}: intention undecided")
             continue
         intended = r.status == "proof"
-        if utilities.effect_utility(e) > 0:
+        if v > 0:
             if not intended:
                 if c3_status != "unknown":
                     c3_status = "fail"
@@ -212,7 +212,7 @@ def check_dde(
     )
 
     # C4: no good effect rides on a bad effect of this action
-    bad_ids = {id(e) for e in bad}
+    bad_ids = {id(e) for e, v in zip(effects, values) if v < 0}
     offenders = []
     for g in good:
         for p in causal_chain(g):

@@ -357,7 +357,9 @@ def prevents_holds(
 def _prevents(
     scenario: Scenario, x: Const, y: Const, g: Const, a: Const, t: int, budget: Budget
 ) -> PreventsResult:
-    """prevents_holds' answer, exceptions not caught."""
+    """prevents_holds' answer, exceptions not caught.  The oracle stops
+    at the budget's wall clock, counted from this call's start."""
+    deadline = time.monotonic() + budget.timeout_ms / 1000.0
     trace = project(scenario.theory, scenario.sig)
     assumptions = list(scenario.facts) + trace_atoms(trace, scenario.theory.occurrences)
     goal = prevents_body(x, y, g, a, moment(t))
@@ -367,7 +369,7 @@ def _prevents(
     if res.status != "no_proof" or not _within_oracle_bounds(scenario):
         return PreventsResult("unknown")
     entailed, countermodel = oracle_entails(
-        assumptions, goal, scenario.sig, depth=budget.depth
+        assumptions, goal, scenario.sig, budget.depth, deadline, budget.max_clauses
     )
     if not entailed:
         return PreventsResult("no", countermodel=countermodel)

@@ -3,12 +3,13 @@
 This is the reference engine the resolution prover is checked against.
 Quantifiers are expanded over the finite domain of named constants
 (universals to conjunctions, existentials to disjunctions), the modal
-closure rules are applied forward, modal subformulas become the same
-content-addressed propositional atoms the prover uses, and a plain
-DPLL loop decides the resulting ground clause set.  Grounding and the
-modal rules alternate for at most depth + 1 rounds, fewer once a round
-grounds nothing or returns the list it was given: a round reads only
-that list, so every later round would return it again.
+closure rules are applied forward, and a plain DPLL loop decides the
+clauses one walk makes of the closed formulas.  Nothing outside a modal
+subformula is quantified there, so nothing is shadowed: an atom or a
+maximal modal subformula is one DPLL atom, named by its canonical key.
+Grounding and the modal rules alternate for at most depth + 1 rounds,
+fewer once a round grounds nothing or returns the list it was given: a
+round reads only that list, so every later round would return it again.
 
 Each round expands its whole list from depth 0, but what the closure
 derives of one formula object (its canonical key, its join targets and
@@ -31,10 +32,11 @@ individual is outside the oracle's scope.
 
 from __future__ import annotations
 
+import math
+import time
 from typing import Optional, Sequence
 
 from .schemata import RULE_ASSUMPTION, Derivation, expand_modal, harvest_join_targets
-from .shadow import ShadowMap, shadow
 from .syntax import (
     And,
     Atom,
@@ -255,42 +257,35 @@ def _closure(formulas: list[Formula], sig: Signature, depth: int) -> list[Formul
 # Ground CNF and DPLL
 
 
-def _nnf(f: Formula, neg: bool) -> Formula:
-    if isinstance(f, Atom):
-        return Not(f) if neg else f
-    if isinstance(f, Not):
-        return _nnf(f.body, not neg)
-    if isinstance(f, And):
-        parts = tuple(_nnf(p, neg) for p in f.parts)
-        return Or(parts) if neg else And(parts)
-    if isinstance(f, Or):
-        parts = tuple(_nnf(p, neg) for p in f.parts)
-        return And(parts) if neg else Or(parts)
+class OracleLimit(Exception):
+    """The clause rows would outgrow max_clauses, or the deadline passed;
+    the argument names the limit, max_clauses or wall_clock."""
+
+
+def _cnf(f: Formula, positive: bool, keys: dict, deadline: float, max_clauses: float):
+    """Clause rows of f, or of its negation when not positive.  An atom
+    or a maximal modal subformula is one DPLL atom, named by its
+    canonical key, computed once per formula in keys."""
     if isinstance(f, Implies):
-        return _nnf(Or((Not(f.left), f.right)), neg)
-    if isinstance(f, Iff):
-        both = And((Implies(f.left, f.right), Implies(f.right, f.left)))
-        return _nnf(both, neg)
-    raise TypeError(f"not ground propositional: {f!r}")
-
-
-def _cnf(f: Formula) -> list[list[Literal]]:
-    if isinstance(f, Atom):
-        return [[(canonical_key(f), True)]]
+        f = Or((Not(f.left), f.right))
+    elif isinstance(f, Iff):
+        f = And((Implies(f.left, f.right), Implies(f.right, f.left)))
+    if isinstance(f, (Atom, Modal)):
+        return [[(keys.get(f) or keys.setdefault(f, canonical_key(f)), positive)]]
     if isinstance(f, Not):
-        return [[(canonical_key(f.body), False)]]
-    if isinstance(f, And):
-        out = []
-        for p in f.parts:
-            out.extend(_cnf(p))
-        return out
-    if isinstance(f, Or):
-        branches = [_cnf(p) for p in f.parts]
-        out = [[]]
-        for br in branches:
-            out = [acc + cl for acc in out for cl in br]
-        return out
-    raise TypeError(f"not in NNF: {f!r}")
+        return _cnf(f.body, not positive, keys, deadline, max_clauses)
+    branches = [_cnf(p, positive, keys, deadline, max_clauses) for p in f.parts]
+    if isinstance(f, And) == positive:
+        return [row for br in branches for row in br]
+    out: list[list[Literal]] = [[]]
+    for br in branches:
+        # checked before it is built: one product can be huge
+        if len(out) * len(br) > max_clauses:
+            raise OracleLimit("max_clauses")
+        if time.monotonic() > deadline:
+            raise OracleLimit("wall_clock")
+        out = [acc + row for acc in out for row in br]
+    return out
 
 
 def _dpll(clauses: ClauseSet, assignment: dict[str, bool]) -> Optional[dict[str, bool]]:
@@ -337,19 +332,19 @@ def satisfiable(
     formulas: Sequence[Formula],
     sig: Optional[Signature] = None,
     depth: int = 4,
+    deadline: float = math.inf,
+    max_clauses: float = math.inf,
 ) -> Optional[list[str]]:
     """A model of the formulas as the sorted canonical keys of its true
-    atoms, or None.
-    Raises ValueError when a formula holds a name spelled like a shadow
-    atom or a skolem symbol (syntax.unspoofed), or when one name is a
-    constant of two sorts (syntax.constant_sorts)."""
+    atoms and modal subformulas, or None.  Raises OracleLimit past the
+    monotonic deadline or before building over max_clauses clause rows
+    at once; ValueError on a name spelled like a shadow atom or a skolem
+    symbol (syntax.unspoofed) or a constant of two sorts (constant_sorts)."""
     sig = sig if sig is not None else Signature()
-    closed = _closure(list(formulas), sig, depth)
-    smap = ShadowMap()
+    keys: dict[Formula, str] = {}
     clause_rows: list[list[Literal]] = [[(canonical_key(FALSUM), False)]]
-    for f in closed:
-        sf = shadow(f, smap)
-        clause_rows.extend(_cnf(_nnf(sf, False)))
+    for f in _closure(list(formulas), sig, depth):
+        clause_rows.extend(_cnf(f, True, keys, deadline, max_clauses))
     clauses: ClauseSet = [frozenset(row) for row in clause_rows]
     got = _dpll(clauses, {})
     if got is None:
@@ -362,8 +357,10 @@ def entails(
     goal: Formula,
     sig: Optional[Signature] = None,
     depth: int = 4,
+    deadline: float = math.inf,
+    max_clauses: float = math.inf,
 ) -> tuple[bool, Optional[list[str]]]:
-    """(entailed, countermodel): countermodel is a model of the
-    assumptions in which the goal fails, when one exists."""
-    model = satisfiable(list(assumptions) + [Not(goal)], sig, depth)
+    """(entailed, countermodel): a model of the assumptions in which the
+    goal fails, when one exists.  Raises as satisfiable does."""
+    model = satisfiable([*assumptions, Not(goal)], sig, depth, deadline, max_clauses)
     return (model is None, model)

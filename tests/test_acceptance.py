@@ -228,7 +228,7 @@ VARIANT_GOLDEN = {
 }
 
 # sha256 of every query_mix answer, in pool order (see _answer_text)
-QUERY_MIX_GOLDEN = "b43e70a94961817c2d0a647d60d4cf560cb4d14ab364b3fd730f14cf334019dc"
+QUERY_MIX_GOLDEN = "c2691ea49c748a50592bbef51bfd185f031510782c3b9fe861da0b0c2938a444"
 
 GUARDBENCH = Path(__file__).resolve().parents[1] / "guardbench"
 

@@ -325,3 +325,32 @@ def test_random_scenarios_agree_with_oracle():
     # the sample must exercise both outcomes of every clause
     for k in ("C1", "C2", "C3", "C4"):
         assert (k, "pass") in seen and (k, "fail") in seen
+
+
+def test_each_effect_is_priced_once(monkeypatch):
+    # C2's sum, the good and bad effects, C3 and C4 read one utility per
+    # effect; each once priced it again
+    atype, event = act("aid")
+    th = theory([
+        EffectAxiom(event, INITIATED, TOXIN),
+        EffectAxiom(event, INITIATED, CROPS, (GuardLiteral(True, TOXIN),)),
+        EffectAxiom(event, INITIATED, NOISE),
+    ])
+    args = (th, AGENT0, atype, 0, HIER, umap(crops_saved=2, toxin=-1),
+            [intent_fact(INITIATED, CROPS)])
+    want = check_dde(*args)
+    priced = []
+    real = UtilityMap.effect_utility
+
+    def counted(self, e):
+        priced.append(e)
+        return real(self, e)
+
+    monkeypatch.setattr(UtilityMap, "effect_utility", counted)
+    got = check_dde(*args)
+    assert (got.clauses, got.net_utility) == (want.clauses, want.net_utility)
+    assert [e.key() for e in got.effects] == [e.key() for e in want.effects]
+    assert sorted(map(id, priced)) == sorted(map(id, got.effects))
+    assert {k: c.status for k, c in got.clauses.items()} == {
+        "C1": "pass", "C2": "pass", "C3": "pass", "C4": "fail"
+    }

@@ -589,3 +589,37 @@ def test_prevention_query_reports_an_oracle_disagreement(monkeypatch):
     r = prevents_holds(sc, SHOOTER, VICTIM, G_LIVE, FIRE, 1)
     assert r.answer == "unknown"
     assert "disagree" in r.reason
+
+
+def sim1_with_iff_chain(n: int):
+    """sim1 plus (or (z) (iff (qn) ... (iff (q1) (q0)))): the prover prunes
+    the fact as a pure root, while the oracle distributes the chain."""
+    chain = "(q0)"
+    for i in range(1, n + 1):
+        chain = f"(iff (q{i}) {chain})"
+    preds = " ".join(f"(q{i})" for i in range(n + 1))
+    text = SIM1_TEXT.replace(
+        "(facts\n", f"(predicates {preds} (z))\n\n(facts\n  (or (z) {chain})\n", 1
+    )
+    return parse_scenario(text, f"sim1+iff{n}")
+
+
+def test_the_oracle_keeps_the_query_clause_budget():
+    # the oracle once distributed the chain with no bound: n = 5 answered
+    # no in about 0.3 s, n = 7 ran out of memory
+    ai = Const("ai", "Agent")
+    sc = sim1_with_iff_chain(5)
+    assert prevents_holds(sc, SHOOTER, ai, G_LIVE, FIRE, 1).answer == "no"
+    budget = Budget(timeout_ms=2000, max_clauses=50)
+    trace = eventcalc.project(sc.theory, sc.sig)
+    assumptions = list(sc.facts) + guard.trace_atoms(trace, sc.theory.occurrences)
+    goal = guard.prevents_body(SHOOTER, ai, G_LIVE, FIRE, moment(1))
+    assert prover.prove(assumptions, goal, budget, sc.sig).status == "no_proof"
+    r = prevents_holds(sc, SHOOTER, ai, G_LIVE, FIRE, 1, budget)
+    assert r.answer == "unknown"
+    assert r.reason == "prevention query raised OracleLimit: max_clauses"
+    start = time.monotonic()
+    r = prevents_holds(sim1_with_iff_chain(8), SHOOTER, ai, G_LIVE, FIRE, 1,
+                       Budget(timeout_ms=2000))
+    assert r.answer == "unknown" and "OracleLimit" in r.reason
+    assert time.monotonic() - start < 2.0

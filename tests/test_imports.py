@@ -61,3 +61,35 @@ def test_no_unused_imports(path):
 def test_the_scan_sees_an_unused_import():
     tree = ast.parse("from os import path, sep\nimport json\nprint(sep)\n")
     assert set(imported_names(tree)) - used_names(tree) == {"path", "json"}
+
+
+def modalguard_imports(tree: ast.Module) -> set[str]:
+    """The modalguard modules a module imports from, by short name."""
+    out: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            # from . import m, or from .m import name
+            names = [f"modalguard.{node.module or a.name}" for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        out |= {n.split(".")[1] for n in names if n.startswith("modalguard.")}
+    return out
+
+
+def test_the_oracle_imports_only_syntax_and_schemata():
+    # the finite-model oracle checks the prover, so it borrows none of
+    # the prover's machinery: no shadowing, no clausifying, no search
+    tree = ast.parse((SRC / "models.py").read_text())
+    assert modalguard_imports(tree) <= {"syntax", "schemata"}
+
+
+def test_the_import_scan_sees_every_form():
+    tree = ast.parse(
+        "from . import shadow\nfrom .clauses import clausify\n"
+        "from modalguard.prover import prove\nimport modalguard.guard\nimport math\n"
+    )
+    assert modalguard_imports(tree) == {"shadow", "clauses", "prover", "guard"}

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +16,7 @@ from modalguard.guard import (
     adjudication_theory,
     obligation_goal,
     prevents_body,
+    prevents_holds,
     trace_atoms,
 )
 from modalguard.models import entails, satisfiable
@@ -37,9 +41,11 @@ from modalguard.syntax import (
     Const,
     Exists,
     Forall,
+    Iff,
     Implies,
     Modal,
     Not,
+    Or,
     Signature,
     Var,
     canonical_key,
@@ -384,3 +390,97 @@ def test_a_closure_keys_and_harvests_each_formula_once(monkeypatch):
                 before |= recorded
             assert all(id(f) in now | before for f in assumed), (label, r)
     assert later > 0
+
+
+# ---------------------------------------------------------------------------
+# one walk makes the clauses, and a modal subformula is keyed by its key
+
+
+def test_a_countermodel_names_modal_formulas_by_key():
+    # the countermodel of query_mix's shooter->ai query once listed this
+    # intention as its shadow atom, (sh_4eec80645ea1)
+    sc = parse_scenario(load_guardbench_texts().bundled_text("sim1"), "sim1")
+    c = {n: Const(n, s) for n, s in sc.sig.constants.items()}
+    r = prevents_holds(sc, c["shooter"], c["ai"], c["g_live"], c["fire"], 1)
+    assert r.answer == "no"
+    assert "(intends shooter 1 (not (holds (alive victim) 2)))" in r.countermodel
+    assert not [a for a in r.countermodel if "(sh_" in a]
+
+
+def test_the_clause_walk_keys_each_atom_and_modal_once(monkeypatch):
+    for label, (fs, sig) in query_mix_no_theories().items():
+        closed = models._closure(fs, sig, 4)
+        keyed = []
+
+        def key(f, *args):
+            keyed.append(f)
+            return canonical_key(f, *args)
+
+        keys: dict = {}
+        with monkeypatch.context() as mp:
+            mp.setattr(models, "canonical_key", key)
+            for f in closed:
+                models._cnf(f, True, keys, math.inf, math.inf)
+        assert keyed, label
+        assert len(keyed) == len(set(keyed)) == len(keys), label
+        assert all(isinstance(f, (Atom, Modal)) for f in keyed), label
+
+
+LEAVES = (
+    Atom("P"),
+    Atom("Q"),
+    Modal(KNOWS, Const("a", AGENT), moment(1), Atom("P")),
+    Modal(KNOWS, Const("a", AGENT), moment(1), Not(Atom("Q"))),
+)
+
+ground_formulas = st.recursive(
+    st.sampled_from(LEAVES),
+    lambda sub: st.one_of(
+        sub.map(Not),
+        st.tuples(sub, sub).map(And),
+        st.tuples(sub, sub).map(Or),
+        st.tuples(sub, sub).map(lambda lr: Implies(*lr)),
+        st.tuples(sub, sub).map(lambda lr: Iff(*lr)),
+    ),
+    max_leaves=8,
+)
+
+
+def truth(f, value: dict) -> bool:
+    if isinstance(f, (Atom, Modal)):
+        return value[canonical_key(f)]
+    if isinstance(f, Not):
+        return not truth(f.body, value)
+    if isinstance(f, And):
+        return all(truth(p, value) for p in f.parts)
+    if isinstance(f, Or):
+        return any(truth(p, value) for p in f.parts)
+    if isinstance(f, Implies):
+        return not truth(f.left, value) or truth(f.right, value)
+    return truth(f.left, value) == truth(f.right, value)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ground_formulas, st.booleans())
+def test_the_clause_rows_hold_exactly_when_the_formula_does(f, positive):
+    # a modal subformula is an opaque atom: its body is not looked into
+    rows = models._cnf(f, positive, {}, math.inf, math.inf)
+    names = [canonical_key(leaf) for leaf in LEAVES]
+    for bits in itertools.product((False, True), repeat=len(names)):
+        value = dict(zip(names, bits))
+        holds = all(any(value[k] == sign for k, sign in row) for row in rows)
+        assert holds == (truth(f, value) == positive)
+
+
+def test_the_oracle_stops_at_its_deadline_and_clause_budget():
+    fs, sig = query_mix_no_theories()["shooter-ai"]
+    assumptions, goal = fs[:-1], fs[-1].body
+    with pytest.raises(models.OracleLimit, match="wall_clock"):
+        entails(assumptions, goal, sig, deadline=time.monotonic() - 1.0)
+    assert entails(assumptions, goal, sig, deadline=time.monotonic() + 60.0)[0] is False
+    # the negated iff distributes (or (and r (not p)) (and p (not r))):
+    # one product of 2 x 2 rows, checked before it is built
+    xor = [F("(not (iff (rains) (pours)))")]
+    with pytest.raises(models.OracleLimit, match="max_clauses"):
+        satisfiable(xor, SIG, max_clauses=3)
+    assert satisfiable(xor, SIG, max_clauses=4) in (["(pours)"], ["(rains)"])
