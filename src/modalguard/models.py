@@ -1,12 +1,15 @@
 """Finite-model oracle: bounded satisfiability by DPLL enumeration.
 
 This is the reference engine the resolution prover is checked against.
-Quantifiers are expanded over the finite domain of named constants
-(universals to conjunctions, existentials to disjunctions), the modal
-closure rules are applied forward, and a plain DPLL loop decides the
-clauses one walk makes of the closed formulas.  Nothing outside a modal
-subformula is quantified there, so nothing is shadowed: an atom or a
-maximal modal subformula is one DPLL atom, named by its canonical key.
+Quantifiers are expanded over the finite domain of named constants in
+one walk under a binding environment, substituting only at atoms and
+modal subformulas: a universal combines its instances as a conjunction
+its parts, an existential as a disjunction, stopping at the first part
+that decides.  The modal closure rules are applied forward, and a plain
+DPLL loop decides the clauses one walk makes of the closed formulas.
+Nothing outside a modal subformula is quantified there, so nothing is
+shadowed: an atom or a maximal modal subformula is one DPLL atom, named
+by its canonical key.
 Grounding and the modal rules alternate for at most depth + 1 rounds,
 fewer once a round grounds nothing or returns the list it was given: a
 round reads only that list, so every later round would return it again.
@@ -27,7 +30,8 @@ free predicate (orderings must be stated as facts), "=" is a free
 predicate, and the nullary atom (false) is pinned false.  Sound only
 over the named domain, where a sort with no constant has one anonymous
 element (_domains): a problem whose truth needs another unnamed
-individual is outside the oracle's scope.
+individual is outside the oracle's scope.  The query's deadline is
+polled while grounding, building clauses and searching.
 """
 
 from __future__ import annotations
@@ -59,11 +63,18 @@ from .syntax import (
     is_moment_literal,
     moment_value,
     substitute,
+    substitute_term,
     symbol_names,
     unspoofed,
 )
 
 _TRUE = object()  # marker for a vacuously true ground formula
+
+
+class OracleLimit(Exception):
+    """The clause rows would outgrow max_clauses, or the deadline passed;
+    the argument names the limit, max_clauses or wall_clock."""
+
 
 Literal = tuple[str, bool]
 ClauseSet = list[frozenset[Literal]]
@@ -97,42 +108,27 @@ def _domains(formulas: Sequence[Formula], sig: Signature) -> dict[str, list[Cons
     return out
 
 
-def _ground(f: Formula, dom: dict[str, list[Const]], sig: Signature):
-    """Expand quantifiers over the domain; _TRUE and FALSUM mark the
-    vacuous cases.  Modal bodies are left alone: the closure rules may
-    expose them later, at which point grounding runs again."""
-    if isinstance(f, (Atom, Modal)):
-        return f
+def _ground(f: Formula, dom: dict, sig: Signature, env=None, deadline=math.inf):
+    """Expand quantifiers over the domain under env, which binds the
+    variables of the quantifiers above f to constants; _TRUE and FALSUM
+    mark the vacuous cases.  Modal bodies are left alone: the closure
+    rules may expose them later, at which point grounding runs again.
+    Raises OracleLimit past the deadline, polled once per part or instance."""
+    if isinstance(f, Atom):
+        return Atom(f.pred, tuple(substitute_term(t, env) for t in f.args)) if env else f
+    if isinstance(f, Modal):
+        return substitute(f, env, sig) if env else f
+    env = env or {}
     if isinstance(f, Not):
-        b = _ground(f.body, dom, sig)
+        b = _ground(f.body, dom, sig, env, deadline)
         if b is _TRUE:
             return FALSUM
         if b == FALSUM:
             return _TRUE
         return Not(b)
-    if isinstance(f, And):
-        parts = []
-        for p in f.parts:
-            g = _ground(p, dom, sig)
-            if g is _TRUE:
-                continue
-            if g == FALSUM:
-                return FALSUM
-            parts.append(g)
-        return conj(parts) if parts else _TRUE
-    if isinstance(f, Or):
-        parts = []
-        for p in f.parts:
-            g = _ground(p, dom, sig)
-            if g == FALSUM:
-                continue
-            if g is _TRUE:
-                return _TRUE
-            parts.append(g)
-        return disj(parts) if parts else FALSUM
     if isinstance(f, Implies):
-        l = _ground(f.left, dom, sig)
-        r = _ground(f.right, dom, sig)
+        l = _ground(f.left, dom, sig, env, deadline)
+        r = _ground(f.right, dom, sig, env, deadline)
         if l == FALSUM or r is _TRUE:
             return _TRUE
         if l is _TRUE:
@@ -141,8 +137,8 @@ def _ground(f: Formula, dom: dict[str, list[Const]], sig: Signature):
             return Not(l)
         return Implies(l, r)
     if isinstance(f, Iff):
-        l = _ground(f.left, dom, sig)
-        r = _ground(f.right, dom, sig)
+        l = _ground(f.left, dom, sig, env, deadline)
+        r = _ground(f.right, dom, sig, env, deadline)
         if l is _TRUE:
             return r
         if r is _TRUE:
@@ -152,25 +148,26 @@ def _ground(f: Formula, dom: dict[str, list[Const]], sig: Signature):
         if r == FALSUM:
             return Not(l)
         return Iff(l, r)
-    if isinstance(f, Forall):
-        insts = [
-            _ground(substitute(f.body, {f.var: c}, sig), dom, sig)
-            for c in dom.get(f.var.sort, ())
-        ]
-        insts = [g for g in insts if g is not _TRUE]
-        if any(g == FALSUM for g in insts):
-            return FALSUM
-        return conj(insts) if insts else _TRUE
-    if isinstance(f, Exists):
-        insts = [
-            _ground(substitute(f.body, {f.var: c}, sig), dom, sig)
-            for c in dom.get(f.var.sort, ())
-        ]
-        if any(g is _TRUE for g in insts):
-            return _TRUE
-        insts = [g for g in insts if g != FALSUM]
-        return disj(insts) if insts else FALSUM
-    raise TypeError(f"cannot ground {f!r}")
+    # a universal is the conjunction of its instances, an existential
+    # their disjunction: skip the unit, and stop at the zero
+    if isinstance(f, (And, Or)):
+        parts = ((p, env) for p in f.parts)
+    elif isinstance(f, (Forall, Exists)):
+        parts = ((f.body, {**env, f.var: c}) for c in dom.get(f.var.sort, ()))
+    else:
+        raise TypeError(f"cannot ground {f!r}")
+    conjunctive = isinstance(f, (And, Forall))
+    unit, zero, build = (_TRUE, FALSUM, conj) if conjunctive else (FALSUM, _TRUE, disj)
+    kept = []
+    for p, bound in parts:
+        if time.monotonic() > deadline:
+            raise OracleLimit("wall_clock")
+        g = _ground(p, dom, sig, bound, deadline)
+        if g == zero:
+            return zero
+        if g != unit:
+            kept.append(g)
+    return build(kept) if kept else unit
 
 
 def _has_quantifier_outside_modal(f: Formula) -> bool:
@@ -198,7 +195,9 @@ def _conjuncts(f: Formula) -> list[Formula]:
     return [f]
 
 
-def _closure(formulas: list[Formula], sig: Signature, depth: int) -> list[Formula]:
+def _closure(
+    formulas: list[Formula], sig: Signature, depth: int, deadline: float = math.inf
+) -> list[Formula]:
     """Ground, apply the modal rules, and re-ground what they expose."""
     dom = _domains(formulas, sig)
     # per formula object met in this call, kept alive so that no id is
@@ -218,13 +217,13 @@ def _closure(formulas: list[Formula], sig: Signature, depth: int) -> list[Formul
         got = handed.get(id(f))
         if got is None:
             regrounded = _has_quantifier_outside_modal(f)
-            g = _ground(f, dom, sig) if regrounded else f
+            g = _ground(f, dom, sig, None, deadline) if regrounded else f
             got = handed[id(f)] = (regrounded, [] if g is _TRUE else _conjuncts(g))
         return got
 
     current: list[Formula] = []
     for f in formulas:
-        g = _ground(f, dom, sig)
+        g = _ground(f, dom, sig, None, deadline)
         if g is not _TRUE:
             current.extend(_conjuncts(g))
     for _ in range(depth + 1):
@@ -257,11 +256,6 @@ def _closure(formulas: list[Formula], sig: Signature, depth: int) -> list[Formul
 # Ground CNF and DPLL
 
 
-class OracleLimit(Exception):
-    """The clause rows would outgrow max_clauses, or the deadline passed;
-    the argument names the limit, max_clauses or wall_clock."""
-
-
 def _cnf(f: Formula, positive: bool, keys: dict, deadline: float, max_clauses: float):
     """Clause rows of f, or of its negation when not positive.  An atom
     or a maximal modal subformula is one DPLL atom, named by its
@@ -288,7 +282,11 @@ def _cnf(f: Formula, positive: bool, keys: dict, deadline: float, max_clauses: f
     return out
 
 
-def _dpll(clauses: ClauseSet, assignment: dict[str, bool]) -> Optional[dict[str, bool]]:
+def _dpll(
+    clauses: ClauseSet, assignment: dict[str, bool], deadline: float = math.inf
+) -> Optional[dict[str, bool]]:
+    if time.monotonic() > deadline:
+        raise OracleLimit("wall_clock")
     clauses = list(clauses)
     assignment = dict(assignment)
     while True:
@@ -322,7 +320,7 @@ def _dpll(clauses: ClauseSet, assignment: dict[str, bool]) -> Optional[dict[str,
     for val in (False, True):
         trial = dict(assignment)
         trial[pick] = val
-        got = _dpll(clauses, trial)
+        got = _dpll(clauses, trial, deadline)
         if got is not None:
             return got
     return None
@@ -343,10 +341,10 @@ def satisfiable(
     sig = sig if sig is not None else Signature()
     keys: dict[Formula, str] = {}
     clause_rows: list[list[Literal]] = [[(canonical_key(FALSUM), False)]]
-    for f in _closure(list(formulas), sig, depth):
+    for f in _closure(list(formulas), sig, depth, deadline):
         clause_rows.extend(_cnf(f, True, keys, deadline, max_clauses))
     clauses: ClauseSet = [frozenset(row) for row in clause_rows]
-    got = _dpll(clauses, {})
+    got = _dpll(clauses, {}, deadline)
     if got is None:
         return None
     return sorted(a for a, v in got.items() if v)

@@ -484,20 +484,9 @@ def maximal_modal_subformulas(f: Formula) -> list[Formula]:
     return out
 
 
-def constants_in_term(t: Term, acc: list[Const]) -> None:
-    if isinstance(t, Const):
-        if t not in acc:
-            acc.append(t)
-    elif isinstance(t, App):
-        for a in t.args:
-            constants_in_term(a, acc)
-
-
 def constants_in_formula(f: Formula) -> list[Const]:
-    acc: list[Const] = []
-    for t in formula_terms(f):
-        constants_in_term(t, acc)
-    return acc
+    """The constants in the terms of f, each once, in first-occurrence order."""
+    return list(dict.fromkeys(constant_occurrences((f,))))
 
 
 def constant_occurrences(formulas: Iterable[Formula]) -> Iterator[Const]:

@@ -623,3 +623,27 @@ def test_the_oracle_keeps_the_query_clause_budget():
                        Budget(timeout_ms=2000))
     assert r.answer == "unknown" and "OracleLimit" in r.reason
     assert time.monotonic() - start < 2.0
+
+
+def sim1_with_goal_cube(n: int):
+    """sim1 plus n idle goals and a universal over three of them, which
+    grounds to n**3 instances in the oracle and is pruned by the prover."""
+    goals = " ".join(f"(k{i} Goal)" for i in range(n))
+    fact = "(forall a : Goal (forall b : Goal (forall c : Goal (or (z) (R a b c)))))"
+    text = SIM1_TEXT.replace("(g_live Goal))", f"(g_live Goal) {goals})", 1).replace(
+        "(facts\n", f"(predicates (z) (R Goal Goal Goal))\n\n(facts\n  {fact}\n", 1
+    )
+    return parse_scenario(text, f"sim1+goals{n}")
+
+
+def test_the_oracle_keeps_the_query_deadline_while_grounding():
+    # the oracle once polled its deadline only while building clauses:
+    # at n = 40 the query answered unknown after about 3 s of grounding
+    ai = Const("ai", "Agent")
+    assert prevents_holds(sim1_with_goal_cube(2), SHOOTER, ai, G_LIVE, FIRE, 1).answer == "no"
+    sc = sim1_with_goal_cube(40)
+    start = time.monotonic()
+    r = prevents_holds(sc, SHOOTER, ai, G_LIVE, FIRE, 1, Budget(timeout_ms=200))
+    assert r.answer == "unknown"
+    assert r.reason == "prevention query raised OracleLimit: wall_clock"
+    assert time.monotonic() - start < 1.0

@@ -34,8 +34,10 @@ from modalguard.syntax import (
     ACTION,
     AGENT,
     EVENT,
+    FALSUM,
     GOAL,
     KNOWS,
+    MOMENT,
     And,
     Atom,
     Const,
@@ -50,6 +52,7 @@ from modalguard.syntax import (
     Var,
     canonical_key,
     moment,
+    substitute,
     symbol_names,
 )
 
@@ -197,10 +200,55 @@ def test_limit_universal_goal_over_finite_domain():
 
 def test_limit_disjunction_of_modal_atoms():
     # a grounded existential of epistemic facts becomes a disjunction of
-    # shadow atoms; the oracle cannot case-split knowers, the prover can
+    # modal atoms; the oracle cannot case-split knowers, the prover can
     fs, g = load("exists-knows")
     assert entails(fs, g, SIG)[0] is False
     assert prove(fs, g, sig=SIG).status == "proof"
+
+
+# ---------------------------------------------------------------------------
+# grounding binds variables in an environment and substitutes at the leaves
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.booleans())
+def test_grounding_under_an_environment_is_substituting_then_grounding(
+    seed, depth, moments
+):
+    x = Var("x", MOMENT if moments else AGENT)
+    body = RandomFormulas(seed).formula([x], depth)
+    sig = round_trip_sig()
+    dom = models._domains([body], sig)
+    for c in dom[x.sort]:
+        got = models._ground(body, dom, sig, {x: c})
+        want = models._ground(substitute(body, {x: c}, sig), dom, sig)
+        assert (got is models._TRUE) == (want is models._TRUE)
+        if got is not models._TRUE:
+            assert canonical_key(got) == canonical_key(want)
+
+
+@pytest.mark.parametrize(
+    "text, stop",
+    [
+        ("(forall x : Agent (and (P x) (false)))", FALSUM),
+        ("(exists x : Agent (or (P x) (not (false))))", models._TRUE),
+    ],
+)
+def test_a_quantifier_stops_at_its_first_deciding_instance(monkeypatch, text, stop):
+    f = F(text)
+    dom = models._domains([f], SIG)
+    assert len(dom[AGENT]) == 3
+    ground = models._ground
+    envs = []
+
+    def spy(g, *args):
+        if g is f.body:
+            envs.append(args[2])
+        return ground(g, *args)
+
+    monkeypatch.setattr(models, "_ground", spy)
+    assert ground(f, dom, SIG) == stop
+    assert envs == [{f.var: dom[AGENT][0]}]
 
 
 # ---------------------------------------------------------------------------
