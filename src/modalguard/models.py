@@ -60,8 +60,7 @@ from .syntax import (
     constant_occurrences,
     constant_sorts,
     disj,
-    is_moment_literal,
-    moment_value,
+    domain_order,
     substitute,
     substitute_term,
     symbol_names,
@@ -97,15 +96,10 @@ def _domains(formulas: Sequence[Formula], sig: Signature) -> dict[str, list[Cons
             while name in taken:
                 name += "'"
             consts.add(Const(name, sort))
-    out: dict[str, list[Const]] = {}
-    for sort in sig.sorts:
-        members = [c for c in consts if sig.widens(c.sort, sort)]
-        moments = sorted((c for c in members if is_moment_literal(c)), key=moment_value)
-        named = sorted(
-            (c for c in members if not is_moment_literal(c)), key=lambda c: c.name
-        )
-        out[sort] = moments + named
-    return out
+    return {
+        sort: domain_order(c for c in consts if sig.widens(c.sort, sort))
+        for sort in sig.sorts
+    }
 
 
 def _ground(f: Formula, dom: dict, sig: Signature, env=None, deadline=math.inf):

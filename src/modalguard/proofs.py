@@ -4,12 +4,14 @@ A proof is an ordered list of steps; each step carries a formula, a
 rule name, and the indices of its premise steps.  Clause-level steps
 encode clauses as universally closed disjunctions (the empty clause is
 the nullary atom (false)).  verify_proof re-derives every step from
-its premises alone: schema instances are checked structurally,
-instantiation steps by keying the premise body with the bound variable
-named as each candidate constant, clausification and resolution steps
-by recomputation.  Formulas are compared by the prover's canonical key
-and clauses by canonical clause; neither takes a free variable for a
-constant of its name, nor one name for another.  A witness must be a
+its premises alone, one way per rule family: it recomputes what the
+rule derives from the cited premises and compares the step with that.
+A modal rule's conclusions (_modal_conclusions) are compared by the
+prover's canonical key; a quantifier rule's instance (_opened) is found
+by keying the premise body with the bound variable named as each
+candidate constant; a clause rule's clauses (_clause_conclusions) are
+compared by canonical clause.  No comparison takes a free variable for
+a constant of its name, nor one name for another.  A witness must be a
 constant fresh for the names of the assumptions, the goal and the
 earlier steps, which are read only at a step that introduces one, and
 not spelled like a skolem symbol, which a later clausify step could
@@ -23,7 +25,7 @@ checker shares no state with the prover's search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .clauses import Clause, Literal, canonical_clause, clause_vars, clausify
 from .resolution import factors, resolvents
@@ -115,27 +117,26 @@ def formula_to_clause(f: Formula) -> Optional[Clause]:
     """Strip a clause encoding back to a Clause; None when malformed."""
     while isinstance(f, Forall):
         f = f.body
-    if isinstance(f, Atom):
-        if f == FALSUM:
-            return Clause(())
-        return Clause((Literal(True, f),))
-    if isinstance(f, Not) and isinstance(f.body, Atom):
-        return Clause((Literal(False, f.body),))
-    if isinstance(f, Or):
-        lits = []
-        for p in f.parts:
-            if isinstance(p, Atom):
-                lits.append(Literal(True, p))
-            elif isinstance(p, Not) and isinstance(p.body, Atom):
-                lits.append(Literal(False, p.body))
-            else:
-                return None
-        return Clause(tuple(lits))
-    return None
+    if f == FALSUM:
+        return Clause(())
+    lits = []
+    for p in f.parts if isinstance(f, Or) else (f,):
+        if isinstance(p, Atom):
+            lits.append(Literal(True, p))
+        elif isinstance(p, Not) and isinstance(p.body, Atom):
+            lits.append(Literal(False, p.body))
+        else:
+            return None
+    return Clause(tuple(lits))
 
 
 # ---------------------------------------------------------------------------
 # Verification
+
+MODAL_RULES = ("S1", "S2", "S3", "S4-split", "S4-join")
+QUANTIFIER_RULES = (RULE_FORALL_ELIM, RULE_EXISTS_ELIM, RULE_NEG_EXISTS_ELIM,
+                    RULE_NEG_FORALL_ELIM, RULE_EXISTS_ANTECEDENT)
+CLAUSE_RULES = (RULE_CLAUSIFY, RULE_RESOLVE, RULE_FACTOR)
 
 
 def _among(got: Clause, expected: Sequence[Clause]) -> bool:
@@ -146,11 +147,7 @@ def _among(got: Clause, expected: Sequence[Clause]) -> bool:
 
 
 def _instance_candidates(conclusion: Formula, sort: str, sig: Signature) -> list[Const]:
-    out: list[Const] = []
-    for c in constants_in_formula(conclusion):
-        if sig.widens(c.sort, sort) and c not in out:
-            out.append(c)
-    return out
+    return [c for c in constants_in_formula(conclusion) if sig.widens(c.sort, sort)]
 
 
 def _is_instance(
@@ -173,6 +170,80 @@ def _is_instance(
     return None
 
 
+def _modal_conclusions(rule: str, prem: Sequence[Formula]) -> Optional[list[Formula]]:
+    """The formulas the modal rule derives from the premises, every one
+    an epistemic modal; None when they do not have the shape it needs."""
+    if not prem or not all(isinstance(p, Modal) and p.op in EPISTEMIC_OPS for p in prem):
+        return None
+    m = prem[0]
+
+    def under(body: Formula) -> Modal:
+        return Modal(m.op, m.agent, m.time, body)
+
+    if rule in ("S1", "S2"):
+        if len(prem) != 1 or m.op != KNOWS:
+            return None
+        return [m.body if rule == "S1" else Modal(BELIEVES, m.agent, m.time, m.body)]
+    if rule == "S3":
+        # the second premise is the first one's antecedent, in its context
+        implication = len(prem) == 2 and isinstance(m.body, Implies)
+        if not implication or not alpha_equivalent(prem[1], under(m.body.left)):
+            return None
+        return [under(m.body.right)]
+    if rule == "S4-split":
+        if len(prem) != 1 or not isinstance(m.body, And):
+            return None
+        return [under(p) for p in m.body.parts]
+    # S4-join: the bodies, in order, of premises in one context
+    context = (m.op, m.agent, m.time)
+    if len(prem) < 2 or any((p.op, p.agent, p.time) != context for p in prem):
+        return None
+    return [under(And(tuple(p.body for p in prem)))]
+
+
+def _opened(premise: Formula) -> Optional[tuple[str, Var, Formula, Callable]]:
+    """(rule, var, body, part) for a premise a quantifier rule takes
+    apart: the rule its shape calls for, the bound variable and its
+    body, and part, which maps a conclusion to the formula that must be
+    an instance of body (None when the conclusion has the wrong shape).
+    None when no quantifier rule takes the premise apart."""
+    whole = lambda c: c
+    if isinstance(premise, Forall):
+        return RULE_FORALL_ELIM, premise.var, premise.body, whole
+    if isinstance(premise, Exists):
+        return RULE_EXISTS_ELIM, premise.var, premise.body, whole
+    negated = lambda c: c.body if isinstance(c, Not) else None
+    if isinstance(premise, Not) and isinstance(premise.body, Exists):
+        return RULE_NEG_EXISTS_ELIM, premise.body.var, premise.body.body, negated
+    if isinstance(premise, Not) and isinstance(premise.body, Forall):
+        return RULE_NEG_FORALL_ELIM, premise.body.var, premise.body.body, negated
+    if isinstance(premise, Implies) and isinstance(premise.left, Exists):
+        right = premise.right
+        antecedent = lambda c: (
+            c.left if isinstance(c, Implies) and alpha_equivalent(c.right, right) else None
+        )
+        return RULE_EXISTS_ANTECEDENT, premise.left.var, premise.left.body, antecedent
+    return None
+
+
+def _clause_conclusions(
+    rule: str, prem: Sequence[Formula], sig: Signature
+) -> Optional[list[Clause]]:
+    """The clauses the clause rule derives from the premises; None when
+    they are not what it takes."""
+    if rule == RULE_CLAUSIFY:
+        return clausify(shadow(prem[0], ShadowMap())) if len(prem) == 1 else None
+    clauses = [formula_to_clause(p) for p in prem]
+    if any(c is None for c in clauses):
+        return None
+    if rule == RULE_RESOLVE and len(clauses) == 2:
+        c1, c2 = clauses
+        return resolvents(c1, c2, sig) + resolvents(c2, c1, sig)
+    if rule == RULE_FACTOR and len(clauses) == 1:
+        return factors(clauses[0], sig)
+    return None
+
+
 def verify_proof_detailed(
     proof: Proof,
     assumptions: Sequence[Formula],
@@ -192,6 +263,7 @@ def verify_proof_detailed(
         constant_sorts([constant_occurrences(formulas)], sig.constants)
     except ValueError as e:
         return False, str(e)
+    negated_goal_key = canonical_key(Not(goal))
 
     def fail(i: int, why: str) -> tuple[bool, str]:
         return False, f"step {i + 1}: {why}"
@@ -209,114 +281,29 @@ def verify_proof_detailed(
                 return fail(i, "assumption takes no premises")
             if canonical_key(f) not in assumed:
                 return fail(i, "formula is not a declared assumption")
-        elif r == "S1":
-            if len(prem) != 1 or not isinstance(prem[0], Modal) or prem[0].op != KNOWS:
-                return fail(i, "S1 needs one knows premise")
-            if not alpha_equivalent(prem[0].body, f):
-                return fail(i, "S1 conclusion is not the premise body")
-        elif r == "S2":
-            if len(prem) != 1 or not isinstance(prem[0], Modal) or prem[0].op != KNOWS:
-                return fail(i, "S2 needs one knows premise")
-            want = Modal(BELIEVES, prem[0].agent, prem[0].time, prem[0].body)
-            if not alpha_equivalent(want, f):
-                return fail(i, "S2 conclusion mismatch")
-        elif r == "S3":
-            if len(prem) != 2:
-                return fail(i, "S3 needs two premises")
-            imp, ante = prem
-            if (
-                not isinstance(imp, Modal)
-                or imp.op not in EPISTEMIC_OPS
-                or not isinstance(imp.body, Implies)
-            ):
-                return fail(i, "S3 first premise must be a modal implication")
-            if not isinstance(ante, Modal) or ante.op != imp.op:
-                return fail(i, "S3 premises use different operators")
-            if not alpha_equivalent(
-                ante, Modal(imp.op, imp.agent, imp.time, imp.body.left)
-            ):
-                return fail(i, "S3 second premise is not the antecedent")
-            want = Modal(imp.op, imp.agent, imp.time, imp.body.right)
-            if not alpha_equivalent(want, f):
-                return fail(i, "S3 conclusion mismatch")
-        elif r == "S4-split":
-            if (
-                len(prem) != 1
-                or not isinstance(prem[0], Modal)
-                or prem[0].op not in EPISTEMIC_OPS
-                or not isinstance(prem[0].body, And)
-            ):
-                return fail(i, "S4-split needs a modal conjunction premise")
-            m = prem[0]
-            if not any(
-                alpha_equivalent(Modal(m.op, m.agent, m.time, p), f)
-                for p in m.body.parts
-            ):
-                return fail(i, "S4-split conclusion is not a conjunct")
-        elif r == "S4-join":
-            if not isinstance(f, Modal) or f.op not in EPISTEMIC_OPS or not isinstance(f.body, And):
-                return fail(i, "S4-join concludes a modal conjunction")
-            if len(prem) != len(f.body.parts):
-                return fail(i, "S4-join premise count mismatch")
-            for p, part in zip(prem, f.body.parts):
-                if not alpha_equivalent(p, Modal(f.op, f.agent, f.time, part)):
-                    return fail(i, "S4-join premise does not match conjunct")
         elif r == RULE_NEGATED_GOAL:
             if step.premises:
                 return fail(i, "negated-goal takes no premises")
-            if not alpha_equivalent(f, Not(goal)):
+            if canonical_key(f) != negated_goal_key:
                 return fail(i, "negated-goal formula is not the goal's negation")
-        elif r == RULE_FORALL_ELIM:
-            if len(prem) != 1 or not isinstance(prem[0], Forall):
-                return fail(i, "forall-elim needs one universal premise")
-            if _is_instance(prem[0].var, prem[0].body, f, sig) is None:
-                return fail(i, "conclusion is not an instance of the premise")
-        elif r == RULE_NEG_EXISTS_ELIM:
-            if (
-                len(prem) != 1
-                or not isinstance(prem[0], Not)
-                or not isinstance(prem[0].body, Exists)
-            ):
-                return fail(i, "neg-exists-elim needs a negated existential premise")
-            ex = prem[0].body
-            if not isinstance(f, Not):
-                return fail(i, "conclusion must be a negation")
-            if _is_instance(ex.var, ex.body, f.body, sig) is None:
-                return fail(i, "conclusion is not a negated instance")
-        elif r == RULE_EXISTS_ANTECEDENT:
-            if (
-                len(prem) != 1
-                or not isinstance(prem[0], Implies)
-                or not isinstance(prem[0].left, Exists)
-            ):
-                return fail(i, "exists-antecedent-elim premise shape mismatch")
-            if not isinstance(f, Implies):
-                return fail(i, "conclusion must be an implication")
-            if not alpha_equivalent(prem[0].right, f.right):
-                return fail(i, "consequent changed")
-            ex = prem[0].left
-            if _is_instance(ex.var, ex.body, f.left, sig) is None:
-                return fail(i, "antecedent is not an instance")
-        elif r in (RULE_EXISTS_ELIM, RULE_NEG_FORALL_ELIM):
-            if r == RULE_EXISTS_ELIM:
-                if len(prem) != 1 or not isinstance(prem[0], Exists):
-                    return fail(i, "exists-elim needs one existential premise")
-                var, body, target = prem[0].var, prem[0].body, f
-            else:
-                if (
-                    len(prem) != 1
-                    or not isinstance(prem[0], Not)
-                    or not isinstance(prem[0].body, Forall)
-                ):
-                    return fail(i, "neg-forall-elim needs a negated universal premise")
-                if not isinstance(f, Not):
-                    return fail(i, "conclusion must be a negation")
-                var, body, target = prem[0].body.var, prem[0].body.body, f.body
-            witness = _is_instance(var, body, target, sig)
+        elif r in MODAL_RULES:
+            expected = _modal_conclusions(r, prem)
+            if expected is None:
+                return fail(i, f"premises do not have the shape {r} needs")
+            key = canonical_key(f)
+            if not any(canonical_key(e) == key for e in expected):
+                return fail(i, f"conclusion is not what {r} derives from the premises")
+        elif r in QUANTIFIER_RULES:
+            opened = _opened(prem[0]) if len(prem) == 1 else None
+            if opened is None or opened[0] != r:
+                return fail(i, f"{r} needs one premise of its shape")
+            _, var, body, part = opened
+            target = part(f)
+            witness = None if target is None else _is_instance(var, body, target, sig)
             if witness is None:
                 return fail(i, "conclusion is not an instance of the premise")
             # only a binder that binds something needs a fresh constant
-            if var in free_vars(body):
+            if r in (RULE_EXISTS_ELIM, RULE_NEG_FORALL_ELIM) and var in free_vars(body):
                 if not isinstance(witness, Const):
                     return fail(i, "witness is not a constant")
                 if witness.sort != var.sort:
@@ -327,38 +314,21 @@ def verify_proof_detailed(
                 earlier = (*assumptions, goal, *(s.formula for s in proof.steps[:i]))
                 if any(witness.name in symbol_names(g) for g in earlier):
                     return fail(i, f"witness {witness.name} is not fresh")
-        elif r == RULE_CLAUSIFY:
-            if len(prem) != 1:
-                return fail(i, "clausify needs one premise")
+        elif r in CLAUSE_RULES:
             got = formula_to_clause(f)
             if got is None:
                 return fail(i, "conclusion is not a clause")
-            if not _among(got, clausify(shadow(prem[0], ShadowMap()))):
-                return fail(i, "clause does not arise from the premise")
-        elif r == RULE_RESOLVE:
-            if len(prem) != 2:
-                return fail(i, "resolve needs two premises")
-            c1, c2 = formula_to_clause(prem[0]), formula_to_clause(prem[1])
-            got = formula_to_clause(f)
-            if c1 is None or c2 is None or got is None:
-                return fail(i, "resolve premises must be clauses")
-            if not _among(got, resolvents(c1, c2, sig) + resolvents(c2, c1, sig)):
-                return fail(i, "not a resolvent of the premises")
-        elif r == RULE_FACTOR:
-            if len(prem) != 1:
-                return fail(i, "factor needs one premise")
-            c1 = formula_to_clause(prem[0])
-            got = formula_to_clause(f)
-            if c1 is None or got is None:
-                return fail(i, "factor premises must be clauses")
-            if not _among(got, factors(c1, sig)):
-                return fail(i, "not a factor of the premise")
+            expected = _clause_conclusions(r, prem, sig)
+            if expected is None:
+                return fail(i, f"premises are not what {r} takes")
+            if not _among(got, expected):
+                return fail(i, f"clause is not what {r} derives from the premises")
         elif r == RULE_REDUCTIO:
             if len(prem) != 2:
                 return fail(i, "reductio needs two premises")
             if prem[0] != FALSUM:
                 return fail(i, "reductio needs the empty clause first")
-            if not alpha_equivalent(prem[1], Not(goal)):
+            if canonical_key(prem[1]) != negated_goal_key:
                 return fail(i, "reductio needs the negated goal second")
             if canonical_key(f) != goal_key:
                 return fail(i, "reductio must conclude the goal")

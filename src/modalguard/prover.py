@@ -204,10 +204,9 @@ from .syntax import (
     canonical_key,
     constant_sorts,
     constants_in_formula,
+    domain_order,
     free_vars,
-    is_moment_literal,
     maximal_modal_subformulas,
-    moment_value,
     substitute,
     substitute_term,
     symbol_names,
@@ -298,16 +297,6 @@ def _grounding_plan(f: Formula) -> Optional[_Plan]:
 
 def _same(g: Formula) -> Formula:
     return g
-
-
-def _domain_order(consts: set[Const]) -> list[Const]:
-    moments = sorted(
-        (c for c in consts if is_moment_literal(c)), key=moment_value
-    )
-    named = sorted(
-        (c for c in consts if not is_moment_literal(c)), key=lambda c: c.name
-    )
-    return moments + named
 
 
 class _Prep:
@@ -413,7 +402,7 @@ class _Prep:
                 else:
                     mentioned.add(c.sort)
                     consts.add(c)
-            dom = self.domains[sort] = _domain_order(consts)
+            dom = self.domains[sort] = domain_order(consts)
         return dom
 
     def _supported(self, atom: Atom, positive: bool) -> bool:

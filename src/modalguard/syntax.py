@@ -99,6 +99,15 @@ def moment_value(t: Term) -> int:
     return int(t.name)
 
 
+def domain_order(consts: Iterable[Const]) -> list[Const]:
+    """The order in which the prover and the oracle enumerate a domain:
+    moment literals by value, then the other constants by name."""
+    consts = list(consts)
+    moments = sorted((c for c in consts if is_moment_literal(c)), key=moment_value)
+    named = sorted((c for c in consts if not is_moment_literal(c)), key=lambda c: c.name)
+    return moments + named
+
+
 # ---------------------------------------------------------------------------
 # Formulas
 
@@ -335,14 +344,17 @@ def canonical_key(f: Formula, names: Optional[Mapping[Var, str]] = None) -> str:
     return _show(f, given, map("b{}".format, count()))
 
 
-# a name in a key: quoted, or a run of characters that end no name
-_KEY_NAME = re.compile(r'"(?:[^"\\]|\\.)*"|[^\s()"]+')
+# a name in a key: quoted, a binder's sort with the " : " before it, or
+# a run of characters that end no name.  No generated name is a sort, so
+# a sort read with its colon never takes a generated name's shape.
+_KEY_NAME = re.compile(r'"(?:[^"\\]|\\.)*"|: [^\s()"]+|[^\s()"]+')
 
 
 def unspoofed(key: str) -> str:
-    """key, unless it holds a name spelled like a shadow atom or a skolem
-    symbol (a plain name, so unquoted), which a formula built in Python
-    could pass off as the one the engine generates: ValueError then."""
+    """key, unless it holds a predicate, function or constant spelled like
+    a shadow atom or a skolem symbol (a plain name, so unquoted), which a
+    formula built in Python could pass off as the one the engine
+    generates: ValueError then.  A sort may be spelled so."""
     if "sh_" in key or "sk_" in key:
         for name in _KEY_NAME.findall(key):
             if SHADOW_NAME.fullmatch(name) or SKOLEM_NAME.fullmatch(name):

@@ -87,6 +87,13 @@ def test_the_oracle_imports_only_syntax_and_schemata():
     assert modalguard_imports(tree) <= {"syntax", "schemata"}
 
 
+def test_the_checker_imports_only_clauses_resolution_shadow_and_syntax():
+    # the proof checker recomputes each step on its own, so it borrows
+    # nothing from the search it checks, the modal schemata or the oracle
+    tree = ast.parse((SRC / "proofs.py").read_text())
+    assert modalguard_imports(tree) <= {"clauses", "resolution", "shadow", "syntax"}
+
+
 def test_the_import_scan_sees_every_form():
     tree = ast.parse(
         "from . import shadow\nfrom .clauses import clausify\n"

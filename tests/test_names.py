@@ -9,21 +9,25 @@ returns must pass verify_proof, and the oracle must entail its goal.
 A predicate or constant spelled exactly as a shadow atom or a skolem
 symbol (syntax.SHADOW_NAME, SKOLEM_NAME) is refused: prove and the
 oracle raise ValueError and the checker rejects the proof.  So is a
-name that is a constant of two sorts, which a key reads as one.
+name that is a constant of two sorts, which a key reads as one.  A sort
+may be spelled so, since the engine generates no sort.
 """
 
 from __future__ import annotations
 
 import random
+from importlib import resources
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from modalguard import prover
 from modalguard.clauses import ClausifyLimit, clausify
+from modalguard.guard import ALLOW, adjudicate
 from modalguard.models import entails, satisfiable
 from modalguard.proofs import Proof, ProofStep, clause_to_formula, verify_proof_detailed
 from modalguard.prover import Budget, prove
+from modalguard.scenario import parse_scenario
 from modalguard.shadow import ShadowMap, shadow
 from modalguard.syntax import (
     ACTION,
@@ -245,6 +249,29 @@ def test_a_predicate_spelled_like_a_shadow_atom_is_refused():
         False, f"{KNOWS_Q_SHADOW} has the shape of a generated name")
     with pytest.raises(ValueError, match=KNOWS_Q_SHADOW):
         entails(fs, goal, SIG)
+
+
+def test_a_sort_spelled_like_a_shadow_atom_is_no_generated_name():
+    # the engine generates no sort, so a scenario may declare one spelled
+    # like a shadow atom; the checker keys every assumption and once
+    # refused the universal over it, which locked sim2 on a sound proof
+    text = (resources.files("modalguard") / "scenarios" / "sim2.scn").read_text()
+    assert text.count("(facts\n") == 1
+    text = text.replace("(facts\n", (
+        f"(sorts {KNOWS_Q_SHADOW})\n(predicates (Z {KNOWS_Q_SHADOW}))\n"
+        f"(facts\n  (forall s : {KNOWS_Q_SHADOW} (Z s))\n"
+    ))
+    v = adjudicate(parse_scenario(text, "sim2+sort"))
+    assert (v.decision, v.prove_status, v.proof_verified) == (ALLOW, "proof", True)
+    s = Var("s", KNOWS_Q_SHADOW)
+    key = canonical_key(Forall(s, Atom("Z", (s,))))
+    assert key == f"(forall b0 : {KNOWS_Q_SHADOW} (Z b0))"
+    assert unspoofed(key) == key
+    assert unspoofed(canonical_key(Atom("Z", (s,)))) == f"(Z ?s:{KNOWS_Q_SHADOW})"
+    # a predicate or a constant spelled so is still refused
+    for spoofed in (Atom(KNOWS_Q_SHADOW), Atom("Z", (Const(KNOWS_Q_SHADOW, KNOWS_Q_SHADOW),))):
+        with pytest.raises(ValueError, match=KNOWS_Q_SHADOW):
+            unspoofed(canonical_key(Forall(s, And((Atom("Z", (s,)), spoofed)))))
 
 
 def test_a_constant_spelled_like_a_skolem_constant_is_refused():

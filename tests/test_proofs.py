@@ -499,3 +499,100 @@ def test_spliced_instances_of_a_captured_name_and_a_subsort():
     g1 = Const("g1", GOAL)
     assert proofs._is_instance(f, holds, substitute(holds, {f: g1}, IS_SIG), IS_SIG) == g1
     assert proofs._is_instance(f, holds, holds, IS_SIG) == f
+
+
+# ---------------------------------------------------------------------------
+# each rule of the modal, quantifier and clause families: a one-step
+# proof of the goal is accepted; with a premise more or fewer, with a
+# premise of another rule's shape, or with another conclusion, the step
+# is rejected
+
+
+def family_signature() -> Signature:
+    sig = Signature()
+    sig.declare_constant("a", AGENT)
+    sig.declare_predicate("P", (AGENT,))
+    sig.declare_predicate("Q", (AGENT,))
+    sig.declare_predicate("R", ())
+    return sig
+
+
+# rule -> (premises, conclusion, premises of another rule's shape);
+# exists-elim and neg-forall-elim open a vacuous binder, since a witness
+# in the goal would not be fresh
+FAMILY_STEPS = {
+    "S1": (["(knows a 1 (P a))"], "(P a)", ["(believes a 1 (P a))"]),
+    "S2": (["(knows a 1 (P a))"], "(believes a 1 (P a))", ["(believes a 1 (P a))"]),
+    "S3": (
+        ["(knows a 1 (implies (P a) (Q a)))", "(knows a 1 (P a))"],
+        "(knows a 1 (Q a))",
+        ["(knows a 1 (and (P a) (Q a)))", "(knows a 1 (P a))"],
+    ),
+    "S4-split": (
+        ["(knows a 1 (and (P a) (Q a)))"],
+        "(knows a 1 (Q a))",
+        ["(knows a 1 (implies (P a) (Q a)))"],
+    ),
+    "S4-join": (
+        ["(knows a 1 (P a))", "(knows a 1 (Q a))"],
+        "(knows a 1 (and (P a) (Q a)))",
+        ["(knows a 1 (P a))", "(believes a 1 (Q a))"],
+    ),
+    "forall-elim": (["(forall x : Agent (P x))"], "(P a)", ["(exists x : Agent (P x))"]),
+    "exists-elim": (["(exists x : Agent (R))"], "(R)", ["(forall x : Agent (R))"]),
+    "neg-exists-elim": (
+        ["(not (exists x : Agent (P x)))"],
+        "(not (P a))",
+        ["(not (forall x : Agent (P x)))"],
+    ),
+    "neg-forall-elim": (
+        ["(not (forall x : Agent (R)))"],
+        "(not (R))",
+        ["(not (exists x : Agent (R)))"],
+    ),
+    "exists-antecedent-elim": (
+        ["(implies (exists x : Agent (P x)) (R))"],
+        "(implies (P a) (R))",
+        ["(exists x : Agent (implies (P x) (R)))"],
+    ),
+    "clausify": (
+        ["(implies (R) (P a))"],
+        "(or (not (R)) (P a))",
+        ["(knows a 1 (implies (R) (P a)))"],
+    ),
+    "resolve": (["(or (not (R)) (P a))", "(R)"], "(P a)", ["(implies (R) (P a))", "(R)"]),
+    "factor": (
+        ["(forall x : Agent (or (P x) (P a)))"],
+        "(P a)",
+        ["(forall x : Agent (implies (P x) (P a)))"],
+    ),
+}
+
+
+def one_step(rule, premises, conclusion, cited=None):
+    """The premises assumed, then conclusion by rule from the steps
+    cited (all of them by default); the checker's answer for the goal
+    conclusion."""
+    steps = [ProofStep(p, "assumption") for p in premises]
+    cited = tuple(range(len(premises))) if cited is None else cited
+    proof = Proof((*steps, ProofStep(conclusion, rule, cited)))
+    return verify_proof_detailed(proof, premises, conclusion, family_signature())
+
+
+@pytest.mark.parametrize("rule", list(FAMILY_STEPS))
+def test_each_rule_derives_only_its_own_conclusion(rule):
+    sig = family_signature()
+    texts, conclusion_text, other_texts = FAMILY_STEPS[rule]
+    premises = [parse_formula(t, sig) for t in texts]
+    conclusion = parse_formula(conclusion_text, sig)
+    assert one_step(rule, premises, conclusion) == (True, "ok")
+    last = f"step {len(premises) + 1}:"
+    all_cited = tuple(range(len(premises)))
+    for cited in (all_cited[:-1], all_cited + (0,)):
+        ok, reason = one_step(rule, premises, conclusion, cited)
+        assert not ok and reason.startswith(last), (cited, reason)
+    other = [parse_formula(t, sig) for t in other_texts]
+    ok, reason = one_step(rule, other, conclusion)
+    assert not ok and reason.startswith(last), reason
+    ok, reason = one_step(rule, premises, Not(conclusion))
+    assert not ok and reason.startswith(last), reason
