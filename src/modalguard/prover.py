@@ -93,18 +93,58 @@ too: the search ends the same way with the same proof, unless the
 clauses it no longer sees were what ran its budget out.  An instance
 derived from a pure one holds an instance of its pure literal, so the
 quantifiers below a pure instance are never ground.  A pure instance is
-not a modal formula, whose must-set is empty, so the modal expansion
-derives nothing from it; the constant it would add is in the domain
-already.  The exception of pure roots holds for instances too: an
-instance whose join target has the skeleton of a conjunction a kept
-root uses is built anyway.  Substitution changes no skeleton, so the
-exception is decided once per record.
+not a modal formula (see below), so the modal expansion derives
+nothing from it; the constant it would add is in the domain already.
+The exception of pure roots holds for instances too: an instance whose
+join target has the skeleton of a conjunction a kept root uses is built
+anyway.  Substitution changes no skeleton, so the exception is decided
+once per record.
 
-Only ground literals are checked.  Sorted unification binds a variable
-to a term of its sort or a subsort, so two variables of incomparable
-sorts never unify although their instances may meet at a common
-subsort (Goal lies below both Event and Fluent): a literal that holds a
-variable could be found pure when it is not.
+The maximal modal subformulas on the must-set are checked too
+(_Plan.modals).  Each is one shadow atom in every clause of the
+instance, named after the modal with its free variables as holes, so
+it resolves only against the shadow atom of a modal of the opposite
+sign that is the same but where either holds a variable there.  Such a
+modal meets (_meet) a modal of the kept roots or one the expansion
+derives from them, at that sign (_patterns):
+  - the roots' maximal modals outside modals, and those in knows
+    bodies at their sign in the body, as for atoms: grounding and
+    clausifying only put terms for variables;
+  - M(a,t,s) for each positive epistemic modal record M(a,t,B) and
+    each s that S4-split and S3 reach from B through conjuncts and
+    implication consequents, where a record is a root that is a modal
+    under its quantifiers, a modal S1 brings out of a knows record, or
+    such an M(a,t,s).
+Expansion derives no negative modal, and no positive one but those and
+what S4-join and S2 build; so a negative modal is also supported when
+S4 can join it, every part M(a,t,p) being supported (_joinable), or
+when it is a believes formula whose knows twin is supported.  A modal
+of the must-set that is not supported at the instance's constant makes
+the instance pure, by the argument above.  The check fills nothing in:
+_met finds, once per plan, the names of the constants at which each
+modal meets a pattern, the hole meeting a pattern's constant there.
+Meeting is structural, binders by position, and a variable on either
+side meets any term: it stands for whatever grounding, Skolem terms or
+unification put there.  That over-approximates resolution and needs no
+sort intersection, which unify_atoms lacks: it fails on two variables
+whose sorts meet only at a subsort such as Goal, and would refuse an
+instance that is live.  Two exceptions keep instances the argument
+would drop.  A plan whose wrap(body) is a modal under its quantifiers
+takes no modal literal: its instances are modal formulas, whose
+expansion is not bound by their clauses.  And an instance that holds a
+join target S4 can join is built, so that no join is lost.  Then, but
+for the instances the modal check keeps out, those below them and the
+witnesses they would name, the closure is the one built without the
+check; and pure_formulas would drop those instances after shadowing, a
+shadow atom of the opposite sign meeting their pure modal otherwise.
+So the search sees the same clauses.
+
+Only the atoms ground but for the bound variable are checked.  Sorted
+unification binds a variable to a term of its sort or a subsort, so two
+variables of incomparable sorts never unify although their instances
+may meet at a common subsort (Goal lies below both Event and Fluent): a
+literal that holds a variable could be found pure when it is not.
+Meeting ignores sorts, so modals are checked whatever else they hold.
 
 GROUNDING_INSTANCE_CAP counts the instances built, not the pure ones
 refused.  A search over a grounding cut short by the cap, or over
@@ -188,8 +228,11 @@ from .schemata import (
 from .shadow import ShadowMap, shadow
 from .syntax import (
     And,
+    App,
     Atom,
+    BELIEVES,
     Const,
+    EPISTEMIC_OPS,
     Exists,
     Forall,
     Formula,
@@ -200,6 +243,7 @@ from .syntax import (
     Not,
     Or,
     Signature,
+    Term,
     Var,
     canonical_key,
     constant_sorts,
@@ -207,6 +251,7 @@ from .syntax import (
     domain_order,
     free_vars,
     maximal_modal_subformulas,
+    subformulas,
     substitute,
     substitute_term,
     symbol_names,
@@ -241,7 +286,10 @@ class _Plan(NamedTuple):
     constant, derived by rule; over the whole domain when universal, by
     one fresh witness otherwise.  var is free in a modal subformula of
     body.  must holds the literals of wrap(body)'s must-set that are
-    ground but for var, as (atom, positive)."""
+    ground but for var, as (atom, positive); modals the maximal modal
+    subformulas on that must-set below no binder of var, as (modal,
+    positive), none when wrap(body) is a modal under its quantifiers
+    (see the module docstring)."""
 
     var: Var
     body: Formula
@@ -249,6 +297,7 @@ class _Plan(NamedTuple):
     rule: str
     universal: bool
     must: tuple[tuple[Atom, bool], ...]
+    modals: tuple[tuple[Modal, bool], ...]
 
 
 def _quantifier(
@@ -283,20 +332,47 @@ def _grounding_plan(f: Formula) -> Optional[_Plan]:
     if rule == RULE_EXISTS_ANTECEDENT and var in free_vars(f.right):
         return None
     if any(var in free_vars(m) for m in maximal_modal_subformulas(body)):
+        f = wrap(body)
+        core = _core(f)
         must: dict[tuple[Atom, bool], None] = {}
-        for atom, sign, top, bound in _literals(wrap(body)):
-            held: list[Var] = []
-            for t in atom.args:
-                term_vars(t, held)
+        modals: list[tuple[Modal, bool]] = []
+        for lit, sign, top, bound in _literals(f):
+            if not top:
+                continue
             # below a binder of var itself, var is not the one filled in
-            if top and all(v == var and v not in bound for v in held):
-                must[(atom, sign > 0)] = None
-        return _Plan(var, body, wrap, rule, universal, tuple(must))
+            if isinstance(lit, Atom):
+                held: list[Var] = []
+                for t in lit.args:
+                    term_vars(t, held)
+                if all(v == var and v not in bound for v in held):
+                    must[(lit, sign > 0)] = None
+            elif not isinstance(core, Modal) and var not in bound:
+                modals.append((lit, sign > 0))
+        return _Plan(var, body, wrap, rule, universal, tuple(must), tuple(modals))
     return None
 
 
 def _same(g: Formula) -> Formula:
     return g
+
+
+def _core(f: Formula) -> Formula:
+    """f without the quantifiers at its top."""
+    while isinstance(f, (Forall, Exists)):
+        f = f.body
+    return f
+
+
+# the names of some constants; None stands for every constant
+Names = Optional[frozenset[str]]
+
+
+def _either(a: Names, b: Names) -> Names:
+    return None if a is None or b is None else a | b
+
+
+def _both(a: Names, b: Names) -> Names:
+    return b if a is None else a if b is None else a & b
 
 
 class _Prep:
@@ -326,13 +402,18 @@ class _Prep:
         self.instances = 0
         self.pure = 0  # instances not built, being pure
         self.capped = False
-        # filled by the purity checks: the kept roots' literals by
-        # (predicate, positive), whether a ground literal meets one of
-        # the opposite sign, the conjunction skeletons the kept roots use
-        # (_joins), and whether the exception of _pure_roots builds the
-        # pure instances of a record's plan anyway
-        self.patterns: Optional[dict[tuple[str, bool], list[Atom]]] = None
+        # filled by the purity checks: the kept roots' literals and the
+        # modals the closure can hold (_patterns), whether a ground
+        # literal meets one of the opposite sign, by record key the
+        # constants at which every modal of its plan is supported and
+        # those at which S4 can join a join target of its plan, the
+        # conjunction skeletons the kept roots use (_joins), and whether
+        # the exception of _pure_roots builds the pure instances of a
+        # record's plan anyway
+        self.patterns: Optional[_Patterns] = None
         self.supported: dict[tuple[Atom, bool], bool] = {}
+        self.met: dict[str, Names] = {}
+        self.joined: dict[str, Names] = {}
         self.used: Optional[set[tuple]] = None
         self.exempt: dict[str, bool] = {}
         self.plans: dict[str, Optional[_Plan]] = {}
@@ -349,7 +430,7 @@ class _Prep:
 
     def _add_instance(self, key: str, c: Const) -> str:
         """Add the instance of record key's plan at c; its key."""
-        var, body, wrap, rule, _, _ = self.plans[key]
+        var, body, wrap, rule = self.plans[key][:4]
         ikey = canonical_key(wrap(body), {var: c.name})
         if ikey not in self.records:
             f = wrap(substitute(body, {var: c}, self.sig))
@@ -405,25 +486,56 @@ class _Prep:
             dom = self.domains[sort] = domain_order(consts)
         return dom
 
+    def _patterns(self) -> _Patterns:
+        if self.patterns is None:
+            self.patterns = _patterns(self.roots)
+        return self.patterns
+
     def _supported(self, atom: Atom, positive: bool) -> bool:
         """Whether the ground literal unifies with a kept root's literal
         of the opposite sign."""
         known = self.supported.get((atom, positive))
         if known is None:
-            if self.patterns is None:
-                self.patterns = _patterns(self.roots)
             known = self.supported[(atom, positive)] = any(
                 unify_atoms(atom, p, self.sig) is not None
-                for p in self.patterns.get((atom.pred, not positive), ())
+                for p in self._patterns().atoms.get((atom.pred, not positive), ())
             )
         return known
 
+    def _met(self, m: Modal, positive: bool, hole: Var) -> Names:
+        """The names of the constants c at which m, with hole filled by
+        c, is supported (see the module docstring)."""
+        names: Names = frozenset()
+        for p in self._patterns().modals.get((m.op, not positive, _head(m.body)), ()):
+            need: set[str] = set()
+            if _meet(m, p, hole, need) and len(need) <= 1:
+                names = _either(names, frozenset(need) or None)
+                if names is None:
+                    return None
+        if not positive and m.op in EPISTEMIC_OPS:
+            if isinstance(m.body, And):
+                names = _either(names, self._joinable(m, hole))
+            if m.op == BELIEVES:
+                # S2 derives it from its knows twin
+                twin = Modal(KNOWS, m.agent, m.time, m.body)
+                names = _either(names, self._met(twin, False, hole))
+        return names
+
+    def _joinable(self, m: Modal, hole: Var) -> Names:
+        """The names of the constants c at which S4 can join the join
+        target m, with hole filled by c: every part is supported."""
+        names: Names = None
+        for part in m.body.parts:
+            names = _both(names, self._met(Modal(m.op, m.agent, m.time, part), False, hole))
+        return names
+
     def _pure(self, key: str, c: Const) -> bool:
         """Whether the instance of record key's plan at c is pure: a
-        literal of its must-set meets no complement (see the module
-        docstring), and the exception of _pure_roots does not keep it."""
+        literal of its must-set meets no complement, and neither a join
+        target it holds nor the exception of _pure_roots keeps it (see
+        the module docstring)."""
         plan = self.plans[key]
-        if not plan.must:
+        if not plan.must and not plan.modals:
             return False
         hole = {plan.var: c}
         if all(
@@ -432,7 +544,21 @@ class _Prep:
             )
             for a, positive in plan.must
         ):
-            return False
+            if key not in self.met:
+                names: Names = None
+                for m, positive in plan.modals:
+                    names = _both(names, self._met(m, positive, plan.var))
+                self.met[key] = names
+            if self.met[key] is None or c.name in self.met[key]:
+                return False
+            if key not in self.joined:
+                names = frozenset()
+                for g in subformulas(plan.wrap(plan.body)):
+                    if is_join_target(g):
+                        names = _either(names, self._joinable(g, plan.var))
+                self.joined[key] = names
+            if self.joined[key] is None or c.name in self.joined[key]:
+                return False
         exempt = self.exempt.get(key)
         if exempt is None:
             if self.used is None:
@@ -489,56 +615,61 @@ class _Prep:
                     changed = True
 
 
-def _literals(f: Formula) -> Iterator[tuple[Atom, int, bool, tuple[Var, ...]]]:
-    """The atoms a clause of f, or of a formula derived from f, can hold
-    outside a shadow atom: (atom, sign, top, bound), where sign is 1
-    positive, -1 negative or 0 both (under an iff), top says that the
-    atom lies on f's top-level disjunction, which every clause of f
-    holds, and bound lists the variables bound above it.  A modal
-    subformula adds none, except that the atoms of a knows body, which
-    S1 can bring out, come at their sign within the body."""
+def _literals(f: Formula) -> list[tuple[Atom | Modal, int, bool, tuple[Var, ...]]]:
+    """The atoms and maximal modal subformulas a clause of f, or of a
+    formula derived from f, can hold, a modal as its shadow atom:
+    (literal, sign, top, bound), where sign is 1 positive, -1 negative
+    or 0 both (under an iff), top says that the literal lies on f's
+    top-level disjunction, which every clause of f holds, and bound
+    lists the variables bound above it.  The literals inside a modal
+    are not f's, except that those of a knows body, which S1 can bring
+    out, come at their sign within the body."""
+    out: list[tuple[Atom | Modal, int, bool, tuple[Var, ...]]] = []
 
-    def walk(
-        g: Formula, sign: int, top: bool, bound: tuple[Var, ...]
-    ) -> Iterator[tuple[Atom, int, bool, tuple[Var, ...]]]:
+    def walk(g: Formula, sign: int, top: bool, bound: tuple[Var, ...]) -> None:
         # top implies sign != 0
         if isinstance(g, Atom):
-            yield g, sign, top, bound
+            out.append((g, sign, top, bound))
         elif isinstance(g, Not):
-            yield from walk(g.body, -sign, top, bound)
+            walk(g.body, -sign, top, bound)
         elif isinstance(g, (And, Or)):
             disjunction = top and isinstance(g, Or) == (sign > 0)
             for p in g.parts:
-                yield from walk(p, sign, disjunction, bound)
+                walk(p, sign, disjunction, bound)
         elif isinstance(g, Implies):
             disjunction = top and sign > 0
-            yield from walk(g.left, -sign, disjunction, bound)
-            yield from walk(g.right, sign, disjunction, bound)
+            walk(g.left, -sign, disjunction, bound)
+            walk(g.right, sign, disjunction, bound)
         elif isinstance(g, Iff):
-            # both directions become clauses: every atom takes both
+            # both directions become clauses: every literal takes both
             # signs, and no literal lies in every clause
-            yield from walk(g.left, 0, False, bound)
-            yield from walk(g.right, 0, False, bound)
+            walk(g.left, 0, False, bound)
+            walk(g.right, 0, False, bound)
         elif isinstance(g, (Forall, Exists)):
-            yield from walk(g.body, sign, top, (*bound, g.var))
+            walk(g.body, sign, top, (*bound, g.var))
         elif isinstance(g, Modal):
+            out.append((g, sign, top, bound))
             # S1 asserts a knows body whatever the knows formula's sign;
             # no other operator's body is ever asserted
             if g.op == KNOWS:
-                yield from walk(g.body, 1, False, bound)
+                walk(g.body, 1, False, bound)
         else:
             raise TypeError(f"not a formula: {g!r}")
 
-    return walk(f, 1, True, ())
+    walk(f, 1, True, ())
+    return out
 
 
 def _polarity(f: Formula) -> tuple[Shape, Shape]:
     """(must-set, shape) of a formula: the (predicate, sign) pairs on its
     top-level disjunction, which every one of its clauses holds, and
-    every pair any of its clauses can hold (see _literals)."""
+    every pair any of its clauses can hold (see _literals).  A modal
+    adds no pair."""
     must: set[tuple[str, bool]] = set()
     shape: set[tuple[str, bool]] = set()
     for atom, sign, top, _ in _literals(f):
+        if not isinstance(atom, Atom):
+            continue
         if sign >= 0:
             shape.add((atom.pred, True))
         if sign <= 0:
@@ -548,18 +679,126 @@ def _polarity(f: Formula) -> tuple[Shape, Shape]:
     return frozenset(must), frozenset(shape)
 
 
-def _patterns(roots: Sequence[Formula]) -> dict[tuple[str, bool], list[Atom]]:
-    """The atoms of the roots' literals (_literals) by (predicate,
-    positive): every literal of a formula derived from the roots is an
-    instance of one (see the module docstring)."""
-    out: dict[tuple[str, bool], dict[Atom, None]] = {}
+class _Patterns(NamedTuple):
+    """What the closure over some roots can hold: atoms by (predicate,
+    positive), each literal an instance of one, and modals by (operator,
+    positive, _head of the body), each maximal modal of a clause met by
+    one (see the module docstring)."""
+
+    atoms: dict[tuple[str, bool], list[Atom]]
+    modals: dict[tuple[str, bool, str], list[Modal]]
+
+
+def _head(f: Formula) -> str:
+    """What two formulas that meet (_meet) have alike at their top."""
+    if isinstance(f, Atom):
+        return f.pred
+    if isinstance(f, Modal):
+        return f.op
+    return type(f).__name__
+
+
+def _patterns(roots: Sequence[Formula]) -> _Patterns:
+    """The roots' literals (_literals), and the epistemic modals S3 and
+    S4-split derive (see the module docstring)."""
+    atoms: dict[tuple[str, bool], dict[Atom, None]] = {}
+    modals: dict[tuple[str, bool, str], list[Modal]] = {}
     for f in roots:
-        for atom, sign, _, _ in _literals(f):
-            if sign >= 0:
-                out.setdefault((atom.pred, True), {})[atom] = None
-            if sign <= 0:
-                out.setdefault((atom.pred, False), {})[atom] = None
-    return {k: list(v) for k, v in out.items()}
+        for lit, sign, _, _ in _literals(f):
+            if isinstance(lit, Atom):
+                if sign >= 0:
+                    atoms.setdefault((lit.pred, True), {})[lit] = None
+                if sign <= 0:
+                    atoms.setdefault((lit.pred, False), {})[lit] = None
+            else:
+                head = _head(lit.body)
+                if sign >= 0:
+                    modals.setdefault((lit.op, True, head), []).append(lit)
+                if sign <= 0:
+                    modals.setdefault((lit.op, False, head), []).append(lit)
+    # the epistemic modal records: the roots that are one under their
+    # quantifiers, what S1 brings out of a knows record, and what S3 and
+    # S4-split derive from a record; each is a pattern already, or is
+    # added here
+    records = [g for g in map(_core, roots) if isinstance(g, Modal)]
+    while records:
+        m = records.pop()
+        if m.op not in EPISTEMIC_OPS:
+            continue
+        for s in _reached(m.body):
+            if s is not m.body:
+                product = Modal(m.op, m.agent, m.time, s)
+                modals.setdefault((m.op, True, _head(s)), []).append(product)
+            if m.op == KNOWS and isinstance(s, Modal):
+                records.append(s)
+    return _Patterns({k: list(v) for k, v in atoms.items()}, modals)
+
+
+def _reached(body: Formula) -> Iterator[Formula]:
+    """body, and what S4-split and S3 can take out of a modal with that
+    body: its conjuncts and its implication's consequent, repeatedly."""
+    yield body
+    if isinstance(body, And):
+        for p in body.parts:
+            yield from _reached(p)
+    elif isinstance(body, Implies):
+        yield from _reached(body.right)
+
+
+def _meet(f: Formula, p: Formula, hole: Optional[Var], need: set[str]) -> bool:
+    """Whether f meets p: the two are alike but where either holds a
+    variable, which meets any term.  hole, a variable of f, is to be
+    filled with a constant; the names of the constants of p it meets
+    go into need."""
+    kind = type(f)
+    if kind is not type(p):
+        return False
+    if kind is Atom:
+        return f.pred == p.pred and _meet_terms(f.args, p.args, hole, need)
+    if kind is Modal:
+        return (
+            f.op == p.op
+            and _meet_terms((f.agent, f.time), (p.agent, p.time), hole, need)
+            and (f.situation is None or _meet_terms((f.situation,), (p.situation,), hole, need))
+            and _meet(f.body, p.body, hole, need)
+        )
+    if kind is And or kind is Or:
+        if len(f.parts) != len(p.parts):
+            return False
+        for g, q in zip(f.parts, p.parts):
+            if not _meet(g, q, hole, need):
+                return False
+        return True
+    if kind is Implies or kind is Iff:
+        return _meet(f.left, p.left, hole, need) and _meet(f.right, p.right, hole, need)
+    if kind is Not:
+        return _meet(f.body, p.body, hole, need)
+    # Forall, Exists: below a binder of its own, hole is not the one filled
+    return _meet(f.body, p.body, None if f.var == hole else hole, need)
+
+
+def _meet_terms(
+    ts: Sequence[Term], us: Sequence[Term], hole: Optional[Var], need: set[str]
+) -> bool:
+    """Whether each of the terms ts meets its term of us (see _meet).
+    Names are compared, not sorts: a name is a constant of one sort."""
+    if len(ts) != len(us):
+        return False
+    for t, u in zip(ts, us):
+        if type(u) is Var:
+            continue
+        if type(t) is Var:
+            if hole is None or t.name != hole.name or t.sort != hole.sort:
+                continue
+            if type(u) is not Const:
+                return False  # a constant is no function term
+            need.add(u.name)
+        elif type(t) is Const:
+            if type(u) is not Const or t.name != u.name:
+                return False
+        elif type(u) is not App or t.fn != u.fn or not _meet_terms(t.args, u.args, hole, need):
+            return False
+    return True
 
 
 def pure_formulas(formulas: Sequence[Formula]) -> set[int]:

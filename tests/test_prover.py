@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import importlib.util
 import random
+import re
 import time
 from pathlib import Path
 
@@ -648,6 +649,13 @@ TEMPLATE_EDGES = (
     "(not (exists z : Agent (knows z 1 (forall bob : Agent (R bob z)))))",
     "(implies (exists v : Agent (knows v 1 (forall b0 : Agent (R v b0)))) (rains))",
 )
+# positive knows formulas that the edges' modals meet at every agent, so
+# that the purity check refuses none of their instances; inside a knows
+# body, they are not ground themselves
+EDGE_COMPLEMENTS = (
+    "(knows alice 1 (forall y : Agent (and (knows y 1 (forall w : Agent (R w y)))"
+    " (knows y 1 (forall w : Agent (R y w))))))"
+)
 
 
 def check_closure_keys(preps) -> tuple[int, int]:
@@ -679,6 +687,7 @@ def test_spliced_keys_equal_canonical_keys_on_the_corpus(monkeypatch):
     # are read without SIG's constants, as Python code could build them
     unbound = dataclasses.replace(SIG, constants={})
     edges = [parse_formula(t, unbound) for t in TEMPLATE_EDGES]
+    edges.append(parse_formula(EDGE_COMPLEMENTS, SIG))
     # the goal (rains) keeps the last edge, whose consequent is (rains),
     # from being pure
     prove(edges, parse_formula("(rains)", SIG), sig=SIG)
@@ -761,7 +770,9 @@ def test_no_closure_record_has_a_free_variable(monkeypatch):
     texts = load_guardbench_texts()
     sim1 = texts.bundled_text("sim1")
     cases = [sim1, texts.bundled_text("sim2"), texts.sim1_guilty(sim1)]
-    cases.append(sim1_with_moment_named("t2"))
+    # with live instances every deprivation instance is built, and each
+    # holds open join targets until its last moment is filled in
+    cases += [sim1_with_moment_named("t2"), with_live_instances(sim1_with_moment_named("t2"))]
     preps = spy_preps(monkeypatch)
     for i, text in enumerate(cases):
         adjudicate(parse_scenario(text, f"case{i}"))
@@ -862,19 +873,33 @@ def sim1_normed_idle(k: int) -> str:
     return texts.sim1_idle(with_general_norm(texts.bundled_text("sim1")), k)
 
 
-# Universal innocence and a total temporal order.  Every literal on the
-# must-set of a deprivation or prevention-bridge instance then meets a
-# complement, so the purity check refuses no grounding instance.
+# Universal innocence, a total temporal order, and a requester who knows
+# that they know every victim's desire, intention and plan and the block
+# at every goal and moment.  Every literal on the must-set of a
+# deprivation or prevention-bridge instance, modals included, then meets
+# a complement, so the purity check refuses no grounding instance.  The
+# inner knows facts lie in a knows body, so they are not ground: S1
+# brings each out whole, and pure_formulas still drops the ground
+# instances, whose shadow atoms none of the quantified ones meets.  The
+# facts name the requester and the requested action type, taken from
+# the text's request line.
 LIVE_INSTANCES = (
     "  (forall p : Agent (innocent p))\n"
     "  (forall t : Moment (forall u : Moment (prior t u)))\n"
+    "  (knows {x} 1 (forall p : Agent (forall g : Goal (forall u : Moment (and"
+    " (knows {x} 1 (and (desires p 1 (holds g u)) (intends p 1 (happens g u))))"
+    " (knows {x} 1 (exists a' : ActionType (and (intends p u (happens (action p a') u))"
+    " (implies (and (happens (action p a') u) (not (Block {x} p g {a} 1)))"
+    " (happens g u)))))"
+    " (knows {x} 1 (implies (happens (action {x} {a}) 1) (Block {x} p g {a} 1))))))))\n"
 )
 
 
 def with_live_instances(text: str) -> str:
     anchor = "  (prior 1 2)\n"
     assert text.count(anchor) == 1
-    return text.replace(anchor, anchor + LIVE_INSTANCES)
+    x, a = re.search(r"^\(request (\S+) (\S+) 1\)$", text, re.M).groups()
+    return text.replace(anchor, anchor + LIVE_INSTANCES.format(x=x, a=a))
 
 
 def sim1_with_moment_named(name: str) -> str:

@@ -18,7 +18,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from modalguard import ethics, prover
+from modalguard import ethics, guard, prover
 from modalguard.ethics import check_dde, intention_formula
 from modalguard.guard import (
     LOCK,
@@ -29,6 +29,7 @@ from modalguard.guard import (
     obligation_goal,
     prevention_bridge,
     prevents_body,
+    prevents_holds,
 )
 from modalguard.models import entails
 from modalguard.parser import parse_formula
@@ -234,7 +235,9 @@ def test_a_pure_instance_is_built_for_a_join_target_a_kept_root_uses():
     )
     again = prove(fs, goal, sig=sig)
     assert again.status == "no_proof"
-    assert again.stats["pure_instances"] == 2  # at alice and bob
+    # at alice and bob, and at carol, where (C1 carol) meets a complement
+    # but the knows literal, which nothing holds negatively, meets none
+    assert again.stats["pure_instances"] == 3
 
 
 def test_a_pure_instances_witness_merges_into_the_anonymous_element_of_its_sort():
@@ -249,18 +252,20 @@ def test_a_pure_instances_witness_merges_into_the_anonymous_element_of_its_sort(
     goal = parse_formula("(exists x : Tool (Sharp x))", sig)
     # Tool has no constant, so the domain gives it one anonymous
     # element; a pure instance's witness merges into it, and the
-    # instance is not built
+    # instance is not built: at alice, and at carol, where (C1 carol)
+    # meets a complement but the knows literal, which nothing holds
+    # negatively, meets none
     r = prove(fs, goal, sig=sig)
     assert r.status == "proof"
-    assert r.stats["pure_instances"] == 1
+    assert r.stats["pure_instances"] == 2
     assert verify_proof(r.proof, fs, goal, sig)
     # with a declared Tool a witness merges into it, and the pure
     # instances go
     sig.declare_constant("wrench", "Tool")
     again = prove(fs, goal, sig=sig)
     assert again.status == "proof"
-    # at alice: the closure mentions no bob, and carol's is not pure
-    assert again.stats["pure_instances"] == 1
+    # at alice and carol, as above; the closure mentions no bob
+    assert again.stats["pure_instances"] == 2
 
 
 def test_a_variable_bound_again_below_is_not_filled():
@@ -607,3 +612,195 @@ def test_check_dde_asks_one_prove_per_effect_of_sim2_plus_4(monkeypatch):
     assert v.compliant
     assert len(routes) == len(v.effects) == 22
     assert routes.count("assumption") == 20
+
+
+# ---------------------------------------------------------------------------
+# the modal half of the purity check: an instance holding a modal literal
+# that meets no complement is not built, and no search changes
+
+
+def modal_check_off(mp: pytest.MonkeyPatch) -> None:
+    """Take every modal literal for supported at every constant."""
+    mp.setattr(prover._Prep, "_met", lambda self, m, positive, hole: None)
+
+
+CORPUS_SIG = corpus.corpus_signature()
+EXACTNESS_TEXTS = (
+    SIM1,
+    GUARDBENCH_TEXTS.sim1_guilty(SIM1),
+    *(GUARDBENCH_TEXTS.sim1_idle(SIM1, k) for k in (1, 2, 3, 8)),
+    SIM2,
+    *(GUARDBENCH_TEXTS.sim2_extra_effects(SIM2, m) for m in (1, 2, 4, 8)),
+)
+SIM1_ABLATED = tuple(
+    GUARDBENCH_TEXTS.sim1_ablation(SIM1, name) for name in GUARDBENCH_TEXTS.SIM1_ABLATIONS
+)
+# the benchmark's prevention queries, as (text, x, y, g, a)
+PREVENTIONS = (
+    (SIM1, "shooter", "victim", "g_live", "fire"),
+    (SIM1, "shooter", "ai", "g_live", "fire"),
+    (SIM2, "ranger1", "assailant", "g_harm", "shoot"),
+    *((text, "shooter", "victim", "g_live", "fire") for text in SIM1_ABLATED),
+)
+
+
+def every_search() -> list[tuple]:
+    """The status, proof steps, generated clauses and grounding instances
+    of every search the guard runs on the scenario texts above, ablated
+    ones included, and on the prevention queries, and of every corpus
+    problem's."""
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(prove(*args, **kwargs))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(guard, "prove", recording)
+        mp.setattr(ethics, "prove", recording)
+        for i, text in enumerate((*EXACTNESS_TEXTS, *SIM1_ABLATED)):
+            adjudicate(parse_scenario(text, f"case{i}"))
+        for text, *names in PREVENTIONS:
+            sc = parse_scenario(text, "prevention")
+            prevents_holds(sc, *(Const(n, sc.sig.constants[n]) for n in names), 1)
+    for prob in corpus.PROBLEMS:
+        fs, goal = prob.load(CORPUS_SIG)
+        results.append(prove(fs, goal, sig=CORPUS_SIG))
+    return [
+        (*proof_print(r), r.stats.get("generated_clauses"), r.stats.get("grounding_instances", 0))
+        for r in results
+    ]
+
+
+def test_the_modal_check_changes_no_search():
+    checked = every_search()
+    with pytest.MonkeyPatch.context() as mp:
+        modal_check_off(mp)
+        plain = every_search()
+    assert len(checked) == len(plain) > 180
+    for got, want in zip(checked, plain):
+        assert got[:3] == want[:3]
+        assert got[3] <= want[3]
+    assert sum(got[3] for got in checked) < sum(want[3] for want in plain)
+
+
+# Small theories over the corpus signature: the instance at alice holds
+# a modal literal that only the named rule supports, so it is built and
+# the goal is proved; at the other agents it is pure.
+MODAL_RULES = {
+    # the negated goal holds the knows literal negatively at bob only
+    "met by the negated goal": (
+        ("(forall y : Agent (or (C1 y) (knows y 1 (P y))))", "(not (C1 alice))", "(not (C1 bob))"),
+        "(knows bob 1 (P bob))",
+    ),
+    # S4 joins the conjunction from two knows facts
+    "S4-join": (
+        (
+            "(forall y : Agent (implies (knows bob 1 (and (P y) (Q y))) (C2 y)))",
+            "(knows bob 1 (P alice))",
+            "(knows bob 1 (Q alice))",
+            "(not (C2 bob))",
+        ),
+        "(C2 alice)",
+    ),
+    # S2 derives the belief from a knows fact
+    "S2": (
+        (
+            "(forall y : Agent (implies (believes y 1 (P y)) (C3 y)))",
+            "(knows alice 1 (P alice))",
+            "(not (C3 bob))",
+        ),
+        "(C3 alice)",
+    ),
+    # S4-split takes the implication out of a conjunction, and S3 its
+    # consequent
+    "S3 after S4-split": (
+        (
+            "(forall y : Agent (implies (knows bob 1 (Q y)) (C4 y)))",
+            "(knows bob 1 (and (P alice) (implies (P alice) (Q alice))))",
+            "(not (C4 bob))",
+        ),
+        "(C4 alice)",
+    ),
+    # S1 brings a knows formula out of a knows fact, and S4-split a
+    # conjunct out of that
+    "S4-split after S1": (
+        (
+            "(forall y : Agent (implies (knows bob 1 (Q y)) (C5 y)))",
+            "(knows alice 1 (knows bob 1 (and (P alice) (Q alice))))",
+            "(not (C5 bob))",
+        ),
+        "(C5 alice)",
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", list(MODAL_RULES))
+def test_an_instance_whose_modal_a_rule_supports_is_built(rule):
+    texts, goal_text = MODAL_RULES[rule]
+    fs = [parse_formula(t, CORPUS_SIG) for t in texts]
+    goal = parse_formula(goal_text, CORPUS_SIG)
+    r = prove(fs, goal, sig=CORPUS_SIG)
+    assert r.status == "proof"
+    assert verify_proof(r.proof, fs, goal, CORPUS_SIG)
+    # at alice; the instance at bob is pure through its modal literal
+    assert (r.stats["grounding_instances"], r.stats["pure_instances"]) == (1, 1)
+    with pytest.MonkeyPatch.context() as mp:
+        modal_check_off(mp)
+        plain = prove(fs, goal, sig=CORPUS_SIG)
+    assert proof_print(plain) == proof_print(r)
+    assert plain.stats["grounding_instances"] == 2
+
+
+def test_an_instance_that_can_be_a_modal_formula_is_not_checked_for_its_modal():
+    # the instances of the outer quantifier are universal knows formulas,
+    # whose own instances S1 takes apart; no negative knows formula meets
+    # their modal, yet the proof needs (R alice bob)
+    texts = ("(forall x : Agent (forall y : Agent (knows x 1 (R x y))))", "(not (R alice bob))")
+    fs = [parse_formula(t, CORPUS_SIG) for t in texts]
+    goal = parse_formula("(rains)", CORPUS_SIG)
+    r = prove(fs, goal, sig=CORPUS_SIG)
+    assert r.status == "proof"
+    assert verify_proof(r.proof, fs, goal, CORPUS_SIG)
+    assert r.stats["pure_instances"] == 0
+
+
+def test_an_instance_holding_a_join_target_s4_can_join_is_built():
+    # the knows literals of the instances at alice and carol meet no
+    # complement, but S4 can join alice's from the two facts: that
+    # instance is built, and the closure derives every other record it
+    # derives with the check off
+    fs = [
+        parse_formula(t, CORPUS_SIG)
+        for t in (
+            "(forall y : Agent (or (C1 y) (knows bob 1 (and (P y) (Q y)))))",
+            "(knows bob 1 (P alice))",
+            "(knows bob 1 (Q alice))",
+            "(not (C1 alice))",
+            "(not (C1 carol))",
+        )
+    ]
+    goal = parse_formula("(rains)", CORPUS_SIG)
+    r = prove(fs, goal, sig=CORPUS_SIG)
+    with pytest.MonkeyPatch.context() as mp:
+        modal_check_off(mp)
+        plain = prove(fs, goal, sig=CORPUS_SIG)
+    assert r.status == plain.status == "no_proof"
+    assert r.stats["generated_clauses"] == plain.stats["generated_clauses"] > 0
+    assert (r.stats["grounding_instances"], plain.stats["grounding_instances"]) == (1, 2)
+    assert r.stats["expansion_size"] == plain.stats["expansion_size"] - 1
+
+
+@pytest.mark.parametrize("m", (0, 4, 8))
+def test_sim2s_obligation_search_builds_the_assailants_instances_only(m):
+    # the bridge at g_harm and, below it, at the assailant and moments 2
+    # and 3; every other victim's knows literals meet no fact, and extra
+    # effects add none
+    text = SIM2 if m == 0 else GUARDBENCH_TEXTS.sim2_extra_effects(SIM2, m)
+    sc = parse_scenario(text, f"sim2+{m}")
+    assumptions, _ = adjudication_theory(sc)
+    r = prove(assumptions, obligation_goal(sc), sig=sc.sig)
+    assert r.status == "proof"
+    assert r.stats["grounding_instances"] == 4
+    if m == 0:
+        assert r.stats["expansion_size"] == 36
