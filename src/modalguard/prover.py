@@ -70,46 +70,31 @@ anonymous element is named as a witness of its sort where the full
 closure has one.  Refutability is the same either way.
 
 Pure instances.  The term-level pure-literal rule runs on grounding
-instances before they are built.  Every literal a clause of the closure
-can hold outside a shadow atom is an instance of a literal of a kept
-root, at the same sign (_literals, _patterns): grounding substitutes
-constants and keeps each atom's sign, S1 brings out a knows body, whose
-atoms a root's walk takes at their sign in the body, S3 and S4 bring
-out parts of such bodies only, and clausifying puts variables or Skolem
-terms for bound variables.  Before _Prep builds a universal instance it
-fills the constant into the literals of the instance's must-set that
-are then ground (_Plan.must).  When one of them unifies
-(resolution.unify_atoms) with no literal of opposite sign of a kept
-root, the instance is pure and is not built.  Each of its clauses holds
-that ground literal, and it unifies with no complementary literal of
-any clause derived from the kept roots: a constant unifies with an
-instance of a variable only if its sort widens to the variable's.  So
-no clause of the instance, nor any clause derived from one, takes part
-in a refutation, and a clause such a clause subsumes takes part in none
-either.  Dropping clauses that take part in no refutation leaves the
-order in which the given-clause loop selects and combines the others
-unchanged, and the predicate-level passes below drop only such clauses
-too: the search ends the same way with the same proof, unless the
-clauses it no longer sees were what ran its budget out.  An instance
-derived from a pure one holds an instance of its pure literal, so the
-quantifiers below a pure instance are never ground.  A pure instance is
-not a modal formula (see below), so the modal expansion derives
-nothing from it; the constant it would add is in the domain already.
-The exception of pure roots holds for instances too: an instance whose
-join target has the skeleton of a conjunction a kept root uses is built
-anyway.  Substitution changes no skeleton, so the exception is decided
-once per record.
+instances before they are built.  Before _Prep builds a universal
+instance it checks the literals of the instance's must-set below no
+binder of the bound variable: its atoms (_Plan.atoms) and its maximal
+modal subformulas (_Plan.modals), each modal one shadow atom in every
+clause of the instance, named after the modal with its free variables
+as holes.  Every clause of the instance holds each such literal, with
+variables or Skolem terms for the variables bound below it.  An atom
+resolves only against an atom of the opposite sign that it unifies
+with, a shadow atom only against that of a modal of the opposite sign
+that is the same but where either holds a variable there.  Either way
+the two literals meet (_meet): they are alike, binders by position, but
+where either holds a variable, which meets any term, standing for
+whatever grounding, Skolem terms or unification put there.  Meeting
+ignores sorts, so it over-approximates sorted unification, which fails
+on two variables whose sorts meet only at a subsort (Goal lies below
+Event and Fluent) though their instances at a constant of it resolve.
 
-The maximal modal subformulas on the must-set are checked too
-(_Plan.modals).  Each is one shadow atom in every clause of the
-instance, named after the modal with its free variables as holes, so
-it resolves only against the shadow atom of a modal of the opposite
-sign that is the same but where either holds a variable there.  Such a
-modal meets (_meet) a modal of the kept roots or one the expansion
-derives from them, at that sign (_patterns):
-  - the roots' maximal modals outside modals, and those in knows
-    bodies at their sign in the body, as for atoms: grounding and
-    clausifying only put terms for variables;
+Every atom of a clause of the closure, and the modal of every shadow
+atom, meets a pattern of its sign, a literal that the kept roots or
+the expansion hold (_patterns):
+  - the roots' atoms and maximal modals outside modals, and those in
+    knows bodies at their sign in the body (_literals): grounding and
+    clausifying only put terms for variables and keep each literal's
+    sign, S1 brings out a knows body, and S3 and S4 bring out parts of
+    such bodies only;
   - M(a,t,s) for each positive epistemic modal record M(a,t,B) and
     each s that S4-split and S3 reach from B through conjuncts and
     implication consequents, where a record is a root that is a modal
@@ -118,33 +103,40 @@ derives from them, at that sign (_patterns):
 Expansion derives no negative modal, and no positive one but those and
 what S4-join and S2 build; so a negative modal is also supported when
 S4 can join it, every part M(a,t,p) being supported (_joinable), or
-when it is a believes formula whose knows twin is supported.  A modal
-of the must-set that is not supported at the instance's constant makes
-the instance pure, by the argument above.  The check fills nothing in:
-_met finds, once per plan, the names of the constants at which each
-modal meets a pattern, the hole meeting a pattern's constant there.
-Meeting is structural, binders by position, and a variable on either
-side meets any term: it stands for whatever grounding, Skolem terms or
-unification put there.  That over-approximates resolution and needs no
-sort intersection, which unify_atoms lacks: it fails on two variables
-whose sorts meet only at a subsort such as Goal, and would refuse an
-instance that is live.  Two exceptions keep instances the argument
-would drop.  A plan whose wrap(body) is a modal under its quantifiers
-takes no modal literal: its instances are modal formulas, whose
-expansion is not bound by their clauses.  And an instance that holds a
-join target S4 can join is built, so that no join is lost.  Then, but
-for the instances the modal check keeps out, those below them and the
-witnesses they would name, the closure is the one built without the
-check; and pure_formulas would drop those instances after shadowing, a
-shadow atom of the opposite sign meeting their pure modal otherwise.
-So the search sees the same clauses.
+when it is a believes formula whose knows twin is supported.  The check
+fills nothing in: _met finds, once per plan, the names of the constants
+at which a literal meets a pattern of the opposite sign, the hole
+meeting a pattern's constant there.
 
-Only the atoms ground but for the bound variable are checked.  Sorted
-unification binds a variable to a term of its sort or a subsort, so two
-variables of incomparable sorts never unify although their instances
-may meet at a common subsort (Goal lies below both Event and Fluent): a
-literal that holds a variable could be found pure when it is not.
-Meeting ignores sorts, so modals are checked whatever else they hold.
+A literal not supported at the instance's constant makes the instance
+pure, and it is not built: each of its clauses holds that literal,
+which meets no complementary literal of any clause derived from the
+kept roots.  So no clause of the instance, nor any clause derived from
+one, takes part in a refutation, and a clause such a clause subsumes
+takes part in none either.  Dropping clauses that take part in no
+refutation leaves the order in which the given-clause loop selects and
+combines the others unchanged, and the predicate-level passes below
+drop only such clauses too: the search ends the same way with the same
+proof, unless the clauses it no longer sees were what ran its budget
+out.  An instance derived from a pure one holds an instance of its pure
+literal, so the quantifiers below a pure instance are never ground.
+
+Three exceptions keep instances the argument would drop.  A plan whose
+wrap(body) is a modal under its quantifiers takes no modal literal, and
+has no atom on its must-set: its instances are modal formulas, whose
+expansion is not bound by their clauses.  A pure instance is therefore
+no modal formula, and the constant it would add is in the domain
+already.  The exception of pure roots holds for instances too: an
+instance whose join target has the skeleton of a conjunction a kept
+root uses is built anyway.  Substitution changes no skeleton, so that
+is decided once per record.  And an instance whose atoms are all
+supported, but a modal is not, is built when it holds a join target S4
+can join, so that no join is lost.  Then, but for the instances the
+modal literals keep out, those below them and the witnesses they would
+name, the closure is the one built with atoms checked alone; and
+pure_formulas would drop those instances after shadowing, a shadow atom
+of the opposite sign meeting their pure modal otherwise.  So the search
+sees the same clauses as with atoms checked alone.
 
 GROUNDING_INSTANCE_CAP counts the instances built, not the pure ones
 refused.  A search over a grounding cut short by the cap, or over
@@ -217,7 +209,7 @@ from .proofs import (
     RULE_RESOLVE,
     clause_to_formula,
 )
-from .resolution import Shape, pure_clauses, saturate, unify_atoms
+from .resolution import Shape, pure_clauses, saturate
 from .schemata import (
     Derivation,
     RULE_ASSUMPTION,
@@ -253,9 +245,7 @@ from .syntax import (
     maximal_modal_subformulas,
     subformulas,
     substitute,
-    substitute_term,
     symbol_names,
-    term_vars,
     unspoofed,
 )
 
@@ -285,8 +275,8 @@ class _Plan(NamedTuple):
     """How close() grounds a formula: wrap(body) with var replaced by a
     constant, derived by rule; over the whole domain when universal, by
     one fresh witness otherwise.  var is free in a modal subformula of
-    body.  must holds the literals of wrap(body)'s must-set that are
-    ground but for var, as (atom, positive); modals the maximal modal
+    body.  atoms holds the atoms of wrap(body)'s must-set below no
+    binder of var, as (atom, positive); modals the maximal modal
     subformulas on that must-set below no binder of var, as (modal,
     positive), none when wrap(body) is a modal under its quantifiers
     (see the module docstring)."""
@@ -296,7 +286,7 @@ class _Plan(NamedTuple):
     wrap: Callable[[Formula], Formula]
     rule: str
     universal: bool
-    must: tuple[tuple[Atom, bool], ...]
+    atoms: tuple[tuple[Atom, bool], ...]
     modals: tuple[tuple[Modal, bool], ...]
 
 
@@ -334,21 +324,17 @@ def _grounding_plan(f: Formula) -> Optional[_Plan]:
     if any(var in free_vars(m) for m in maximal_modal_subformulas(body)):
         f = wrap(body)
         core = _core(f)
-        must: dict[tuple[Atom, bool], None] = {}
+        atoms: list[tuple[Atom, bool]] = []
         modals: list[tuple[Modal, bool]] = []
         for lit, sign, top, bound in _literals(f):
-            if not top:
-                continue
             # below a binder of var itself, var is not the one filled in
+            if not top or var in bound:
+                continue
             if isinstance(lit, Atom):
-                held: list[Var] = []
-                for t in lit.args:
-                    term_vars(t, held)
-                if all(v == var and v not in bound for v in held):
-                    must[(lit, sign > 0)] = None
-            elif not isinstance(core, Modal) and var not in bound:
+                atoms.append((lit, sign > 0))
+            elif not isinstance(core, Modal):
                 modals.append((lit, sign > 0))
-        return _Plan(var, body, wrap, rule, universal, tuple(must), tuple(modals))
+        return _Plan(var, body, wrap, rule, universal, tuple(atoms), tuple(modals))
     return None
 
 
@@ -402,17 +388,15 @@ class _Prep:
         self.instances = 0
         self.pure = 0  # instances not built, being pure
         self.capped = False
-        # filled by the purity checks: the kept roots' literals and the
-        # modals the closure can hold (_patterns), whether a ground
-        # literal meets one of the opposite sign, by record key the
-        # constants at which every modal of its plan is supported and
-        # those at which S4 can join a join target of its plan, the
-        # conjunction skeletons the kept roots use (_joins), and whether
+        # filled by the purity check: the literals the closure can hold
+        # (_patterns); by record key the constants at which every atom
+        # and every modal of its plan is supported, as (atoms, modals),
+        # and those at which S4 can join a join target of its plan; the
+        # conjunction skeletons the kept roots use (_joins); and whether
         # the exception of _pure_roots builds the pure instances of a
         # record's plan anyway
         self.patterns: Optional[_Patterns] = None
-        self.supported: dict[tuple[Atom, bool], bool] = {}
-        self.met: dict[str, Names] = {}
+        self.met: dict[str, tuple[Names, Names]] = {}
         self.joined: dict[str, Names] = {}
         self.used: Optional[set[tuple]] = None
         self.exempt: dict[str, bool] = {}
@@ -491,43 +475,38 @@ class _Prep:
             self.patterns = _patterns(self.roots)
         return self.patterns
 
-    def _supported(self, atom: Atom, positive: bool) -> bool:
-        """Whether the ground literal unifies with a kept root's literal
-        of the opposite sign."""
-        known = self.supported.get((atom, positive))
-        if known is None:
-            known = self.supported[(atom, positive)] = any(
-                unify_atoms(atom, p, self.sig) is not None
-                for p in self._patterns().atoms.get((atom.pred, not positive), ())
-            )
-        return known
-
-    def _met(self, m: Modal, positive: bool, hole: Var) -> Names:
-        """The names of the constants c at which m, with hole filled by
-        c, is supported (see the module docstring)."""
+    def _met(self, lit: Atom | Modal, positive: bool, hole: Var) -> Names:
+        """The names of the constants c at which the literal, with hole
+        filled by c, is supported (see the module docstring)."""
         names: Names = frozenset()
-        for p in self._patterns().modals.get((m.op, not positive, _head(m.body)), ()):
+        for p in self._patterns().get(_index(lit, not positive), ()):
             need: set[str] = set()
-            if _meet(m, p, hole, need) and len(need) <= 1:
+            if _meet(lit, p, hole, need) and len(need) <= 1:
                 names = _either(names, frozenset(need) or None)
                 if names is None:
                     return None
-        if not positive and m.op in EPISTEMIC_OPS:
-            if isinstance(m.body, And):
-                names = _either(names, self._joinable(m, hole))
-            if m.op == BELIEVES:
+        if not positive and type(lit) is Modal and lit.op in EPISTEMIC_OPS:
+            if isinstance(lit.body, And):
+                names = _either(names, self._joinable(lit, hole))
+            if lit.op == BELIEVES:
                 # S2 derives it from its knows twin
-                twin = Modal(KNOWS, m.agent, m.time, m.body)
+                twin = Modal(KNOWS, lit.agent, lit.time, lit.body)
                 names = _either(names, self._met(twin, False, hole))
+        return names
+
+    def _met_all(self, lits: Iterable[tuple[Atom | Modal, bool]], hole: Var) -> Names:
+        """The names of the constants at which every literal, given as
+        (literal, positive), is supported."""
+        names: Names = None
+        for lit, positive in lits:
+            names = _both(names, self._met(lit, positive, hole))
         return names
 
     def _joinable(self, m: Modal, hole: Var) -> Names:
         """The names of the constants c at which S4 can join the join
         target m, with hole filled by c: every part is supported."""
-        names: Names = None
-        for part in m.body.parts:
-            names = _both(names, self._met(Modal(m.op, m.agent, m.time, part), False, hole))
-        return names
+        parts = [(Modal(m.op, m.agent, m.time, p), False) for p in m.body.parts]
+        return self._met_all(parts, hole)
 
     def _pure(self, key: str, c: Const) -> bool:
         """Whether the instance of record key's plan at c is pure: a
@@ -535,24 +514,19 @@ class _Prep:
         target it holds nor the exception of _pure_roots keeps it (see
         the module docstring)."""
         plan = self.plans[key]
-        if not plan.must and not plan.modals:
+        if not plan.atoms and not plan.modals:
             return False
-        hole = {plan.var: c}
-        if all(
-            self._supported(
-                Atom(a.pred, tuple(substitute_term(t, hole) for t in a.args)), positive
+        if key not in self.met:
+            self.met[key] = (
+                self._met_all(plan.atoms, plan.var),
+                self._met_all(plan.modals, plan.var),
             )
-            for a, positive in plan.must
-        ):
-            if key not in self.met:
-                names: Names = None
-                for m, positive in plan.modals:
-                    names = _both(names, self._met(m, positive, plan.var))
-                self.met[key] = names
-            if self.met[key] is None or c.name in self.met[key]:
+        atoms, modals = self.met[key]
+        if atoms is None or c.name in atoms:
+            if modals is None or c.name in modals:
                 return False
             if key not in self.joined:
-                names = frozenset()
+                names: Names = frozenset()
                 for g in subformulas(plan.wrap(plan.body)):
                     if is_join_target(g):
                         names = _either(names, self._joinable(g, plan.var))
@@ -679,14 +653,9 @@ def _polarity(f: Formula) -> tuple[Shape, Shape]:
     return frozenset(must), frozenset(shape)
 
 
-class _Patterns(NamedTuple):
-    """What the closure over some roots can hold: atoms by (predicate,
-    positive), each literal an instance of one, and modals by (operator,
-    positive, _head of the body), each maximal modal of a clause met by
-    one (see the module docstring)."""
-
-    atoms: dict[tuple[str, bool], list[Atom]]
-    modals: dict[tuple[str, bool, str], list[Modal]]
+# what the closure over some roots can hold, literals by _index: each
+# literal of a clause meets one under its index (see the module docstring)
+_Patterns = dict[tuple, list]
 
 
 def _head(f: Formula) -> str:
@@ -698,24 +667,24 @@ def _head(f: Formula) -> str:
     return type(f).__name__
 
 
+def _index(lit: Atom | Modal, positive: bool) -> tuple:
+    """Where _patterns files a literal: by its head and sign, a modal by
+    the head of its body too."""
+    if type(lit) is Modal:
+        return lit.op, positive, _head(lit.body)
+    return lit.pred, positive
+
+
 def _patterns(roots: Sequence[Formula]) -> _Patterns:
     """The roots' literals (_literals), and the epistemic modals S3 and
     S4-split derive (see the module docstring)."""
-    atoms: dict[tuple[str, bool], dict[Atom, None]] = {}
-    modals: dict[tuple[str, bool, str], list[Modal]] = {}
+    patterns: dict[tuple, dict[Atom | Modal, None]] = {}
     for f in roots:
         for lit, sign, _, _ in _literals(f):
-            if isinstance(lit, Atom):
-                if sign >= 0:
-                    atoms.setdefault((lit.pred, True), {})[lit] = None
-                if sign <= 0:
-                    atoms.setdefault((lit.pred, False), {})[lit] = None
-            else:
-                head = _head(lit.body)
-                if sign >= 0:
-                    modals.setdefault((lit.op, True, head), []).append(lit)
-                if sign <= 0:
-                    modals.setdefault((lit.op, False, head), []).append(lit)
+            if sign >= 0:
+                patterns.setdefault(_index(lit, True), {})[lit] = None
+            if sign <= 0:
+                patterns.setdefault(_index(lit, False), {})[lit] = None
     # the epistemic modal records: the roots that are one under their
     # quantifiers, what S1 brings out of a knows record, and what S3 and
     # S4-split derive from a record; each is a pattern already, or is
@@ -728,10 +697,10 @@ def _patterns(roots: Sequence[Formula]) -> _Patterns:
         for s in _reached(m.body):
             if s is not m.body:
                 product = Modal(m.op, m.agent, m.time, s)
-                modals.setdefault((m.op, True, _head(s)), []).append(product)
+                patterns.setdefault(_index(product, True), {})[product] = None
             if m.op == KNOWS and isinstance(s, Modal):
                 records.append(s)
-    return _Patterns({k: list(v) for k, v in atoms.items()}, modals)
+    return {k: list(v) for k, v in patterns.items()}
 
 
 def _reached(body: Formula) -> Iterator[Formula]:

@@ -14,6 +14,7 @@ it replaced gives.
 from __future__ import annotations
 
 import re
+from typing import Callable
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -35,19 +36,28 @@ from modalguard.models import entails
 from modalguard.parser import parse_formula
 from modalguard.proofs import verify_proof
 from modalguard.prover import prove
+from modalguard.resolution import unify_atoms
 from modalguard.scenario import parse_scenario
 from modalguard.syntax import (
+    ACTION,
+    ACTION_TYPE,
     AGENT,
+    EVENT,
+    FLUENT,
     GOAL,
+    App,
     Atom,
     Const,
     Implies,
+    Modal,
     Not,
     Signature,
+    Var,
     canonical_key,
     moment,
     print_formula,
     print_term,
+    substitute_term,
 )
 
 import corpus
@@ -179,12 +189,13 @@ def test_a_root_whose_instances_are_pure_changes_no_proof(variant, ante, cons, i
     assert with_root.stats["pure_instances"] > without.stats["pure_instances"]
 
 
-def test_a_literal_with_a_variable_is_not_checked():
+def test_a_literal_with_a_variable_meets_across_incomparable_sorts():
     # C lies below A and B, which are incomparable.  The instance at a1
     # of the first root holds (R x) with x : A, and the only literal of
     # opposite sign is (not (R z)) with z : B.  The two variables do not
-    # unify, yet resolution meets them at c1 : C; checked, the instance
-    # would be refused and the proof lost.
+    # unify, yet resolution meets them at c1 : C.  The check reads (R x)
+    # and finds it met, as meeting ignores sorts; were it refused by
+    # sorted unification, the instance and the proof would be lost.
     sig = Signature()
     sig.declare_sort("Thing")
     sig.declare_sort("A", ("Thing",))
@@ -620,8 +631,16 @@ def test_check_dde_asks_one_prove_per_effect_of_sim2_plus_4(monkeypatch):
 
 
 def modal_check_off(mp: pytest.MonkeyPatch) -> None:
-    """Take every modal literal for supported at every constant."""
-    mp.setattr(prover._Prep, "_met", lambda self, m, positive, hole: None)
+    """Take every modal literal for supported at every constant; atoms
+    are checked as before."""
+    met = prover._Prep._met
+    mp.setattr(
+        prover._Prep,
+        "_met",
+        lambda self, lit, positive, hole: (
+            None if isinstance(lit, Modal) else met(self, lit, positive, hole)
+        ),
+    )
 
 
 CORPUS_SIG = corpus.corpus_signature()
@@ -644,11 +663,9 @@ PREVENTIONS = (
 )
 
 
-def every_search() -> list[tuple]:
-    """The status, proof steps, generated clauses and grounding instances
-    of every search the guard runs on the scenario texts above, ablated
-    ones included, and on the prevention queries, and of every corpus
-    problem's."""
+def recorded(run: Callable[[], object]) -> list:
+    """The results of the searches the guard and the double-effect check
+    run for run(), in order."""
     results = []
 
     def recording(*args, **kwargs):
@@ -658,11 +675,24 @@ def every_search() -> list[tuple]:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(guard, "prove", recording)
         mp.setattr(ethics, "prove", recording)
+        run()
+    return results
+
+
+def every_search() -> list[tuple]:
+    """The status, proof steps, generated clauses and grounding instances
+    of every search the guard runs on the scenario texts above, ablated
+    ones included, and on the prevention queries, and of every corpus
+    problem's."""
+
+    def run() -> None:
         for i, text in enumerate((*EXACTNESS_TEXTS, *SIM1_ABLATED)):
             adjudicate(parse_scenario(text, f"case{i}"))
         for text, *names in PREVENTIONS:
             sc = parse_scenario(text, "prevention")
             prevents_holds(sc, *(Const(n, sc.sig.constants[n]) for n in names), 1)
+
+    results = recorded(run)
     for prob in corpus.PROBLEMS:
         fs, goal = prob.load(CORPUS_SIG)
         results.append(prove(fs, goal, sig=CORPUS_SIG))
@@ -682,6 +712,14 @@ def test_the_modal_check_changes_no_search():
         assert got[:3] == want[:3]
         assert got[3] <= want[3]
     assert sum(got[3] for got in checked) < sum(want[3] for want in plain)
+    # the whole check off: every instance is built, and each search ends
+    # the same way with the same proof; the generated clauses are not
+    # compared, as the search still combines the clauses of a pure
+    # instance, though no refutation uses them
+    with pytest.MonkeyPatch.context() as mp:
+        unchecked(mp)
+        built = every_search()
+    assert [got[:2] for got in checked] == [want[:2] for want in built]
 
 
 # Small theories over the corpus signature: the instance at alice holds
@@ -804,3 +842,81 @@ def test_sim2s_obligation_search_builds_the_assailants_instances_only(m):
     assert r.stats["grounding_instances"] == 4
     if m == 0:
         assert r.stats["expansion_size"] == 36
+
+
+# ---------------------------------------------------------------------------
+# the atom half of the purity check: an atom of an instance's must-set is
+# met as a modal is, whatever variables bound below it holds
+
+
+# Both ablations drop a prior fact that the prevention condition's
+# (prior t t1) and (prior t1 t2) need; t1 and t2 are bound below the
+# deprivation rule's outer quantifiers and the bridge's.  Without
+# (prior 1 2), (prior 1 t1) meets no fact, so no instance is built.
+# Without (prior 2 3), (prior 1 2) meets (prior 1 t1) at t1 = 2 only and
+# (prior t1 t2) at t1 = 1 only, so no instance at t1 is built.
+ATOM_PURE = {
+    # ablation: (obligation search's instances, prevention query's)
+    "no_prior_1_2": (0, 0),
+    "no_prior_2_3": (2, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(ATOM_PURE))
+def test_an_atom_holding_a_variable_bound_below_is_checked(name):
+    sc = parse_scenario(GUARDBENCH_TEXTS.sim1_ablation(SIM1, name), name)
+    assumptions, _ = adjudication_theory(sc)
+    obligation = prove(assumptions, obligation_goal(sc), sig=sc.sig)
+    names = ("shooter", "victim", "g_live", "fire")
+    [prevention] = recorded(
+        lambda: prevents_holds(sc, *(Const(n, sc.sig.constants[n]) for n in names), 1)
+    )
+    for r in (obligation, prevention):
+        assert r.status == "no_proof"
+    got = (obligation.stats["grounding_instances"], prevention.stats["grounding_instances"])
+    assert got == ATOM_PURE[name]
+
+
+# Event and Fluent are incomparable and share the subsort Goal, so
+# sorted unification fails on two variables of those sorts, though
+# their instances meet at a goal; meeting ignores sorts.
+HOLE_SORTS = (AGENT, EVENT, FLUENT, GOAL)
+MEET_SIG = Signature()
+MEET_CONSTS = (
+    Const("ag1", AGENT), Const("ag2", AGENT), Const("at1", ACTION_TYPE),
+    Const("e1", EVENT), Const("fl1", FLUENT), Const("g1", GOAL), Const("g2", GOAL),
+)
+
+
+def meet_atoms(variables: tuple[Var, ...]):
+    """Atoms (T s u) over the variables, the constants above and action
+    terms built from them."""
+    leaves = (*variables, *MEET_CONSTS)
+    agents = st.sampled_from([t for t in leaves if t.sort == AGENT])
+    types = st.sampled_from([t for t in leaves if t.sort == ACTION_TYPE])
+    terms = st.one_of(
+        st.sampled_from([t for t in leaves if t.sort not in (AGENT, ACTION_TYPE)]),
+        st.builds(lambda a, t: App("action", (a, t), ACTION), agents, types),
+    )
+    return st.builds(lambda s, u: Atom("T", (s, u)), terms, terms)
+
+
+INSTANCE_VARS = (Var("x", EVENT), Var("y", FLUENT), Var("p", AGENT), Var("a", ACTION_TYPE))
+PATTERN_VARS = (Var("u", EVENT), Var("v", FLUENT), Var("w", GOAL), Var("q", AGENT))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(HOLE_SORTS), st.data())
+def test_an_atom_that_unifies_at_a_constant_meets_there(sort, data):
+    # the pattern keeps each term of the filled atom or puts its own
+    hole = Var("h", sort)
+    atom = data.draw(meet_atoms((hole, *INSTANCE_VARS)))
+    c = data.draw(st.sampled_from([k for k in MEET_CONSTS if MEET_SIG.widens(k.sort, sort)]))
+    filled = Atom(atom.pred, tuple(substitute_term(t, {hole: c}) for t in atom.args))
+    own = data.draw(meet_atoms(PATTERN_VARS))
+    kept = data.draw(st.tuples(st.booleans(), st.booleans()))
+    pattern = Atom("T", tuple(f if k else o for f, o, k in zip(filled.args, own.args, kept)))
+    if unify_atoms(filled, pattern, MEET_SIG) is not None:
+        need: set[str] = set()
+        assert prover._meet(atom, pattern, hole, need)
+        assert need <= {c.name}
