@@ -13,42 +13,96 @@ would need modal rules applied underneath the negated goal are
 reported as no_proof rather than proved.
 
 Before grounding, two reductions make the work follow what the problem
-touches rather than the size of the signature.
+touches rather than the size of the signature: the purity check, on
+grounding instances and on the roots, and the domains.
 
-Pure roots.  The pure-literal fixpoint (resolution.pure_clauses) runs
-first on the root formulas, the assumptions and the negated goal, at
-predicate level (_pure_roots); the negated goal, which the reductio
-cites, is always kept.  A modal subformula adds nothing to a formula's
-must-set or shape (_polarity): its shadow atom is a predicate no
-ordinary formula holds, so it never makes a root pure, and
-pure_formulas still decides about it after shadowing.  S1 asserts the
-body of a knows formula, after S3 and S4 have taken it apart, and no
-rule asserts the body of any other modal, so the pairs of every knows
-body in a root join that root's shape.  A root is pure when a pair of
-its must-set has no complement left.  Grounding and substitution keep
-each predicate's sign, and expansion produces no predicate-level pair
-outside the shapes of the roots it starts from, so every clause of
-every formula derived from a pure root holds the pure pair, with no
-complement left: pure_formulas would delete it after shadowing.  A
-pure root is therefore never grounded, expanded or shadowed.  Witness
-names are still chosen clear of the names of every assumption.  The
-witness a pure root would introduce merges into an element of its sort
-or a subsort, which every domain holds (see Mentioned constants).
+Pure instances.  The term-level pure-literal rule runs on grounding
+instances before they are built.  Before _Prep builds a universal
+instance it checks the literals of the instance's must-set below no
+binder of the bound variable (_Plan.must, _must): its atoms and its
+maximal modal subformulas, each modal one shadow atom in every clause
+of the instance, named after the modal with its free variables as
+holes.  Every clause of the instance holds each such literal, with
+variables or Skolem terms for the variables bound below it.  An atom
+resolves only against an atom of the opposite sign that it unifies
+with, a shadow atom only against that of a modal of the opposite sign
+that is the same but where either holds a variable there.  Either way
+the two literals meet (_meet): they are alike, binders by position, but
+where either holds a variable, which meets any term, standing for
+whatever grounding, Skolem terms or unification put there.  Meeting
+ignores sorts, so it over-approximates sorted unification, which fails
+on two variables whose sorts meet only at a subsort (Goal lies below
+Event and Fluent) though their instances at a constant of it resolve.
 
-One thing of a pure root reaches further than its clauses, and a pure
-root that has it is kept after all: a join target.  The conjunction an
-S4 join builds from kept parts can serve a kept root, as the antecedent
-S3 looks up by body key, or as a part of a larger conjunction to join.
-Either way a kept root holds that conjunction inside a modal body.
-Where a kept root holds it as the whole body of a join target, the
-target is that root's own as well; and S1 brings out of a joined
-formula only the clauses of its parts.  So a pure root is kept when one
-of its targets' bodies has the skeleton (the formula with its terms
-erased) of a conjunction inside a kept root's modal body, other than a
-target's whole body (_joins).  Equal keys give equal skeletons,
-whatever grounding substitutes.  A root kept so counts for the others,
-so the fixpoint runs again until it keeps no more.  Adding to a problem
-a pure root that has no such target changes nothing else.
+Every atom of a clause of the closure, and the modal of every shadow
+atom, meets a pattern of its sign, a literal that the kept roots or
+the expansion hold (_supplies):
+  - the roots' atoms and maximal modals outside modals, and those in
+    knows bodies at their sign in the body (_literals): grounding and
+    clausifying only put terms for variables and keep each literal's
+    sign, S1 brings out a knows body, and S3 and S4 bring out parts of
+    such bodies only;
+  - M(a,t,s) for each positive epistemic modal record M(a,t,B) and
+    each s that S4-split and S3 reach from B through conjuncts and
+    implication consequents, where a record is a root that is a modal
+    under its quantifiers, a modal S1 brings out of a knows record, or
+    such an M(a,t,s).
+Expansion derives no negative modal, and no positive one but those and
+what S4-join and S2 build; so a negative modal is also supported when
+S4 can join it, every part M(a,t,p) being supported (_parts), or when
+it is a believes formula whose knows twin is supported.  The check
+fills nothing in: _met finds, once per plan, the names of the constants
+at which a literal meets a pattern of the opposite sign, the hole
+meeting a pattern's constant there.
+
+A literal not supported at the instance's constant makes the instance
+pure, and it is not built: each of its clauses holds that literal,
+which meets no complementary literal of any clause derived from the
+kept roots.  So no clause of the instance, nor any clause derived from
+one, takes part in a refutation, and a clause such a clause subsumes
+takes part in none either.  Dropping clauses that take part in no
+refutation leaves the order in which the given-clause loop selects and
+combines the others unchanged, and the predicate-level passes below
+drop only such clauses too: the search ends the same way with the same
+proof, unless the clauses it no longer sees were what ran its budget
+out.  An instance derived from a pure one holds an instance of its pure
+literal, so the quantifiers below a pure instance are never ground.
+
+Three exceptions keep formulas the argument would drop (_Purity._kept).
+The modal rules derive from knows and believes formulas only, so one
+that is such a modal under its quantifiers takes no modal literal, its
+expansion not being bound by its clauses; a desires, intends,
+perceives or obligated formula is one shadow atom, checked as an atom
+is.  A pure instance is therefore no epistemic modal formula, and the
+constant it would add is in the domain already.  Second, the
+conjunction an S4 join builds from kept parts can serve a kept root, as
+the antecedent S3 looks up by body key, or as a part of a larger
+conjunction to join; either way a kept root holds it inside a modal
+body, and where it is the whole body of a join target, the target is
+that root's own as well.  S1 brings out of a joined formula only the
+clauses of its parts.  So a formula is kept when one of its targets'
+bodies has the skeleton (the formula with its terms erased) of a
+conjunction inside a kept root's modal body, other than a target's
+whole body (_joins); substitution changes no skeleton.  Third, a
+formula whose atoms are all supported, but a modal is not, is kept
+when it holds a join target S4 can join, so that no join is lost.  Then, but for the formulas the
+modal literals keep out, those below them and the witnesses they would
+name, the closure is the one built with atoms checked alone; and
+pure_formulas would drop those formulas after shadowing, a shadow atom
+of the opposite sign meeting their pure modal otherwise.  So the search
+sees the same clauses as with atoms checked alone.
+
+Pure roots.  The same check runs first on the root formulas, the
+assumptions and the negated goal, with no hole (_pure_roots): a root
+goes when a literal of its must-set meets no pattern of the opposite
+sign among those the kept roots give, and no exception keeps it.  A
+root that goes gives no patterns, so the check runs again over the
+roots left until none goes; the negated goal, which the reductio cites,
+is always kept.  A root is its own instance, so the argument above
+holds as it stands, and a pure root is never grounded, expanded or
+shadowed.  Witness names are still chosen clear of the names of every
+assumption, and the witness a pure root would introduce merges into an
+element of its sort or a subsort, which every domain holds.
 
 Mentioned constants.  A domain holds the constants the closure
 mentions: those of the kept roots and the goal, and the witnesses.  It
@@ -69,75 +123,6 @@ the reduced set; the reduced set lies in the full one, once each
 anonymous element is named as a witness of its sort where the full
 closure has one.  Refutability is the same either way.
 
-Pure instances.  The term-level pure-literal rule runs on grounding
-instances before they are built.  Before _Prep builds a universal
-instance it checks the literals of the instance's must-set below no
-binder of the bound variable: its atoms (_Plan.atoms) and its maximal
-modal subformulas (_Plan.modals), each modal one shadow atom in every
-clause of the instance, named after the modal with its free variables
-as holes.  Every clause of the instance holds each such literal, with
-variables or Skolem terms for the variables bound below it.  An atom
-resolves only against an atom of the opposite sign that it unifies
-with, a shadow atom only against that of a modal of the opposite sign
-that is the same but where either holds a variable there.  Either way
-the two literals meet (_meet): they are alike, binders by position, but
-where either holds a variable, which meets any term, standing for
-whatever grounding, Skolem terms or unification put there.  Meeting
-ignores sorts, so it over-approximates sorted unification, which fails
-on two variables whose sorts meet only at a subsort (Goal lies below
-Event and Fluent) though their instances at a constant of it resolve.
-
-Every atom of a clause of the closure, and the modal of every shadow
-atom, meets a pattern of its sign, a literal that the kept roots or
-the expansion hold (_patterns):
-  - the roots' atoms and maximal modals outside modals, and those in
-    knows bodies at their sign in the body (_literals): grounding and
-    clausifying only put terms for variables and keep each literal's
-    sign, S1 brings out a knows body, and S3 and S4 bring out parts of
-    such bodies only;
-  - M(a,t,s) for each positive epistemic modal record M(a,t,B) and
-    each s that S4-split and S3 reach from B through conjuncts and
-    implication consequents, where a record is a root that is a modal
-    under its quantifiers, a modal S1 brings out of a knows record, or
-    such an M(a,t,s).
-Expansion derives no negative modal, and no positive one but those and
-what S4-join and S2 build; so a negative modal is also supported when
-S4 can join it, every part M(a,t,p) being supported (_joinable), or
-when it is a believes formula whose knows twin is supported.  The check
-fills nothing in: _met finds, once per plan, the names of the constants
-at which a literal meets a pattern of the opposite sign, the hole
-meeting a pattern's constant there.
-
-A literal not supported at the instance's constant makes the instance
-pure, and it is not built: each of its clauses holds that literal,
-which meets no complementary literal of any clause derived from the
-kept roots.  So no clause of the instance, nor any clause derived from
-one, takes part in a refutation, and a clause such a clause subsumes
-takes part in none either.  Dropping clauses that take part in no
-refutation leaves the order in which the given-clause loop selects and
-combines the others unchanged, and the predicate-level passes below
-drop only such clauses too: the search ends the same way with the same
-proof, unless the clauses it no longer sees were what ran its budget
-out.  An instance derived from a pure one holds an instance of its pure
-literal, so the quantifiers below a pure instance are never ground.
-
-Three exceptions keep instances the argument would drop.  A plan whose
-wrap(body) is a modal under its quantifiers takes no modal literal, and
-has no atom on its must-set: its instances are modal formulas, whose
-expansion is not bound by their clauses.  A pure instance is therefore
-no modal formula, and the constant it would add is in the domain
-already.  The exception of pure roots holds for instances too: an
-instance whose join target has the skeleton of a conjunction a kept
-root uses is built anyway.  Substitution changes no skeleton, so that
-is decided once per record.  And an instance whose atoms are all
-supported, but a modal is not, is built when it holds a join target S4
-can join, so that no join is lost.  Then, but for the instances the
-modal literals keep out, those below them and the witnesses they would
-name, the closure is the one built with atoms checked alone; and
-pure_formulas would drop those instances after shadowing, a shadow atom
-of the opposite sign meeting their pure modal otherwise.  So the search
-sees the same clauses as with atoms checked alone.
-
 GROUNDING_INSTANCE_CAP counts the instances built, not the pure ones
 refused.  A search over a grounding cut short by the cap, or over
 a modal expansion that refused a new formula for depth, is not complete:
@@ -155,26 +140,27 @@ bodies, antecedents and join-target parts it looks up.
 
 One theory, many goals.  prove works through a Premises, which keeps
 what it derives from the assumptions alone: each assumption's
-canonical key and constants, and the roots _pure_roots leaves out.
-Its pruning is cached under the negated goal's shape and the
-conjunction skeletons it uses (_joins).  That is exact: _pure_roots
-empties the negated goal's must-set, so never prunes it and never asks
-for its join targets, and reads nothing else of the goal and no
-signature.  Any other sequence is wrapped in a fresh Premises, so one
-question takes the same path; check_dde and epistemic_query
-hand one Premises to every goal they ask of one theory.  A goal the
-theory assumes takes the assumption route: before _Prep is built,
-prove looks among the kept assumptions for one keyed as the goal is,
-and answers with the first one's assumption step.  That is the proof
-the closure route would emit: _Prep.add records the first kept
+canonical key and constants, the first assumption of each key, filed
+by head, and the roots _pure_roots leaves out.  Any other sequence is
+wrapped in a fresh Premises, so one question takes the same path;
+check_dde and epistemic_query hand one Premises to every goal they ask
+of one theory.  A goal the theory assumes takes the assumption route
+before anything else is computed: prove answers with the assumption
+step of the first assumption keyed as the goal is (_assumed), keying
+only the assumptions with the goal's head.  That is the
+proof the closure route would emit: _Prep.add records the first kept
 assumption of each key under RULE_ASSUMPTION before anything is
-derived, and emit pulls in no witness step for it, since a witness is
-named apart from every assumption.  No such assumption is ever pruned.
-It has the goal's literals, so every pair of its must-set is a literal
-on the goal's top-level disjunction, outside any modal; that literal
-lies in Not(goal) at the other sign, so Not(goal)'s shape holds the
-pair's complement, and Not(goal) is never pruned.  The route keys no
-assumption that the closure would not key anyway.
+derived, emit pulls in no witness step for it, since a witness is
+named apart from every assumption, and that assumption is never
+pruned: each literal of its must-set lies on the goal's top-level
+disjunction, and Not(goal), always kept, holds it at the other sign.
+From a theory's second question on, its pruning is memoised under what
+the check reads of the negated goal: the literals it gives the patterns
+that meet a literal of an assumption's must-set, every positive
+epistemic modal it gives (what S4-join and S2 lookups read), and the
+conjunction skeletons it uses.  That is exact: the negated goal is
+never checked itself, so the check reads nothing else of it, and no
+signature.
 
 After shadowing, the formulas whose every clause the pure-literal rule
 would delete are dropped before they are clausified (pure_formulas), so
@@ -243,7 +229,6 @@ from .syntax import (
     domain_order,
     free_vars,
     maximal_modal_subformulas,
-    subformulas,
     substitute,
     symbol_names,
     unspoofed,
@@ -275,19 +260,15 @@ class _Plan(NamedTuple):
     """How close() grounds a formula: wrap(body) with var replaced by a
     constant, derived by rule; over the whole domain when universal, by
     one fresh witness otherwise.  var is free in a modal subformula of
-    body.  atoms holds the atoms of wrap(body)'s must-set below no
-    binder of var, as (atom, positive); modals the maximal modal
-    subformulas on that must-set below no binder of var, as (modal,
-    positive), none when wrap(body) is a modal under its quantifiers
-    (see the module docstring)."""
+    body.  must holds the literals of wrap(body)'s must-set that the
+    purity check reads (_must)."""
 
     var: Var
     body: Formula
     wrap: Callable[[Formula], Formula]
     rule: str
     universal: bool
-    atoms: tuple[tuple[Atom, bool], ...]
-    modals: tuple[tuple[Modal, bool], ...]
+    must: list[tuple[Atom | Modal, bool]]
 
 
 def _quantifier(
@@ -322,20 +303,24 @@ def _grounding_plan(f: Formula) -> Optional[_Plan]:
     if rule == RULE_EXISTS_ANTECEDENT and var in free_vars(f.right):
         return None
     if any(var in free_vars(m) for m in maximal_modal_subformulas(body)):
-        f = wrap(body)
-        core = _core(f)
-        atoms: list[tuple[Atom, bool]] = []
-        modals: list[tuple[Modal, bool]] = []
-        for lit, sign, top, bound in _literals(f):
-            # below a binder of var itself, var is not the one filled in
-            if not top or var in bound:
-                continue
-            if isinstance(lit, Atom):
-                atoms.append((lit, sign > 0))
-            elif not isinstance(core, Modal):
-                modals.append((lit, sign > 0))
-        return _Plan(var, body, wrap, rule, universal, tuple(atoms), tuple(modals))
+        g = wrap(body)
+        return _Plan(var, body, wrap, rule, universal, _must(g, _literals(g), var))
     return None
+
+
+def _must(f: Formula, lits: list, var: Optional[Var] = None) -> list[tuple[Atom | Modal, bool]]:
+    """The atoms and the maximal modal subformulas of f's must-set below
+    no binder of var, each as (literal, positive), from f's _literals; no
+    modal when f is an epistemic modal under its quantifiers (see the
+    module docstring)."""
+    core = _core(f)
+    epistemic = isinstance(core, Modal) and core.op in EPISTEMIC_OPS
+    return [
+        (lit, sign > 0)
+        for lit, sign, top, bound in lits
+        # below a binder of var itself, var is not the one filled in
+        if top and var not in bound and (isinstance(lit, Atom) or not epistemic)
+    ]
 
 
 def _same(g: Formula) -> Formula:
@@ -361,7 +346,77 @@ def _both(a: Names, b: Names) -> Names:
     return b if a is None else a if b is None else a & b
 
 
-class _Prep:
+class _Purity:
+    """The purity check over some kept roots (see the module docstring),
+    with what the closure over them can hold (_patterns) and the
+    conjunction skeletons they use (_joins)."""
+
+    def __init__(self, roots: Sequence[Formula], joins: Optional[dict[int, tuple]] = None):
+        self.roots = roots
+        self.patterns: Optional[_Patterns] = None
+        self.used: Optional[set[tuple]] = None
+        # id of a formula -> its _joins, shared by the passes of one fixpoint
+        self.joins = {} if joins is None else joins
+
+    def _joins(self, f: Formula) -> tuple[list[tuple[tuple, Modal]], set[tuple]]:
+        """_joins(f), found once per formula."""
+        if id(f) not in self.joins:
+            self.joins[id(f)] = _joins(f)
+        return self.joins[id(f)]
+
+    def _met(self, lit: Atom | Modal, positive: bool, hole: Optional[Var]) -> Names:
+        """The names of the constants c at which the literal, with hole
+        filled by c, is supported (see the module docstring)."""
+        if self.patterns is None:
+            self.patterns = _patterns(_supplies(f, _literals(f)) for f in self.roots)
+        names: Names = frozenset()
+        for p in self.patterns.get(_index(lit, not positive), ()):
+            need: set[str] = set()
+            if _meet(lit, p, hole, need) and len(need) <= 1:
+                names = _either(names, frozenset(need) or None)
+                if names is None:
+                    return None
+        if not positive and type(lit) is Modal and lit.op in EPISTEMIC_OPS:
+            if isinstance(lit.body, And):
+                names = _either(names, self._met_all(_parts(lit), hole))
+            if lit.op == BELIEVES:
+                # S2 derives it from its knows twin
+                twin = Modal(KNOWS, lit.agent, lit.time, lit.body)
+                names = _either(names, self._met(twin, False, hole))
+        return names
+
+    def _met_all(self, lits: Iterable[tuple[Atom | Modal, bool]], hole: Optional[Var]) -> Names:
+        """The names of the constants at which every literal, given as
+        (literal, positive), is supported."""
+        names: Names = None
+        for lit, positive in lits:
+            names = _both(names, self._met(lit, positive, hole))
+        return names
+
+    def _kept(self, f: Formula, must: Sequence, hole: Optional[Var]) -> Names:
+        """The names of the constants c at which f, with hole filled by c,
+        is not pure, must being f's must-set (_must): every literal is
+        supported, or every atom is and S4 can join a join target f holds;
+        every constant when a join target of f has the skeleton of a
+        conjunction a kept root uses (see the module docstring)."""
+        names = self._met_all([m for m in must if type(m[0]) is Atom], hole)
+        if names is None or names:
+            joined = self._met_all([m for m in must if type(m[0]) is Modal], hole)
+            if joined is not None:
+                for _, g in self._joins(f)[0]:
+                    joined = _either(joined, self._met_all(_parts(g), hole))
+            names = _both(names, joined)
+        # substitution changes no skeleton, so an instance has its record's
+        targets = self._joins(f)[0] if names is not None else None
+        if targets:
+            if self.used is None:
+                self.used = set().union(*(self._joins(g)[1] for g in self.roots))
+            if any(body in self.used for body, _ in targets):
+                return None
+        return names
+
+
+class _Prep(_Purity):
     """Grounding closure over one set of root formulas.
 
     A root formula is keyed by canonical_key.  A grounding instance at
@@ -372,15 +427,12 @@ class _Prep:
     key, found before the instance is built.
     """
 
-    def __init__(
-        self, sig: Signature, named: Sequence[Formula], roots: Sequence[Formula]
-    ):
+    def __init__(self, sig: Signature, named: Sequence[Formula], roots: Sequence[Formula]):
+        super().__init__(roots)
         self.sig = sig
         # insertion-ordered; modal expansion later extends it in place
         self.records: dict[str, Derivation] = {}
         self.named = named  # the assumptions, pruned ones included, and the goal
-        # the kept roots: each literal derived is an instance of theirs
-        self.roots = roots
         self.consts: set[Const] = set()
         # record key -> names of the constants it was grounded at
         self.done: dict[str, set[str]] = {}
@@ -388,18 +440,8 @@ class _Prep:
         self.instances = 0
         self.pure = 0  # instances not built, being pure
         self.capped = False
-        # filled by the purity check: the literals the closure can hold
-        # (_patterns); by record key the constants at which every atom
-        # and every modal of its plan is supported, as (atoms, modals),
-        # and those at which S4 can join a join target of its plan; the
-        # conjunction skeletons the kept roots use (_joins); and whether
-        # the exception of _pure_roots builds the pure instances of a
-        # record's plan anyway
-        self.patterns: Optional[_Patterns] = None
-        self.met: dict[str, tuple[Names, Names]] = {}
-        self.joined: dict[str, Names] = {}
-        self.used: Optional[set[tuple]] = None
-        self.exempt: dict[str, bool] = {}
+        # record key -> the constants its plan's instances are kept at
+        self.kept: dict[str, Names] = {}
         self.plans: dict[str, Optional[_Plan]] = {}
         self.domains: dict[str, list[Const]] = {}
         self.domains_at = 0  # len(consts) the cached domains were built from
@@ -470,78 +512,13 @@ class _Prep:
             dom = self.domains[sort] = domain_order(consts)
         return dom
 
-    def _patterns(self) -> _Patterns:
-        if self.patterns is None:
-            self.patterns = _patterns(self.roots)
-        return self.patterns
-
-    def _met(self, lit: Atom | Modal, positive: bool, hole: Var) -> Names:
-        """The names of the constants c at which the literal, with hole
-        filled by c, is supported (see the module docstring)."""
-        names: Names = frozenset()
-        for p in self._patterns().get(_index(lit, not positive), ()):
-            need: set[str] = set()
-            if _meet(lit, p, hole, need) and len(need) <= 1:
-                names = _either(names, frozenset(need) or None)
-                if names is None:
-                    return None
-        if not positive and type(lit) is Modal and lit.op in EPISTEMIC_OPS:
-            if isinstance(lit.body, And):
-                names = _either(names, self._joinable(lit, hole))
-            if lit.op == BELIEVES:
-                # S2 derives it from its knows twin
-                twin = Modal(KNOWS, lit.agent, lit.time, lit.body)
-                names = _either(names, self._met(twin, False, hole))
-        return names
-
-    def _met_all(self, lits: Iterable[tuple[Atom | Modal, bool]], hole: Var) -> Names:
-        """The names of the constants at which every literal, given as
-        (literal, positive), is supported."""
-        names: Names = None
-        for lit, positive in lits:
-            names = _both(names, self._met(lit, positive, hole))
-        return names
-
-    def _joinable(self, m: Modal, hole: Var) -> Names:
-        """The names of the constants c at which S4 can join the join
-        target m, with hole filled by c: every part is supported."""
-        parts = [(Modal(m.op, m.agent, m.time, p), False) for p in m.body.parts]
-        return self._met_all(parts, hole)
-
     def _pure(self, key: str, c: Const) -> bool:
-        """Whether the instance of record key's plan at c is pure: a
-        literal of its must-set meets no complement, and neither a join
-        target it holds nor the exception of _pure_roots keeps it (see
-        the module docstring)."""
-        plan = self.plans[key]
-        if not plan.atoms and not plan.modals:
-            return False
-        if key not in self.met:
-            self.met[key] = (
-                self._met_all(plan.atoms, plan.var),
-                self._met_all(plan.modals, plan.var),
-            )
-        atoms, modals = self.met[key]
-        if atoms is None or c.name in atoms:
-            if modals is None or c.name in modals:
-                return False
-            if key not in self.joined:
-                names: Names = frozenset()
-                for g in subformulas(plan.wrap(plan.body)):
-                    if is_join_target(g):
-                        names = _either(names, self._joinable(g, plan.var))
-                self.joined[key] = names
-            if self.joined[key] is None or c.name in self.joined[key]:
-                return False
-        exempt = self.exempt.get(key)
-        if exempt is None:
-            if self.used is None:
-                self.used = set().union(*(_joins(f)[1] for f in self.roots))
-            # substitution changes no skeleton of a formula, so the
-            # instance has the record's
-            f = self.records[key].formula
-            exempt = self.exempt[key] = bool(_joins(f)[0] & self.used)
-        return not exempt
+        """Whether the instance of record key's plan at c is pure (_kept)."""
+        if key not in self.kept:
+            plan = self.plans[key]
+            self.kept[key] = self._kept(self.records[key].formula, plan.must, plan.var)
+        names = self.kept[key]
+        return names is not None and c.name not in names
 
     def _instantiate(self, key: str, sort: str) -> bool:
         added = False
@@ -642,14 +619,10 @@ def _polarity(f: Formula) -> tuple[Shape, Shape]:
     must: set[tuple[str, bool]] = set()
     shape: set[tuple[str, bool]] = set()
     for atom, sign, top, _ in _literals(f):
-        if not isinstance(atom, Atom):
-            continue
-        if sign >= 0:
-            shape.add((atom.pred, True))
-        if sign <= 0:
-            shape.add((atom.pred, False))
-        if top:
-            must.add((atom.pred, sign > 0))
+        if isinstance(atom, Atom):
+            shape.update((atom.pred, s > 0) for s in (1, -1) if sign in (s, 0))
+            if top:
+                must.add((atom.pred, sign > 0))
     return frozenset(must), frozenset(shape)
 
 
@@ -675,32 +648,42 @@ def _index(lit: Atom | Modal, positive: bool) -> tuple:
     return lit.pred, positive
 
 
-def _patterns(roots: Sequence[Formula]) -> _Patterns:
-    """The roots' literals (_literals), and the epistemic modals S3 and
-    S4-split derive (see the module docstring)."""
-    patterns: dict[tuple, dict[Atom | Modal, None]] = {}
-    for f in roots:
-        for lit, sign, _, _ in _literals(f):
-            if sign >= 0:
-                patterns.setdefault(_index(lit, True), {})[lit] = None
-            if sign <= 0:
-                patterns.setdefault(_index(lit, False), {})[lit] = None
-    # the epistemic modal records: the roots that are one under their
-    # quantifiers, what S1 brings out of a knows record, and what S3 and
-    # S4-split derive from a record; each is a pattern already, or is
-    # added here
-    records = [g for g in map(_core, roots) if isinstance(g, Modal)]
+def _supplies(f: Formula, lits: list) -> list[tuple[tuple, Atom | Modal]]:
+    """What f gives the patterns, from f's _literals, as (index,
+    literal): its literals at each sign they take, and the epistemic
+    modals S3 and S4-split derive from it (see the module docstring)."""
+    out = [
+        (_index(lit, s > 0), lit) for lit, sign, _, _ in lits for s in (1, -1) if sign in (s, 0)
+    ]
+    # the epistemic modal records (see the module docstring): each is a
+    # pattern already, or is added here
+    records = [_core(f)]
     while records:
         m = records.pop()
-        if m.op not in EPISTEMIC_OPS:
+        if not isinstance(m, Modal) or m.op not in EPISTEMIC_OPS:
             continue
         for s in _reached(m.body):
             if s is not m.body:
                 product = Modal(m.op, m.agent, m.time, s)
-                patterns.setdefault(_index(product, True), {})[product] = None
-            if m.op == KNOWS and isinstance(s, Modal):
+                out.append((_index(product, True), product))
+            if m.op == KNOWS:
                 records.append(s)
-    return {k: list(v) for k, v in patterns.items()}
+    return out
+
+
+def _patterns(supplies: Iterable[list[tuple[tuple, Atom | Modal]]]) -> _Patterns:
+    """The literals some roots give (_supplies), filed by index."""
+    patterns: _Patterns = {}
+    for entries in supplies:
+        for index, lit in entries:
+            patterns.setdefault(index, []).append(lit)
+    return patterns
+
+
+def _parts(m: Modal) -> list[tuple[Modal, bool]]:
+    """The negated parts M(a,t,p) of the join target m, as (literal,
+    positive): S4 joins m from them."""
+    return [(Modal(m.op, m.agent, m.time, p), False) for p in m.body.parts]
 
 
 def _reached(body: Formula) -> Iterator[Formula]:
@@ -732,12 +715,8 @@ def _meet(f: Formula, p: Formula, hole: Optional[Var], need: set[str]) -> bool:
             and _meet(f.body, p.body, hole, need)
         )
     if kind is And or kind is Or:
-        if len(f.parts) != len(p.parts):
-            return False
-        for g, q in zip(f.parts, p.parts):
-            if not _meet(g, q, hole, need):
-                return False
-        return True
+        parts = zip(f.parts, p.parts)
+        return len(f.parts) == len(p.parts) and all(_meet(g, q, hole, need) for g, q in parts)
     if kind is Implies or kind is Iff:
         return _meet(f.left, p.left, hole, need) and _meet(f.right, p.right, hole, need)
     if kind is Not:
@@ -779,20 +758,20 @@ def pure_formulas(formulas: Sequence[Formula]) -> set[int]:
     formula holds that pair, and no clause of a kept formula holds its
     complement, so clause-level deletion removes all of them too; it
     keeps the same clauses whether or not it sees them.  prove() runs it
-    on the shadowed formulas; _pure_roots runs the same fixpoint on the
-    root formulas before grounding.
+    on the shadowed formulas.
     """
     polarities = [_polarity(f) for f in formulas]
     return pure_clauses([s for _, s in polarities], [m for m, _ in polarities])
 
 
-def _joins(f: Formula) -> tuple[set[tuple], set[tuple]]:
-    """The skeletons of f's join targets' bodies, and of the conjunctions
-    inside f's modal bodies but for the whole body of a join target:
-    where a formula joined by S4 can serve f (see the module docstring).
-    A skeleton is a formula with its terms erased, so formulas with one
-    canonical key have one skeleton, whatever grounding put into them."""
-    targets: set[tuple] = set()
+def _joins(f: Formula) -> tuple[list[tuple[tuple, Modal]], set[tuple]]:
+    """f's join targets, each as (the skeleton of its body, the target),
+    and the skeletons of the conjunctions inside f's modal bodies but for
+    the whole body of a join target: where a formula joined by S4 can
+    serve f (see the module docstring).  A skeleton is a formula with its
+    terms erased, so formulas with one canonical key have one skeleton,
+    whatever grounding put into them."""
+    targets: list[tuple[tuple, Modal]] = []
     uses: set[tuple] = set()
 
     def walk(g: Formula, inside: bool) -> tuple:
@@ -801,7 +780,7 @@ def _joins(f: Formula) -> tuple[set[tuple], set[tuple]]:
         if isinstance(g, Modal):
             if is_join_target(g):
                 body = ("And", *(walk(p, True) for p in g.body.parts))
-                targets.add(body)
+                targets.append((body, g))
             else:
                 body = walk(g.body, True)
             return (g.op, body)
@@ -819,77 +798,94 @@ def _joins(f: Formula) -> tuple[set[tuple], set[tuple]]:
 
 
 def _pure_roots(roots: Sequence[Formula]) -> set[int]:
-    """Indices of the roots prove() leaves out (see the module
-    docstring).  The last root, the negated goal, is always kept.  A
-    pure root is kept after all when one of its join targets has the
-    skeleton of a conjunction a kept root can use (_joins); it then
-    counts for the others, and the fixpoint runs again."""
-    polarities = [_polarity(f) for f in roots]
-    shapes = [s for _, s in polarities]
-    musts = [m for m, _ in polarities]
-    musts[-1] = frozenset()  # the reductio cites the negated goal
-    joins: Optional[list[tuple[set[tuple], set[tuple]]]] = None
+    """Indices of the roots prove() leaves out: those pure over the kept
+    roots (_Purity._kept, with no hole), until none is (see the module
+    docstring).  The last root, the negated goal, is always kept."""
+    lits = [_literals(f) for f in roots]
+    supplies = [_supplies(f, found) for f, found in zip(roots, lits)]
+    musts = [_must(f, found) for f, found in zip(roots, lits)]
+    joins: dict[int, tuple] = {}
+    kept = list(range(len(roots)))
     while True:
-        pruned = pure_clauses(shapes, musts)
-        if not pruned:
-            return pruned
-        if joins is None:
-            joins = [_joins(f) for f in roots]
-        used = set().union(*(u for i, (_, u) in enumerate(joins) if i not in pruned))
-        kept = {i for i in pruned if joins[i][0] & used}
-        if not kept:
-            return pruned
-        for i in kept:
-            musts[i] = frozenset()
+        check = _Purity([roots[i] for i in kept], joins)
+        check.patterns = _patterns(supplies[i] for i in kept)
+        pure = {i for i in kept[:-1] if check._kept(roots[i], musts[i], None) is not None}
+        if not pure:
+            return set(range(len(roots))).difference(kept)
+        kept = [i for i in kept if i not in pure]
 
 
-class Premises(Sequence[Formula]):
-    """A read-only sequence of assumption formulas that keeps what prove
-    derives from them alone, so that several goals asked of one theory
-    pay for it once: each assumption's canonical key and constants, and
-    the roots _pure_roots leaves out (see the module docstring)."""
+class Premises(tuple[Formula, ...]):
+    """A tuple of assumption formulas that keeps what prove derives from
+    them alone, so that several goals asked of one theory pay for it once:
+    each assumption's canonical key and constants, the first assumption
+    of each key, and the roots _pure_roots leaves out."""
 
     def __init__(self, formulas: Iterable[Formula]):
-        self._formulas = tuple(formulas)
         self._keyed: dict[int, tuple[str, list[Const]]] = {}
+        # head (_head) -> canonical key -> the first assumption so keyed
+        self._first: dict[str, dict[str, int]] = {}
+        # the first question's negated goal and pruning, not yet memoised
+        self._once: Optional[tuple[Formula, frozenset[int]]] = None
+        # the literals of the assumptions' must-sets, by the index they read
+        self._asked: Optional[dict[tuple, list[Atom | Modal]]] = None
         self._pruned: dict[tuple, frozenset[int]] = {}
-
-    def __len__(self) -> int:
-        return len(self._formulas)
-
-    def __getitem__(self, i):
-        return self._formulas[i]
-
-    def __iter__(self) -> Iterator[Formula]:
-        return iter(self._formulas)
 
     def keyed(self, i: int) -> tuple[str, list[Const]]:
         """The canonical key and the constants of assumption i; raises
         ValueError when the key holds a generated name (unspoofed)."""
-        got = self._keyed.get(i)
-        if got is None:
-            f = self._formulas[i]
-            got = self._keyed[i] = (unspoofed(canonical_key(f)), constants_in_formula(f))
-        return got
+        if i not in self._keyed:
+            self._keyed[i] = (unspoofed(canonical_key(self[i])), constants_in_formula(self[i]))
+        return self._keyed[i]
+
+    def first(self, key: str, head: str) -> Optional[int]:
+        """The first assumption keyed key, or None; only the assumptions
+        with head (_head), that of a formula keyed key, are keyed."""
+        if head not in self._first:
+            same = [i for i, f in enumerate(self) if _head(f) == head]
+            self._first[head] = {self.keyed(i)[0]: i for i in reversed(same)}
+        return self._first[head].get(key)
 
     def pruned(self, ng: Formula) -> frozenset[int]:
-        """_pure_roots over the assumptions and the negated goal ng.
-
-        Besides the assumptions, _pure_roots reads only ng's shape (its
-        must-set is emptied) and the conjunction skeletons ng uses (ng is
-        never pruned, so its join targets are never asked for); the two
-        are the key."""
-        memo = (_polarity(ng)[1], frozenset(_joins(ng)[1]))
+        """_pure_roots over the assumptions and the negated goal ng,
+        memoised from the second question on (see the module docstring)."""
+        if self._once is None:
+            self._once = (ng, frozenset(_pure_roots([*self, ng])))
+            return self._once[1]
+        if not self._pruned:
+            self._pruned[self._memo(self._once[0])] = self._once[1]
+        memo = self._memo(ng)
         got = self._pruned.get(memo)
         if got is None:
-            got = self._pruned[memo] = frozenset(_pure_roots([*self._formulas, ng]))
+            got = self._pruned[memo] = frozenset(_pure_roots([*self, ng]))
         return got
 
+    def _memo(self, ng: Formula) -> tuple:
+        """What _pure_roots reads of ng: the literals ng gives the patterns
+        that meet a literal of an assumption's must-set, the positive
+        epistemic modals it gives, which S4-join and S2 lookups read, and
+        the conjunction skeletons ng uses."""
+        if self._asked is None:
+            self._asked = {}
+            for lit, positive in (m for f in self for m in _must(f, _literals(f))):
+                self._asked.setdefault(_index(lit, not positive), []).append(lit)
+        read = frozenset(
+            (index, lit)
+            for index, lit in _supplies(ng, _literals(ng))
+            if type(lit) is Modal and lit.op in EPISTEMIC_OPS and index[1]
+            or any(_meet(a, lit, None, set()) for a in self._asked.get(index, ()))
+        )
+        return read, frozenset(_joins(ng)[1])
 
-def _assumed(premises: Premises, kept: Sequence[int], goal_key: str) -> Optional[int]:
-    """The first kept assumption keyed goal_key, or None: the assumption
-    route (see the module docstring)."""
-    return next((i for i in kept if premises.keyed(i)[0] == goal_key), None)
+
+def _assumed(premises: Premises, goal: Formula, sig: Signature) -> Optional[int]:
+    """The first assumption keyed as goal is, or None: the assumption
+    route (see the module docstring).  Raises ValueError as prove does,
+    for the goal and that assumption."""
+    i = premises.first(unspoofed(canonical_key(goal)), _head(goal))
+    if i is not None:
+        constant_sorts([premises.keyed(i)[1], constants_in_formula(goal)], sig.constants)
+    return i
 
 
 def prove(
@@ -900,10 +896,10 @@ def prove(
 ) -> ProveResult:
     """Search for a proof of goal from the assumptions.  Pass one
     Premises to ask several goals of one theory; any other sequence is
-    wrapped in a fresh Premises.  Raises ValueError when the goal, or a
-    kept assumption it keys, holds a name spelled like a shadow atom or
-    a skolem symbol (syntax.unspoofed), and when one name is a constant
-    of two sorts in sig, the goal and the assumptions a proof may cite
+    wrapped in a fresh Premises.  Raises ValueError when the goal, or an
+    assumption it keys, holds a name spelled like a shadow atom or a
+    skolem symbol (syntax.unspoofed), and when one name is a constant of
+    two sorts in sig, the goal and the assumptions a proof may cite
     (syntax.constant_sorts)."""
     budget = budget if budget is not None else Budget()
     sig = sig if sig is not None else Signature()
@@ -920,6 +916,10 @@ def prove(
             stats["limit"] = limit
         return ProveResult(status, proof, stats)
 
+    assumed = _assumed(premises, goal, sig)
+    if assumed is not None:
+        stats["route"] = "assumption"
+        return finish("proof", Proof((ProofStep(premises[assumed], RULE_ASSUMPTION, ()),)))
     # grounding closure over the kept assumptions and the negated goal
     # together; formulas rooted at the negated goal are all negations, so
     # the modal closure rules below never fire on that side
@@ -929,12 +929,7 @@ def prove(
     kept = [i for i in range(len(premises)) if i not in pruned]
     goal_key = unspoofed(canonical_key(goal))
     goal_consts = constants_in_formula(goal)
-    assumed = _assumed(premises, kept, goal_key)
-    used = kept if assumed is None else [assumed]
-    constant_sorts([*(premises.keyed(i)[1] for i in used), goal_consts], sig.constants)
-    if assumed is not None:
-        stats["route"] = "assumption"
-        return finish("proof", Proof((ProofStep(premises[assumed], RULE_ASSUMPTION, ()),)))
+    constant_sorts([*(premises.keyed(i)[1] for i in kept), goal_consts], sig.constants)
     prep = _Prep(sig, [*premises, goal], [*(premises[i] for i in kept), ng])
     for i in kept:
         key, consts = premises.keyed(i)
@@ -1011,12 +1006,10 @@ def prove(
             steps.append(
                 ProofStep(clause_to_formula(node.clause), RULE_CLAUSIFY, (src,))
             )
-        elif node.rule == "resolve":
-            prems = tuple(node_step[p] for p in node.parents)
-            steps.append(ProofStep(clause_to_formula(node.clause), RULE_RESOLVE, prems))
         else:
+            rule = RULE_RESOLVE if node.rule == "resolve" else RULE_FACTOR
             prems = tuple(node_step[p] for p in node.parents)
-            steps.append(ProofStep(clause_to_formula(node.clause), RULE_FACTOR, prems))
+            steps.append(ProofStep(clause_to_formula(node.clause), rule, prems))
         node_step[ni] = len(steps) - 1
 
     falsum_step = node_step[sat.empty_index]

@@ -81,11 +81,26 @@ def test_a_trajectory_runs_each_workload_at_three_seeds(monkeypatch, tmp_path):
     )
     monkeypatch.setattr(BT, "ROOT", tmp_path)
     monkeypatch.setattr(BT, "run", fake_run)
+    monkeypatch.setattr(BT, "counters", lambda: {"sim1+0": {"pruned_roots": 8}})
     assert BT.main(["--pr", "0"]) == 0
     assert calls == [("query_mix", 1), ("query_mix", 2), ("query_mix", 3)]
     record = json.loads((tmp_path / "BENCH_0.json").read_text())
-    assert record["schema"] == "bench-trajectory/2"
+    assert record["schema"] == "bench-trajectory/3"
+    assert record["counters"] == {"sim1+0": {"pruned_roots": 8}}
     assert record["seeds"] == [1, 2, 3]
     got = record["workloads"]["query_mix"]
     assert [r["seed"] for r in got["runs"]] == [1, 2, 3]
     assert got["median"]["verdicts_per_s"] == {"value": 52.0, "unit": "1/s"}
+
+
+def test_the_counters_are_the_same_over_two_runs():
+    first = BT.counters()
+    assert first == BT.counters()
+    assert list(first) == [f"{family}+{n}" for family, n in BT.COUNTED]
+    for counts in first.values():
+        assert counts["searches"]
+        assert set(BT.SUMMED) <= set(counts)
+    # the obligation search and the two C3 searches that prove nothing
+    # ground and expand the same closure whatever sim2's extra effects
+    sim2 = [first[f"sim2+{m}"] for m in (0, 8, 32)]
+    assert len({(c["grounding_instances"], c["expansion_size"]) for c in sim2}) == 1

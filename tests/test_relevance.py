@@ -37,7 +37,7 @@ from modalguard.parser import parse_formula
 from modalguard.proofs import verify_proof
 from modalguard.prover import prove
 from modalguard.resolution import unify_atoms
-from modalguard.scenario import parse_scenario
+from modalguard.scenario import Scenario, parse_scenario
 from modalguard.syntax import (
     ACTION,
     ACTION_TYPE,
@@ -61,7 +61,7 @@ from modalguard.syntax import (
 )
 
 import corpus
-from test_prover import answer, load_guardbench_texts
+from test_prover import answer, load_guardbench_texts, spy_preps
 
 SIM1 = load_guardbench_texts().bundled_text("sim1")
 FACTS_AT = "(facts\n"
@@ -129,6 +129,11 @@ def unchecked(mp: pytest.MonkeyPatch) -> None:
     mp.setattr(prover._Prep, "_pure", lambda self, key, c: False)
 
 
+def roots_kept(mp: pytest.MonkeyPatch) -> None:
+    """Switch the root check off: no root is left out."""
+    mp.setattr(prover, "_pure_roots", lambda roots: set())
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(sim1_family())
 def test_the_purity_check_changes_no_obligation_search(variant):
@@ -154,7 +159,10 @@ def test_the_purity_check_changes_no_obligation_search(variant):
 # Roots whose instances all hold a ground literal no other formula can
 # resolve away: (prior 3 1), never stated in the family, or a Block at
 # moment 3, which nothing asserts.  Each consequent is a modal with x in
-# it, so each root is grounded; some bring out more literals by S1.
+# it, so each root is grounded; some bring out more literals by S1.  The
+# root check would leave out such a root before its instances are
+# checked, and a fact that met (prior 3 1) would meet it in every
+# instance too, so both searches keep every root.
 UNSUPPORTED_ANTECEDENTS = ("(prior 3 1)", "(Block x x g_live fire 3)")
 CONSEQUENTS = (
     "(knows x 1 (innocent x))",
@@ -182,8 +190,10 @@ def test_a_root_whose_instances_are_pure_changes_no_proof(variant, ante, cons, i
     for old, new in renaming.items():
         root = renamed(root, old, new)
     extra = parse_formula(root, sc.sig)
-    without = prove(assumptions, goal, sig=sc.sig)
-    with_root = prove([*assumptions, extra], goal, sig=sc.sig)
+    with pytest.MonkeyPatch.context() as mp:
+        roots_kept(mp)
+        without = prove(assumptions, goal, sig=sc.sig)
+        with_root = prove([*assumptions, extra], goal, sig=sc.sig)
     assert proof_print(with_root) == proof_print(without)
     # every instance of the root is refused
     assert with_root.stats["pure_instances"] > without.stats["pure_instances"]
@@ -240,14 +250,17 @@ def test_a_pure_instance_is_built_for_a_join_target_a_kept_root_uses():
     assert {"S4-join", "S3"} <= {s.rule for s in r.proof.steps}
     assert r.stats["pure_instances"] == 0
     assert verify_proof(r.proof, fs, goal, sig)
-    # a target no kept root can use goes with its pure instances
+    # a target no kept root can use goes with its pure instances; the
+    # last fact meets the root's knows literal at bob, so the root itself
+    # is not pure
     fs[3] = parse_formula(
         "(forall y : Agent (or (C1 y) (knows y 1 (and (Q alice) (C2 alice)))))", sig
     )
+    fs.append(parse_formula("(not (knows bob 1 (and (Q alice) (C2 alice))))", sig))
     again = prove(fs, goal, sig=sig)
     assert again.status == "no_proof"
-    # at alice and bob, and at carol, where (C1 carol) meets a complement
-    # but the knows literal, which nothing holds negatively, meets none
+    # at alice and bob, where (C1 y) meets no complement, and at carol,
+    # where the knows literal meets none
     assert again.stats["pure_instances"] == 3
 
 
@@ -255,28 +268,30 @@ def test_a_pure_instances_witness_merges_into_the_anonymous_element_of_its_sort(
     sig = corpus.corpus_signature()
     sig.declare_sort("Tool")
     sig.declare_predicate("Sharp", ("Tool",))
+    # the last fact meets the first root's knows literal at bob, so the
+    # root itself is not pure
     fs = [parse_formula(t, sig) for t in (
         "(forall y : Agent (exists x : Tool (or (C1 y) (knows y 1 (Sharp x)))))",
         "(not (C1 carol))",
         "(forall x : Tool (knows alice 1 (Sharp x)))",
+        "(forall x : Tool (not (knows bob 1 (Sharp x))))",
     )]
     goal = parse_formula("(exists x : Tool (Sharp x))", sig)
     # Tool has no constant, so the domain gives it one anonymous
     # element; a pure instance's witness merges into it, and the
-    # instance is not built: at alice, and at carol, where (C1 carol)
-    # meets a complement but the knows literal, which nothing holds
-    # negatively, meets none
+    # instance is not built: at alice and bob, where (C1 y) meets no
+    # complement, and at carol, where the knows literal meets none
     r = prove(fs, goal, sig=sig)
     assert r.status == "proof"
-    assert r.stats["pure_instances"] == 2
+    assert r.stats["pure_instances"] == 3
     assert verify_proof(r.proof, fs, goal, sig)
     # with a declared Tool a witness merges into it, and the pure
     # instances go
     sig.declare_constant("wrench", "Tool")
     again = prove(fs, goal, sig=sig)
     assert again.status == "proof"
-    # at alice and carol, as above; the closure mentions no bob
-    assert again.stats["pure_instances"] == 2
+    # at alice, bob and carol, as above
+    assert again.stats["pure_instances"] == 3
 
 
 def test_a_variable_bound_again_below_is_not_filled():
@@ -458,8 +473,10 @@ def test_relevance_changes_no_intention_query(label):
             plain = prove(base, goal, sig=sc.sig)
         assert pruned.status == plain.status, print_formula(goal)
         assert pruned.status in ("proof", "no_proof")
-        # the filters were on in one search and off in the other
-        assert pruned.stats["pruned_roots"] > 0 == plain.stats["pruned_roots"]
+        # the filters were on in one search and off in the other; the
+        # assumption route is answered before any pruning
+        if pruned.stats.get("route") != "assumption":
+            assert pruned.stats["pruned_roots"] > 0 == plain.stats["pruned_roots"]
         for r in (pruned, plain):
             if r.status == "proof":
                 assert verify_proof(r.proof, base, goal, sc.sig)
@@ -527,10 +544,10 @@ def test_one_premises_answers_every_c3_goal_of_sim1_as_fresh_calls(variant):
 
 
 def test_one_premises_prunes_each_guard_goal_as_a_fresh_call():
-    # an intention goal and the obligation goal negate a modal, which
-    # adds nothing to their shape; the prevention condition's negation
-    # holds prior negatively, so it keeps the prior facts the other two
-    # leave out
+    # the intention goal is assumed, so it takes the assumption route,
+    # which prunes nothing; the prevention condition's negation holds
+    # prior negatively, so it keeps prior facts the obligation goal
+    # leaves out
     sc = parse_scenario(SIM1, "sim1")
     assumptions, _ = base_theory(sc)
     req = sc.request
@@ -542,12 +559,15 @@ def test_one_premises_prunes_each_guard_goal_as_a_fresh_call():
         obligation_goal(sc),
     )
     premises = prover.Premises(assumptions)
-    pruned = []
+    routes, pruned = [], []
     for goal in goals:
         shared = prove(premises, goal, sig=sc.sig)
         assert answer(shared) == answer(prove(list(assumptions), goal, sig=sc.sig))
-        pruned.append(shared.stats["pruned_roots"])
-    assert pruned[1] < pruned[0] == pruned[2]
+        routes.append(shared.stats.get("route"))
+        if routes[-1] != "assumption":
+            pruned.append(shared.stats["pruned_roots"])
+    assert routes[0] == "assumption"
+    assert pruned[0] < pruned[1]
 
 
 def test_check_dde_prunes_the_roots_of_its_theory_once(monkeypatch):
@@ -841,7 +861,7 @@ def test_sim2s_obligation_search_builds_the_assailants_instances_only(m):
     assert r.status == "proof"
     assert r.stats["grounding_instances"] == 4
     if m == 0:
-        assert r.stats["expansion_size"] == 36
+        assert r.stats["expansion_size"] == 32
 
 
 # ---------------------------------------------------------------------------
@@ -920,3 +940,84 @@ def test_an_atom_that_unifies_at_a_constant_meets_there(sort, data):
         need: set[str] = set()
         assert prover._meet(atom, pattern, hole, need)
         assert need <= {c.name}
+
+
+# ---------------------------------------------------------------------------
+# the root check: a root goes when a literal of its must-set meets no
+# pattern of the kept roots, as a grounding instance does
+
+
+def test_the_root_check_changes_no_search():
+    checked = every_search()
+    with pytest.MonkeyPatch.context() as mp:
+        roots_kept(mp)
+        plain = every_search()
+    assert len(checked) == len(plain) > 180
+    for got, want in zip(checked, plain):
+        assert got[:2] == want[:2]
+        assert (got[2] or 0) <= (want[2] or 0)
+        assert got[3] <= want[3]
+
+
+def test_an_intention_nothing_holds_negatively_is_left_out_as_a_root():
+    # an inert modal fact is one shadow atom in its only clause; no other
+    # formula holds (intends bob 1 ...) negatively, so it goes as a root
+    fs = [parse_formula(t, CORPUS_SIG) for t in (
+        "(implies (P alice) (Q alice))",
+        "(P alice)",
+        "(intends bob 1 (P alice))",
+    )]
+    goal = parse_formula("(Q alice)", CORPUS_SIG)
+    r = prove(fs, goal, sig=CORPUS_SIG)
+    assert r.status == "proof"
+    assert r.stats["pruned_roots"] == 1
+    assert verify_proof(r.proof, fs, goal, CORPUS_SIG)
+    with pytest.MonkeyPatch.context() as mp:
+        roots_kept(mp)
+        plain = prove(fs, goal, sig=CORPUS_SIG)
+    assert proof_print(plain) == proof_print(r)
+
+
+def sim2_plus(m: int) -> Scenario:
+    text = SIM2 if m == 0 else GUARDBENCH_TEXTS.sim2_extra_effects(SIM2, m)
+    return parse_scenario(text, f"sim2+{m}")
+
+
+def test_sim2s_searches_do_not_grow_with_its_effects():
+    # sim2 + m adds intention facts that only the C3 goals read; the
+    # obligation search keeps the same roots and expands the same
+    # closure, and so do the two C3 searches that end in no_proof
+    counts = []
+    for m in (0, 8, 32):
+        sc = sim2_plus(m)
+        theory, _ = adjudication_theory(sc)
+        obligation, *c3 = recorded(lambda: adjudicate(sc))
+        no_proof = [r.stats["expansion_size"] for r in c3 if r.status == "no_proof"]
+        assert len(no_proof) == 2
+        kept = len(theory) + 1 - obligation.stats["pruned_roots"]
+        counts.append((kept, obligation.stats["expansion_size"], *no_proof))
+    assert counts[0] == counts[1] == counts[2]
+
+
+def test_an_adjudication_of_sim2_grounds_three_searches_and_keys_linearly(monkeypatch):
+    # every C3 goal but two is assumed; the assumption route builds no
+    # closure, and keys each assumption with the goal's head once
+    preps = spy_preps(monkeypatch)
+    keyed = prover.Premises.keyed
+    calls = [0]
+
+    def counting(self, i):
+        calls[0] += 1
+        return keyed(self, i)
+
+    monkeypatch.setattr(prover.Premises, "keyed", counting)
+    per_assumption = []
+    for m in (0, 8, 32):
+        sc = sim2_plus(m)
+        theory, _ = adjudication_theory(sc)
+        preps.clear()
+        calls[0] = 0
+        adjudicate(sc)
+        assert len(preps) == 3
+        per_assumption.append(calls[0] / len(theory))
+    assert per_assumption[2] <= per_assumption[1] <= per_assumption[0]

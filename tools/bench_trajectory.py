@@ -16,11 +16,20 @@ the CPU count, the seconds and the seeds of the runs, and each
 workload's runs and medians; later changes compare against the latest
 such file.  Exit status is 0 when every run succeeded and answered
 correctly, 1 otherwise (no file is written then).
+
+The file also holds a counters section, taken in-process apart from the
+timed runs: for one adjudication of each scenario in COUNTED, the
+searches the guard and the double-effect check run, by route (or by
+status, for a search that proves nothing), and the sums of their
+pruned roots, grounding instances, expansion sizes and generated
+clauses.  The counts do not depend on the host, so two files compare
+them directly.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -29,9 +38,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-SCHEMA = "bench-trajectory/2"
+SCHEMA = "bench-trajectory/3"
 SEEDS = (1, 2, 3)
 ROOT = Path(__file__).resolve().parent.parent
+# the counted scenarios: sim2 plus m extra effects, and sim1 plus k idle
+# agents and goals
+COUNTED = (("sim2", 0), ("sim2", 8), ("sim2", 32), ("sim1", 0), ("sim1", 16), ("sim1", 64))
+# the ProveResult.stats entries the counters sum
+SUMMED = ("pruned_roots", "grounding_instances", "expansion_size", "generated_clauses")
 
 
 class RunFailed(Exception):
@@ -84,6 +98,48 @@ def run(workload: str, seed: int, seconds: float, end_to_end: list[str]) -> dict
     return fold(workload, proc.stdout, end_to_end)
 
 
+def counters(root: Path = ROOT) -> dict:
+    """The counters section (see the module docstring), from the
+    checkout at root: the searches are read from ProveResult.stats
+    through the guard's and the double-effect check's prove bindings."""
+    if str(root / "src") not in sys.path:
+        sys.path.insert(0, str(root / "src"))
+    from modalguard import ethics, guard
+    from modalguard.scenario import parse_scenario
+
+    path = root / "guardbench" / "texts.py"
+    spec = importlib.util.spec_from_file_location("guardbench_texts", path)
+    texts = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(texts)
+    prove = guard.prove
+    results: list = []
+
+    def recording(*args, **kwargs):
+        results.append(prove(*args, **kwargs))
+        return results[-1]
+
+    section = {}
+    guard.prove = ethics.prove = recording
+    try:
+        for family, n in COUNTED:
+            # the m = 0 and k = 0 edits leave the bundled text as it is
+            edit = texts.sim2_extra_effects if family == "sim2" else texts.sim1_idle
+            text = edit(texts.bundled_text(family), n)
+            results.clear()
+            guard.adjudicate(parse_scenario(text, f"{family}+{n}"))
+            routes: dict[str, int] = {}
+            for r in results:
+                route = r.stats.get("route", r.status)
+                routes[route] = routes.get(route, 0) + 1
+            section[f"{family}+{n}"] = {
+                "searches": dict(sorted(routes.items())),
+                **{k: sum(r.stats.get(k, 0) for r in results) for k in SUMMED},
+            }
+    finally:
+        guard.prove = ethics.prove = prove
+    return section
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--pr", required=True, help="number in the file name BENCH_<pr>.json")
@@ -111,6 +167,7 @@ def main(argv: list[str] | None = None) -> int:
         "seconds": seconds,
         "seeds": list(SEEDS),
         "workloads": workloads,
+        "counters": counters(),
     }
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out.name}")
