@@ -141,26 +141,25 @@ bodies, antecedents and join-target parts it looks up.
 One theory, many goals.  prove works through a Premises, which keeps
 what it derives from the assumptions alone: each assumption's
 canonical key and constants, the first assumption of each key, filed
-by head, and the roots _pure_roots leaves out.  Any other sequence is
-wrapped in a fresh Premises, so one question takes the same path;
-check_dde and epistemic_query hand one Premises to every goal they ask
-of one theory.  A goal the theory assumes takes the assumption route
-before anything else is computed: prove answers with the assumption
-step of the first assumption keyed as the goal is (_assumed), keying
-only the assumptions with the goal's head.  That is the
-proof the closure route would emit: _Prep.add records the first kept
-assumption of each key under RULE_ASSUMPTION before anything is
+by head, and what the purity check reads of each assumption (_read):
+what it gives the patterns, its must-set, its join targets and the
+conjunction skeletons it uses, from one _literals walk.  Any other
+sequence is wrapped in a fresh Premises, so one question takes the
+same path; check_dde and epistemic_query hand one Premises to every
+goal they ask of one theory.  A goal the theory assumes takes the
+assumption route before anything else is computed: prove answers with
+the assumption step of the first assumption keyed as the goal is
+(_assumed), keying only the assumptions with the goal's head.  That is
+the proof the closure route would emit: _Prep.add records the first
+kept assumption of each key under RULE_ASSUMPTION before anything is
 derived, emit pulls in no witness step for it, since a witness is
 named apart from every assumption, and that assumption is never
 pruned: each literal of its must-set lies on the goal's top-level
 disjunction, and Not(goal), always kept, holds it at the other sign.
-From a theory's second question on, its pruning is memoised under what
-the check reads of the negated goal: the literals it gives the patterns
-that meet a literal of an assumption's must-set, every positive
-epistemic modal it gives (what S4-join and S2 lookups read), and the
-conjunction skeletons it uses.  That is exact: the negated goal is
-never checked itself, so the check reads nothing else of it, and no
-signature.
+Any other question reads its negated goal once, runs the root check
+over the reads, and hands the kept roots' reads to _Prep, whose
+patterns, root join targets and skeletons come from them.  Nothing a
+question derives from its goal is kept for the next.
 
 After shadowing, the formulas whose every clause the pure-literal rule
 would delete are dropped before they are clausified (pure_formulas), so
@@ -346,29 +345,38 @@ def _both(a: Names, b: Names) -> Names:
     return b if a is None else a if b is None else a & b
 
 
-class _Purity:
-    """The purity check over some kept roots (see the module docstring),
-    with what the closure over them can hold (_patterns) and the
-    conjunction skeletons they use (_joins)."""
+class _Read(NamedTuple):
+    """What the purity check reads of one root formula: what it gives the
+    patterns (_supplies), its must-set with no hole (_must), and its join
+    targets and the conjunction skeletons it uses (_joins)."""
 
-    def __init__(self, roots: Sequence[Formula], joins: Optional[dict[int, tuple]] = None):
-        self.roots = roots
+    supplies: list[tuple[tuple, Atom | Modal]]
+    must: list[tuple[Atom | Modal, bool]]
+    targets: list[tuple[tuple, Modal]]
+    uses: set[tuple]
+
+
+def _read(f: Formula) -> _Read:
+    """What the purity check reads of root f, from one _literals walk."""
+    lits = _literals(f)
+    return _Read(_supplies(f, lits), _must(f, lits), *_joins(f))
+
+
+class _Purity:
+    """The purity check over some kept roots, given by their reads (see
+    the module docstring), with what the closure over them can hold
+    (_patterns) and the conjunction skeletons they use."""
+
+    def __init__(self, reads: Iterable[_Read]):
+        self.reads = reads
         self.patterns: Optional[_Patterns] = None
         self.used: Optional[set[tuple]] = None
-        # id of a formula -> its _joins, shared by the passes of one fixpoint
-        self.joins = {} if joins is None else joins
-
-    def _joins(self, f: Formula) -> tuple[list[tuple[tuple, Modal]], set[tuple]]:
-        """_joins(f), found once per formula."""
-        if id(f) not in self.joins:
-            self.joins[id(f)] = _joins(f)
-        return self.joins[id(f)]
 
     def _met(self, lit: Atom | Modal, positive: bool, hole: Optional[Var]) -> Names:
         """The names of the constants c at which the literal, with hole
         filled by c, is supported (see the module docstring)."""
         if self.patterns is None:
-            self.patterns = _patterns(_supplies(f, _literals(f)) for f in self.roots)
+            self.patterns = _patterns(r.supplies for r in self.reads)
         names: Names = frozenset()
         for p in self.patterns.get(_index(lit, not positive), ()):
             need: set[str] = set()
@@ -393,24 +401,24 @@ class _Purity:
             names = _both(names, self._met(lit, positive, hole))
         return names
 
-    def _kept(self, f: Formula, must: Sequence, hole: Optional[Var]) -> Names:
-        """The names of the constants c at which f, with hole filled by c,
-        is not pure, must being f's must-set (_must): every literal is
-        supported, or every atom is and S4 can join a join target f holds;
-        every constant when a join target of f has the skeleton of a
-        conjunction a kept root uses (see the module docstring)."""
+    def _kept(self, must: Sequence, targets: Sequence, hole: Optional[Var]) -> Names:
+        """The names of the constants c at which a formula, with hole
+        filled by c, is not pure, must being its must-set (_must) and
+        targets its join targets (_joins): every literal is supported, or
+        every atom is and S4 can join a join target it holds; every
+        constant when a join target has the skeleton of a conjunction a
+        kept root uses (see the module docstring)."""
         names = self._met_all([m for m in must if type(m[0]) is Atom], hole)
         if names is None or names:
             joined = self._met_all([m for m in must if type(m[0]) is Modal], hole)
             if joined is not None:
-                for _, g in self._joins(f)[0]:
+                for _, g in targets:
                     joined = _either(joined, self._met_all(_parts(g), hole))
             names = _both(names, joined)
         # substitution changes no skeleton, so an instance has its record's
-        targets = self._joins(f)[0] if names is not None else None
-        if targets:
+        if targets and names is not None:
             if self.used is None:
-                self.used = set().union(*(self._joins(g)[1] for g in self.roots))
+                self.used = set().union(*(r.uses for r in self.reads))
             if any(body in self.used for body, _ in targets):
                 return None
         return names
@@ -427,8 +435,10 @@ class _Prep(_Purity):
     key, found before the instance is built.
     """
 
-    def __init__(self, sig: Signature, named: Sequence[Formula], roots: Sequence[Formula]):
-        super().__init__(roots)
+    def __init__(self, sig: Signature, named: Sequence[Formula]):
+        # root key -> its read; the check reads the roots added so far
+        self.roots: dict[str, _Read] = {}
+        super().__init__(self.roots.values())
         self.sig = sig
         # insertion-ordered; modal expansion later extends it in place
         self.records: dict[str, Derivation] = {}
@@ -448,11 +458,13 @@ class _Prep(_Purity):
         # names of the declared constants a domain left out
         self.left_out: set[str] = set()
 
-    def add(self, key: str, f: Formula, rule: str, consts: Sequence[Const]) -> None:
-        """Record root formula f under its canonical key, with its constants."""
+    def add(self, key: str, f: Formula, rule: str, consts: Sequence[Const], read: _Read) -> None:
+        """Record root formula f under its canonical key, with its
+        constants and its read."""
         if key not in self.records:
             self.records[key] = Derivation(f, rule, (), 0)
             self.consts.update(consts)
+            self.roots[key] = read
 
     def _add_instance(self, key: str, c: Const) -> str:
         """Add the instance of record key's plan at c; its key."""
@@ -516,7 +528,9 @@ class _Prep(_Purity):
         """Whether the instance of record key's plan at c is pure (_kept)."""
         if key not in self.kept:
             plan = self.plans[key]
-            self.kept[key] = self._kept(self.records[key].formula, plan.must, plan.var)
+            read = self.roots.get(key)
+            targets = read.targets if read else _joins(self.records[key].formula)[0]
+            self.kept[key] = self._kept(plan.must, targets, plan.var)
         names = self.kept[key]
         return names is not None and c.name not in names
 
@@ -797,21 +811,19 @@ def _joins(f: Formula) -> tuple[list[tuple[tuple, Modal]], set[tuple]]:
     return targets, uses
 
 
-def _pure_roots(roots: Sequence[Formula]) -> set[int]:
-    """Indices of the roots prove() leaves out: those pure over the kept
-    roots (_Purity._kept, with no hole), until none is (see the module
-    docstring).  The last root, the negated goal, is always kept."""
-    lits = [_literals(f) for f in roots]
-    supplies = [_supplies(f, found) for f, found in zip(roots, lits)]
-    musts = [_must(f, found) for f, found in zip(roots, lits)]
-    joins: dict[int, tuple] = {}
-    kept = list(range(len(roots)))
+def _pure_roots(reads: Sequence[_Read]) -> set[int]:
+    """Indices of the roots prove() leaves out, given by their reads:
+    those pure over the kept roots (_Purity._kept, with no hole), until
+    none is (see the module docstring).  The last root, the negated goal,
+    is always kept."""
+    kept = list(range(len(reads)))
     while True:
-        check = _Purity([roots[i] for i in kept], joins)
-        check.patterns = _patterns(supplies[i] for i in kept)
-        pure = {i for i in kept[:-1] if check._kept(roots[i], musts[i], None) is not None}
+        check = _Purity([reads[i] for i in kept])
+        pure = {
+            i for i in kept[:-1] if check._kept(reads[i].must, reads[i].targets, None) is not None
+        }
         if not pure:
-            return set(range(len(roots))).difference(kept)
+            return set(range(len(reads))).difference(kept)
         kept = [i for i in kept if i not in pure]
 
 
@@ -819,17 +831,13 @@ class Premises(tuple[Formula, ...]):
     """A tuple of assumption formulas that keeps what prove derives from
     them alone, so that several goals asked of one theory pay for it once:
     each assumption's canonical key and constants, the first assumption
-    of each key, and the roots _pure_roots leaves out."""
+    of each key, and what the purity check reads of each (_read)."""
 
     def __init__(self, formulas: Iterable[Formula]):
         self._keyed: dict[int, tuple[str, list[Const]]] = {}
         # head (_head) -> canonical key -> the first assumption so keyed
         self._first: dict[str, dict[str, int]] = {}
-        # the first question's negated goal and pruning, not yet memoised
-        self._once: Optional[tuple[Formula, frozenset[int]]] = None
-        # the literals of the assumptions' must-sets, by the index they read
-        self._asked: Optional[dict[tuple, list[Atom | Modal]]] = None
-        self._pruned: dict[tuple, frozenset[int]] = {}
+        self._reads: Optional[list[_Read]] = None
 
     def keyed(self, i: int) -> tuple[str, list[Const]]:
         """The canonical key and the constants of assumption i; raises
@@ -846,36 +854,16 @@ class Premises(tuple[Formula, ...]):
             self._first[head] = {self.keyed(i)[0]: i for i in reversed(same)}
         return self._first[head].get(key)
 
-    def pruned(self, ng: Formula) -> frozenset[int]:
-        """_pure_roots over the assumptions and the negated goal ng,
-        memoised from the second question on (see the module docstring)."""
-        if self._once is None:
-            self._once = (ng, frozenset(_pure_roots([*self, ng])))
-            return self._once[1]
-        if not self._pruned:
-            self._pruned[self._memo(self._once[0])] = self._once[1]
-        memo = self._memo(ng)
-        got = self._pruned.get(memo)
-        if got is None:
-            got = self._pruned[memo] = frozenset(_pure_roots([*self, ng]))
-        return got
+    def reads(self, ng: Formula) -> list[_Read]:
+        """The reads of the roots of a question: each assumption's, read
+        once, and that of the negated goal ng."""
+        if self._reads is None:
+            self._reads = [_read(f) for f in self]
+        return [*self._reads, _read(ng)]
 
-    def _memo(self, ng: Formula) -> tuple:
-        """What _pure_roots reads of ng: the literals ng gives the patterns
-        that meet a literal of an assumption's must-set, the positive
-        epistemic modals it gives, which S4-join and S2 lookups read, and
-        the conjunction skeletons ng uses."""
-        if self._asked is None:
-            self._asked = {}
-            for lit, positive in (m for f in self for m in _must(f, _literals(f))):
-                self._asked.setdefault(_index(lit, not positive), []).append(lit)
-        read = frozenset(
-            (index, lit)
-            for index, lit in _supplies(ng, _literals(ng))
-            if type(lit) is Modal and lit.op in EPISTEMIC_OPS and index[1]
-            or any(_meet(a, lit, None, set()) for a in self._asked.get(index, ()))
-        )
-        return read, frozenset(_joins(ng)[1])
+    def pruned(self, ng: Formula) -> frozenset[int]:
+        """The assumptions prove leaves out when the negated goal is ng."""
+        return frozenset(_pure_roots(self.reads(ng)))
 
 
 def _assumed(premises: Premises, goal: Formula, sig: Signature) -> Optional[int]:
@@ -924,18 +912,19 @@ def prove(
     # together; formulas rooted at the negated goal are all negations, so
     # the modal closure rules below never fire on that side
     ng = Not(goal)
-    pruned = premises.pruned(ng)
+    reads = premises.reads(ng)
+    pruned = _pure_roots(reads)
     stats["pruned_roots"] = len(pruned)
     kept = [i for i in range(len(premises)) if i not in pruned]
     goal_key = unspoofed(canonical_key(goal))
     goal_consts = constants_in_formula(goal)
     constant_sorts([*(premises.keyed(i)[1] for i in kept), goal_consts], sig.constants)
-    prep = _Prep(sig, [*premises, goal], [*(premises[i] for i in kept), ng])
+    prep = _Prep(sig, [*premises, goal])
     for i in kept:
         key, consts = premises.keyed(i)
-        prep.add(key, premises[i], RULE_ASSUMPTION, consts)
+        prep.add(key, premises[i], RULE_ASSUMPTION, consts, reads[i])
     ng_key = canonical_key(ng)
-    prep.add(ng_key, ng, RULE_NEGATED_GOAL, goal_consts)
+    prep.add(ng_key, ng, RULE_NEGATED_GOAL, goal_consts, reads[-1])
     prep.close(deadline)
     stats["grounding_instances"] = prep.instances
     stats["pure_instances"] = prep.pure

@@ -557,6 +557,21 @@ def test_one_premises_prunes_by_the_goals_join_uses():
     assert pruned == [1, 1, 1]
 
 
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(random_problems(), st.integers(0, 2**32 - 1))
+def test_one_premises_answers_three_goals_as_fresh_calls(problem, seed):
+    # the problem's goal, an assumption and a fresh formula, each asked of
+    # one Premises; prove negates each goal afresh, so a freed negated
+    # goal's id can come back for the next one
+    fs, goal = problem
+    rng = random.Random(seed)
+    goals = (goal, rng.choice(fs), RandomFormulas(seed).formula([], rng.randint(0, 2)))
+    premises = prover.Premises(fs)
+    for g in goals:
+        shared = prove(premises, g, RF_BUDGET, RF_SIG)
+        assert answer(shared) == answer(prove(list(fs), g, RF_BUDGET, RF_SIG))
+
+
 def test_a_sort_mentioned_nowhere_is_grounded_at_its_first_constant():
     sig = corpus.corpus_signature()
     sig.declare_sort("Tool")

@@ -570,17 +570,38 @@ def test_one_premises_prunes_each_guard_goal_as_a_fresh_call():
     assert pruned[0] < pruned[1]
 
 
-def test_check_dde_prunes_the_roots_of_its_theory_once(monkeypatch):
-    calls = []
-
-    def counting(roots):
-        calls.append(len(roots))
-        return pure_roots(roots)
-
-    pure_roots = prover._pure_roots
-    monkeypatch.setattr(prover, "_pure_roots", counting)
+def test_check_dde_reads_each_assumption_once(monkeypatch):
+    # one Premises reads each assumption of the base theory for the
+    # purity check once, and prunes the roots afresh for each C3 goal off
+    # the assumption route; pure_formulas reads shadowed formulas, and an
+    # atom's shadow is the atom itself, so its walks are not counted
     sc = parse_scenario(SIM2_FAMILY_C3["sim2+4"], "sim2+4")
     base, trace = base_theory(sc)
+    walks = {id(f): 0 for f in base}
+    counted = [True]
+    literals, pure_roots, pure_formulas = prover._literals, prover._pure_roots, prover.pure_formulas
+
+    def counting_literals(f):
+        if counted[0] and id(f) in walks:
+            walks[id(f)] += 1
+        return literals(f)
+
+    def uncounted_pure_formulas(formulas):
+        counted[0] = False
+        try:
+            return pure_formulas(formulas)
+        finally:
+            counted[0] = True
+
+    calls = []
+
+    def counting_pure_roots(reads):
+        calls.append(len(reads))
+        return pure_roots(reads)
+
+    monkeypatch.setattr(prover, "_literals", counting_literals)
+    monkeypatch.setattr(prover, "pure_formulas", uncounted_pure_formulas)
+    monkeypatch.setattr(prover, "_pure_roots", counting_pure_roots)
     req = sc.request
     v = check_dde(
         sc.theory, req.agent, req.atype, req.moment, sc.hierarchy, sc.utilities, base, sc.sig,
@@ -588,7 +609,9 @@ def test_check_dde_prunes_the_roots_of_its_theory_once(monkeypatch):
     )
     assert v.compliant
     assert len(v.effects) > 20
-    assert calls == [len(base) + 1]
+    assert len(walks) == len(base) == 92
+    assert set(walks.values()) == {1}
+    assert calls == [len(base) + 1] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,9 @@ SEEDS = (1, 2, 3)
 ROOT = Path(__file__).resolve().parent.parent
 # the counted scenarios: sim2 plus m extra effects, and sim1 plus k idle
 # agents and goals
-COUNTED = (("sim2", 0), ("sim2", 8), ("sim2", 32), ("sim1", 0), ("sim1", 16), ("sim1", 64))
+COUNTED = (
+    ("sim2", 0), ("sim2", 8), ("sim2", 32), ("sim2", 64), ("sim1", 0), ("sim1", 16), ("sim1", 64)
+)
 # the ProveResult.stats entries the counters sum
 SUMMED = ("pruned_roots", "grounding_instances", "expansion_size", "generated_clauses")
 
