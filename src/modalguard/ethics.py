@@ -69,9 +69,8 @@ class UtilityEntry:
     value: int
 
     def specificity(self) -> int:
-        if not isinstance(self.pattern, App):
-            return 1
-        return 1 + sum(1 for a in self.pattern.args if not _is_wild(a))
+        """How many symbols of the pattern, at any depth, are not the wildcard."""
+        return _symbols(self.pattern)
 
     def matches(self, fluent: Term) -> bool:
         return _wild_match(self.pattern, fluent)
@@ -79,6 +78,12 @@ class UtilityEntry:
 
 def _is_wild(t: Term) -> bool:
     return isinstance(t, Const) and t.name == WILDCARD
+
+
+def _symbols(t: Term) -> int:
+    if isinstance(t, App):
+        return 1 + sum(map(_symbols, t.args))
+    return 0 if _is_wild(t) else 1
 
 
 def _wild_match(pattern: Term, term: Term) -> bool:
@@ -104,11 +109,12 @@ class UtilityMap:
             raise ValueError("gamma must be non-negative")
 
     def fluent_value(self, fluent: Term) -> int:
-        best = sorted(
+        best = min(
             (e for e in self.entries if e.matches(fluent)),
             key=lambda e: (-e.specificity(), print_term(e.pattern)),
+            default=None,
         )
-        return best[0].value if best else 0
+        return 0 if best is None else best.value
 
     def effect_utility(self, e: Effect) -> int:
         v = self.fluent_value(e.fluent)

@@ -260,7 +260,7 @@ def _decide(scenario: Scenario, budget: Budget, goal: Formula) -> Verdict:
     if res.status == "timeout":
         return Verdict(LOCK, "obligation query exceeded budget; failing safe", goal, res.status)
     if res.status == "incomplete":
-        limit = "grounding cap" if res.stats.get("grounding_capped") else "modal depth limit"
+        limit = "grounding cap" if res.stats["limit"] == "grounding_cap" else "modal depth limit"
         return Verdict(
             LOCK,
             f"obligation search cut short by the {limit}; failing safe",

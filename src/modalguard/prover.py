@@ -80,10 +80,10 @@ the antecedent S3 looks up by body key, or as a part of a larger
 conjunction to join; either way a kept root holds it inside a modal
 body, and where it is the whole body of a join target, the target is
 that root's own as well.  S1 brings out of a joined formula only the
-clauses of its parts.  So a formula is kept when one of its targets'
-bodies has the skeleton (the formula with its terms erased) of a
-conjunction inside a kept root's modal body, other than a target's
-whole body (_joins); substitution changes no skeleton.  Third, a
+clauses of its parts.  A formula derived from a kept root holds such a
+conjunction with terms put only for its variables, so kept roots give
+those in modal bodies, but a target's whole body, as patterns (_joins),
+and a formula is kept where a join target's body meets one.  Third, a
 formula whose atoms are all supported, but a modal is not, is kept
 when it holds a join target S4 can join, so that no join is lost.  Then, but for the formulas the
 modal literals keep out, those below them and the witnesses they would
@@ -142,8 +142,8 @@ One theory, many goals.  prove works through a Premises, which keeps
 what it derives from the assumptions alone: each assumption's
 canonical key and constants, the first assumption of each key, filed
 by head, and what the purity check reads of each assumption (_read):
-what it gives the patterns, its must-set, its join targets and the
-conjunction skeletons it uses, from one _literals walk.  Any other
+what it gives the patterns, its must-set and its join targets, from
+one _literals walk and one _joins walk.  Any other
 sequence is wrapped in a fresh Premises, so one question takes the
 same path; check_dde and epistemic_query hand one Premises to every
 goal they ask of one theory.  A goal the theory assumes takes the
@@ -158,7 +158,7 @@ pruned: each literal of its must-set lies on the goal's top-level
 disjunction, and Not(goal), always kept, holds it at the other sign.
 Any other question reads its negated goal once, runs the root check
 over the reads, and hands the kept roots' reads to _Prep, whose
-patterns, root join targets and skeletons come from them.  Nothing a
+patterns and root join targets come from them.  Nothing a
 question derives from its goal is kept for the next.
 
 After shadowing, the formulas whose every clause the pure-literal rule
@@ -347,34 +347,34 @@ def _both(a: Names, b: Names) -> Names:
 
 class _Read(NamedTuple):
     """What the purity check reads of one root formula: what it gives the
-    patterns (_supplies), its must-set with no hole (_must), and its join
-    targets and the conjunction skeletons it uses (_joins)."""
+    patterns (_supplies, and the conjunctions it uses, _joins), its
+    must-set with no hole (_must), and its join targets (_joins)."""
 
-    supplies: list[tuple[tuple, Atom | Modal]]
+    supplies: list[tuple[tuple, Formula]]
     must: list[tuple[Atom | Modal, bool]]
-    targets: list[tuple[tuple, Modal]]
-    uses: set[tuple]
+    targets: list[Modal]
 
 
 def _read(f: Formula) -> _Read:
-    """What the purity check reads of root f, from one _literals walk."""
+    """What the purity check reads of root f, from one _literals walk and
+    one _joins walk."""
     lits = _literals(f)
-    return _Read(_supplies(f, lits), _must(f, lits), *_joins(f))
+    targets, uses = _joins(f)
+    supplies = _supplies(f, lits) + [(_index(u, True), u) for u in uses]
+    return _Read(supplies, _must(f, lits), targets)
 
 
 class _Purity:
-    """The purity check over some kept roots, given by their reads (see
-    the module docstring), with what the closure over them can hold
-    (_patterns) and the conjunction skeletons they use."""
+    """The purity check over some kept roots' reads (see the module
+    docstring), with what the closure over them can hold (_patterns)."""
 
     def __init__(self, reads: Iterable[_Read]):
         self.reads = reads
         self.patterns: Optional[_Patterns] = None
-        self.used: Optional[set[tuple]] = None
 
-    def _met(self, lit: Atom | Modal, positive: bool, hole: Optional[Var]) -> Names:
-        """The names of the constants c at which the literal, with hole
-        filled by c, is supported (see the module docstring)."""
+    def _met(self, lit: Formula, positive: bool, hole: Optional[Var]) -> Names:
+        """The names of the constants c at which the literal (or a join target's
+        body), with hole filled by c, is supported (see the module docstring)."""
         if self.patterns is None:
             self.patterns = _patterns(r.supplies for r in self.reads)
         names: Names = frozenset()
@@ -401,26 +401,22 @@ class _Purity:
             names = _both(names, self._met(lit, positive, hole))
         return names
 
-    def _kept(self, must: Sequence, targets: Sequence, hole: Optional[Var]) -> Names:
+    def _kept(self, must: Sequence, targets: Sequence[Modal], hole: Optional[Var]) -> Names:
         """The names of the constants c at which a formula, with hole
         filled by c, is not pure, must being its must-set (_must) and
         targets its join targets (_joins): every literal is supported, or
-        every atom is and S4 can join a join target it holds; every
-        constant when a join target has the skeleton of a conjunction a
-        kept root uses (see the module docstring)."""
+        every atom is and S4 can join a join target it holds, or a join
+        target's body meets a conjunction a kept root uses (see the module
+        docstring)."""
         names = self._met_all([m for m in must if type(m[0]) is Atom], hole)
         if names is None or names:
             joined = self._met_all([m for m in must if type(m[0]) is Modal], hole)
             if joined is not None:
-                for _, g in targets:
+                for g in targets:
                     joined = _either(joined, self._met_all(_parts(g), hole))
             names = _both(names, joined)
-        # substitution changes no skeleton, so an instance has its record's
-        if targets and names is not None:
-            if self.used is None:
-                self.used = set().union(*(r.uses for r in self.reads))
-            if any(body in self.used for body, _ in targets):
-                return None
+        for g in targets:
+            names = _either(names, self._met(g.body, False, hole))
         return names
 
 
@@ -654,15 +650,15 @@ def _head(f: Formula) -> str:
     return type(f).__name__
 
 
-def _index(lit: Atom | Modal, positive: bool) -> tuple:
-    """Where _patterns files a literal: by its head and sign, a modal by
-    the head of its body too."""
+def _index(lit: Formula, positive: bool) -> tuple:
+    """Where _patterns files a literal or a used conjunction (_joins): by
+    its head and sign, a modal by the head of its body too."""
     if type(lit) is Modal:
         return lit.op, positive, _head(lit.body)
-    return lit.pred, positive
+    return _head(lit), positive
 
 
-def _supplies(f: Formula, lits: list) -> list[tuple[tuple, Atom | Modal]]:
+def _supplies(f: Formula, lits: list) -> list[tuple[tuple, Formula]]:
     """What f gives the patterns, from f's _literals, as (index,
     literal): its literals at each sign they take, and the epistemic
     modals S3 and S4-split derive from it (see the module docstring)."""
@@ -685,8 +681,8 @@ def _supplies(f: Formula, lits: list) -> list[tuple[tuple, Atom | Modal]]:
     return out
 
 
-def _patterns(supplies: Iterable[list[tuple[tuple, Atom | Modal]]]) -> _Patterns:
-    """The literals some roots give (_supplies), filed by index."""
+def _patterns(supplies: Iterable[list[tuple[tuple, Formula]]]) -> _Patterns:
+    """What some roots give the patterns (_read), filed by index."""
     patterns: _Patterns = {}
     for entries in supplies:
         for index, lit in entries:
@@ -778,34 +774,31 @@ def pure_formulas(formulas: Sequence[Formula]) -> set[int]:
     return pure_clauses([s for _, s in polarities], [m for m, _ in polarities])
 
 
-def _joins(f: Formula) -> tuple[list[tuple[tuple, Modal]], set[tuple]]:
-    """f's join targets, each as (the skeleton of its body, the target),
-    and the skeletons of the conjunctions inside f's modal bodies but for
-    the whole body of a join target: where a formula joined by S4 can
-    serve f (see the module docstring).  A skeleton is a formula with its
-    terms erased, so formulas with one canonical key have one skeleton,
-    whatever grounding put into them."""
-    targets: list[tuple[tuple, Modal]] = []
-    uses: set[tuple] = set()
+def _joins(f: Formula) -> tuple[list[Modal], list[And]]:
+    """f's join targets, and the conjunctions inside f's modal bodies but
+    for the whole body of a join target, which a formula S4 joins can
+    serve (see the module docstring)."""
+    targets: list[Modal] = []
+    uses: list[And] = []
 
-    def walk(g: Formula, inside: bool) -> tuple:
+    def walk(g: Formula, inside: bool) -> None:
         if isinstance(g, Atom):
-            return (g.pred,)
+            return
         if isinstance(g, Modal):
             if is_join_target(g):
-                body = ("And", *(walk(p, True) for p in g.body.parts))
-                targets.append((body, g))
-            else:
-                body = walk(g.body, True)
-            return (g.op, body)
-        if isinstance(g, (And, Or)):
-            skeleton = (type(g).__name__, *(walk(p, inside) for p in g.parts))
+                targets.append(g)
+            for p in g.body.parts if is_join_target(g) else (g.body,):
+                walk(p, True)
+        elif isinstance(g, (And, Or)):
             if inside and isinstance(g, And):
-                uses.add(skeleton)
-            return skeleton
-        if isinstance(g, (Implies, Iff)):
-            return (type(g).__name__, walk(g.left, inside), walk(g.right, inside))
-        return (type(g).__name__, walk(g.body, inside))  # Not, Forall, Exists
+                uses.append(g)
+            for p in g.parts:
+                walk(p, inside)
+        elif isinstance(g, (Implies, Iff)):
+            walk(g.left, inside)
+            walk(g.right, inside)
+        else:
+            walk(g.body, inside)  # Not, Forall, Exists
 
     walk(f, False)
     return targets, uses

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from importlib import resources
+
 import pytest
 
 from modalguard import prover
@@ -20,6 +22,7 @@ from modalguard.ethics import (
     intention_formula,
 )
 from modalguard.prover import Budget
+from modalguard.scenario import parse_scenario
 from modalguard.syntax import (
     ACTION,
     ACTION_TYPE,
@@ -38,6 +41,8 @@ from modalguard.syntax import (
 
 import ddeoracle
 from ddeoracle import AGENT0, intent_fact
+
+SIM1 = (resources.files("modalguard") / "scenarios" / "sim1.scn").read_text()
 
 HIER = EthicalHierarchy(
     ("forbidden", "neutral", "commendable"),
@@ -95,6 +100,30 @@ def test_hierarchy_ranks_worst_first():
 
 # ---------------------------------------------------------------------------
 # utilities
+
+def test_specificity_counts_symbols_at_any_depth():
+    # at (home _) and at (home victim) differ below the top level; the
+    # print tie-break would prefer the wildcard entry, as _ sorts before v
+    text = SIM1.replace(
+        "(functions\n  (alive Agent Fluent))",
+        "(sorts Place)\n\n(functions\n"
+        "  (alive Agent Fluent) (home Agent Place) (at Place Fluent))",
+    ).replace(
+        "((alive _) pos 1)",
+        "(_ neg 2)\n  ((alive _) pos 1)\n  ((at (home _)) pos 1)\n  ((at (home victim)) neg 9)",
+    )
+    utilities = parse_scenario(text, "homes").utilities
+    victim, shooter = Const("victim", AGENT), Const("shooter", AGENT)
+
+    def at_home(agent: Const) -> App:
+        return App("at", (App("home", (agent,), "Place"),), FLUENT)
+
+    assert utilities.fluent_value(at_home(victim)) == -9
+    assert utilities.fluent_value(at_home(shooter)) == 1
+    # a bare _ holds no symbol, so (alive _) wins over it
+    assert [e.specificity() for e in utilities.entries] == [0, 1, 2, 3]
+    assert utilities.fluent_value(App("alive", (victim,), FLUENT)) == 1
+
 
 def test_most_specific_entry_wins():
     wild = Const("_", FLUENT)

@@ -483,6 +483,23 @@ def test_a_pure_root_is_kept_for_a_join_target_a_kept_root_uses():
     assert again.status == "no_proof"
 
 
+def test_a_pure_root_goes_when_its_join_target_meets_no_conjunction_a_kept_root_uses():
+    # the kept roots use (and (P alice) (Q alice)) inside a modal body; the
+    # pure root's join target has the same shape over carol, which no
+    # formula derived from the kept roots can be keyed as, so the root goes
+    texts = (
+        "(knows bob 1 (P alice))",
+        "(knows bob 1 (Q alice))",
+        "(knows bob 1 (implies (and (P alice) (Q alice)) (R alice bob)))",
+        "(or (floods) (knows bob 1 (and (P carol) (Q carol))))",
+    )
+    fs = [parse_formula(t, SIG) for t in texts]
+    goal = parse_formula("(knows bob 1 (R alice bob))", SIG)
+    r = prove(fs, goal, sig=SIG)
+    assert r.status == "no_proof"
+    assert r.stats["pruned_roots"] == 1
+
+
 def test_a_pure_roots_witness_merges_into_the_anonymous_element_of_its_sort():
     sig = corpus.corpus_signature()
     sig.declare_sort("Tool")

@@ -264,6 +264,36 @@ def test_a_pure_instance_is_built_for_a_join_target_a_kept_root_uses():
     assert again.stats["pure_instances"] == 3
 
 
+def test_a_pure_instance_is_built_only_where_its_join_target_meets_a_used_conjunction():
+    # the kept roots use (and (P alice) (Q alice)) inside a modal body
+    sig = corpus.corpus_signature()
+    facts = (
+        "(knows bob 1 (P alice))",
+        "(knows bob 1 (Q alice))",
+        "(knows bob 1 (implies (and (P alice) (Q alice)) (R alice bob)))",
+        "(not (C1 carol))",
+    )
+    goal = parse_formula("(knows bob 1 (R alice bob))", sig)
+
+    def search(root: str):
+        fs = [parse_formula(t, sig) for t in (*facts, root)]
+        return fs, prove(fs, goal, sig=sig)
+
+    # a join target over carol meets that conjunction at no constant, so
+    # the quantified root is pure, and then the fact (not (C1 carol))
+    _, r = search("(forall y : Agent (or (C1 y) (knows y 1 (and (P carol) (Q carol)))))")
+    assert r.status == "no_proof"
+    assert (r.stats["pruned_roots"], r.stats["grounding_instances"]) == (2, 0)
+    # a target over y meets it at alice only: the instance at alice is
+    # built, and S4 joins its target for S3; those at bob and carol are
+    # pure
+    fs, r = search("(forall y : Agent (or (C1 y) (knows bob 1 (and (P y) (Q y)))))")
+    assert r.status == "proof"
+    assert {"S4-join", "S3"} <= {s.rule for s in r.proof.steps}
+    assert (r.stats["grounding_instances"], r.stats["pure_instances"]) == (1, 2)
+    assert verify_proof(r.proof, fs, goal, sig)
+
+
 def test_a_pure_instances_witness_merges_into_the_anonymous_element_of_its_sort():
     sig = corpus.corpus_signature()
     sig.declare_sort("Tool")
@@ -722,11 +752,10 @@ def recorded(run: Callable[[], object]) -> list:
     return results
 
 
-def every_search() -> list[tuple]:
-    """The status, proof steps, generated clauses and grounding instances
-    of every search the guard runs on the scenario texts above, ablated
-    ones included, and on the prevention queries, and of every corpus
-    problem's."""
+def every_result() -> list:
+    """The results of every search the guard runs on the scenario texts
+    above, ablated ones included, and on the prevention queries, and of
+    every corpus problem's, in order."""
 
     def run() -> None:
         for i, text in enumerate((*EXACTNESS_TEXTS, *SIM1_ABLATED)):
@@ -739,9 +768,15 @@ def every_search() -> list[tuple]:
     for prob in corpus.PROBLEMS:
         fs, goal = prob.load(CORPUS_SIG)
         results.append(prove(fs, goal, sig=CORPUS_SIG))
+    return results
+
+
+def every_search() -> list[tuple]:
+    """The status, proof steps, generated clauses and grounding instances
+    of every search every_result runs."""
     return [
         (*proof_print(r), r.stats.get("generated_clauses"), r.stats.get("grounding_instances", 0))
-        for r in results
+        for r in every_result()
     ]
 
 
