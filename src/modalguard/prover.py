@@ -143,10 +143,10 @@ what it derives from the assumptions alone: each assumption's
 canonical key and constants, the first assumption of each key, filed
 by head, and what the purity check reads of each assumption (_read):
 what it gives the patterns, its must-set and its join targets, from
-one _literals walk and one _joins walk.  Any other
-sequence is wrapped in a fresh Premises, so one question takes the
-same path; check_dde and epistemic_query hand one Premises to every
-goal they ask of one theory.  A goal the theory assumes takes the
+one _literals walk and one _joins walk.  Any other sequence is
+wrapped in a fresh Premises, so one question takes the same path;
+check_dde and epistemic_query hand one Premises to every goal they
+ask of one theory.  A goal the theory assumes takes the
 assumption route before anything else is computed: prove answers with
 the assumption step of the first assumption keyed as the goal is
 (_assumed), keying only the assumptions with the goal's head.  That is
@@ -156,20 +156,20 @@ derived, emit pulls in no witness step for it, since a witness is
 named apart from every assumption, and that assumption is never
 pruned: each literal of its must-set lies on the goal's top-level
 disjunction, and Not(goal), always kept, holds it at the other sign.
-Any other question reads its negated goal once, runs the root check
-over the reads, and hands the kept roots' reads to _Prep, whose
-patterns and root join targets come from them.  Nothing a
-question derives from its goal is kept for the next.
+Any other question reads its negated goal once, and the check the root
+pass last built over the kept roots (Premises.purity) is the one _Prep
+asks of their instances.  Nothing a question derives from its goal is
+kept for the next.
 
 After shadowing, the formulas whose every clause the pure-literal rule
-would delete are dropped before they are clausified (pure_formulas), so
-the search sees exactly the clauses it kept before.  Budget.max_clauses
-counts only clauses that enter the search: clauses of dropped formulas
-are never built, so they do not count against it.  clausify also
-stops before distributing a product of more than max_clauses literal
-lists (the formula then has more clauses than that, duplicates and
-tautologies included), past its NNF node cap, or past the deadline;
-the search then ends as timeout.
+would delete are dropped before they are clausified (pure_formulas,
+conjunct by conjunct), so the search sees exactly the clauses it kept
+before.  Budget.max_clauses counts only clauses that enter the search:
+clauses of dropped formulas are never built, so they do not count
+against it.  clausify also stops before distributing a product of more
+than max_clauses literal lists (the formula then has more clauses than
+that, duplicates and tautologies included), past its NNF node cap, or
+past the deadline; the search then ends as timeout.
 """
 
 from __future__ import annotations
@@ -252,7 +252,8 @@ class Budget:
 class ProveResult:
     status: str  # "proof" | "no_proof" | "incomplete" | "timeout"
     proof: Optional[Proof] = None
-    stats: dict = field(default_factory=dict)
+    stats: dict = field(default_factory=dict)  # deterministic counters only
+    elapsed_ms: float = 0.0
 
 
 class _Plan(NamedTuple):
@@ -366,17 +367,15 @@ def _read(f: Formula) -> _Read:
 
 class _Purity:
     """The purity check over some kept roots' reads (see the module
-    docstring), with what the closure over them can hold (_patterns)."""
+    docstring), with what the closure over them can hold (_patterns),
+    filed once, when the check is built."""
 
     def __init__(self, reads: Iterable[_Read]):
-        self.reads = reads
-        self.patterns: Optional[_Patterns] = None
+        self.patterns = _patterns(r.supplies for r in reads)
 
     def _met(self, lit: Formula, positive: bool, hole: Optional[Var]) -> Names:
         """The names of the constants c at which the literal (or a join target's
         body), with hole filled by c, is supported (see the module docstring)."""
-        if self.patterns is None:
-            self.patterns = _patterns(r.supplies for r in self.reads)
         names: Names = frozenset()
         for p in self.patterns.get(_index(lit, not positive), ()):
             need: set[str] = set()
@@ -420,7 +419,7 @@ class _Purity:
         return names
 
 
-class _Prep(_Purity):
+class _Prep:
     """Grounding closure over one set of root formulas.
 
     A root formula is keyed by canonical_key.  A grounding instance at
@@ -428,14 +427,13 @@ class _Prep(_Purity):
     c.name: binders key by position whatever their names, and a named
     variable keys as a constant of that name does, quoted when the name
     is not plain (syntax.key_name), so that is the instance's canonical
-    key, found before the instance is built.
+    key, found before the instance is built.  The purity check the root
+    pass built (_pure_roots) is asked of every planned record's instances.
     """
 
-    def __init__(self, sig: Signature, named: Sequence[Formula]):
-        # root key -> its read; the check reads the roots added so far
-        self.roots: dict[str, _Read] = {}
-        super().__init__(self.roots.values())
+    def __init__(self, sig: Signature, named: Sequence[Formula], check: _Purity):
         self.sig = sig
+        self.check = check  # the purity check over the kept roots
         # insertion-ordered; modal expansion later extends it in place
         self.records: dict[str, Derivation] = {}
         self.named = named  # the assumptions, pruned ones included, and the goal
@@ -454,13 +452,12 @@ class _Prep(_Purity):
         # names of the declared constants a domain left out
         self.left_out: set[str] = set()
 
-    def add(self, key: str, f: Formula, rule: str, consts: Sequence[Const], read: _Read) -> None:
+    def add(self, key: str, f: Formula, rule: str, consts: Sequence[Const]) -> None:
         """Record root formula f under its canonical key, with its
-        constants and its read."""
+        constants."""
         if key not in self.records:
             self.records[key] = Derivation(f, rule, (), 0)
             self.consts.update(consts)
-            self.roots[key] = read
 
     def _add_instance(self, key: str, c: Const) -> str:
         """Add the instance of record key's plan at c; its key."""
@@ -524,9 +521,8 @@ class _Prep(_Purity):
         """Whether the instance of record key's plan at c is pure (_kept)."""
         if key not in self.kept:
             plan = self.plans[key]
-            read = self.roots.get(key)
-            targets = read.targets if read else _joins(self.records[key].formula)[0]
-            self.kept[key] = self._kept(plan.must, targets, plan.var)
+            targets = _joins(self.records[key].formula)[0]
+            self.kept[key] = self.check._kept(plan.must, targets, plan.var)
         names = self.kept[key]
         return names is not None and c.name not in names
 
@@ -636,11 +632,6 @@ def _polarity(f: Formula) -> tuple[Shape, Shape]:
     return frozenset(must), frozenset(shape)
 
 
-# what the closure over some roots can hold, literals by _index: each
-# literal of a clause meets one under its index (see the module docstring)
-_Patterns = dict[tuple, list]
-
-
 def _head(f: Formula) -> str:
     """What two formulas that meet (_meet) have alike at their top."""
     if isinstance(f, Atom):
@@ -681,9 +672,11 @@ def _supplies(f: Formula, lits: list) -> list[tuple[tuple, Formula]]:
     return out
 
 
-def _patterns(supplies: Iterable[list[tuple[tuple, Formula]]]) -> _Patterns:
-    """What some roots give the patterns (_read), filed by index."""
-    patterns: _Patterns = {}
+def _patterns(supplies: Iterable[list[tuple[tuple, Formula]]]) -> dict[tuple, list]:
+    """What the closure over some roots can hold, from what they give the
+    patterns (_read), filed by _index: each literal of a clause meets one
+    filed under its index (see the module docstring)."""
+    patterns: dict[tuple, list] = {}
     for entries in supplies:
         for index, lit in entries:
             patterns.setdefault(index, []).append(lit)
@@ -763,15 +756,23 @@ def pure_formulas(formulas: Sequence[Formula]) -> set[int]:
     """Indices of the formulas whose every clause the pure-literal rule
     deletes (resolution.pure_clauses), found before clausifying them.
 
-    A formula goes once a pair of its must-set has no complement left
-    among the kept formulas' shapes (_polarity).  Every clause of such a
-    formula holds that pair, and no clause of a kept formula holds its
-    complement, so clause-level deletion removes all of them too; it
-    keeps the same clauses whether or not it sees them.  prove() runs it
-    on the shadowed formulas.
+    The items are the formulas' top-level conjuncts, and a formula goes
+    when all of its conjuncts do.  A conjunct goes once a pair of its
+    must-set has no complement left among the kept conjuncts' shapes
+    (_polarity).  Every clause of a formula is a clause of one of its
+    conjuncts, so every clause of a conjunct that goes holds that pair,
+    which no clause of a kept conjunct complements: clause-level deletion
+    removes them too, and keeps the same clauses whether or not it sees
+    them.  prove() runs it on the shadowed formulas.
     """
-    polarities = [_polarity(f) for f in formulas]
-    return pure_clauses([s for _, s in polarities], [m for m, _ in polarities])
+    items = [(i, *_polarity(c)) for i, f in enumerate(formulas) for c in _conjuncts(f)]
+    pure = pure_clauses([s for _, _, s in items], [m for _, m, _ in items])
+    kept = {i for j, (i, _, _) in enumerate(items) if j not in pure}
+    return set(range(len(formulas))) - kept
+
+
+def _conjuncts(f: Formula) -> list[Formula]:
+    return [c for p in f.parts for c in _conjuncts(p)] if isinstance(f, And) else [f]
 
 
 def _joins(f: Formula) -> tuple[list[Modal], list[And]]:
@@ -804,19 +805,20 @@ def _joins(f: Formula) -> tuple[list[Modal], list[And]]:
     return targets, uses
 
 
-def _pure_roots(reads: Sequence[_Read]) -> set[int]:
-    """Indices of the roots prove() leaves out, given by their reads:
+def _pure_roots(reads: Sequence[_Read]) -> tuple[set[int], _Purity]:
+    """The indices of the roots prove() leaves out, given by their reads:
     those pure over the kept roots (_Purity._kept, with no hole), until
-    none is (see the module docstring).  The last root, the negated goal,
-    is always kept."""
+    none is (see the module docstring); and the purity check over the
+    roots kept, which _Prep runs on their instances.  The last root, the
+    negated goal, is always kept."""
     kept = list(range(len(reads)))
     while True:
-        check = _Purity([reads[i] for i in kept])
+        check = _Purity(reads[i] for i in kept)
         pure = {
             i for i in kept[:-1] if check._kept(reads[i].must, reads[i].targets, None) is not None
         }
         if not pure:
-            return set(range(len(reads))).difference(kept)
+            return set(range(len(reads))).difference(kept), check
         kept = [i for i in kept if i not in pure]
 
 
@@ -824,7 +826,8 @@ class Premises(tuple[Formula, ...]):
     """A tuple of assumption formulas that keeps what prove derives from
     them alone, so that several goals asked of one theory pay for it once:
     each assumption's canonical key and constants, the first assumption
-    of each key, and what the purity check reads of each (_read)."""
+    of each key, and what the purity check reads of each (_read).  The
+    check itself belongs to one question (purity)."""
 
     def __init__(self, formulas: Iterable[Formula]):
         self._keyed: dict[int, tuple[str, list[Const]]] = {}
@@ -847,16 +850,13 @@ class Premises(tuple[Formula, ...]):
             self._first[head] = {self.keyed(i)[0]: i for i in reversed(same)}
         return self._first[head].get(key)
 
-    def reads(self, ng: Formula) -> list[_Read]:
-        """The reads of the roots of a question: each assumption's, read
-        once, and that of the negated goal ng."""
+    def purity(self, ng: Formula) -> tuple[set[int], _Purity]:
+        """The assumptions prove leaves out when the negated goal is ng,
+        and the purity check over the roots it keeps (_pure_roots), from
+        each assumption's read, read once, and that of ng."""
         if self._reads is None:
             self._reads = [_read(f) for f in self]
-        return [*self._reads, _read(ng)]
-
-    def pruned(self, ng: Formula) -> frozenset[int]:
-        """The assumptions prove leaves out when the negated goal is ng."""
-        return frozenset(_pure_roots(self.reads(ng)))
+        return _pure_roots([*self._reads, _read(ng)])
 
 
 def _assumed(premises: Premises, goal: Formula, sig: Signature) -> Optional[int]:
@@ -892,10 +892,9 @@ def prove(
     def finish(
         status: str, proof: Optional[Proof] = None, limit: Optional[str] = None
     ) -> ProveResult:
-        stats["elapsed_ms"] = (time.monotonic() - start) * 1000.0
         if limit is not None:
             stats["limit"] = limit
-        return ProveResult(status, proof, stats)
+        return ProveResult(status, proof, stats, (time.monotonic() - start) * 1000.0)
 
     assumed = _assumed(premises, goal, sig)
     if assumed is not None:
@@ -905,19 +904,18 @@ def prove(
     # together; formulas rooted at the negated goal are all negations, so
     # the modal closure rules below never fire on that side
     ng = Not(goal)
-    reads = premises.reads(ng)
-    pruned = _pure_roots(reads)
+    pruned, check = premises.purity(ng)
     stats["pruned_roots"] = len(pruned)
     kept = [i for i in range(len(premises)) if i not in pruned]
     goal_key = unspoofed(canonical_key(goal))
     goal_consts = constants_in_formula(goal)
     constant_sorts([*(premises.keyed(i)[1] for i in kept), goal_consts], sig.constants)
-    prep = _Prep(sig, [*premises, goal])
+    prep = _Prep(sig, [*premises, goal], check)
     for i in kept:
         key, consts = premises.keyed(i)
-        prep.add(key, premises[i], RULE_ASSUMPTION, consts, reads[i])
+        prep.add(key, premises[i], RULE_ASSUMPTION, consts)
     ng_key = canonical_key(ng)
-    prep.add(ng_key, ng, RULE_NEGATED_GOAL, goal_consts, reads[-1])
+    prep.add(ng_key, ng, RULE_NEGATED_GOAL, goal_consts)
     prep.close(deadline)
     stats["grounding_instances"] = prep.instances
     stats["pure_instances"] = prep.pure

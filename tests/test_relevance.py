@@ -45,6 +45,7 @@ from modalguard.syntax import (
     EVENT,
     FLUENT,
     GOAL,
+    And,
     App,
     Atom,
     Const,
@@ -131,7 +132,7 @@ def unchecked(mp: pytest.MonkeyPatch) -> None:
 
 def roots_kept(mp: pytest.MonkeyPatch) -> None:
     """Switch the root check off: no root is left out."""
-    mp.setattr(prover, "_pure_roots", lambda roots: set())
+    mp.setattr(prover, "_pure_roots", lambda reads: (set(), prover._Purity(reads)))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -481,7 +482,7 @@ SIM2_FAMILY = {
 def unpruned(mp: pytest.MonkeyPatch) -> None:
     """Switch both relevance filters off: no root is left out, and every
     instance is built."""
-    mp.setattr(prover, "_pure_roots", lambda roots: set())
+    roots_kept(mp)
     unchecked(mp)
 
 
@@ -672,7 +673,7 @@ def test_the_assumption_route_changes_no_c3_answer(label):
         routes.append(r.stats.get("route"))
         # an assumption keyed as the goal is never pruned
         key = canonical_key(goal)
-        pruned = premises.pruned(Not(goal))
+        pruned, _ = premises.purity(Not(goal))
         assert not [i for i in pruned if premises.keyed(i)[0] == key]
     # every effect but the good one sim2-ranger2 drops and the bad ones
     # is assumed intended
@@ -704,14 +705,14 @@ def test_check_dde_asks_one_prove_per_effect_of_sim2_plus_4(monkeypatch):
 
 
 def modal_check_off(mp: pytest.MonkeyPatch) -> None:
-    """Take every modal literal for supported at every constant; atoms
-    are checked as before."""
-    met = prover._Prep._met
+    """Take every modal literal of an instance for supported at every
+    constant; atoms, and the roots, are checked as before."""
+    met = prover._Purity._met
     mp.setattr(
-        prover._Prep,
+        prover._Purity,
         "_met",
         lambda self, lit, positive, hole: (
-            None if isinstance(lit, Modal) else met(self, lit, positive, hole)
+            None if isinstance(lit, Modal) and hole is not None else met(self, lit, positive, hole)
         ),
     )
 
@@ -902,7 +903,7 @@ def test_an_instance_holding_a_join_target_s4_can_join_is_built():
         modal_check_off(mp)
         plain = prove(fs, goal, sig=CORPUS_SIG)
     assert r.status == plain.status == "no_proof"
-    assert r.stats["generated_clauses"] == plain.stats["generated_clauses"] > 0
+    assert r.stats["generated_clauses"] == plain.stats["generated_clauses"] == 0
     assert (r.stats["grounding_instances"], plain.stats["grounding_instances"]) == (1, 2)
     assert r.stats["expansion_size"] == plain.stats["expansion_size"] - 1
 
@@ -920,6 +921,69 @@ def test_sim2s_obligation_search_builds_the_assailants_instances_only(m):
     assert r.stats["grounding_instances"] == 4
     if m == 0:
         assert r.stats["expansion_size"] == 32
+
+
+def test_the_closure_files_no_patterns_over_sim2s_obligation_search(monkeypatch):
+    # the root pass files the kept roots' patterns once per pass, and the
+    # closure asks its last check of their instances without filing them
+    # again
+    closing, filed = [False], []
+    patterns, close = prover._patterns, prover._Prep.close
+
+    def counting_patterns(supplies):
+        filed.append(closing[0])
+        return patterns(supplies)
+
+    def spied_close(self, deadline):
+        closing[0] = True
+        try:
+            close(self, deadline)
+        finally:
+            closing[0] = False
+
+    monkeypatch.setattr(prover, "_patterns", counting_patterns)
+    monkeypatch.setattr(prover._Prep, "close", spied_close)
+    sc = parse_scenario(SIM2, "sim2")
+    assumptions, _ = adjudication_theory(sc)
+    r = prove(assumptions, obligation_goal(sc), sig=sc.sig)
+    assert r.status == "proof"
+    assert r.stats["pure_instances"] > 0
+    assert filed and not any(filed)
+
+
+def test_sim1s_obligation_search_clausifies_no_conjunction_s1_brings_out(monkeypatch):
+    # S1 brings (and <desires> <intends>) out of a knows record; once
+    # shadowed, each conjunct is pure, so pure_formulas drops the whole
+    # conjunction before it is clausified
+    preps = spy_preps(monkeypatch)
+    clausified = []
+    clausify = prover.clausify
+
+    def counting_clausify(f, **kwargs):
+        clausified.append(f)
+        return clausify(f, **kwargs)
+
+    monkeypatch.setattr(prover, "clausify", counting_clausify)
+    sc = parse_scenario(SIM1, "sim1")
+    assumptions, _ = adjudication_theory(sc)
+    r = prove(assumptions, obligation_goal(sc), sig=sc.sig)
+    assert r.status == "proof"
+    [prep] = preps
+    conjunctions = [d.formula for d in prep.records.values() if isinstance(d.formula, And)]
+    assert [[m.op for m in f.parts] for f in conjunctions] == [["desires", "intends"]]
+    assert len(clausified) == 10
+    assert not [f for f in clausified if isinstance(f, And)]
+    assert r.stats["generated_clauses"] == 47
+
+
+def test_two_searches_of_sim2s_obligation_give_equal_stats():
+    # the wall clock is a field of its own; stats holds only counters
+    sc = parse_scenario(SIM2, "sim2")
+    assumptions, _ = adjudication_theory(sc)
+    goal = obligation_goal(sc)
+    a, b = (prove(assumptions, goal, sig=sc.sig) for _ in range(2))
+    assert a.stats == b.stats
+    assert a.elapsed_ms > 0 and b.elapsed_ms > 0
 
 
 # ---------------------------------------------------------------------------
