@@ -62,8 +62,8 @@ kept roots.  So no clause of the instance, nor any clause derived from
 one, takes part in a refutation, and a clause such a clause subsumes
 takes part in none either.  Dropping clauses that take part in no
 refutation leaves the order in which the given-clause loop selects and
-combines the others unchanged, and the predicate-level passes below
-drop only such clauses too: the search ends the same way with the same
+combines the others unchanged, and the passes after shadowing drop
+only such clauses too: the search ends the same way with the same
 proof, unless the clauses it no longer sees were what ran its budget
 out.  An instance derived from a pure one holds an instance of its pure
 literal, so the quantifiers below a pure instance are never ground.
@@ -85,12 +85,13 @@ conjunction with terms put only for its variables, so kept roots give
 those in modal bodies, but a target's whole body, as patterns (_joins),
 and a formula is kept where a join target's body meets one.  Third, a
 formula whose atoms are all supported, but a modal is not, is kept
-when it holds a join target S4 can join, so that no join is lost.  Then, but for the formulas the
-modal literals keep out, those below them and the witnesses they would
-name, the closure is the one built with atoms checked alone; and
-pure_formulas would drop those formulas after shadowing, a shadow atom
-of the opposite sign meeting their pure modal otherwise.  So the search
-sees the same clauses as with atoms checked alone.
+when it holds a join target S4 can join, so that no join is lost.
+Then, but for the formulas the modal literals keep out, those below
+them and the witnesses they would name, the closure is the one built
+with atoms checked alone; and pure_formulas would drop those formulas
+after shadowing, a shadow atom of the opposite sign meeting their pure
+modal otherwise.  So the search sees the same clauses as with atoms
+checked alone.
 
 Pure roots.  The same check runs first on the root formulas, the
 assumptions and the negated goal, with no hole (_pure_roots): a root
@@ -161,10 +162,15 @@ pass last built over the kept roots (Premises.purity) is the one _Prep
 asks of their instances.  Nothing a question derives from its goal is
 kept for the next.
 
-After shadowing, the formulas whose every clause the pure-literal rule
-would delete are dropped before they are clausified (pure_formulas,
-conjunct by conjunct), so the search sees exactly the clauses it kept
-before.  Budget.max_clauses counts only clauses that enter the search:
+After shadowing, the root check runs once more, on the shadowed
+formulas' top-level conjuncts (pure_formulas), and a formula goes
+before it is clausified when all of its conjuncts go.  A shadowed
+formula holds no modal, so only its atoms are met.  Every clause of a
+conjunct that goes holds a literal that meets no literal of the
+opposite sign of a kept conjunct, so, as for a pure instance, none of
+them takes part in a refutation: the search sees a subset of the
+clauses it kept before, and ends the same way with the same proof.
+Budget.max_clauses counts only clauses that enter the search:
 clauses of dropped formulas are never built, so they do not count
 against it.  clausify also stops before distributing a product of more
 than max_clauses literal lists (the formula then has more clauses than
@@ -194,7 +200,7 @@ from .proofs import (
     RULE_RESOLVE,
     clause_to_formula,
 )
-from .resolution import Shape, pure_clauses, saturate
+from .resolution import saturate
 from .schemata import (
     Derivation,
     RULE_ASSUMPTION,
@@ -244,7 +250,8 @@ class Budget:
 
     def __post_init__(self) -> None:
         for name in ("timeout_ms", "depth", "max_clauses"):
-            if getattr(self, name) <= 0:
+            # not "<= 0": a NaN limit compares false both ways
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
 
@@ -617,21 +624,6 @@ def _literals(f: Formula) -> list[tuple[Atom | Modal, int, bool, tuple[Var, ...]
     return out
 
 
-def _polarity(f: Formula) -> tuple[Shape, Shape]:
-    """(must-set, shape) of a formula: the (predicate, sign) pairs on its
-    top-level disjunction, which every one of its clauses holds, and
-    every pair any of its clauses can hold (see _literals).  A modal
-    adds no pair."""
-    must: set[tuple[str, bool]] = set()
-    shape: set[tuple[str, bool]] = set()
-    for atom, sign, top, _ in _literals(f):
-        if isinstance(atom, Atom):
-            shape.update((atom.pred, s > 0) for s in (1, -1) if sign in (s, 0))
-            if top:
-                must.add((atom.pred, sign > 0))
-    return frozenset(must), frozenset(shape)
-
-
 def _head(f: Formula) -> str:
     """What two formulas that meet (_meet) have alike at their top."""
     if isinstance(f, Atom):
@@ -754,20 +746,22 @@ def _meet_terms(
 
 def pure_formulas(formulas: Sequence[Formula]) -> set[int]:
     """Indices of the formulas whose every clause the pure-literal rule
-    deletes (resolution.pure_clauses), found before clausifying them.
+    deletes, found before clausifying them.
 
-    The items are the formulas' top-level conjuncts, and a formula goes
-    when all of its conjuncts do.  A conjunct goes once a pair of its
-    must-set has no complement left among the kept conjuncts' shapes
-    (_polarity).  Every clause of a formula is a clause of one of its
-    conjuncts, so every clause of a conjunct that goes holds that pair,
-    which no clause of a kept conjunct complements: clause-level deletion
-    removes them too, and keeps the same clauses whether or not it sees
-    them.  prove() runs it on the shadowed formulas.
+    The items are the formulas' top-level conjuncts, read as roots are
+    (_read) and checked by the root pass (_pure_roots), with an empty
+    read last in the place of the negated goal: it gives no patterns and
+    is always kept.  A formula goes when all of its conjuncts do.  Every
+    clause of a formula is a clause of one of its conjuncts, so every
+    clause of a conjunct that goes holds a literal of its must-set, which
+    meets (_meet) no literal of the opposite sign of a kept conjunct: as
+    for a pure instance (see the module docstring), no such clause takes
+    part in a refutation.  prove() runs it on the shadowed formulas,
+    which hold no modal.
     """
-    items = [(i, *_polarity(c)) for i, f in enumerate(formulas) for c in _conjuncts(f)]
-    pure = pure_clauses([s for _, _, s in items], [m for _, m, _ in items])
-    kept = {i for j, (i, _, _) in enumerate(items) if j not in pure}
+    items = [(i, _read(c)) for i, f in enumerate(formulas) for c in _conjuncts(f)]
+    pure = _pure_roots([*(r for _, r in items), _Read([], [], [])])[0]
+    kept = {i for j, (i, _) in enumerate(items) if j not in pure}
     return set(range(len(formulas))) - kept
 
 
@@ -809,8 +803,9 @@ def _pure_roots(reads: Sequence[_Read]) -> tuple[set[int], _Purity]:
     """The indices of the roots prove() leaves out, given by their reads:
     those pure over the kept roots (_Purity._kept, with no hole), until
     none is (see the module docstring); and the purity check over the
-    roots kept, which _Prep runs on their instances.  The last root, the
-    negated goal, is always kept."""
+    roots kept, which _Prep runs on their instances.  The last root is
+    always kept: prove() puts the negated goal there, and pure_formulas
+    an empty read, which gives no patterns."""
     kept = list(range(len(reads)))
     while True:
         check = _Purity(reads[i] for i in kept)
@@ -956,6 +951,8 @@ def prove(
     smap = ShadowMap()
     shadowed = [shadow(prep.records[key].formula, smap) for key in flist]
     dead = pure_formulas(shadowed)
+    stats["shadowed_formulas"] = len(shadowed)
+    stats["clausified_formulas"] = len(shadowed) - len(dead)
     inputs = []
     try:
         for fi, f in enumerate(shadowed):

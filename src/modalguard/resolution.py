@@ -17,9 +17,9 @@ and since no kept clause holds that predicate at all, it can neither
 subsume nor duplicate a descendant of the kept clauses.  The kept
 clauses are therefore selected and combined exactly as they would be
 with the deleted ones present: every refutation, and so every proof,
-is unchanged, and so is every saturation.  The same fixpoint
-(pure_clauses) also runs on whole formulas before clausification
-(prover.pure_formulas), so most pure clauses never reach saturate.
+is unchanged, and so is every saturation.  prover.pure_formulas runs
+the same rule at term level on whole formulas before clausification,
+so most pure clauses never reach saturate.
 
 max_clauses bounds the clauses pushed, inputs included, so it counts
 only the clauses that enter the search: those of formulas prove() did
@@ -185,30 +185,21 @@ def subsumes(general: Clause, specific: Clause, sig: Signature) -> bool:
 Shape = frozenset[tuple[str, bool]]
 
 
-def pure_clauses(
-    shapes: Sequence[Shape], musts: Optional[Sequence[Shape]] = None
-) -> set[int]:
-    """Indices of the items deleted by the pure-literal rule, applied
+def pure_clauses(shapes: Sequence[Shape]) -> set[int]:
+    """Indices of the clauses deleted by the pure-literal rule, applied
     until nothing changes.
 
-    shapes[i] holds every (predicate, sign) item i may hold, and
-    musts[i] (default shapes[i]) those it holds in every clause.  Item i
-    goes once a pair of musts[i] has no complement left among the shapes
-    of the items not yet deleted.  A clause is an item whose must-set is
-    its shape; prover.pure_formulas passes whole formulas."""
-    musts = shapes if musts is None else musts
+    shapes[i] holds the (predicate, sign) pairs of clause i's literals.
+    Clause i goes once a pair of its shape has no complement left among
+    the shapes of the clauses not yet deleted."""
     holders: dict[tuple[str, bool], set[int]] = {}
     for i, shape in enumerate(shapes):
         for key in shape:
             holders.setdefault(key, set()).add(i)
-    needers: dict[tuple[str, bool], list[int]] = {}
-    for i, must in enumerate(musts):
-        for key in must:
-            needers.setdefault(key, []).append(i)
     pure: set[int] = set()
     todo = [
-        i for i, must in enumerate(musts)
-        if any((p, not s) not in holders for p, s in must)
+        i for i, shape in enumerate(shapes)
+        if any((p, not s) not in holders for p, s in shape)
     ]
     while todo:
         i = todo.pop()
@@ -219,8 +210,8 @@ def pure_clauses(
             left = holders[(p, s)]
             left.discard(i)
             if not left:
-                # every item that needs the complement just became pure
-                todo.extend(needers.get((p, not s), ()))
+                # every clause that holds the complement just became pure
+                todo.extend(holders.get((p, not s), ()))
     return pure
 
 

@@ -19,7 +19,7 @@ from modalguard.guard import adjudicate, adjudication_theory, obligation_goal
 from modalguard.parser import parse_formula
 from modalguard.proofs import verify_proof, verify_proof_detailed
 from modalguard.prover import Budget, prove
-from modalguard.resolution import pure_clauses
+from modalguard.resolution import pure_clauses, saturate
 from modalguard.scenario import load_bundled_scenario, parse_scenario
 from modalguard.syntax import (
     ACTION_TYPE,
@@ -76,10 +76,10 @@ def run(name: str, **budget_kw):
 
 @pytest.mark.parametrize("field", ["timeout_ms", "depth", "max_clauses"])
 def test_budget_rejects_non_positive(field):
-    with pytest.raises(ValueError):
-        Budget(**{field: 0})
-    with pytest.raises(ValueError):
-        Budget(**{field: -3})
+    # NaN compares false with 0 both ways, and a NaN limit never trips
+    for value in (float("nan"), 0, -1):
+        with pytest.raises(ValueError):
+            Budget(**{field: value})
 
 
 def test_budget_defaults():
@@ -188,7 +188,8 @@ def test_saturation_reports_no_proof():
 def test_stats_shape_on_proof():
     r, _, _ = run("modus-ponens")
     for key in ("pruned_roots", "grounding_instances", "grounding_capped",
-                "domain_dropped", "expansion_size", "route"):
+                "domain_dropped", "expansion_size", "shadowed_formulas",
+                "clausified_formulas", "route"):
         assert key in r.stats
     assert r.stats["grounding_capped"] is False
     assert r.elapsed_ms >= 0
@@ -282,25 +283,34 @@ def test_same_input_same_proof(name):
 # ---------------------------------------------------------------------------
 # pure formulas are dropped before clausification
 
-_X, _Y, _A = Var("x", AGENT), Var("y", AGENT), Const("a", AGENT)
+_X, _Y, _A, _B = Var("x", AGENT), Var("y", AGENT), Const("a", AGENT), Const("b", AGENT)
 _ATOMS = (
     Atom("p"), Atom("q"), Atom("r"),
     Atom("P", (_X,)), Atom("P", (_A,)), Atom("R", (_X, _Y)),
 )
-shadowed_formulas = st.recursive(
-    st.sampled_from(_ATOMS),
-    lambda sub: st.one_of(
-        st.builds(Not, sub),
-        st.builds(lambda a, b: And((a, b)), sub, sub),
-        st.builds(lambda a, b: Or((a, b)), sub, sub),
-        st.builds(Implies, sub, sub),
-        st.builds(Implies, sub, st.builds(lambda a, b: And((a, b)), sub, sub)),
-        st.builds(Iff, sub, sub),
-        st.builds(Forall, st.sampled_from((_X, _Y)), sub),
-        st.builds(Exists, st.sampled_from((_X, _Y)), sub),
-    ),
-    max_leaves=6,
-)
+
+
+def formulas_over(atoms):
+    """Modal-free formulas, as shadowing leaves them, over atoms."""
+    return st.recursive(
+        st.sampled_from(atoms),
+        lambda sub: st.one_of(
+            st.builds(Not, sub),
+            st.builds(lambda a, b: And((a, b)), sub, sub),
+            st.builds(lambda a, b: Or((a, b)), sub, sub),
+            st.builds(Implies, sub, sub),
+            st.builds(Implies, sub, st.builds(lambda a, b: And((a, b)), sub, sub)),
+            st.builds(Iff, sub, sub),
+            st.builds(Forall, st.sampled_from((_X, _Y)), sub),
+            st.builds(Exists, st.sampled_from((_X, _Y)), sub),
+        ),
+        max_leaves=6,
+    )
+
+
+shadowed_formulas = formulas_over(_ATOMS)
+# with a second constant, two literals of one predicate need not meet
+two_constant_formulas = formulas_over((*_ATOMS, Atom("P", (_B,)), Atom("R", (_A, _X))))
 
 
 def kept_clauses(formulas, skip=frozenset()):
@@ -346,16 +356,37 @@ def test_pure_formulas_examples():
     # (rains) keeps its conjunction and (not (rains))
     assert pure("(and (floods) (pours))", "(rains)") == {0, 1}
     assert pure("(and (floods) (rains))", "(not (rains))") == set()
-    # unshadowed roots: a modal adds nothing but the pairs of a knows
-    # body, which S1 asserts
+    # a modal is read as the shadow atom it becomes, and a knows body as
+    # S1 asserts it; prove() only passes shadowed formulas, but the
+    # modals show what meets: nothing supplies a negative knows or
+    # believes literal, so both disjunctions go
     assert pure("(or (rains) (believes bob 1 (not (rains))))") == {0}
-    assert pure("(or (rains) (knows bob 1 (not (rains))))") == set()
+    assert pure("(or (rains) (knows bob 1 (not (rains))))") == {0}
     # a knows body belongs to its root's shape: it keeps the disjunction
     # while its root is kept, and goes with it when the root is pure
     assert pure("(or (P alice) (rains))", "(knows bob 1 (not (P alice)))",
                 "(not (rains))") == set()
     assert pure("(or (P alice) (rains))",
                 "(or (floods) (knows bob 1 (not (P alice))))") == {0, 1}
+    # literals meet, not predicates: (P alice) meets no (not (P bob)),
+    # but a variable meets any constant
+    assert pure("(P alice)", "(not (P bob))") == {0, 1}
+    assert pure("(P alice)", "(forall x : Agent (not (P x)))") == set()
+
+
+def saturated(formulas, skip=frozenset()):
+    """How saturate ends over the clauses of the formulas but those in
+    skip: its status, and the (clause, rule) steps of a refutation."""
+    inputs = [(c, fi) for fi, f in enumerate(formulas) if fi not in skip for c in clausify(f)]
+    sat = saturate(inputs, SIG, max_clauses=2000)
+    return sat.status, [(sat.nodes[i].clause, sat.nodes[i].rule) for i in sat.used_nodes()]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(two_constant_formulas, min_size=1, max_size=6))
+def test_dropping_pure_formulas_keeps_the_same_search(formulas):
+    dead = prover.pure_formulas(formulas)
+    assert saturated(formulas, dead) == saturated(formulas)
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,8 @@ def unchecked(mp: pytest.MonkeyPatch) -> None:
 
 
 def roots_kept(mp: pytest.MonkeyPatch) -> None:
-    """Switch the root check off: no root is left out."""
+    """Switch the root check off: no root is left out, and no shadowed
+    formula is dropped before clausification."""
     mp.setattr(prover, "_pure_roots", lambda reads: (set(), prover._Purity(reads)))
 
 
@@ -604,8 +605,9 @@ def test_one_premises_prunes_each_guard_goal_as_a_fresh_call():
 def test_check_dde_reads_each_assumption_once(monkeypatch):
     # one Premises reads each assumption of the base theory for the
     # purity check once, and prunes the roots afresh for each C3 goal off
-    # the assumption route; pure_formulas reads shadowed formulas, and an
-    # atom's shadow is the atom itself, so its walks are not counted
+    # the assumption route; pure_formulas reads shadowed formulas through
+    # the root pass, and an atom's shadow is the atom itself, so neither
+    # its walks nor its root passes are counted
     sc = parse_scenario(SIM2_FAMILY_C3["sim2+4"], "sim2+4")
     base, trace = base_theory(sc)
     walks = {id(f): 0 for f in base}
@@ -627,7 +629,8 @@ def test_check_dde_reads_each_assumption_once(monkeypatch):
     calls = []
 
     def counting_pure_roots(reads):
-        calls.append(len(reads))
+        if counted[0]:
+            calls.append(len(reads))
         return pure_roots(reads)
 
     monkeypatch.setattr(prover, "_literals", counting_literals)
@@ -971,7 +974,7 @@ def test_sim1s_obligation_search_clausifies_no_conjunction_s1_brings_out(monkeyp
     [prep] = preps
     conjunctions = [d.formula for d in prep.records.values() if isinstance(d.formula, And)]
     assert [[m.op for m in f.parts] for f in conjunctions] == [["desires", "intends"]]
-    assert len(clausified) == 10
+    assert len(clausified) == r.stats["clausified_formulas"] == 10
     assert not [f for f in clausified if isinstance(f, And)]
     assert r.stats["generated_clauses"] == 47
 

@@ -21,9 +21,9 @@ The file also holds a counters section, taken in-process apart from the
 timed runs: for one adjudication of each scenario in COUNTED, the
 searches the guard and the double-effect check run, by route (or by
 status, for a search that proves nothing), and the sums of their
-pruned roots, grounding instances, expansion sizes and generated
-clauses.  The counts do not depend on the host, so two files compare
-them directly.
+pruned roots, grounding instances, expansion sizes, shadowed and
+clausified formulas and generated clauses.  The counts do not depend
+on the host, so two files compare them directly.
 """
 
 from __future__ import annotations
@@ -47,7 +47,14 @@ COUNTED = (
     ("sim2", 0), ("sim2", 8), ("sim2", 32), ("sim2", 64), ("sim1", 0), ("sim1", 16), ("sim1", 64)
 )
 # the ProveResult.stats entries the counters sum
-SUMMED = ("pruned_roots", "grounding_instances", "expansion_size", "generated_clauses")
+SUMMED = (
+    "pruned_roots",
+    "grounding_instances",
+    "expansion_size",
+    "shadowed_formulas",
+    "clausified_formulas",
+    "generated_clauses",
+)
 
 
 class RunFailed(Exception):
