@@ -1,6 +1,10 @@
 """S-expression reader and the formula parser.
 
-The reader turns text into positioned atom/list trees; the formula
+The reader turns text into atom/list trees in one regular-expression
+scan, with no recursion.  Each node keeps the offset of its token (an
+atom's text, a list's opening paren); its line and column are counted
+from the text when asked for, which is when an error is built.  The
+formula
 parser interprets trees against a Signature with explicit binder
 scoping.  It is the one sort checker: build_term and build_formula
 check every symbol, arity, argument sort, equality, binder sort and
@@ -9,8 +13,9 @@ violation; build_term checks a term against the sort its place
 expects, and builds every scenario term too (scenario.py).  A built
 formula or term is well-sorted; nothing checks it again.
 Comments run from ; to end of line.  Identifiers match
-[A-Za-z_][A-Za-z0-9_'-]*, after an optional ?; bare integers are
-Moment literals.  A declared symbol may not be a reserved word, start
+[A-Za-z_][A-Za-z0-9_'-]*, after an optional ?; bare integers, of ASCII
+digits only, are Moment literals (another script's digit, such as ١, is
+an unexpected character).  A declared symbol may not be a reserved word, start
 with ?, be _, or have the shape of a generated name: b<digits>, h<digits>,
 or the prefix sh_ or sk_ (syntax.RESERVED_SHAPES).  A quantifier may
 not bind the name of a declared constant, of any sort, so that no
@@ -20,8 +25,7 @@ binder captures a constant.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .syntax import (
     AGENT,
@@ -44,6 +48,7 @@ from .syntax import (
     Var,
     conj,
     disj,
+    is_numeral,
     MODAL_OPS,
 )
 
@@ -56,60 +61,62 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class SAtom:
-    text: str
-    line: int
-    col: int
+def _position(text: str, pos: int) -> tuple[int, int]:
+    """The line and column of offset pos in text, both counted from 1."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+class _Node:
+    """A node of a read tree keeps its offset in the text it was read
+    from; its line and column are counted only when asked for, which in
+    practice is when an error is built."""
+
+    __slots__ = ("pos", "source")
+
+    @property
+    def line(self) -> int:
+        return _position(self.source, self.pos)[0]
+
+    @property
+    def col(self) -> int:
+        return _position(self.source, self.pos)[1]
+
+
+class SAtom(_Node):
+    __slots__ = ("text",)
+
+    def __init__(self, text: str, pos: int, source: str) -> None:
+        self.text = text
+        self.pos = pos
+        self.source = source
 
     @property
     def is_int(self) -> bool:
-        return self.text.isdigit()
+        return is_numeral(self.text)
 
 
-@dataclass(frozen=True)
-class SList:
-    items: tuple["SExpr", ...]
-    line: int
-    col: int
+class SList(_Node):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple["SExpr", ...], pos: int, source: str) -> None:
+        self.items = items
+        self.pos = pos
+        self.source = source
 
 
 SExpr = Union[SAtom, SList]
 
+# One match per token: group 1 is (, group 2 is ), group 3 an atom and
+# group 4 any other character; a comment matches no group, and the scan
+# skips whitespace, which nothing matches.
 _TOKEN = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>;[^\n]*)
-      | (?P<lparen>\() | (?P<rparen>\))
-      | (?P<colon>:)
-      | (?P<eq>=)
-      | (?P<int>\d+)
-      | (?P<ident>\??[A-Za-z_][A-Za-z0-9_'\-]*)
+    r"""(\() | (\))
+      | ([:=] | [0-9]+ | \??[A-Za-z_][A-Za-z0-9_'\-]*)
+      | ;[^\n]*
+      | (\S)
     """,
     re.VERBOSE,
 )
-
-
-def _tokens(text: str) -> list[SAtom]:
-    out: list[SAtom] = []
-    line, bol = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - bol + 1
-            )
-        kind = m.lastgroup
-        tok = m.group()
-        if kind not in ("ws", "comment"):
-            out.append(SAtom(tok, line, pos - bol + 1))
-        nl = tok.count("\n")
-        if nl:
-            line += nl
-            bol = pos + tok.rindex("\n") + 1
-        pos = m.end()
-    return out
-
 
 # Lists nest at most this deep.  Every later stage walks formulas
 # recursively, so the bound keeps them clear of the interpreter's
@@ -117,35 +124,48 @@ def _tokens(text: str) -> list[SAtom]:
 MAX_NESTING = 128
 
 
+def _unexpected(text: str, m: re.Match) -> ParseError:
+    return ParseError(f"unexpected character {m.group(4)!r}", *_position(text, m.start()))
+
+
+def _reader_error(text: str, rest: Iterator[re.Match], message: str, pos: int) -> ParseError:
+    """message at offset pos, unless an unexpected character follows in
+    rest: every character is read before any list, so that one is the
+    error."""
+    for m in rest:
+        if m.lastindex == 4:
+            return _unexpected(text, m)
+    return ParseError(message, *_position(text, pos))
+
+
 def read_sexprs(text: str) -> list[SExpr]:
-    """Read every top-level s-expression in the text."""
-    toks = _tokens(text)
+    """Read every top-level s-expression in the text, in one scan: a (
+    pushes the items of the list being read and a ) pops them, so
+    nothing recurses."""
     out: list[SExpr] = []
-    i = 0
-
-    def read(at: int, depth: int) -> tuple[SExpr, int]:
-        tok = toks[at]
-        if tok.text == "(":
-            if depth == MAX_NESTING:
-                raise ParseError(
-                    f"lists nest deeper than {MAX_NESTING}", tok.line, tok.col
-                )
-            items: list[SExpr] = []
-            j = at + 1
-            while True:
-                if j >= len(toks):
-                    raise ParseError("unclosed (", tok.line, tok.col)
-                if toks[j].text == ")":
-                    return SList(tuple(items), tok.line, tok.col), j + 1
-                node, j = read(j, depth + 1)
-                items.append(node)
-        if tok.text == ")":
-            raise ParseError("unbalanced )", tok.line, tok.col)
-        return tok, at + 1
-
-    while i < len(toks):
-        node, i = read(i, 0)
-        out.append(node)
+    items = out
+    stack: list[tuple[list[SExpr], int]] = []
+    scan = _TOKEN.finditer(text)
+    for m in scan:
+        kind = m.lastindex
+        if kind == 3:
+            items.append(SAtom(m.group(3), m.start(), text))
+        elif kind == 1:
+            if len(stack) == MAX_NESTING:
+                message = f"lists nest deeper than {MAX_NESTING}"
+                raise _reader_error(text, scan, message, m.start())
+            stack.append((items, m.start()))
+            items = []
+        elif kind == 2:
+            if not stack:
+                raise _reader_error(text, scan, "unbalanced )", m.start())
+            outer, pos = stack.pop()
+            outer.append(SList(tuple(items), pos, text))
+            items = outer
+        elif kind == 4:
+            raise _unexpected(text, m)
+    if stack:
+        raise ParseError("unclosed (", *_position(text, stack[-1][1]))
     return out
 
 
@@ -172,7 +192,7 @@ def build_term(
     constant stands for resolve(name, its place's sort), in node and in
     its argument terms; it is an unknown symbol when that is None."""
     if isinstance(node, SAtom):
-        if node.text in (":", "=", "(", ")"):
+        if node.text in (":", "="):
             raise _err(node, f"expected a term, got {node.text!r}")
         if node.is_int:
             t: Term = Const(node.text, MOMENT)

@@ -89,8 +89,14 @@ def moment(n: int) -> Const:
     return Const(str(n), MOMENT)
 
 
+def is_numeral(name: str) -> bool:
+    """Whether name spells a moment literal: ASCII digits only, where
+    str.isdigit alone also takes other scripts' digits, such as ١ or ²."""
+    return name.isascii() and name.isdigit()
+
+
 def is_moment_literal(t: Term) -> bool:
-    return isinstance(t, Const) and t.sort == MOMENT and t.name.isdigit()
+    return isinstance(t, Const) and t.sort == MOMENT and is_numeral(t.name)
 
 
 def moment_value(t: Term) -> int:

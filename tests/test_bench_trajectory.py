@@ -82,11 +82,13 @@ def test_a_trajectory_runs_each_workload_at_three_seeds(monkeypatch, tmp_path):
     monkeypatch.setattr(BT, "ROOT", tmp_path)
     monkeypatch.setattr(BT, "run", fake_run)
     monkeypatch.setattr(BT, "counters", lambda: {"sim1+0": {"pruned_roots": 8}})
+    monkeypatch.setattr(BT, "timings", lambda: {"parse_scenario": {"sim1+0": 0.5}})
     assert BT.main(["--pr", "0"]) == 0
     assert calls == [("query_mix", 1), ("query_mix", 2), ("query_mix", 3)]
     record = json.loads((tmp_path / "BENCH_0.json").read_text())
-    assert record["schema"] == "bench-trajectory/3"
+    assert record["schema"] == "bench-trajectory/4"
     assert record["counters"] == {"sim1+0": {"pruned_roots": 8}}
+    assert record["timings"] == {"parse_scenario": {"sim1+0": 0.5}}
     assert record["seeds"] == [1, 2, 3]
     got = record["workloads"]["query_mix"]
     assert [r["seed"] for r in got["runs"]] == [1, 2, 3]
@@ -104,3 +106,14 @@ def test_the_counters_are_the_same_over_two_runs():
     # ground and expand the same closure whatever sim2's extra effects
     sim2 = [first[f"sim2+{m}"] for m in (0, 8, 32)]
     assert len({(c["grounding_instances"], c["expansion_size"]) for c in sim2}) == 1
+
+
+def test_the_timings_time_every_counted_point_and_leave_the_counters_alone(monkeypatch):
+    monkeypatch.setattr(BT, "TIMED_CALLS", 2)
+    before = BT.counters()
+    got = BT.timings()
+    assert got["calls"] == 2
+    assert got["reference_loop"] > 0
+    assert list(got["parse_scenario"]) == list(before)
+    assert all(ms > 0 for ms in got["parse_scenario"].values())
+    assert BT.counters() == before

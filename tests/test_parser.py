@@ -6,6 +6,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modalguard.parser import (
     MAX_NESTING,
@@ -13,6 +14,8 @@ from modalguard.parser import (
     parse_formula,
     parse_formulas,
     parse_term,
+    SAtom,
+    read_sexprs,
 )
 from modalguard.scenario import bundled_scenario_names, load_bundled_scenario, parse_scenario
 from modalguard.syntax import (
@@ -331,6 +334,84 @@ def test_parse_error_carries_position():
         parse_formula("(P\n  zzz)", SIG)
     assert e.value.line == 2
     assert e.value.col == 3
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    ("; a remark\n(P a)\n  (P !)", "unexpected character '!'", 3, 6),
+    ("(P\t#)", "unexpected character '#'", 1, 4),
+    ("(P a)\r\n  @", "unexpected character '@'", 2, 3),
+    ("(P ? a)", "unexpected character '?'", 1, 4),
+    ("(P a)\n )", "unbalanced )", 2, 2),
+    ("((a)\n (b", "unclosed (", 2, 2),
+    # every character is read before any list, so a bad character
+    # anywhere wins over an error of nesting before it
+    (")\n  (P a) $", "unexpected character '$'", 2, 9),
+    # a moment literal is ASCII digits: other scripts' digits are no token
+    ("(prior \u0661 2)", "unexpected character '\u0661'", 1, 8),
+])
+def test_every_reader_error_carries_its_position(text, message, line, col):
+    with pytest.raises(ParseError) as e:
+        read_sexprs(text)
+    assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
+
+
+# The reader's alphabet: identifiers with ?, ' and -, ASCII digits, :
+# and =, whitespace and comments between them, lists of them, and at
+# most one stray character: !, or a lone paren.
+READER_ATOMS = ("a", "x1", "?v", "b'", "c-d", "0", "17", ":", "=")
+READER_GAPS = ("", " ", "\t", "\n", "; note\n", "; end")
+READER_LISTS = st.recursive(
+    st.builds(str.__add__, st.sampled_from(READER_ATOMS), st.sampled_from(READER_GAPS)),
+    lambda inner: st.lists(inner, max_size=4).map(lambda xs: "(" + "".join(xs) + ")"),
+    max_leaves=16,
+)
+READER_TEXTS = st.builds(
+    lambda parts, stray, at: parts[:at] + stray + parts[at:],
+    st.lists(READER_LISTS, min_size=1, max_size=3).map(" ".join),
+    st.sampled_from(("", "", "!", "(", ")")),
+    st.integers(0, 200),
+)
+SPEC_ATOM = re.compile(r"[0-9]+|\??[A-Za-z_][A-Za-z0-9_'-]*|[:=]")
+
+
+def spec_atoms(text: str) -> list[str]:
+    """The atoms of a text, by a spec apart from the reader's: drop the
+    comments, cut at whitespace and parens, and split each piece into
+    its longest atoms from the left."""
+    pieces = re.split(r"[\s()]+", re.sub(r";[^\n]*", " ", text))
+    return [a for piece in pieces for a in SPEC_ATOM.findall(piece)]
+
+
+def nodes(trees):
+    """Every node of the trees, in the order of the text."""
+    for t in trees:
+        yield t
+        if not isinstance(t, SAtom):
+            yield from nodes(t.items)
+
+
+def shown(t) -> str:
+    return t.text if isinstance(t, SAtom) else "(" + " ".join(shown(i) for i in t.items) + ")"
+
+
+def shape(t):
+    return t.text if isinstance(t, SAtom) else tuple(shape(i) for i in t.items)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(READER_TEXTS)
+def test_the_reader_keeps_every_token_where_the_text_has_it(text):
+    try:
+        trees = read_sexprs(text)
+    except ParseError:
+        return
+    lines = text.split("\n")
+    for n in nodes(trees):
+        at = lines[n.line - 1][n.col - 1:]
+        assert at.startswith(n.text if isinstance(n, SAtom) else "("), (text, n.line, n.col)
+    assert [n.text for n in nodes(trees) if isinstance(n, SAtom)] == spec_atoms(text)
+    again = read_sexprs(" ".join(shown(t) for t in trees))
+    assert [shape(t) for t in again] == [shape(t) for t in trees]
 
 
 @pytest.mark.parametrize("depth", [600, 2000])

@@ -141,6 +141,15 @@ def test_moment_literals():
     assert not is_moment_literal(A)
 
 
+@pytest.mark.parametrize("name", ["\u0661", "\u00b2", "1\u0661"])
+def test_only_ascii_digits_make_a_moment_literal(name):
+    # str.isdigit takes these; int() reads the first two as 1 and 2
+    c = Const(name, MOMENT)
+    assert not is_moment_literal(c)
+    with pytest.raises(SortError):
+        moment_value(c)
+
+
 def test_print_term_nested_application():
     t = App("action", (A, Const("go", ACTION_TYPE)), "Action")
     assert print_term(t) == "(action a go)"

@@ -24,6 +24,11 @@ status, for a search that proves nothing), and the sums of their
 pruned roots, grounding instances, expansion sizes, shadowed and
 clausified formulas and generated clauses.  The counts do not depend
 on the host, so two files compare them directly.
+
+A timings section, kept apart from the counters, holds CPU times in ms,
+each the least of TIMED_CALLS calls: parse_scenario on the text of each
+scenario in COUNTED, and a fixed reference loop.  Times depend on the
+host, so read each file's times against its own reference loop.
 """
 
 from __future__ import annotations
@@ -36,9 +41,10 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
-SCHEMA = "bench-trajectory/3"
+SCHEMA = "bench-trajectory/4"
 SEEDS = (1, 2, 3)
 ROOT = Path(__file__).resolve().parent.parent
 # the counted scenarios: sim2 plus m extra effects, and sim1 plus k idle
@@ -55,6 +61,8 @@ SUMMED = (
     "clausified_formulas",
     "generated_clauses",
 )
+# each timing is the least CPU time of this many calls
+TIMED_CALLS = 20
 
 
 class RunFailed(Exception):
@@ -107,19 +115,31 @@ def run(workload: str, seed: int, seconds: float, end_to_end: list[str]) -> dict
     return fold(workload, proc.stdout, end_to_end)
 
 
-def counters(root: Path = ROOT) -> dict:
-    """The counters section (see the module docstring), from the
-    checkout at root: the searches are read from ProveResult.stats
-    through the guard's and the double-effect check's prove bindings."""
+def counted_texts(root: Path = ROOT) -> dict[str, str]:
+    """The text of each scenario in COUNTED, by its name family+n, from
+    the checkout at root."""
     if str(root / "src") not in sys.path:
         sys.path.insert(0, str(root / "src"))
-    from modalguard import ethics, guard
-    from modalguard.scenario import parse_scenario
-
     path = root / "guardbench" / "texts.py"
     spec = importlib.util.spec_from_file_location("guardbench_texts", path)
     texts = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(texts)
+    out = {}
+    for family, n in COUNTED:
+        # the m = 0 and k = 0 edits leave the bundled text as it is
+        edit = texts.sim2_extra_effects if family == "sim2" else texts.sim1_idle
+        out[f"{family}+{n}"] = edit(texts.bundled_text(family), n)
+    return out
+
+
+def counters(root: Path = ROOT) -> dict:
+    """The counters section (see the module docstring), from the
+    checkout at root: the searches are read from ProveResult.stats
+    through the guard's and the double-effect check's prove bindings."""
+    texts = counted_texts(root)
+    from modalguard import ethics, guard
+    from modalguard.scenario import parse_scenario
+
     prove = guard.prove
     results: list = []
 
@@ -130,23 +150,52 @@ def counters(root: Path = ROOT) -> dict:
     section = {}
     guard.prove = ethics.prove = recording
     try:
-        for family, n in COUNTED:
-            # the m = 0 and k = 0 edits leave the bundled text as it is
-            edit = texts.sim2_extra_effects if family == "sim2" else texts.sim1_idle
-            text = edit(texts.bundled_text(family), n)
+        for name, text in texts.items():
             results.clear()
-            guard.adjudicate(parse_scenario(text, f"{family}+{n}"))
+            guard.adjudicate(parse_scenario(text, name))
             routes: dict[str, int] = {}
             for r in results:
                 route = r.stats.get("route", r.status)
                 routes[route] = routes.get(route, 0) + 1
-            section[f"{family}+{n}"] = {
+            section[name] = {
                 "searches": dict(sorted(routes.items())),
                 **{k: sum(r.stats.get(k, 0) for r in results) for k in SUMMED},
             }
     finally:
         guard.prove = ethics.prove = prove
     return section
+
+
+def least_cpu_ms(call) -> float:
+    """The least CPU time of TIMED_CALLS calls of call(), in ms."""
+    best = float("inf")
+    for _ in range(TIMED_CALLS):
+        start = time.process_time()
+        call()
+        best = min(best, time.process_time() - start)
+    return round(best * 1e3, 4)
+
+
+def reference_loop() -> int:
+    """A fixed loop of plain Python arithmetic, timed as the host's pace."""
+    return sum(i * i % 7 for i in range(100_000))
+
+
+def timings(root: Path = ROOT) -> dict:
+    """The timings section (see the module docstring), from the checkout
+    at root."""
+    texts = counted_texts(root)
+    from modalguard.scenario import parse_scenario
+
+    return {
+        "unit": "ms",
+        "calls": TIMED_CALLS,
+        "reference_loop": least_cpu_ms(reference_loop),
+        "parse_scenario": {
+            name: least_cpu_ms(lambda: parse_scenario(text, name))
+            for name, text in texts.items()
+        },
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -177,6 +226,7 @@ def main(argv: list[str] | None = None) -> int:
         "seeds": list(SEEDS),
         "workloads": workloads,
         "counters": counters(),
+        "timings": timings(),
     }
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out.name}")
