@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .eventcalc import ECTheory, Effect, INITIATED, Trace, causal_chain, effects_of
-from .prover import Budget, Premises, prove
+from .prover import Budget, prove
 from .syntax import (
     ACTION,
     App,
@@ -164,8 +164,12 @@ def check_dde(
     *,
     trace: Optional[Trace] = None,
 ) -> DDEVerdict:
-    """trace, when given, is the projection of theory with the request
-    occurrence added (guard.base_theory's), and is not projected again."""
+    """C3 asks every intention goal of assumptions as handed in: pass a
+    prover.Premises, as guard.base_theory returns and adjudication hands
+    in, to read the theory once for all of them; a plain list is wrapped
+    afresh for each goal.  trace, when given, is the projection of theory
+    with the request occurrence added (guard.base_theory's), and is not
+    projected again."""
     sig = sig if sig is not None else Signature()
     budget = budget if budget is not None else Budget()
     event = App("action", (agent, atype), ACTION)
@@ -191,12 +195,11 @@ def check_dde(
     good = [e for e, v in zip(effects, values) if v > 0]
 
     # C3: exactly the good effects are provably intended; every query
-    # reads one theory, so its keys and pruning are computed once
+    # reads the assumptions as handed in, so a Premises is read once
     c3_status, c3_notes = "pass", []
-    premises = Premises(assumptions)
     for e, v in zip(effects, values):
         goal = intention_formula(agent, request_moment, e)
-        r = prove(premises, goal, budget, sig)
+        r = prove(assumptions, goal, budget, sig)
         label = f"{e.kind} {print_term(e.fluent)}"
         if r.status in ("timeout", "incomplete"):
             c3_status = "unknown"

@@ -19,7 +19,11 @@ Each adjudication builds the request theory once (`base_theory`): the
 scenario facts plus the projected trace, with the request occurrence
 added.  The obligation query reads it with the deprivation rule and the
 prevention bridge added; the double-effect intention queries read it
-as it is, and the double-effect check reuses its projected trace.
+as it is, and the double-effect check reuses its projected trace.  All
+of them ask one Premises: the obligation query that of the theory with
+its norms, the intention queries its base-theory prefix, which shares
+its keys and its purity reads (prover.Premises.prefix), so each
+assumption is keyed and read once per adjudication.
 
 A proved obligation is re-checked by the independent proof verifier,
 then weighed: an action whose projected effects satisfy the
@@ -172,7 +176,7 @@ def obligation_goal(scenario: Scenario) -> Formula:
     return obligated(req.agent, t, _SIGMA, Not(Atom("happens", (act, t))))
 
 
-def base_theory(scenario: Scenario) -> tuple[list[Formula], Trace]:
+def base_theory(scenario: Scenario) -> tuple[Premises, Trace]:
     """Scenario facts plus the projected trace as atoms, with the
     request occurrence included.  This is the attitude-and-state theory
     intention queries read; it carries no normative machinery."""
@@ -182,21 +186,23 @@ def base_theory(scenario: Scenario) -> tuple[list[Formula], Trace]:
     trace = project(theory, scenario.sig)
     assumptions = list(scenario.facts)
     assumptions.extend(trace_atoms(trace, theory.occurrences))
-    return assumptions, trace
+    return Premises(assumptions), trace
 
 
-def _with_norms(scenario: Scenario, base: list[Formula]) -> list[Formula]:
+def _with_norms(scenario: Scenario, base: Premises) -> Premises:
     """The base theory plus the deprivation rule and the lifted
-    prevention bridge, as a new list."""
+    prevention bridge: the base theory is its prefix."""
     req = scenario.request
-    return [
-        *base,
-        deprivation_axiom(req.agent, req.atype, req.moment),
-        prevention_bridge(req.agent, req.atype, req.moment),
-    ]
+    return Premises(
+        [
+            *base,
+            deprivation_axiom(req.agent, req.atype, req.moment),
+            prevention_bridge(req.agent, req.atype, req.moment),
+        ]
+    )
 
 
-def adjudication_theory(scenario: Scenario) -> tuple[list[Formula], Trace]:
+def adjudication_theory(scenario: Scenario) -> tuple[Premises, Trace]:
     """Assumption set for the obligation query: the base theory plus
     the deprivation rule and the lifted prevention bridge."""
     base, trace = base_theory(scenario)
@@ -207,7 +213,7 @@ def adjudication_theory(scenario: Scenario) -> tuple[list[Formula], Trace]:
 class Verdict:
     decision: str  # ALLOW | LOCK
     reason: str
-    obligation: Formula
+    obligation: Optional[Formula]  # None when it could not be built
     prove_status: str
     proof: Optional[Proof] = None
     proof_verified: Optional[bool] = None
@@ -225,7 +231,7 @@ def adjudicate(scenario: Scenario, budget: Optional[Budget] = None) -> Verdict:
     justification, yields LOCK with prove_status "error" and a reason
     naming the exception's type."""
     start = time.monotonic()
-    goal = obligation_goal(scenario)
+    goal = None
 
     def done(v: Verdict) -> Verdict:
         v.elapsed_ms = (time.monotonic() - start) * 1000.0
@@ -244,6 +250,7 @@ def adjudicate(scenario: Scenario, budget: Optional[Budget] = None) -> Verdict:
         return v
 
     try:
+        goal = obligation_goal(scenario)
         return done(_decide(scenario, budget if budget is not None else Budget(), goal))
     except Exception as e:
         reason = f"{_raised('adjudication', e)}; failing safe"
@@ -254,6 +261,8 @@ def _decide(scenario: Scenario, budget: Budget, goal: Formula) -> Verdict:
     """adjudicate's verdict, before its justification is checked."""
     req = scenario.request
     base, trace = base_theory(scenario)
+    # one Premises per adjudication: the double-effect check asks its
+    # base-theory prefix
     assumptions = _with_norms(scenario, base)
     res = prove(assumptions, goal, budget, scenario.sig)
 
@@ -288,7 +297,7 @@ def _decide(scenario: Scenario, budget: Budget, goal: Formula) -> Verdict:
         req.moment,
         scenario.hierarchy,
         scenario.utilities,
-        base,
+        assumptions.prefix(len(base)),
         scenario.sig,
         budget,
         trace=trace,
@@ -407,7 +416,7 @@ def _query(
     scenario: Scenario, positive: Formula, negative: Formula, budget: Budget
 ) -> QueryResult:
     """epistemic_query's answer, exceptions not caught."""
-    assumptions = Premises(adjudication_theory(scenario)[0])
+    assumptions = adjudication_theory(scenario)[0]
     pos = prove(assumptions, positive, budget, scenario.sig)
     neg = prove(assumptions, negative, budget, scenario.sig)
     if pos.status == "proof" and neg.status == "proof":

@@ -147,10 +147,15 @@ what it gives the patterns, its must-set and its join targets, from
 one _literals walk and one _joins walk.  Any other sequence is
 wrapped in a fresh Premises, so one question takes the same path;
 check_dde and epistemic_query hand one Premises to every goal they
-ask of one theory.  A goal the theory assumes takes the
-assumption route before anything else is computed: prove answers with
-the assumption step of the first assumption keyed as the goal is
-(_assumed), keying only the assumptions with the goal's head.  That is
+ask of one theory.  A prefix of a Premises (Premises.prefix) shares
+its keys and reads, so one adjudication reads each assumption once:
+the obligation question asks the theory with its norms, and the
+double-effect check asks its base-theory prefix.  Sharing runs only
+toward a prefix, where an index names the same formula (see
+Premises).  A goal the theory assumes takes the assumption route
+before anything else is computed: prove answers with the assumption
+step of the first assumption keyed as the goal is (_assumed), keying
+only the assumptions with the goal's head.  That is
 the proof the closure route would emit: _Prep.add records the first
 kept assumption of each key under RULE_ASSUMPTION before anything is
 derived, emit pulls in no witness step for it, since a witness is
@@ -822,13 +827,30 @@ class Premises(tuple[Formula, ...]):
     them alone, so that several goals asked of one theory pay for it once:
     each assumption's canonical key and constants, the first assumption
     of each key, and what the purity check reads of each (_read).  The
-    check itself belongs to one question (purity)."""
+    check itself belongs to one question (purity).
+
+    A prefix shares the keys and the reads, both filed by index, with
+    the Premises it is cut from, whichever of the two computes them
+    first: an index names the same formula in both, and a prefix adds
+    none.  Sharing runs only that way: two theories that extend one
+    base would file different formulas under the same index.  The
+    first assumption of each key is not shared: the parent's may lie
+    past the prefix's end."""
 
     def __init__(self, formulas: Iterable[Formula]):
         self._keyed: dict[int, tuple[str, list[Const]]] = {}
         # head (_head) -> canonical key -> the first assumption so keyed
         self._first: dict[str, dict[str, int]] = {}
-        self._reads: Optional[list[_Read]] = None
+        # the reads of the first assumptions, as many as some question
+        # of this Premises or of one it shares them with has needed
+        self._reads: list[_Read] = []
+
+    def prefix(self, n: int) -> Premises:
+        """A Premises over the first n assumptions, sharing their keys
+        and reads with this one."""
+        cut = Premises(self[:n])
+        cut._keyed, cut._reads = self._keyed, self._reads
+        return cut
 
     def keyed(self, i: int) -> tuple[str, list[Const]]:
         """The canonical key and the constants of assumption i; raises
@@ -849,9 +871,8 @@ class Premises(tuple[Formula, ...]):
         """The assumptions prove leaves out when the negated goal is ng,
         and the purity check over the roots it keeps (_pure_roots), from
         each assumption's read, read once, and that of ng."""
-        if self._reads is None:
-            self._reads = [_read(f) for f in self]
-        return _pure_roots([*self._reads, _read(ng)])
+        self._reads.extend(_read(f) for f in self[len(self._reads):])
+        return _pure_roots([*self._reads[: len(self)], _read(ng)])
 
 
 def _assumed(premises: Premises, goal: Formula, sig: Signature) -> Optional[int]:

@@ -18,14 +18,14 @@ def report_data(scenario: Scenario, verdict: Verdict) -> dict:
     req = scenario.request
     data: dict = {
         "scenario": scenario.name,
-        "request": {
-            "agent": req.agent.name,
-            "action_type": req.atype.name,
-            "moment": req.moment,
-        },
+        # a scenario built in Python may lack a request, or hold one no
+        # obligation can be built for; its verdict is LOCK and reports it
+        "request": None
+        if req is None
+        else {"agent": req.agent.name, "action_type": req.atype.name, "moment": req.moment},
         "decision": verdict.decision,
         "reason": verdict.reason,
-        "obligation": print_formula(verdict.obligation),
+        "obligation": None if verdict.obligation is None else print_formula(verdict.obligation),
         "prove_status": verdict.prove_status,
         "proof_verified": verdict.proof_verified,
         "proof": verdict.proof.serialize().splitlines() if verdict.proof else None,
@@ -62,12 +62,15 @@ def render_text(
     scenario: Scenario, verdict: Verdict, include_proof: bool = False
 ) -> str:
     d = report_data(scenario, verdict)
+    req = d["request"]
     lines = [
         f"scenario: {d['scenario']}",
-        f"request: {d['request']['agent']} {d['request']['action_type']} at {d['request']['moment']}",
+        "request: none"
+        if req is None
+        else f"request: {req['agent']} {req['action_type']} at {req['moment']}",
         f"decision: {d['decision']}",
         f"reason: {d['reason']}",
-        f"obligation: {d['obligation']}",
+        f"obligation: {d['obligation'] or 'none'}",
     ]
     if d["proof"] is None:
         lines.append(f"obligation proof: none ({d['prove_status']})")

@@ -86,7 +86,7 @@ def test_a_trajectory_runs_each_workload_at_three_seeds(monkeypatch, tmp_path):
     assert BT.main(["--pr", "0"]) == 0
     assert calls == [("query_mix", 1), ("query_mix", 2), ("query_mix", 3)]
     record = json.loads((tmp_path / "BENCH_0.json").read_text())
-    assert record["schema"] == "bench-trajectory/4"
+    assert record["schema"] == "bench-trajectory/5"
     assert record["counters"] == {"sim1+0": {"pruned_roots": 8}}
     assert record["timings"] == {"parse_scenario": {"sim1+0": 0.5}}
     assert record["seeds"] == [1, 2, 3]
@@ -114,6 +114,7 @@ def test_the_timings_time_every_counted_point_and_leave_the_counters_alone(monke
     got = BT.timings()
     assert got["calls"] == 2
     assert got["reference_loop"] > 0
-    assert list(got["parse_scenario"]) == list(before)
-    assert all(ms > 0 for ms in got["parse_scenario"].values())
+    for timed in ("parse_scenario", "adjudicate"):
+        assert list(got[timed]) == list(before)
+        assert all(ms > 0 for ms in got[timed].values())
     assert BT.counters() == before

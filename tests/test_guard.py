@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import re
 import time
 from importlib import resources
@@ -24,7 +25,8 @@ from modalguard.guard import (
 from modalguard.parser import ParseError
 from modalguard.proofs import verify_proof
 from modalguard.prover import Budget, ProveResult
-from modalguard.scenario import load_bundled_scenario, parse_scenario
+from modalguard.report import render_json, render_text
+from modalguard.scenario import Request, load_bundled_scenario, parse_scenario
 from modalguard.syntax import (
     App,
     Atom,
@@ -324,6 +326,27 @@ def test_an_exception_on_the_way_locks(monkeypatch):
     v = adjudicate(SIM1)
     assert (v.decision, v.prove_status) == (LOCK, "error")
     assert "RuntimeError" in v.reason
+
+
+@pytest.mark.parametrize(
+    "request_, raised",
+    [
+        (Request(SHOOTER, FIRE, -1), "SortError"),
+        (None, "AttributeError"),
+    ],
+    ids=["negative-moment", "no-request"],
+)
+def test_a_request_no_obligation_can_be_built_for_locks(request_, raised):
+    # a scenario built in Python skips the parser's checks; building the
+    # obligation goal raises, and the verdict still comes back, and reports
+    sc = dataclasses.replace(SIM1, request=request_)
+    v = adjudicate(sc)
+    assert (v.decision, v.prove_status, v.obligation) == (LOCK, "error", None)
+    assert f"raised {raised}:" in v.reason
+    assert json.loads(render_json(sc, v))["obligation"] is None
+    text = render_text(sc, v)
+    assert "obligation: none\n" in text
+    assert ("request: none\n" in text) == (request_ is None)
 
 
 def test_an_unjustified_verdict_locks(monkeypatch):

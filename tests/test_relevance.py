@@ -395,7 +395,7 @@ def test_the_lifted_bridge_gives_the_ground_bridges_status(variant, normed):
         norm = NORM
         for old, new in renaming.items():
             norm = renamed(norm, old, new)
-        lifted.append(parse_formula(norm, sc.sig))
+        lifted = [*lifted, parse_formula(norm, sc.sig)]
         ground.append(lifted[-1])
     got = prove(lifted, goal, sig=sc.sig)
     want = prove(ground, goal, sig=sc.sig)
@@ -648,6 +648,80 @@ def test_check_dde_reads_each_assumption_once(monkeypatch):
     assert calls == [len(base) + 1] * 2
 
 
+@pytest.mark.parametrize("label", ["sim2", "sim2+4"])
+def test_an_adjudication_reads_each_base_assumption_once(monkeypatch, label):
+    # the obligation search asks the adjudication Premises and the
+    # double-effect check its base-theory prefix, which shares its reads;
+    # walks inside pure_formulas are not counted, as above
+    sc = parse_scenario(SIM2_FAMILY_C3[label], label)
+    bases, walks, counted = [], {}, [True]
+    literals, pure_formulas, built = prover._literals, prover.pure_formulas, guard.base_theory
+
+    def watched_base_theory(scenario):
+        base, trace = built(scenario)
+        bases.append(base)
+        walks.update((id(f), 0) for f in base)
+        return base, trace
+
+    def counting_literals(f):
+        if counted[0] and id(f) in walks:
+            walks[id(f)] += 1
+        return literals(f)
+
+    def uncounted_pure_formulas(formulas):
+        counted[0] = False
+        try:
+            return pure_formulas(formulas)
+        finally:
+            counted[0] = True
+
+    monkeypatch.setattr(guard, "base_theory", watched_base_theory)
+    monkeypatch.setattr(prover, "_literals", counting_literals)
+    monkeypatch.setattr(prover, "pure_formulas", uncounted_pure_formulas)
+    v = adjudicate(sc)
+    assert v.proof_verified and v.dde is not None and v.dde.compliant
+    assert len(bases) == 1
+    assert len(walks) == len(bases[0]) >= 44
+    assert set(walks.values()) == {1}
+
+
+def assert_a_prefix_answers_as_fresh_calls(text: str, label: str) -> None:
+    """Ask the obligation goal of the adjudication Premises and every C3
+    goal of its base-theory prefix, the parent's goal first and then
+    last: each answer and proof is the one a fresh prove over a plain
+    list gives."""
+    sc = parse_scenario(text, label)
+    base, _ = base_theory(sc)
+    req = sc.request
+    v = check_dde(sc.theory, req.agent, req.atype, req.moment, sc.hierarchy, sc.utilities, base, sc.sig)
+    c3 = [intention_formula(req.agent, req.moment, e) for e in v.effects]
+    assert c3
+    for parent_first in (True, False):
+        theory, _ = adjudication_theory(sc)
+        prefix = theory.prefix(len(base))
+        assert prefix == base
+        asked = [(prefix, goal) for goal in c3]
+        asked.insert(0 if parent_first else len(asked), (theory, obligation_goal(sc)))
+        for premises, goal in asked:
+            shared = prove(premises, goal, sig=sc.sig)
+            fresh = prove(list(premises), goal, sig=sc.sig)
+            assert answer(shared) == answer(fresh), print_formula(goal)
+            assert proof_print(shared) == proof_print(fresh), print_formula(goal)
+
+
+@pytest.mark.parametrize("label", list(SIM2_FAMILY_C3))
+def test_a_prefix_answers_every_goal_of_sim2_as_fresh_calls(label):
+    assert_a_prefix_answers_as_fresh_calls(SIM2_FAMILY_C3[label], label)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(sim1_family())
+@example((SIM1, {}))
+def test_a_prefix_answers_every_goal_of_sim1_as_fresh_calls(variant):
+    text, _ = variant
+    assert_a_prefix_answers_as_fresh_calls(text, "sim1-variant")
+
+
 # ---------------------------------------------------------------------------
 # the assumption route: a C3 goal the base theory assumes is proved by its
 # assumption step before any grounding, with the proof the closure gives
@@ -655,7 +729,7 @@ def test_check_dde_reads_each_assumption_once(monkeypatch):
 
 def no_assumption_route(mp: pytest.MonkeyPatch) -> None:
     """Send every goal down the grounding closure."""
-    mp.setattr(prover, "_assumed", lambda premises, kept, goal_key: None)
+    mp.setattr(prover, "_assumed", lambda premises, goal, sig: None)
 
 
 @pytest.mark.parametrize("label", list(SIM2_FAMILY_C3))

@@ -27,7 +27,8 @@ on the host, so two files compare them directly.
 
 A timings section, kept apart from the counters, holds CPU times in ms,
 each the least of TIMED_CALLS calls: parse_scenario on the text of each
-scenario in COUNTED, and a fixed reference loop.  Times depend on the
+scenario in COUNTED, adjudicate on each of those scenarios, parsed
+once, and a fixed reference loop.  Times depend on the
 host, so read each file's times against its own reference loop.
 """
 
@@ -44,7 +45,7 @@ import sys
 import time
 from pathlib import Path
 
-SCHEMA = "bench-trajectory/4"
+SCHEMA = "bench-trajectory/5"
 SEEDS = (1, 2, 3)
 ROOT = Path(__file__).resolve().parent.parent
 # the counted scenarios: sim2 plus m extra effects, and sim1 plus k idle
@@ -185,8 +186,10 @@ def timings(root: Path = ROOT) -> dict:
     """The timings section (see the module docstring), from the checkout
     at root."""
     texts = counted_texts(root)
+    from modalguard.guard import adjudicate
     from modalguard.scenario import parse_scenario
 
+    scenarios = {name: parse_scenario(text, name) for name, text in texts.items()}
     return {
         "unit": "ms",
         "calls": TIMED_CALLS,
@@ -194,6 +197,9 @@ def timings(root: Path = ROOT) -> dict:
         "parse_scenario": {
             name: least_cpu_ms(lambda: parse_scenario(text, name))
             for name, text in texts.items()
+        },
+        "adjudicate": {
+            name: least_cpu_ms(lambda: adjudicate(sc)) for name, sc in scenarios.items()
         },
     }
 
