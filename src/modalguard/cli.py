@@ -183,9 +183,7 @@ def main(argv: list[str] | None = None) -> int:
             setattr(args, k, v)
     try:
         return args.fn(args)
-    except (
-        ParseError, SortError, ProjectionConflict, FileNotFoundError, KeyError, ValueError
-    ) as e:
+    except (ParseError, SortError, ProjectionConflict, OSError, KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

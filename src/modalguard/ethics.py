@@ -103,18 +103,18 @@ def _wild_match(pattern: Term, term: Term) -> bool:
 class UtilityMap:
     entries: tuple[UtilityEntry, ...]
     gamma: int = 0
+    # entries most specific first, a tie to the pattern that prints first;
+    # the sort is stable, so equal patterns keep their listed order
+    ranked: tuple[UtilityEntry, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.gamma < 0:
             raise ValueError("gamma must be non-negative")
+        ranked = sorted(self.entries, key=lambda e: (-e.specificity(), print_term(e.pattern)))
+        object.__setattr__(self, "ranked", tuple(ranked))
 
     def fluent_value(self, fluent: Term) -> int:
-        best = min(
-            (e for e in self.entries if e.matches(fluent)),
-            key=lambda e: (-e.specificity(), print_term(e.pattern)),
-            default=None,
-        )
-        return 0 if best is None else best.value
+        return next((e.value for e in self.ranked if e.matches(fluent)), 0)
 
     def effect_utility(self, e: Effect) -> int:
         v = self.fluent_value(e.fluent)

@@ -130,6 +130,15 @@ def prevents_body(x: Term, y: Term, g: Term, a: Term, t: Term) -> Formula:
     return Exists(t1, Exists(t2, conj(prevents_matrix(x, y, g, a, t, t1, t2))))
 
 
+def _obliged_to_refrain(agent: Const, atype: Const, request_moment: int) -> Formula:
+    """The obligation to refrain, (obligated agent t sigma_default (not
+    (happens (action agent atype) t))): the obligation goal, and the
+    deprivation axiom's consequent."""
+    t = moment(request_moment)
+    act = App("action", (agent, atype), ACTION)
+    return obligated(agent, t, _SIGMA, Not(Atom("happens", (act, t))))
+
+
 def deprivation_axiom(agent: Const, atype: Const, request_moment: int) -> Formula:
     """Blocking an innocent agent's goal obliges refraining."""
     t = moment(request_moment)
@@ -141,10 +150,7 @@ def deprivation_axiom(agent: Const, atype: Const, request_moment: int) -> Formul
     antecedent = Exists(
         p, Exists(g, Exists(t1, Exists(t2, conj([Atom("innocent", (p,))] + matrix))))
     )
-    act = App("action", (agent, atype), ACTION)
-    return Implies(
-        antecedent, obligated(agent, t, _SIGMA, Not(Atom("happens", (act, t))))
-    )
+    return Implies(antecedent, _obliged_to_refrain(agent, atype, request_moment))
 
 
 def prevention_bridge(agent: Const, atype: Const, request_moment: int) -> Formula:
@@ -171,9 +177,7 @@ def trace_atoms(trace: Trace, theory_occurrences) -> list[Formula]:
 
 def obligation_goal(scenario: Scenario) -> Formula:
     req = scenario.request
-    t = moment(req.moment)
-    act = App("action", (req.agent, req.atype), ACTION)
-    return obligated(req.agent, t, _SIGMA, Not(Atom("happens", (act, t))))
+    return _obliged_to_refrain(req.agent, req.atype, req.moment)
 
 
 def base_theory(scenario: Scenario) -> tuple[Premises, Trace]:

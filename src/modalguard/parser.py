@@ -226,9 +226,7 @@ def build_term(
     return t
 
 
-def build_formula(node: SExpr, sig: Signature, env: dict[str, Var] | None = None) -> Formula:
-    env = dict(env) if env else {}
-
+def build_formula(node: SExpr, sig: Signature) -> Formula:
     def formula(n: SExpr, env: dict[str, Var]) -> Formula:
         if isinstance(n, SAtom):
             raise _err(n, f"expected a formula, got {n.text!r}")
@@ -317,7 +315,7 @@ def build_formula(node: SExpr, sig: Signature, env: dict[str, Var] | None = None
         args = tuple(build_term(sub, sig, env, s) for sub, s in zip(rest, argsorts))
         return Atom(name, args)
 
-    return formula(node, env)
+    return formula(node, {})
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:

@@ -62,11 +62,12 @@ kept roots.  So no clause of the instance, nor any clause derived from
 one, takes part in a refutation, and a clause such a clause subsumes
 takes part in none either.  Dropping clauses that take part in no
 refutation leaves the order in which the given-clause loop selects and
-combines the others unchanged, and the passes after shadowing drop
-only such clauses too: the search ends the same way with the same
-proof, unless the clauses it no longer sees were what ran its budget
-out.  An instance derived from a pure one holds an instance of its pure
-literal, so the quantifiers below a pure instance are never ground.
+combines the others unchanged, and the one pass after shadowing,
+pure_formulas, drops only such clauses too: the search ends the same
+way with the same proof, unless the clauses it no longer sees were what
+ran its budget out.  An instance derived from a pure one holds an
+instance of its pure literal, so the quantifiers below a pure instance
+are never ground.
 
 Three exceptions keep formulas the argument would drop (_Purity._kept).
 The modal rules derive from knows and believes formulas only, so one

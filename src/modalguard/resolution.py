@@ -8,23 +8,14 @@ sort widens to the variable's sort.  Forward subsumption discards
 clauses subsumed by retained ones.  The search stops at the empty
 clause (refutation), an exhausted queue (saturation), or the budget.
 
-Before the loop, input clauses with a pure literal are deleted, and
-deletion repeats until nothing changes (Davis & Putnam, JACM 1960).  A
-literal is pure when no remaining input holds its predicate with the
-opposite sign.  Every descendant of a deleted clause keeps an instance
-of some pure literal, so it can never be resolved to the empty clause;
-and since no kept clause holds that predicate at all, it can neither
-subsume nor duplicate a descendant of the kept clauses.  The kept
-clauses are therefore selected and combined exactly as they would be
-with the deleted ones present: every refutation, and so every proof,
-is unchanged, and so is every saturation.  prover.pure_formulas runs
-the same rule at term level on whole formulas before clausification,
-so most pure clauses never reach saturate.
+The pure-literal rule (Davis & Putnam, JACM 1960) runs once, in
+prover.pure_formulas, on whole formulas before clausification; saturate
+takes every clause it is handed.
 
 max_clauses bounds the clauses pushed, inputs included, so it counts
-only the clauses that enter the search: those of formulas prove() did
-not drop, pure or not.  A clause equal to one already pushed, as a
-canonical clause, is not pushed again.
+only the clauses that enter the search: those of the formulas prove()
+did not drop.  A clause equal to one already pushed, as a canonical
+clause, is not pushed again.
 """
 
 from __future__ import annotations
@@ -185,36 +176,6 @@ def subsumes(general: Clause, specific: Clause, sig: Signature) -> bool:
 Shape = frozenset[tuple[str, bool]]
 
 
-def pure_clauses(shapes: Sequence[Shape]) -> set[int]:
-    """Indices of the clauses deleted by the pure-literal rule, applied
-    until nothing changes.
-
-    shapes[i] holds the (predicate, sign) pairs of clause i's literals.
-    Clause i goes once a pair of its shape has no complement left among
-    the shapes of the clauses not yet deleted."""
-    holders: dict[tuple[str, bool], set[int]] = {}
-    for i, shape in enumerate(shapes):
-        for key in shape:
-            holders.setdefault(key, set()).add(i)
-    pure: set[int] = set()
-    todo = [
-        i for i, shape in enumerate(shapes)
-        if any((p, not s) not in holders for p, s in shape)
-    ]
-    while todo:
-        i = todo.pop()
-        if i in pure:
-            continue
-        pure.add(i)
-        for p, s in shapes[i]:
-            left = holders[(p, s)]
-            left.discard(i)
-            if not left:
-                # every clause that holds the complement just became pure
-                todo.extend(holders.get((p, not s), ()))
-    return pure
-
-
 @dataclass(frozen=True)
 class Inference:
     clause: Clause
@@ -293,12 +254,11 @@ def saturate(
             idx = push(c, "input", (), src)
             if idx is not None and nodes[idx].clause.empty:
                 return SaturationResult("refutation", nodes, idx, generated)
-        # the deletion may empty the queue, so poll the clock once first
+        # the loop polls the clock only every 32 steps: poll once here so a
+        # deadline that passed during clausification is reported even by a
+        # search that ends sooner
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetStop("wall_clock")
-        pure = pure_clauses(shapes)
-        passive[:] = [entry for entry in passive if entry[2] not in pure]
-        heapq.heapify(passive)
 
         steps = 0
         while passive:

@@ -42,6 +42,7 @@ from .parser import (
     SAtom,
     SExpr,
     SList,
+    _err,
     build_formula,
     build_term,
     read_sexprs,
@@ -82,10 +83,6 @@ class Scenario:
     utilities: UtilityMap
     request: Request
     guardian: Optional[Const] = None
-
-
-def _err(node: SExpr, message: str) -> ParseError:
-    return ParseError(message, node.line, node.col)
 
 
 def _ident(node: SExpr, what: str) -> str:

@@ -265,6 +265,11 @@ def test_main_is_importable_and_returns_the_exit_code(capsys):
     assert "no scenario file" in out.err
 
 
+def test_a_directory_is_an_error_not_a_traceback(tmp_path, capsys):
+    assert main(["parse", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_budget_flags_default_to_the_prover_budget(monkeypatch):
     seen = []
 

@@ -137,6 +137,17 @@ def test_most_specific_entry_wins():
     assert m.fluent_value(App("safe", (Const("bob", AGENT),), FLUENT)) == 1
 
 
+def test_a_specificity_tie_goes_to_the_pattern_that_prints_first():
+    wild = Const("_", FLUENT)
+    alice, bob = Const("alice", AGENT), Const("bob", AGENT)
+    # both hold two symbols; (safe _ alice) prints first, as _ sorts before b
+    later = UtilityEntry(App("safe", (bob, wild), FLUENT), 1)
+    first = UtilityEntry(App("safe", (wild, alice), FLUENT), 7)
+    fluent = App("safe", (bob, alice), FLUENT)
+    assert UtilityMap((later, first)).fluent_value(fluent) == 7
+    assert UtilityMap((first, later)).fluent_value(fluent) == 7
+
+
 def test_unmatched_fluent_is_worthless():
     assert umap(toxin=-2).fluent_value(CROPS) == 0
 

@@ -19,7 +19,7 @@ from modalguard.guard import adjudicate, adjudication_theory, obligation_goal
 from modalguard.parser import parse_formula
 from modalguard.proofs import verify_proof, verify_proof_detailed
 from modalguard.prover import Budget, prove
-from modalguard.resolution import pure_clauses, saturate
+from modalguard.resolution import saturate
 from modalguard.scenario import load_bundled_scenario, parse_scenario
 from modalguard.syntax import (
     ACTION_TYPE,
@@ -313,9 +313,40 @@ shadowed_formulas = formulas_over(_ATOMS)
 two_constant_formulas = formulas_over((*_ATOMS, Atom("P", (_B,)), Atom("R", (_A, _X))))
 
 
+def pure_clauses(shapes: list[frozenset[tuple[str, bool]]]) -> set[int]:
+    """Indices of the clauses the pure-literal rule deletes, applied until
+    nothing changes (Davis & Putnam, JACM 1960): the reference that
+    prover.pure_formulas is checked against.
+
+    shapes[i] holds the (predicate, sign) pairs of clause i's literals.
+    Clause i goes once a pair of its shape has no complement left among
+    the shapes of the clauses not yet deleted."""
+    holders: dict[tuple[str, bool], set[int]] = {}
+    for i, shape in enumerate(shapes):
+        for key in shape:
+            holders.setdefault(key, set()).add(i)
+    pure: set[int] = set()
+    todo = [
+        i for i, shape in enumerate(shapes)
+        if any((p, not s) not in holders for p, s in shape)
+    ]
+    while todo:
+        i = todo.pop()
+        if i in pure:
+            continue
+        pure.add(i)
+        for p, s in shapes[i]:
+            left = holders[(p, s)]
+            left.discard(i)
+            if not left:
+                # every clause that holds the complement just became pure
+                todo.extend(holders.get((p, not s), ()))
+    return pure
+
+
 def kept_clauses(formulas, skip=frozenset()):
-    """(clause, first source formula) of the clauses the clause-level
-    pure-literal rule keeps, pushing clauses as saturate does."""
+    """(clause, first source formula) of the clauses pure_clauses keeps,
+    pushing clauses as saturate does."""
     first: dict[Clause, int] = {}
     pushed = []
     for fi, f in enumerate(formulas):
