@@ -68,7 +68,10 @@ from .syntax import (
     Term,
     Var,
     conj,
+    constant_occurrences,
+    is_moment_literal,
     moment,
+    moment_value,
     obligated,
     print_term,
 )
@@ -337,15 +340,21 @@ ORACLE_MAX_MOMENTS = 4
 ORACLE_MAX_ATYPES = 3
 
 
-def _within_oracle_bounds(scenario: Scenario) -> bool:
+def _within_oracle_bounds(scenario: Scenario, formulas: list[Formula]) -> bool:
+    """Whether the oracle may answer a query over the formulas: the
+    moments it grounds over are 0..horizon and every moment literal of
+    the formulas, not the horizon's alone."""
     sig = scenario.sig
     agents = len(sig.constants_of_sort(AGENT))
     atypes = len(sig.constants_of_sort(ACTION_TYPE))
-    moments = scenario.theory.horizon + 1
+    moments = set(range(scenario.theory.horizon + 1))
+    moments.update(
+        moment_value(c) for c in constant_occurrences(formulas) if is_moment_literal(c)
+    )
     return (
         agents <= ORACLE_MAX_AGENTS
         and atypes <= ORACLE_MAX_ATYPES
-        and moments <= ORACLE_MAX_MOMENTS
+        and len(moments) <= ORACLE_MAX_MOMENTS
     )
 
 
@@ -379,7 +388,7 @@ def _prevents(
     res = prove(assumptions, goal, budget, scenario.sig)
     if res.status == "proof":
         return PreventsResult("yes", proof=res.proof)
-    if res.status != "no_proof" or not _within_oracle_bounds(scenario):
+    if res.status != "no_proof" or not _within_oracle_bounds(scenario, [*assumptions, goal]):
         return PreventsResult("unknown")
     entailed, countermodel = oracle_entails(
         assumptions, goal, scenario.sig, budget.depth, deadline, budget.max_clauses

@@ -5,14 +5,19 @@ Quantifiers are expanded over the finite domain of named constants in
 one walk under a binding environment, substituting only at atoms and
 modal subformulas: a universal combines its instances as a conjunction
 its parts, an existential as a disjunction, stopping at the first part
-that decides.  The modal closure rules are applied forward, and a plain
-DPLL loop decides the clauses one walk makes of the closed formulas.
-Nothing outside a modal subformula is quantified there, so nothing is
-shadowed: an atom or a maximal modal subformula is one DPLL atom, named
-by its canonical key.
+that decides.  The environment binds only constants, so an atom or a
+modal subformula is bound under it directly, with no binder to rename.
+The modal closure rules are applied forward, and a DPLL search decides
+the clauses one walk makes of the closed formulas.  Nothing outside a
+modal subformula is quantified there, so nothing is shadowed: an atom
+or a maximal modal subformula is one DPLL atom, named by its canonical
+key.
 Grounding and the modal rules alternate for at most depth + 1 rounds,
-fewer once a round grounds nothing or returns the list it was given: a
-round reads only that list, so every later round would return it again.
+fewer once a round grounds nothing, or once a round would read the
+records and join targets the previous round read, in the same order:
+a round's output is a function of exactly those two, so it would
+return what the previous round returned, and the closure returns that
+without expanding again.
 
 Each round expands its whole list from depth 0, but what the closure
 derives of one formula object (its canonical key, its join targets and
@@ -24,6 +29,14 @@ them in list order, first of each key, so every round's records, the
 returned list and the round count are those of recomputing them in
 every round.  A later round keys and harvests only the formulas new to
 it (semi-naive evaluation).
+
+The search numbers the atoms in key order and keeps, per literal, the
+clauses it occurs in, so that assigning an atom touches only those
+clauses; unit propagation runs to its fixpoint before each branch.  It
+branches on the least unassigned atom of a clause no literal satisfies,
+false first.  Unit propagation reaches one fixpoint, or a conflict,
+whatever order it assigns the units in, so the search assigns the
+atoms, and finds the model, that rescanning every clause per unit did.
 
 Interpretation choices, shared with the prover: temporal order is a
 free predicate (orderings must be stated as facts), "=" is a free
@@ -61,7 +74,6 @@ from .syntax import (
     constant_sorts,
     disj,
     domain_order,
-    substitute,
     substitute_term,
     symbol_names,
     unspoofed,
@@ -102,16 +114,45 @@ def _domains(formulas: Sequence[Formula], sig: Signature) -> dict[str, list[Cons
     }
 
 
+def _bind(f: Formula, env: dict) -> Formula:
+    """f with each free variable env binds replaced by its constant.
+    env binds only constants, so no binder can capture what replaces a
+    variable, and none is renamed: a binder of a bound variable hides
+    it in its body."""
+    if isinstance(f, Atom):
+        return Atom(f.pred, tuple(substitute_term(t, env) for t in f.args))
+    if isinstance(f, Modal):
+        situation = None if f.situation is None else substitute_term(f.situation, env)
+        return Modal(
+            f.op,
+            substitute_term(f.agent, env),
+            substitute_term(f.time, env),
+            _bind(f.body, env),
+            situation,
+        )
+    if isinstance(f, Not):
+        return Not(_bind(f.body, env))
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(_bind(p, env) for p in f.parts))
+    if isinstance(f, (Implies, Iff)):
+        return type(f)(_bind(f.left, env), _bind(f.right, env))
+    if isinstance(f, (Forall, Exists)):
+        if f.var in env:
+            env = {v: c for v, c in env.items() if v != f.var}
+            if not env:
+                return f
+        return type(f)(f.var, _bind(f.body, env))
+    raise TypeError(f"not a formula: {f!r}")
+
+
 def _ground(f: Formula, dom: dict, sig: Signature, env=None, deadline=math.inf):
     """Expand quantifiers over the domain under env, which binds the
     variables of the quantifiers above f to constants; _TRUE and FALSUM
     mark the vacuous cases.  Modal bodies are left alone: the closure
     rules may expose them later, at which point grounding runs again.
     Raises OracleLimit past the deadline, polled once per part or instance."""
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(substitute_term(t, env) for t in f.args)) if env else f
-    if isinstance(f, Modal):
-        return substitute(f, env, sig) if env else f
+    if isinstance(f, (Atom, Modal)):
+        return _bind(f, env) if env else f
     env = env or {}
     if isinstance(f, Not):
         b = _ground(f.body, dom, sig, env, deadline)
@@ -220,6 +261,7 @@ def _closure(
         g = _ground(f, dom, sig, None, deadline)
         if g is not _TRUE:
             current.extend(_conjuncts(g))
+    previous = None
     for _ in range(depth + 1):
         records: dict[str, Derivation] = {}
         targets: dict[str, Modal] = {}
@@ -230,6 +272,13 @@ def _closure(
                 got = harvested[id(f)] = harvest_join_targets((f,))
             for tkey, tgt in got.items():
                 targets.setdefault(tkey, tgt)
+        # a round's output is a function of its records and join targets
+        # in order, so a round that reads the previous round's would
+        # return what that one returned: current
+        read = (list(records.items()), list(targets.items()))
+        if read == previous:
+            return current
+        previous = read
         expand_modal(records, depth=depth, join_targets=targets)
         out: list[Formula] = []
         again = False
@@ -238,9 +287,7 @@ def _closure(
             regrounded, parts = hand_on(d.formula)
             again |= regrounded
             out.extend(parts)
-        # a round is a function of its input list alone, so once it
-        # returns that list every later round would return it again
-        if not again or out == current:
+        if not again:
             return out
         current = out
     return current
@@ -276,48 +323,102 @@ def _cnf(f: Formula, positive: bool, keys: dict, deadline: float, max_clauses: f
     return out
 
 
-def _dpll(
-    clauses: ClauseSet, assignment: dict[str, bool], deadline: float = math.inf
-) -> Optional[dict[str, bool]]:
+def _dpll(clauses: ClauseSet, deadline: float = math.inf) -> Optional[dict[str, bool]]:
+    """The values a search assigns to satisfy the clauses, by atom key,
+    or None when none do.  Raises OracleLimit past the deadline, polled
+    before the search and at each branch."""
     if time.monotonic() > deadline:
         raise OracleLimit("wall_clock")
-    clauses = list(clauses)
-    assignment = dict(assignment)
+    if not all(clauses):
+        return None
+    names = sorted({atom for cl in clauses for atom, _ in cl})
+    number = {atom: i for i, atom in enumerate(names)}
+    # literal 2i + 1 makes atom i true, literal 2i makes it false
+    rows = [[2 * number[atom] + pol for atom, pol in cl] for cl in clauses]
+    occurs: list[list[int]] = [[] for _ in range(2 * len(names))]
+    for c, row in enumerate(rows):
+        for lit in row:
+            occurs[lit].append(c)
+    value = [-1] * len(names)  # -1 while unassigned
+    free = [len(row) for row in rows]  # each clause's unassigned literals
+    true = [0] * len(rows)  # each clause's true literals
+    unsatisfied = len(rows)
+    trail: list[int] = []  # the assigned atoms, in order
+    units = [c for c, row in enumerate(rows) if len(row) == 1]
+
+    def assign(lit: int) -> bool:
+        """Make lit true; False when that falsifies a clause."""
+        nonlocal unsatisfied
+        value[lit >> 1] = lit & 1
+        trail.append(lit >> 1)
+        for c in occurs[lit]:
+            free[c] -= 1
+            true[c] += 1
+            if true[c] == 1:
+                unsatisfied -= 1
+        consistent = True
+        for c in occurs[lit ^ 1]:
+            free[c] -= 1
+            if not true[c]:
+                if free[c] == 1:
+                    units.append(c)
+                elif not free[c]:
+                    consistent = False
+        return consistent
+
+    def undo(mark: int) -> None:
+        nonlocal unsatisfied
+        while len(trail) > mark:
+            i = trail.pop()
+            lit = 2 * i + value[i]
+            value[i] = -1
+            for c in occurs[lit]:
+                free[c] += 1
+                true[c] -= 1
+                if not true[c]:
+                    unsatisfied += 1
+            for c in occurs[lit ^ 1]:
+                free[c] += 1
+
+    def propagate() -> bool:
+        """Assign every unit clause's literal; False on a conflict."""
+        while units:
+            c = units.pop()
+            if not true[c] and free[c] == 1:
+                lit = next(lit for lit in rows[c] if value[lit >> 1] < 0)
+                if not assign(lit):
+                    return False
+        return True
+
+    def branch_atom() -> int:
+        """The least unassigned atom of a clause no literal satisfies."""
+        return next(
+            i
+            for i, v in enumerate(value)
+            if v < 0 and any(not true[c] for c in occurs[2 * i] + occurs[2 * i + 1])
+        )
+
+    # (trail length before, literal) of each branch taken
+    branches: list[tuple[int, int]] = []
+    consistent = propagate()
     while True:
-        unit: Optional[Literal] = None
-        next_clauses: ClauseSet = []
-        for cl in clauses:
-            undecided: list[Literal] = []
-            satisfied = False
-            for atom, pol in cl:
-                if atom in assignment:
-                    if assignment[atom] == pol:
-                        satisfied = True
-                        break
-                else:
-                    undecided.append((atom, pol))
-            if satisfied:
-                continue
-            if not undecided:
+        if consistent:
+            if not unsatisfied:
+                return {names[i]: bool(value[i]) for i in trail}
+            mark, lit = len(trail), 2 * branch_atom()  # false first
+        else:
+            units.clear()
+            while branches and branches[-1][1] & 1:
+                branches.pop()
+            if not branches:
                 return None
-            if len(undecided) == 1 and unit is None:
-                unit = undecided[0]
-            next_clauses.append(frozenset(undecided))
-        clauses = next_clauses
-        if unit is None:
-            break
-        assignment[unit[0]] = unit[1]
-    if not clauses:
-        return assignment
-    atoms = sorted({a for cl in clauses for a, _ in cl})
-    pick = atoms[0]
-    for val in (False, True):
-        trial = dict(assignment)
-        trial[pick] = val
-        got = _dpll(clauses, trial, deadline)
-        if got is not None:
-            return got
-    return None
+            mark, lit = branches.pop()
+            undo(mark)
+            lit |= 1
+        if time.monotonic() > deadline:
+            raise OracleLimit("wall_clock")
+        branches.append((mark, lit))
+        consistent = assign(lit) and propagate()
 
 
 def satisfiable(
@@ -338,7 +439,7 @@ def satisfiable(
     for f in _closure(list(formulas), sig, depth, deadline):
         clause_rows.extend(_cnf(f, True, keys, deadline, max_clauses))
     clauses: ClauseSet = [frozenset(row) for row in clause_rows]
-    got = _dpll(clauses, {}, deadline)
+    got = _dpll(clauses, deadline)
     if got is None:
         return None
     return sorted(a for a, v in got.items() if v)

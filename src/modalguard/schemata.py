@@ -36,15 +36,17 @@ from typing import Iterable, Mapping, Optional
 
 from .syntax import (
     And,
+    Atom,
     BELIEVES,
     EPISTEMIC_OPS,
     Formula,
+    Iff,
     Implies,
     KNOWS,
     Modal,
+    Or,
     Term,
     canonical_key,
-    subformulas,
 )
 
 RULE_ASSUMPTION = "assumption"
@@ -70,13 +72,22 @@ def is_join_target(f: Formula) -> bool:
 
 def harvest_join_targets(formulas: Iterable[Formula]) -> dict[str, Modal]:
     """Join targets (is_join_target) anywhere in the given set, by
-    canonical key, the first of each key.  A target with a variable
+    canonical key, the first of each key in pre-order: one stack walk
+    per formula, inside modal bodies too.  A target with a variable
     bound outside it keeps that variable free in its key."""
     out: dict[str, Modal] = {}
     for f in formulas:
-        for g in subformulas(f):
-            if is_join_target(g):
-                out.setdefault(canonical_key(g), g)
+        stack = [f]
+        while stack:
+            g = stack.pop()
+            if isinstance(g, (And, Or)):
+                stack.extend(reversed(g.parts))
+            elif isinstance(g, (Implies, Iff)):
+                stack.extend((g.right, g.left))
+            elif not isinstance(g, Atom):
+                if is_join_target(g):
+                    out.setdefault(canonical_key(g), g)
+                stack.append(g.body)
     return out
 
 

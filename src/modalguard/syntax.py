@@ -464,21 +464,6 @@ def free_vars(f: Formula) -> tuple[Var, ...]:
     return tuple(out)
 
 
-def subformulas(f: Formula) -> Iterator[Formula]:
-    """All subformulas including f itself, pre-order."""
-    yield f
-    if isinstance(f, Not):
-        yield from subformulas(f.body)
-    elif isinstance(f, (And, Or)):
-        for p in f.parts:
-            yield from subformulas(p)
-    elif isinstance(f, (Implies, Iff)):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    elif isinstance(f, (Forall, Exists, Modal)):
-        yield from subformulas(f.body)
-
-
 def maximal_modal_subformulas(f: Formula) -> list[Formula]:
     """Outermost modal subformulas in left-to-right order, no descent inside."""
 

@@ -12,16 +12,37 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from modalguard.parser import parse_formula, parse_formulas
+from typing import Iterator
+
 from modalguard.syntax import (
     ACTION_TYPE,
     AGENT,
     FLUENT,
     GOAL,
+    And,
+    Atom,
     Formula,
+    Iff,
+    Implies,
+    Or,
     Signature,
 )
 
 CHAIN_LENGTHS = (2, 3, 4, 5, 6, 7, 8, 9)
+
+
+def subformulas(f: Formula) -> Iterator[Formula]:
+    """Every subformula of f, f itself included, in pre-order."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        if isinstance(g, (And, Or)):
+            stack.extend(reversed(g.parts))
+        elif isinstance(g, (Implies, Iff)):
+            stack.extend((g.right, g.left))
+        elif not isinstance(g, Atom):
+            stack.append(g.body)
 
 
 def corpus_signature() -> Signature:

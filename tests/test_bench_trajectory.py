@@ -86,7 +86,7 @@ def test_a_trajectory_runs_each_workload_at_three_seeds(monkeypatch, tmp_path):
     assert BT.main(["--pr", "0"]) == 0
     assert calls == [("query_mix", 1), ("query_mix", 2), ("query_mix", 3)]
     record = json.loads((tmp_path / "BENCH_0.json").read_text())
-    assert record["schema"] == "bench-trajectory/5"
+    assert record["schema"] == "bench-trajectory/6"
     assert record["counters"] == {"sim1+0": {"pruned_roots": 8}}
     assert record["timings"] == {"parse_scenario": {"sim1+0": 0.5}}
     assert record["seeds"] == [1, 2, 3]
@@ -117,4 +117,23 @@ def test_the_timings_time_every_counted_point_and_leave_the_counters_alone(monke
     for timed in ("parse_scenario", "adjudicate"):
         assert list(got[timed]) == list(before)
         assert all(ms > 0 for ms in got[timed].values())
+    assert list(got["entails"]) == ["sim1_guilty", "shooter-ai"]
+    assert all(ms > 0 for ms in got["entails"].values())
     assert BT.counters() == before
+
+
+def test_each_timing_pass_calls_every_entry_once_in_order(monkeypatch):
+    monkeypatch.setattr(BT, "TIMED_CALLS", 3)
+    order = []
+    calls = {name: (lambda name=name: order.append(name)) for name in ("a", "b", "c")}
+    got = BT.least_cpu_ms(calls)
+    assert order == ["a", "b", "c"] * 3
+    assert list(got) == ["a", "b", "c"] and all(ms >= 0 for ms in got.values())
+
+
+def test_each_timed_oracle_query_has_a_countermodel():
+    from modalguard.models import entails
+
+    for name, (assumptions, goal, sig) in BT.entailed_queries().items():
+        entailed, countermodel = entails(assumptions, goal, sig)
+        assert not entailed and countermodel, name

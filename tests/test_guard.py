@@ -36,9 +36,9 @@ from modalguard.syntax import (
     Not,
     moment,
     print_formula,
-    subformulas,
 )
 
+from corpus import subformulas
 from test_prover import load_guardbench_texts, sim1_with_moment_named
 
 SIM1 = load_bundled_scenario("sim1")
@@ -518,6 +518,19 @@ def test_prevention_unknown_outside_oracle_bounds():
     ranger2 = Const("ranger2", "Agent")
     g_harm = Const("g_harm", "Goal")
     r = prevents_holds(SIM2, RANGER1, ranger2, g_harm, SHOOT, 1)
+    assert r.answer == "unknown"
+    assert r.countermodel is None
+
+
+def test_prevention_unknown_past_the_oracle_moments_of_the_facts():
+    # the horizon of 3 gives four moments, but the oracle's Moment domain
+    # holds every moment literal of the query: seven, with 7, 8 and 9
+    text = SIM1_TEXT.replace("  (prior 2 3)\n", "  (prior 2 3)\n  (prior 7 8) (prior 8 9)\n", 1)
+    sc = parse_scenario(text, "sim1+moments")
+    assert sc.theory.horizon == 3
+    ai = Const("ai", "Agent")
+    assert prevents_holds(SIM1, SHOOTER, ai, G_LIVE, FIRE, 1).answer == "no"
+    r = prevents_holds(sc, SHOOTER, ai, G_LIVE, FIRE, 1)
     assert r.answer == "unknown"
     assert r.countermodel is None
 

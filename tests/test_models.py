@@ -8,7 +8,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from modalguard import models
 from modalguard.eventcalc import project
@@ -518,6 +518,97 @@ def test_the_clause_rows_hold_exactly_when_the_formula_does(f, positive):
         value = dict(zip(names, bits))
         holds = all(any(value[k] == sign for k, sign in row) for row in rows)
         assert holds == (truth(f, value) == positive)
+
+
+# ---------------------------------------------------------------------------
+# the search over occurrence lists finds the model the clause rescan did
+
+
+def dpll_reference(clauses, assignment, deadline=math.inf):
+    """models._dpll as it was before it kept occurrence lists: each unit
+    rescans every clause, and each branch sorts the atoms left."""
+    if time.monotonic() > deadline:
+        raise models.OracleLimit("wall_clock")
+    clauses = list(clauses)
+    assignment = dict(assignment)
+    while True:
+        unit = None
+        next_clauses = []
+        for cl in clauses:
+            undecided = []
+            satisfied = False
+            for atom, pol in cl:
+                if atom in assignment:
+                    if assignment[atom] == pol:
+                        satisfied = True
+                        break
+                else:
+                    undecided.append((atom, pol))
+            if satisfied:
+                continue
+            if not undecided:
+                return None
+            if len(undecided) == 1 and unit is None:
+                unit = undecided[0]
+            next_clauses.append(frozenset(undecided))
+        clauses = next_clauses
+        if unit is None:
+            break
+        assignment[unit[0]] = unit[1]
+    if not clauses:
+        return assignment
+    atoms = sorted({a for cl in clauses for a, _ in cl})
+    pick = atoms[0]
+    for val in (False, True):
+        trial = dict(assignment)
+        trial[pick] = val
+        got = dpll_reference(clauses, trial, deadline)
+        if got is not None:
+            return got
+    return None
+
+
+ATOMS = ("a", "b", "c", "d", "e", "f")
+literals = st.tuples(st.sampled_from(ATOMS), st.booleans())
+clause_sets = st.lists(st.frozensets(literals, min_size=1, max_size=3), max_size=16)
+# no unit clause: the first value is a branch, and false fails
+BRANCH_THEN_BACKTRACK = [
+    frozenset({("a", True), ("b", True)}),
+    frozenset({("a", True), ("b", False)}),
+]
+# every value of a and b falsifies a clause: unsatisfiable, and only
+# branching finds that out
+EVERY_SIGN = [
+    frozenset({("a", p), ("b", q)}) for p in (False, True) for q in (False, True)
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(clause_sets)
+@example(BRANCH_THEN_BACKTRACK)
+@example(EVERY_SIGN)
+@example([*EVERY_SIGN[:3], frozenset({("c", True), ("c", False)})])
+@example([frozenset({("a", True)}), frozenset()])
+def test_the_search_returns_the_reference_model(clauses):
+    got = models._dpll(clauses)
+    assert got == dpll_reference(clauses, {})
+    if got is not None:
+        assert all(any(got.get(a) == pol for a, pol in cl) for cl in clauses)
+
+
+def test_the_search_branches_false_first_and_backtracks():
+    assert models._dpll(BRANCH_THEN_BACKTRACK) == {"a": True}
+    assert models._dpll(EVERY_SIGN) is None
+
+
+def test_the_search_stops_at_its_deadline(monkeypatch):
+    with pytest.raises(models.OracleLimit, match="wall_clock"):
+        models._dpll(EVERY_SIGN, deadline=time.monotonic() - 1.0)
+    # a deadline that passes after the first poll stops the first branch
+    clock = iter((0.0,))
+    monkeypatch.setattr(models.time, "monotonic", lambda: next(clock, 2.0))
+    with pytest.raises(models.OracleLimit, match="wall_clock"):
+        models._dpll(EVERY_SIGN, deadline=1.0)
 
 
 def test_the_oracle_stops_at_its_deadline_and_clause_budget():

@@ -53,10 +53,10 @@ from modalguard.syntax import (
     Var,
     canonical_key,
     moment,
-    subformulas,
     symbol_names,
     unspoofed,
 )
+from corpus import subformulas
 from test_parser import RandomFormulas
 
 # one declared constant per sort a formula quantifies over; the oracle

@@ -141,9 +141,9 @@ def roots_kept(mp: pytest.MonkeyPatch) -> None:
 def test_the_purity_check_changes_no_obligation_search(variant):
     text, _ = variant
     sc = parse_scenario(text, "sim1-variant")
-    assert _within_oracle_bounds(sc)
     assumptions, _ = adjudication_theory(sc)
     goal = obligation_goal(sc)
+    assert _within_oracle_bounds(sc, [*assumptions, goal])
     checked = prove(assumptions, goal, sig=sc.sig)
     with pytest.MonkeyPatch.context() as mp:
         unchecked(mp)

@@ -28,8 +28,12 @@ on the host, so two files compare them directly.
 A timings section, kept apart from the counters, holds CPU times in ms,
 each the least of TIMED_CALLS calls: parse_scenario on the text of each
 scenario in COUNTED, adjudicate on each of those scenarios, parsed
-once, and a fixed reference loop.  Times depend on the
-host, so read each file's times against its own reference loop.
+once, the finite-model oracle's entails on sim1_guilty's obligation
+query and on query_mix's shooter->ai prevention query, and a fixed
+reference loop.  The calls run in TIMED_CALLS passes, each
+calling the reference loop and every entry once, so a slow spell of
+the host falls on every entry alike.  Times depend on the host, so
+read each file's times against its own reference loop.
 """
 
 from __future__ import annotations
@@ -43,9 +47,10 @@ import statistics
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
-SCHEMA = "bench-trajectory/5"
+SCHEMA = "bench-trajectory/6"
 SEEDS = (1, 2, 3)
 ROOT = Path(__file__).resolve().parent.parent
 # the counted scenarios: sim2 plus m extra effects, and sim1 plus k idle
@@ -116,15 +121,22 @@ def run(workload: str, seed: int, seconds: float, end_to_end: list[str]) -> dict
     return fold(workload, proc.stdout, end_to_end)
 
 
-def counted_texts(root: Path = ROOT) -> dict[str, str]:
-    """The text of each scenario in COUNTED, by its name family+n, from
-    the checkout at root."""
+def guardbench_texts(root: Path = ROOT):
+    """guardbench/texts.py of the checkout at root, with its src/ on the
+    import path."""
     if str(root / "src") not in sys.path:
         sys.path.insert(0, str(root / "src"))
     path = root / "guardbench" / "texts.py"
     spec = importlib.util.spec_from_file_location("guardbench_texts", path)
     texts = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(texts)
+    return texts
+
+
+def counted_texts(root: Path = ROOT) -> dict[str, str]:
+    """The text of each scenario in COUNTED, by its name family+n, from
+    the checkout at root."""
+    texts = guardbench_texts(root)
     out = {}
     for family, n in COUNTED:
         # the m = 0 and k = 0 edits leave the bundled text as it is
@@ -167,14 +179,49 @@ def counters(root: Path = ROOT) -> dict:
     return section
 
 
-def least_cpu_ms(call) -> float:
-    """The least CPU time of TIMED_CALLS calls of call(), in ms."""
-    best = float("inf")
+def least_cpu_ms(calls: dict) -> dict:
+    """The least CPU time of each of the named calls, in ms, over
+    TIMED_CALLS passes that each call every one once, in order."""
+    best = dict.fromkeys(calls, float("inf"))
     for _ in range(TIMED_CALLS):
-        start = time.process_time()
-        call()
-        best = min(best, time.process_time() - start)
-    return round(best * 1e3, 4)
+        for name, call in calls.items():
+            start = time.process_time()
+            call()
+            best[name] = min(best[name], time.process_time() - start)
+    return {name: round(t * 1e3, 4) for name, t in best.items()}
+
+
+def entailed_queries(root: Path = ROOT) -> dict[str, tuple]:
+    """(assumptions, goal, signature) of each timed oracle query, from
+    the checkout at root: sim1_guilty's obligation query over its
+    adjudication theory, and query_mix's shooter->ai prevention query
+    over sim1's facts and trace."""
+    texts = guardbench_texts(root)
+    from modalguard.eventcalc import project
+    from modalguard.guard import (
+        adjudication_theory,
+        obligation_goal,
+        prevents_body,
+        trace_atoms,
+    )
+    from modalguard.scenario import parse_scenario
+    from modalguard.syntax import Const, moment
+
+    sim1 = texts.bundled_text("sim1")
+    guilty = parse_scenario(texts.sim1_guilty(sim1), "sim1_guilty")
+    sc = parse_scenario(sim1, "sim1")
+    c = {name: Const(name, sort) for name, sort in sc.sig.constants.items()}
+    trace = project(sc.theory, sc.sig)
+    return {
+        "sim1_guilty": (
+            list(adjudication_theory(guilty)[0]), obligation_goal(guilty), guilty.sig
+        ),
+        "shooter-ai": (
+            [*sc.facts, *trace_atoms(trace, sc.theory.occurrences)],
+            prevents_body(c["shooter"], c["ai"], c["g_live"], c["fire"], moment(1)),
+            sc.sig,
+        ),
+    }
 
 
 def reference_loop() -> int:
@@ -186,22 +233,26 @@ def timings(root: Path = ROOT) -> dict:
     """The timings section (see the module docstring), from the checkout
     at root."""
     texts = counted_texts(root)
+    queries = entailed_queries(root)
     from modalguard.guard import adjudicate
+    from modalguard.models import entails
     from modalguard.scenario import parse_scenario
 
     scenarios = {name: parse_scenario(text, name) for name, text in texts.items()}
-    return {
-        "unit": "ms",
-        "calls": TIMED_CALLS,
-        "reference_loop": least_cpu_ms(reference_loop),
-        "parse_scenario": {
-            name: least_cpu_ms(lambda: parse_scenario(text, name))
-            for name, text in texts.items()
-        },
-        "adjudicate": {
-            name: least_cpu_ms(lambda: adjudicate(sc)) for name, sc in scenarios.items()
-        },
-    }
+    calls = {("reference_loop", None): reference_loop}
+    for name, text in texts.items():
+        calls["parse_scenario", name] = partial(parse_scenario, text, name)
+    for name, sc in scenarios.items():
+        calls["adjudicate", name] = partial(adjudicate, sc)
+    for name, query in queries.items():
+        calls["entails", name] = partial(entails, *query)
+    out: dict = {"unit": "ms", "calls": TIMED_CALLS}
+    for (section, name), ms in least_cpu_ms(calls).items():
+        if name is None:
+            out[section] = ms
+        else:
+            out.setdefault(section, {})[name] = ms
+    return out
 
 
 def main(argv: list[str] | None = None) -> int:
