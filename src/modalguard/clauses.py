@@ -3,8 +3,8 @@
 One pre-order walk takes the formula to its matrix: it rewrites
 implies and iff as it reaches them, pushes negations to the atoms,
 renames each universal binder u<n> and drops it, and skolemizes each
-existential on the universals above it; distribute then multiplies or
-over and.  Skolem symbol names are derived from the source formula's
+existential on the universals above it (_matrix); _distribute then
+multiplies or over and.  Skolem symbol names are derived from the source formula's
 canonical key plus a running index, so clausifying the same formula
 twice -- by the prover or by an independent proof checker -- yields
 identical clauses.  That key is computed only when the first skolem
@@ -107,17 +107,17 @@ def clause_vars(c: Clause) -> list[Var]:
 
 def _literal_shape(l: Literal) -> str:
     """Print with variables anonymized, for canonical literal ordering."""
-
-    def walk(t: Term) -> str:
-        if isinstance(t, Var):
-            return "_"
-        if isinstance(t, Const):
-            return t.name
-        return f"({t.fn} {' '.join(walk(a) for a in t.args)})"
-
-    args = " ".join(walk(a) for a in l.atom.args)
+    args = " ".join(_term_shape(a) for a in l.atom.args)
     sign = "" if l.positive else "not "
     return f"({sign}{l.atom.pred}{' ' + args if args else ''})"
+
+
+def _term_shape(t: Term) -> str:
+    if isinstance(t, Var):
+        return "_"
+    if isinstance(t, Const):
+        return t.name
+    return f"({t.fn} {' '.join(_term_shape(a) for a in t.args)})"
 
 
 def canonical_clause(literals: Iterable[Literal]) -> Clause:
@@ -169,69 +169,85 @@ def clausify(
     max_clauses: float = math.inf,
 ) -> list[Clause]:
     """Distinct non-tautological clauses of a shadowed formula, in a
-    deterministic order: one walk takes f to its matrix, which
-    distribute multiplies out.
+    deterministic order: one walk takes f to its matrix (_matrix), which
+    _distribute multiplies out.
 
     The formula's canonical key seeds the skolem symbol names.  Raises
     ClausifyLimit past the monotonic deadline, past NNF_NODE_CAP nodes
     walked, or before distributing or over and into more than
     max_clauses literal lists at once.
     """
-    tag = ""  # computed when the first skolem is named
-    nodes = universals_named = skolems_named = 0
+    st = _Walk(f, deadline)
+    matrix = _matrix(f, False, (), {}, st)
+    clauses = dict.fromkeys(map(canonical_clause, _distribute(matrix, deadline, max_clauses)))
+    return [c for c in clauses if not is_tautology(c)]
 
-    def walk(
-        g: Formula, negate: bool, universals: tuple[Var, ...], ren: dict[Var, Term]
-    ) -> Formula:
-        """g's matrix under negate: negation normal form, universals
-        renamed and dropped, existentials skolemized."""
-        nonlocal tag, nodes, universals_named, skolems_named
-        if isinstance(g, Implies):
-            g = Or((Not(g.left), g.right))
-        elif isinstance(g, Iff):
-            g = And((Or((Not(g.left), g.right)), Or((Not(g.right), g.left))))
-        nodes += 1
-        if nodes > NNF_NODE_CAP:
-            raise ClausifyLimit("nnf_cap")
+
+class _Walk:
+    """What one clausify walk counts and names as it goes: the source
+    formula, whose canonical key seeds the skolem names, its deadline,
+    the tag (computed when the first skolem is named), the nodes visited
+    and the universals and skolems named so far."""
+
+    __slots__ = ("source", "deadline", "tag", "nodes", "universals_named", "skolems_named")
+
+    def __init__(self, source: Formula, deadline: float):
+        self.source = source
+        self.deadline = deadline
+        self.tag = ""
+        self.nodes = self.universals_named = self.skolems_named = 0
+
+
+def _matrix(
+    g: Formula, negate: bool, universals: tuple[Var, ...], ren: dict[Var, Term], st: _Walk
+) -> Formula:
+    """g's matrix under negate: negation normal form, universals
+    renamed and dropped, existentials skolemized."""
+    if isinstance(g, Implies):
+        g = Or((Not(g.left), g.right))
+    elif isinstance(g, Iff):
+        g = And((Or((Not(g.left), g.right)), Or((Not(g.right), g.left))))
+    st.nodes += 1
+    if st.nodes > NNF_NODE_CAP:
+        raise ClausifyLimit("nnf_cap")
+    if time.monotonic() > st.deadline:
+        raise ClausifyLimit("wall_clock")
+    if isinstance(g, Atom):
+        atom = Atom(g.pred, tuple(substitute_term(a, ren) for a in g.args))
+        return Not(atom) if negate else atom
+    if isinstance(g, Not):
+        return _matrix(g.body, not negate, universals, ren, st)
+    if isinstance(g, (And, Or)):
+        parts = tuple(_matrix(p, negate, universals, ren, st) for p in g.parts)
+        return Or(parts) if isinstance(g, And) == negate else And(parts)
+    if not isinstance(g, (Forall, Exists)):
+        raise TypeError(f"clausify applies to shadowed formulas only: {g!r}")
+    if isinstance(g, Forall) != negate:
+        nv = Var(f"u{st.universals_named}", g.var.sort)
+        st.universals_named += 1
+        return _matrix(g.body, negate, (*universals, nv), {**ren, g.var: nv}, st)
+    if not st.tag:
+        st.tag = hashlib.blake2b(canonical_key(st.source).encode(), digest_size=5).hexdigest()
+    name = f"sk_{st.tag}_{st.skolems_named}"
+    st.skolems_named += 1
+    sk = App(name, universals, g.var.sort) if universals else Const(name, g.var.sort)
+    return _matrix(g.body, negate, universals, {**ren, g.var: sk}, st)
+
+
+def _distribute(g: Formula, deadline: float, max_clauses: float) -> list[list[Literal]]:
+    """The literal lists of the matrix g multiplied out, or over and."""
+    if isinstance(g, Atom):
+        return [[Literal(True, g)]]
+    if isinstance(g, Not):
+        return [[Literal(False, g.body)]]
+    if isinstance(g, And):
+        return [lits for p in g.parts for lits in _distribute(p, deadline, max_clauses)]
+    out: list[list[Literal]] = [[]]
+    for br in [_distribute(p, deadline, max_clauses) for p in g.parts]:
+        # checked before it is built: one product can be huge
+        if len(out) * len(br) > max_clauses:
+            raise ClausifyLimit("max_clauses")
         if time.monotonic() > deadline:
             raise ClausifyLimit("wall_clock")
-        if isinstance(g, Atom):
-            atom = Atom(g.pred, tuple(substitute_term(a, ren) for a in g.args))
-            return Not(atom) if negate else atom
-        if isinstance(g, Not):
-            return walk(g.body, not negate, universals, ren)
-        if isinstance(g, (And, Or)):
-            parts = tuple(walk(p, negate, universals, ren) for p in g.parts)
-            return Or(parts) if isinstance(g, And) == negate else And(parts)
-        if not isinstance(g, (Forall, Exists)):
-            raise TypeError(f"clausify applies to shadowed formulas only: {g!r}")
-        if isinstance(g, Forall) != negate:
-            nv = Var(f"u{universals_named}", g.var.sort)
-            universals_named += 1
-            return walk(g.body, negate, (*universals, nv), {**ren, g.var: nv})
-        if not tag:
-            tag = hashlib.blake2b(canonical_key(f).encode(), digest_size=5).hexdigest()
-        name = f"sk_{tag}_{skolems_named}"
-        skolems_named += 1
-        sk = App(name, universals, g.var.sort) if universals else Const(name, g.var.sort)
-        return walk(g.body, negate, universals, {**ren, g.var: sk})
-
-    def distribute(g: Formula) -> list[list[Literal]]:
-        if isinstance(g, Atom):
-            return [[Literal(True, g)]]
-        if isinstance(g, Not):
-            return [[Literal(False, g.body)]]
-        if isinstance(g, And):
-            return [lits for p in g.parts for lits in distribute(p)]
-        out: list[list[Literal]] = [[]]
-        for br in [distribute(p) for p in g.parts]:
-            # checked before it is built: one product can be huge
-            if len(out) * len(br) > max_clauses:
-                raise ClausifyLimit("max_clauses")
-            if time.monotonic() > deadline:
-                raise ClausifyLimit("wall_clock")
-            out = [acc + d for acc in out for d in br]
-        return out
-
-    clauses = dict.fromkeys(map(canonical_clause, distribute(walk(f, False, (), {}))))
-    return [c for c in clauses if not is_tautology(c)]
+        out = [acc + d for acc in out for d in br]
+    return out

@@ -36,6 +36,7 @@ depth limit, and an exception raised on the way all yield LOCK.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -69,9 +70,7 @@ from .syntax import (
     Var,
     conj,
     constant_occurrences,
-    is_moment_literal,
     moment,
-    moment_value,
     obligated,
     print_term,
 )
@@ -341,20 +340,23 @@ ORACLE_MAX_ATYPES = 3
 
 
 def _within_oracle_bounds(scenario: Scenario, formulas: list[Formula]) -> bool:
-    """Whether the oracle may answer a query over the formulas: the
-    moments it grounds over are 0..horizon and every moment literal of
-    the formulas, not the horizon's alone."""
+    """Whether the oracle may answer a query over the formulas: each
+    bounded sort is counted as the domain the oracle grounds it over
+    (models._domains), the constants of the formulas and the declared
+    ones whose sorts widen to it, with 0..horizon among the moments
+    whether or not the formulas hold them."""
     sig = scenario.sig
-    agents = len(sig.constants_of_sort(AGENT))
-    atypes = len(sig.constants_of_sort(ACTION_TYPE))
-    moments = set(range(scenario.theory.horizon + 1))
-    moments.update(
-        moment_value(c) for c in constant_occurrences(formulas) if is_moment_literal(c)
-    )
-    return (
-        agents <= ORACLE_MAX_AGENTS
-        and atypes <= ORACLE_MAX_ATYPES
-        and len(moments) <= ORACLE_MAX_MOMENTS
+    named = {Const(name, sort) for name, sort in sig.constants.items()}
+    named.update(constant_occurrences(formulas))
+    named.update(moment(m) for m in range(scenario.theory.horizon + 1))
+    held = Counter(c.sort for c in named)
+    return all(
+        sum(n for s, n in held.items() if sig.widens(s, sort)) <= bound
+        for sort, bound in (
+            (AGENT, ORACLE_MAX_AGENTS),
+            (ACTION_TYPE, ORACLE_MAX_ATYPES),
+            (MOMENT, ORACLE_MAX_MOMENTS),
+        )
     )
 
 

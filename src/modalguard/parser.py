@@ -227,95 +227,97 @@ def build_term(
 
 
 def build_formula(node: SExpr, sig: Signature) -> Formula:
-    def formula(n: SExpr, env: dict[str, Var]) -> Formula:
-        if isinstance(n, SAtom):
-            raise _err(n, f"expected a formula, got {n.text!r}")
-        if not n.items:
-            raise _err(n, "empty form")
-        head = n.items[0]
-        if not isinstance(head, SAtom):
-            raise _err(head, "expected an operator or predicate name")
-        rest = n.items[1:]
-        name = head.text
+    return _formula(node, {}, sig)
 
-        if name == "not":
-            if len(rest) != 1:
-                raise _err(head, "not takes exactly one formula")
-            return Not(formula(rest[0], env))
-        if name in ("and", "or"):
-            if not rest:
-                raise _err(head, f"{name} needs at least one formula")
-            parts = [formula(r, env) for r in rest]
-            return conj(parts) if name == "and" else disj(parts)
-        if name in ("implies", "iff"):
-            if len(rest) != 2:
-                raise _err(head, f"{name} takes exactly two formulas")
-            ctor = Implies if name == "implies" else Iff
-            return ctor(formula(rest[0], env), formula(rest[1], env))
-        if name in ("forall", "exists"):
-            if (
-                len(rest) != 4
-                or not isinstance(rest[0], SAtom)
-                or not isinstance(rest[1], SAtom)
-                or rest[1].text != ":"
-                or not isinstance(rest[2], SAtom)
-            ):
-                raise _err(head, f"{name} syntax is ({name} var : Sort formula)")
-            vname, sort = rest[0].text, rest[2].text
-            if rest[0].is_int:
-                raise _err(rest[0], "variable names cannot be integers")
-            if sort not in sig.sorts:
-                raise _err(rest[2], f"unknown sort {sort}")
-            if vname in sig.constants:
-                # the binder would capture the constant within its scope
-                raise _err(
-                    rest[0], f"variable {vname} has the name of a declared constant"
-                )
-            v = Var(vname, sort)
-            inner = dict(env)
-            inner[vname] = v
-            body = formula(rest[3], inner)
-            return (Forall if name == "forall" else Exists)(v, body)
-        if name in MODAL_OPS:
-            want_sit = name == OBLIGATED
-            # obligated also takes a three-argument surface form, whose
-            # situation is the default situation constant
-            short = want_sit and len(rest) == 3
-            if len(rest) != (4 if want_sit else 3) and not short:
-                raise _err(
-                    head,
-                    f"{name} takes agent, moment{', situation' if want_sit else ''}"
-                    " and a formula",
-                )
-            agent = build_term(rest[0], sig, env, AGENT)
-            time = build_term(rest[1], sig, env, MOMENT)
-            sit = None
-            if short:
-                sit = Const(SIGMA_DEFAULT, SITUATION)
-            elif want_sit:
-                sit = build_term(rest[2], sig, env, SITUATION)
-            return Modal(name, agent, time, formula(rest[-1], env), sit)
-        if name == "=":
-            if len(rest) != 2:
-                raise _err(head, "= takes exactly two terms")
-            l = build_term(rest[0], sig, env)
-            r = build_term(rest[1], sig, env)
-            if not (sig.widens(l.sort, r.sort) or sig.widens(r.sort, l.sort)):
-                raise _err(head, f"sort mismatch: incomparable {l.sort} and {r.sort}")
-            return Atom("=", (l, r))
-        # ordinary predicate atom
-        if name not in sig.predicates:
-            raise _err(head, f"unknown predicate {name}")
-        argsorts = sig.predicates[name]
-        if len(rest) != len(argsorts):
+
+def _formula(n: SExpr, env: dict[str, Var], sig: Signature) -> Formula:
+    """The formula n spells, env naming the variables bound around it."""
+    if isinstance(n, SAtom):
+        raise _err(n, f"expected a formula, got {n.text!r}")
+    if not n.items:
+        raise _err(n, "empty form")
+    head = n.items[0]
+    if not isinstance(head, SAtom):
+        raise _err(head, "expected an operator or predicate name")
+    rest = n.items[1:]
+    name = head.text
+
+    if name == "not":
+        if len(rest) != 1:
+            raise _err(head, "not takes exactly one formula")
+        return Not(_formula(rest[0], env, sig))
+    if name in ("and", "or"):
+        if not rest:
+            raise _err(head, f"{name} needs at least one formula")
+        parts = [_formula(r, env, sig) for r in rest]
+        return conj(parts) if name == "and" else disj(parts)
+    if name in ("implies", "iff"):
+        if len(rest) != 2:
+            raise _err(head, f"{name} takes exactly two formulas")
+        ctor = Implies if name == "implies" else Iff
+        return ctor(_formula(rest[0], env, sig), _formula(rest[1], env, sig))
+    if name in ("forall", "exists"):
+        if (
+            len(rest) != 4
+            or not isinstance(rest[0], SAtom)
+            or not isinstance(rest[1], SAtom)
+            or rest[1].text != ":"
+            or not isinstance(rest[2], SAtom)
+        ):
+            raise _err(head, f"{name} syntax is ({name} var : Sort formula)")
+        vname, sort = rest[0].text, rest[2].text
+        if rest[0].is_int:
+            raise _err(rest[0], "variable names cannot be integers")
+        if sort not in sig.sorts:
+            raise _err(rest[2], f"unknown sort {sort}")
+        if vname in sig.constants:
+            # the binder would capture the constant within its scope
+            raise _err(
+                rest[0], f"variable {vname} has the name of a declared constant"
+            )
+        v = Var(vname, sort)
+        inner = dict(env)
+        inner[vname] = v
+        body = _formula(rest[3], inner, sig)
+        return (Forall if name == "forall" else Exists)(v, body)
+    if name in MODAL_OPS:
+        want_sit = name == OBLIGATED
+        # obligated also takes a three-argument surface form, whose
+        # situation is the default situation constant
+        short = want_sit and len(rest) == 3
+        if len(rest) != (4 if want_sit else 3) and not short:
             raise _err(
                 head,
-                f"predicate {name} takes {len(argsorts)} arguments, got {len(rest)}",
+                f"{name} takes agent, moment{', situation' if want_sit else ''}"
+                " and a formula",
             )
-        args = tuple(build_term(sub, sig, env, s) for sub, s in zip(rest, argsorts))
-        return Atom(name, args)
-
-    return formula(node, {})
+        agent = build_term(rest[0], sig, env, AGENT)
+        time = build_term(rest[1], sig, env, MOMENT)
+        sit = None
+        if short:
+            sit = Const(SIGMA_DEFAULT, SITUATION)
+        elif want_sit:
+            sit = build_term(rest[2], sig, env, SITUATION)
+        return Modal(name, agent, time, _formula(rest[-1], env, sig), sit)
+    if name == "=":
+        if len(rest) != 2:
+            raise _err(head, "= takes exactly two terms")
+        l = build_term(rest[0], sig, env)
+        r = build_term(rest[1], sig, env)
+        if not (sig.widens(l.sort, r.sort) or sig.widens(r.sort, l.sort)):
+            raise _err(head, f"sort mismatch: incomparable {l.sort} and {r.sort}")
+        return Atom("=", (l, r))
+    # ordinary predicate atom
+    if name not in sig.predicates:
+        raise _err(head, f"unknown predicate {name}")
+    argsorts = sig.predicates[name]
+    if len(rest) != len(argsorts):
+        raise _err(
+            head,
+            f"predicate {name} takes {len(argsorts)} arguments, got {len(rest)}",
+        )
+    args = tuple(build_term(sub, sig, env, s) for sub, s in zip(rest, argsorts))
+    return Atom(name, args)
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:

@@ -159,7 +159,7 @@ step of the first assumption keyed as the goal is (_assumed), keying
 only the assumptions with the goal's head.  That is
 the proof the closure route would emit: _Prep.add records the first
 kept assumption of each key under RULE_ASSUMPTION before anything is
-derived, emit pulls in no witness step for it, since a witness is
+derived, _emit pulls in no witness step for it, since a witness is
 named apart from every assumption, and that assumption is never
 pruned: each literal of its must-set lies on the goal's top-level
 disjunction, and Not(goal), always kept, holds it at the other sign.
@@ -182,6 +182,15 @@ against it.  clausify also stops before distributing a product of more
 than max_clauses literal lists (the formula then has more clauses than
 that, duplicates and tautologies included), past its NNF node cap, or
 past the deadline; the search then ends as timeout.
+
+No self-referencing closure on the request path: the recursive walks
+(_literals, _joins) and proof replay (_emit) are module-level functions
+handed their output and state, as are those of syntax, clauses,
+resolution and parser.  A nested emit that called itself would be a
+reference cycle through its closure cell holding the whole _Prep, its
+records, derivations and formulas, alive past the search until the
+cyclic collector ran; without one, reference counting frees the search
+when prove returns.
 """
 
 from __future__ import annotations
@@ -595,39 +604,39 @@ def _literals(f: Formula) -> list[tuple[Atom | Modal, int, bool, tuple[Var, ...]
     are not f's, except that those of a knows body, which S1 can bring
     out, come at their sign within the body."""
     out: list[tuple[Atom | Modal, int, bool, tuple[Var, ...]]] = []
-
-    def walk(g: Formula, sign: int, top: bool, bound: tuple[Var, ...]) -> None:
-        # top implies sign != 0
-        if isinstance(g, Atom):
-            out.append((g, sign, top, bound))
-        elif isinstance(g, Not):
-            walk(g.body, -sign, top, bound)
-        elif isinstance(g, (And, Or)):
-            disjunction = top and isinstance(g, Or) == (sign > 0)
-            for p in g.parts:
-                walk(p, sign, disjunction, bound)
-        elif isinstance(g, Implies):
-            disjunction = top and sign > 0
-            walk(g.left, -sign, disjunction, bound)
-            walk(g.right, sign, disjunction, bound)
-        elif isinstance(g, Iff):
-            # both directions become clauses: every literal takes both
-            # signs, and no literal lies in every clause
-            walk(g.left, 0, False, bound)
-            walk(g.right, 0, False, bound)
-        elif isinstance(g, (Forall, Exists)):
-            walk(g.body, sign, top, (*bound, g.var))
-        elif isinstance(g, Modal):
-            out.append((g, sign, top, bound))
-            # S1 asserts a knows body whatever the knows formula's sign;
-            # no other operator's body is ever asserted
-            if g.op == KNOWS:
-                walk(g.body, 1, False, bound)
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-
-    walk(f, 1, True, ())
+    _literal_walk(f, 1, True, (), out)
     return out
+
+
+def _literal_walk(g: Formula, sign: int, top: bool, bound: tuple[Var, ...], out: list) -> None:
+    """Append g's literals to out (see _literals); top implies sign != 0."""
+    if isinstance(g, Atom):
+        out.append((g, sign, top, bound))
+    elif isinstance(g, Not):
+        _literal_walk(g.body, -sign, top, bound, out)
+    elif isinstance(g, (And, Or)):
+        disjunction = top and isinstance(g, Or) == (sign > 0)
+        for p in g.parts:
+            _literal_walk(p, sign, disjunction, bound, out)
+    elif isinstance(g, Implies):
+        disjunction = top and sign > 0
+        _literal_walk(g.left, -sign, disjunction, bound, out)
+        _literal_walk(g.right, sign, disjunction, bound, out)
+    elif isinstance(g, Iff):
+        # both directions become clauses: every literal takes both
+        # signs, and no literal lies in every clause
+        _literal_walk(g.left, 0, False, bound, out)
+        _literal_walk(g.right, 0, False, bound, out)
+    elif isinstance(g, (Forall, Exists)):
+        _literal_walk(g.body, sign, top, (*bound, g.var), out)
+    elif isinstance(g, Modal):
+        out.append((g, sign, top, bound))
+        # S1 asserts a knows body whatever the knows formula's sign;
+        # no other operator's body is ever asserted
+        if g.op == KNOWS:
+            _literal_walk(g.body, 1, False, bound, out)
+    else:
+        raise TypeError(f"not a formula: {g!r}")
 
 
 def _head(f: Formula) -> str:
@@ -781,28 +790,30 @@ def _joins(f: Formula) -> tuple[list[Modal], list[And]]:
     serve (see the module docstring)."""
     targets: list[Modal] = []
     uses: list[And] = []
-
-    def walk(g: Formula, inside: bool) -> None:
-        if isinstance(g, Atom):
-            return
-        if isinstance(g, Modal):
-            if is_join_target(g):
-                targets.append(g)
-            for p in g.body.parts if is_join_target(g) else (g.body,):
-                walk(p, True)
-        elif isinstance(g, (And, Or)):
-            if inside and isinstance(g, And):
-                uses.append(g)
-            for p in g.parts:
-                walk(p, inside)
-        elif isinstance(g, (Implies, Iff)):
-            walk(g.left, inside)
-            walk(g.right, inside)
-        else:
-            walk(g.body, inside)  # Not, Forall, Exists
-
-    walk(f, False)
+    _join_walk(f, False, targets, uses)
     return targets, uses
+
+
+def _join_walk(g: Formula, inside: bool, targets: list[Modal], uses: list[And]) -> None:
+    """Append g's join targets and used conjunctions (see _joins); inside
+    says that g lies in a modal body."""
+    if isinstance(g, Atom):
+        return
+    if isinstance(g, Modal):
+        if is_join_target(g):
+            targets.append(g)
+        for p in g.body.parts if is_join_target(g) else (g.body,):
+            _join_walk(p, True, targets, uses)
+    elif isinstance(g, (And, Or)):
+        if inside and isinstance(g, And):
+            uses.append(g)
+        for p in g.parts:
+            _join_walk(p, inside, targets, uses)
+    elif isinstance(g, (Implies, Iff)):
+        _join_walk(g.left, inside, targets, uses)
+        _join_walk(g.right, inside, targets, uses)
+    else:
+        _join_walk(g.body, inside, targets, uses)  # Not, Forall, Exists
 
 
 def _pure_roots(reads: Sequence[_Read]) -> tuple[set[int], _Purity]:
@@ -886,6 +897,25 @@ def _assumed(premises: Premises, goal: Formula, sig: Signature) -> Optional[int]
     return i
 
 
+def _emit(key: str, prep: _Prep, steps: list[ProofStep], index_of: dict[str, int]) -> int:
+    """The index in steps of record key's step, appended after the steps
+    of its premises unless index_of, the index of each record emitted so
+    far, has it."""
+    if key in index_of:
+        return index_of[key]
+    rec = prep.records[key]
+    prems = tuple(_emit(k, prep, steps, index_of) for k in rec.premises)
+    # a witness constant may only appear after the step that introduced
+    # it, so pull the introducing record in front of any other use
+    for c in constants_in_formula(rec.formula):
+        intro = prep.witness_intro.get(c.name)
+        if intro is not None and intro != key:
+            _emit(intro, prep, steps, index_of)
+    steps.append(ProofStep(rec.formula, rec.rule, prems))
+    index_of[key] = len(steps) - 1
+    return index_of[key]
+
+
 def prove(
     assumptions: Sequence[Formula],
     goal: Formula,
@@ -948,24 +978,8 @@ def prove(
 
     steps: list[ProofStep] = []
     index_of: dict[str, int] = {}
-
-    def emit(key: str) -> int:
-        if key in index_of:
-            return index_of[key]
-        rec = prep.records[key]
-        prems = tuple(emit(k) for k in rec.premises)
-        # a witness constant may only appear after the step that introduced
-        # it, so pull the introducing record in front of any other use
-        for c in constants_in_formula(rec.formula):
-            intro = prep.witness_intro.get(c.name)
-            if intro is not None and intro != key:
-                emit(intro)
-        steps.append(ProofStep(rec.formula, rec.rule, prems))
-        index_of[key] = len(steps) - 1
-        return index_of[key]
-
     if goal_key in prep.records:
-        emit(goal_key)
+        _emit(goal_key, prep, steps, index_of)
         stats["route"] = "closure"
         return finish("proof", Proof(tuple(steps)))
 
@@ -1001,7 +1015,7 @@ def prove(
     for ni in sat.used_nodes():
         node = sat.nodes[ni]
         if node.rule == "input":
-            src = emit(flist[node.source])
+            src = _emit(flist[node.source], prep, steps, index_of)
             steps.append(
                 ProofStep(clause_to_formula(node.clause), RULE_CLAUSIFY, (src,))
             )
@@ -1012,7 +1026,7 @@ def prove(
         node_step[ni] = len(steps) - 1
 
     falsum_step = node_step[sat.empty_index]
-    ng_step = emit(ng_key)
+    ng_step = _emit(ng_key, prep, steps, index_of)
     steps.append(ProofStep(goal, RULE_REDUCTIO, (falsum_step, ng_step)))
     stats["route"] = "refutation"
     return finish("proof", Proof(tuple(steps)))

@@ -148,25 +148,29 @@ def subsumes(general: Clause, specific: Clause, sig: Signature) -> bool:
     if len(general.literals) > len(specific.literals):
         return False
     gen = _rename_apart(general, "s")
+    return _extend(0, {}, gen.literals, specific.literals, sig)
 
-    def extend(idx: int, s: Subst) -> bool:
-        if idx == len(gen.literals):
+
+def _extend(
+    idx: int, s: Subst, general: tuple[Literal, ...], specific: tuple[Literal, ...], sig: Signature
+) -> bool:
+    """Whether s extends to a substitution that sends general[idx:] into
+    specific."""
+    if idx == len(general):
+        return True
+    lit = general[idx]
+    for cand in specific:
+        if cand.positive != lit.positive or cand.atom.pred != lit.atom.pred:
+            continue
+        trial = dict(s)
+        ok = True
+        for x, y in zip(lit.atom.args, cand.atom.args):
+            if match_term(x, y, trial, sig) is None:
+                ok = False
+                break
+        if ok and _extend(idx + 1, trial, general, specific, sig):
             return True
-        lit = gen.literals[idx]
-        for cand in specific.literals:
-            if cand.positive != lit.positive or cand.atom.pred != lit.atom.pred:
-                continue
-            trial = dict(s)
-            ok = True
-            for x, y in zip(lit.atom.args, cand.atom.args):
-                if match_term(x, y, trial, sig) is None:
-                    ok = False
-                    break
-            if ok and extend(idx + 1, trial):
-                return True
-        return False
-
-    return extend(0, {})
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +202,18 @@ class SaturationResult:
             return []
         seen: set[int] = set()
         order: list[int] = []
-
-        def visit(i: int) -> None:
-            if i in seen:
-                return
-            seen.add(i)
-            for p in self.nodes[i].parents:
-                visit(p)
-            order.append(i)
-
-        visit(self.empty_index)
+        _visit(self.empty_index, self.nodes, seen, order)
         return order
+
+
+def _visit(i: int, nodes: list[Inference], seen: set[int], order: list[int]) -> None:
+    """Append node i to order after its parents, each node once."""
+    if i in seen:
+        return
+    seen.add(i)
+    for p in nodes[i].parents:
+        _visit(p, nodes, seen, order)
+    order.append(i)
 
 
 def saturate(

@@ -12,6 +12,14 @@ answers lookups against them; it does not walk formulas.  The parser
 checks a formula's sorts as it builds it (parser.build_formula).  The
 built-in sorts, the event-calculus symbols, and the defined predicates
 Prevents/Block are pre-declared in every signature.
+
+The walks are module-level functions that take their output list or
+state as arguments: no function on the request path refers to itself
+through a closure cell.  A nested helper that calls itself is a
+reference cycle (function, cell, function) that keeps alive what it
+captured until the cyclic collector runs, in a pause some later request
+pays for; without one, reference counting frees a walk's state as soon
+as the walk returns.
 """
 
 from __future__ import annotations
@@ -388,26 +396,26 @@ def term_vars(t: Term, acc: list[Var]) -> None:
 def formula_terms(f: Formula) -> list[Term]:
     """Top-level terms of f, in left-to-right order (not recursive into terms)."""
     out: list[Term] = []
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, Atom):
-            out.extend(g.args)
-        elif isinstance(g, (Not, Forall, Exists)):
-            walk(g.body)
-        elif isinstance(g, (And, Or)):
-            for p in g.parts:
-                walk(p)
-        elif isinstance(g, (Implies, Iff)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, Modal):
-            out.extend((g.agent, g.time))
-            if g.situation is not None:
-                out.append(g.situation)
-            walk(g.body)
-
-    walk(f)
+    _formula_terms(f, out)
     return out
+
+
+def _formula_terms(g: Formula, out: list[Term]) -> None:
+    if isinstance(g, Atom):
+        out.extend(g.args)
+    elif isinstance(g, (Not, Forall, Exists)):
+        _formula_terms(g.body, out)
+    elif isinstance(g, (And, Or)):
+        for p in g.parts:
+            _formula_terms(p, out)
+    elif isinstance(g, (Implies, Iff)):
+        _formula_terms(g.left, out)
+        _formula_terms(g.right, out)
+    elif isinstance(g, Modal):
+        out.extend((g.agent, g.time))
+        if g.situation is not None:
+            out.append(g.situation)
+        _formula_terms(g.body, out)
 
 
 def symbol_names(f: Formula) -> set[str]:
@@ -428,63 +436,61 @@ def symbol_names(f: Formula) -> set[str]:
 
 def free_vars(f: Formula) -> tuple[Var, ...]:
     """Free variables in first-occurrence order."""
-
     out: list[Var] = []
-
-    def walk(g: Formula, bound: frozenset[Var]) -> None:
-        if isinstance(g, Atom):
-            acc: list[Var] = []
-            for t in g.args:
-                term_vars(t, acc)
-            for v in acc:
-                if v not in bound and v not in out:
-                    out.append(v)
-        elif isinstance(g, Not):
-            walk(g.body, bound)
-        elif isinstance(g, (And, Or)):
-            for p in g.parts:
-                walk(p, bound)
-        elif isinstance(g, (Implies, Iff)):
-            walk(g.left, bound)
-            walk(g.right, bound)
-        elif isinstance(g, (Forall, Exists)):
-            walk(g.body, bound | {g.var})
-        elif isinstance(g, Modal):
-            acc = []
-            term_vars(g.agent, acc)
-            term_vars(g.time, acc)
-            if g.situation is not None:
-                term_vars(g.situation, acc)
-            for v in acc:
-                if v not in bound and v not in out:
-                    out.append(v)
-            walk(g.body, bound)
-
-    walk(f, frozenset())
+    _free_vars(f, frozenset(), out)
     return tuple(out)
+
+
+def _free_vars(g: Formula, bound: frozenset[Var], out: list[Var]) -> None:
+    if isinstance(g, Atom):
+        acc: list[Var] = []
+        for t in g.args:
+            term_vars(t, acc)
+        for v in acc:
+            if v not in bound and v not in out:
+                out.append(v)
+    elif isinstance(g, Not):
+        _free_vars(g.body, bound, out)
+    elif isinstance(g, (And, Or)):
+        for p in g.parts:
+            _free_vars(p, bound, out)
+    elif isinstance(g, (Implies, Iff)):
+        _free_vars(g.left, bound, out)
+        _free_vars(g.right, bound, out)
+    elif isinstance(g, (Forall, Exists)):
+        _free_vars(g.body, bound | {g.var}, out)
+    elif isinstance(g, Modal):
+        acc = []
+        term_vars(g.agent, acc)
+        term_vars(g.time, acc)
+        if g.situation is not None:
+            term_vars(g.situation, acc)
+        for v in acc:
+            if v not in bound and v not in out:
+                out.append(v)
+        _free_vars(g.body, bound, out)
 
 
 def maximal_modal_subformulas(f: Formula) -> list[Formula]:
     """Outermost modal subformulas in left-to-right order, no descent inside."""
-
     out: list[Formula] = []
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, Modal):
-            out.append(g)
-        elif isinstance(g, Not):
-            walk(g.body)
-        elif isinstance(g, (And, Or)):
-            for p in g.parts:
-                walk(p)
-        elif isinstance(g, (Implies, Iff)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, (Forall, Exists)):
-            walk(g.body)
-
-    walk(f)
+    _maximal_modals(f, out)
     return out
+
+
+def _maximal_modals(g: Formula, out: list[Formula]) -> None:
+    if isinstance(g, Modal):
+        out.append(g)
+    elif isinstance(g, Not):
+        _maximal_modals(g.body, out)
+    elif isinstance(g, (And, Or)):
+        for p in g.parts:
+            _maximal_modals(p, out)
+    elif isinstance(g, (Implies, Iff)):
+        _maximal_modals(g.left, out)
+        _maximal_modals(g.right, out)
+    elif isinstance(g, (Forall, Exists)):
+        _maximal_modals(g.body, out)
 
 
 def constants_in_formula(f: Formula) -> list[Const]:
@@ -589,50 +595,53 @@ def substitute(
     taken: set[str] = set()
     for t in mapping.values():
         _names_in_term(t, taken)
+    return _substitute(f, dict(mapping), taken)
 
-    def fresh(name: str, avoid: set[str]) -> str:
-        cand = name
-        while cand in avoid:
-            cand += "'"
-        return cand
 
-    def walk(g: Formula, m: dict[Var, Term]) -> Formula:
-        if isinstance(g, Atom):
-            return Atom(g.pred, tuple(substitute_term(t, m) for t in g.args))
-        if isinstance(g, Not):
-            return Not(walk(g.body, m))
-        if isinstance(g, And):
-            return And(tuple(walk(p, m) for p in g.parts))
-        if isinstance(g, Or):
-            return Or(tuple(walk(p, m) for p in g.parts))
-        if isinstance(g, Implies):
-            return Implies(walk(g.left, m), walk(g.right, m))
-        if isinstance(g, Iff):
-            return Iff(walk(g.left, m), walk(g.right, m))
-        if isinstance(g, (Forall, Exists)):
-            v = g.var
-            inner = {k: t for k, t in m.items() if k != v}
-            if not inner:
-                return g
-            if v.name in taken:
-                # rename the binder away from capture
-                body_names = {w.name for w in free_vars(g.body)}
-                nv = Var(fresh(v.name, taken | body_names), v.sort)
-                body = walk(g.body, {v: nv})
-                body = walk(body, inner)
-                return type(g)(nv, body)
-            return type(g)(v, walk(g.body, inner))
-        if isinstance(g, Modal):
-            return Modal(
-                g.op,
-                substitute_term(g.agent, m),
-                substitute_term(g.time, m),
-                walk(g.body, m),
-                None if g.situation is None else substitute_term(g.situation, m),
-            )
-        raise TypeError(f"not a formula: {g!r}")
+def _fresh(name: str, avoid: set[str]) -> str:
+    cand = name
+    while cand in avoid:
+        cand += "'"
+    return cand
 
-    return walk(f, dict(mapping))
+
+def _substitute(g: Formula, m: dict[Var, Term], taken: set[str]) -> Formula:
+    """g with m's replacements put for its free variables, each binder
+    whose name taken holds renamed apart (see substitute)."""
+    if isinstance(g, Atom):
+        return Atom(g.pred, tuple(substitute_term(t, m) for t in g.args))
+    if isinstance(g, Not):
+        return Not(_substitute(g.body, m, taken))
+    if isinstance(g, And):
+        return And(tuple(_substitute(p, m, taken) for p in g.parts))
+    if isinstance(g, Or):
+        return Or(tuple(_substitute(p, m, taken) for p in g.parts))
+    if isinstance(g, Implies):
+        return Implies(_substitute(g.left, m, taken), _substitute(g.right, m, taken))
+    if isinstance(g, Iff):
+        return Iff(_substitute(g.left, m, taken), _substitute(g.right, m, taken))
+    if isinstance(g, (Forall, Exists)):
+        v = g.var
+        inner = {k: t for k, t in m.items() if k != v}
+        if not inner:
+            return g
+        if v.name in taken:
+            # rename the binder away from capture
+            body_names = {w.name for w in free_vars(g.body)}
+            nv = Var(_fresh(v.name, taken | body_names), v.sort)
+            body = _substitute(g.body, {v: nv}, taken)
+            body = _substitute(body, inner, taken)
+            return type(g)(nv, body)
+        return type(g)(v, _substitute(g.body, inner, taken))
+    if isinstance(g, Modal):
+        return Modal(
+            g.op,
+            substitute_term(g.agent, m),
+            substitute_term(g.time, m),
+            _substitute(g.body, m, taken),
+            None if g.situation is None else substitute_term(g.situation, m),
+        )
+    raise TypeError(f"not a formula: {g!r}")
 
 
 # ---------------------------------------------------------------------------

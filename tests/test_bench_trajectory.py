@@ -86,7 +86,7 @@ def test_a_trajectory_runs_each_workload_at_three_seeds(monkeypatch, tmp_path):
     assert BT.main(["--pr", "0"]) == 0
     assert calls == [("query_mix", 1), ("query_mix", 2), ("query_mix", 3)]
     record = json.loads((tmp_path / "BENCH_0.json").read_text())
-    assert record["schema"] == "bench-trajectory/6"
+    assert record["schema"] == "bench-trajectory/7"
     assert record["counters"] == {"sim1+0": {"pruned_roots": 8}}
     assert record["timings"] == {"parse_scenario": {"sim1+0": 0.5}}
     assert record["seeds"] == [1, 2, 3]
@@ -102,10 +102,32 @@ def test_the_counters_are_the_same_over_two_runs():
     for counts in first.values():
         assert counts["searches"]
         assert set(BT.SUMMED) <= set(counts)
+        # an adjudication leaves nothing for the cyclic collector
+        assert counts["cyclic_garbage"] == 0
     # the obligation search and the two C3 searches that prove nothing
     # ground and expand the same closure whatever sim2's extra effects
     sim2 = [first[f"sim2+{m}"] for m in (0, 8, 32)]
     assert len({(c["grounding_instances"], c["expansion_size"]) for c in sim2}) == 1
+
+
+def test_cyclic_garbage_counts_the_cycles_a_call_leaves_and_restores_the_collector():
+    import gc
+
+    def cycles(n):
+        for _ in range(n):
+            box: list = []
+            box.append(box)
+
+    assert gc.isenabled()
+    assert BT.cyclic_garbage(lambda: cycles(3)) == 3
+    assert BT.cyclic_garbage(lambda: [[] for _ in range(3)]) == 0
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        assert BT.cyclic_garbage(lambda: cycles(1)) == 1
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_the_timings_time_every_counted_point_and_leave_the_counters_alone(monkeypatch):

@@ -20,6 +20,7 @@ from modalguard.guard import (
     epistemic_query,
     intention_query,
     obligation_goal,
+    prevents_body,
     prevents_holds,
 )
 from modalguard.parser import ParseError
@@ -533,6 +534,28 @@ def test_prevention_unknown_past_the_oracle_moments_of_the_facts():
     r = prevents_holds(sc, SHOOTER, ai, G_LIVE, FIRE, 1)
     assert r.answer == "unknown"
     assert r.countermodel is None
+
+
+def test_prevention_unknown_past_the_oracle_moments_of_the_signature():
+    # the goal moment is a declared t2, and t5..t8 are declared too: the
+    # oracle grounds over 0..3 and the five named moments, nine in all
+    text = sim1_with_moment_named("t2")
+    text = text.replace(" (t2 Moment))\n", " (t2 Moment)\n  (t5 Moment) (t6 Moment) (t7 Moment) (t8 Moment))\n")
+    text = text.replace("  (prior 2 t2)\n", "  (prior 2 t2)\n  (prior t5 t6) (prior t7 t8)\n")
+    sc = parse_scenario(text, "sim1+named-moments")
+    assert sc.theory.horizon == 3 and "t8" in sc.sig.constants
+    assert "(prior t7 t8)" in text
+    r = prevents_holds(sc, SHOOTER, Const("ai", "Agent"), G_LIVE, FIRE, 1)
+    assert r.answer == "unknown"
+    assert r.countermodel is None
+
+
+def test_the_oracle_bounds_count_the_agents_of_the_query_too():
+    # sim1 declares three agents; a query naming a fourth grounds over four
+    zed = prevents_body(SHOOTER, Const("zed", "Agent"), G_LIVE, FIRE, moment(1))
+    victim = prevents_body(SHOOTER, VICTIM, G_LIVE, FIRE, moment(1))
+    assert guard._within_oracle_bounds(SIM1, [*SIM1.facts, victim])
+    assert not guard._within_oracle_bounds(SIM1, [*SIM1.facts, zed])
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,13 @@ timed runs: for one adjudication of each scenario in COUNTED, the
 searches the guard and the double-effect check run, by route (or by
 status, for a search that proves nothing), and the sums of their
 pruned roots, grounding instances, expansion sizes, shadowed and
-clausified formulas and generated clauses.  The counts do not depend
-on the host, so two files compare them directly.
+clausified formulas and generated clauses, and its cyclic garbage:
+what gc.collect() finds unreachable after the adjudication, run with the
+collector off.  The counts do not depend on the host, so two files
+compare them directly.  Cyclic garbage needs a count of its own: the
+collector's pauses fall on whichever call crosses its threshold, and a
+least-of-N CPU timing keeps the calls that paid for no pause, so the
+timings below cannot show what a request leaves to collect.
 
 A timings section, kept apart from the counters, holds CPU times in ms,
 each the least of TIMED_CALLS calls: parse_scenario on the text of each
@@ -39,6 +44,7 @@ read each file's times against its own reference loop.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import json
 import os
@@ -50,7 +56,7 @@ import time
 from functools import partial
 from pathlib import Path
 
-SCHEMA = "bench-trajectory/6"
+SCHEMA = "bench-trajectory/7"
 SEEDS = (1, 2, 3)
 ROOT = Path(__file__).resolve().parent.parent
 # the counted scenarios: sim2 plus m extra effects, and sim1 plus k idle
@@ -164,8 +170,9 @@ def counters(root: Path = ROOT) -> dict:
     guard.prove = ethics.prove = recording
     try:
         for name, text in texts.items():
+            sc = parse_scenario(text, name)
             results.clear()
-            guard.adjudicate(parse_scenario(text, name))
+            garbage = cyclic_garbage(partial(guard.adjudicate, sc))
             routes: dict[str, int] = {}
             for r in results:
                 route = r.stats.get("route", r.status)
@@ -173,10 +180,25 @@ def counters(root: Path = ROOT) -> dict:
             section[name] = {
                 "searches": dict(sorted(routes.items())),
                 **{k: sum(r.stats.get(k, 0) for r in results) for k in SUMMED},
+                "cyclic_garbage": garbage,
             }
     finally:
         guard.prove = ethics.prove = prove
     return section
+
+
+def cyclic_garbage(call) -> int:
+    """What gc.collect() finds unreachable after call, run with the
+    collector off: the objects on the reference cycles it left."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def least_cpu_ms(calls: dict) -> dict:
