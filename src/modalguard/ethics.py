@@ -34,6 +34,7 @@ from .syntax import (
 )
 
 WILDCARD = "_"
+NEUTRAL = "neutral"  # the category C1 ranks an action type against
 
 
 @dataclass(frozen=True)
@@ -42,13 +43,12 @@ class EthicalHierarchy:
 
     categories: tuple[str, ...]
     assignment: dict[str, str] = field(default_factory=dict)
-    neutral: str = "neutral"
 
     def __post_init__(self) -> None:
         if len(set(self.categories)) != len(self.categories):
             raise ValueError("duplicate categories")
-        if self.neutral not in self.categories:
-            raise ValueError(f"hierarchy must contain {self.neutral!r}")
+        if NEUTRAL not in self.categories:
+            raise ValueError(f"hierarchy must contain {NEUTRAL!r}")
         for atype, cat in self.assignment.items():
             if cat not in self.categories:
                 raise ValueError(f"unknown category {cat!r} for {atype}")
@@ -57,10 +57,10 @@ class EthicalHierarchy:
         return self.categories.index(category)
 
     def classify(self, atype: str) -> str:
-        return self.assignment.get(atype, self.neutral)
+        return self.assignment.get(atype, NEUTRAL)
 
     def at_least_neutral(self, atype: str) -> bool:
-        return self.rank(self.classify(atype)) >= self.rank(self.neutral)
+        return self.rank(self.classify(atype)) >= self.rank(NEUTRAL)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ one walk under a binding environment, substituting only at atoms and
 modal subformulas: a universal combines its instances as a conjunction
 its parts, an existential as a disjunction, stopping at the first part
 that decides.  The environment binds only constants, so an atom or a
-modal subformula is bound under it directly, with no binder to rename.
+modal subformula is bound under it directly, with no binder to rename
+(syntax.bind, which builds the prover's grounding instances too).
 The modal closure rules are applied forward, and a DPLL search decides
 the clauses one walk makes of the closed formulas.  Nothing outside a
 modal subformula is quantified there, so nothing is shadowed: an atom
@@ -68,13 +69,13 @@ from .syntax import (
     Not,
     Or,
     Signature,
+    bind,
     canonical_key,
     conj,
     constant_occurrences,
     constant_sorts,
     disj,
     domain_order,
-    substitute_term,
     symbol_names,
     unspoofed,
 )
@@ -114,37 +115,6 @@ def _domains(formulas: Sequence[Formula], sig: Signature) -> dict[str, list[Cons
     }
 
 
-def _bind(f: Formula, env: dict) -> Formula:
-    """f with each free variable env binds replaced by its constant.
-    env binds only constants, so no binder can capture what replaces a
-    variable, and none is renamed: a binder of a bound variable hides
-    it in its body."""
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(substitute_term(t, env) for t in f.args))
-    if isinstance(f, Modal):
-        situation = None if f.situation is None else substitute_term(f.situation, env)
-        return Modal(
-            f.op,
-            substitute_term(f.agent, env),
-            substitute_term(f.time, env),
-            _bind(f.body, env),
-            situation,
-        )
-    if isinstance(f, Not):
-        return Not(_bind(f.body, env))
-    if isinstance(f, (And, Or)):
-        return type(f)(tuple(_bind(p, env) for p in f.parts))
-    if isinstance(f, (Implies, Iff)):
-        return type(f)(_bind(f.left, env), _bind(f.right, env))
-    if isinstance(f, (Forall, Exists)):
-        if f.var in env:
-            env = {v: c for v, c in env.items() if v != f.var}
-            if not env:
-                return f
-        return type(f)(f.var, _bind(f.body, env))
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def _ground(f: Formula, dom: dict, sig: Signature, env=None, deadline=math.inf):
     """Expand quantifiers over the domain under env, which binds the
     variables of the quantifiers above f to constants; _TRUE and FALSUM
@@ -152,7 +122,7 @@ def _ground(f: Formula, dom: dict, sig: Signature, env=None, deadline=math.inf):
     rules may expose them later, at which point grounding runs again.
     Raises OracleLimit past the deadline, polled once per part or instance."""
     if isinstance(f, (Atom, Modal)):
-        return _bind(f, env) if env else f
+        return bind(f, env) if env else f
     env = env or {}
     if isinstance(f, Not):
         b = _ground(f.body, dom, sig, env, deadline)

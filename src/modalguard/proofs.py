@@ -8,8 +8,8 @@ its premises alone, one way per rule family: it recomputes what the
 rule derives from the cited premises and compares the step with that.
 A modal rule's conclusions (_modal_conclusions) are compared by the
 prover's canonical key; a quantifier rule's instance (_opened) is found
-by keying the premise body with the bound variable named as each
-candidate constant; a clause rule's clauses (_clause_conclusions) are
+by keying the premise body with each candidate constant put for the
+bound variable; a clause rule's clauses (_clause_conclusions) are
 compared by canonical clause.  No comparison takes a free variable for
 a constant of its name, nor one name for another.  A witness must be a
 constant fresh for the names of the assumptions, the goal and the
@@ -155,17 +155,14 @@ def _is_instance(
 ) -> Optional[Term]:
     """Find a term t with body[var := t] alpha-equal to conclusion: var
     itself when body already is (a vacuous binder, or var left free),
-    otherwise a constant.
-
-    body is keyed with var named as each candidate: binders key by
-    position whatever their names and capture-avoiding renaming moves
-    only binders, so that is the key of body[var := candidate], found
-    without building it."""
+    otherwise a constant.  body is keyed with each candidate put for var
+    (canonical_key's names), which keys the instance without building
+    it."""
     want = canonical_key(conclusion)
     if canonical_key(body) == want:
         return var
     for c in _instance_candidates(conclusion, var.sort, sig):
-        if canonical_key(body, {var: c.name}) == want:
+        if canonical_key(body, {var: c}) == want:
             return c
     return None
 

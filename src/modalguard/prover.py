@@ -135,8 +135,9 @@ A proof search holds one store of derivations: the grounding
 closure's records, keyed by canonical key.  Modal expansion extends
 that dict in place, and the proof is replayed from it.  Every record
 is keyed by canonical_key; a grounding instance by its quantifier's
-body keyed under the constant's name (see _Prep), so the instance is
-keyed before it is built.  The expansion keys no formula handed in
+body keyed with the constant put for the variable (see _Prep), so the
+instance is keyed before it is built, and built by syntax.bind, as the
+oracle grounds.  The expansion keys no formula handed in
 again: it prints keys only for the formulas it derives and for the
 bodies, antecedents and join-target parts it looks up.
 
@@ -243,13 +244,13 @@ from .syntax import (
     Signature,
     Term,
     Var,
+    bind,
     canonical_key,
     constant_sorts,
     constants_in_formula,
     domain_order,
     free_vars,
     maximal_modal_subformulas,
-    substitute,
     symbol_names,
     unspoofed,
 )
@@ -484,9 +485,9 @@ class _Prep:
     def _add_instance(self, key: str, c: Const) -> str:
         """Add the instance of record key's plan at c; its key."""
         var, body, wrap, rule = self.plans[key][:4]
-        ikey = canonical_key(wrap(body), {var: c.name})
+        ikey = canonical_key(wrap(body), {var: c})
         if ikey not in self.records:
-            f = wrap(substitute(body, {var: c}, self.sig))
+            f = wrap(bind(body, {var: c}))
             self.records[ikey] = Derivation(f, rule, (key,), 0)
             # the instance's constants are its quantifier's (already
             # recorded) plus c
@@ -496,8 +497,12 @@ class _Prep:
     def _fresh_witness(self, sort: str) -> Const:
         """A constant w<n>, a witness or an anonymous element, named
         apart from the named formulas, the closure's constants and the
-        earlier witnesses.  An instance adds
-        no other name: a binder renamed by capture avoidance ends in "'"."""
+        earlier witnesses.  The named formulas' names are those in their
+        terms, so a binder that binds nothing may share the witness's
+        name; an instance put below it then prints (print_formula) as if
+        the binder bound the witness.  Keys print binders by position,
+        so its key, and with it the search and the proof checker, are
+        those of the instance with the binder renamed apart."""
         taken = {c.name for c in self.consts} | self.witness_intro.keys()
         taken = taken.union(*map(symbol_names, self.named))
         n = 1

@@ -21,6 +21,7 @@ clause, is not pushed again.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -219,7 +220,7 @@ def _visit(i: int, nodes: list[Inference], seen: set[int], order: list[int]) -> 
 def saturate(
     inputs: Sequence[tuple[Clause, int]],
     sig: Signature,
-    deadline: Optional[float] = None,
+    deadline: float = math.inf,
     max_clauses: int = 200000,
 ) -> SaturationResult:
     """Run the given-clause loop over (clause, source formula index) inputs."""
@@ -262,13 +263,13 @@ def saturate(
         # the loop polls the clock only every 32 steps: poll once here so a
         # deadline that passed during clausification is reported even by a
         # search that ends sooner
-        if deadline is not None and time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             raise BudgetStop("wall_clock")
 
         steps = 0
         while passive:
             steps += 1
-            if deadline is not None and steps % 32 == 0 and time.monotonic() > deadline:
+            if steps % 32 == 0 and time.monotonic() > deadline:
                 raise BudgetStop("wall_clock")
             _, _, gi = heapq.heappop(passive)
             given = nodes[gi].clause

@@ -3,17 +3,15 @@
 Each maximal modal subformula is replaced by a fresh predicate atom
 over the subformula's free variables, taken in first-occurrence order.
 The predicate name is a hash of the subformula's canonical key with
-its free variables renamed to numbered holes h0, h1, ... (the key of
-its generalization), so the same name is recomputed by any party given
-the same formula -- proof verification relies on that.  A hole stays a
-free variable and prints as one, ?h0:S, which no constant's name prints
-as (syntax.key_name): a constant named h0 keys apart from the hole h0.
-Alpha-equivalent subformulas share an atom; distinct ones never collide.
-
-A ShadowMap names each structurally distinct subformula once: a
-subformula it has seen before gets its atom back without being printed
-and hashed again.  The memo lives and dies with the map, and a fresh
-map computes the same atoms.
+numbered holes h0, h1, ... put for its free variables (the key of its
+generalization), so the same name is recomputed by any party given
+the same formula -- proof verification relies on that.  The key puts
+the holes in place without building the generalization, and prints
+binders by position, so no binder of the subformula captures a hole.
+A hole is a free variable and prints as one, ?h0:S, which no constant's
+name prints as (syntax.key_name): a constant named h0 keys apart from
+the hole h0.  Alpha-equivalent subformulas share an atom; distinct
+ones never collide.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from .syntax import (
     Var,
     canonical_key,
     free_vars,
-    substitute,
 )
 
 
@@ -50,20 +47,12 @@ class ShadowMap:
     """Bijection between modal-subformula generalizations and atom names."""
 
     entries: dict[str, ShadowEntry] = field(default_factory=dict)
-    atoms: dict[Modal, Atom] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def intern(self, m: Modal) -> Atom:
-        atom = self.atoms.get(m)
-        if atom is None:
-            atom = self.atoms[m] = self._name(m)
-        return atom
-
-    def _name(self, m: Modal) -> Atom:
+        """m's shadow atom; its generalization is filed under the name."""
         fvs = free_vars(m)
         holes = {v: Var(f"h{i}", v.sort) for i, v in enumerate(fvs)}
-        pattern = canonical_key(substitute(m, holes) if holes else m)
+        pattern = canonical_key(m, holes)
         digest = hashlib.blake2b(pattern.encode(), digest_size=6).hexdigest()
         name = f"sh_{digest}"
         prior = self.entries.get(name)

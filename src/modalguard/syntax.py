@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 
 
 class SortError(Exception):
-    """A declaration, moment or substitution violates the sort discipline."""
+    """A declaration or a moment violates the sort discipline."""
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,7 @@ QUANTIFIERS = ("forall", "exists")
 RESERVED_WORDS = frozenset(CONNECTIVES + QUANTIFIERS + MODAL_OPS)
 
 # Shapes of the names the engine generates: canonical keys print
-# binders as b<digits>, shadow patterns rename free variables to holes
+# binders as b<digits>, shadow patterns print free variables as holes
 # h<digits>, shadow atoms are named sh_<12 hex> (SHADOW_NAME) and skolem
 # symbols sk_<10 hex>_<n> (SKOLEM_NAME).  Signature refuses a declared
 # symbol spelling one, or starting sh_ or sk_: it would read as a
@@ -347,14 +347,17 @@ def print_formula(f: Formula) -> str:
     return _show(f, None, None)
 
 
-def canonical_key(f: Formula, names: Optional[Mapping[Var, str]] = None) -> str:
+def canonical_key(f: Formula, names: Optional[Mapping[Var, Term]] = None) -> str:
     """Identity key: equal keys mean alpha-equivalent formulas.  f is
     printed with its binders renamed b0, b1, ... in binder order and
-    every other name through key_name.  A free variable in names prints
-    as a constant of the given name would, so the key of f with x named
-    c.name is the key of f with the constant c put for x; any other free
-    variable x of sort S prints as ?x:S, which no name's print spells."""
-    given = {v: key_name(n) for v, n in names.items()} if names else {}
+    every other name through key_name; a free variable x of sort S
+    prints as ?x:S, which no name's print spells.  A free variable in
+    names prints as the term it maps to does, so the key is that of f
+    with each such term put for its variable, found without building
+    it.  Binders print by position, as de Bruijn's nameless dummies, so
+    no binder of f captures a variable of a term put so: the key is
+    that of the capture-avoiding substitution."""
+    given = {v: _show_term(t, {}) for v, t in names.items()} if names else {}
     return _show(f, given, map("b{}".format, count()))
 
 
@@ -566,82 +569,38 @@ def match_term(
     return s
 
 
-def _names_in_term(t: Term, acc: set[str]) -> None:
-    if isinstance(t, (Var, Const)):
-        acc.add(t.name)
-    else:
-        for a in t.args:
-            _names_in_term(a, acc)
-
-
-def substitute(
-    f: Formula,
-    mapping: Mapping[Var, Term],
-    sig: Optional["Signature"] = None,
-) -> Formula:
-    """Capture-avoiding substitution of free variables.
-
-    Each replacement term's sort must widen to the variable's sort
-    (exact match when no signature is supplied).
-    """
-    for v, t in mapping.items():
-        ok = sig.widens(t.sort, v.sort) if sig is not None else t.sort == v.sort
-        if not ok:
-            raise SortError(
-                f"cannot bind {v.name} : {v.sort} to {print_term(t)} : {t.sort}"
-            )
-
-    # names occurring in replacement terms; bound vars clashing get renamed
-    taken: set[str] = set()
-    for t in mapping.values():
-        _names_in_term(t, taken)
-    return _substitute(f, dict(mapping), taken)
-
-
-def _fresh(name: str, avoid: set[str]) -> str:
-    cand = name
-    while cand in avoid:
-        cand += "'"
-    return cand
-
-
-def _substitute(g: Formula, m: dict[Var, Term], taken: set[str]) -> Formula:
-    """g with m's replacements put for its free variables, each binder
-    whose name taken holds renamed apart (see substitute)."""
-    if isinstance(g, Atom):
-        return Atom(g.pred, tuple(substitute_term(t, m) for t in g.args))
-    if isinstance(g, Not):
-        return Not(_substitute(g.body, m, taken))
-    if isinstance(g, And):
-        return And(tuple(_substitute(p, m, taken) for p in g.parts))
-    if isinstance(g, Or):
-        return Or(tuple(_substitute(p, m, taken) for p in g.parts))
-    if isinstance(g, Implies):
-        return Implies(_substitute(g.left, m, taken), _substitute(g.right, m, taken))
-    if isinstance(g, Iff):
-        return Iff(_substitute(g.left, m, taken), _substitute(g.right, m, taken))
-    if isinstance(g, (Forall, Exists)):
-        v = g.var
-        inner = {k: t for k, t in m.items() if k != v}
-        if not inner:
-            return g
-        if v.name in taken:
-            # rename the binder away from capture
-            body_names = {w.name for w in free_vars(g.body)}
-            nv = Var(_fresh(v.name, taken | body_names), v.sort)
-            body = _substitute(g.body, {v: nv}, taken)
-            body = _substitute(body, inner, taken)
-            return type(g)(nv, body)
-        return type(g)(v, _substitute(g.body, inner, taken))
-    if isinstance(g, Modal):
+def bind(f: Formula, env: Mapping[Var, Const]) -> Formula:
+    """f with each free variable env binds replaced by its constant.  A
+    constant holds no variable, so no binder can capture it and none is
+    renamed: a binder of a bound variable hides it in its body.  A
+    binder named like a constant put below it prints as if it bound that
+    constant, but keys print binders by position (canonical_key), so the
+    key is that of the capture-avoiding instance.  A term that holds a
+    variable is put for one only in a key: canonical_key's names."""
+    if isinstance(f, Atom):
+        return Atom(f.pred, tuple(substitute_term(t, env) for t in f.args))
+    if isinstance(f, Modal):
+        situation = None if f.situation is None else substitute_term(f.situation, env)
         return Modal(
-            g.op,
-            substitute_term(g.agent, m),
-            substitute_term(g.time, m),
-            _substitute(g.body, m, taken),
-            None if g.situation is None else substitute_term(g.situation, m),
+            f.op,
+            substitute_term(f.agent, env),
+            substitute_term(f.time, env),
+            bind(f.body, env),
+            situation,
         )
-    raise TypeError(f"not a formula: {g!r}")
+    if isinstance(f, Not):
+        return Not(bind(f.body, env))
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(bind(p, env) for p in f.parts))
+    if isinstance(f, (Implies, Iff)):
+        return type(f)(bind(f.left, env), bind(f.right, env))
+    if isinstance(f, (Forall, Exists)):
+        if f.var in env:
+            env = {v: c for v, c in env.items() if v != f.var}
+            if not env:
+                return f
+        return type(f)(f.var, bind(f.body, env))
+    raise TypeError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------

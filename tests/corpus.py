@@ -5,6 +5,9 @@ flag saying whether the finite-model oracle's named-domain semantics
 agrees with that status.  Problems marked oracle_ok stay within the
 oracle's comfort zone: at most three constants per sort, moments drawn
 from 1..3, and no reliance on witnesses outside the named domain.
+
+It also holds substitute, the capture-avoiding substitution that the
+differentials compare syntax.bind and canonical_key's names against.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from modalguard.parser import parse_formula, parse_formulas
-from typing import Iterator
+from typing import Iterator, Mapping, Optional
 
 from modalguard.syntax import (
     ACTION_TYPE,
@@ -21,11 +24,22 @@ from modalguard.syntax import (
     GOAL,
     And,
     Atom,
+    Const,
+    Exists,
+    Forall,
     Formula,
     Iff,
     Implies,
+    Modal,
+    Not,
     Or,
     Signature,
+    SortError,
+    Term,
+    Var,
+    free_vars,
+    print_term,
+    substitute_term,
 )
 
 CHAIN_LENGTHS = (2, 3, 4, 5, 6, 7, 8, 9)
@@ -43,6 +57,75 @@ def subformulas(f: Formula) -> Iterator[Formula]:
             stack.extend((g.right, g.left))
         elif not isinstance(g, Atom):
             stack.append(g.body)
+
+
+def substitute(
+    f: Formula,
+    mapping: Mapping[Var, Term],
+    sig: Optional[Signature] = None,
+) -> Formula:
+    """Capture-avoiding substitution of free variables: the reference
+    that syntax.bind and the keys canonical_key prints with names in
+    place are compared against.  A binder whose name occurs in a
+    replacement term is renamed apart with trailing primes.  Each
+    replacement term's sort must widen to the variable's sort (exact
+    match when no signature is supplied)."""
+    for v, t in mapping.items():
+        ok = sig.widens(t.sort, v.sort) if sig is not None else t.sort == v.sort
+        if not ok:
+            raise SortError(
+                f"cannot bind {v.name} : {v.sort} to {print_term(t)} : {t.sort}"
+            )
+    taken: set[str] = set()
+    for t in mapping.values():
+        _names_in_term(t, taken)
+    return _substitute(f, dict(mapping), taken)
+
+
+def _names_in_term(t: Term, acc: set[str]) -> None:
+    if isinstance(t, (Var, Const)):
+        acc.add(t.name)
+    else:
+        for a in t.args:
+            _names_in_term(a, acc)
+
+
+def _fresh(name: str, avoid: set[str]) -> str:
+    cand = name
+    while cand in avoid:
+        cand += "'"
+    return cand
+
+
+def _substitute(g: Formula, m: dict[Var, Term], taken: set[str]) -> Formula:
+    if isinstance(g, Atom):
+        return Atom(g.pred, tuple(substitute_term(t, m) for t in g.args))
+    if isinstance(g, Not):
+        return Not(_substitute(g.body, m, taken))
+    if isinstance(g, (And, Or)):
+        return type(g)(tuple(_substitute(p, m, taken) for p in g.parts))
+    if isinstance(g, (Implies, Iff)):
+        return type(g)(_substitute(g.left, m, taken), _substitute(g.right, m, taken))
+    if isinstance(g, (Forall, Exists)):
+        v = g.var
+        inner = {k: t for k, t in m.items() if k != v}
+        if not inner:
+            return g
+        if v.name in taken:
+            body_names = {w.name for w in free_vars(g.body)}
+            nv = Var(_fresh(v.name, taken | body_names), v.sort)
+            body = _substitute(_substitute(g.body, {v: nv}, taken), inner, taken)
+            return type(g)(nv, body)
+        return type(g)(v, _substitute(g.body, inner, taken))
+    if isinstance(g, Modal):
+        return Modal(
+            g.op,
+            substitute_term(g.agent, m),
+            substitute_term(g.time, m),
+            _substitute(g.body, m, taken),
+            None if g.situation is None else substitute_term(g.situation, m),
+        )
+    raise TypeError(f"not a formula: {g!r}")
 
 
 def corpus_signature() -> Signature:

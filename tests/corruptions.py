@@ -63,6 +63,9 @@ def corruption_cases(sig) -> list[Case]:
     mp_case("reductio-renamed-resolve", _swap(mp, 7, rule="reductio"))
     mp_case("reductio-swapped-premises", _swap(mp, 8, premises=(5, 7)))
     mp_case("reductio-wrong-conclusion", _swap(mp, 8, formula=rains))
+    mp_case("reductio-one-premise", _swap(mp, 8, premises=(7,)))
+    mp_case("reductio-second-premise-not-negated-goal", _swap(mp, 8, premises=(7, 2)))
+    mp_case("negated-goal-with-premises", _swap(mp, 5, premises=(2,)))
     mp_case("forward-premise-reference", _swap(mp, 4, premises=(1, 6)))
     mp_case("premise-out-of-range", _swap(mp, 4, premises=(1, 99)))
     mp_case("clause-sign-flip", _swap(mp, 6, formula=pours))
@@ -120,6 +123,16 @@ def corruption_cases(sig) -> list[Case]:
                 ProofStep(ex_q, "assumption"),
                 ProofStep(Atom("Q", (w1,)), "exists-elim", (2,)))),
          (ex_p, ex_q), parse_formula("(Q alice)", sig))
+    )
+
+    # hand-built: a Goal is a Fluent, so g1 instantiates a Fluent
+    # existential, but a witness must have the bound variable's own sort
+    ex_f = parse_formula("(exists f : Fluent (holds f 1))", sig)
+    at_g1 = parse_formula("(holds g1 1)", sig)
+    cases.append(
+        ("witness-of-a-subsort",
+         Proof((ProofStep(ex_f, "assumption"), ProofStep(at_g1, "exists-elim", (0,)))),
+         (ex_f,), at_g1)
     )
 
     return cases

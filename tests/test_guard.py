@@ -10,7 +10,7 @@ from importlib import resources
 
 import pytest
 
-from modalguard import eventcalc, guard, prover
+from modalguard import ethics, eventcalc, guard, prover
 from modalguard.guard import (
     ALLOW,
     LOCK,
@@ -29,11 +29,13 @@ from modalguard.prover import Budget, ProveResult
 from modalguard.report import render_json, render_text
 from modalguard.scenario import Request, load_bundled_scenario, parse_scenario
 from modalguard.syntax import (
+    INTENDS,
     App,
     Atom,
     Const,
     Exists,
     Forall,
+    Modal,
     Not,
     moment,
     print_formula,
@@ -359,6 +361,36 @@ def test_an_unjustified_verdict_locks(monkeypatch):
     v = adjudicate(SIM1)
     assert (v.decision, v.prove_status) == (LOCK, "error")
     assert "AssertionError" in v.reason
+
+
+def test_an_obligation_proof_the_checker_refuses_locks(monkeypatch):
+    # the double-effect check is not asked: an unverified proof stands
+    monkeypatch.setattr(guard, "verify_proof", lambda *args: False)
+    v = adjudicate(SIM1)
+    assert (v.decision, v.prove_status, v.proof_verified) == (LOCK, "proof", False)
+    assert v.proof is not None and v.dde is None
+    assert v.reason == "obligation proof failed independent verification; failing safe"
+
+
+def test_undecided_intentions_lock_an_overridable_obligation(monkeypatch):
+    # sim2 is ALLOWed on all four clauses; with its intention queries
+    # out of time, C3 is unknown and the verified obligation stands
+    prove = ethics.prove
+    asked = []
+
+    def out_of_time(assumptions, goal, *args):
+        if isinstance(goal, Modal) and goal.op == INTENDS:
+            asked.append(goal)
+            return ProveResult("timeout")
+        return prove(assumptions, goal, *args)
+
+    monkeypatch.setattr(ethics, "prove", out_of_time)
+    v = adjudicate(SIM2)
+    assert asked
+    assert (v.decision, v.prove_status, v.proof_verified) == (LOCK, "proof", True)
+    assert v.dde.unknown and not v.dde.compliant
+    assert v.dde.clauses["C3"].status == "unknown"
+    assert v.reason == "double-effect compliance undecided; failing safe"
 
 
 def test_grounding_capped_adjudication_fails_safe(monkeypatch):

@@ -52,11 +52,11 @@ from modalguard.syntax import (
     Var,
     canonical_key,
     moment,
-    substitute,
     symbol_names,
 )
 
 import corpus
+from corpus import substitute
 from test_parser import RandomFormulas, round_trip_sig
 from test_prover import load_guardbench_texts
 

@@ -442,6 +442,25 @@ def test_every_argument_sort_is_checked_at_the_argument(text, line, col, want):
     assert (e.value.line, e.value.col) == (line, col)
 
 
+def test_equality_takes_two_terms_of_comparable_sorts():
+    a, b = Const("a", AGENT), Const("b", AGENT)
+    assert parse_formula("(= a b)", SIG) == Atom("=", (a, b))
+    # a Goal is a Fluent: either side may be the narrower
+    g1, wet = Const("g1", GOAL), Const("wet", FLUENT)
+    assert parse_formula("(= g1 wet)", SIG) == Atom("=", (g1, wet))
+    assert parse_formula("(= wet g1)", SIG) == Atom("=", (wet, g1))
+
+
+@pytest.mark.parametrize("text, want", [
+    ("(= a 1)", "sort mismatch: incomparable Agent and Moment"),
+    ("(= a)", "= takes exactly two terms"),
+])
+def test_equality_errors_point_at_the_equals_sign(text, want):
+    with pytest.raises(ParseError) as e:
+        parse_formula(text, SIG)
+    assert (e.value.message, e.value.line, e.value.col) == (want, 1, 2)
+
+
 def test_unknown_predicate_rejected():
     with pytest.raises((ParseError, SortError)):
         parse_formula("(mystery a)", SIG)

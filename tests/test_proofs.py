@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from modalguard import proofs
 from modalguard.clauses import Clause, Literal, clausify
-from modalguard.parser import parse_formula
+from modalguard.parser import parse_formula, parse_formulas
 from modalguard.proofs import (
     Proof,
     ProofStep,
@@ -37,11 +37,12 @@ from modalguard.syntax import (
     Var,
     canonical_key,
     moment,
-    substitute,
+    print_formula,
 )
 
 import corpus
 import corruptions
+from corpus import substitute
 from test_parser import RandomFormulas, round_trip_sig
 
 SIG = corpus.corpus_signature()
@@ -319,6 +320,21 @@ def test_rejects_corruption(label):
     assert not verify_proof(proof, assumptions, goal, SIG)
 
 
+# corruptions whose reason no other test pins
+REASONS = {
+    "negated-goal-with-premises": "step 6: negated-goal takes no premises",
+    "witness-of-a-subsort": "step 2: witness sort mismatch",
+    "reductio-one-premise": "step 9: reductio needs two premises",
+    "reductio-second-premise-not-negated-goal": "step 9: reductio needs the negated goal second",
+}
+
+
+@pytest.mark.parametrize("label", sorted(REASONS))
+def test_a_corruption_is_refused_for_its_reason(label):
+    _, proof, assumptions, goal = next(c for c in CASES if c[0] == label)
+    assert verify_proof_detailed(proof, assumptions, goal, SIG) == (False, REASONS[label])
+
+
 def test_corruption_catalogue_size():
     assert len(CASES) >= 20
     assert len({c[0] for c in CASES}) == len(CASES)
@@ -499,6 +515,33 @@ def test_spliced_instances_of_a_captured_name_and_a_subsort():
     g1 = Const("g1", GOAL)
     assert proofs._is_instance(f, holds, substitute(holds, {f: g1}, IS_SIG), IS_SIG) == g1
     assert proofs._is_instance(f, holds, holds, IS_SIG) == f
+
+
+def test_an_instance_below_a_vacuous_binder_named_like_its_witness_verifies():
+    # witnesses are named apart from the names in the terms of the
+    # assumptions, which a binder that binds nothing is not among: the
+    # instance at w1 keeps the binder w1, and prints as if it bound w1
+    sig = Signature()
+    sig.declare_predicate("P", (AGENT,))
+    sig.declare_predicate("Q", (AGENT,))
+    assumptions = parse_formulas(
+        "(exists y : Agent (knows y 1 (P y)))"
+        "(forall x : Agent (forall w1 : Agent (implies (knows x 1 (P x)) (knows x 1 (Q x)))))",
+        sig,
+    )
+    goal = parse_formula("(exists z : Agent (knows z 1 (Q z)))", sig)
+    r = prove(assumptions, goal, sig=sig)
+    assert r.status == "proof"
+    w1 = Const("w1", AGENT)
+    (step,) = [s for s in r.proof.steps if s.rule == "forall-elim"]
+    assert print_formula(step.formula) == (
+        "(forall w1 : Agent (implies (knows w1 1 (P w1)) (knows w1 1 (Q w1))))"
+    )
+    x = assumptions[1].var
+    assert canonical_key(step.formula) == canonical_key(
+        substitute(assumptions[1].body, {x: w1}, sig)
+    )
+    assert verify_proof_detailed(r.proof, assumptions, goal, sig) == (True, "ok")
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 
 from hypothesis import given, settings, strategies as st
+from corpus import substitute
 from test_parser import RandomFormulas
 
 from modalguard import shadow as shadow_module
@@ -13,6 +14,7 @@ from modalguard.shadow import ShadowMap, shadow
 from modalguard.syntax import (
     AGENT,
     KNOWS,
+    MOMENT,
     Atom,
     Const,
     Forall,
@@ -20,6 +22,7 @@ from modalguard.syntax import (
     Signature,
     Var,
     canonical_key,
+    free_vars,
     moment,
     print_formula,
 )
@@ -142,24 +145,30 @@ def test_shadowing_is_idempotent_per_map():
     assert len(smap.entries) == 1
 
 
-def test_each_distinct_modal_is_keyed_once(monkeypatch):
+def test_each_modal_is_keyed_once_with_its_holes_in_place(monkeypatch):
     calls = []
 
     def counting(f, names=None):
-        calls.append(f)
+        calls.append((print_formula(f), names))
         return canonical_key(f, names)
 
     monkeypatch.setattr(shadow_module, "canonical_key", counting)
     smap = ShadowMap()
     for text in (
         "(and (knows a 1 (p)) (knows a 1 (p)))",
-        "(or (knows a 1 (p)) (believes b 2 (q)))",
         "(forall x : Agent (implies (knows x 1 (P x)) (believes b 2 (q))))",
         "(forall y : Agent (knows y 1 (P y)))",
     ):
         sh(text, smap)
-    # (knows a 1 (p)), (believes b 2 (q)), (knows x 1 (P x)), (knows y 1 (P y))
-    assert len(calls) == 4
+    # each occurrence is keyed once, as itself: no renamed copy is built
+    x, y = Var("x", AGENT), Var("y", AGENT)
+    assert calls == [
+        ("(knows a 1 (p))", {}),
+        ("(knows a 1 (p))", {}),
+        ("(knows x 1 (P x))", {x: Var("h0", AGENT)}),
+        ("(believes b 2 (q))", {}),
+        ("(knows y 1 (P y))", {y: Var("h0", AGENT)}),
+    ]
     # the last two share a generalization, hence an atom name
     assert len(smap.entries) == 3
 
@@ -183,3 +192,27 @@ def test_a_shared_map_shadows_as_a_fresh_map_does(formulas):
         assert shadow(f, shared) == shadow(f, fresh)
         for name, entry in fresh.entries.items():
             assert shared.entries[name] == entry
+
+
+# free variables of the modal, some named like holes, in the order they
+# may occur
+OPEN_ENVS = (
+    (Var("x", AGENT),),
+    (Var("x", AGENT), Var("t", MOMENT)),
+    (Var("h1", AGENT), Var("h0", MOMENT)),
+    (Var("h1", AGENT), Var("x", AGENT), Var("h0", AGENT)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.sampled_from(OPEN_ENVS))
+def test_a_pattern_is_the_key_of_the_modal_with_holes_substituted(seed, depth, env):
+    gen = RandomFormulas(seed)
+    # binders named h0 and h1 would capture a hole put in by name
+    gen.var_names = ("h0", "h1", "y", "u")
+    env = list(env)
+    m = Modal(KNOWS, gen.term(AGENT, env, 1), gen.term(MOMENT, env, 1), gen.formula(env, depth))
+    smap = ShadowMap()
+    atom = shadow(m, smap)
+    holes = {v: Var(f"h{i}", v.sort) for i, v in enumerate(free_vars(m))}
+    assert smap.entries[atom.pred].pattern == canonical_key(substitute(m, holes))

@@ -6,6 +6,7 @@ import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from corpus import subformulas, substitute
 from test_parser import RandomFormulas, round_trip_sig
 
 from modalguard.parser import ParseError, parse_formula
@@ -35,6 +36,7 @@ from modalguard.syntax import (
     SortError,
     Var,
     alpha_equivalent,
+    bind,
     canonical_key,
     conj,
     free_vars,
@@ -46,7 +48,6 @@ from modalguard.syntax import (
     obligated,
     print_formula,
     print_term,
-    substitute,
     symbol_names,
 )
 
@@ -256,15 +257,67 @@ def test_named_free_variables_key_as_constants_of_those_names():
         x = Var("x", (AGENT, MOMENT)[seed // 4 % 2])
         f = RandomFormulas(seed).formula([x], 1 + seed % 5)
         n = names[seed % 4]
-        if canonical_key(f, {x: n}) != canonical_key(substitute(f, {x: Const(n, x.sort)})):
+        c = Const(n, x.sort)
+        if canonical_key(f, {x: c}) != canonical_key(substitute(f, {x: c})):
             mismatches.append(seed)
     assert mismatches == []
     # a binder of the named variable hides the name in its scope, and
     # binders are numbered outermost first
     f = And((Forall(X, Exists(Y, Atom("R", (X, Y)))), Atom("P", (X,))))
-    assert canonical_key(f, {X: "n"}) == (
+    assert canonical_key(f, {X: Const("n", AGENT)}) == (
         "(and (forall b0 : Agent (exists b1 : Agent (R b0 b1))) (P n))"
     )
+
+
+# what to put for x, per sort of x: constants named like a constant, a
+# binder the generator draws (so capture-avoiding substitution renames
+# it), a key's binder and a hole; variables named like generator
+# binders and a key's binder; a Goal for a Fluent; and a term that holds
+# a variable the generator binds
+PUT_FOR_X = {
+    AGENT: (Const("a", AGENT), Const("y", AGENT), Const("u", AGENT), Const("b0", AGENT),
+            Const("h0", AGENT), Var("y", AGENT), Var("u", AGENT), Var("b0", AGENT)),
+    MOMENT: (Const("2", MOMENT), Const("z", MOMENT), Var("z", MOMENT), Var("t'", MOMENT)),
+    FLUENT: (Const("wet", FLUENT), Const("g1", GOAL), Var("y", FLUENT),
+             App("happy", (Var("y", AGENT),), FLUENT)),
+}
+PUT_SIG = round_trip_sig()
+
+
+def binder_names(f) -> set[str]:
+    return {g.var.name for g in subformulas(f) if isinstance(g, (Forall, Exists))}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.sampled_from(sorted(PUT_FOR_X)), st.data())
+def test_a_key_with_a_term_in_place_is_the_key_of_the_substitution(seed, depth, sort, data):
+    x = Var("x", sort)
+    t = data.draw(st.sampled_from(PUT_FOR_X[sort]))
+    f = RandomFormulas(seed).formula([x], depth)
+    assert canonical_key(f, {x: t}) == canonical_key(substitute(f, {x: t}, PUT_SIG))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.sampled_from(sorted(PUT_FOR_X)), st.data())
+def test_binding_a_constant_is_substituting_it_up_to_binder_names(seed, depth, sort, data):
+    x = Var("x", sort)
+    c = data.draw(st.sampled_from([t for t in PUT_FOR_X[sort] if isinstance(t, Const)]))
+    f = RandomFormulas(seed).formula([x], depth)
+    bound, substituted = bind(f, {x: c}), substitute(f, {x: c}, PUT_SIG)
+    assert canonical_key(bound) == canonical_key(substituted)
+    # substitution renames a binder only when it has the constant's name
+    if c.name not in binder_names(f):
+        assert bound == substituted
+
+
+def test_binding_leaves_a_binder_named_like_the_constant():
+    f = Forall(Y, Atom("R", (X, Y)))
+    y = Const("y", AGENT)
+    assert print_formula(bind(f, {X: y})) == "(forall y : Agent (R y y))"
+    assert print_formula(substitute(f, {X: y})) == "(forall y' : Agent (R y y'))"
+    assert canonical_key(bind(f, {X: y})) == canonical_key(substitute(f, {X: y}))
+    # a binder of the variable hides it
+    assert bind(Forall(X, Atom("P", (X,))), {X: y}) == Forall(X, Atom("P", (X,)))
 
 
 # names only a formula built in Python can hold: a binder's shape, the
@@ -282,7 +335,7 @@ def test_distinct_names_give_distinct_keys(names):
     # predicate, a function, a free variable's name and sort, a binder's sort
     places = (
         lambda s: Atom("P", (Const(s, AGENT),)),
-        lambda s: canonical_key(Atom("P", (X,)), {X: s}),
+        lambda s: canonical_key(Atom("P", (X,)), {X: Const(s, AGENT)}),
         lambda s: Atom(s, (A,)),
         lambda s: Atom("P", (App(s, (A,), AGENT),)),
         lambda s: Atom("P", (Var(s, AGENT),)),
