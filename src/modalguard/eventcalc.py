@@ -177,14 +177,18 @@ def project(theory: ECTheory, sig: Optional[Signature] = None) -> Trace:
                     ok = True
                     for lit in ax.guard:
                         f = substitute_term(lit.fluent, b)
-                        now_true = f in state or f in pending_init
-                        if lit.positive != now_true:
+                        # the pre-state decides, except that an initiation
+                        # fired this moment meets a positive literal the
+                        # pre-state does not
+                        if f in state:
+                            held, src = True, true_source.get(f)
+                        elif lit.positive and f in pending_init:
+                            held, src = True, pending_init[f]
+                        else:
+                            held, src = False, false_source.get(f)
+                        if held != lit.positive:
                             ok = False
                             break
-                        if lit.positive:
-                            src = pending_init.get(f) or true_source.get(f)
-                        else:
-                            src = false_source.get(f)
                         sources.append(src)
                     if not ok:
                         continue
