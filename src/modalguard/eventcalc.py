@@ -2,16 +2,27 @@
 
 States are indexed 0..horizon.  Events occur at moments 0..horizon-1;
 an effect fired at moment m changes the state at m+1.  Within a
-moment, effect axioms fire in synchronous rounds: a positive guard
-literal reads the pre-state plus the initiations already fired this
-moment, so one event can switch a fluent and thereby enable further
-axioms in the same moment.  Terminations never take effect within
-their own moment.  A fluent both initiated and terminated at the same
-moment is a modelling error and raises ProjectionConflict.
+moment, each axiom is matched against each event once, axiom by axiom
+and then event by event, and the matches fire in ordered scans, in that
+order, until a scan fires nothing.
+
+A guard literal reads the pre-state, the state at the moment: a
+negative literal holds when the pre-state lacks its fluent, a positive
+one when the pre-state has it.  One exception lets one event switch a
+fluent on and thereby enable further axioms in the same moment: a
+positive literal whose fluent the pre-state lacks is met by an
+initiation of it fired earlier this moment, and cites that initiation.
+So a literal once met stays met as the scans go on, and which effects
+fire, and with them every state, does not depend on the order the
+axioms are listed in.  Terminations never take effect within their own
+moment.  A fluent both initiated and terminated at the same moment is
+a modelling error and raises ProjectionConflict.
 
 Every state change keeps its provenance: which axiom fired, for which
-event, and which earlier effects made the guard literals true.  That
-supports counterfactual attribution (effects_of) and causal chains.
+event, and which earlier effects made the guard literals true (for a
+literal the pre-state meets, the effect that last set its fluent so,
+None for the initial state).  That supports counterfactual attribution
+(effects_of) and causal chains (causal_chain).
 """
 
 from __future__ import annotations
@@ -87,18 +98,6 @@ class Effect:
     def identity(self) -> tuple[int, str, Term, Term]:
         return (self.moment, self.kind, self.event, self.fluent)
 
-    def provenance(self) -> list["Effect"]:
-        """This effect plus everything its guards causally depend on."""
-        seen: list[Effect] = []
-        stack = [self]
-        while stack:
-            e = stack.pop()
-            if any(e is s for s in seen):
-                continue
-            seen.append(e)
-            stack.extend(s for s in e.sources if s is not None)
-        return sorted(seen, key=Effect.key)
-
 
 @dataclass(frozen=True)
 class ECTheory:
@@ -160,45 +159,42 @@ def project(theory: ECTheory, sig: Optional[Signature] = None) -> Trace:
         )
         pending_init: dict[Term, Effect] = {}
         pending_term: dict[Term, Effect] = {}
-        fired: set[tuple[int, Term]] = set()
-
-        changed = True
-        while changed:
-            changed = False
-            for ai, ax in enumerate(theory.axioms):
-                for ev in events:
-                    b = match_term(ax.event, ev, {}, sig)
-                    if b is None:
-                        continue
-                    tag = (ai, ev)
-                    if tag in fired:
-                        continue
-                    sources: list[Optional[Effect]] = []
-                    ok = True
-                    for lit in ax.guard:
-                        f = substitute_term(lit.fluent, b)
-                        # the pre-state decides, except that an initiation
-                        # fired this moment meets a positive literal the
-                        # pre-state does not
-                        if f in state:
-                            held, src = True, true_source.get(f)
-                        elif lit.positive and f in pending_init:
-                            held, src = True, pending_init[f]
-                        else:
-                            held, src = False, false_source.get(f)
-                        if held != lit.positive:
-                            ok = False
-                            break
-                        sources.append(src)
-                    if not ok:
-                        continue
-                    fired.add(tag)
-                    changed = True
-                    eff = Effect(
-                        substitute_term(ax.fluent, b), ax.kind, ev, m, tuple(sources)
-                    )
+        # each axiom matched against each event once, axiom by axiom and
+        # then event by event; scans fire the matches in that order until
+        # a scan fires nothing
+        waiting = [
+            (ax, ev, b)
+            for ax in theory.axioms
+            for ev in events
+            if (b := match_term(ax.event, ev, {}, sig)) is not None
+        ]
+        while waiting:
+            unfired = []
+            for match in waiting:
+                ax, ev, b = match
+                sources: list[Optional[Effect]] = []
+                for lit in ax.guard:
+                    f = substitute_term(lit.fluent, b)
+                    # the pre-state decides, except that an initiation
+                    # fired this moment meets a positive literal the
+                    # pre-state does not
+                    if f in state:
+                        held, src = True, true_source.get(f)
+                    elif lit.positive and f in pending_init:
+                        held, src = True, pending_init[f]
+                    else:
+                        held, src = False, false_source.get(f)
+                    if held != lit.positive:
+                        unfired.append(match)
+                        break
+                    sources.append(src)
+                else:
+                    eff = Effect(substitute_term(ax.fluent, b), ax.kind, ev, m, tuple(sources))
                     pending = pending_init if ax.kind == INITIATED else pending_term
                     pending.setdefault(eff.fluent, eff)
+            if len(unfired) == len(waiting):
+                break
+            waiting = unfired
 
         both = sorted(set(pending_init) & set(pending_term), key=print_term)
         if both:
@@ -239,11 +235,21 @@ def effects_of(
     for e in with_ev.effects:
         if e.identity() in baseline:
             continue
-        if any(p.event == event and p.moment == moment for p in e.provenance()):
+        if any(p.event == event and p.moment == moment for p in causal_chain(e)):
             out.append(e)
     return out
 
 
 def causal_chain(effect: Effect) -> list[Effect]:
-    """The provenance closure of an effect, oldest first."""
-    return effect.provenance()
+    """The effect plus everything its guards causally depend on, in
+    effect order (oldest first)."""
+    # effects compare by identity; the dict keeps the walk's order, so
+    # effects that print alike sort the same way every time
+    seen: dict[Effect, None] = {}
+    stack = [effect]
+    while stack:
+        e = stack.pop()
+        if e not in seen:
+            seen[e] = None
+            stack.extend(s for s in e.sources if s is not None)
+    return sorted(seen, key=Effect.key)

@@ -17,7 +17,9 @@ not the proof.
 
 Each adjudication builds the request theory once (`base_theory`): the
 scenario facts plus the projected trace, with the request occurrence
-added.  The obligation query reads it with the deprivation rule and the
+added.  One function turns a projection into facts plus trace atoms
+(`projected_facts`); the prevention query calls it too, without the
+request occurrence.  The obligation query reads it with the deprivation rule and the
 prevention bridge added; the double-effect intention queries read it
 as it is, and the double-effect check reuses its projected trace.  All
 of them ask one Premises: the obligation query that of the theory with
@@ -36,13 +38,12 @@ depth limit, and an exception raised on the way all yield LOCK.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from .ethics import DDEVerdict, check_dde
-from .eventcalc import Trace, project
-from .models import entails as oracle_entails
+from .eventcalc import ECTheory, Trace, project
+from .models import _domains, entails as oracle_entails
 from .proofs import Proof, verify_proof
 from .prover import Budget, Premises, prove
 from .scenario import Scenario
@@ -69,7 +70,6 @@ from .syntax import (
     Term,
     Var,
     conj,
-    constant_occurrences,
     moment,
     obligated,
     print_term,
@@ -182,16 +182,22 @@ def obligation_goal(scenario: Scenario) -> Formula:
     return _obliged_to_refrain(req.agent, req.atype, req.moment)
 
 
+def projected_facts(scenario: Scenario, theory: ECTheory) -> tuple[list[Formula], Trace]:
+    """The scenario's facts plus the atoms of theory's projected trace,
+    and that trace: what every query over a scenario reads."""
+    trace = project(theory, scenario.sig)
+    return [*scenario.facts, *trace_atoms(trace, theory.occurrences)], trace
+
+
 def base_theory(scenario: Scenario) -> tuple[Premises, Trace]:
     """Scenario facts plus the projected trace as atoms, with the
     request occurrence included.  This is the attitude-and-state theory
     intention queries read; it carries no normative machinery."""
     req = scenario.request
     event = App("action", (req.agent, req.atype), ACTION)
-    theory = scenario.theory.with_occurrence(event, req.moment)
-    trace = project(theory, scenario.sig)
-    assumptions = list(scenario.facts)
-    assumptions.extend(trace_atoms(trace, theory.occurrences))
+    assumptions, trace = projected_facts(
+        scenario, scenario.theory.with_occurrence(event, req.moment)
+    )
     return Premises(assumptions), trace
 
 
@@ -342,21 +348,14 @@ ORACLE_MAX_ATYPES = 3
 def _within_oracle_bounds(scenario: Scenario, formulas: list[Formula]) -> bool:
     """Whether the oracle may answer a query over the formulas: each
     bounded sort is counted as the domain the oracle grounds it over
-    (models._domains), the constants of the formulas and the declared
-    ones whose sorts widen to it, with 0..horizon among the moments
-    whether or not the formulas hold them."""
-    sig = scenario.sig
-    named = {Const(name, sort) for name, sort in sig.constants.items()}
-    named.update(constant_occurrences(formulas))
-    named.update(moment(m) for m in range(scenario.theory.horizon + 1))
-    held = Counter(c.sort for c in named)
-    return all(
-        sum(n for s, n in held.items() if sig.widens(s, sort)) <= bound
-        for sort, bound in (
-            (AGENT, ORACLE_MAX_AGENTS),
-            (ACTION_TYPE, ORACLE_MAX_ATYPES),
-            (MOMENT, ORACLE_MAX_MOMENTS),
-        )
+    (models._domains), with 0..horizon among the moments whether or not
+    the formulas hold them."""
+    dom = _domains(formulas, scenario.sig)
+    moments = dom[MOMENT] + [moment(m) for m in range(scenario.theory.horizon + 1)]
+    return (
+        len(dom[AGENT]) <= ORACLE_MAX_AGENTS
+        and len(dom[ACTION_TYPE]) <= ORACLE_MAX_ATYPES
+        and len(set(moments)) <= ORACLE_MAX_MOMENTS
     )
 
 
@@ -384,8 +383,7 @@ def _prevents(
     """prevents_holds' answer, exceptions not caught.  The oracle stops
     at the budget's wall clock, counted from this call's start."""
     deadline = time.monotonic() + budget.timeout_ms / 1000.0
-    trace = project(scenario.theory, scenario.sig)
-    assumptions = list(scenario.facts) + trace_atoms(trace, scenario.theory.occurrences)
+    assumptions, _ = projected_facts(scenario, scenario.theory)
     goal = prevents_body(x, y, g, a, moment(t))
     res = prove(assumptions, goal, budget, scenario.sig)
     if res.status == "proof":

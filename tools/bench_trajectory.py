@@ -219,12 +219,11 @@ def entailed_queries(root: Path = ROOT) -> dict[str, tuple]:
     adjudication theory, and query_mix's shooter->ai prevention query
     over sim1's facts and trace."""
     texts = guardbench_texts(root)
-    from modalguard.eventcalc import project
     from modalguard.guard import (
         adjudication_theory,
         obligation_goal,
         prevents_body,
-        trace_atoms,
+        projected_facts,
     )
     from modalguard.scenario import parse_scenario
     from modalguard.syntax import Const, moment
@@ -233,13 +232,12 @@ def entailed_queries(root: Path = ROOT) -> dict[str, tuple]:
     guilty = parse_scenario(texts.sim1_guilty(sim1), "sim1_guilty")
     sc = parse_scenario(sim1, "sim1")
     c = {name: Const(name, sort) for name, sort in sc.sig.constants.items()}
-    trace = project(sc.theory, sc.sig)
     return {
         "sim1_guilty": (
             list(adjudication_theory(guilty)[0]), obligation_goal(guilty), guilty.sig
         ),
         "shooter-ai": (
-            [*sc.facts, *trace_atoms(trace, sc.theory.occurrences)],
+            projected_facts(sc, sc.theory)[0],
             prevents_body(c["shooter"], c["ai"], c["g_live"], c["fire"], moment(1)),
             sc.sig,
         ),
