@@ -22,9 +22,11 @@ each later use must widen to its place; every variable in a fluent or
 guard pattern must also appear in the event pattern.  Utilities read _
 as a wildcard of its place's sort; the most specific matching entry
 wins.  Terms in initial and occurrences are ground.  Sections may
-appear in any order, each at most once.  Category order in the
-hierarchy runs worst to best: the first category must be "forbidden"
-and "neutral" must be present.
+appear in any order, each at most once.  So may a section's one-off
+forms: the (categories ...) form, each action type's (classify ...)
+form and the (gamma ...) form; a second one is refused, not read over
+the first.  Category order in the hierarchy runs worst to best: the
+first category must be "forbidden" and "neutral" must be present.
 """
 
 from __future__ import annotations
@@ -218,13 +220,15 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
 
     if "hierarchy" not in sections:
         raise ParseError("missing (hierarchy ...) section", 1, 1)
-    categories: tuple[str, ...] = ()
+    categories: Optional[tuple[str, ...]] = None
     assignment: dict[str, str] = {}
     for node in forms("hierarchy"):
         if not isinstance(node, SList) or not node.items:
             raise _err(node, "expected (categories ...) or (classify ...)")
         head = _ident(node.items[0], "categories or classify")
         if head == "categories":
+            if categories is not None:
+                raise _err(node, "duplicate categories form")
             categories = tuple(_ident(c, "a category") for c in node.items[1:])
         elif head == "classify":
             if len(node.items) != 3:
@@ -232,6 +236,8 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             atype = _ident(node.items[1], "an action type")
             if sig.constants.get(atype) != "ActionType":
                 raise _err(node.items[1], f"{atype} is not a declared ActionType")
+            if atype in assignment:
+                raise _err(node, f"duplicate classify form for {atype}")
             assignment[atype] = _ident(node.items[2], "a category")
         else:
             raise _err(node.items[0], f"unknown hierarchy form {head}")
@@ -245,13 +251,15 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         raise _err(sections["hierarchy"], str(e)) from None
 
     entries: list[UtilityEntry] = []
-    gamma = 0
+    gamma: Optional[int] = None
     for node in forms("utilities"):
         if not isinstance(node, SList) or not node.items:
             raise _err(node, "expected (<fluent> pos|neg <n>) or (gamma <n>)")
         if isinstance(node.items[0], SAtom) and node.items[0].text == "gamma":
             if len(node.items) != 2:
                 raise _err(node, "expected (gamma <n>)")
+            if gamma is not None:
+                raise _err(node, "duplicate gamma form")
             gamma = _int(node.items[1], "a threshold")
             continue
         if len(node.items) != 3:
@@ -263,7 +271,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         value = _int(node.items[2], "a magnitude")
         entries.append(UtilityEntry(pat, value if polarity == "pos" else -value))
     try:
-        utilities = UtilityMap(tuple(entries), gamma)
+        utilities = UtilityMap(tuple(entries), gamma or 0)
     except ValueError as e:
         sec = sections.get("utilities", trees[0])
         raise _err(sec, str(e)) from None

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from importlib import resources
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -153,6 +155,33 @@ def test_malformed_scenarios(text, fragment):
     with pytest.raises(ParseError) as exc:
         parse_scenario(text, "bad")
     assert fragment in str(exc.value)
+
+
+SIM2_TEXT = (resources.files("modalguard") / "scenarios" / "sim2.scn").read_text()
+
+
+def stated_twice(old: str, new: str) -> tuple[str, int, int]:
+    """sim2 with the line old followed by the form new, and where new
+    starts."""
+    assert SIM2_TEXT.count(old) == 1
+    text = SIM2_TEXT.replace(old, old + new)
+    start = text.index(old) + len(old)
+    return text, text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
+
+
+@pytest.mark.parametrize("old,new,fragment", [
+    # neither form may silently win over the other
+    ("  (classify shoot defensive)", " (classify shoot forbidden)", "duplicate classify"),
+    ("  (categories forbidden harmful neutral defensive)", " (categories forbidden neutral)",
+     "duplicate categories"),
+    ("  (gamma 0)", " (gamma 9)", "duplicate gamma"),
+], ids=["classify", "categories", "gamma"])
+def test_a_form_stated_twice_is_refused_at_the_second(old, new, fragment):
+    text, line, col = stated_twice(old, new)
+    with pytest.raises(ParseError) as exc:
+        parse_scenario(text, "twice")
+    assert fragment in exc.value.message
+    assert (exc.value.line, exc.value.col) == (line, col + 1)
 
 
 def test_axiom_unbound_variable_rejected():
