@@ -496,15 +496,12 @@ class _Prep:
 
     def _fresh_witness(self, sort: str) -> Const:
         """A constant w<n>, a witness or an anonymous element, named
-        apart from the named formulas, the closure's constants and the
-        earlier witnesses.  The named formulas' names are those in their
-        terms, so a binder that binds nothing may share the witness's
-        name; an instance put below it then prints (print_formula) as if
-        the binder bound the witness.  Keys print binders by position,
-        so its key, and with it the search and the proof checker, are
-        those of the instance with the binder renamed apart."""
+        apart from the named formulas (the names in their terms and
+        their binders' names), the closure's constants and the earlier
+        witnesses.  So no binder above an instance at the witness, not
+        even one that binds nothing, prints under the witness's name."""
         taken = {c.name for c in self.consts} | self.witness_intro.keys()
-        taken = taken.union(*map(symbol_names, self.named))
+        taken = taken.union(*map(symbol_names, self.named), *map(_binder_names, self.named))
         n = 1
         while f"w{n}" in taken:
             n += 1
@@ -783,6 +780,24 @@ def pure_formulas(formulas: Sequence[Formula]) -> set[int]:
     pure = _pure_roots([*(r for _, r in items), _Read([], [], [])])[0]
     kept = {i for j, (i, _) in enumerate(items) if j not in pure}
     return set(range(len(formulas))) - kept
+
+
+def _binder_names(f: Formula) -> set[str]:
+    """The names of the variables f's quantifiers bind, modal bodies
+    included."""
+    names: set[str] = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, (Forall, Exists)):
+            names.add(g.var.name)
+        if isinstance(g, (Not, Forall, Exists, Modal)):
+            stack.append(g.body)
+        elif isinstance(g, (And, Or)):
+            stack.extend(g.parts)
+        elif isinstance(g, (Implies, Iff)):
+            stack.extend((g.left, g.right))
+    return names
 
 
 def _conjuncts(f: Formula) -> list[Formula]:

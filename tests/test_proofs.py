@@ -518,9 +518,9 @@ def test_spliced_instances_of_a_captured_name_and_a_subsort():
 
 
 def test_an_instance_below_a_vacuous_binder_named_like_its_witness_verifies():
-    # witnesses are named apart from the names in the terms of the
-    # assumptions, which a binder that binds nothing is not among: the
-    # instance at w1 keeps the binder w1, and prints as if it bound w1
+    # witnesses are named apart from the binders of the assumptions too,
+    # even one that binds nothing: the witness is w2, so the instance
+    # keeps the binder w1 and prints unambiguously
     sig = Signature()
     sig.declare_predicate("P", (AGENT,))
     sig.declare_predicate("Q", (AGENT,))
@@ -532,14 +532,14 @@ def test_an_instance_below_a_vacuous_binder_named_like_its_witness_verifies():
     goal = parse_formula("(exists z : Agent (knows z 1 (Q z)))", sig)
     r = prove(assumptions, goal, sig=sig)
     assert r.status == "proof"
-    w1 = Const("w1", AGENT)
+    w2 = Const("w2", AGENT)
     (step,) = [s for s in r.proof.steps if s.rule == "forall-elim"]
     assert print_formula(step.formula) == (
-        "(forall w1 : Agent (implies (knows w1 1 (P w1)) (knows w1 1 (Q w1))))"
+        "(forall w1 : Agent (implies (knows w2 1 (P w2)) (knows w2 1 (Q w2))))"
     )
     x = assumptions[1].var
     assert canonical_key(step.formula) == canonical_key(
-        substitute(assumptions[1].body, {x: w1}, sig)
+        substitute(assumptions[1].body, {x: w2}, sig)
     )
     assert verify_proof_detailed(r.proof, assumptions, goal, sig) == (True, "ok")
 
