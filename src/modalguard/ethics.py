@@ -160,7 +160,7 @@ def check_dde(
     utilities: UtilityMap,
     assumptions: Sequence[Formula],
     sig: Optional[Signature] = None,
-    budget: Optional[Budget] = None,
+    budget: Budget = Budget(),
     *,
     trace: Optional[Trace] = None,
 ) -> DDEVerdict:
@@ -171,7 +171,6 @@ def check_dde(
     with the request occurrence added (guard.base_theory's), and is not
     projected again."""
     sig = sig if sig is not None else Signature()
-    budget = budget if budget is not None else Budget()
     event = App("action", (agent, atype), ACTION)
     theory = theory.with_occurrence(event, request_moment)
     effects = tuple(effects_of(theory, event, request_moment, sig, trace))

@@ -237,7 +237,7 @@ def _raised(query: str, e: Exception) -> str:
     return f"{query} raised {type(e).__name__}: {e}"
 
 
-def adjudicate(scenario: Scenario, budget: Optional[Budget] = None) -> Verdict:
+def adjudicate(scenario: Scenario, budget: Budget = Budget()) -> Verdict:
     """The verdict on the scenario's request.  Total: an exception
     raised on the way, or a verdict that does not match its own
     justification, yields LOCK with prove_status "error" and a reason
@@ -263,7 +263,7 @@ def adjudicate(scenario: Scenario, budget: Optional[Budget] = None) -> Verdict:
 
     try:
         goal = obligation_goal(scenario)
-        return done(_decide(scenario, budget if budget is not None else Budget(), goal))
+        return done(_decide(scenario, budget, goal))
     except Exception as e:
         reason = f"{_raised('adjudication', e)}; failing safe"
         return done(Verdict(LOCK, reason, goal, "error"))
@@ -366,13 +366,13 @@ def prevents_holds(
     g: Const,
     a: Const,
     t: int,
-    budget: Optional[Budget] = None,
+    budget: Budget = Budget(),
 ) -> PreventsResult:
     """Does the prevention condition hold?  yes with a proof, no with a
     bounded countermodel, unknown otherwise.  Total: an exception raised
     on the way answers unknown with a reason naming its type."""
     try:
-        return _prevents(scenario, x, y, g, a, t, budget if budget is not None else Budget())
+        return _prevents(scenario, x, y, g, a, t, budget)
     except Exception as e:
         return PreventsResult("unknown", reason=_raised("prevention query", e))
 
@@ -413,14 +413,14 @@ def epistemic_query(
     scenario: Scenario,
     positive: Formula,
     negative: Formula,
-    budget: Optional[Budget] = None,
+    budget: Budget = Budget(),
 ) -> QueryResult:
     """Prove a query and its dual.  Both proving is a modelling error,
     answered unknown with the inconsistency as its reason.  Total: an
     exception raised on the way answers unknown with a reason naming
     its type."""
     try:
-        return _query(scenario, positive, negative, budget if budget is not None else Budget())
+        return _query(scenario, positive, negative, budget)
     except Exception as e:
         return QueryResult("unknown", reason=_raised("epistemic query", e))
 

@@ -72,6 +72,7 @@ from .syntax import (
     bind,
     canonical_key,
     conj,
+    conjuncts,
     constant_occurrences,
     constant_sorts,
     disj,
@@ -115,7 +116,7 @@ def _domains(formulas: Sequence[Formula], sig: Signature) -> dict[str, list[Cons
     }
 
 
-def _ground(f: Formula, dom: dict, sig: Signature, env=None, deadline=math.inf):
+def _ground(f: Formula, dom: dict, env=None, deadline=math.inf):
     """Expand quantifiers over the domain under env, which binds the
     variables of the quantifiers above f to constants; _TRUE and FALSUM
     mark the vacuous cases.  Modal bodies are left alone: the closure
@@ -125,15 +126,15 @@ def _ground(f: Formula, dom: dict, sig: Signature, env=None, deadline=math.inf):
         return bind(f, env) if env else f
     env = env or {}
     if isinstance(f, Not):
-        b = _ground(f.body, dom, sig, env, deadline)
+        b = _ground(f.body, dom, env, deadline)
         if b is _TRUE:
             return FALSUM
         if b == FALSUM:
             return _TRUE
         return Not(b)
     if isinstance(f, Implies):
-        l = _ground(f.left, dom, sig, env, deadline)
-        r = _ground(f.right, dom, sig, env, deadline)
+        l = _ground(f.left, dom, env, deadline)
+        r = _ground(f.right, dom, env, deadline)
         if l == FALSUM or r is _TRUE:
             return _TRUE
         if l is _TRUE:
@@ -142,8 +143,8 @@ def _ground(f: Formula, dom: dict, sig: Signature, env=None, deadline=math.inf):
             return Not(l)
         return Implies(l, r)
     if isinstance(f, Iff):
-        l = _ground(f.left, dom, sig, env, deadline)
-        r = _ground(f.right, dom, sig, env, deadline)
+        l = _ground(f.left, dom, env, deadline)
+        r = _ground(f.right, dom, env, deadline)
         if l is _TRUE:
             return r
         if r is _TRUE:
@@ -167,7 +168,7 @@ def _ground(f: Formula, dom: dict, sig: Signature, env=None, deadline=math.inf):
     for p, bound in parts:
         if time.monotonic() > deadline:
             raise OracleLimit("wall_clock")
-        g = _ground(p, dom, sig, bound, deadline)
+        g = _ground(p, dom, bound, deadline)
         if g == zero:
             return zero
         if g != unit:
@@ -187,17 +188,6 @@ def _has_quantifier_outside_modal(f: Formula) -> bool:
             f.right
         )
     return False
-
-
-def _conjuncts(f: Formula) -> list[Formula]:
-    # Grounding a universal produces one big conjunction; the modal rules
-    # only fire on top-level formulas, so split it back into units.
-    if isinstance(f, And):
-        out: list[Formula] = []
-        for p in f.parts:
-            out.extend(_conjuncts(p))
-        return out
-    return [f]
 
 
 def _closure(
@@ -222,15 +212,17 @@ def _closure(
         got = handed.get(id(f))
         if got is None:
             regrounded = _has_quantifier_outside_modal(f)
-            g = _ground(f, dom, sig, None, deadline) if regrounded else f
-            got = handed[id(f)] = (regrounded, [] if g is _TRUE else _conjuncts(g))
+            g = _ground(f, dom, None, deadline) if regrounded else f
+            got = handed[id(f)] = (regrounded, [] if g is _TRUE else conjuncts(g))
         return got
 
+    # grounding a universal gives one conjunction, and the modal rules
+    # fire only on top-level formulas: split it back into its conjuncts
     current: list[Formula] = []
     for f in formulas:
-        g = _ground(f, dom, sig, None, deadline)
+        g = _ground(f, dom, None, deadline)
         if g is not _TRUE:
-            current.extend(_conjuncts(g))
+            current.extend(conjuncts(g))
     previous = None
     for _ in range(depth + 1):
         records: dict[str, Derivation] = {}

@@ -246,6 +246,7 @@ from .syntax import (
     Var,
     bind,
     canonical_key,
+    conjuncts,
     constant_sorts,
     constants_in_formula,
     domain_order,
@@ -776,7 +777,7 @@ def pure_formulas(formulas: Sequence[Formula]) -> set[int]:
     part in a refutation.  prove() runs it on the shadowed formulas,
     which hold no modal.
     """
-    items = [(i, _read(c)) for i, f in enumerate(formulas) for c in _conjuncts(f)]
+    items = [(i, _read(c)) for i, f in enumerate(formulas) for c in conjuncts(f)]
     pure = _pure_roots([*(r for _, r in items), _Read([], [], [])])[0]
     kept = {i for j, (i, _) in enumerate(items) if j not in pure}
     return set(range(len(formulas))) - kept
@@ -798,10 +799,6 @@ def _binder_names(f: Formula) -> set[str]:
         elif isinstance(g, (Implies, Iff)):
             stack.extend((g.left, g.right))
     return names
-
-
-def _conjuncts(f: Formula) -> list[Formula]:
-    return [c for p in f.parts for c in _conjuncts(p)] if isinstance(f, And) else [f]
 
 
 def _joins(f: Formula) -> tuple[list[Modal], list[And]]:
@@ -939,7 +936,7 @@ def _emit(key: str, prep: _Prep, steps: list[ProofStep], index_of: dict[str, int
 def prove(
     assumptions: Sequence[Formula],
     goal: Formula,
-    budget: Optional[Budget] = None,
+    budget: Budget = Budget(),
     sig: Optional[Signature] = None,
 ) -> ProveResult:
     """Search for a proof of goal from the assumptions.  Pass one
@@ -949,7 +946,6 @@ def prove(
     skolem symbol (syntax.unspoofed), and when one name is a constant of
     two sorts in sig, the goal and the assumptions a proof may cite
     (syntax.constant_sorts)."""
-    budget = budget if budget is not None else Budget()
     sig = sig if sig is not None else Signature()
     premises = assumptions if isinstance(assumptions, Premises) else Premises(assumptions)
     start = time.monotonic()

@@ -250,6 +250,11 @@ def conj(parts: list[Formula] | tuple[Formula, ...]) -> Formula:
     return And(parts)
 
 
+def conjuncts(f: Formula) -> list[Formula]:
+    """The conjuncts of f, nested conjunctions flattened, in order."""
+    return [c for p in f.parts for c in conjuncts(p)] if isinstance(f, And) else [f]
+
+
 def disj(parts: list[Formula] | tuple[Formula, ...]) -> Formula:
     parts = tuple(parts)
     if not parts:

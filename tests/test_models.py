@@ -51,6 +51,7 @@ from modalguard.syntax import (
     Signature,
     Var,
     canonical_key,
+    conjuncts,
     moment,
     symbol_names,
 )
@@ -220,8 +221,8 @@ def test_grounding_under_an_environment_is_substituting_then_grounding(
     sig = round_trip_sig()
     dom = models._domains([body], sig)
     for c in dom[x.sort]:
-        got = models._ground(body, dom, sig, {x: c})
-        want = models._ground(substitute(body, {x: c}, sig), dom, sig)
+        got = models._ground(body, dom, {x: c})
+        want = models._ground(substitute(body, {x: c}, sig), dom)
         assert (got is models._TRUE) == (want is models._TRUE)
         if got is not models._TRUE:
             assert canonical_key(got) == canonical_key(want)
@@ -243,11 +244,11 @@ def test_a_quantifier_stops_at_its_first_deciding_instance(monkeypatch, text, st
 
     def spy(g, *args):
         if g is f.body:
-            envs.append(args[2])
+            envs.append(args[1])
         return ground(g, *args)
 
     monkeypatch.setattr(models, "_ground", spy)
-    assert ground(f, dom, SIG) == stop
+    assert ground(f, dom) == stop
     assert envs == [{f.var: dom[AGENT][0]}]
 
 
@@ -262,9 +263,9 @@ def closure_in_every_round(formulas, sig, depth) -> tuple[list, int]:
     dom = models._domains(formulas, sig)
     current = []
     for f in formulas:
-        g = models._ground(f, dom, sig)
+        g = models._ground(f, dom)
         if g is not models._TRUE:
-            current.extend(models._conjuncts(g))
+            current.extend(conjuncts(g))
     rounds = 0
     for _ in range(depth + 1):
         rounds += 1
@@ -277,10 +278,10 @@ def closure_in_every_round(formulas, sig, depth) -> tuple[list, int]:
         again = False
         for f in (d.formula for d in records.values()):
             if models._has_quantifier_outside_modal(f):
-                f = models._ground(f, dom, sig)
+                f = models._ground(f, dom)
                 again = True
             if f is not models._TRUE:
-                out.extend(models._conjuncts(f))
+                out.extend(conjuncts(f))
         current = out
         if not again:
             break

@@ -67,8 +67,7 @@ def load(name: str):
 
 def run(name: str, **budget_kw):
     fs, g = load(name)
-    budget = Budget(**budget_kw) if budget_kw else None
-    return prove(fs, g, budget=budget, sig=SIG), fs, g
+    return prove(fs, g, budget=Budget(**budget_kw), sig=SIG), fs, g
 
 
 # ---------------------------------------------------------------------------
