@@ -786,19 +786,15 @@ def pure_formulas(formulas: Sequence[Formula]) -> set[int]:
 def _binder_names(f: Formula) -> set[str]:
     """The names of the variables f's quantifiers bind, modal bodies
     included."""
-    names: set[str] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, (Forall, Exists)):
-            names.add(g.var.name)
-        if isinstance(g, (Not, Forall, Exists, Modal)):
-            stack.append(g.body)
-        elif isinstance(g, (And, Or)):
-            stack.extend(g.parts)
-        elif isinstance(g, (Implies, Iff)):
-            stack.extend((g.left, g.right))
-    return names
+    if isinstance(f, (Forall, Exists)):
+        return {f.var.name} | _binder_names(f.body)
+    if isinstance(f, (Not, Modal)):
+        return _binder_names(f.body)
+    if isinstance(f, (And, Or)):
+        return set().union(*map(_binder_names, f.parts))
+    if isinstance(f, (Implies, Iff)):
+        return _binder_names(f.left) | _binder_names(f.right)
+    return set()
 
 
 def _joins(f: Formula) -> tuple[list[Modal], list[And]]:
