@@ -28,7 +28,7 @@ None for the initial state).  That supports counterfactual attribution
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .syntax import (
     Signature,
@@ -235,21 +235,26 @@ def effects_of(
     for e in with_ev.effects:
         if e.identity() in baseline:
             continue
-        if any(p.event == event and p.moment == moment for p in causal_chain(e)):
+        if any(p.event == event and p.moment == moment for p in _causes(e)):
             out.append(e)
     return out
 
 
-def causal_chain(effect: Effect) -> list[Effect]:
-    """The effect plus everything its guards causally depend on, in
-    effect order (oldest first)."""
-    # effects compare by identity; the dict keeps the walk's order, so
-    # effects that print alike sort the same way every time
-    seen: dict[Effect, None] = {}
+def _causes(effect: Effect) -> Iterator[Effect]:
+    """The effect plus everything its guards causally depend on, each
+    once, in walk order; effects compare by identity."""
+    seen: set[Effect] = set()
     stack = [effect]
     while stack:
         e = stack.pop()
         if e not in seen:
-            seen[e] = None
+            seen.add(e)
+            yield e
             stack.extend(s for s in e.sources if s is not None)
-    return sorted(seen, key=Effect.key)
+
+
+def causal_chain(effect: Effect) -> list[Effect]:
+    """The effect plus everything its guards causally depend on, in
+    effect order (oldest first).  Effects that print alike keep the
+    walk's order, so they sort the same way every time."""
+    return sorted(_causes(effect), key=Effect.key)
