@@ -7,19 +7,23 @@ the nullary atom (false)).  verify_proof re-derives every step from
 its premises alone, one way per rule family: it recomputes what the
 rule derives from the cited premises and compares the step with that.
 A modal rule's conclusions (_modal_conclusions) are compared by the
-prover's canonical key; a quantifier rule's instance (_opened) is found
-by keying the premise body with each candidate constant put for the
-bound variable; a clause rule's clauses (_clause_conclusions) are
+prover's canonical key; a quantifier rule's instance is found by
+keying what the rule derives (quantifier_rule, the table the prover
+grounds with) with each candidate constant put for the bound variable,
+and an existential antecedent whose variable is free in the consequent
+is opened by no rule; a clause rule's clauses (_clause_conclusions) are
 compared by canonical clause.  No comparison takes a free variable for
 a constant of its name, nor one name for another.  A witness must be a
 constant fresh for the names of the assumptions, the goal and the
-earlier steps, which are read only at a step that introduces one, and
-not spelled like a skolem symbol, which a later clausify step could
-name.  Assumptions or a goal that hold a name spelled like a shadow
-atom or a skolem symbol are refused (syntax.unspoofed), as is a name
-that is a constant of two sorts in the problem or the proof, which a
-step's key comparison would take for one (syntax.constant_sorts).  The
-checker shares no state with the prover's search.
+earlier steps (syntax.symbol_names, binders' names included, as the
+prover names its witnesses), which are read only at a step that
+introduces one, and not spelled like a skolem symbol, which a later
+clausify step could name.  Assumptions or a goal that hold a name
+spelled like a shadow atom or a skolem symbol are refused
+(syntax.unspoofed), as is a name that is a constant of two sorts in the
+problem or the proof, which a step's key comparison would take for one
+(syntax.constant_sorts).  The checker shares no state with the
+prover's search.
 """
 
 from __future__ import annotations
@@ -136,6 +140,9 @@ def formula_to_clause(f: Formula) -> Optional[Clause]:
 MODAL_RULES = ("S1", "S2", "S3", "S4-split", "S4-join")
 QUANTIFIER_RULES = (RULE_FORALL_ELIM, RULE_EXISTS_ELIM, RULE_NEG_EXISTS_ELIM,
                     RULE_NEG_FORALL_ELIM, RULE_EXISTS_ANTECEDENT)
+# the quantifier rules that open a binder with one fresh witness; the
+# others instantiate it at any constant
+WITNESS_RULES = (RULE_EXISTS_ELIM, RULE_NEG_FORALL_ELIM)
 CLAUSE_RULES = (RULE_CLAUSIFY, RULE_RESOLVE, RULE_FACTOR)
 
 
@@ -198,28 +205,31 @@ def _modal_conclusions(rule: str, prem: Sequence[Formula]) -> Optional[list[Form
     return [under(And(tuple(p.body for p in prem)))]
 
 
-def _opened(premise: Formula) -> Optional[tuple[str, Var, Formula, Callable]]:
-    """(rule, var, body, part) for a premise a quantifier rule takes
-    apart: the rule its shape calls for, the bound variable and its
-    body, and part, which maps a conclusion to the formula that must be
-    an instance of body (None when the conclusion has the wrong shape).
-    None when no quantifier rule takes the premise apart."""
-    whole = lambda c: c
-    if isinstance(premise, Forall):
-        return RULE_FORALL_ELIM, premise.var, premise.body, whole
-    if isinstance(premise, Exists):
-        return RULE_EXISTS_ELIM, premise.var, premise.body, whole
-    negated = lambda c: c.body if isinstance(c, Not) else None
-    if isinstance(premise, Not) and isinstance(premise.body, Exists):
-        return RULE_NEG_EXISTS_ELIM, premise.body.var, premise.body.body, negated
-    if isinstance(premise, Not) and isinstance(premise.body, Forall):
-        return RULE_NEG_FORALL_ELIM, premise.body.var, premise.body.body, negated
-    if isinstance(premise, Implies) and isinstance(premise.left, Exists):
-        right = premise.right
-        antecedent = lambda c: (
-            c.left if isinstance(c, Implies) and alpha_equivalent(c.right, right) else None
-        )
-        return RULE_EXISTS_ANTECEDENT, premise.left.var, premise.left.body, antecedent
+def _same(f: Formula) -> Formula:
+    return f
+
+
+def quantifier_rule(
+    f: Formula,
+) -> Optional[tuple[str, Var, Formula, Callable[[Formula], Formula]]]:
+    """(rule, var, body, wrap) for a formula a quantifier rule takes
+    apart: f is wrap(Q var body), and the rule derives wrap(body) with a
+    constant put for var.  None when no quantifier rule takes f apart,
+    and for an existential antecedent whose variable is free in the
+    consequent, where a constant put for var would be put there too."""
+    if isinstance(f, Forall):
+        return RULE_FORALL_ELIM, f.var, f.body, _same
+    if isinstance(f, Exists):
+        return RULE_EXISTS_ELIM, f.var, f.body, _same
+    if isinstance(f, Not) and isinstance(f.body, Exists):
+        return RULE_NEG_EXISTS_ELIM, f.body.var, f.body.body, Not
+    if isinstance(f, Not) and isinstance(f.body, Forall):
+        return RULE_NEG_FORALL_ELIM, f.body.var, f.body.body, Not
+    if isinstance(f, Implies) and isinstance(f.left, Exists):
+        rhs = f.right
+        if f.left.var in free_vars(rhs):
+            return None
+        return RULE_EXISTS_ANTECEDENT, f.left.var, f.left.body, lambda g: Implies(g, rhs)
     return None
 
 
@@ -291,16 +301,15 @@ def verify_proof_detailed(
             if not any(canonical_key(e) == key for e in expected):
                 return fail(i, f"conclusion is not what {r} derives from the premises")
         elif r in QUANTIFIER_RULES:
-            opened = _opened(prem[0]) if len(prem) == 1 else None
-            if opened is None or opened[0] != r:
+            q = quantifier_rule(prem[0]) if len(prem) == 1 else None
+            if q is None or q[0] != r:
                 return fail(i, f"{r} needs one premise of its shape")
-            _, var, body, part = opened
-            target = part(f)
-            witness = None if target is None else _is_instance(var, body, target, sig)
+            _, var, body, wrap = q
+            witness = _is_instance(var, wrap(body), f, sig)
             if witness is None:
                 return fail(i, "conclusion is not an instance of the premise")
             # only a binder that binds something needs a fresh constant
-            if r in (RULE_EXISTS_ELIM, RULE_NEG_FORALL_ELIM) and var in free_vars(body):
+            if r in WITNESS_RULES and var in free_vars(body):
                 if not isinstance(witness, Const):
                     return fail(i, "witness is not a constant")
                 if witness.sort != var.sort:

@@ -83,16 +83,16 @@ body, and where it is the whole body of a join target, the target is
 that root's own as well.  S1 brings out of a joined formula only the
 clauses of its parts.  A formula derived from a kept root holds such a
 conjunction with terms put only for its variables, so kept roots give
-those in modal bodies, but a target's whole body, as patterns (_joins),
-and a formula is kept where a join target's body meets one.  Third, a
-formula whose atoms are all supported, but a modal is not, is kept
-when it holds a join target S4 can join, so that no join is lost.
-Then, but for the formulas the modal literals keep out, those below
-them and the witnesses they would name, the closure is the one built
-with atoms checked alone; and pure_formulas would drop those formulas
-after shadowing, a shadow atom of the opposite sign meeting their pure
-modal otherwise.  So the search sees the same clauses as with atoms
-checked alone.
+those in modal bodies, but a target's whole body, as patterns
+(schemata.joins), and a formula is kept where a join target's body
+meets one.  Third, a formula whose atoms are all supported, but a
+modal is not, is kept when it holds a join target S4 can join, so that
+no join is lost.  Then, but for the formulas the modal literals keep
+out, those below them and the witnesses they would name, the closure
+is the one built with atoms checked alone; and pure_formulas would
+drop those formulas after shadowing, a shadow atom of the opposite
+sign meeting their pure modal otherwise.  So the search sees the same
+clauses as with atoms checked alone.
 
 Pure roots.  The same check runs first on the root formulas, the
 assumptions and the negated goal, with no hole (_pure_roots): a root
@@ -146,7 +146,7 @@ what it derives from the assumptions alone: each assumption's
 canonical key and constants, the first assumption of each key, filed
 by head, and what the purity check reads of each assumption (_read):
 what it gives the patterns, its must-set and its join targets, from
-one _literals walk and one _joins walk.  Any other sequence is
+one _literals walk and one schemata.joins walk.  Any other sequence is
 wrapped in a fresh Premises, so one question takes the same path;
 check_dde and epistemic_query hand one Premises to every goal they
 ask of one theory.  A prefix of a Premises (Premises.prefix) shares
@@ -185,13 +185,13 @@ that, duplicates and tautologies included), past its NNF node cap, or
 past the deadline; the search then ends as timeout.
 
 No self-referencing closure on the request path: the recursive walks
-(_literals, _joins) and proof replay (_emit) are module-level functions
-handed their output and state, as are those of syntax, clauses,
-resolution and parser.  A nested emit that called itself would be a
-reference cycle through its closure cell holding the whole _Prep, its
-records, derivations and formulas, alive past the search until the
-cyclic collector ran; without one, reference counting frees the search
-when prove returns.
+(_literals, schemata.joins) and proof replay (_emit) are module-level
+functions handed their output and state, as are those of syntax,
+clauses, resolution and parser.  A nested emit that called itself
+would be a reference cycle through its closure cell holding the whole
+_Prep, its records, derivations and formulas, alive past the search
+until the cyclic collector ran; without one, reference counting frees
+the search when prove returns.
 """
 
 from __future__ import annotations
@@ -205,16 +205,13 @@ from .proofs import (
     Proof,
     ProofStep,
     RULE_CLAUSIFY,
-    RULE_EXISTS_ANTECEDENT,
-    RULE_EXISTS_ELIM,
     RULE_FACTOR,
-    RULE_FORALL_ELIM,
-    RULE_NEG_EXISTS_ELIM,
-    RULE_NEG_FORALL_ELIM,
     RULE_NEGATED_GOAL,
     RULE_REDUCTIO,
     RULE_RESOLVE,
+    WITNESS_RULES,
     clause_to_formula,
+    quantifier_rule,
 )
 from .resolution import saturate
 from .schemata import (
@@ -222,7 +219,7 @@ from .schemata import (
     RULE_ASSUMPTION,
     expand_modal,
     harvest_join_targets,
-    is_join_target,
+    joins,
 )
 from .shadow import ShadowMap, shadow
 from .syntax import (
@@ -282,53 +279,30 @@ class ProveResult:
 
 class _Plan(NamedTuple):
     """How close() grounds a formula: wrap(body) with var replaced by a
-    constant, derived by rule; over the whole domain when universal, by
-    one fresh witness otherwise.  var is free in a modal subformula of
+    constant, derived by rule (proofs.quantifier_rule); by one fresh
+    witness when the rule is a witness rule (proofs.WITNESS_RULES), over
+    the whole domain otherwise.  var is free in a modal subformula of
     body.  must holds the literals of wrap(body)'s must-set that the
     purity check reads (_must)."""
 
+    rule: str
     var: Var
     body: Formula
     wrap: Callable[[Formula], Formula]
-    rule: str
-    universal: bool
     must: list[tuple[Atom | Modal, bool]]
 
 
-def _quantifier(
-    f: Formula,
-) -> Optional[tuple[Var, Formula, Callable[[Formula], Formula], str, bool]]:
-    """The quantifier _Prep takes apart at the top of f, as (var, body,
-    wrap, rule, universal): f is wrap(Q var body), with Q universal in
-    effect or not; None when f has none."""
-    if isinstance(f, Forall):
-        return f.var, f.body, _same, RULE_FORALL_ELIM, True
-    if isinstance(f, Exists):
-        return f.var, f.body, _same, RULE_EXISTS_ELIM, False
-    if isinstance(f, Not) and isinstance(f.body, Exists):
-        return f.body.var, f.body.body, Not, RULE_NEG_EXISTS_ELIM, True
-    if isinstance(f, Not) and isinstance(f.body, Forall):
-        return f.body.var, f.body.body, Not, RULE_NEG_FORALL_ELIM, False
-    if isinstance(f, Implies) and isinstance(f.left, Exists):
-        rhs = f.right
-        return f.left.var, f.left.body, lambda g: Implies(g, rhs), RULE_EXISTS_ANTECEDENT, True
-    return None
-
-
 def _grounding_plan(f: Formula) -> Optional[_Plan]:
-    """f's plan, or None when f has no quantifier whose variable reaches
-    into a modal subformula."""
-    q = _quantifier(f)
+    """f's plan, or None when no quantifier rule takes f apart
+    (proofs.quantifier_rule) or its variable reaches into no modal
+    subformula."""
+    q = quantifier_rule(f)
     if q is None:
         return None
-    var, body, wrap, rule, universal = q
-    # an instance key names var wherever wrap(body) has it free, so an
-    # open consequent that has it free too is not grounded
-    if rule == RULE_EXISTS_ANTECEDENT and var in free_vars(f.right):
-        return None
+    rule, var, body, wrap = q
     if any(var in free_vars(m) for m in maximal_modal_subformulas(body)):
         g = wrap(body)
-        return _Plan(var, body, wrap, rule, universal, _must(g, _literals(g), var))
+        return _Plan(rule, var, body, wrap, _must(g, _literals(g), var))
     return None
 
 
@@ -345,10 +319,6 @@ def _must(f: Formula, lits: list, var: Optional[Var] = None) -> list[tuple[Atom 
         # below a binder of var itself, var is not the one filled in
         if top and var not in bound and (isinstance(lit, Atom) or not epistemic)
     ]
-
-
-def _same(g: Formula) -> Formula:
-    return g
 
 
 def _core(f: Formula) -> Formula:
@@ -372,8 +342,9 @@ def _both(a: Names, b: Names) -> Names:
 
 class _Read(NamedTuple):
     """What the purity check reads of one root formula: what it gives the
-    patterns (_supplies, and the conjunctions it uses, _joins), its
-    must-set with no hole (_must), and its join targets (_joins)."""
+    patterns (_supplies, and the conjunctions it uses, schemata.joins),
+    its must-set with no hole (_must), and its join targets
+    (schemata.joins)."""
 
     supplies: list[tuple[tuple, Formula]]
     must: list[tuple[Atom | Modal, bool]]
@@ -382,9 +353,9 @@ class _Read(NamedTuple):
 
 def _read(f: Formula) -> _Read:
     """What the purity check reads of root f, from one _literals walk and
-    one _joins walk."""
+    one schemata.joins walk."""
     lits = _literals(f)
-    targets, uses = _joins(f)
+    targets, uses = joins(f)
     supplies = _supplies(f, lits) + [(_index(u, True), u) for u in uses]
     return _Read(supplies, _must(f, lits), targets)
 
@@ -427,10 +398,10 @@ class _Purity:
     def _kept(self, must: Sequence, targets: Sequence[Modal], hole: Optional[Var]) -> Names:
         """The names of the constants c at which a formula, with hole
         filled by c, is not pure, must being its must-set (_must) and
-        targets its join targets (_joins): every literal is supported, or
-        every atom is and S4 can join a join target it holds, or a join
-        target's body meets a conjunction a kept root uses (see the module
-        docstring)."""
+        targets its join targets (schemata.joins): every literal is
+        supported, or every atom is and S4 can join a join target it
+        holds, or a join target's body meets a conjunction a kept root
+        uses (see the module docstring)."""
         names = self._met_all([m for m in must if type(m[0]) is Atom], hole)
         if names is None or names:
             joined = self._met_all([m for m in must if type(m[0]) is Modal], hole)
@@ -485,7 +456,7 @@ class _Prep:
 
     def _add_instance(self, key: str, c: Const) -> str:
         """Add the instance of record key's plan at c; its key."""
-        var, body, wrap, rule = self.plans[key][:4]
+        rule, var, body, wrap = self.plans[key][:4]
         ikey = canonical_key(wrap(body), {var: c})
         if ikey not in self.records:
             f = wrap(bind(body, {var: c}))
@@ -502,7 +473,7 @@ class _Prep:
         witnesses.  So no binder above an instance at the witness, not
         even one that binds nothing, prints under the witness's name."""
         taken = {c.name for c in self.consts} | self.witness_intro.keys()
-        taken = taken.union(*map(symbol_names, self.named), *map(_binder_names, self.named))
+        taken = taken.union(*map(symbol_names, self.named))
         n = 1
         while f"w{n}" in taken:
             n += 1
@@ -546,7 +517,7 @@ class _Prep:
         """Whether the instance of record key's plan at c is pure (_kept)."""
         if key not in self.kept:
             plan = self.plans[key]
-            targets = _joins(self.records[key].formula)[0]
+            targets = joins(self.records[key].formula)[0]
             self.kept[key] = self.check._kept(plan.must, targets, plan.var)
         names = self.kept[key]
         return names is not None and c.name not in names
@@ -589,10 +560,10 @@ class _Prep:
                 plan = self.plans[key]
                 if plan is None:
                     continue
-                if plan.universal:
-                    grew = self._instantiate(key, plan.var.sort)
-                else:
+                if plan.rule in WITNESS_RULES:
                     grew = self._witness(key, plan.var.sort)
+                else:
+                    grew = self._instantiate(key, plan.var.sort)
                 if grew:
                     changed = True
 
@@ -652,8 +623,9 @@ def _head(f: Formula) -> str:
 
 
 def _index(lit: Formula, positive: bool) -> tuple:
-    """Where _patterns files a literal or a used conjunction (_joins): by
-    its head and sign, a modal by the head of its body too."""
+    """Where _patterns files a literal or a used conjunction
+    (schemata.joins): by its head and sign, a modal by the head of its
+    body too."""
     if type(lit) is Modal:
         return lit.op, positive, _head(lit.body)
     return _head(lit), positive
@@ -781,52 +753,6 @@ def pure_formulas(formulas: Sequence[Formula]) -> set[int]:
     pure = _pure_roots([*(r for _, r in items), _Read([], [], [])])[0]
     kept = {i for j, (i, _) in enumerate(items) if j not in pure}
     return set(range(len(formulas))) - kept
-
-
-def _binder_names(f: Formula) -> set[str]:
-    """The names of the variables f's quantifiers bind, modal bodies
-    included."""
-    if isinstance(f, (Forall, Exists)):
-        return {f.var.name} | _binder_names(f.body)
-    if isinstance(f, (Not, Modal)):
-        return _binder_names(f.body)
-    if isinstance(f, (And, Or)):
-        return set().union(*map(_binder_names, f.parts))
-    if isinstance(f, (Implies, Iff)):
-        return _binder_names(f.left) | _binder_names(f.right)
-    return set()
-
-
-def _joins(f: Formula) -> tuple[list[Modal], list[And]]:
-    """f's join targets, and the conjunctions inside f's modal bodies but
-    for the whole body of a join target, which a formula S4 joins can
-    serve (see the module docstring)."""
-    targets: list[Modal] = []
-    uses: list[And] = []
-    _join_walk(f, False, targets, uses)
-    return targets, uses
-
-
-def _join_walk(g: Formula, inside: bool, targets: list[Modal], uses: list[And]) -> None:
-    """Append g's join targets and used conjunctions (see _joins); inside
-    says that g lies in a modal body."""
-    if isinstance(g, Atom):
-        return
-    if isinstance(g, Modal):
-        if is_join_target(g):
-            targets.append(g)
-        for p in g.body.parts if is_join_target(g) else (g.body,):
-            _join_walk(p, True, targets, uses)
-    elif isinstance(g, (And, Or)):
-        if inside and isinstance(g, And):
-            uses.append(g)
-        for p in g.parts:
-            _join_walk(p, inside, targets, uses)
-    elif isinstance(g, (Implies, Iff)):
-        _join_walk(g.left, inside, targets, uses)
-        _join_walk(g.right, inside, targets, uses)
-    else:
-        _join_walk(g.body, inside, targets, uses)  # Not, Forall, Exists
 
 
 def _pure_roots(reads: Sequence[_Read]) -> tuple[set[int], _Purity]:

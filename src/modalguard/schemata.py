@@ -26,6 +26,11 @@ that way in place: the prover hands in its grounding closure, so a
 proof search holds one store of derivations.  A formula handed in is
 never keyed again; the expansion prints a key only for a formula it
 derives, and for a body, antecedent or join-target part it looks up.
+
+One walk finds join targets (joins): harvest_join_targets keys its
+targets for the prover's expansion and for the oracle's closure
+(models._closure), and the prover's purity check reads the targets and
+the conjunctions used inside modal bodies from it.
 """
 
 from __future__ import annotations
@@ -70,24 +75,47 @@ def is_join_target(f: Formula) -> bool:
     return isinstance(f, Modal) and f.op in EPISTEMIC_OPS and isinstance(f.body, And)
 
 
+def joins(f: Formula) -> tuple[list[Modal], list[And]]:
+    """f's join targets (is_join_target) in pre-order, inside modal bodies
+    too, and the conjunctions inside f's modal bodies but for the whole
+    body of a join target, which a formula S4 joins can serve (see the
+    prover's module docstring)."""
+    targets: list[Modal] = []
+    uses: list[And] = []
+    _join_walk(f, False, targets, uses)
+    return targets, uses
+
+
+def _join_walk(g: Formula, inside: bool, targets: list[Modal], uses: list[And]) -> None:
+    """Append g's join targets and used conjunctions (see joins); inside
+    says that g lies in a modal body."""
+    if isinstance(g, Atom):
+        return
+    if isinstance(g, Modal):
+        if is_join_target(g):
+            targets.append(g)
+        for p in g.body.parts if is_join_target(g) else (g.body,):
+            _join_walk(p, True, targets, uses)
+    elif isinstance(g, (And, Or)):
+        if inside and isinstance(g, And):
+            uses.append(g)
+        for p in g.parts:
+            _join_walk(p, inside, targets, uses)
+    elif isinstance(g, (Implies, Iff)):
+        _join_walk(g.left, inside, targets, uses)
+        _join_walk(g.right, inside, targets, uses)
+    else:
+        _join_walk(g.body, inside, targets, uses)  # Not, Forall, Exists
+
+
 def harvest_join_targets(formulas: Iterable[Formula]) -> dict[str, Modal]:
-    """Join targets (is_join_target) anywhere in the given set, by
-    canonical key, the first of each key in pre-order: one stack walk
-    per formula, inside modal bodies too.  A target with a variable
-    bound outside it keeps that variable free in its key."""
+    """Join targets (joins) anywhere in the given set, by canonical key,
+    the first of each key in pre-order.  A target with a variable bound
+    outside it keeps that variable free in its key."""
     out: dict[str, Modal] = {}
     for f in formulas:
-        stack = [f]
-        while stack:
-            g = stack.pop()
-            if isinstance(g, (And, Or)):
-                stack.extend(reversed(g.parts))
-            elif isinstance(g, (Implies, Iff)):
-                stack.extend((g.right, g.left))
-            elif not isinstance(g, Atom):
-                if is_join_target(g):
-                    out.setdefault(canonical_key(g), g)
-                stack.append(g.body)
+        for g in joins(f)[0]:
+            out.setdefault(canonical_key(g), g)
     return out
 
 

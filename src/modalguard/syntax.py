@@ -402,7 +402,8 @@ def term_vars(t: Term, acc: list[Var]) -> None:
 
 
 def formula_terms(f: Formula) -> list[Term]:
-    """Top-level terms of f, in left-to-right order (not recursive into terms)."""
+    """Top-level terms of f, in left-to-right order (not recursive into
+    terms), each quantifier's variable before the terms of its body."""
     out: list[Term] = []
     _formula_terms(f, out)
     return out
@@ -411,7 +412,10 @@ def formula_terms(f: Formula) -> list[Term]:
 def _formula_terms(g: Formula, out: list[Term]) -> None:
     if isinstance(g, Atom):
         out.extend(g.args)
-    elif isinstance(g, (Not, Forall, Exists)):
+    elif isinstance(g, (Forall, Exists)):
+        out.append(g.var)
+        _formula_terms(g.body, out)
+    elif isinstance(g, Not):
         _formula_terms(g.body, out)
     elif isinstance(g, (And, Or)):
         for p in g.parts:
@@ -428,7 +432,8 @@ def _formula_terms(g: Formula, out: list[Term]) -> None:
 
 def symbol_names(f: Formula) -> set[str]:
     """Names of every variable, constant and function symbol in the terms
-    of f, including modal agent, time and situation terms.  Predicate
+    of f, including modal agent, time and situation terms and the
+    variables quantifiers bind, even one that binds nothing.  Predicate
     names are not collected."""
     names: set[str] = set()
     stack = list(formula_terms(f))

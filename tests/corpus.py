@@ -7,7 +7,11 @@ oracle's comfort zone: at most three constants per sort, moments drawn
 from 1..3, and no reliance on witnesses outside the named domain.
 
 It also holds substitute, the capture-avoiding substitution that the
-differentials compare syntax.bind and canonical_key's names against.
+differentials compare syntax.bind and canonical_key's names against,
+and the walks the checker's quantifier rule, the join-target harvest
+and the name walk were compared against when each became one shared
+walk: opened_reference, harvest_join_targets_reference and
+binder_names with term_names.
 """
 
 from __future__ import annotations
@@ -15,11 +19,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from modalguard.parser import parse_formula, parse_formulas
-from typing import Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
+
+from modalguard.proofs import (
+    RULE_EXISTS_ANTECEDENT,
+    RULE_EXISTS_ELIM,
+    RULE_FORALL_ELIM,
+    RULE_NEG_EXISTS_ELIM,
+    RULE_NEG_FORALL_ELIM,
+)
+from modalguard.schemata import is_join_target
 
 from modalguard.syntax import (
     ACTION_TYPE,
     AGENT,
+    App,
     FLUENT,
     GOAL,
     And,
@@ -37,6 +51,8 @@ from modalguard.syntax import (
     SortError,
     Term,
     Var,
+    alpha_equivalent,
+    canonical_key,
     free_vars,
     print_term,
     substitute_term,
@@ -126,6 +142,82 @@ def _substitute(g: Formula, m: dict[Var, Term], taken: set[str]) -> Formula:
             None if g.situation is None else substitute_term(g.situation, m),
         )
     raise TypeError(f"not a formula: {g!r}")
+
+
+def opened_reference(premise: Formula) -> Optional[tuple[str, Var, Formula, Callable]]:
+    """(rule, var, body, part) for a premise a quantifier rule takes
+    apart, as the checker read it before proofs.quantifier_rule: the
+    rule its shape calls for, the bound variable and its body, and part,
+    which maps a conclusion to the formula that must be an instance of
+    body (None when the conclusion has the wrong shape).  None when no
+    quantifier rule takes the premise apart.  An existential antecedent
+    is opened even when its variable is free in the consequent."""
+    whole = lambda c: c
+    if isinstance(premise, Forall):
+        return RULE_FORALL_ELIM, premise.var, premise.body, whole
+    if isinstance(premise, Exists):
+        return RULE_EXISTS_ELIM, premise.var, premise.body, whole
+    negated = lambda c: c.body if isinstance(c, Not) else None
+    if isinstance(premise, Not) and isinstance(premise.body, Exists):
+        return RULE_NEG_EXISTS_ELIM, premise.body.var, premise.body.body, negated
+    if isinstance(premise, Not) and isinstance(premise.body, Forall):
+        return RULE_NEG_FORALL_ELIM, premise.body.var, premise.body.body, negated
+    if isinstance(premise, Implies) and isinstance(premise.left, Exists):
+        right = premise.right
+        antecedent = lambda c: (
+            c.left if isinstance(c, Implies) and alpha_equivalent(c.right, right) else None
+        )
+        return RULE_EXISTS_ANTECEDENT, premise.left.var, premise.left.body, antecedent
+    return None
+
+
+def harvest_join_targets_reference(formulas) -> dict[str, Modal]:
+    """The join targets anywhere in the formulas, by canonical key, the
+    first of each key in pre-order, found by the stack walk subformulas
+    runs: schemata.harvest_join_targets before it read schemata.joins."""
+    out: dict[str, Modal] = {}
+    for f in formulas:
+        for g in subformulas(f):
+            if is_join_target(g):
+                out.setdefault(canonical_key(g), g)
+    return out
+
+
+def binder_names(f: Formula) -> set[str]:
+    """The names of the variables f's quantifiers bind, modal bodies
+    included."""
+    if isinstance(f, (Forall, Exists)):
+        return {f.var.name} | binder_names(f.body)
+    if isinstance(f, (Not, Modal)):
+        return binder_names(f.body)
+    if isinstance(f, (And, Or)):
+        return set().union(*map(binder_names, f.parts))
+    if isinstance(f, (Implies, Iff)):
+        return binder_names(f.left) | binder_names(f.right)
+    return set()
+
+
+def term_names(f: Formula) -> set[str]:
+    """The names of every variable, constant and function symbol in the
+    terms of f's atoms and modals (agent, time and situation), binders
+    left out: symbol_names before it listed binders."""
+    stack: list[Term] = []
+    for g in subformulas(f):
+        if isinstance(g, Atom):
+            stack.extend(g.args)
+        elif isinstance(g, Modal):
+            stack.extend((g.agent, g.time))
+            if g.situation is not None:
+                stack.append(g.situation)
+    names: set[str] = set()
+    while stack:
+        t = stack.pop()
+        if isinstance(t, App):
+            names.add(t.fn)
+            stack.extend(t.args)
+        else:
+            names.add(t.name)
+    return names
 
 
 def corpus_signature() -> Signature:

@@ -30,12 +30,15 @@ from modalguard.syntax import (
     MOMENT,
     Atom,
     Const,
+    Exists,
     Forall,
+    Implies,
     Modal,
     Not,
     Signature,
     Var,
     canonical_key,
+    free_vars,
     moment,
     print_formula,
 )
@@ -311,6 +314,21 @@ def test_a_variable_is_no_witness(rule):
         False, "step 2: witness is not a constant")
 
 
+def test_a_witness_named_like_a_vacuous_binder_of_an_assumption_is_not_fresh():
+    # the prover names its witnesses apart from every binder's name, even
+    # one that binds nothing, and the checker reads the same names
+    sig = family_signature()
+    some = parse_formula("(exists y : Agent (P y))", sig)
+    vacuous = parse_formula("(forall w1 : Agent (R))", sig)
+    proof = Proof((
+        ProofStep(some, "assumption"),
+        ProofStep(Atom("P", (Const("w1", AGENT),)), "exists-elim", (0,)),
+        ProofStep(vacuous, "assumption"),
+    ))
+    assert verify_proof_detailed(proof, [some, vacuous], vacuous, sig) == (
+        False, "step 2: witness w1 is not fresh")
+
+
 @pytest.mark.parametrize("label", [c[0] for c in CASES])
 def test_rejects_corruption(label):
     _, proof, assumptions, goal = next(c for c in CASES if c[0] == label)
@@ -517,6 +535,74 @@ def test_spliced_instances_of_a_captured_name_and_a_subsort():
     assert proofs._is_instance(f, holds, holds, IS_SIG) == f
 
 
+# premise shapes a quantifier rule takes apart, as (build, wrap): build
+# makes the premise from var, body and a consequent, and wrap makes what
+# the rule derives from an instance of body and that consequent
+SHAPES = {
+    "forall": (lambda v, b, r: Forall(v, b), lambda g, r: g),
+    "exists": (lambda v, b, r: Exists(v, b), lambda g, r: g),
+    "neg-exists": (lambda v, b, r: Not(Exists(v, b)), lambda g, r: Not(g)),
+    "neg-forall": (lambda v, b, r: Not(Forall(v, b)), lambda g, r: Not(g)),
+    "antecedent": (lambda v, b, r: Implies(Exists(v, b), r), lambda g, r: Implies(g, r)),
+}
+
+
+def opened_by_table(premise, conclusion, sig):
+    """(rule, witness) of the checker's quantifier branch: wrap(body)
+    keyed at each candidate (proofs.quantifier_rule)."""
+    q = proofs.quantifier_rule(premise)
+    if q is None:
+        return None
+    rule, var, body, wrap = q
+    return rule, proofs._is_instance(var, wrap(body), conclusion, sig)
+
+
+def opened_by_reference(premise, conclusion, sig):
+    """(rule, witness) as the checker found them before the rule table:
+    body keyed against the part of the conclusion (corpus.opened_reference)."""
+    opened = corpus.opened_reference(premise)
+    if opened is None:
+        return None
+    rule, var, body, part = opened
+    target = part(conclusion)
+    return rule, None if target is None else proofs._is_instance(var, body, target, sig)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(sorted(PUT_FOR)),
+    st.sampled_from(("x", "y", "t'")),
+    st.sampled_from(sorted(SHAPES)),
+)
+def test_the_rule_table_opens_a_premise_as_the_checker_did(seed, sort, name, shape):
+    rng = random.Random(seed)
+    gen = RandomFormulas(seed)
+    var = Var(name, sort)
+    body = gen.formula([var], rng.randint(0, 3))
+    rhs = gen.formula([var], rng.randint(0, 2))  # var may be free in it
+    build, wrap = SHAPES[shape]
+    premise = build(var, body, rhs)
+    instances = [substitute(body, {var: c}, IS_SIG) for c in PUT_FOR[sort]]
+    _, other_wrap = SHAPES[rng.choice(sorted(set(SHAPES) - {shape}))]
+    mutated = rng.choice(instances)
+    conclusions = [
+        *(wrap(g, rhs) for g in instances),
+        premise,
+        other_wrap(mutated, rhs),
+        wrap(mutated, gen.formula([], rng.randint(0, 2))),
+        Not(wrap(mutated, rhs)),
+    ]
+    for conclusion in conclusions:
+        got = opened_by_table(premise, conclusion, IS_SIG)
+        if shape == "antecedent" and var in free_vars(rhs):
+            # the one exception: no rule opens an existential antecedent
+            # whose variable is free in the consequent
+            assert got is None
+        else:
+            assert got == opened_by_reference(premise, conclusion, IS_SIG), conclusion
+
+
 def test_an_instance_below_a_vacuous_binder_named_like_its_witness_verifies():
     # witnesses are named apart from the binders of the assumptions too,
     # even one that binds nothing: the witness is w2, so the instance
@@ -639,3 +725,13 @@ def test_each_rule_derives_only_its_own_conclusion(rule):
     assert not ok and reason.startswith(last), reason
     ok, reason = one_step(rule, premises, Not(conclusion))
     assert not ok and reason.startswith(last), reason
+
+
+def test_an_existential_antecedent_is_not_opened_under_its_free_consequent():
+    # putting a for x would put it in the consequent too; the prover
+    # grounds no such formula, and the checker opens none
+    x, a = Var("x", AGENT), Const("a", AGENT)
+    premise = Implies(Exists(x, Atom("P", (x,))), Atom("Q", (x,)))
+    conclusion = Implies(Atom("P", (a,)), Atom("Q", (x,)))
+    assert one_step("exists-antecedent-elim", [premise], conclusion) == (
+        False, "step 2: exists-antecedent-elim needs one premise of its shape")

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import given, settings, strategies as st
+from corpus import harvest_join_targets_reference
 from test_parser import RandomFormulas
 from test_prover import sim1_normed_idle, with_live_instances
 
@@ -29,9 +32,12 @@ from modalguard.syntax import (
     Atom,
     BELIEVES,
     Const,
+    Iff,
     Implies,
     KNOWS,
     Modal,
+    Not,
+    Or,
     Signature,
     canonical_key,
     moment,
@@ -160,6 +166,42 @@ def test_harvest_finds_conjunction_bodied_epistemic_modals():
     )
     got = {print_formula(t) for t in harvest_join_targets(fs).values()}
     assert got == {"(knows a 1 (and (p) (q)))"}
+
+
+def with_join_targets(f, rng):
+    """f with some of its atoms and modals, at random, made a knows or
+    believes of the conjunction of the atom, or of the modal's body, and
+    (rains): a join target.  Some conjunctions are made a knows of
+    themselves, so a join target's parts hold join targets too."""
+    if isinstance(f, (And, Or)):
+        g = type(f)(tuple(with_join_targets(p, rng) for p in f.parts))
+        if isinstance(g, Or) or rng.random() < 0.5:
+            return g
+        return Modal(KNOWS, Const("a", AGENT), moment(1), g)
+    if isinstance(f, (Implies, Iff)):
+        return type(f)(with_join_targets(f.left, rng), with_join_targets(f.right, rng))
+    if isinstance(f, Not):
+        return Not(with_join_targets(f.body, rng))
+    if isinstance(f, Atom):
+        body, agent, time = f, Const("a", AGENT), moment(1)
+    elif isinstance(f, Modal):
+        body, agent, time = with_join_targets(f.body, rng), f.agent, f.time
+    else:
+        return type(f)(f.var, with_join_targets(f.body, rng))
+    if rng.random() < 0.5:
+        return f if isinstance(f, Atom) else Modal(f.op, agent, time, body, f.situation)
+    return Modal(rng.choice((KNOWS, BELIEVES)), agent, time, And((body, Atom("rains", ()))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_the_join_walk_harvests_what_the_stack_walk_did(seed, n):
+    rng = random.Random(seed)
+    gen = RandomFormulas(seed)
+    fs = [with_join_targets(gen.formula([], 1 + i % 4), rng) for i in range(n)]
+    fs.append(rng.choice(fs))  # a key met again
+    got = harvest_join_targets(fs)
+    assert list(got.items()) == list(harvest_join_targets_reference(fs).items())
 
 
 def test_non_epistemic_operators_are_inert():

@@ -6,7 +6,7 @@ import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from corpus import subformulas, substitute
+from corpus import binder_names, subformulas, substitute, term_names
 from test_parser import RandomFormulas, round_trip_sig
 
 from modalguard.parser import ParseError, parse_formula
@@ -399,6 +399,13 @@ def test_symbol_names_cover_terms_but_not_predicates():
     )
     assert symbol_names(f) == {"x", "boss", "b", "k", "later", "2", "a", "1", "s1"}
     assert symbol_names(RAINS) == set()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4))
+def test_symbol_names_are_the_term_names_and_the_binder_names(seed, depth):
+    f = RandomFormulas(seed).formula([], depth)
+    assert symbol_names(f) == term_names(f) | binder_names(f)
 
 
 def test_match_term_rejects_arity_mismatch_and_narrowing_sorts():
