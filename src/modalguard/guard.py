@@ -16,8 +16,8 @@ four double-effect clauses passing, clauses that read the base theory,
 not the proof.
 
 Each adjudication builds the request theory once (`base_theory`): the
-scenario facts plus the projected trace, with the request occurrence
-added.  The obligation query reads it with the deprivation rule and the
+scenario facts, each read as its conjuncts, plus the projected trace,
+with the request occurrence added.  The obligation query reads it with the deprivation rule and the
 prevention bridge added; the double-effect intention queries read it
 as it is, and the double-effect check reuses its projected trace.  All
 of them ask one Premises: the obligation query that of the theory with
@@ -70,6 +70,7 @@ from .syntax import (
     Term,
     Var,
     conj,
+    conjuncts,
     moment,
     obligated,
     print_term,
@@ -183,10 +184,14 @@ def obligation_goal(scenario: Scenario) -> Formula:
 
 
 def projected_facts(scenario: Scenario, theory: ECTheory) -> tuple[list[Formula], Trace]:
-    """The scenario's facts plus the atoms of theory's projected trace,
-    and that trace: what every query over a scenario reads."""
+    """The scenario's facts, each read as its conjuncts, plus the atoms
+    of theory's projected trace, and that trace: what every query over a
+    scenario reads.  The prover makes records of a root, not of a
+    conjunction root's parts, so a fact stated as a conjunction is split
+    here, as two facts stated apart are read."""
     trace = project(theory, scenario.sig)
-    return [*scenario.facts, *trace_atoms(trace, theory.occurrences)], trace
+    facts = [c for f in scenario.facts for c in conjuncts(f)]
+    return [*facts, *trace_atoms(trace, theory.occurrences)], trace
 
 
 def base_theory(scenario: Scenario) -> tuple[Premises, Trace]:

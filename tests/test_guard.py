@@ -30,6 +30,7 @@ from modalguard.report import render_json, render_text
 from modalguard.scenario import Request, load_bundled_scenario, parse_scenario
 from modalguard.syntax import (
     INTENDS,
+    And,
     App,
     Atom,
     Const,
@@ -139,6 +140,50 @@ def test_idle_bystanders_leave_sim2_allowed_by_a_verified_proof():
     assert v.proof_verified is True and v.dde.compliant
     assumptions, _ = adjudication_theory(sc)
     assert verify_proof(v.proof, assumptions, v.obligation, sc.sig)
+
+
+def report_without_clock(sc) -> dict:
+    data = json.loads(render_json(sc, adjudicate(sc)))
+    del data["elapsed_ms"]
+    return data
+
+
+def joined_fact_cases():
+    texts = load_guardbench_texts()
+    sim1 = texts.bundled_text("sim1")
+    cases = {"sim1": sim1, "sim2": texts.bundled_text("sim2"), "sim1_guilty": texts.sim1_guilty(sim1)}
+    for name, text in cases.items():
+        sc = parse_scenario(text, name)
+        for i in range(len(sc.facts) - 1):
+            yield pytest.param(sc, i, id=f"{name}-{i}")
+
+
+@pytest.mark.parametrize("sc, i", joined_fact_cases())
+def test_joining_two_adjacent_facts_changes_no_report(sc, i):
+    # the prover makes no record of a conjunction root's parts: sim1 with
+    # its two knows facts about the victim's goal joined once ALLOWed by
+    # no_proof, while the oracle entails the obligation
+    facts = list(sc.facts)
+    facts[i : i + 2] = [And((facts[i], facts[i + 1]))]
+    joined = dataclasses.replace(sc, facts=facts)
+    assert report_without_clock(joined) == report_without_clock(sc)
+
+
+def test_a_conjunction_fact_in_a_scenario_text_is_read_as_its_conjuncts():
+    text = load_guardbench_texts().bundled_text("sim1")
+    desires = "  (knows shooter 1 (desires victim 1 (holds g_live 3)))\n"
+    intends = "  (knows shooter 1 (intends victim 1 (happens g_live 3)))\n"
+    joined = text.replace(desires + intends, f"  (and {desires.strip()} {intends.strip()})\n")
+    assert joined != text
+    sc = parse_scenario(joined, "sim1")
+    v = adjudicate(sc)
+    assert (v.decision, v.prove_status, v.proof_verified) == (LOCK, "proof", True)
+    assert len(v.proof) == 34
+    assumptions, _ = adjudication_theory(sc)
+    assert verify_proof(v.proof, assumptions, v.obligation, sc.sig)
+    assert report_without_clock(sc) == report_without_clock(SIM1)
+    r = prevents_holds(sc, SHOOTER, VICTIM, G_LIVE, FIRE, 1)
+    assert r.answer == prevents_holds(SIM1, SHOOTER, VICTIM, G_LIVE, FIRE, 1).answer == "yes"
 
 
 def test_obligation_goal_shape():
