@@ -6,9 +6,12 @@ effects attributable to it strictly exceeds the threshold.  C3: every
 good effect is provably intended, and no other effect of the action
 is; intention is read off the proof engine, so an unprovable intention
 counts as absent.  C4: no good effect is causally downstream of a bad
-effect of the same action.  A clause that cannot be decided inside the
-budget reports unknown, and unknown is treated as non-compliant by
-callers; the checker never guesses in favour of the action.
+effect of the same action; it walks each good effect's causes
+(eventcalc.causes) and names the bad ones among them in effect order,
+the order the effects come in, so it sorts nothing.  A clause that
+cannot be decided inside the budget reports unknown, and unknown is
+treated as non-compliant by callers; the checker never guesses in
+favour of the action.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .eventcalc import ECTheory, Effect, INITIATED, Trace, causal_chain, effects_of
+from .eventcalc import ECTheory, Effect, INITIATED, Trace, causes, effects_of
 from .prover import Budget, prove
 from .syntax import (
     ACTION,
@@ -177,11 +180,10 @@ def check_dde(
     clauses: dict[str, ClauseResult] = {}
 
     # C1: action type not ranked below neutral
-    cat = hierarchy.classify(atype.name)
-    if hierarchy.at_least_neutral(atype.name):
-        clauses["C1"] = ClauseResult("pass", f"{atype.name} classified {cat}")
-    else:
-        clauses["C1"] = ClauseResult("fail", f"{atype.name} classified {cat}")
+    clauses["C1"] = ClauseResult(
+        "pass" if hierarchy.at_least_neutral(atype.name) else "fail",
+        f"{atype.name} classified {hierarchy.classify(atype.name)}",
+    )
 
     # C2: net utility strictly above the threshold
     values = [utilities.effect_utility(e) for e in effects]
@@ -191,43 +193,36 @@ def check_dde(
         status, f"net utility {net} vs threshold {utilities.gamma}"
     )
 
-    good = [e for e, v in zip(effects, values) if v > 0]
-
     # C3: exactly the good effects are provably intended; every query
     # reads the assumptions as handed in, so a Premises is read once
-    c3_status, c3_notes = "pass", []
+    undecided = wrong = False
+    c3_notes = []
     for e, v in zip(effects, values):
         goal = intention_formula(agent, request_moment, e)
         r = prove(assumptions, goal, budget, sig)
         label = f"{e.kind} {print_term(e.fluent)}"
         if r.status in ("timeout", "incomplete"):
-            c3_status = "unknown"
+            undecided = True
             c3_notes.append(f"{label}: intention undecided")
-            continue
-        intended = r.status == "proof"
-        if v > 0:
-            if not intended:
-                if c3_status != "unknown":
-                    c3_status = "fail"
-                c3_notes.append(f"good effect not provably intended: {label}")
-        else:
-            if intended:
-                if c3_status != "unknown":
-                    c3_status = "fail"
-                c3_notes.append(f"non-good effect intended: {label}")
+        elif (r.status == "proof") != (v > 0):
+            wrong = True
+            why = "good effect not provably intended" if v > 0 else "non-good effect intended"
+            c3_notes.append(f"{why}: {label}")
     clauses["C3"] = ClauseResult(
-        c3_status, "; ".join(c3_notes) if c3_notes else "intentions match good effects"
+        "unknown" if undecided else "fail" if wrong else "pass",
+        "; ".join(c3_notes) if c3_notes else "intentions match good effects",
     )
 
-    # C4: no good effect rides on a bad effect of this action
-    bad_ids = {id(e) for e, v in zip(effects, values) if v < 0}
+    # C4: no good effect rides on a bad effect of this action; bad keeps
+    # effect order, so each good effect's bad causes come in that order
+    bad = [e for e, v in zip(effects, values) if v < 0]
     offenders = []
-    for g in good:
-        for p in causal_chain(g):
-            if id(p) in bad_ids:
-                offenders.append(
-                    f"{print_term(g.fluent)} depends on {p.kind} {print_term(p.fluent)}"
-                )
+    for g in (e for e, v in zip(effects, values) if v > 0):
+        reach = {id(p) for p in causes(g)}
+        offenders += (
+            f"{print_term(g.fluent)} depends on {p.kind} {print_term(p.fluent)}"
+            for p in bad if id(p) in reach
+        )
     if offenders:
         clauses["C4"] = ClauseResult("fail", "; ".join(offenders))
     else:

@@ -22,7 +22,13 @@ Every state change keeps its provenance: which axiom fired, for which
 event, and which earlier effects made the guard literals true (for a
 literal the pre-state meets, the effect that last set its fluent so,
 None for the initial state).  That supports counterfactual attribution
-(effects_of) and causal chains (causal_chain).
+(effects_of) and causal chains: causes walks an effect's provenance,
+and causal_chain sorts that walk into effect order.
+
+A trace lists its effects in effect order (Effect.key: moment, kind,
+then event and fluent printed).  The effects fired at a moment are
+sorted once, as they leave the moment, and moments come in order, so
+each effect's key is printed once per projection.
 """
 
 from __future__ import annotations
@@ -201,19 +207,18 @@ def project(theory: ECTheory, sig: Optional[Signature] = None) -> Trace:
             f = both[0]
             raise ProjectionConflict(f, m, pending_init[f].event, pending_term[f].event)
 
-        for f in sorted(pending_init, key=print_term):
-            all_effects.append(pending_init[f])
-            true_source[f] = pending_init[f]
-        for f in sorted(pending_term, key=print_term):
-            all_effects.append(pending_term[f])
-            false_source[f] = pending_term[f]
+        # effect order once, as the moment's effects leave it: moments
+        # come in order, so the trace needs no sort of its own
+        fired = sorted([*pending_init.values(), *pending_term.values()], key=Effect.key)
+        for e in fired:
+            (true_source if e.kind == INITIATED else false_source)[e.fluent] = e
+        all_effects.extend(fired)
 
         nxt = {f for f in state if f not in pending_term}
         nxt |= set(pending_init)
         state = frozenset(nxt)
         states.append(state)
 
-    all_effects.sort(key=Effect.key)
     return Trace(tuple(states), tuple(all_effects))
 
 
@@ -235,14 +240,15 @@ def effects_of(
     for e in with_ev.effects:
         if e.identity() in baseline:
             continue
-        if any(p.event == event and p.moment == moment for p in _causes(e)):
+        if any(p.event == event and p.moment == moment for p in causes(e)):
             out.append(e)
     return out
 
 
-def _causes(effect: Effect) -> Iterator[Effect]:
+def causes(effect: Effect) -> Iterator[Effect]:
     """The effect plus everything its guards causally depend on, each
-    once, in walk order; effects compare by identity."""
+    once, in walk order; effects compare by identity.  The one
+    provenance walk: effects_of, C4 and causal_chain read it."""
     seen: set[Effect] = set()
     stack = [effect]
     while stack:
@@ -257,4 +263,4 @@ def causal_chain(effect: Effect) -> list[Effect]:
     """The effect plus everything its guards causally depend on, in
     effect order (oldest first).  Effects that print alike keep the
     walk's order, so they sort the same way every time."""
-    return sorted(_causes(effect), key=Effect.key)
+    return sorted(causes(effect), key=Effect.key)

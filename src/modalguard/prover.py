@@ -248,7 +248,6 @@ from .syntax import (
     constants_in_formula,
     domain_order,
     free_vars,
-    maximal_modal_subformulas,
     symbol_names,
     unspoofed,
 )
@@ -281,9 +280,10 @@ class _Plan(NamedTuple):
     """How close() grounds a formula: wrap(body) with var replaced by a
     constant, derived by rule (proofs.quantifier_rule); by one fresh
     witness when the rule is a witness rule (proofs.WITNESS_RULES), over
-    the whole domain otherwise.  var is free in a modal subformula of
-    body.  must holds the literals of wrap(body)'s must-set that the
-    purity check reads (_must)."""
+    the whole domain otherwise.  var is free in a modal literal of
+    wrap(body) below no binder of var (_literals).  must holds the
+    literals of wrap(body)'s must-set that the purity check reads
+    (_must)."""
 
     rule: str
     var: Var
@@ -294,15 +294,17 @@ class _Plan(NamedTuple):
 
 def _grounding_plan(f: Formula) -> Optional[_Plan]:
     """f's plan, or None when no quantifier rule takes f apart
-    (proofs.quantifier_rule) or its variable reaches into no modal
-    subformula."""
+    (proofs.quantifier_rule) or its variable reaches, free, into no modal
+    literal of wrap(body) (_literals), one walk that also gives the
+    must-set."""
     q = quantifier_rule(f)
     if q is None:
         return None
     rule, var, body, wrap = q
-    if any(var in free_vars(m) for m in maximal_modal_subformulas(body)):
-        g = wrap(body)
-        return _Plan(rule, var, body, wrap, _must(g, _literals(g), var))
+    g = wrap(body)
+    lits = _literals(g)
+    if any(type(m) is Modal and var not in b and var in free_vars(m) for m, _, _, b in lits):
+        return _Plan(rule, var, body, wrap, _must(g, lits, var))
     return None
 
 

@@ -484,28 +484,6 @@ def _free_vars(g: Formula, bound: frozenset[Var], out: list[Var]) -> None:
         _free_vars(g.body, bound, out)
 
 
-def maximal_modal_subformulas(f: Formula) -> list[Formula]:
-    """Outermost modal subformulas in left-to-right order, no descent inside."""
-    out: list[Formula] = []
-    _maximal_modals(f, out)
-    return out
-
-
-def _maximal_modals(g: Formula, out: list[Formula]) -> None:
-    if isinstance(g, Modal):
-        out.append(g)
-    elif isinstance(g, Not):
-        _maximal_modals(g.body, out)
-    elif isinstance(g, (And, Or)):
-        for p in g.parts:
-            _maximal_modals(p, out)
-    elif isinstance(g, (Implies, Iff)):
-        _maximal_modals(g.left, out)
-        _maximal_modals(g.right, out)
-    elif isinstance(g, (Forall, Exists)):
-        _maximal_modals(g.body, out)
-
-
 def constants_in_formula(f: Formula) -> list[Const]:
     """The constants in the terms of f, each once, in first-occurrence order."""
     return list(dict.fromkeys(constant_occurrences((f,))))

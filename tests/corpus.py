@@ -11,13 +11,22 @@ differentials compare syntax.bind and canonical_key's names against,
 and the walks the checker's quantifier rule, the join-target harvest
 and the name walk were compared against when each became one shared
 walk: opened_reference, harvest_join_targets_reference and
-binder_names with term_names.
+binder_names with term_names.  project_reference is
+eventcalc.project as it was before it sorted each moment's effects
+once: it sorts each kind's fluents, then the whole trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from modalguard.eventcalc import (
+    ECTheory,
+    Effect,
+    INITIATED,
+    ProjectionConflict,
+    Trace,
+)
 from modalguard.parser import parse_formula, parse_formulas
 from typing import Callable, Iterator, Mapping, Optional
 
@@ -54,6 +63,7 @@ from modalguard.syntax import (
     alpha_equivalent,
     canonical_key,
     free_vars,
+    match_term,
     print_term,
     substitute_term,
 )
@@ -218,6 +228,75 @@ def term_names(f: Formula) -> set[str]:
         else:
             names.add(t.name)
     return names
+
+
+def project_reference(theory: ECTheory, sig: Optional[Signature] = None) -> Trace:
+    """eventcalc.project before it sorted each moment's effects once, as
+    they leave the moment: it sorts each kind's fluents by print as it
+    appends them, and the whole trace by Effect.key at the end."""
+    sig = sig if sig is not None else Signature()
+    state = frozenset(theory.initial)
+    states = [state]
+    all_effects: list[Effect] = []
+    true_source: dict[Term, Optional[Effect]] = {}
+    false_source: dict[Term, Optional[Effect]] = {}
+
+    for m in range(theory.horizon):
+        events = sorted(
+            (ev for ev, em in theory.occurrences if em == m), key=print_term
+        )
+        pending_init: dict[Term, Effect] = {}
+        pending_term: dict[Term, Effect] = {}
+        waiting = [
+            (ax, ev, b)
+            for ax in theory.axioms
+            for ev in events
+            if (b := match_term(ax.event, ev, {}, sig)) is not None
+        ]
+        while waiting:
+            unfired = []
+            for match in waiting:
+                ax, ev, b = match
+                sources: list[Optional[Effect]] = []
+                for lit in ax.guard:
+                    f = substitute_term(lit.fluent, b)
+                    if f in state:
+                        held, src = True, true_source.get(f)
+                    elif lit.positive and f in pending_init:
+                        held, src = True, pending_init[f]
+                    else:
+                        held, src = False, false_source.get(f)
+                    if held != lit.positive:
+                        unfired.append(match)
+                        break
+                    sources.append(src)
+                else:
+                    eff = Effect(substitute_term(ax.fluent, b), ax.kind, ev, m, tuple(sources))
+                    pending = pending_init if ax.kind == INITIATED else pending_term
+                    pending.setdefault(eff.fluent, eff)
+            if len(unfired) == len(waiting):
+                break
+            waiting = unfired
+
+        both = sorted(set(pending_init) & set(pending_term), key=print_term)
+        if both:
+            f = both[0]
+            raise ProjectionConflict(f, m, pending_init[f].event, pending_term[f].event)
+
+        for f in sorted(pending_init, key=print_term):
+            all_effects.append(pending_init[f])
+            true_source[f] = pending_init[f]
+        for f in sorted(pending_term, key=print_term):
+            all_effects.append(pending_term[f])
+            false_source[f] = pending_term[f]
+
+        nxt = {f for f in state if f not in pending_term}
+        nxt |= set(pending_init)
+        state = frozenset(nxt)
+        states.append(state)
+
+    all_effects.sort(key=Effect.key)
+    return Trace(tuple(states), tuple(all_effects))
 
 
 def corpus_signature() -> Signature:

@@ -6,7 +6,7 @@ from importlib import resources
 
 import pytest
 
-from modalguard import prover
+from modalguard import ethics, prover
 from modalguard.eventcalc import (
     ECTheory,
     EffectAxiom,
@@ -15,13 +15,14 @@ from modalguard.eventcalc import (
     TERMINATED,
 )
 from modalguard.ethics import (
+    ClauseResult,
     EthicalHierarchy,
     UtilityEntry,
     UtilityMap,
     check_dde,
     intention_formula,
 )
-from modalguard.prover import Budget
+from modalguard.prover import Budget, ProveResult
 from modalguard.scenario import parse_scenario
 from modalguard.syntax import (
     ACTION,
@@ -394,3 +395,71 @@ def test_each_effect_is_priced_once(monkeypatch):
     assert {k: c.status for k, c in got.clauses.items()} == {
         "C1": "pass", "C2": "pass", "C3": "pass", "C4": "fail"
     }
+
+
+# ---------------------------------------------------------------------------
+# C3's status and notes, C4's detail, pinned
+
+SMOKE = Const("smoke", FLUENT)
+SHADE = Const("shade", FLUENT)
+
+
+def test_c4_names_each_good_effects_bad_causes_in_effect_order():
+    # crops ride on both harms, shade on the toxin alone; the offenders
+    # come good effect by good effect, each one's bad causes in effect
+    # order, whatever order the walk meets them in
+    atype, event = act("aid")
+    th = theory([
+        EffectAxiom(event, INITIATED, TOXIN),
+        EffectAxiom(event, INITIATED, SMOKE),
+        # the walk pops the toxin before the smoke
+        EffectAxiom(
+            event, INITIATED, CROPS, (GuardLiteral(True, SMOKE), GuardLiteral(True, TOXIN))
+        ),
+        EffectAxiom(event, INITIATED, SHADE, (GuardLiteral(True, TOXIN),)),
+    ])
+    v = check_dde(th, AGENT0, atype, 0, HIER, umap(crops_saved=2, shade=1, smoke=-1, toxin=-1),
+                  [intent_fact(INITIATED, CROPS), intent_fact(INITIATED, SHADE)])
+    assert [e.fluent for e in v.effects] == [CROPS, SHADE, SMOKE, TOXIN]
+    assert v.clauses["C4"] == ClauseResult(
+        "fail",
+        "crops_saved depends on initiated smoke; crops_saved depends on initiated toxin; "
+        "shade depends on initiated toxin",
+    )
+
+
+def undecided_on(fluent: Const):
+    """ethics.prove, with every intention query about fluent out of time."""
+    prove = ethics.prove
+
+    def patched(assumptions, goal, *args):
+        if isinstance(goal, Modal) and goal.op == INTENDS and fluent in goal.body.args:
+            return ProveResult("timeout")
+        return prove(assumptions, goal, *args)
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "intended, undecided, notes",
+    [
+        # the good effect is not intended, then the harm's query runs out
+        ([], TOXIN,
+         "good effect not provably intended: initiated crops_saved; "
+         "initiated toxin: intention undecided"),
+        # the good effect's query runs out, then the harm is intended
+        ([CROPS, TOXIN], CROPS,
+         "initiated crops_saved: intention undecided; "
+         "non-good effect intended: initiated toxin"),
+    ],
+)
+def test_c3_is_unknown_when_an_undecided_intention_meets_a_wrong_one(
+    monkeypatch, intended, undecided, notes
+):
+    atype, event = act("aid")
+    th = theory([EffectAxiom(event, INITIATED, CROPS), EffectAxiom(event, INITIATED, TOXIN)])
+    monkeypatch.setattr(ethics, "prove", undecided_on(undecided))
+    v = check_dde(th, AGENT0, atype, 0, HIER, umap(crops_saved=2, toxin=-1),
+                  [intent_fact(INITIATED, f) for f in intended])
+    assert v.clauses["C3"] == ClauseResult("unknown", notes)
+    assert v.unknown and not v.compliant

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
 from modalguard.eventcalc import (
     ECTheory,
@@ -16,6 +17,9 @@ from modalguard.eventcalc import (
     project,
 )
 from modalguard.syntax import AGENT, App, Const, EVENT, FLUENT, Var
+
+from corpus import project_reference
+from test_axiom_order import theories
 
 WET = Const("wet", FLUENT)
 FLOODED = Const("flooded", FLUENT)
@@ -204,3 +208,29 @@ def test_fluents_are_told_apart_by_term_not_by_print():
     guarded = EffectAxiom(HOSE, INITIATED, WET, (GuardLiteral(True, spelled),))
     th = theory(axioms=[revive, guarded], occurrences=[(POUR, 0), (HOSE, 0)])
     assert project(th).states[1] == frozenset([alive])
+
+
+# ---------------------------------------------------------------------------
+# a projection sorts each moment's effects once, as they leave it, and
+# gives what the three sorts of the reference projection gave
+
+
+def projected(project_fn, th):
+    """The states, each effect as (moment, kind, event, fluent) with its
+    sources as positions in the trace, or the conflict."""
+    try:
+        tr = project_fn(th)
+    except ProjectionConflict as c:
+        return "conflict", (c.fluent, c.moment, c.initiator, c.terminator)
+    at = {id(e): i for i, e in enumerate(tr.effects)}
+    effects = [
+        (e.identity(), tuple(None if s is None else at[id(s)] for s in e.sources))
+        for e in tr.effects
+    ]
+    return tr.states, effects
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(theories())
+def test_a_projection_orders_its_effects_as_the_reference_did(th):
+    assert projected(project, th) == projected(project_reference, th)

@@ -712,6 +712,42 @@ def test_an_empty_subsorts_anonymous_element_joins_its_supersorts_domain():
     assert ok, reason
 
 
+# a formula is ground when its variable reaches, free, into a modal
+# literal of the formula it is opened to (prover._literals)
+REBOUND = "(forall x : Agent (and (P x) (forall x : Agent (knows x 1 (Q x)))))"
+PLANS = [
+    ("(forall x : Agent (or (P x) (knows alice 1 (Q bob))))", None),
+    ("(forall x : Agent (knows alice 1 (and (P bob) (believes x 1 (Q x)))))", "forall-elim"),
+    ("(implies (exists x : Agent (P x)) (knows alice 1 (Q bob)))", None),
+    ("(not (exists x : Agent (and (P x) (believes x 1 (Q bob)))))", "neg-exists-elim"),
+    # x is bound again above the one modal it occurs in: an instance
+    # would differ from the formula outside the modals only
+    (REBOUND, None),
+    ("(forall x : Agent (knows alice 1 (forall x : Agent (knows x 1 (Q x)))))", None),
+]
+
+
+@pytest.mark.parametrize("text, rule", PLANS)
+def test_a_grounding_plan_needs_its_variable_free_in_a_modal_literal(text, rule):
+    plan = prover._grounding_plan(parse_formula(text, SIG))
+    assert (plan and plan.rule) == rule
+
+
+@pytest.mark.parametrize(
+    "goal, status",
+    [("(P bob)", "proof"), ("(knows alice 1 (Q alice))", "no_proof"), ("(Q alice)", "no_proof")],
+)
+def test_a_variable_bound_again_above_its_modals_is_not_ground(goal, status):
+    # the quantified formula is clausified with x symbolic, so what can
+    # be refuted is what its instances gave
+    fs, g = [parse_formula(REBOUND, SIG)], parse_formula(goal, SIG)
+    r = prove(fs, g, sig=SIG)
+    assert (r.status, r.stats["grounding_instances"]) == (status, 0)
+    if r.proof is not None:
+        ok, reason = verify_proof_detailed(r.proof, fs, g, SIG)
+        assert ok, reason
+
+
 # ---------------------------------------------------------------------------
 # a grounding instance is keyed as its quantifier's body with the bound
 # variable named as the constant

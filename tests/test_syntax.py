@@ -42,7 +42,6 @@ from modalguard.syntax import (
     free_vars,
     is_moment_literal,
     match_term,
-    maximal_modal_subformulas,
     moment,
     moment_value,
     obligated,
@@ -358,18 +357,6 @@ def test_a_predicate_named_like_an_operator_keys_apart_from_it():
     assert print_formula(atom) == print_formula(Modal(KNOWS, A, moment(1), RAINS))
     assert canonical_key(atom) != canonical_key(Modal(KNOWS, A, moment(1), RAINS))
     assert canonical_key(Atom("P", (B,))) == "(P b)"
-
-
-def test_maximal_modal_subformulas_stop_at_outermost():
-    inner = Modal("believes", B, moment(1), RAINS)
-    outer = Modal(KNOWS, A, moment(1), inner)
-    assert maximal_modal_subformulas(outer) == [outer]
-    both = Implies(outer, Not(Modal(KNOWS, B, moment(2), RAINS)))
-    got = [print_formula(m) for m in maximal_modal_subformulas(both)]
-    assert got == [
-        "(knows a 1 (believes b 1 (rains)))",
-        "(knows b 2 (rains))",
-    ]
 
 
 def test_falsum_prints_as_false():
