@@ -58,7 +58,7 @@ from modalguard.syntax import (
 
 import corpus
 from corpus import substitute
-from test_parser import RandomFormulas, round_trip_sig
+from test_parser import RandomFormulas, round_trip_sig, with_join_targets
 from test_prover import load_guardbench_texts
 
 SIG = corpus.corpus_signature()
@@ -339,6 +339,8 @@ def test_the_closure_of_a_random_theory_is_unchanged(seed, depth, known):
     rng = random.Random(seed)
     gen = RandomFormulas(seed)
     fs = [gen.formula([], rng.randint(0, 3)) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.5:
+        fs = [with_join_targets(f, rng) for f in fs]
     if known:
         # S1 brings out a quantified body in every round, the case where
         # a round can return its input

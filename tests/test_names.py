@@ -57,7 +57,7 @@ from modalguard.syntax import (
     unspoofed,
 )
 from corpus import subformulas
-from test_parser import RandomFormulas
+from test_parser import RandomFormulas, with_join_targets
 
 # one declared constant per sort a formula quantifies over; the oracle
 # would give a sort with none one anonymous element
@@ -142,8 +142,9 @@ class NamedFormulas:
 def named_problems(draw):
     """Assumptions and a goal over one to three constants named from
     NAMES, each a Goal or an Action.  Half the problems assume open
-    modals only; of the others, half also assume that their last
-    assumption implies the goal."""
+    modals only; of the others, half have join targets put in their
+    assumptions (with_join_targets), and half also assume that their
+    last assumption implies the goal."""
     names = draw(st.lists(NAMES, min_size=1, max_size=3, unique=True))
     consts = [Const(n, draw(st.sampled_from((GOAL, ACTION)))) for n in names]
     var_names = draw(st.lists(NAMES, min_size=1, max_size=2, unique=True))
@@ -157,6 +158,8 @@ def named_problems(draw):
         return fs, gen.atom([])
     fs = [gen.formula([], rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
     goal = gen.formula([], rng.randint(0, 2))
+    if rng.random() < 0.5:
+        fs = [with_join_targets(f, rng) for f in fs]
     if rng.random() < 0.5:
         fs.append(Implies(fs[-1], goal))
     return fs, goal
@@ -332,12 +335,15 @@ class PredicateFormulas(NamedFormulas):
 def predicate_problems(draw):
     """Assumptions and a goal that may hold a nullary predicate named
     from PREDICATE_NAMES; the predicate's excluded middle is assumed now
-    and then, which no pure-literal pass drops."""
+    and then, which no pure-literal pass drops.  Half the problems have
+    join targets put in their assumptions (with_join_targets)."""
     pred = draw(PREDICATE_NAMES)
     seed = draw(st.integers(0, 2**32 - 1))
     rng = random.Random(seed)
     gen = PredicateFormulas(seed, pred)
     fs = [gen.formula([], rng.randint(0, 3)) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.5:
+        fs = [with_join_targets(f, rng) for f in fs]
     if rng.random() < 0.5:
         fs.append(Or((Atom(pred), Not(Atom(pred)))))
     goal = gen.formula([], rng.randint(0, 2))

@@ -21,6 +21,7 @@ from modalguard.proofs import verify_proof, verify_proof_detailed
 from modalguard.prover import Budget, prove
 from modalguard.resolution import saturate
 from modalguard.scenario import load_bundled_scenario, parse_scenario
+from modalguard.schemata import harvest_join_targets
 from modalguard.syntax import (
     ACTION_TYPE,
     AGENT,
@@ -49,7 +50,7 @@ from modalguard.syntax import (
 
 import corpus
 from test_clauses import iff_chain
-from test_parser import RandomFormulas, round_trip_sig
+from test_parser import RandomFormulas, round_trip_sig, with_join_targets
 
 SIG = corpus.corpus_signature()
 
@@ -427,19 +428,34 @@ RF_SIG = round_trip_sig()
 RF_BUDGET = Budget(timeout_ms=60000, max_clauses=3000)
 
 
-@st.composite
-def random_problems(draw):
+def random_problem(seed: int):
     """Assumptions and a goal built by RandomFormulas.  Half the problems
-    also assume that their last assumption implies the goal, so that
-    about half of them are proved."""
-    seed = draw(st.integers(0, 2**32 - 1))
+    have join targets put in their assumptions (with_join_targets), and
+    half also assume that their last assumption implies the goal, so
+    that about half of them are proved."""
     rng = random.Random(seed)
     gen = RandomFormulas(seed)
     fs = [gen.formula([], rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
     goal = gen.formula([], rng.randint(0, 2))
     if rng.random() < 0.5:
+        fs = [with_join_targets(f, rng) for f in fs]
+    if rng.random() < 0.5:
         fs.append(Implies(fs[-1], goal))
     return fs, goal
+
+
+@st.composite
+def random_problems(draw):
+    """random_problem at a drawn seed."""
+    return random_problem(draw(st.integers(0, 2**32 - 1)))
+
+
+def test_a_quarter_of_the_random_problems_hold_a_join_target():
+    # S4 joins and the purity check's join exceptions need one; before
+    # with_join_targets about 1% of the problems held one
+    problems = [random_problem(seed) for seed in range(300)]
+    held = sum(bool(harvest_join_targets([*fs, goal])) for fs, goal in problems)
+    assert held >= len(problems) // 4
 
 
 def assert_same_answer(a, b):

@@ -6,7 +6,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 from corpus import harvest_join_targets_reference
-from test_parser import RandomFormulas
+from test_parser import RandomFormulas, with_join_targets
 from test_prover import sim1_normed_idle, with_live_instances
 
 from modalguard import prover, schemata
@@ -166,31 +166,6 @@ def test_harvest_finds_conjunction_bodied_epistemic_modals():
     )
     got = {print_formula(t) for t in harvest_join_targets(fs).values()}
     assert got == {"(knows a 1 (and (p) (q)))"}
-
-
-def with_join_targets(f, rng):
-    """f with some of its atoms and modals, at random, made a knows or
-    believes of the conjunction of the atom, or of the modal's body, and
-    (rains): a join target.  Some conjunctions are made a knows of
-    themselves, so a join target's parts hold join targets too."""
-    if isinstance(f, (And, Or)):
-        g = type(f)(tuple(with_join_targets(p, rng) for p in f.parts))
-        if isinstance(g, Or) or rng.random() < 0.5:
-            return g
-        return Modal(KNOWS, Const("a", AGENT), moment(1), g)
-    if isinstance(f, (Implies, Iff)):
-        return type(f)(with_join_targets(f.left, rng), with_join_targets(f.right, rng))
-    if isinstance(f, Not):
-        return Not(with_join_targets(f.body, rng))
-    if isinstance(f, Atom):
-        body, agent, time = f, Const("a", AGENT), moment(1)
-    elif isinstance(f, Modal):
-        body, agent, time = with_join_targets(f.body, rng), f.agent, f.time
-    else:
-        return type(f)(f.var, with_join_targets(f.body, rng))
-    if rng.random() < 0.5:
-        return f if isinstance(f, Atom) else Modal(f.op, agent, time, body, f.situation)
-    return Modal(rng.choice((KNOWS, BELIEVES)), agent, time, And((body, Atom("rains", ()))))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
