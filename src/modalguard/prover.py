@@ -5,7 +5,16 @@ into modal subformulas are instantiated first, over a finite domain of
 constants (see below), because modal subformulas are later replaced by
 content-addressed propositional atoms and only identical instances can
 connect.  Quantifiers with no modal content stay symbolic and are
-handled by unification inside the resolution core.
+handled by unification inside the resolution core.  A formula a
+quantifier rule opens (proofs.quantifier_rule) is ground when its
+variable is free in a modal literal of the opened formula below no
+binder of that variable: the one _literals walk that gives the purity
+check its must-set (_grounding_plan).  Those literals are the maximal
+modals with the binders above them, and the modals of knows bodies; a
+variable that reaches a nested one reaches the maximal modal around
+it.  A body that binds the variable again above every modal it occurs
+in is not ground: an instance would differ from it outside the modals
+only, and the formula is clausified with the variable symbolic.
 
 Modal reasoning happens on the positive side: the closure rules are
 applied to the assumptions before shadowing, so goals whose proof
