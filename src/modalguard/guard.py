@@ -17,15 +17,16 @@ not the proof.
 
 Each adjudication builds the request theory once (`base_theory`): the
 scenario facts, each read as its conjuncts, plus the projected trace,
-with the request occurrence added.  The obligation query reads it with the deprivation rule and the
-prevention bridge added; the double-effect intention queries read it
-as it is, and the double-effect check reuses its projected trace.  All
-of them ask one Premises: the obligation query that of the theory with
-its norms, the intention queries its base-theory prefix, which shares
-its keys and its purity reads (prover.Premises.prefix), so each
-assumption is keyed and read once per adjudication.  One function turns
-a projection into facts plus trace atoms (`projected_facts`): the base
-theory's, and the prevention query's, which has no request occurrence.
+with the request occurrence added.  The obligation query reads it with
+the deprivation rule and the prevention bridge added; the double-effect
+intention queries read it as it is, and the double-effect check reuses
+its projected trace.  All of them ask one Premises: the obligation
+query that of the theory with its norms, the intention queries its
+base-theory prefix, which shares its keys and its purity reads
+(prover.Premises.prefix), so each assumption is keyed and read once per
+adjudication.  One function turns a projection into facts plus trace
+atoms (`projected_facts`): the base theory's, and the prevention
+query's, which has no request occurrence.
 
 A proved obligation is re-checked by the independent proof verifier,
 then weighed: an action whose projected effects satisfy the
